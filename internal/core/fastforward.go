@@ -19,10 +19,10 @@ package core
 //     cycle bounds the jump.
 //  2. Replay of the per-cycle bookkeeping that does run on idle cycles:
 //     ROB-occupancy and MLP accumulators (bulk-added — their inputs are
-//     constant while idle), the store-wait clear timer (closed form), the
-//     telemetry sampler (one sample per skipped sampling point), and the
-//     banked WIB's empty-rotation of bank priorities (period-two closed
-//     form).
+//     constant while idle), the store-wait clear timer (closed form), and
+//     the telemetry sampler (one sample per skipped sampling point). The
+//     banked WIB's bank priorities do not move on a cycle with nothing
+//     eligible, so they need no replay.
 //
 // Anything that cannot be replayed exactly simply bounds the jump target
 // instead: pending events, the fetch-stall expiry, the earliest MLP fill
@@ -106,7 +106,6 @@ func (p *Processor) fastForward(limit int64) {
 // event fires), so multiplication replaces iteration.
 func (p *Processor) skipTo(last int64) {
 	delta := last - p.now
-	first := p.now + 1
 	p.sw.fastForward(last)
 	if p.robCount > 0 {
 		p.stats.robOccupancy += uint64(p.robCount) * uint64(delta)
@@ -118,9 +117,6 @@ func (p *Processor) skipTo(last int64) {
 		// already recorded by the cycle that set it.
 		p.stats.mlpSum += uint64(n) * uint64(delta)
 		p.stats.mlpCycles += uint64(delta)
-	}
-	if p.wib != nil {
-		p.wib.replayEmptyRotation(first, delta)
 	}
 	if p.tel != nil {
 		p.tel.col.CatchUp(last)

@@ -13,12 +13,14 @@ func (p *Processor) checkInvariants() {
 
 	// Issue-queue occupancy matches entry stages; WIB occupancy matches
 	// parked stages; LSQ counts match allocated entries.
-	var intQ, fpQ, parked, loads, stores int
+	var intQ, fpQ, parked, eligible, loads, stores int
+	banked := p.wib != nil && p.wib.cfg.Banked
 	size := int32(len(p.rob))
 	for i := int32(0); i < p.robCount; i++ {
-		e := &p.rob[(p.robHead+i)%size]
+		idx := (p.robHead + i) % size
+		e := &p.rob[idx]
 		if e.stage == stFree {
-			throw(KindROBFreeEntry, e.seq, "live ROB entry %d is stFree (seq %d)", (p.robHead+i)%size, e.seq)
+			throw(KindROBFreeEntry, e.seq, "live ROB entry %d is stFree (seq %d)", idx, e.seq)
 		}
 		switch e.stage {
 		case stWaiting, stRequest:
@@ -27,8 +29,14 @@ func (p *Processor) checkInvariants() {
 			} else {
 				fpQ++
 			}
-		case stInWIB, stEligible:
+		case stInWIB:
 			parked++
+		case stEligible:
+			parked++
+			eligible++
+			if banked && !p.wib.eligibleBitSet(idx) {
+				throw(KindWIBEligibleMap, e.seq, "seq %d in slot %d is eligible but its bitmap bit is clear", e.seq, idx)
+			}
 		}
 		if e.lq != noReg {
 			loads++
@@ -51,6 +59,12 @@ func (p *Processor) checkInvariants() {
 	}
 	if stores != p.lsq.sqCount {
 		throw(KindSQCount, 0, "SQ count %d, entries say %d", p.lsq.sqCount, stores)
+	}
+	p.lsq.checkIndexes()
+	if banked {
+		// Every eligible entry's bit is set (checked above), so equal
+		// totals mean the bitmap holds no other bit.
+		p.wib.checkEligibleCounts(eligible)
 	}
 	if p.wib != nil {
 		// Bit-vector conservation: every column is either active or on the

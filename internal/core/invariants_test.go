@@ -81,6 +81,9 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 		kinds      []ErrKind
 		// machine overrides the default parkChain victim.
 		machine func(t *testing.T, cfg Config) *Processor
+		// nextCycle requires detection on the first cycle after the
+		// corruption, not merely eventually.
+		nextCycle bool
 	}{
 		{
 			name:       "iq-count-skew",
@@ -106,6 +109,48 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 			corrupt:    func(p *Processor) { p.lsq.sqCount++ },
 			kinds:      []ErrKind{KindSQCount},
 			machine:    storeChain,
+		},
+		{
+			// A stray bit on a slot nobody parked: either the end-of-cycle
+			// recount or the select's own stage check names the bitmap.
+			name:       "wib-eligible-bit-flip",
+			applicable: func(p *Processor) bool { return !p.wib.eligibleBitSet(p.robTail) },
+			corrupt: func(p *Processor) {
+				word, mask := p.wib.bankBit(p.wib.bankOf(p.robTail))
+				*word ^= mask
+			},
+			kinds:     []ErrKind{KindWIBEligibleMap},
+			nextCycle: true,
+		},
+		{
+			name:       "wib-eligible-count-off-by-one",
+			applicable: func(p *Processor) bool { return true },
+			corrupt:    func(p *Processor) { p.wib.eligCount++ },
+			kinds:      []ErrKind{KindWIBEligibleMap},
+			nextCycle:  true,
+		},
+		{
+			name:       "sq-unresolved-off-by-one",
+			applicable: func(p *Processor) bool { return true },
+			corrupt:    func(p *Processor) { p.lsq.sqUnresolved++ },
+			kinds:      []ErrKind{KindSQUnresolved},
+			nextCycle:  true,
+			machine:    storeChain,
+		},
+		{
+			name:       "sq-addr-count-off-by-one",
+			applicable: func(p *Processor) bool { return true },
+			corrupt:    func(p *Processor) { p.lsq.sqAddrs.add(0x1238) },
+			kinds:      []ErrKind{KindSQAddrIndex},
+			nextCycle:  true,
+			machine:    storeChain,
+		},
+		{
+			name:       "lq-addr-count-off-by-one",
+			applicable: func(p *Processor) bool { return true },
+			corrupt:    func(p *Processor) { p.lsq.lqAddrs.add(0x1238) },
+			kinds:      []ErrKind{KindLQAddrIndex},
+			nextCycle:  true,
 		},
 		{
 			name:       "free-list-duplicate",
@@ -184,6 +229,7 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 			if !applied {
 				t.Fatal("corruption never applicable")
 			}
+			corruptedAt := p.now
 			_, err := p.Run(0, 1_000_000)
 			var se *SimError
 			if !errors.As(err, &se) {
@@ -197,6 +243,9 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 			}
 			if !ok {
 				t.Errorf("detected as [%s] (%s), want one of %v", se.Kind, se.Msg, tc.kinds)
+			}
+			if tc.nextCycle && se.Cycle != corruptedAt+1 {
+				t.Errorf("corrupted at cycle %d, detected at cycle %d, want the next cycle", corruptedAt, se.Cycle)
 			}
 			if se.Dump == "" {
 				t.Error("corruption report has no pipeline dump")

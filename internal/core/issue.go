@@ -127,15 +127,13 @@ func (p *Processor) registerInIQ(rob int32) {
 	e.waitCount = 0
 	if !p.operandSatisfied(e.src1FP, e.src1Phys) {
 		e.waitCount++
-		r := p.pr(e.src1FP, e.src1Phys)
-		r.waiters = append(r.waiters, waiter{rob: rob, seq: e.seq})
+		p.addWaiter(p.pr(e.src1FP, e.src1Phys), rob, e.seq)
 	}
 	// Stores issue on their base register alone (split STA/STD); the data
 	// operand is captured at issue or awaited afterwards.
 	if e.class != isa.ClassStore && !p.operandSatisfied(e.src2FP, e.src2Phys) {
 		e.waitCount++
-		r := p.pr(e.src2FP, e.src2Phys)
-		r.waiters = append(r.waiters, waiter{rob: rob, seq: e.seq})
+		p.addWaiter(p.pr(e.src2FP, e.src2Phys), rob, e.seq)
 	}
 	if e.waitCount == 0 {
 		e.stage = stRequest

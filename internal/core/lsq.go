@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // The load and store queues hold memory operations in program order from
 // dispatch to commit. Loads execute speculatively: they forward from the
 // youngest older store with a matching (known) address, and speculate past
@@ -9,165 +11,323 @@ package core
 // the load's PC is entered in the store-wait table so future instances
 // wait (21264-style speculative load execution, paper Table 1).
 
+// (Fields are ordered widest first: the searches stride over these.)
 type lqEntry struct {
-	rob      int32
 	seq      uint64
 	addr     uint64 // 8-byte aligned effective address
-	addrOK   bool
-	executed bool
 	value    uint64
 	fwdSeq   uint64 // sequence of the forwarding store; 0 = read memory
+	sqPos    uint64 // store-queue tail position at dispatch: stores below it are older
+	rob      int32
+	executed bool
 	valid    bool
 }
 
 type sqEntry struct {
-	rob    int32
 	seq    uint64
 	addr   uint64
-	addrOK bool
 	data   uint64
+	lqPos  uint64 // load-queue tail position at dispatch: loads at or above it are younger
+	rob    int32
+	addrOK bool
 	dataOK bool
 	valid  bool
 }
 
+// lsq holds both queues as rings addressed by monotone positions: entry n
+// lives in slot n % len, head and tail only ever count up (squash rolls the
+// tail back, and every surviving instruction recorded a position at or
+// below the new tail, so reuse is unambiguous). A load records the store
+// tail at its dispatch and a store the load tail, which bounds every
+// search to the entries that can matter.
+//
+// Three indexes keep the common searches off the queues entirely; each is
+// maintained by the mutators below (resolveStore, executeLoad, release*,
+// squash*) and recounted per cycle in Debug runs (checkIndexes):
+//
+//   - sqUnresolved: valid stores whose address is not yet known;
+//   - sqAddrs: per hashed address, how many valid stores have resolved to it;
+//   - lqAddrs: per hashed address, how many valid loads have executed at it.
 type lsq struct {
 	lq             []lqEntry
-	lqHead, lqTail int32
+	lqHead, lqTail uint64
 	lqCount        int
 
 	sq             []sqEntry
-	sqHead, sqTail int32
+	sqHead, sqTail uint64
 	sqCount        int
+
+	sqUnresolved int
+	sqAddrs      addrCounts
+	lqAddrs      addrCounts
+
+	recount []uint32 // checkIndexes scratch
 }
 
+// addrCounts is a counting filter over 8-byte-aligned addresses: a zero
+// bucket proves no queue entry holds the address, a non-zero one means
+// "walk the queue".
+type addrCounts struct {
+	n     []uint32
+	shift uint
+}
+
+// newAddrCounts sizes the table at four buckets per queue entry (rounded
+// up to a power of two), so a full queue still leaves most buckets empty.
+func newAddrCounts(entries int) addrCounts {
+	bits := uint(4)
+	for 1<<bits < 4*entries {
+		bits++
+	}
+	return addrCounts{n: make([]uint32, 1<<bits), shift: 64 - bits}
+}
+
+// bucket is Fibonacci hashing of the word address: power-of-two strides
+// (page- and line-strided kernels) spread instead of piling up.
+func (a *addrCounts) bucket(addr uint64) *uint32 {
+	return &a.n[((addr>>3)*0x9E3779B97F4A7C15)>>a.shift]
+}
+
+func (a *addrCounts) add(addr uint64)      { *a.bucket(addr)++ }
+func (a *addrCounts) remove(addr uint64)   { *a.bucket(addr)-- }
+func (a *addrCounts) has(addr uint64) bool { return *a.bucket(addr) != 0 }
+
 func newLSQ(loads, stores int) *lsq {
-	return &lsq{lq: make([]lqEntry, loads), sq: make([]sqEntry, stores)}
+	return &lsq{
+		lq:      make([]lqEntry, loads),
+		sq:      make([]sqEntry, stores),
+		sqAddrs: newAddrCounts(stores),
+		lqAddrs: newAddrCounts(loads),
+	}
 }
 
 func (l *lsq) loadFull() bool  { return l.lqCount == len(l.lq) }
 func (l *lsq) storeFull() bool { return l.sqCount == len(l.sq) }
 
+func (l *lsq) lqSlot(pos uint64) int32 { return int32(pos % uint64(len(l.lq))) }
+func (l *lsq) sqSlot(pos uint64) int32 { return int32(pos % uint64(len(l.sq))) }
+
 // allocLoad reserves the next load-queue slot in program order. Dispatch
 // checks loadFull first, so an allocation into an occupied slot is a
 // bookkeeping bug.
 func (l *lsq) allocLoad(rob int32, seq uint64) int32 {
-	idx := l.lqTail
+	idx := l.lqSlot(l.lqTail)
 	if l.lqCount >= len(l.lq) || l.lq[idx].valid {
 		throw(KindLSQOverflow, seq, "load queue overflow: alloc seq %d into slot %d (count %d/%d, valid=%v)",
 			seq, idx, l.lqCount, len(l.lq), l.lq[idx].valid)
 	}
-	l.lq[idx] = lqEntry{rob: rob, seq: seq, valid: true}
-	l.lqTail = (l.lqTail + 1) % int32(len(l.lq))
+	l.lq[idx] = lqEntry{rob: rob, seq: seq, sqPos: l.sqTail, valid: true}
+	l.lqTail++
 	l.lqCount++
 	return idx
 }
 
 // allocStore reserves the next store-queue slot in program order.
 func (l *lsq) allocStore(rob int32, seq uint64) int32 {
-	idx := l.sqTail
+	idx := l.sqSlot(l.sqTail)
 	if l.sqCount >= len(l.sq) || l.sq[idx].valid {
 		throw(KindLSQOverflow, seq, "store queue overflow: alloc seq %d into slot %d (count %d/%d, valid=%v)",
 			seq, idx, l.sqCount, len(l.sq), l.sq[idx].valid)
 	}
-	l.sq[idx] = sqEntry{rob: rob, seq: seq, valid: true}
-	l.sqTail = (l.sqTail + 1) % int32(len(l.sq))
+	l.sq[idx] = sqEntry{rob: rob, seq: seq, lqPos: l.lqTail, valid: true}
+	l.sqTail++
 	l.sqCount++
+	l.sqUnresolved++
 	return idx
 }
 
 func (l *lsq) load(i int32) *lqEntry  { return &l.lq[i] }
 func (l *lsq) store(i int32) *sqEntry { return &l.sq[i] }
 
+// resolveStore publishes a store's address for forwarding and ordering
+// checks.
+func (l *lsq) resolveStore(i int32, addr uint64) {
+	s := &l.sq[i]
+	if !s.valid || s.addrOK {
+		throw(KindLSQDoubleFree, s.seq, "resolving store-queue slot %d (valid=%v, resolved=%v)", i, s.valid, s.addrOK)
+	}
+	s.addr = addr
+	s.addrOK = true
+	l.sqUnresolved--
+	l.sqAddrs.add(addr)
+}
+
+// executeLoad records that a load read its value at addr: from memory
+// when fwdSeq is 0, else from the store with that sequence number.
+func (l *lsq) executeLoad(i int32, addr, value, fwdSeq uint64) {
+	ld := &l.lq[i]
+	if !ld.valid || ld.executed {
+		throw(KindLSQDoubleFree, ld.seq, "executing load-queue slot %d (valid=%v, executed=%v)", i, ld.valid, ld.executed)
+	}
+	ld.addr = addr
+	ld.executed = true
+	ld.value = value
+	ld.fwdSeq = fwdSeq
+	l.lqAddrs.add(addr)
+}
+
+// dropLoad and dropStore invalidate an entry and take it out of the
+// indexes; release and squash differ only in which end of the ring moves.
+func (l *lsq) dropLoad(i int32, what string) {
+	ld := &l.lq[i]
+	if !ld.valid {
+		throw(KindLSQDoubleFree, ld.seq, "%s invalid load-queue slot %d", what, i)
+	}
+	ld.valid = false
+	if ld.executed {
+		l.lqAddrs.remove(ld.addr)
+	}
+	l.lqCount--
+}
+
+func (l *lsq) dropStore(i int32, what string) {
+	s := &l.sq[i]
+	if !s.valid {
+		throw(KindLSQDoubleFree, s.seq, "%s invalid store-queue slot %d", what, i)
+	}
+	s.valid = false
+	if s.addrOK {
+		l.sqAddrs.remove(s.addr)
+	} else {
+		l.sqUnresolved--
+	}
+	l.sqCount--
+}
+
 // releaseLoad frees the head load slot at commit.
 func (l *lsq) releaseLoad(i int32) {
-	if !l.lq[i].valid {
-		throw(KindLSQDoubleFree, l.lq[i].seq, "releasing invalid load-queue slot %d", i)
-	}
-	l.lq[i].valid = false
-	l.lqHead = (l.lqHead + 1) % int32(len(l.lq))
-	l.lqCount--
+	l.dropLoad(i, "releasing")
+	l.lqHead++
 }
 
 // releaseStore frees the head store slot at commit.
 func (l *lsq) releaseStore(i int32) {
-	if !l.sq[i].valid {
-		throw(KindLSQDoubleFree, l.sq[i].seq, "releasing invalid store-queue slot %d", i)
-	}
-	l.sq[i].valid = false
-	l.sqHead = (l.sqHead + 1) % int32(len(l.sq))
-	l.sqCount--
+	l.dropStore(i, "releasing")
+	l.sqHead++
 }
 
 // squashLoad rolls the tail back over a squashed load (youngest-first
 // walk).
 func (l *lsq) squashLoad(i int32) {
-	if !l.lq[i].valid {
-		throw(KindLSQDoubleFree, l.lq[i].seq, "squashing invalid load-queue slot %d", i)
-	}
-	l.lq[i].valid = false
-	l.lqTail = i
-	l.lqCount--
+	l.dropLoad(i, "squashing")
+	l.lqTail--
 }
 
 // squashStore rolls the tail back over a squashed store.
 func (l *lsq) squashStore(i int32) {
-	if !l.sq[i].valid {
-		throw(KindLSQDoubleFree, l.sq[i].seq, "squashing invalid store-queue slot %d", i)
-	}
-	l.sq[i].valid = false
-	l.sqTail = i
-	l.sqCount--
+	l.dropStore(i, "squashing")
+	l.sqTail--
 }
 
-// olderStoreUnknown reports whether any store older than seq has an
-// unresolved address.
-func (l *lsq) olderStoreUnknown(seq uint64) bool {
-	for n, i := 0, l.sqHead; n < l.sqCount; n, i = n+1, (i+1)%int32(len(l.sq)) {
-		s := &l.sq[i]
-		if !s.valid || s.seq >= seq {
-			continue
+// checkIndexes recounts the three indexes from the queue slots (Debug
+// runs) and throws on the first that disagrees.
+func (l *lsq) checkIndexes() {
+	unresolved := 0
+	want := l.recountInto(&l.sqAddrs)
+	for i := range l.sq {
+		switch s := &l.sq[i]; {
+		case !s.valid:
+		case s.addrOK:
+			want.add(s.addr)
+		default:
+			unresolved++
 		}
-		if !s.addrOK {
+	}
+	if unresolved != l.sqUnresolved {
+		throw(KindSQUnresolved, 0, "unresolved-store count %d, store queue holds %d", l.sqUnresolved, unresolved)
+	}
+	if !slices.Equal(want.n, l.sqAddrs.n) {
+		throw(KindSQAddrIndex, 0, "resolved-store address counts disagree with the store queue")
+	}
+	want = l.recountInto(&l.lqAddrs)
+	for i := range l.lq {
+		if ld := &l.lq[i]; ld.valid && ld.executed {
+			want.add(ld.addr)
+		}
+	}
+	if !slices.Equal(want.n, l.lqAddrs.n) {
+		throw(KindLQAddrIndex, 0, "executed-load address counts disagree with the load queue")
+	}
+}
+
+// recountInto returns an all-zero table shaped like a, in reused scratch.
+func (l *lsq) recountInto(a *addrCounts) addrCounts {
+	if cap(l.recount) < len(a.n) {
+		l.recount = make([]uint32, len(a.n))
+	}
+	n := l.recount[:len(a.n)]
+	clear(n)
+	return addrCounts{n: n, shift: a.shift}
+}
+
+// olderStoreUnknown reports whether any store older than the load in slot
+// ld has an unresolved address. Every slot between the store head and the
+// load's recorded position is valid and older than the load.
+func (l *lsq) olderStoreUnknown(ld int32) bool {
+	if l.sqUnresolved == 0 {
+		return false
+	}
+	pos := l.lq[ld].sqPos
+	i := int(l.sqSlot(pos))
+	for n := pos - l.sqHead; n > 0; n-- {
+		if i == 0 {
+			i = len(l.sq)
+		}
+		i--
+		if !l.sq[i].addrOK {
 			return true
 		}
 	}
 	return false
 }
 
-// forward finds the youngest store older than seq with a known matching
-// address. Store addresses resolve before data (split STA/STD, as on the
+// forward finds the youngest store older than the load in slot ld with a
+// known matching address, walking back from the load's own store-queue
+// position (the gem5 O3 LSQ search order) so the first match is the
+// answer. Store addresses resolve before data (split STA/STD, as on the
 // 21264); a match whose data has not arrived yet reports dataOK=false and
 // the load must stall.
-func (l *lsq) forward(seq uint64, addr uint64) (value uint64, fwdSeq uint64, found, dataOK bool) {
-	for n, i := 0, l.sqHead; n < l.sqCount; n, i = n+1, (i+1)%int32(len(l.sq)) {
-		s := &l.sq[i]
-		if !s.valid || s.seq >= seq || !s.addrOK || s.addr != addr {
-			continue
+func (l *lsq) forward(ld int32, addr uint64) (value uint64, fwdSeq uint64, found, dataOK bool) {
+	if !l.sqAddrs.has(addr) {
+		return 0, 0, false, false
+	}
+	pos := l.lq[ld].sqPos
+	i := int(l.sqSlot(pos))
+	for n := pos - l.sqHead; n > 0; n-- {
+		if i == 0 {
+			i = len(l.sq)
 		}
-		if s.seq > fwdSeq || !found {
-			value, fwdSeq, found, dataOK = s.data, s.seq, true, s.dataOK
+		i--
+		if s := &l.sq[i]; s.addrOK && s.addr == addr {
+			return s.data, s.seq, true, s.dataOK
 		}
 	}
-	return value, fwdSeq, found, dataOK
+	return 0, 0, false, false
 }
 
-// checkViolation finds the oldest load younger than the store that
-// already executed with a matching address and did not get its value from
-// this store or a younger one. It returns that load's ROB index.
-func (l *lsq) checkViolation(storeSeq uint64, addr uint64) (rob int32, seq uint64, found bool) {
-	for n, i := 0, l.lqHead; n < l.lqCount; n, i = n+1, (i+1)%int32(len(l.lq)) {
+// checkViolation finds the oldest load younger than the store in slot st
+// that already executed with a matching address and did not get its value
+// from this store or a younger one. It returns that load's ROB index. The
+// walk starts at the store's own load-queue position (every load from
+// there to the tail is valid and younger), oldest first, so the first hit
+// is the answer.
+func (l *lsq) checkViolation(st int32, addr uint64) (rob int32, seq uint64, found bool) {
+	if !l.lqAddrs.has(addr) {
+		return 0, 0, false
+	}
+	s := &l.sq[st]
+	i := int(l.lqSlot(s.lqPos))
+	for n := l.lqTail - s.lqPos; n > 0; n-- {
 		ld := &l.lq[i]
-		if !ld.valid || ld.seq <= storeSeq || !ld.executed || ld.addr != addr {
-			continue
+		// fwdSeq >= the store's seq: masked by a younger store's value.
+		if ld.executed && ld.addr == addr && ld.fwdSeq < s.seq {
+			return ld.rob, ld.seq, true
 		}
-		if ld.fwdSeq >= storeSeq {
-			continue // masked by a younger store's forwarded value
-		}
-		if !found || ld.seq < seq {
-			rob, seq, found = ld.rob, ld.seq, true
+		if i++; i == len(l.lq) {
+			i = 0
 		}
 	}
-	return rob, seq, found
+	return 0, 0, false
 }
 
 // storeWait is the 2048-entry load-wait predictor of the 21264: a bit per

@@ -13,26 +13,24 @@ const (
 
 // tryIssueLoad attempts to issue a load whose operands are ready. The
 // load may defer for three structural reasons: the store-wait table holds
-// it behind unresolved older stores, it must forward from a store whose
-// data is not ready (cannot happen in this model — addresses and data
-// resolve together), or — with a WIB — no bit-vector is free for a new
-// outstanding miss (§4.2).
+// it behind unresolved older stores; it must forward from a store whose
+// address has resolved but whose data has not (split STA/STD: the data
+// operand can sit in a miss chain for hundreds of cycles, and the load
+// retries forward every cycle until it arrives); or — with a WIB — no
+// bit-vector is free for a new outstanding miss (§4.2).
 func (p *Processor) tryIssueLoad(rob int32, e *robEntry) issueStatus {
 	rs1 := p.readOperand(e.src1FP, e.src1Phys)
 	addr := isa.EffAddr(e.in, rs1)
 	waddr := addr &^ 7
-	lqe := p.lsq.load(e.lq)
-	lqe.addr = waddr
-	lqe.addrOK = true
 
 	// Store-wait gating (21264 load-store wait prediction).
-	if p.sw.predictsWait(e.pc) && p.lsq.olderStoreUnknown(e.seq) {
+	if p.sw.predictsWait(e.pc) && p.lsq.olderStoreUnknown(e.lq) {
 		p.stats.StoreWaitHits++
 		return issueDefer
 	}
 
 	// Store-to-load forwarding from the youngest older matching store.
-	if val, fwdSeq, ok, dataOK := p.lsq.forward(e.seq, waddr); ok {
+	if val, fwdSeq, ok, dataOK := p.lsq.forward(e.lq, waddr); ok {
 		if !dataOK {
 			// The producing store's data has not arrived; stall the load.
 			return issueDefer
@@ -42,9 +40,8 @@ func (p *Processor) tryIssueLoad(rob int32, e *robEntry) issueStatus {
 			return issueNoFU
 		}
 		e.stage = stIssued
-		lqe.executed = true
-		lqe.value = val
-		lqe.fwdSeq = fwdSeq
+		p.traceIssued(e)
+		p.lsq.executeLoad(e.lq, waddr, val, fwdSeq)
 		p.stats.ForwardedLoads++
 		ready := p.now + p.regReadDelay(e) + lat + 1 // one-cycle SQ bypass
 		p.events.schedule(event{cycle: ready, kind: evLoadDone, rob: rob, seq: e.seq})
@@ -82,9 +79,7 @@ func (p *Processor) tryIssueLoad(rob int32, e *robEntry) issueStatus {
 	if p.tel != nil {
 		p.tel.hLoadLat.Observe(float64(res.Ready - start))
 	}
-	lqe.executed = true
-	lqe.value = p.memory.ReadWord(waddr)
-	lqe.fwdSeq = 0
+	p.lsq.executeLoad(e.lq, waddr, p.memory.ReadWord(waddr), 0)
 
 	trigger := res.L1Miss && col >= 0
 	if p.wib != nil && p.wib.cfg.TriggerL2MissOnly {
@@ -141,7 +136,7 @@ func (p *Processor) issueStore(rob int32, e *robEntry, lat int64) {
 		sqe.dataOK = true
 	} else {
 		e.awaitData = true
-		r2.waiters = append(r2.waiters, waiter{rob: rob, seq: e.seq})
+		p.addWaiter(r2, rob, e.seq)
 	}
 	p.events.schedule(event{cycle: p.now + p.regReadDelay(e) + lat, kind: evExecDone, rob: rob, seq: e.seq})
 }
@@ -162,9 +157,9 @@ func (p *Processor) storeDataArrived(e *robEntry) {
 // storeAddressResolved publishes the store's address for forwarding and
 // triggers a replay trap if a younger load already read stale data.
 func (p *Processor) storeAddressResolved(e *robEntry) {
-	sqe := p.lsq.store(e.sq)
-	sqe.addrOK = true
-	if loadRob, _, found := p.lsq.checkViolation(e.seq, sqe.addr); found {
+	addr := p.lsq.store(e.sq).addr // computed at issue
+	p.lsq.resolveStore(e.sq, addr)
+	if loadRob, _, found := p.lsq.checkViolation(e.sq, addr); found {
 		p.recoverReplay(loadRob)
 	}
 }

@@ -19,7 +19,7 @@ func TestPoolBlockAccounting(t *testing.T) {
 		if !w.blockAvailable(c) {
 			t.Fatalf("deposit %d rejected with blocks remaining", i)
 		}
-		w.cols[c].rows = append(w.cols[c].rows, wibRow{rob: int32(i), seq: uint64(i)})
+		w.depositRow(c, wibRow{rob: int32(i), seq: uint64(i)})
 	}
 	if w.poolFree != 0 {
 		t.Errorf("poolFree = %d, want 0", w.poolFree)

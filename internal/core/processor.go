@@ -91,6 +91,32 @@ type waiter struct {
 	seq uint64
 }
 
+// Waiter lists are cut from shared blocks instead of growing one append
+// at a time: a register's first waiter claims waiterSlabCap entries of the
+// current block (rename and freePhys keep the backing array from then on),
+// and a block serves waiterBlockRegs registers. A run therefore allocates
+// one block per 256 registers it ever uses — nothing at New, which the
+// sampled tier calls hundreds of times a pass — plus one array for the
+// rare register with more than waiterSlabCap consumers in flight.
+const (
+	waiterSlabCap   = 4
+	waiterBlockRegs = 256
+)
+
+// addWaiter registers rob as waiting on register r.
+func (p *Processor) addWaiter(r *physReg, rob int32, seq uint64) {
+	if cap(r.waiters) == 0 {
+		if len(p.waiterBlock) == 0 {
+			p.waiterBlock = make([]waiter, waiterBlockRegs*waiterSlabCap)
+		}
+		// Capacity-limited: outgrowing the share reallocates this list
+		// alone instead of running into the next register's.
+		r.waiters = p.waiterBlock[:0:waiterSlabCap]
+		p.waiterBlock = p.waiterBlock[waiterSlabCap:]
+	}
+	r.waiters = append(r.waiters, waiter{rob: rob, seq: seq})
+}
+
 // Processor is one simulated machine instance running one program.
 type Processor struct {
 	cfg  Config
@@ -100,12 +126,14 @@ type Processor struct {
 	memory *isa.Memory
 
 	// Physical registers and renaming.
-	intPR   []physReg
-	fpPR    []physReg
-	intMap  [isa.NumRegs]int32
-	fpMap   [isa.NumRegs]int32
-	intFree []int32
-	fpFree  []int32
+	intPR []physReg
+	fpPR  []physReg
+	// waiterBlock is the unclaimed tail of the current waiter block.
+	waiterBlock []waiter
+	intMap      [isa.NumRegs]int32
+	fpMap       [isa.NumRegs]int32
+	intFree     []int32
+	fpFree      []int32
 
 	// Retirement maps track the committed architectural mapping, so the
 	// final register state can be extracted for golden-model comparison.
@@ -240,6 +268,8 @@ func New(cfg Config, prog *isa.Program) (*Processor, error) {
 		p.intPR[a].ready = true
 		p.fpPR[a].ready = true
 	}
+	p.intFree = make([]int32, 0, cfg.IntRegs)
+	p.fpFree = make([]int32, 0, cfg.FPRegs)
 	for r := isa.NumRegs; r < cfg.IntRegs; r++ {
 		p.intFree = append(p.intFree, int32(r))
 		p.intPR[r].free = true

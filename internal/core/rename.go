@@ -314,13 +314,13 @@ func (p *Processor) squashFrom(boundarySeq uint64, inclusive bool) {
 		if e.seq < boundarySeq || (!inclusive && e.seq == boundarySeq) {
 			break
 		}
-		p.squashEntry(e)
+		p.squashEntry(idx, e)
 		p.robTail = idx
 		p.robCount--
 	}
 }
 
-func (p *Processor) squashEntry(e *robEntry) {
+func (p *Processor) squashEntry(idx int32, e *robEntry) {
 	p.stats.SquashedInstrs++
 	if p.tel != nil {
 		p.tel.cSquash.Inc()
@@ -339,8 +339,11 @@ func (p *Processor) squashEntry(e *robEntry) {
 	switch e.stage {
 	case stWaiting, stRequest:
 		p.queueOf(e).count--
-	case stInWIB, stEligible:
+	case stInWIB:
 		p.wib.unpark()
+	case stEligible:
+		p.wib.unpark()
+		p.wib.squashEligible(idx, e.seq)
 	}
 	if e.lq != noReg {
 		p.lsq.squashLoad(e.lq)

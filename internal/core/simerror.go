@@ -27,19 +27,24 @@ const (
 	KindIQCount        ErrKind = "iq-count"           // issue-queue occupancy mismatch
 	KindWIBOccupancy   ErrKind = "wib-occupancy"      // WIB occupancy mismatch
 	KindWIBColumns     ErrKind = "wib-columns"        // bit-vector column leaked
+	KindWIBEligibleMap ErrKind = "wib-eligible-map"   // banked eligible bitmap != stEligible entries
 	KindLQCount        ErrKind = "lq-count"           // load-queue count mismatch
 	KindSQCount        ErrKind = "sq-count"           // store-queue count mismatch
+	KindSQUnresolved   ErrKind = "sq-unresolved"      // unresolved-store count mismatch
+	KindSQAddrIndex    ErrKind = "sq-addr-index"      // resolved-store address counts mismatch
+	KindLQAddrIndex    ErrKind = "lq-addr-index"      // executed-load address counts mismatch
 	KindPoolLeak       ErrKind = "pool-blocks-leak"   // §3.5 block pool not conserved
 	KindFreeListDouble ErrKind = "free-list-double"   // phys reg on the free list twice
 	KindMapToFree      ErrKind = "map-to-free"        // rename map points at a free reg
 	KindInFlightFree   ErrKind = "inflight-dest-free" // in-flight dest reg is free
 
 	// Always-on structural kinds (checked on the operation itself).
-	KindRegDoubleFree ErrKind = "reg-double-free"         // freePhys on a free register
-	KindLSQOverflow   ErrKind = "lsq-overflow"            // alloc past LQ/SQ capacity
-	KindLSQDoubleFree ErrKind = "lsq-double-free"         // release of an invalid slot
-	KindWIBBadColumn  ErrKind = "wib-bad-column"          // park/complete on inactive column
-	KindWIBUnderflow  ErrKind = "wib-occupancy-underflow" // unpark below zero
+	KindRegDoubleFree  ErrKind = "reg-double-free"         // freePhys on a free register
+	KindLSQOverflow    ErrKind = "lsq-overflow"            // alloc past LQ/SQ capacity
+	KindLSQDoubleFree  ErrKind = "lsq-double-free"         // release of an invalid slot
+	KindWIBBadColumn   ErrKind = "wib-bad-column"          // park/complete on inactive column
+	KindWIBUnderflow   ErrKind = "wib-occupancy-underflow" // unpark below zero
+	KindWIBEligibleBit ErrKind = "wib-eligible-bit"        // eligible bit set twice, or cleared while clear
 
 	// Runtime conditions.
 	KindDeadlock         ErrKind = "deadlock"            // no commit progress (watchdog)

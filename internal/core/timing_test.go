@@ -252,6 +252,95 @@ func TestStoreLoadForwardingFast(t *testing.T) {
 	}
 }
 
+// TestDeferredLoadBehindPendingStoreData pins the split STA/STD stall: a
+// store whose address is known but whose data operand hangs off a cache
+// miss holds the aliasing load behind it in the issue queue — deferred and
+// retried every cycle, the path that made the store-queue search hot. The
+// load issues in the very cycle the data arrives; when the store is still
+// in the store queue at that point the load forwards, completing one
+// address-generation latency plus the one-cycle store-queue bypass later.
+// (A store at the active-list head commits in that same cycle, before
+// issue, and the load reads the cache instead.)
+func TestDeferredLoadBehindPendingStoreData(t *testing.T) {
+	const iters = 8
+	b := isa.NewBuilder("sta-std")
+	slot := b.AllocWords(8)
+	far := b.AllocWords(1024 * 64)
+	b.LiAddr(isa.S0, slot)
+	b.LiAddr(isa.S1, far)
+	var missPC uint64
+	b.Loop(isa.S5, iters, func() {
+		missPC = uint64(b.PC())
+		b.Ld(isa.T0, isa.S1, 0) // misses to memory
+		b.St(isa.T0, isa.S0, 0) // address ready at once, data after the miss
+		b.Ld(isa.T1, isa.S0, 0) // aliases the store
+		b.Add(isa.T2, isa.T2, isa.T1)
+		b.Addi(isa.S1, isa.S1, 4096)
+	})
+	b.Halt()
+	prog := b.MustBuild()
+
+	for _, cfg := range []Config{DefaultConfig(), WIBDefault()} {
+		cfg.TraceCapacity = 4096
+		p, err := New(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := p.Run(0, 10_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Committed instances of the three memory instructions, in order.
+		var miss, store *InstrTrace
+		pairs, forwarded := 0, uint64(0)
+		traces := p.Traces()
+		for i := range traces {
+			tr := &traces[i]
+			if tr.Squashed || tr.Committed == 0 {
+				continue
+			}
+			switch tr.PC {
+			case missPC:
+				miss = tr
+			case missPC + 1:
+				store = tr
+			case missPC + 2:
+				if pairs++; pairs == 1 {
+					continue // cold I-cache, untrained store-wait table
+				}
+				if wait := tr.Issued - tr.Dispatch; wait < 100 {
+					t.Errorf("%s: load seq %d issued %d cycles after dispatch: it never waited for the miss", cfg.Name, tr.Seq, wait)
+				}
+				if tr.Issued != miss.Completed {
+					t.Errorf("%s: load seq %d issued at %d, store data arrived at %d: want the same cycle",
+						cfg.Name, tr.Seq, tr.Issued, miss.Completed)
+				}
+				if store.Committed <= miss.Completed {
+					continue // the store left the queue first: a cache read
+				}
+				forwarded++
+				// Base reads a single-level register file (no extra read
+				// cycles); the two-level file may add an L2 access.
+				lat, slack := cfg.LatIntALU+1, int64(0)
+				if cfg.RegFile == RFTwoLevel {
+					slack = cfg.RFL2Latency
+				}
+				if got := tr.Completed - miss.Completed; got < lat || got > lat+slack {
+					t.Errorf("%s: load seq %d completed %d cycles after the store data arrived, want %d (+%d)",
+						cfg.Name, tr.Seq, got, lat, slack)
+				}
+			}
+		}
+		if pairs != iters || forwarded < iters/2 {
+			t.Errorf("%s: traced %d miss/load pairs (want %d), %d of them forwarded", cfg.Name, pairs, iters, forwarded)
+		}
+		if st.ForwardedLoads != forwarded || st.Replays > 1 {
+			t.Errorf("%s: Stats count %d forwarded loads and %d replays; traces show %d forwarded, and only the first iteration may replay",
+				cfg.Name, st.ForwardedLoads, st.Replays, forwarded)
+		}
+	}
+}
+
 // TestReplayTrapTrainsStoreWait: a load that repeatedly conflicts with an
 // older slow store triggers replays at first, then the store-wait table
 // suppresses them.

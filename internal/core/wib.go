@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"largewindow/internal/heap"
@@ -15,20 +16,45 @@ import (
 // eligible and are reinserted into the issue queues through the configured
 // selection policy, sharing (and taking priority for) dispatch bandwidth.
 //
-// Squash handling is the lazy realization of §3.3.2's bit-clearing: rows
-// carry the instruction's sequence number, and stale rows (squashed, or
-// slot reused) are dropped when validated at completion or selection time.
+// Squash handling follows §3.3.2's bit-clearing at two granularities.
+// Bit-vector columns are lazy: rows carry the instruction's sequence
+// number, and stale rows (squashed, or slot reused) are dropped when the
+// column completes. The banked organization's eligible set is exact: one
+// bit per active-list slot, set when the instruction becomes eligible and
+// cleared when it is reinserted or squashed, so each bank's select is a
+// priority encode over its own bits (§3.3.1) and never meets a stale row.
+// The idealized policies (program-order heap, per-load groups, the
+// pool-of-blocks FIFO, the slice core) keep seq-validated rows.
 
 type wibRow struct {
 	rob int32
 	seq uint64
 }
 
+// wibColumn is one bit-vector. Its rows live in a chain of fixed-size
+// chunks drawn from the WIB's shared arena, in deposit order; n counts
+// them (stale rows included).
 type wibColumn struct {
-	active  bool
-	loadSeq uint64
-	rows    []wibRow
+	active     bool
+	loadSeq    uint64
+	head, tail int32 // chunk chain, noChunk when empty
+	n          int
 }
+
+// rowChunk is one block of column rows. Chains of chunks replace a slice
+// per column, so row storage follows the number of parked instructions
+// instead of (columns used) × (longest chain any of them ever held), and
+// a column that completes hands its storage to the next miss.
+type rowChunk struct {
+	rows [chunkRows]wibRow
+	n    int32
+	next int32 // next chunk of the column, or of the free list
+}
+
+const (
+	chunkRows       = 32
+	noChunk   int32 = -1
+)
 
 // wibGroup is the surviving dependence chain of one completed load, used
 // by the per-load selection policies.
@@ -45,10 +71,24 @@ type wib struct {
 	gens []uint64 // per-column allocation generation (wait-bit staleness)
 	free []int32
 
-	// Banked organization: eligible rows per bank, plus the rotating
-	// sticky priority order (§3.3.1).
-	bankElig [][]wibRow
-	bankPrio []int32
+	chunks    []rowChunk // row arena, grown on demand and never shrunk
+	freeChunk int32      // head of the free-chunk list
+
+	// Banked organization: the eligible bitmap, plus the rotating sticky
+	// priority order (§3.3.1). Bank b owns active-list slots ≡ b (mod
+	// Banks); bit k of its bankWords words is slot b + k·Banks, so
+	// ascending bit order is ascending slot order within the bank.
+	// bankCount and eligCount are the per-bank and total popcounts.
+	//
+	// A cycle reaches only the banks of its own parity, so the order is
+	// kept per parity: bankPrio[0] ranks the even banks, bankPrio[1] the
+	// odd ones, and a cycle that finds nothing eligible leaves both as
+	// they are.
+	bankElig  []uint64 // Banks × bankWords
+	bankWords int
+	bankCount []int32
+	eligCount int
+	bankPrio  [2][]int32
 
 	// Idealized / non-banked policies.
 	elig       heap.Heap[wibRow] // program-order policy
@@ -61,8 +101,7 @@ type wib struct {
 	liveScratch    []wibRow
 	blockedScratch []wibRow
 	putBackScratch []wibRow
-	prioScratchA   []int32
-	prioScratchB   []int32
+	prioScratch    []int32
 
 	occupancy int // rows currently parked (stInWIB or stEligible)
 	peak      int
@@ -92,9 +131,14 @@ func newWIB(cfg WIBConfig, activeList, loadQueue int) *wib {
 	}
 	w := &wib{cfg: cfg, cols: make([]wibColumn, nCols), gens: make([]uint64, nCols)}
 	w.elig = heap.New(rowBefore)
+	w.free = make([]int32, 0, nCols)
 	for i := nCols - 1; i >= 0; i-- {
 		w.free = append(w.free, int32(i))
 	}
+	for i := range w.cols {
+		w.cols[i].head, w.cols[i].tail = noChunk, noChunk
+	}
+	w.freeChunk = noChunk
 	if cfg.Org == OrgPoolOfBlocks {
 		if w.cfg.BlockSlots <= 0 {
 			w.cfg.BlockSlots = 32
@@ -108,12 +152,53 @@ func newWIB(cfg WIBConfig, activeList, loadQueue int) *wib {
 		w.cfg.Banked = false
 	}
 	if w.cfg.Banked {
-		w.bankElig = make([][]wibRow, w.cfg.Banks)
+		perBank := (activeList + w.cfg.Banks - 1) / w.cfg.Banks
+		w.bankWords = (perBank + 63) / 64
+		w.bankElig = make([]uint64, w.cfg.Banks*w.bankWords)
+		w.bankCount = make([]int32, w.cfg.Banks)
 		for b := 0; b < w.cfg.Banks; b++ {
-			w.bankPrio = append(w.bankPrio, int32(b))
+			w.bankPrio[b&1] = append(w.bankPrio[b&1], int32(b))
 		}
+		w.prioScratch = make([]int32, 0, w.cfg.Banks)
 	}
 	return w
+}
+
+// depositRow appends a row to column c's chain.
+func (w *wib) depositRow(c int32, r wibRow) {
+	col := &w.cols[c]
+	if col.tail == noChunk || w.chunks[col.tail].n == chunkRows {
+		k := w.freeChunk
+		if k != noChunk {
+			w.freeChunk = w.chunks[k].next
+		} else {
+			// Grow the arena by doubling from 16 chunks: a handful of
+			// allocations for the deepest window, none at construction.
+			k = int32(len(w.chunks))
+			w.chunks = append(slices.Grow(w.chunks, max(16, len(w.chunks))), rowChunk{})
+		}
+		w.chunks[k].n, w.chunks[k].next = 0, noChunk
+		if col.tail == noChunk {
+			col.head = k
+		} else {
+			w.chunks[col.tail].next = k
+		}
+		col.tail = k
+	}
+	ch := &w.chunks[col.tail]
+	ch.rows[ch.n] = r
+	ch.n++
+	col.n++
+}
+
+// dropRows returns column c's whole chain to the free list.
+func (w *wib) dropRows(c int32) {
+	col := &w.cols[c]
+	if col.head != noChunk {
+		w.chunks[col.tail].next = w.freeChunk
+		w.freeChunk = col.head
+	}
+	col.head, col.tail, col.n = noChunk, noChunk, 0
 }
 
 // blockAvailable reserves deposit space for one more instruction on a
@@ -123,7 +208,7 @@ func (w *wib) blockAvailable(c int32) bool {
 	if w.cfg.Org != OrgPoolOfBlocks {
 		return true
 	}
-	if len(w.cols[c].rows) < w.colBlocks[c]*w.cfg.BlockSlots {
+	if w.cols[c].n < w.colBlocks[c]*w.cfg.BlockSlots {
 		return true
 	}
 	if w.poolFree == 0 {
@@ -153,7 +238,6 @@ func (w *wib) allocColumn(loadSeq uint64) (int32, bool) {
 	col := &w.cols[c]
 	col.active = true
 	col.loadSeq = loadSeq
-	col.rows = col.rows[:0]
 	w.gens[c]++
 	return c, true
 }
@@ -173,6 +257,7 @@ func (w *wib) releaseColumn(c int32) {
 		return
 	}
 	w.releaseBlocks(c)
+	w.dropRows(c)
 	w.cols[c].active = false
 	w.free = append(w.free, c)
 }
@@ -193,7 +278,7 @@ func (w *wib) park(p *Processor, rob int32, e *robEntry, c int32) {
 	if p.tel != nil {
 		p.tel.cPark.Inc()
 	}
-	w.cols[c].rows = append(w.cols[c].rows, wibRow{rob: rob, seq: e.seq})
+	w.depositRow(c, wibRow{rob: rob, seq: e.seq})
 	w.occupancy++
 	if w.occupancy > w.peak {
 		w.peak = w.occupancy
@@ -218,19 +303,22 @@ func (w *wib) completeColumn(p *Processor, c int32) {
 	}
 	col := &w.cols[c]
 	live := w.liveScratch[:0]
-	for _, r := range col.rows {
-		e := p.liveEntry(r.rob, r.seq)
-		if e == nil || e.stage != stInWIB || e.wibCol != c {
-			continue
+	for k := col.head; k != noChunk; k = w.chunks[k].next {
+		ch := &w.chunks[k]
+		for _, r := range ch.rows[:ch.n] {
+			e := p.liveEntry(r.rob, r.seq)
+			if e == nil || e.stage != stInWIB || e.wibCol != c {
+				continue
+			}
+			e.stage = stEligible
+			live = append(live, r)
 		}
-		e.stage = stEligible
-		live = append(live, r)
 	}
 	w.addEligible(col.loadSeq, live)
 	w.liveScratch = live[:0]
 	w.releaseBlocks(c)
+	w.dropRows(c)
 	col.active = false
-	col.rows = col.rows[:0]
 	w.free = append(w.free, c)
 }
 
@@ -244,8 +332,7 @@ func (w *wib) addEligible(loadSeq uint64, live []wibRow) {
 		w.chainFIFO = append(w.chainFIFO, live...)
 	case w.cfg.Banked:
 		for _, r := range live {
-			b := int(r.rob) % w.cfg.Banks
-			w.bankElig[b] = append(w.bankElig[b], r)
+			w.setEligibleBit(r.rob, r.seq)
 		}
 	case w.cfg.Policy == PolicyProgramOrder:
 		for _, r := range live {
@@ -268,50 +355,83 @@ func (w *wib) addEligible(loadSeq uint64, live []wibRow) {
 	}
 }
 
+// bankBit locates bit k of bank b in the eligible bitmap.
+func (w *wib) bankBit(b, k int) (word *uint64, mask uint64) {
+	return &w.bankElig[b*w.bankWords+k>>6], 1 << (k & 63)
+}
+
+// bankOf splits an active-list slot into its bank and bit index.
+func (w *wib) bankOf(rob int32) (b, k int) {
+	return int(rob) % w.cfg.Banks, int(rob) / w.cfg.Banks
+}
+
+func (w *wib) setEligibleBit(rob int32, seq uint64) {
+	b, k := w.bankOf(rob)
+	word, mask := w.bankBit(b, k)
+	if *word&mask != 0 {
+		throw(KindWIBEligibleBit, seq, "seq %d became eligible in slot %d, whose eligible bit is already set", seq, rob)
+	}
+	*word |= mask
+	w.bankCount[b]++
+	w.eligCount++
+}
+
+// clearEligibleBit removes bit k of bank b (slot b + k·Banks) from the
+// eligible set, at reinsertion and at squash. A clear bit here means the
+// bitmap and the active list disagree about who is eligible.
+func (w *wib) clearEligibleBit(b, k int, seq uint64) {
+	word, mask := w.bankBit(b, k)
+	if *word&mask == 0 {
+		throw(KindWIBEligibleBit, seq, "seq %d leaves the eligible set from slot %d, whose eligible bit is clear", seq, b+k*w.cfg.Banks)
+	}
+	*word &^= mask
+	w.bankCount[b]--
+	w.eligCount--
+}
+
+// squashEligible takes a squashed stEligible instruction out of the
+// banked eligible set (the row structures of the other organizations drop
+// it lazily, by sequence number).
+func (w *wib) squashEligible(rob int32, seq uint64) {
+	if w.cfg.Banked {
+		b, k := w.bankOf(rob)
+		w.clearEligibleBit(b, k, seq)
+	}
+}
+
+// eligibleBitSet reports whether slot rob is in the banked eligible set.
+func (w *wib) eligibleBitSet(rob int32) bool {
+	word, mask := w.bankBit(w.bankOf(rob))
+	return *word&mask != 0
+}
+
+// checkEligibleCounts verifies (Debug runs) that each bank's count and the
+// total are the popcounts of the bitmap, and that the total is the number
+// of stEligible active-list entries the caller counted.
+func (w *wib) checkEligibleCounts(eligible int) {
+	total := 0
+	for b := range w.bankCount {
+		n := 0
+		for _, word := range w.bankElig[b*w.bankWords : (b+1)*w.bankWords] {
+			n += bits.OnesCount64(word)
+		}
+		if n != int(w.bankCount[b]) {
+			throw(KindWIBEligibleMap, 0, "bank %d counts %d eligible, its bitmap holds %d", b, w.bankCount[b], n)
+		}
+		total += n
+	}
+	if total != w.eligCount || total != eligible {
+		throw(KindWIBEligibleMap, 0, "eligible bitmap holds %d bits, count says %d, active list has %d eligible",
+			total, w.eligCount, eligible)
+	}
+}
+
 // hasEligible reports whether any structure the selection policies drain
-// holds rows (possibly stale ones — the check is conservative: a stale
-// row only delays fast-forwarding by the cycle that drops it).
+// holds rows. The banked bitmap is exact; the idealized policies' row
+// lists are conservative (a stale row only delays fast-forwarding by the
+// cycle that drops it).
 func (w *wib) hasEligible() bool {
-	if w.elig.Len() > 0 || len(w.chainFIFO) > 0 || len(w.groups) > 0 {
-		return true
-	}
-	for _, rows := range w.bankElig {
-		if len(rows) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// rotateEmpty applies the bankPrio permutation of one reinsertBanked call
-// that finds every bank empty: wrong-parity banks keep priority (stable,
-// in front), right-parity banks had nothing to offer and drop behind.
-func (w *wib) rotateEmpty(parity int) {
-	blocked, done := w.prioScratchA[:0], w.prioScratchB[:0]
-	for _, b := range w.bankPrio {
-		if int(b)%2 != parity {
-			blocked = append(blocked, b)
-		} else {
-			done = append(done, b)
-		}
-	}
-	w.bankPrio = append(append(w.bankPrio[:0], blocked...), done...)
-	w.prioScratchA, w.prioScratchB = blocked[:0], done[:0]
-}
-
-// replayEmptyRotation applies the net bankPrio effect of delta consecutive
-// empty reinsertBanked calls starting at cycle first. The per-cycle
-// permutation alternates parity and has period two once applied, so the
-// closed form is: the first cycle's rotation, plus the second cycle's
-// when delta is even.
-func (w *wib) replayEmptyRotation(first, delta int64) {
-	if !w.cfg.Banked || delta <= 0 || len(w.bankPrio) == 0 {
-		return
-	}
-	w.rotateEmpty(int(first & 1))
-	if delta%2 == 0 {
-		w.rotateEmpty(int((first + 1) & 1))
-	}
+	return w.eligCount > 0 || w.elig.Len() > 0 || len(w.chainFIFO) > 0 || len(w.groups) > 0
 }
 
 // reinsert moves up to maxSlots eligible instructions back into the issue
@@ -361,9 +481,16 @@ func (w *wib) tryReinsertRow(p *Processor, r wibRow) (bool, bool) {
 	if e == nil || e.stage != stEligible {
 		return false, false // stale (squashed); drop
 	}
+	ins := w.tryReinsert(p, r.rob, e)
+	return ins, !ins
+}
+
+// tryReinsert puts an eligible instruction back into its issue queue, or
+// reports false when that queue is full.
+func (w *wib) tryReinsert(p *Processor, rob int32, e *robEntry) bool {
 	q := p.queueOf(e)
 	if q.full() {
-		return false, true
+		return false
 	}
 	q.count++
 	w.unpark()
@@ -390,8 +517,8 @@ func (w *wib) tryReinsertRow(p *Processor, r wibRow) (bool, bool) {
 			pr.col = -1
 		}
 	}
-	p.registerInIQ(r.rob)
-	return true, false
+	p.registerInIQ(rob)
+	return true
 }
 
 // reinsertBanked implements the hardware organization: banks of the
@@ -400,73 +527,85 @@ func (w *wib) tryReinsertRow(p *Processor, r wibRow) (bool, bool) {
 // that could not place its instruction keeps top priority, a bank that
 // placed one (or had none) drops to the bottom (§3.3.1).
 func (w *wib) reinsertBanked(p *Processor, maxSlots int) int {
+	if w.eligCount == 0 {
+		return 0
+	}
 	used := 0
-	parity := int(p.now & 1)
-	blockedBanks, doneBanks := w.prioScratchA[:0], w.prioScratchB[:0]
-	for _, b := range w.bankPrio {
-		if int(b)%2 != parity || used >= maxSlots {
-			// Inaccessible this cycle (or out of bandwidth): keep relative
-			// priority for next time.
-			blockedBanks = append(blockedBanks, b)
+	banks := w.cfg.Banks
+	headRow, headBank := int(p.robHead)/banks, int(p.robHead)%banks
+	// Stable partition of this parity's order into blocked banks (kept in
+	// front, compacted in place) and done banks (moved behind them).
+	order := w.bankPrio[p.now&1]
+	blocked, done := 0, w.prioScratch[:0]
+	for _, b := range order {
+		if used >= maxSlots {
+			// Out of bandwidth: keep relative priority for next time.
+			order[blocked] = b
+			blocked++
 			continue
 		}
-		row, ok := w.oldestInBank(p, int(b))
-		if !ok {
-			doneBanks = append(doneBanks, b)
+		if w.bankCount[b] == 0 {
+			done = append(done, b)
 			continue
 		}
-		ins, blocked := w.tryReinsertRow(p, row)
-		switch {
-		case ins:
-			w.removeFromBank(int(b), row)
+		k := w.oldestInBank(int(b), headRow, headBank)
+		rob := b + int32(k*banks)
+		e := &p.rob[rob]
+		if e.stage != stEligible {
+			throw(KindWIBEligibleMap, e.seq, "bank %d selected slot %d, which is not eligible (seq %d, %s)",
+				b, rob, e.seq, stageNames[e.stage])
+		}
+		if w.tryReinsert(p, rob, e) {
+			w.clearEligibleBit(int(b), k, e.seq)
 			used++
-			doneBanks = append(doneBanks, b)
-		case blocked:
-			blockedBanks = append(blockedBanks, b)
-		default:
-			// Row was stale and has been dropped; retry this bank next
-			// access.
-			w.removeFromBank(int(b), row)
-			blockedBanks = append(blockedBanks, b)
+			done = append(done, b)
+		} else {
+			order[blocked] = b
+			blocked++
 		}
 	}
-	w.bankPrio = append(append(w.bankPrio[:0], blockedBanks...), doneBanks...)
-	w.prioScratchA, w.prioScratchB = blockedBanks[:0], doneBanks[:0]
+	if blocked > 0 {
+		// With nothing blocked, done already is the order as it stood.
+		copy(order[blocked:], done)
+	}
+	w.prioScratch = done[:0]
 	return used
 }
 
-// oldestInBank scans a bank's eligible rows for the oldest live one,
-// compacting stale rows away as it goes.
-func (w *wib) oldestInBank(p *Processor, b int) (wibRow, bool) {
-	rows := w.bankElig[b]
-	best := -1
-	out := rows[:0]
-	for _, r := range rows {
-		e := p.liveEntry(r.rob, r.seq)
-		if e == nil || e.stage != stEligible {
-			continue // stale; drop during compaction
-		}
-		out = append(out, r)
-		if best == -1 || r.seq < out[best].seq {
-			best = len(out) - 1
-		}
+// oldestInBank is bank b's priority encoder: the first set eligible bit
+// in ring order from the active-list head, which is the bank's oldest
+// eligible instruction because the active list allocates in program
+// order. The head is given as (row, bank) = divmod(robHead, Banks); the
+// result is the bit's index k, naming active-list slot b + k·Banks. The
+// bank must hold an eligible bit (bankCount[b] > 0).
+func (w *wib) oldestInBank(b, headRow, headBank int) int {
+	words := w.bankElig[b*w.bankWords : (b+1)*w.bankWords]
+	// k0 is the bank's first bit at or after the head: the scan covers
+	// [k0, end) and then wraps to [0, k0).
+	k0 := headRow
+	if b < headBank {
+		k0++
 	}
-	w.bankElig[b] = out
-	if best == -1 {
-		return wibRow{}, false
-	}
-	return out[best], true
-}
-
-func (w *wib) removeFromBank(b int, row wibRow) {
-	rows := w.bankElig[b]
-	for i, r := range rows {
-		if r.rob == row.rob && r.seq == row.seq {
-			rows[i] = rows[len(rows)-1]
-			w.bankElig[b] = rows[:len(rows)-1]
-			return
+	w0, below := k0>>6, uint64(1)<<(k0&63)-1
+	if w0 < len(words) {
+		if m := words[w0] &^ below; m != 0 {
+			return w0<<6 + bits.TrailingZeros64(m)
+		}
+		for i := w0 + 1; i < len(words); i++ {
+			if words[i] != 0 {
+				return i<<6 + bits.TrailingZeros64(words[i])
+			}
 		}
 	}
+	for i, m := range words {
+		if m != 0 {
+			// Ahead of the head everything was clear, so the first set
+			// bit from the bottom lies below k0.
+			return i<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	throw(KindWIBEligibleMap, 0, "bank %d counts %d eligible but its bitmap is empty", b, w.bankCount[b])
+	return 0
 }
 
 // reinsertProgramOrder drains the global seq-ordered heap.

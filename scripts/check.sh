@@ -32,6 +32,9 @@ go test -count=1 -run 'TestFastForwardEquivalence|TestFastForwardEngages|TestRun
 echo "== heap steady-state allocation budget =="
 go test -count=1 -run 'TestSteadyStateAllocFree' ./internal/heap/
 
+echo "== WIB cell allocation budget + alloc-free indexed LSQ / bank select =="
+go test -count=1 -run 'TestWIBCellAllocBudget|TestIndexedPathsAllocFree' ./internal/core/
+
 echo "== fault-injection smoke sweep =="
 go test -count=1 -run 'TestCampaignDetectsEveryFault|TestWatchdogFaultsBounded' ./internal/fault/
 
