@@ -132,7 +132,8 @@ func main() {
 	}
 	fmt.Printf("benchmark     %s (%s)\n", src.Name(), src.Suite())
 	fmt.Printf("static code   %d instructions\n", len(prog.Code))
-	fmt.Printf("initial data  %d words, heap %d KB\n", len(prog.Data), (len(prog.Data)*8)/1024)
+	words := prog.NewMemoryImage().NonZeroWords()
+	fmt.Printf("initial data  %d words, heap %d KB\n", words, (words*8)/1024)
 	fmt.Printf("executed      %d instructions (halted=%v)\n", n, m.Halted)
 	fmt.Printf("cond branches %d (%.1f%% taken)\n", m.CondCount,
 		100*float64(m.TakenCond)/float64(max(m.CondCount, 1)))
@@ -430,7 +431,7 @@ func dumpTrace(path string) error {
 	fmt.Printf("source ref    %s\n", tr.Source)
 	fmt.Printf("identity      %s\n", tr.Identity())
 	fmt.Printf("program       %d static instrs, %d data words, entry pc %d\n",
-		len(tr.Code), len(tr.Data), tr.Entry)
+		len(tr.Code), tr.Data.NonZeroWords(), tr.Entry)
 	fmt.Printf("recorded      %d instructions (halted=%v), %d dynamic records\n",
 		tr.Instrs, tr.Halted, len(tr.Records))
 	fmt.Printf("stream hash   %016x\n", tr.StreamHash)

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"fmt"
-	"os"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 
+	"largewindow/internal/golden"
 	"largewindow/internal/workload"
 )
 
@@ -70,66 +67,6 @@ func TestStatsDigestGolden(t *testing.T) {
 		return
 	}
 
-	want, err := readStatsDigests()
-	if os.IsNotExist(err) {
-		writeStatsDigests(t, got)
-		t.Fatalf("%s was missing; recorded %d digests, re-run to verify", statsDigestFile, len(got))
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, g := range got {
-		if w, ok := want[k]; !ok {
-			t.Errorf("%s: no recorded digest", k)
-		} else if w != g {
-			t.Errorf("%s: Stats digest %s, recorded %s", k, g, w)
-		}
-	}
-	for k := range want {
-		if _, ok := got[k]; !ok {
-			t.Errorf("%s: recorded but no longer run", k)
-		}
-	}
-}
-
-func readStatsDigests() (map[string]string, error) {
-	f, err := os.Open(statsDigestFile)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			return nil, fmt.Errorf("%s: malformed line %q", statsDigestFile, line)
-		}
-		out[line[:i]] = line[i+1:]
-	}
-	return out, sc.Err()
-}
-
-func writeStatsDigests(t *testing.T, got map[string]string) {
-	t.Helper()
-	keys := make([]string, 0, len(got))
-	for k := range got {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("# <kernel> <config> <sha256 of fmt %+v of core.Stats>, ScaleTest, run to halt.\n")
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s %s\n", k, got[k])
-	}
-	if err := os.MkdirAll("testdata", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(statsDigestFile, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	golden.Check(t, statsDigestFile,
+		"<kernel> <config> <sha256 of fmt %+v of core.Stats>, ScaleTest, run to halt.", got)
 }

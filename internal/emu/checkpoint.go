@@ -30,37 +30,46 @@ const (
 	DefaultWarmBranch = 16384
 )
 
-// ring64 is a bounded overwrite-oldest ring of uint64 samples.
-type ring64 struct {
-	buf []uint64
+// ring is a bounded overwrite-oldest ring of samples. buf grows by
+// append until it holds max samples; from then on w, the wrapping write
+// index, is both where the next sample lands and where the oldest one sits.
+type ring[T any] struct {
+	buf []T
 	max int
+	w   int
 	n   uint64 // total pushes ever
 }
 
-func newRing64(max int) ring64 { return ring64{max: max} }
+func (r *ring[T]) push(v T) {
+	if r.w < len(r.buf) {
+		r.buf[r.w] = v
+		r.w++
+		if r.w == r.max {
+			r.w = 0
+		}
+		r.n++
+		return
+	}
+	r.grow(v)
+}
 
-func (r *ring64) push(v uint64) {
+// grow is push while the ring is still filling (w == len(buf) < max), or
+// disabled (max <= 0).
+func (r *ring[T]) grow(v T) {
 	if r.max <= 0 {
 		return
 	}
-	if len(r.buf) < r.max {
-		r.buf = append(r.buf, v)
-	} else {
-		r.buf[int(r.n)%r.max] = v
-	}
+	r.buf = append(r.buf, v)
+	r.w = len(r.buf) % r.max
 	r.n++
 }
 
 // seq returns the retained samples oldest-first.
-func (r *ring64) seq() []uint64 {
-	if r.n <= uint64(len(r.buf)) {
-		return append([]uint64(nil), r.buf...)
+func (r *ring[T]) seq() []T {
+	if len(r.buf) < r.max {
+		return append([]T(nil), r.buf...)
 	}
-	i := int(r.n) % r.max
-	out := make([]uint64, 0, len(r.buf))
-	out = append(out, r.buf[i:]...)
-	out = append(out, r.buf[:i]...)
-	return out
+	return append(append(make([]T, 0, len(r.buf)), r.buf[r.w:]...), r.buf[:r.w]...)
 }
 
 // WarmBranch is one recorded control-transfer outcome. BTB marks
@@ -74,34 +83,36 @@ type WarmBranch struct {
 	BTB    bool
 }
 
-// branchRing is a bounded overwrite-oldest ring of branch outcomes.
-type branchRing struct {
-	buf []WarmBranch
-	max int
-	n   uint64
+// branchRec is a WarmBranch as the branch ring and the checkpoint wire
+// format hold it: three words, so the run loop records one with three
+// stores from registers.
+type branchRec struct{ pc, target, flags uint64 }
+
+const (
+	brTaken = 1 << iota
+	brCond
+	brBTB
+)
+
+func packBranch(b WarmBranch) branchRec {
+	r := branchRec{pc: b.PC, target: b.Target}
+	if b.Taken {
+		r.flags |= brTaken
+	}
+	if b.Cond {
+		r.flags |= brCond
+	}
+	if b.BTB {
+		r.flags |= brBTB
+	}
+	return r
 }
 
-func (r *branchRing) push(b WarmBranch) {
-	if r.max <= 0 {
-		return
+func (r branchRec) unpack() WarmBranch {
+	return WarmBranch{
+		PC: r.pc, Target: r.target,
+		Taken: r.flags&brTaken != 0, Cond: r.flags&brCond != 0, BTB: r.flags&brBTB != 0,
 	}
-	if len(r.buf) < r.max {
-		r.buf = append(r.buf, b)
-	} else {
-		r.buf[int(r.n)%r.max] = b
-	}
-	r.n++
-}
-
-func (r *branchRing) seq() []WarmBranch {
-	if r.n <= uint64(len(r.buf)) {
-		return append([]WarmBranch(nil), r.buf...)
-	}
-	i := int(r.n) % r.max
-	out := make([]WarmBranch, 0, len(r.buf))
-	out = append(out, r.buf[i:]...)
-	out = append(out, r.buf[:i]...)
-	return out
 }
 
 // WarmLog captures the tail of a functional run's access stream in three
@@ -110,18 +121,18 @@ func (r *branchRing) seq() []WarmBranch {
 // configuration-independent — they record WHAT the program touched, and
 // Replay trains whatever geometry the restoring configuration has.
 type WarmLog struct {
-	mem    ring64 // addr<<1 | storeBit (data addresses are 8-byte aligned)
-	fetch  ring64 // 64-byte-aligned instruction line addresses
-	branch branchRing
+	mem    ring[uint64] // addr<<1 | storeBit (data addresses are 8-byte aligned)
+	fetch  ring[uint64] // 64-byte-aligned instruction line addresses
+	branch ring[branchRec]
 }
 
 // NewWarmLog builds a warm log with the given ring capacities (entries).
 // Zero or negative capacity disables that ring.
 func NewWarmLog(memCap, fetchCap, branchCap int) *WarmLog {
 	return &WarmLog{
-		mem:    newRing64(memCap),
-		fetch:  newRing64(fetchCap),
-		branch: branchRing{max: branchCap},
+		mem:    ring[uint64]{max: memCap},
+		fetch:  ring[uint64]{max: fetchCap},
+		branch: ring[branchRec]{max: branchCap},
 	}
 }
 
@@ -142,9 +153,9 @@ type WarmSink interface {
 	WarmBranch(b WarmBranch)
 }
 
-// WarmLog itself is a WarmSink: the emulator's run loop records through
-// the same interface a live hierarchy adapter implements, so ring capture
-// (RunWarm) and full-history streaming (RunSink) share one code path.
+// WarmLog itself is a WarmSink, so ring capture (RunWarm) and full-history
+// streaming (RunSink) enter the same run loop; the loop recognises a
+// WarmLog and stores into its rings without the interface call.
 func (w *WarmLog) WarmFetch(lineAddr uint64) { w.fetch.push(lineAddr) }
 
 // WarmLoad records a data load address.
@@ -154,7 +165,7 @@ func (w *WarmLog) WarmLoad(addr uint64) { w.mem.push(addr << 1) }
 func (w *WarmLog) WarmStore(addr uint64) { w.mem.push(addr<<1 | 1) }
 
 // WarmBranch records a control-transfer outcome.
-func (w *WarmLog) WarmBranch(b WarmBranch) { w.branch.push(b) }
+func (w *WarmLog) WarmBranch(b WarmBranch) { w.branch.push(packBranch(b)) }
 
 // Replay feeds the retained access stream into a sink, oldest-first per
 // ring (fetch lines, then data accesses, then branches).
@@ -173,7 +184,7 @@ func (w *WarmLog) Replay(s WarmSink) {
 		}
 	}
 	for _, b := range w.branch.seq() {
-		s.WarmBranch(b)
+		s.WarmBranch(b.unpack())
 	}
 }
 
@@ -357,17 +368,7 @@ func (cp *Checkpoint) MarshalJSON() ([]byte, error) {
 		br := cp.Warm.branch.seq()
 		packed := make([]uint64, 0, 3*len(br))
 		for _, b := range br {
-			var flags uint64
-			if b.Taken {
-				flags |= 1
-			}
-			if b.Cond {
-				flags |= 2
-			}
-			if b.BTB {
-				flags |= 4
-			}
-			packed = append(packed, b.PC, b.Target, flags)
+			packed = append(packed, b.pc, b.target, b.flags)
 		}
 		w.WarmBranch = packWords(packed)
 	}
@@ -438,11 +439,7 @@ func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("emu: checkpoint warm branch ring of %d words", len(br))
 		}
 		for i := 0; i < len(br); i += 3 {
-			flags := br[i+2]
-			warm.branch.push(WarmBranch{
-				PC: br[i], Target: br[i+1],
-				Taken: flags&1 != 0, Cond: flags&2 != 0, BTB: flags&4 != 0,
-			})
+			warm.branch.push(branchRec{pc: br[i], target: br[i+1], flags: br[i+2] & (brTaken | brCond | brBTB)})
 		}
 		out.Warm = warm
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"largewindow/internal/isa"
@@ -261,7 +262,7 @@ func TestCheckpointJSONDeterminism(t *testing.T) {
 
 // TestWarmRingOverflow: rings keep the newest entries, oldest-first.
 func TestWarmRingOverflow(t *testing.T) {
-	r := newRing64(4)
+	r := ring[uint64]{max: 4}
 	for v := uint64(1); v <= 10; v++ {
 		r.push(v)
 	}
@@ -275,11 +276,51 @@ func TestWarmRingOverflow(t *testing.T) {
 			t.Errorf("seq[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	small := newRing64(4)
+	small := ring[uint64]{max: 4}
 	small.push(1)
 	small.push(2)
 	if s := small.seq(); len(s) != 2 || s[0] != 1 || s[1] != 2 {
 		t.Errorf("underfull seq = %v", s)
+	}
+	off := ring[uint64]{}
+	off.push(1)
+	if s := off.seq(); len(s) != 0 || off.n != 0 {
+		t.Errorf("disabled ring kept %v (n=%d)", s, off.n)
+	}
+}
+
+// TestDecodedWarmLogKeepsWriteIndex: a WarmLog that went through the
+// checkpoint wire format (which linearizes the rings oldest-first) and is
+// then pushed into again must evict the same samples as the original.
+func TestDecodedWarmLogKeepsWriteIndex(t *testing.T) {
+	for _, fill := range []uint64{3, 8, 13} { // underfull, exactly full, wrapped
+		orig := NewWarmLog(8, 8, 8)
+		for v := uint64(0); v < fill; v++ {
+			orig.WarmLoad(v * 8)
+			orig.WarmFetch(v * 64)
+			orig.WarmBranch(WarmBranch{PC: v, Target: v + 1, Taken: true})
+		}
+		data, err := json.Marshal(&Checkpoint{Warm: orig})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp Checkpoint
+		if err := json.Unmarshal(data, &cp); err != nil {
+			t.Fatal(err)
+		}
+		for v := uint64(100); v < 107; v++ {
+			for _, w := range []*WarmLog{orig, cp.Warm} {
+				w.WarmStore(v * 8)
+				w.WarmFetch(v * 64)
+				w.WarmBranch(WarmBranch{PC: v, Cond: true})
+			}
+		}
+		if !reflect.DeepEqual(orig.mem.seq(), cp.Warm.mem.seq()) ||
+			!reflect.DeepEqual(orig.fetch.seq(), cp.Warm.fetch.seq()) ||
+			!reflect.DeepEqual(orig.branch.seq(), cp.Warm.branch.seq()) {
+			t.Errorf("fill %d: decoded log diverged after further pushes:\n orig %v\n  got %v",
+				fill, orig.mem.seq(), cp.Warm.mem.seq())
+		}
 	}
 }
 
@@ -301,7 +342,7 @@ func TestWarmLogReplay(t *testing.T) {
 	w.mem.push(0x1000 << 1)   // load 0x1000
 	w.mem.push(0x2008<<1 | 1) // store 0x2008
 	w.fetch.push(0x40)
-	w.branch.push(WarmBranch{PC: 5, Target: 9, Taken: true, Cond: true, BTB: true})
+	w.WarmBranch(WarmBranch{PC: 5, Target: 9, Taken: true, Cond: true, BTB: true})
 	var probe warmProbe
 	w.Replay(&probe)
 	if len(probe.loads) != 1 || probe.loads[0] != 0x1000 {

@@ -2,7 +2,9 @@ package emu
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"largewindow/internal/isa"
 )
@@ -265,4 +267,33 @@ func TestInitialRegisters(t *testing.T) {
 	if m.IntReg[isa.GP] != p.DataBase {
 		t.Errorf("GP = %#x, want %#x", m.IntReg[isa.GP], p.DataBase)
 	}
+}
+
+// TestProgramCollectableAfterRun: the decode table hangs off the Program,
+// so a program that was emulated and then dropped — the facade builds a
+// fresh one per WorkloadProgram call — is garbage, decode table, data
+// image and all. (A process-global predecode cache keyed by *Program used
+// to pin every program ever run.)
+func TestProgramCollectableAfterRun(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		p := iterativeFactorial(10)
+		runtime.SetFinalizer(p, func(*isa.Program) { close(freed) })
+		m := New(p)
+		if _, err := m.Run(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Decoded()) != len(p.Code) {
+			t.Fatalf("decode table has %d entries for %d instructions", len(p.Decoded()), len(p.Code))
+		}
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("an emulated program was still reachable after its last user dropped it")
 }

@@ -2,113 +2,65 @@ package emu
 
 import (
 	"fmt"
-	"sync"
 
 	"largewindow/internal/isa"
 )
 
-// decoded is the predecoded form of one static instruction: everything
-// Step re-derives per dynamic execution (functional-unit class, operand
-// register references, the direct branch target) is resolved once per
-// static instruction instead. A program's decode table is immutable and
-// shared by every Machine running it.
-type decoded struct {
-	op     isa.Op
-	class  isa.Class
-	src1   isa.RegRef
-	src2   isa.RegRef
-	dest   isa.RegRef
-	target uint64 // absolute taken target for Branch/J/Jal (pc+1+imm)
-}
-
-// predecodeCache maps *isa.Program → []decoded. Programs are immutable
-// after building, so the table is computed once per program identity and
-// shared across machines (and across the campaign's warmup passes).
-var predecodeCache sync.Map
-
-// predecode returns the program's decode table, building it on first use.
-func predecode(p *isa.Program) []decoded {
-	if t, ok := predecodeCache.Load(p); ok {
-		return t.([]decoded)
-	}
-	t := make([]decoded, len(p.Code))
-	for pc, in := range p.Code {
-		d := &t[pc]
-		d.op = in.Op
-		d.class = in.Op.Class()
-		d.src1 = in.Src1()
-		d.src2 = in.Src2()
-		d.dest = in.Dest()
-		switch d.class {
-		case isa.ClassBranch:
-			d.target = in.Target(uint64(pc))
-		case isa.ClassJump:
-			if in.Op != isa.OpJr {
-				d.target = in.Target(uint64(pc))
-			}
-		}
-	}
-	actual, _ := predecodeCache.LoadOrStore(p, t)
-	return actual.([]decoded)
-}
-
 // run is the predecoded hot loop behind Run: identical architectural
 // semantics to a Step loop (the equivalence is property-tested), but with
 // the per-step class/operand re-derivation and the ClassMix map increment
-// hoisted out. Hot state (PC, stream hash, class counts) lives in locals
-// and is flushed back to the Machine on every exit path.
+// hoisted out. Hot state (PC, stream hash, class counts) lives in locals —
+// no closure captures them, so they stay in registers — and is written
+// back to the Machine once, after the loop.
 //
 // When warm is non-nil the loop also feeds the access stream —
 // instruction-fetch lines, data addresses, and branch outcomes — into the
-// sink: a WarmLog's bounded rings for checkpoint capture, or a live
-// cache-hierarchy adapter for full-history functional warming.
+// sink in program order. A WarmLog (checkpoint capture) is recognised
+// before the loop and recorded with direct ring stores; any other sink (a
+// live cache-hierarchy adapter for full-history functional warming) is
+// called through the interface.
 func (m *Machine) run(maxInstr uint64, warm WarmSink) (uint64, error) {
-	dec := predecode(m.Prog)
+	dec := m.Prog.Decoded()
 	code := m.Prog.Code
+	log, _ := warm.(*WarmLog)
 	var classCnt [isa.NumClasses]uint64
 	pc := m.PC
 	hash := m.StreamHash
 	takenCond, condCount := m.TakenCond, m.CondCount
 	var count uint64
 	lastFetchLine := ^uint64(0)
+	var err error
 
-	flush := func() {
-		m.PC = pc
-		m.StreamHash = hash
-		m.TakenCond, m.CondCount = takenCond, condCount
-		m.InstrCount += count
-		for c, n := range classCnt {
-			if n > 0 {
-				m.ClassMix[isa.Class(c)] += n
-			}
-		}
-	}
-
+loop:
 	for !m.Halted && count < maxInstr {
 		if pc >= uint64(len(dec)) {
-			flush()
-			return count, fmt.Errorf("emu: pc %d outside code segment (len %d)", pc, len(dec))
+			err = fmt.Errorf("emu: pc %d outside code segment (len %d)", pc, len(dec))
+			break
 		}
 		d := &dec[pc]
 		count++
-		classCnt[d.class]++
+		classCnt[d.Class]++
 		hash = mixHash(hash, pc)
 		if warm != nil {
 			if line := (pc * 8) &^ 63; line != lastFetchLine {
-				warm.WarmFetch(line)
+				if log != nil {
+					log.fetch.push(line)
+				} else {
+					warm.WarmFetch(line)
+				}
 				lastFetchLine = line
 			}
 		}
 
 		var rs1, rs2 uint64
-		if r := d.src1; r.Valid {
+		if r := d.Src1; r.Valid {
 			if r.FP {
 				rs1 = m.FPReg[r.N]
 			} else if r.N != isa.Zero {
 				rs1 = m.IntReg[r.N]
 			}
 		}
-		if r := d.src2; r.Valid {
+		if r := d.Src2; r.Valid {
 			if r.FP {
 				rs2 = m.FPReg[r.N]
 			} else if r.N != isa.Zero {
@@ -117,62 +69,74 @@ func (m *Machine) run(maxInstr uint64, warm WarmSink) (uint64, error) {
 		}
 		next := pc + 1
 
-		switch d.class {
+		var brFlags, brTarget uint64 // brFlags != 0: a control transfer to report
+		switch d.Class {
 		case isa.ClassLoad:
 			addr := isa.EffAddr(code[pc], rs1)
-			m.writeDest(d.dest, m.Mem.ReadWord(addr))
-			if warm != nil {
+			m.writeDest(d.Dest, m.Mem.ReadWord(addr))
+			if log != nil {
+				log.mem.push(addr << 1)
+			} else if warm != nil {
 				warm.WarmLoad(addr)
 			}
 		case isa.ClassStore:
 			addr := isa.EffAddr(code[pc], rs1)
 			m.Mem.WriteWord(addr, rs2)
-			if warm != nil {
+			if log != nil {
+				log.mem.push(addr<<1 | 1)
+			} else if warm != nil {
 				warm.WarmStore(addr)
 			}
 		case isa.ClassBranch:
 			condCount++
-			taken := isa.BranchTaken(code[pc], rs1, rs2)
-			if taken {
+			brFlags, brTarget = brCond, d.Target
+			if isa.BranchTaken(code[pc], rs1, rs2) {
 				takenCond++
-				next = d.target
-			}
-			if warm != nil {
-				warm.WarmBranch(WarmBranch{PC: pc, Target: d.target, Taken: taken, Cond: true, BTB: taken})
+				next = d.Target
+				brFlags = brCond | brTaken | brBTB
 			}
 		case isa.ClassJump:
-			switch d.op {
+			switch d.Op {
 			case isa.OpJr:
 				next = rs1
-				if warm != nil {
-					warm.WarmBranch(WarmBranch{PC: pc, Target: rs1, Taken: true})
-				}
+				brFlags, brTarget = brTaken, rs1
 			case isa.OpJal:
-				m.writeDest(d.dest, isa.Eval(code[pc], rs1, rs2, pc))
-				next = d.target
-				if warm != nil {
-					warm.WarmBranch(WarmBranch{PC: pc, Target: d.target, Taken: true, BTB: true})
-				}
+				m.writeDest(d.Dest, isa.Eval(code[pc], rs1, rs2, pc))
+				fallthrough
 			default: // OpJ
-				next = d.target
-				if warm != nil {
-					warm.WarmBranch(WarmBranch{PC: pc, Target: d.target, Taken: true, BTB: true})
-				}
+				next = d.Target
+				brFlags, brTarget = brTaken|brBTB, d.Target
 			}
 		case isa.ClassHalt:
 			m.Halted = true
-			flush()
-			return count, nil
+			break loop
 		case isa.ClassNop:
 			// nothing
 		default:
-			m.writeDest(d.dest, isa.Eval(code[pc], rs1, rs2, pc))
+			m.writeDest(d.Dest, isa.Eval(code[pc], rs1, rs2, pc))
+		}
+		if brFlags != 0 {
+			br := branchRec{pc: pc, target: brTarget, flags: brFlags}
+			if log != nil {
+				log.branch.push(br)
+			} else if warm != nil {
+				warm.WarmBranch(br.unpack())
+			}
 		}
 		pc = next
 	}
-	flush()
-	if !m.Halted {
-		return count, ErrNotHalted
+
+	m.PC = pc
+	m.StreamHash = hash
+	m.TakenCond, m.CondCount = takenCond, condCount
+	m.InstrCount += count
+	for c, n := range classCnt {
+		if n > 0 {
+			m.ClassMix[isa.Class(c)] += n
+		}
 	}
-	return count, nil
+	if err == nil && !m.Halted {
+		err = ErrNotHalted
+	}
+	return count, err
 }

@@ -32,7 +32,7 @@ type ProfileSink interface {
 // resolved dependence information for MLP and ILP analysis. Semantics
 // and return convention match Run.
 func (m *Machine) RunProfile(maxInstr uint64, sink ProfileSink) (uint64, error) {
-	dec := predecode(m.Prog)
+	dec := m.Prog.Decoded()
 	code := m.Prog.Code
 	var classCnt [isa.NumClasses]uint64
 	pc := m.PC
@@ -59,19 +59,19 @@ func (m *Machine) RunProfile(maxInstr uint64, sink ProfileSink) (uint64, error) 
 		}
 		d := &dec[pc]
 		count++
-		classCnt[d.class]++
+		classCnt[d.Class]++
 		hash = mixHash(hash, pc)
-		sink.Instr(pc, d.class)
+		sink.Instr(pc, d.Class)
 
 		var rs1, rs2 uint64
-		if r := d.src1; r.Valid {
+		if r := d.Src1; r.Valid {
 			if r.FP {
 				rs1 = m.FPReg[r.N]
 			} else if r.N != isa.Zero {
 				rs1 = m.IntReg[r.N]
 			}
 		}
-		if r := d.src2; r.Valid {
+		if r := d.Src2; r.Valid {
 			if r.FP {
 				rs2 = m.FPReg[r.N]
 			} else if r.N != isa.Zero {
@@ -80,10 +80,10 @@ func (m *Machine) RunProfile(maxInstr uint64, sink ProfileSink) (uint64, error) 
 		}
 		next := pc + 1
 
-		switch d.class {
+		switch d.Class {
 		case isa.ClassLoad:
 			addr := isa.EffAddr(code[pc], rs1)
-			m.writeDest(d.dest, m.Mem.ReadWord(addr))
+			m.writeDest(d.Dest, m.Mem.ReadWord(addr))
 			sink.Mem(pc, addr, false)
 		case isa.ClassStore:
 			addr := isa.EffAddr(code[pc], rs1)
@@ -94,21 +94,21 @@ func (m *Machine) RunProfile(maxInstr uint64, sink ProfileSink) (uint64, error) 
 			taken := isa.BranchTaken(code[pc], rs1, rs2)
 			if taken {
 				takenCond++
-				next = d.target
+				next = d.Target
 			}
-			sink.Branch(WarmBranch{PC: pc, Target: d.target, Taken: taken, Cond: true, BTB: taken})
+			sink.Branch(WarmBranch{PC: pc, Target: d.Target, Taken: taken, Cond: true, BTB: taken})
 		case isa.ClassJump:
-			switch d.op {
+			switch d.Op {
 			case isa.OpJr:
 				next = rs1
 				sink.Branch(WarmBranch{PC: pc, Target: rs1, Taken: true})
 			case isa.OpJal:
-				m.writeDest(d.dest, isa.Eval(code[pc], rs1, rs2, pc))
-				next = d.target
-				sink.Branch(WarmBranch{PC: pc, Target: d.target, Taken: true, BTB: true})
+				m.writeDest(d.Dest, isa.Eval(code[pc], rs1, rs2, pc))
+				next = d.Target
+				sink.Branch(WarmBranch{PC: pc, Target: d.Target, Taken: true, BTB: true})
 			default: // OpJ
-				next = d.target
-				sink.Branch(WarmBranch{PC: pc, Target: d.target, Taken: true, BTB: true})
+				next = d.Target
+				sink.Branch(WarmBranch{PC: pc, Target: d.Target, Taken: true, BTB: true})
 			}
 		case isa.ClassHalt:
 			m.Halted = true
@@ -117,7 +117,7 @@ func (m *Machine) RunProfile(maxInstr uint64, sink ProfileSink) (uint64, error) 
 		case isa.ClassNop:
 			// nothing
 		default:
-			m.writeDest(d.dest, isa.Eval(code[pc], rs1, rs2, pc))
+			m.writeDest(d.Dest, isa.Eval(code[pc], rs1, rs2, pc))
 		}
 		pc = next
 	}

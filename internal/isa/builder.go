@@ -1,24 +1,36 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Program is a complete executable image: code, entry point, initial data
 // memory, and the initial stack pointer. Code addresses are instruction
-// indices; PC=Entry at reset, SP=StackTop, GP=DataBase.
+// indices; PC=Entry at reset, SP=StackTop, GP=DataBase. A Program is
+// immutable once built and is shared by pointer.
 type Program struct {
-	Name     string
-	Code     []Instr
-	Entry    uint64
-	Data     map[uint64]uint64
+	Name  string
+	Code  []Instr
+	Entry uint64
+	// Image is the initial data memory, frozen: every core and emulator
+	// running the program starts from a copy-on-write Clone of it. It holds
+	// a page only where some initial word is non-zero. nil means no data.
+	Image    *Memory
 	StackTop uint64
 	DataBase uint64
+
+	decodeOnce sync.Once
+	decoded    []Decoded
 }
 
-// NewMemoryImage returns a Memory pre-loaded with the program's data.
+// NewMemoryImage returns a private Memory holding the program's initial
+// data, at the cost of one leaf copy per 2 MB of image.
 func (p *Program) NewMemoryImage() *Memory {
-	m := NewMemory()
-	m.Load(p.Data)
-	return m
+	if p.Image == nil {
+		return NewMemory()
+	}
+	return p.Image.Clone()
 }
 
 // Label is a forward-referenceable code position handle issued by Builder.
@@ -34,7 +46,7 @@ type Builder struct {
 	code    []Instr
 	labels  []int64 // label -> pc, -1 if unbound
 	fixups  []fixup
-	data    map[uint64]uint64
+	data    *Memory
 	heap    uint64
 	heapTop uint64
 	stack   uint64
@@ -58,7 +70,7 @@ const (
 func NewBuilder(name string) *Builder {
 	return &Builder{
 		name:    name,
-		data:    make(map[uint64]uint64),
+		data:    NewMemory(),
 		heap:    HeapBase,
 		heapTop: HeapBase,
 		stack:   StackBase,
@@ -128,14 +140,10 @@ func (b *Builder) Build() (*Program, error) {
 			return nil, fmt.Errorf("builder %q: pc %d: %w", b.name, pc, err)
 		}
 	}
-	data := make(map[uint64]uint64, len(b.data))
-	for a, v := range b.data {
-		data[a] = v
-	}
 	return &Program{
 		Name:     b.name,
 		Code:     append([]Instr(nil), b.code...),
-		Data:     data,
+		Image:    b.data.image(),
 		StackTop: b.stack,
 		DataBase: HeapBase,
 	}, nil
@@ -165,13 +173,12 @@ func (b *Builder) Alloc(n uint64) uint64 {
 // AllocWords reserves n 8-byte words and returns the base address.
 func (b *Builder) AllocWords(n uint64) uint64 { return b.Alloc(n * 8) }
 
-// SetWord sets an initial data word.
+// SetWord sets an initial data word. A zero only overwrites: it never
+// touches a page the image does not already hold.
 func (b *Builder) SetWord(addr, val uint64) {
-	if val == 0 {
-		delete(b.data, addr)
-		return
+	if val != 0 || b.data.ReadWord(addr) != 0 {
+		b.data.WriteWord(addr, val)
 	}
-	b.data[addr] = val
 }
 
 // SetF64 sets an initial float64 data word.

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -80,8 +81,37 @@ func TestBuilderDataImage(t *testing.T) {
 	if m.ReadF64(w+8) != 2.5 {
 		t.Error("SetF64 value missing")
 	}
-	if _, ok := p.Data[w+16]; ok {
-		t.Error("zeroed word still in image")
+	if got := p.Image.NonZeroWords(); got != 2 {
+		t.Errorf("image holds %d non-zero words, want 2 (the zeroed word must be gone)", got)
+	}
+}
+
+// TestBuilderImagePages: the image's page set is exactly the pages that
+// hold a non-zero word — what loading a map of non-zero words produced —
+// so checkpoint page lists do not depend on how the kernel initialised
+// its data. A word set then zeroed leaves no page behind.
+func TestBuilderImagePages(t *testing.T) {
+	b := NewBuilder("pages")
+	keep := b.Alloc(PageBytes)
+	gone := b.Alloc(4 * PageBytes)
+	b.SetWord(keep+8, 1)
+	b.SetWord(gone+2*PageBytes, 7)
+	b.SetWord(gone+2*PageBytes, 0)
+	b.SetWord(gone+3*PageBytes, 0) // zero onto an untouched page
+	b.SetWord(uint64(5)<<32, 9)    // beyond the page table
+	b.SetWord(uint64(5)<<32, 0)    // ... and zeroed again
+	b.SetWord(uint64(6)<<32+PageBytes, 3)
+	b.Halt()
+	p := b.MustBuild()
+	want := []uint64{keep / PageBytes, (uint64(6)<<32 + PageBytes) / PageBytes}
+	if got := p.Image.PageList(); !reflect.DeepEqual(got, want) {
+		t.Errorf("image pages = %v, want %v", got, want)
+	}
+	if got := p.NewMemoryImage().Pages(); got != len(want) {
+		t.Errorf("Pages() = %d, want %d", got, len(want))
+	}
+	if !p.Image.Frozen() {
+		t.Error("program image is not frozen")
 	}
 }
 
@@ -92,17 +122,21 @@ func TestBuilderProgramIsolation(t *testing.T) {
 	b.Halt()
 	p1 := b.MustBuild()
 	p1.Code[0] = Instr{Op: OpNop}
-	for a := range p1.Data {
-		p1.Data[a] = 123
+	m1 := p1.NewMemoryImage()
+	m1.WriteWord(HeapBase, 123)
+	if got := p1.NewMemoryImage().ReadWord(HeapBase); got != 5 {
+		t.Errorf("memory-image write leaked into a second image of the program: %d", got)
 	}
+	b.SetWord(HeapBase, 6) // the builder moves on; p1 must not
 	p2 := b.MustBuild()
 	if p2.Code[0].Op != OpHalt {
 		t.Error("code mutation leaked between builds")
 	}
-	for _, v := range p2.Data {
-		if v != 5 {
-			t.Error("data mutation leaked between builds")
-		}
+	if got := p1.NewMemoryImage().ReadWord(HeapBase); got != 5 {
+		t.Errorf("builder write after Build leaked into the built program: %d", got)
+	}
+	if got := p2.NewMemoryImage().ReadWord(HeapBase); got != 6 {
+		t.Errorf("second build reads %d, want 6", got)
 	}
 }
 

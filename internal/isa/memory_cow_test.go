@@ -67,9 +67,22 @@ func TestMemoryFrozenWritePanics(t *testing.T) {
 // frozen image cloned and written from many goroutines at once (run under
 // -race). Clones of a frozen parent must not mutate it.
 func TestMemoryFrozenConcurrentClones(t *testing.T) {
+	// 64 pages spread over a leaf boundary, the stack's leaf, and the
+	// fallback map beyond the table.
+	addr := func(i uint64) uint64 {
+		switch i % 4 {
+		case 0:
+			return leafPages*PageBytes - 32*PageBytes + i*PageBytes
+		case 1:
+			return StackBase - (i+1)*PageBytes
+		case 2:
+			return 1<<33 + i*PageBytes
+		}
+		return i * PageBytes
+	}
 	m := NewMemory()
 	for i := uint64(0); i < 64; i++ {
-		m.WriteWord(i*PageBytes, i+1)
+		m.WriteWord(addr(i), i+1)
 	}
 	m.Freeze()
 	var wg sync.WaitGroup
@@ -80,10 +93,10 @@ func TestMemoryFrozenConcurrentClones(t *testing.T) {
 			defer wg.Done()
 			c := m.Clone()
 			for i := uint64(0); i < 64; i++ {
-				c.WriteWord(i*PageBytes, uint64(g)*1000+i)
+				c.WriteWord(addr(i), uint64(g)*1000+i)
 			}
 			for i := uint64(0); i < 64; i++ {
-				if got := c.ReadWord(i * PageBytes); got != uint64(g)*1000+i {
+				if got := c.ReadWord(addr(i)); got != uint64(g)*1000+i {
 					t.Errorf("goroutine %d: read = %d", g, got)
 					return
 				}
@@ -92,7 +105,7 @@ func TestMemoryFrozenConcurrentClones(t *testing.T) {
 	}
 	wg.Wait()
 	for i := uint64(0); i < 64; i++ {
-		if got := m.ReadWord(i * PageBytes); got != i+1 {
+		if got := m.ReadWord(addr(i)); got != i+1 {
 			t.Fatalf("frozen parent mutated: page %d = %d, want %d", i, got, i+1)
 		}
 	}

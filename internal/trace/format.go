@@ -38,7 +38,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strings"
 
 	"largewindow/internal/isa"
@@ -103,7 +102,7 @@ type Trace struct {
 	StackTop uint64
 	DataBase uint64
 	Code     []isa.Instr
-	Data     map[uint64]uint64
+	Data     *isa.Memory // initial data image, frozen
 
 	// Recording metadata: dynamic instructions executed, the emulator's
 	// committed-PC stream hash over them, and whether the program ran to
@@ -136,20 +135,16 @@ type header struct {
 }
 
 // Program reconstructs the static program the trace was recorded from.
-// The returned program is freshly allocated; callers may predecode or
-// mutate memory images freely.
+// The returned program is freshly allocated apart from the frozen data
+// image, which every program of this trace shares.
 func (t *Trace) Program() *isa.Program {
 	code := make([]isa.Instr, len(t.Code))
 	copy(code, t.Code)
-	data := make(map[uint64]uint64, len(t.Data))
-	for a, v := range t.Data {
-		data[a] = v
-	}
 	return &isa.Program{
 		Name:     t.Name,
 		Code:     code,
 		Entry:    t.Entry,
-		Data:     data,
+		Image:    t.Data,
 		StackTop: t.StackTop,
 		DataBase: t.DataBase,
 	}
@@ -248,7 +243,7 @@ func (t *Trace) encodeBody(w io.Writer) error {
 		StreamHash:    t.StreamHash,
 		Halted:        t.Halted,
 		Code:          len(t.Code),
-		DataWords:     len(t.Data),
+		DataWords:     t.Data.NonZeroWords(),
 		RecordCount:   uint64(len(t.Records)),
 	})
 	if err != nil {
@@ -302,31 +297,18 @@ func encodeCode(code []isa.Instr) []byte {
 	return buf
 }
 
-// encodeData packs the initial memory image sorted by address
-// (canonical bytes for the digest): count, then per word the address
-// delta from the previous address (uvarint) and the value (uvarint).
-// Zero-valued words are skipped — the builder never emits them, and
-// skipping keeps hand-assembled traces canonical too.
-func encodeData(data map[uint64]uint64) []byte {
-	addrs := make([]uint64, 0, len(data))
-	for a, v := range data {
-		if v != 0 {
-			addrs = append(addrs, a)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	buf := make([]byte, 0, len(addrs)*6)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(addrs)))
-	buf = append(buf, tmp[:n]...)
+// encodeData packs the initial memory image in address order (canonical
+// bytes for the digest): count, then per non-zero word the address delta
+// from the previous address (uvarint) and the value (uvarint).
+func encodeData(data *isa.Memory) []byte {
+	words := data.NonZeroWords()
+	buf := binary.AppendUvarint(make([]byte, 0, words*6), uint64(words))
 	prev := uint64(0)
-	for _, a := range addrs {
-		n := binary.PutUvarint(tmp[:], a-prev)
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], data[a])
-		buf = append(buf, tmp[:n]...)
+	data.EachWord(func(a, v uint64) {
+		buf = binary.AppendUvarint(buf, a-prev)
+		buf = binary.AppendUvarint(buf, v)
 		prev = a
-	}
+	})
 	return buf
 }
 
@@ -612,7 +594,7 @@ func decodeCode(payload []byte, count int) ([]isa.Instr, error) {
 	return code, c.done("code section")
 }
 
-func decodeData(payload []byte, count int) (map[uint64]uint64, error) {
+func decodeData(payload []byte, count int) (*isa.Memory, error) {
 	c := &byteCursor{buf: payload}
 	n, err := c.uvarint("data count")
 	if err != nil {
@@ -621,7 +603,7 @@ func decodeData(payload []byte, count int) (map[uint64]uint64, error) {
 	if int(n) != count || n > uint64(len(payload)) { // ≥ 2 bytes per word
 		return nil, fmt.Errorf("%w: data count %d (header says %d, payload %d bytes)", ErrCorrupt, n, count, len(payload))
 	}
-	data := make(map[uint64]uint64, n)
+	data := isa.NewMemory()
 	addr := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		delta, err := c.uvarint("data addr")
@@ -642,8 +624,9 @@ func decodeData(payload []byte, count int) (map[uint64]uint64, error) {
 		if v == 0 {
 			return nil, fmt.Errorf("%w: explicit zero data word at %#x", ErrCorrupt, addr)
 		}
-		data[addr] = v
+		data.WriteWord(addr, v)
 	}
+	data.Freeze()
 	return data, c.done("data section")
 }
 

@@ -66,7 +66,7 @@ func Record(src workload.Source, scale workload.Scale, maxInstr uint64) (*Trace,
 		StackTop:   prog.StackTop,
 		DataBase:   prog.DataBase,
 		Code:       prog.Code,
-		Data:       prog.Data,
+		Data:       prog.Image,
 		Instrs:     m.InstrCount,
 		StreamHash: m.StreamHash,
 		Halted:     m.Halted,

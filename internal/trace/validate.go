@@ -15,8 +15,8 @@ var ErrInvalid = errors.New("trace: invalid trace content")
 
 // Validate runs the structural checks beyond what decoding enforces:
 // every instruction well-formed, every direct control-transfer target
-// inside the code segment, data addresses inside the program's address
-// conventions, and record metadata consistent with the header. It does
+// inside the code segment, and record metadata consistent with the header
+// (data words are aligned by construction: the image is word-granular). It does
 // not execute the program; see Verify for the semantic check.
 func (t *Trace) Validate() error {
 	if len(t.Code) == 0 {
@@ -38,11 +38,6 @@ func (t *Trace) Validate() error {
 			if tgt := in.Target(uint64(pc)); tgt >= n {
 				return fmt.Errorf("%w: pc %d: target %d outside code (%d instrs)", ErrInvalid, pc, tgt, n)
 			}
-		}
-	}
-	for a := range t.Data {
-		if a%8 != 0 {
-			return fmt.Errorf("%w: misaligned data word %#x", ErrInvalid, a)
 		}
 	}
 	if uint64(len(t.Records)) > t.Instrs {

@@ -105,7 +105,7 @@ func TestKernelSuiteCharacter(t *testing.T) {
 func TestScalesDiffer(t *testing.T) {
 	small := buildArt(ScaleTest)
 	large := buildArt(ScaleRun)
-	if len(large.Data) <= len(small.Data) {
+	if large.Image.NonZeroWords() <= small.Image.NonZeroWords() {
 		t.Error("run scale not larger than test scale")
 	}
 }

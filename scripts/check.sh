@@ -32,8 +32,13 @@ go test -count=1 -run 'TestFastForwardEquivalence|TestFastForwardEngages|TestRun
 echo "== heap steady-state allocation budget =="
 go test -count=1 -run 'TestSteadyStateAllocFree' ./internal/heap/
 
-echo "== WIB cell allocation budget + alloc-free indexed LSQ / bank select =="
+echo "== WIB cell allocation budget + alloc-free indexed LSQ / bank select / memory hot path =="
 go test -count=1 -run 'TestWIBCellAllocBudget|TestIndexedPathsAllocFree' ./internal/core/
+go test -count=1 -run 'TestMemoryHotPathAllocFree' ./internal/isa/
+
+echo "== paged memory vs its map-based oracle, shared frozen images (race) =="
+go test -race -count=1 ./internal/isa ./internal/emu
+go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
 
 echo "== fault-injection smoke sweep =="
 go test -count=1 -run 'TestCampaignDetectsEveryFault|TestWatchdogFaultsBounded' ./internal/fault/
@@ -57,29 +62,15 @@ if grep -rn 'largewindow\.Benchmark(\|largewindow\.LookupBenchmark(\|GetOmitted\
     exit 1
 fi
 
-echo "== trace record -> replay bit-identity =="
+echo "== trace record -> replay bit-identity + byte-identity goldens =="
 # The acceptance bar for the trace frontend (DESIGN.md §13): replaying a
 # recorded trace must produce Stats bit-identical to simulating the
-# builder-built program, for three kernels spanning both suites. The
-# full wibsim report (IPC, miss ratios, MLP, WIB occupancy, ...) is
-# diffed verbatim.
-trdir="$(mktemp -d)"
-go build -o "$trdir/wibsim" ./cmd/wibsim
-for k in gzip art treeadd; do
-    "$trdir/wibsim" -bench "$k" -scale test -instr 0 \
-        -record-trace "$trdir/$k.wtr" >/dev/null
-    "$trdir/wibsim" -bench "$k" -scale test -instr 200000 -config wib \
-        >"$trdir/$k.direct.out"
-    "$trdir/wibsim" -bench "trace:$trdir/$k.wtr" -scale test -instr 200000 -config wib \
-        >"$trdir/$k.replay.out"
-    if ! diff -u "$trdir/$k.direct.out" "$trdir/$k.replay.out"; then
-        echo "FAIL: trace replay of $k diverges from the builder-built program"
-        rm -rf "$trdir"
-        exit 1
-    fi
-done
-rm -rf "$trdir"
-echo "  replay: 3 kernels bit-identical to direct simulation"
+# builder-built program (gzip, art, treeadd; Base and WIB; in memory and
+# through a .wtr.gz file). The goldens pin what was recorded from the last
+# commit with map-based memory: .wtr bytes and trace:sha256: identities,
+# checkpoint JSON bytes, and every kernel's final memory checksum.
+go test -count=1 -run 'TestReplayBitIdenticalStats|TestReplayRoundTripThroughFile|TestContainerBytesGolden' ./internal/trace/
+go test -count=1 -run 'TestCheckpointBytesGolden|TestMemChecksumGolden' ./internal/emu/
 
 echo "== synthetic generator calibration =="
 # The synth: dials must land where they claim: measured DL1 miss ratio
