@@ -12,9 +12,9 @@ test:
 check:
 	sh scripts/check.sh
 
-# Benchmark snapshot: throughput + campaign speedups (checkpointed and
-# sampled) + Fig4 at fixed -benchtime, written to BENCH_PR8.json (the
-# reference scripts/check.sh gates against).
+# Benchmark snapshot: throughput + campaign speedups (checkpointed,
+# sampled and model-pruned) + Fig4 at fixed -benchtime, written to
+# BENCH_PR10.json (the reference scripts/check.sh gates against).
 bench:
 	sh scripts/bench.sh
 

@@ -8,32 +8,44 @@ import (
 	"largewindow/internal/workload"
 )
 
-// Layer benchmarks for the WIB core's indexed structures (ROADMAP 1(a)):
-// the banked reinsertion select, the store-queue forward search and the
-// load-queue violation search each get a micro-benchmark that must report
-// 0 allocs/op, and BenchmarkWIBCells is the profiling harness for the
-// whole cell (EXPERIMENTS.md, "profiling the simulator itself").
+// Layer benchmarks for the core's indexed structures (ROADMAP 1(a), 1(d)):
+// the issue select, dispatch, the banked reinsertion select, the
+// store-queue forward search and the load-queue violation search each get
+// a micro-benchmark that must report 0 allocs/op, and BenchmarkBaseCells /
+// BenchmarkWIBCells are the profiling harnesses for the whole cell
+// (EXPERIMENTS.md, "profiling the simulator itself").
 
-// wibCellBudget is the benchmark's fig4-wib cell: 50k committed
-// instructions of a run-scale kernel on the WIB/2048 machine.
-const wibCellBudget = 50_000
+// The repository benchmark's cells: a run-scale kernel for 250k committed
+// instructions on the base machine (fig4-base), for 50k on the WIB/2048
+// machine (fig4-wib).
+const (
+	baseCellBudget = 250_000
+	wibCellBudget  = 50_000
+)
 
-func runWIBCell(tb testing.TB, prog *isa.Program) *Stats {
+func runCell(tb testing.TB, cfg Config, prog *isa.Program, budget uint64) *Stats {
 	tb.Helper()
-	p, err := New(WIBDefault(), prog)
+	p, err := New(cfg, prog)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	st, err := p.Run(wibCellBudget, 0)
+	st, err := p.Run(budget, 0)
 	if err != nil && !errors.Is(err, ErrBudget) {
 		tb.Fatal(err)
 	}
 	return st
 }
 
-// BenchmarkWIBCells runs exactly the cells of the repository benchmark's
-// fig4-wib workload, one pass per iteration.
-func BenchmarkWIBCells(b *testing.B) {
+func runBaseCell(tb testing.TB, prog *isa.Program) *Stats {
+	return runCell(tb, DefaultConfig(), prog, baseCellBudget)
+}
+
+func runWIBCell(tb testing.TB, prog *isa.Program) *Stats {
+	return runCell(tb, WIBDefault(), prog, wibCellBudget)
+}
+
+// benchCells runs one cell per kernel of the suite per iteration.
+func benchCells(b *testing.B, cell func(testing.TB, *isa.Program) *Stats) {
 	var progs []*isa.Program
 	for _, spec := range workload.All() {
 		progs = append(progs, spec.Build(workload.ScaleRun))
@@ -43,11 +55,17 @@ func BenchmarkWIBCells(b *testing.B) {
 	var committed uint64
 	for i := 0; i < b.N; i++ {
 		for _, prog := range progs {
-			committed += runWIBCell(b, prog).Committed
+			committed += cell(b, prog).Committed
 		}
 	}
 	b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "instrs/s")
 }
+
+// BenchmarkBaseCells and BenchmarkWIBCells run exactly the cells of the
+// repository benchmark's fig4-base and fig4-wib workloads, one pass per
+// iteration.
+func BenchmarkBaseCells(b *testing.B) { benchCells(b, runBaseCell) }
+func BenchmarkWIBCells(b *testing.B)  { benchCells(b, runWIBCell) }
 
 // scenario is one measured call, shared by a layer benchmark and the
 // alloc-free test. The LSQ scenarios search queues sized and filled like
@@ -163,6 +181,93 @@ func bankedSelectScenarios(tb testing.TB) []scenario {
 	return []scenario{{"sparse", mk(2048)}, {"dense", mk(1)}}
 }
 
+// issueSelectScenarios builds machines whose integer functional units are
+// all taken this cycle, so a select pass meets its requests, grants none
+// and leaves the state as it found it. sparse has a single requester in
+// the ring's last slot (the longest walk the scan can make); dense has a
+// full issue queue requesting, the head's 31 slots and the last.
+func issueSelectScenarios(tb testing.TB) []scenario {
+	mk := func(slots, requesters int) func() {
+		b := isa.NewBuilder("idle")
+		b.Halt()
+		cfg := DefaultConfig()
+		cfg.ActiveList = slots
+		p, err := New(cfg, b.MustBuild())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		head := int32(slots / 3)
+		p.robHead, p.robTail, p.robCount = head, head, int32(slots)
+		for i := range p.rob {
+			idx := (head + int32(i)) % int32(slots)
+			p.rob[idx] = robEntry{seq: uint64(i + 1), class: isa.ClassIntALU, stage: stDone, done: true,
+				intIQ: true, newPhys: noReg, src1Phys: noReg, src2Phys: noReg}
+			if i < requesters-1 || i == slots-1 {
+				p.rob[idx].stage, p.rob[idx].done = stRequest, false
+				p.intIQ.request(idx)
+				p.intIQ.count++
+			}
+		}
+		for {
+			if _, ok := p.fus.tryIssue(isa.ClassIntALU, p.now); !ok {
+				break
+			}
+		}
+		return func() {
+			p.issueFrom(p.intIQ, p.cfg.IssueInt)
+			if p.intIQ.nreq != requesters {
+				tb.Fatalf("select with no free unit left %d of %d requests", p.intIQ.nreq, requesters)
+			}
+		}
+	}
+	return []scenario{
+		{"sparse-128", mk(128, 1)}, {"dense-128", mk(128, 32)},
+		{"sparse-2048", mk(2048, 1)}, {"dense-2048", mk(2048, 32)},
+	}
+}
+
+// dispatchScenarios renames one decode group — integer and FP arithmetic,
+// a load and a store, every one with a destination or an LSQ slot to
+// claim — into an idle base machine and squashes it again, so each call
+// starts from the same state.
+func dispatchScenarios(tb testing.TB) []scenario {
+	b := isa.NewBuilder("group")
+	slot := b.AllocWords(1)
+	b.LiAddr(isa.S0, slot)
+	first := b.PC()
+	b.Ld(isa.T0, isa.S0, 0)
+	b.Addi(isa.T1, isa.T0, 1)
+	b.Mul(isa.T2, isa.T1, isa.T1)
+	b.St(isa.T2, isa.S0, 0)
+	b.Fadd(isa.F1, isa.F2, isa.F3)
+	b.Fmul(isa.F4, isa.F1, isa.F1)
+	b.Add(isa.T3, isa.T2, isa.T0)
+	b.Slli(isa.T4, isa.T3, 2)
+	b.Halt()
+	prog := b.MustBuild()
+	p, err := New(DefaultConfig(), prog)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	group := make([]ifqEntry, p.cfg.DecodeWidth)
+	for i := range group {
+		pc := uint64(first + i)
+		group[i] = ifqEntry{pc: pc, in: prog.Code[pc]}
+	}
+	return []scenario{{"decode-group", func() {
+		start := p.nextSeq
+		for i := range group {
+			if !p.dispatchOne(&group[i]) {
+				tb.Fatalf("dispatch stalled at instruction %d of an empty machine", i)
+			}
+		}
+		p.squashFrom(start, true)
+		if p.robCount != 0 || p.intIQ.count != 0 || p.fpIQ.count != 0 || p.intIQ.nreq != 0 {
+			tb.Fatalf("squash left %d entries, %d+%d queued, %d requesting", p.robCount, p.intIQ.count, p.fpIQ.count, p.intIQ.nreq)
+		}
+	}}}
+}
+
 func runScenarios(b *testing.B, scenarios []scenario) {
 	for _, s := range scenarios {
 		b.Run(s.name, func(b *testing.B) {
@@ -177,11 +282,14 @@ func runScenarios(b *testing.B, scenarios []scenario) {
 func BenchmarkLSQForward(b *testing.B)        { runScenarios(b, lsqForwardScenarios(b)) }
 func BenchmarkLSQCheckViolation(b *testing.B) { runScenarios(b, lsqViolationScenarios(b)) }
 func BenchmarkReinsertBanked(b *testing.B)    { runScenarios(b, bankedSelectScenarios(b)) }
+func BenchmarkIssueSelect(b *testing.B)       { runScenarios(b, issueSelectScenarios(b)) }
+func BenchmarkDispatch(b *testing.B)          { runScenarios(b, dispatchScenarios(b)) }
 
 // TestIndexedPathsAllocFree asserts what the layer benchmarks report: the
-// indexed searches and the banked select allocate nothing.
+// indexed searches, both selects and dispatch allocate nothing.
 func TestIndexedPathsAllocFree(t *testing.T) {
-	for _, group := range [][]scenario{lsqForwardScenarios(t), lsqViolationScenarios(t), bankedSelectScenarios(t)} {
+	for _, group := range [][]scenario{lsqForwardScenarios(t), lsqViolationScenarios(t), bankedSelectScenarios(t),
+		issueSelectScenarios(t), dispatchScenarios(t)} {
 		for _, s := range group {
 			if allocs := testing.AllocsPerRun(200, s.run); allocs != 0 {
 				t.Errorf("%s: %v allocs/op, want 0", s.name, allocs)
@@ -190,17 +298,10 @@ func TestIndexedPathsAllocFree(t *testing.T) {
 	}
 }
 
-// TestWIBCellAllocBudget gates the WIB/2048 cell's allocations: what
-// core.New allocates (machine construction) plus a fixed slack for the
-// structures that legitimately grow once per run: the event queue, the
-// issue-request heaps, the deferred-load lists, the waiter blocks (16) and
-// the row arena's doublings, and — the bulk of it — a register whose
-// waiter list outgrows its waiterSlabCap share (perimeter and swim
-// re-register reinserted consumers on ~1100 registers). Before the blocks
-// and the arena this cell paid one growslice chain per physical register
-// and per bit-vector column: 4400-6100 allocations on these kernels.
-func TestWIBCellAllocBudget(t *testing.T) {
-	const slack = 1500
+// checkCellAllocBudget holds a cell to what core.New allocates (machine
+// construction) plus a fixed slack for the structures that legitimately
+// grow once per run.
+func checkCellAllocBudget(t *testing.T, cfg Config, cell func(testing.TB, *isa.Program) *Stats, slack float64) {
 	for _, name := range []string{"perimeter", "em3d", "mgrid"} {
 		spec, ok := workload.Get(name)
 		if !ok {
@@ -208,14 +309,32 @@ func TestWIBCellAllocBudget(t *testing.T) {
 		}
 		prog := spec.Build(workload.ScaleRun)
 		construct := testing.AllocsPerRun(3, func() {
-			if _, err := New(WIBDefault(), prog); err != nil {
+			if _, err := New(cfg, prog); err != nil {
 				t.Fatal(err)
 			}
 		})
-		cell := testing.AllocsPerRun(3, func() { runWIBCell(t, prog) })
-		t.Logf("%s: core.New %.0f allocs, 50k-instruction cell %.0f", name, construct, cell)
-		if cell > construct+slack {
-			t.Errorf("%s: cell allocates %.0f, budget is core.New's %.0f + %d", name, cell, construct, slack)
+		run := testing.AllocsPerRun(3, func() { cell(t, prog) })
+		t.Logf("%s/%s: core.New %.0f allocs, cell %.0f", cfg.Name, name, construct, run)
+		if run > construct+slack {
+			t.Errorf("%s/%s: cell allocates %.0f, budget is core.New's %.0f + %.0f", cfg.Name, name, run, construct, slack)
 		}
 	}
+}
+
+// TestWIBCellAllocBudget gates the 50k-instruction WIB/2048 cell. Its
+// slack covers the event queue, the waiter blocks (16) and the row arena's
+// doublings, and — the bulk of it — a register whose waiter list outgrows
+// its waiterSlabCap share (perimeter and swim re-register reinserted
+// consumers on ~1100 registers). Before the blocks and the arena this cell
+// paid one growslice chain per physical register and per bit-vector
+// column: 4400-6100 allocations on these kernels.
+func TestWIBCellAllocBudget(t *testing.T) { checkCellAllocBudget(t, WIBDefault(), runWIBCell, 1500) }
+
+// TestBaseCellAllocBudget gates the 250k-instruction base cell. With no
+// WIB there is no row arena and few registers gather more than
+// waiterSlabCap waiters; what a run adds to core.New is mostly the memory
+// image's private copies of the pages the kernel stores to (13-184 here),
+// then the event queue's growth and a waiter block per 256 registers used.
+func TestBaseCellAllocBudget(t *testing.T) {
+	checkCellAllocBudget(t, DefaultConfig(), runBaseCell, 300)
 }

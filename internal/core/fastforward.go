@@ -37,9 +37,10 @@ func (p *Processor) fastForwardEnabled() bool {
 
 // idle reports that the NEXT cycle can do no pipeline work other than
 // processing due events (which the caller bounds separately): nothing
-// committable at the active-list head, no issue requests or deferred
-// loads, nothing in the WIB's eligible structures, a fetch queue head
-// that cannot rename, and a front end that cannot fetch.
+// committable at the active-list head, no request bit set in either issue
+// queue (the bitmaps are exact: a squashed or evicted requester's bit is
+// cleared on the spot), nothing in the WIB's eligible structures, a fetch
+// queue head that cannot rename, and a front end that cannot fetch.
 func (p *Processor) idle() bool {
 	if p.robCount > 0 {
 		h := &p.rob[p.robHead]
@@ -47,7 +48,7 @@ func (p *Processor) idle() bool {
 			return false // commit would retire it
 		}
 	}
-	if len(p.deferredLoads) > 0 || p.intIQ.ready.Len() > 0 || p.fpIQ.ready.Len() > 0 {
+	if p.intIQ.nreq > 0 || p.fpIQ.nreq > 0 {
 		return false // select would run
 	}
 	if p.wib != nil && p.wib.hasEligible() {

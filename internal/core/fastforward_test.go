@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"largewindow/internal/isa"
 	"largewindow/internal/telemetry"
 	"largewindow/internal/workload"
 )
@@ -134,6 +135,85 @@ func TestFastForwardEngages(t *testing.T) {
 		t.Fatalf("fast-forward never engaged over %d cycles", stats.Cycles)
 	}
 	t.Logf("skipped %d/%d cycles in %d jumps", skipped, stats.Cycles, jumps)
+}
+
+// TestFastForwardEngagesAfterSquash is the squash-then-stall case: a
+// mispredicted branch resolves behind an outstanding miss while the wrong
+// path's multiplies queue for the two multipliers. The squash takes every
+// requester with it, and the machine must report idle at the end of that
+// very cycle: a squashed requester's bit is cleared on the spot (no stale
+// request is left for a later select to find and drop), so "no request
+// bit set" is exact and the fast-forward jumps the redirect penalty at
+// once.
+func TestFastForwardEngagesAfterSquash(t *testing.T) {
+	b := isa.NewBuilder("squash-stall")
+	far := b.Alloc(1 << 22)
+	b.LiAddr(isa.S0, far)
+	b.Li(isa.S2, 0)
+	b.Li(isa.S4, 1)
+	b.Loop(isa.S5, 6, func() {
+		skip := b.NewLabel()
+		b.Ld(isa.T0, isa.S0, 0) // misses to memory: blocks the head
+		// The branch waits a multiply for the iteration's parity, so it
+		// alternates and resolves after the wrong path has been renamed.
+		b.Mul(isa.T1, isa.S2, isa.S4)
+		b.Andi(isa.T1, isa.T1, 1)
+		b.Bne(isa.T1, isa.Zero, skip)
+		for i := 0; i < 40; i++ {
+			b.Mul(isa.T2, isa.S4, isa.S4) // ready at once, two units
+		}
+		b.Bind(skip)
+		b.Addi(isa.S2, isa.S2, 1)
+		b.Li64(isa.T3, 512*1024)
+		b.Add(isa.S0, isa.S0, isa.T3)
+	})
+	b.Halt()
+	prog := b.MustBuild()
+
+	p, err := New(DefaultConfig(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	squashes, idleAtOnce := 0, 0
+	for !p.halted && p.now < 1_000_000 {
+		requesting, mispredicts := p.intIQ.nreq, p.stats.Mispredicts
+		p.cycle()
+		if p.stats.Mispredicts == mispredicts || requesting == 0 {
+			continue
+		}
+		// A recovery with requesters in flight. Whatever still requests is
+		// older than the branch; when nothing does, nothing else can move
+		// until the redirect penalty has passed.
+		squashes++
+		if p.intIQ.nreq == 0 && p.rob[p.robHead].stage == stIssued {
+			if !p.idle() {
+				t.Fatalf("cycle %d: squash left no requester and a stalled front end, yet the machine is not idle\n%s", p.now, p.DebugDump(8))
+			}
+			idleAtOnce++
+		}
+	}
+	if !p.halted {
+		t.Fatal("no halt")
+	}
+	if squashes == 0 || idleAtOnce == 0 {
+		t.Fatalf("%d recoveries squashed requesters, %d of them left the machine idle: the case went unexercised", squashes, idleAtOnce)
+	}
+
+	// End to end: the same program skips most of its cycles.
+	p, err = New(DefaultConfig(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := p.Run(0, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped, jumps := p.FastForwardStats()
+	t.Logf("%d recoveries with requesters in flight, %d idle at once; skipped %d/%d cycles in %d jumps",
+		squashes, idleAtOnce, skipped, stats.Cycles, jumps)
+	if skipped*2 < stats.Cycles {
+		t.Errorf("fast-forward skipped %d of %d cycles of a run that is all misses and redirects", skipped, stats.Cycles)
+	}
 }
 
 // TestRunDeterminism runs the same (config, kernel) twice in one process

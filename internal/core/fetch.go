@@ -31,18 +31,20 @@ func (p *Processor) fetch() {
 			curLine = line
 		}
 		in := p.prog.Code[pc]
-		fe := ifqEntry{pc: pc, in: in, fetched: p.now}
+		// Build the record in its fetch-queue slot; a slot's prediction
+		// fields are meaningful (and written) only for control transfers.
+		fe := &p.ifq[(p.ifqHead+p.ifqN)%int32(len(p.ifq))]
+		fe.pc, fe.in, fe.fetched = pc, in, p.now
 		next := pc + 1
 		stop := false
-		if in.Op.IsBranch() {
-			pred, cp := p.bp.Predict(pc, in)
-			fe.isBranch = true
-			fe.pred = pred
-			fe.cp = cp
-			if pred.Taken {
-				next = pred.Target
+		c := p.dec[pc].Class
+		fe.isBranch = c == isa.ClassBranch || c == isa.ClassJump
+		if fe.isBranch {
+			fe.pred, fe.cp = p.bp.Predict(pc, in)
+			if fe.pred.Taken {
+				next = fe.pred.Target
 				stop = true
-				if !pred.BTBHit && in.Op != isa.OpJr {
+				if !fe.pred.BTBHit && in.Op != isa.OpJr {
 					// Direct transfer, target not in BTB: the front end
 					// recomputes it at decode (2-cycle bubble).
 					p.fetchStall = p.now + p.cfg.MisfetchPenalty
@@ -50,13 +52,13 @@ func (p *Processor) fetch() {
 				}
 			}
 		}
-		p.pushIFQ(fe)
+		p.ifqN++
 		p.stats.FetchedInstrs++
 		if p.tel != nil {
 			p.tel.cFetched.Inc()
 		}
 		p.fetchPC = next
-		if in.Op == isa.OpHalt {
+		if c == isa.ClassHalt {
 			p.fetchHalted = true
 			return
 		}
@@ -64,12 +66,6 @@ func (p *Processor) fetch() {
 			return
 		}
 	}
-}
-
-func (p *Processor) pushIFQ(fe ifqEntry) {
-	idx := (p.ifqHead + p.ifqN) % int32(len(p.ifq))
-	p.ifq[idx] = fe
-	p.ifqN++
 }
 
 // flushIFQ squashes everything in the fetch queue (youngest first, so

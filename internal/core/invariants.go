@@ -13,7 +13,7 @@ func (p *Processor) checkInvariants() {
 
 	// Issue-queue occupancy matches entry stages; WIB occupancy matches
 	// parked stages; LSQ counts match allocated entries.
-	var intQ, fpQ, parked, eligible, loads, stores int
+	var intQ, fpQ, requests, parked, eligible, loads, stores int
 	banked := p.wib != nil && p.wib.cfg.Banked
 	size := int32(len(p.rob))
 	for i := int32(0); i < p.robCount; i++ {
@@ -28,6 +28,12 @@ func (p *Processor) checkInvariants() {
 				intQ++
 			} else {
 				fpQ++
+			}
+			if e.stage == stRequest {
+				if !p.queueOf(e).requesting(idx) {
+					throw(KindIQRequestMap, e.seq, "seq %d in slot %d requests issue but its request bit is clear", e.seq, idx)
+				}
+				requests++
 			}
 		case stInWIB:
 			parked++
@@ -50,6 +56,11 @@ func (p *Processor) checkInvariants() {
 	}
 	if fpQ != p.fpIQ.count {
 		throw(KindIQCount, 0, "fp IQ count %d, entries say %d", p.fpIQ.count, fpQ)
+	}
+	// Every requester's bit is set in its own queue's bitmap (checked
+	// above), so equal totals mean the bitmaps hold no other bit.
+	if n := p.intIQ.countRequests() + p.fpIQ.countRequests(); n != requests {
+		throw(KindIQRequestMap, 0, "request bitmaps hold %d bits, active list has %d entries requesting", n, requests)
 	}
 	if p.wib != nil && parked != p.wib.occupancy {
 		throw(KindWIBOccupancy, 0, "WIB occupancy %d, entries say %d", p.wib.occupancy, parked)

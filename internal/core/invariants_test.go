@@ -92,6 +92,29 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 			kinds:      []ErrKind{KindIQCount},
 		},
 		{
+			// A stray request bit on a slot nobody dispatched into: the
+			// select throws when it meets the bit, and if the issue width
+			// runs out first the end-of-cycle recount names the bitmap.
+			name:       "iq-request-stray-bit",
+			applicable: func(p *Processor) bool { return p.robCount < int32(len(p.rob)) && !p.intIQ.requesting(p.robTail) },
+			corrupt:    func(p *Processor) { p.intIQ.req[p.robTail>>6] |= 1 << (p.robTail & 63) },
+			kinds:      []ErrKind{KindIQRequestMap},
+			nextCycle:  true,
+		},
+		{
+			// The oldest requester loses its bit (and the count agrees, as
+			// after a clear on the wrong slot): nothing will ever select it.
+			name:       "iq-request-missing-bit",
+			applicable: func(p *Processor) bool { return p.oldestRequester() >= 0 },
+			corrupt: func(p *Processor) {
+				rob := p.oldestRequester()
+				p.intIQ.req[rob>>6] &^= 1 << (rob & 63)
+				p.intIQ.nreq--
+			},
+			kinds:     []ErrKind{KindIQRequestMap},
+			nextCycle: true,
+		},
+		{
 			name:       "wib-occupancy-skew",
 			applicable: func(p *Processor) bool { return p.wib != nil && p.wib.occupancy > 0 },
 			corrupt:    func(p *Processor) { p.wib.occupancy-- },
@@ -252,6 +275,15 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// oldestRequester returns the slot of the oldest integer-queue entry in
+// stRequest, or -1.
+func (p *Processor) oldestRequester() int32 {
+	if r := p.inflight(func(e *robEntry) bool { return e.stage == stRequest && e.intIQ }); len(r) > 0 {
+		return r[0]
+	}
+	return -1
 }
 
 // oldestRenamedDest returns the destination physical register of the

@@ -1,42 +1,108 @@
 package core
 
 import (
-	"largewindow/internal/heap"
+	"math/bits"
+
 	"largewindow/internal/isa"
+	"largewindow/internal/regfile"
 )
 
-// readyItem is one issue request, ordered oldest-first.
-type readyItem struct {
-	seq uint64
-	rob int32
-}
-
-func readyBefore(a, b readyItem) bool { return a.seq < b.seq }
-
 // issueQueue models one issue queue: a capacity (entries live in the ROB;
-// only occupancy is tracked here) plus the wakeup-select request heap.
-// Select order is oldest-first, as in the base machine.
+// only occupancy is tracked here) plus the wakeup-select request lines, one
+// bit per active-list slot, set exactly while the slot holds a stRequest
+// entry of this queue. The active list allocates in program order, so the
+// first set bit in ring order from its head is the oldest requester —
+// select is oldest-first, as in the base machine.
 type issueQueue struct {
 	size  int
 	count int
-	ready heap.Heap[readyItem]
+	req   []uint64 // bit i: active-list slot i requests issue
+	nreq  int      // popcount of req
 }
 
-func newIssueQueue(size int) *issueQueue {
-	return &issueQueue{size: size, ready: heap.NewWithCapacity(readyBefore, size)}
+func newIssueQueue(size, activeList int) *issueQueue {
+	return &issueQueue{size: size, req: make([]uint64, (activeList+63)/64)}
 }
 
 func (q *issueQueue) full() bool { return q.count >= q.size }
 
-func (q *issueQueue) request(seq uint64, rob int32) {
-	q.ready.Push(readyItem{seq: seq, rob: rob})
+func (q *issueQueue) requesting(rob int32) bool { return q.req[rob>>6]&(1<<(rob&63)) != 0 }
+
+// request and clearRequest are the only writers of the bitmap. Every way
+// out of stRequest — a grant, a squash, a head-evict, a stale operand —
+// goes through clearRequest.
+func (q *issueQueue) request(rob int32) {
+	if !q.requesting(rob) {
+		q.req[rob>>6] |= 1 << (rob & 63)
+		q.nreq++
+	}
 }
 
-func (q *issueQueue) pop() (readyItem, bool) {
-	if q.ready.Len() == 0 {
-		return readyItem{}, false
+func (q *issueQueue) clearRequest(rob int32) {
+	if q.requesting(rob) {
+		q.req[rob>>6] &^= 1 << (rob & 63)
+		q.nreq--
 	}
-	return q.ready.Pop(), true
+}
+
+// countRequests recounts the bitmap (Debug runs) and checks nreq against it.
+func (q *issueQueue) countRequests() int {
+	n := 0
+	for _, w := range q.req {
+		n += bits.OnesCount64(w)
+	}
+	if n != q.nreq {
+		throw(KindIQRequestMap, 0, "issue queue of %d counts %d requests, its bitmap holds %d", q.size, q.nreq, n)
+	}
+	return n
+}
+
+// nextRequest returns the first requesting slot in [from, to), or -1.
+func (q *issueQueue) nextRequest(from, to int32) int32 {
+	for from < to {
+		w := from >> 6
+		if m := q.req[w] &^ (1<<(from&63) - 1); m != 0 {
+			if rob := w<<6 + int32(bits.TrailingZeros64(m)); rob < to {
+				return rob
+			}
+			return -1
+		}
+		from = (w + 1) << 6
+	}
+	return -1
+}
+
+// selectOldest is the select loop of both queues: one forward scan of the
+// bitmap in ring order from the active-list head, offering each request
+// to grant until width are granted, and returning that number. A granted
+// entry gives up its bit and its queue slot; one turned away keeps its
+// bit and is met again, in age order, next pass. grant may clear the bit
+// itself (the entry stops requesting but stays queued) and may make
+// younger entries request: those lie ahead of the scan, which re-reads
+// the bitmap at every step and so meets them in the same pass.
+func (q *issueQueue) selectOldest(head int32, width int, grant func(rob int32) bool) int {
+	issued, kept := 0, 0 // kept: requests behind the scan
+	// The ring from the head is [head, slots) then [0, head).
+	pos, end := head, int32(len(q.req))<<6
+	for issued < width && kept < q.nreq {
+		rob := q.nextRequest(pos, end)
+		if rob < 0 {
+			if end == head {
+				break
+			}
+			pos, end = 0, head
+			continue
+		}
+		pos = rob + 1
+		if grant(rob) {
+			q.clearRequest(rob)
+			q.count--
+			issued++
+		} else if q.requesting(rob) {
+			kept++
+		}
+	}
+	return issued
 }
 
 // fuPools tracks functional-unit availability per class (paper Table 1).
@@ -137,7 +203,7 @@ func (p *Processor) registerInIQ(rob int32) {
 	}
 	if e.waitCount == 0 {
 		e.stage = stRequest
-		p.queueOf(e).request(e.seq, rob)
+		p.queueOf(e).request(rob)
 	} else {
 		e.stage = stWaiting
 	}
@@ -192,13 +258,13 @@ func (p *Processor) wakeWaiters(fp bool, idx int32, waitSet bool) {
 				// Promote immediately; remaining operands re-evaluated at
 				// select time and after reinsertion.
 				e.stage = stRequest
-				p.queueOf(e).request(e.seq, w.rob)
+				p.queueOf(e).request(w.rob)
 				continue
 			}
 			e.waitCount--
 			if e.waitCount <= 0 {
 				e.stage = stRequest
-				p.queueOf(e).request(e.seq, w.rob)
+				p.queueOf(e).request(w.rob)
 			}
 		}
 	}
@@ -206,123 +272,80 @@ func (p *Processor) wakeWaiters(fp bool, idx int32, waitSet bool) {
 
 // issue performs select for both queues.
 func (p *Processor) issue() {
-	p.retryDeferredLoads()
 	p.issueFrom(p.intIQ, p.cfg.IssueInt)
 	p.issueFrom(p.fpIQ, p.cfg.IssueFP)
 }
 
-// retryDeferredLoads re-requests loads that failed structural checks
-// (store-wait gating, forwarding stalls, bit-vector exhaustion) on a
-// previous cycle. The two defer lists ping-pong so the per-cycle drain
-// allocates nothing.
-func (p *Processor) retryDeferredLoads() {
-	if len(p.deferredLoads) == 0 {
-		return
-	}
-	pending := p.deferredLoads
-	p.deferredLoads = p.deferredScratch[:0]
-	for _, it := range pending {
-		if e := p.liveEntry(it.rob, it.seq); e != nil && e.stage == stRequest {
-			p.queueOf(e).request(e.seq, it.rob)
-		}
-	}
-	p.deferredScratch = pending[:0]
-}
-
+// issueFrom runs one select pass over q.
 func (p *Processor) issueFrom(q *issueQueue, width int) {
-	issued := 0
-	setAside := p.setAsideScratch[:0]
-	for issued < width {
-		item, ok := q.pop()
-		if !ok {
-			break
-		}
-		e := p.liveEntry(item.rob, item.seq)
-		if e == nil || e.stage != stRequest {
-			continue // squashed or moved since requesting
-		}
-		// Re-evaluate operands at select time. Stores gate only on the
-		// base register (split STA/STD).
-		s1w := p.operandWaits(e.src1FP, e.src1Phys)
-		s1ok := p.operandSatisfied(e.src1FP, e.src1Phys)
-		s2w, s2ok := false, true
-		if e.class != isa.ClassStore {
-			s2w = p.operandWaits(e.src2FP, e.src2Phys)
-			s2ok = p.operandSatisfied(e.src2FP, e.src2Phys)
-		}
-		eager := p.wib != nil && p.wib.cfg.EagerPretend
-		if p.wib != nil && (s1w || s2w) && (eager || (s1ok && s2ok)) {
-			// Pretend-ready: consumes an issue slot but goes to the WIB
-			// instead of a functional unit (§3.2). Under the eager
-			// optimization this happens as soon as one operand waits. If
-			// every referenced bit-vector has already completed (the
-			// producer is awaiting reinsertion), the instruction becomes
-			// immediately eligible — it may recycle through the queue,
-			// which is the behaviour the paper reports (§4.1).
-			if col, ok := p.waitColumn(e); ok && p.wib.blockAvailable(col) {
-				p.moveToWIB(item.rob, e, col)
-			} else {
-				// No live bit-vector (the producer awaits reinsertion) or
-				// — in the pool-of-blocks organization — no block left to
-				// deposit into: spill straight to the eligible pool.
-				if ok {
-					p.stats.PoolSpills++
-				}
-				p.parkEligible(item.rob, e)
-			}
-			q.count--
-			issued++
-			continue
-		}
-		if !s1ok || !s2ok {
-			// Stale request (a wait operand resolved or was never truly
-			// satisfiable); go back to waiting. The entry never left the
-			// queue, so occupancy is unchanged.
-			p.registerInIQ(item.rob)
-			continue
-		}
-		switch e.class {
-		case isa.ClassLoad:
-			switch p.tryIssueLoad(item.rob, e) {
-			case issueOK:
-				q.count--
-				issued++
-			case issueDefer:
-				// Structural defer (store-wait, bit-vector exhaustion):
-				// retry next cycle without burning the slot.
-				p.deferredLoads = append(p.deferredLoads, item)
-			case issueNoFU:
-				setAside = append(setAside, item)
-			}
-			continue
-		case isa.ClassStore:
-			lat, ok := p.fus.tryIssue(e.class, p.now)
-			if !ok {
-				setAside = append(setAside, item)
-				continue
-			}
-			p.issueStore(item.rob, e, lat)
-		default:
-			lat, ok := p.fus.tryIssue(e.class, p.now)
-			if !ok {
-				setAside = append(setAside, item)
-				continue
-			}
-			p.launch(item.rob, e, lat)
-		}
-		q.count--
-		issued++
-	}
-	for _, it := range setAside {
-		q.ready.Append(it)
-	}
-	if len(setAside) > 0 {
-		q.ready.Init()
-	}
-	p.setAsideScratch = setAside[:0]
+	issued := q.selectOldest(p.robHead, width, func(rob int32) bool { return p.selectEntry(q, rob) })
 	if p.tel != nil && issued > 0 {
 		p.tel.cIssue.Add(uint64(issued))
 	}
+}
+
+// selectEntry decides one request of q and reports whether the entry
+// leaves the queue through an issue slot. One that cannot go this cycle
+// (no functional unit, or a load tryIssueLoad holds back) stays in
+// stRequest and is retried next cycle.
+func (p *Processor) selectEntry(q *issueQueue, rob int32) bool {
+	e := &p.rob[rob]
+	if e.stage != stRequest || p.queueOf(e) != q {
+		throw(KindIQRequestMap, e.seq, "select met a request bit on slot %d, which is not requesting (seq %d, %s)",
+			rob, e.seq, stageNames[e.stage])
+	}
+	// Re-evaluate operands at select time. Stores gate only on the
+	// base register (split STA/STD).
+	s1w := p.operandWaits(e.src1FP, e.src1Phys)
+	s1ok := p.operandSatisfied(e.src1FP, e.src1Phys)
+	s2w, s2ok := false, true
+	if e.class != isa.ClassStore {
+		s2w = p.operandWaits(e.src2FP, e.src2Phys)
+		s2ok = p.operandSatisfied(e.src2FP, e.src2Phys)
+	}
+	eager := p.wib != nil && p.wib.cfg.EagerPretend
+	if p.wib != nil && (s1w || s2w) && (eager || (s1ok && s2ok)) {
+		// Pretend-ready: consumes an issue slot but goes to the WIB
+		// instead of a functional unit (§3.2). Under the eager
+		// optimization this happens as soon as one operand waits. If
+		// every referenced bit-vector has already completed (the
+		// producer is awaiting reinsertion), the instruction becomes
+		// immediately eligible — it may recycle through the queue,
+		// which is the behaviour the paper reports (§4.1).
+		if col, ok := p.waitColumn(e); ok && p.wib.blockAvailable(col) {
+			p.moveToWIB(rob, e, col)
+		} else {
+			// No live bit-vector (the producer awaits reinsertion) or
+			// — in the pool-of-blocks organization — no block left to
+			// deposit into: spill straight to the eligible pool.
+			if ok {
+				p.stats.PoolSpills++
+			}
+			p.parkEligible(rob, e)
+		}
+		return true
+	}
+	if !s1ok || !s2ok {
+		// Stale request (a wait operand resolved or was never truly
+		// satisfiable); go back to waiting. The entry never left the
+		// queue, so occupancy is unchanged.
+		q.clearRequest(rob)
+		p.registerInIQ(rob)
+		return false
+	}
+	if e.class == isa.ClassLoad {
+		return p.tryIssueLoad(rob, e)
+	}
+	lat, ok := p.fus.tryIssue(e.class, p.now)
+	if !ok {
+		return false
+	}
+	if e.class == isa.ClassStore {
+		p.issueStore(rob, e, lat)
+	} else {
+		p.launch(rob, e, lat)
+	}
+	return true
 }
 
 // operandWaits reports whether a source operand is pretend-ready (its
@@ -363,27 +386,23 @@ func (p *Processor) launch(rob int32, e *robEntry, lat int64) {
 	p.events.schedule(event{cycle: p.now + delay + lat, kind: evExecDone, rob: rob, seq: e.seq})
 }
 
+// rf returns the register-file timing model of one register space.
+func (p *Processor) rf(fp bool) regfile.Model {
+	if fp {
+		return p.rfFP
+	}
+	return p.rfInt
+}
+
 // prefetchSources pulls an instruction's source registers into the
 // two-level register file's first level (no-op for other file kinds).
 func (p *Processor) prefetchSources(e *robEntry) {
 	type prefetcher interface{ Prefetch(int) }
-	if e.src1Phys != noReg {
-		rf := p.rfInt
-		if e.src1FP {
-			rf = p.rfFP
-		}
-		if pf, ok := rf.(prefetcher); ok {
-			pf.Prefetch(int(e.src1Phys))
-		}
+	if pf, ok := p.rf(e.src1FP).(prefetcher); ok && e.src1Phys != noReg {
+		pf.Prefetch(int(e.src1Phys))
 	}
-	if e.src2Phys != noReg {
-		rf := p.rfInt
-		if e.src2FP {
-			rf = p.rfFP
-		}
-		if pf, ok := rf.(prefetcher); ok {
-			pf.Prefetch(int(e.src2Phys))
-		}
+	if pf, ok := p.rf(e.src2FP).(prefetcher); ok && e.src2Phys != noReg {
+		pf.Prefetch(int(e.src2Phys))
 	}
 }
 
@@ -392,20 +411,10 @@ func (p *Processor) prefetchSources(e *robEntry) {
 func (p *Processor) regReadDelay(e *robEntry) int64 {
 	var d int64
 	if e.src1Phys != noReg {
-		rf := p.rfInt
-		if e.src1FP {
-			rf = p.rfFP
-		}
-		d = rf.ReadDelay(int(e.src1Phys), p.now)
+		d = p.rf(e.src1FP).ReadDelay(int(e.src1Phys), p.now)
 	}
 	if e.src2Phys != noReg {
-		rf := p.rfInt
-		if e.src2FP {
-			rf = p.rfFP
-		}
-		if d2 := rf.ReadDelay(int(e.src2Phys), p.now); d2 > d {
-			d = d2
-		}
+		d = max(d, p.rf(e.src2FP).ReadDelay(int(e.src2Phys), p.now))
 	}
 	return d
 }

@@ -2,23 +2,16 @@ package core
 
 import "largewindow/internal/isa"
 
-// issueStatus is the outcome of attempting to issue a memory operation.
-type issueStatus int
-
-const (
-	issueOK    issueStatus = iota
-	issueDefer             // structural condition; retry next cycle
-	issueNoFU              // no address-generation unit free this cycle
-)
-
-// tryIssueLoad attempts to issue a load whose operands are ready. The
-// load may defer for three structural reasons: the store-wait table holds
-// it behind unresolved older stores; it must forward from a store whose
+// tryIssueLoad attempts to issue a load whose operands are ready and
+// reports whether it went. A load that stays keeps requesting and is
+// retried next cycle; besides finding no address-generation unit free it
+// may stay for three structural reasons: the store-wait table holds it
+// behind unresolved older stores; it must forward from a store whose
 // address has resolved but whose data has not (split STA/STD: the data
 // operand can sit in a miss chain for hundreds of cycles, and the load
 // retries forward every cycle until it arrives); or — with a WIB — no
 // bit-vector is free for a new outstanding miss (§4.2).
-func (p *Processor) tryIssueLoad(rob int32, e *robEntry) issueStatus {
+func (p *Processor) tryIssueLoad(rob int32, e *robEntry) bool {
 	rs1 := p.readOperand(e.src1FP, e.src1Phys)
 	addr := isa.EffAddr(e.in, rs1)
 	waddr := addr &^ 7
@@ -26,18 +19,18 @@ func (p *Processor) tryIssueLoad(rob int32, e *robEntry) issueStatus {
 	// Store-wait gating (21264 load-store wait prediction).
 	if p.sw.predictsWait(e.pc) && p.lsq.olderStoreUnknown(e.lq) {
 		p.stats.StoreWaitHits++
-		return issueDefer
+		return false
 	}
 
 	// Store-to-load forwarding from the youngest older matching store.
 	if val, fwdSeq, ok, dataOK := p.lsq.forward(e.lq, waddr); ok {
 		if !dataOK {
 			// The producing store's data has not arrived; stall the load.
-			return issueDefer
+			return false
 		}
 		lat, fu := p.fus.tryIssue(isa.ClassLoad, p.now)
 		if !fu {
-			return issueNoFU
+			return false
 		}
 		e.stage = stIssued
 		p.traceIssued(e)
@@ -45,7 +38,7 @@ func (p *Processor) tryIssueLoad(rob int32, e *robEntry) issueStatus {
 		p.stats.ForwardedLoads++
 		ready := p.now + p.regReadDelay(e) + lat + 1 // one-cycle SQ bypass
 		p.events.schedule(event{cycle: ready, kind: evLoadDone, rob: rob, seq: e.seq})
-		return issueOK
+		return true
 	}
 
 	// Cache path. With a WIB, a primary load miss needs a bit-vector
@@ -58,7 +51,7 @@ func (p *Processor) tryIssueLoad(rob int32, e *robEntry) issueStatus {
 			col, ok = p.wib.allocColumn(e.seq)
 			if !ok {
 				p.stats.BitVectorStalls++
-				return issueDefer
+				return false
 			}
 		}
 	}
@@ -67,7 +60,7 @@ func (p *Processor) tryIssueLoad(rob int32, e *robEntry) issueStatus {
 		if col >= 0 {
 			p.wib.releaseColumn(col)
 		}
-		return issueNoFU
+		return false
 	}
 	e.stage = stIssued
 	p.traceIssued(e)
@@ -96,7 +89,7 @@ func (p *Processor) tryIssueLoad(rob int32, e *robEntry) issueStatus {
 		p.wib.releaseColumn(col)
 	}
 	p.events.schedule(event{cycle: res.Ready, kind: evLoadDone, rob: rob, seq: e.seq})
-	return issueOK
+	return true
 }
 
 // completeLoad finishes a load whose data has arrived: write the value,

@@ -121,6 +121,9 @@ func (p *Processor) addWaiter(r *physReg, rob int32, seq uint64) {
 type Processor struct {
 	cfg  Config
 	prog *isa.Program
+	// dec is prog's decode table (class and operand references per static
+	// instruction), shared with the emulator and indexed by pc.
+	dec []isa.Decoded
 
 	// Committed architectural state (the golden-comparable part).
 	memory *isa.Memory
@@ -202,16 +205,6 @@ type Processor struct {
 	ffJumps  int64
 
 	stats Stats
-
-	// retry lists for loads that could not issue this cycle (store-wait,
-	// forwarding stall, bit-vector exhaustion). deferredScratch ping-pongs
-	// with deferredLoads so the per-cycle drain never allocates.
-	deferredLoads   []readyItem
-	deferredScratch []readyItem
-
-	// setAsideScratch holds issue requests that lost FU arbitration this
-	// cycle while the remaining selections proceed (reused every cycle).
-	setAsideScratch []readyItem
 }
 
 type ifqEntry struct {
@@ -231,6 +224,7 @@ func New(cfg Config, prog *isa.Program) (*Processor, error) {
 	p := &Processor{
 		cfg:    cfg,
 		prog:   prog,
+		dec:    prog.Decoded(),
 		memory: prog.NewMemoryImage(),
 		intPR:  make([]physReg, cfg.IntRegs),
 		fpPR:   make([]physReg, cfg.FPRegs),
@@ -240,8 +234,8 @@ func New(cfg Config, prog *isa.Program) (*Processor, error) {
 		bp:     bpred.New(cfg.Bpred),
 		sw:     newStoreWait(cfg.StoreWaitEntries, cfg.StoreWaitClearInterval),
 	}
-	p.intIQ = newIssueQueue(cfg.IntIQSize)
-	p.fpIQ = newIssueQueue(cfg.FPIQSize)
+	p.intIQ = newIssueQueue(cfg.IntIQSize, cfg.ActiveList)
+	p.fpIQ = newIssueQueue(cfg.FPIQSize, cfg.ActiveList)
 	p.fus = newFUPools(cfg)
 	p.events = newEventQueue()
 	p.lsq = newLSQ(cfg.LoadQueue, cfg.StoreQueue)
@@ -524,11 +518,7 @@ func (p *Processor) writeResult(e *robEntry, v uint64) {
 	r.ready = true
 	r.wait = false
 	r.col = -1
-	if e.destFP {
-		p.rfFP.Wrote(int(e.newPhys), p.now)
-	} else {
-		p.rfInt.Wrote(int(e.newPhys), p.now)
-	}
+	p.rf(e.destFP).Wrote(int(e.newPhys), p.now)
 	p.wakeWaiters(e.destFP, e.newPhys, false)
 }
 
@@ -585,7 +575,7 @@ func (p *Processor) commit() {
 		}
 		if e.isBranch {
 			p.bp.Commit(e.pc, e.in, e.bpCp, e.actualTaken, e.actualTarget)
-			if e.in.Op.IsCondBranch() {
+			if e.class == isa.ClassBranch {
 				p.stats.CondBranches++
 				if e.pred.Taken == e.actualTaken {
 					p.stats.CondCorrect++

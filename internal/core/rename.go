@@ -30,12 +30,9 @@ func (p *Processor) dispatchStalled(fe *ifqEntry) bool {
 	if p.robCount == int32(len(p.rob)) {
 		return true
 	}
-	in := fe.in
-	class := in.Op.Class()
-
-	dest := in.Dest()
-	needDest := dest.Valid && (dest.FP || dest.N != isa.Zero)
-	if needDest {
+	d := &p.dec[fe.pc]
+	class, dest := d.Class, d.Dest
+	if needsDest(dest) {
 		if dest.FP {
 			if len(p.fpFree) == 0 {
 				return true
@@ -55,7 +52,7 @@ func (p *Processor) dispatchStalled(fe *ifqEntry) bool {
 	case isa.ClassNop, isa.ClassHalt:
 		needIQ = false
 	case isa.ClassJump:
-		needIQ = in.Op == isa.OpJr // J/Jal complete at rename
+		needIQ = d.Op == isa.OpJr // J/Jal complete at rename
 	}
 	if needIQ {
 		q := p.intIQ
@@ -67,6 +64,12 @@ func (p *Processor) dispatchStalled(fe *ifqEntry) bool {
 		}
 	}
 	return false
+}
+
+// needsDest reports whether a destination reference claims a physical
+// register (the hardwired integer zero register does not).
+func needsDest(dest isa.RegRef) bool {
+	return dest.Valid && (dest.FP || dest.N != isa.Zero)
 }
 
 // isFPClass reports whether the class dispatches to the FP issue queue.
@@ -81,37 +84,24 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 	if p.dispatchStalled(fe) {
 		return false
 	}
-	in := fe.in
-	class := in.Op.Class()
-	dest := in.Dest()
-	needDest := dest.Valid && (dest.FP || dest.N != isa.Zero)
-	isLoad := class == isa.ClassLoad
-	isStore := class == isa.ClassStore
-	fpIQ := isFPClass(class)
+	d := &p.dec[fe.pc]
+	class, dest := d.Class, d.Dest
 
+	// Zero the slot and store its non-zero fields in place: a composite
+	// literal is built on the stack and copied in.
 	idx := p.robTail
 	e := &p.rob[idx]
-	*e = robEntry{
-		seq:      p.nextSeq,
-		pc:       fe.pc,
-		in:       in,
-		class:    class,
-		stage:    stDone, // refined below
-		archDest: -1,
-		newPhys:  noReg,
-		oldPhys:  noReg,
-		src1Phys: noReg,
-		src2Phys: noReg,
-		lq:       noReg,
-		sq:       noReg,
-		wibCol:   -1,
-		ownCol:   -1,
-		intIQ:    !fpIQ,
-	}
+	*e = robEntry{}
+	e.seq, e.pc, e.in, e.class = p.nextSeq, fe.pc, fe.in, class
+	e.stage = stDone // refined below
+	e.archDest = -1
+	e.newPhys, e.oldPhys, e.src1Phys, e.src2Phys = noReg, noReg, noReg, noReg
+	e.lq, e.sq, e.wibCol, e.ownCol = noReg, noReg, -1, -1
+	e.intIQ = !isFPClass(class)
 	p.nextSeq++
 
 	// Rename sources against the current speculative map.
-	if s := in.Src1(); s.Valid {
+	if s := d.Src1; s.Valid {
 		e.src1FP = s.FP
 		if s.FP {
 			e.src1Phys = p.fpMap[s.N]
@@ -119,7 +109,7 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 			e.src1Phys = p.intMap[s.N]
 		}
 	}
-	if s := in.Src2(); s.Valid {
+	if s := d.Src2; s.Valid {
 		e.src2FP = s.FP
 		if s.FP {
 			e.src2Phys = p.fpMap[s.N]
@@ -129,7 +119,7 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 	}
 
 	// Allocate and map the destination.
-	if needDest {
+	if needsDest(dest) {
 		e.archDest = int8(dest.N)
 		e.destFP = dest.FP
 		if dest.FP {
@@ -149,10 +139,10 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 		}
 	}
 
-	if isLoad {
+	switch class {
+	case isa.ClassLoad:
 		e.lq = p.lsq.allocLoad(idx, e.seq)
-	}
-	if isStore {
+	case isa.ClassStore:
 		e.sq = p.lsq.allocStore(idx, e.seq)
 	}
 	if fe.isBranch {
@@ -173,13 +163,13 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 	switch {
 	case class == isa.ClassNop || class == isa.ClassHalt:
 		e.done = true
-	case class == isa.ClassJump && in.Op != isa.OpJr:
+	case class == isa.ClassJump && d.Op != isa.OpJr:
 		// Direct jumps complete at rename; the target was validated at
 		// fetch (pred.Target == in.Target always for direct ops).
 		e.done = true
 		e.resolved = true
 		e.actualTaken = true
-		e.actualTarget = in.Target(fe.pc)
+		e.actualTarget = d.Target
 		if e.newPhys != noReg {
 			p.writeResult(e, fe.pc+1) // Jal link value
 		}
@@ -258,6 +248,7 @@ func (p *Processor) unblockHead() {
 		idx := (p.robTail - i + size) % size // youngest first
 		e := &p.rob[idx]
 		if (e.stage == stWaiting || e.stage == stRequest) && p.queueOf(e) == q {
+			q.clearRequest(idx)
 			q.count--
 			p.note("head-evict", e.seq, e.pc)
 			p.parkEligible(idx, e)
@@ -338,7 +329,9 @@ func (p *Processor) squashEntry(idx int32, e *robEntry) {
 	}
 	switch e.stage {
 	case stWaiting, stRequest:
-		p.queueOf(e).count--
+		q := p.queueOf(e)
+		q.clearRequest(idx)
+		q.count--
 	case stInWIB:
 		p.wib.unpark()
 	case stEligible:

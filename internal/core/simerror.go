@@ -25,6 +25,7 @@ const (
 	// Invariant-checker kinds (Config.Debug per-cycle checks).
 	KindROBFreeEntry   ErrKind = "rob-free-entry"     // live ROB slot marked free
 	KindIQCount        ErrKind = "iq-count"           // issue-queue occupancy mismatch
+	KindIQRequestMap   ErrKind = "iq-request-map"     // issue-request bitmap != stRequest entries of the queue
 	KindWIBOccupancy   ErrKind = "wib-occupancy"      // WIB occupancy mismatch
 	KindWIBColumns     ErrKind = "wib-columns"        // bit-vector column leaked
 	KindWIBEligibleMap ErrKind = "wib-eligible-map"   // banked eligible bitmap != stEligible entries

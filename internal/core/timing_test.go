@@ -341,6 +341,84 @@ func TestDeferredLoadBehindPendingStoreData(t *testing.T) {
 	}
 }
 
+// TestDeferredLoadKeepsRequestBit watches the same stall from the select's
+// side. A load held by the store-wait table or by pending store data is
+// on no side list: it stays in stRequest with its request bit set, the
+// select meets it again every cycle in age order and moves past it — the
+// independent instruction behind it issues while it is held — and the
+// machine is never idle (fast-forwardable) while it requests.
+func TestDeferredLoadKeepsRequestBit(t *testing.T) {
+	b := isa.NewBuilder("sta-std")
+	slot := b.AllocWords(8)
+	far := b.AllocWords(1024 * 64)
+	b.LiAddr(isa.S0, slot)
+	b.LiAddr(isa.S1, far)
+	var loadPC uint64
+	b.Loop(isa.S5, 6, func() {
+		b.Ld(isa.T0, isa.S1, 0) // misses to memory
+		b.St(isa.T0, isa.S0, 0) // address ready at once, data after the miss
+		loadPC = uint64(b.PC())
+		b.Ld(isa.T1, isa.S0, 0)       // aliases the store: held
+		b.Add(isa.T2, isa.T2, isa.T1) // waits for the held load
+		b.Addi(isa.S1, isa.S1, 4096)  // independent: issues past it
+	})
+	b.Halt()
+	prog := b.MustBuild()
+
+	for _, cfg := range []Config{DefaultConfig(), WIBDefault()} {
+		p, err := New(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// held: consecutive end-of-cycle observations of one load instance
+		// still requesting; longest over the run.
+		var heldSeq uint64
+		held, longest, passed := 0, 0, 0
+		for !p.halted && p.now < 1_000_000 {
+			p.cycle()
+			idx, found := int32(-1), false
+			for i := int32(0); i < p.robCount && !found; i++ {
+				idx = (p.robHead + i) % int32(len(p.rob))
+				found = p.rob[idx].pc == loadPC && p.rob[idx].stage == stRequest
+			}
+			if !found {
+				held = 0
+				continue
+			}
+			e := &p.rob[idx]
+			if e.seq != heldSeq {
+				heldSeq, held = e.seq, 0
+			}
+			if held++; held > longest {
+				longest = held
+			}
+			if !p.intIQ.requesting(idx) || p.intIQ.nreq == 0 {
+				t.Fatalf("%s cycle %d: held load seq %d is in stRequest with its request bit clear", cfg.Name, p.now, e.seq)
+			}
+			if p.idle() {
+				t.Fatalf("%s cycle %d: machine reports idle while load seq %d requests", cfg.Name, p.now, e.seq)
+			}
+			// The Addi two instructions younger has gone past the held load.
+			if y := p.liveEntry((idx+2)%int32(len(p.rob)), e.seq+2); y != nil && y.pc == loadPC+2 && y.stage >= stIssued {
+				passed++
+			}
+		}
+		if !p.halted {
+			t.Fatalf("%s: no halt", cfg.Name)
+		}
+		t.Logf("%s: longest hold %d cycles, %d held cycles with the younger Addi issued", cfg.Name, longest, passed)
+		if longest < 100 {
+			t.Errorf("%s: a held load requested for at most %d consecutive cycles; want the length of a memory miss", cfg.Name, longest)
+		}
+		if passed == 0 {
+			t.Errorf("%s: nothing younger ever issued past a held load", cfg.Name)
+		}
+		if st := p.Statistics(); st.StoreWaitHits == 0 && st.ForwardedLoads == 0 {
+			t.Errorf("%s: neither the store-wait table nor a pending forward ever held the load", cfg.Name)
+		}
+	}
+}
+
 // TestReplayTrapTrainsStoreWait: a load that repeatedly conflicts with an
 // older slow store triggers replays at first, then the store-wait table
 // suppresses them.

@@ -218,12 +218,19 @@ func (d *bankedDriver) queued() (int32, *robEntry, bool) {
 	return 0, nil, false
 }
 
+// waitingEntry is a hand-dispatched instruction for the select drivers:
+// queued and waiting, with no registers, LSQ slots or bit-vectors to undo
+// at squash.
+func waitingEntry(seq uint64, intIQ bool) robEntry {
+	return robEntry{seq: seq, stage: stWaiting, archDest: -1, newPhys: noReg, oldPhys: noReg,
+		src1Phys: noReg, src2Phys: noReg, lq: noReg, sq: noReg, wibCol: -1, ownCol: -1, intIQ: intIQ}
+}
+
 func (d *bankedDriver) dispatch() {
 	p := d.p
 	for n := 1 + d.rng.Intn(8); n > 0 && p.robCount < int32(len(p.rob)); n-- {
 		e := &p.rob[p.robTail]
-		*e = robEntry{seq: p.nextSeq, stage: stWaiting, archDest: -1, newPhys: noReg, oldPhys: noReg,
-			src1Phys: noReg, src2Phys: noReg, lq: noReg, sq: noReg, wibCol: -1, ownCol: -1, intIQ: d.rng.Intn(3) > 0}
+		*e = waitingEntry(p.nextSeq, d.rng.Intn(3) > 0)
 		if p.queueOf(e).full() {
 			e.stage = stFree
 			return
@@ -235,13 +242,22 @@ func (d *bankedDriver) dispatch() {
 	}
 }
 
+// leaveQueue is the driver's stand-in for a select grant: the entry gives
+// up its issue-queue slot and (if reinsertion left it requesting) its
+// request bit.
+func (d *bankedDriver) leaveQueue(idx int32, e *robEntry) {
+	q := d.p.queueOf(e)
+	q.clearRequest(idx)
+	q.count--
+}
+
 func (d *bankedDriver) park() {
 	for n := 1 + d.rng.Intn(6); n > 0; n-- {
 		idx, e, ok := d.queued()
 		if !ok {
 			return
 		}
-		d.p.queueOf(e).count--
+		d.leaveQueue(idx, e)
 		if len(d.cols) > 0 && d.rng.Intn(10) < 8 {
 			d.p.wib.park(d.p, idx, e, d.cols[d.rng.Intn(len(d.cols))])
 		} else {
@@ -257,7 +273,7 @@ func (d *bankedDriver) commit() {
 		if e.stage != stWaiting && e.stage != stRequest {
 			return
 		}
-		p.queueOf(e).count--
+		d.leaveQueue(p.robHead, e)
 		e.stage = stFree
 		p.robHead = (p.robHead + 1) % int32(len(p.rob))
 		p.robCount--

@@ -1,7 +1,6 @@
 // Package heap provides a generic, non-boxing binary min-heap for the
-// simulator's hot scheduling paths (the event queue, the issue-request
-// queues, the WIB eligible pool, the MLP fill tracker, the cache fill
-// tables).
+// simulator's hot scheduling paths (the event queue, the WIB eligible
+// pool, the MLP fill tracker, the cache fill tables).
 //
 // It exists to replace container/heap, whose interface{}-typed Push/Pop
 // box one value per operation — several heap operations run per simulated

@@ -221,8 +221,8 @@ type SamplingPlan = sample.Plan
 func ParseSamplingPlan(spec string) (SamplingPlan, error) { return sample.Parse(spec) }
 
 // DefaultSamplingSpec is the calibrated default sampling plan: the spec
-// that BenchmarkSampledCampaign records in BENCH_PR8.json and that
-// scripts/check.sh gates at >= 5x wall-clock speedup and <= 2% mean
+// that BenchmarkSampledCampaign records in BENCH_PR10.json and that
+// scripts/check.sh gates at >= 4.5x wall-clock speedup and <= 2% mean
 // absolute IPC error over the full 18-kernel x {base, WIB} suite.
 // Window length is the load-bearing choice — the WIB machine's
 // fill/drain limit cycle on streaming FP kernels spans thousands of

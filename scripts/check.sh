@@ -32,8 +32,8 @@ go test -count=1 -run 'TestFastForwardEquivalence|TestFastForwardEngages|TestRun
 echo "== heap steady-state allocation budget =="
 go test -count=1 -run 'TestSteadyStateAllocFree' ./internal/heap/
 
-echo "== WIB cell allocation budget + alloc-free indexed LSQ / bank select / memory hot path =="
-go test -count=1 -run 'TestWIBCellAllocBudget|TestIndexedPathsAllocFree' ./internal/core/
+echo "== base + WIB cell allocation budgets + alloc-free issue select / dispatch / indexed LSQ / bank select / memory hot path =="
+go test -count=1 -run 'TestBaseCellAllocBudget|TestWIBCellAllocBudget|TestIndexedPathsAllocFree' ./internal/core/
 go test -count=1 -run 'TestMemoryHotPathAllocFree' ./internal/isa/
 
 echo "== paged memory vs its map-based oracle, shared frozen images (race) =="
@@ -311,10 +311,8 @@ fi
 rm -rf "$smpdir"
 echo "  sampled: race-clean at -parallel 4, 0 cells recomputed on resume, tables identical"
 
+# The one snapshot scripts/bench.sh writes; every gate below reads it.
 benchref=BENCH_PR10.json
-[ -f "$benchref" ] || benchref=BENCH_PR8.json
-[ -f "$benchref" ] || benchref=BENCH_PR5.json
-[ -f "$benchref" ] || benchref=BENCH_PR3.json
 
 echo "== simulator throughput vs $benchref =="
 # Quick regression smoke: re-measure instrs/s for each throughput config
@@ -354,13 +352,10 @@ echo "== checkpointed-campaign speedup vs detailed-only =="
 # PR 5's acceptance bar: a multi-config sweep with a functional skip must
 # beat detailed-only execution by >= 3x wall-clock (recorded by
 # scripts/bench.sh).
-ckptref=BENCH_PR10.json
-[ -f "$ckptref" ] || ckptref=BENCH_PR8.json
-[ -f "$ckptref" ] || ckptref=BENCH_PR5.json
-if [ -f "$ckptref" ] && command -v jq >/dev/null 2>&1; then
-    ckpt=$(jq -r '.results[] | select(.bench == "CheckpointedCampaign") | .ckpt_speedup // empty' "$ckptref")
+if [ -f "$benchref" ] && command -v jq >/dev/null 2>&1; then
+    ckpt=$(jq -r '.results[] | select(.bench == "CheckpointedCampaign") | .ckpt_speedup // empty' "$benchref")
     if [ -z "$ckpt" ]; then
-        echo "FAIL: $ckptref records no ckpt_speedup"
+        echo "FAIL: $benchref records no ckpt_speedup"
         exit 1
     fi
     awk -v s="$ckpt" 'BEGIN {
@@ -368,7 +363,7 @@ if [ -f "$ckptref" ] && command -v jq >/dev/null 2>&1; then
         if (s < 3) { print "  FAIL: checkpoint speedup below 3x"; exit 1 }
     }'
 else
-    echo "  skipped (no $ckptref or jq)"
+    echo "  skipped (no $benchref or jq)"
 fi
 
 echo "== sampled-campaign speedup and accuracy vs full detail =="
@@ -381,13 +376,11 @@ echo "== sampled-campaign speedup and accuracy vs full detail =="
 # and re-measurement (repeated, quiet machine, with and without the
 # PR 10 diff) is stable at 4.88-4.92x — the bar keeps a variance
 # margin under that rather than pinning the stale pre-PR-9 reference.
-smpref=BENCH_PR10.json
-[ -f "$smpref" ] || smpref=BENCH_PR8.json
-if [ -f "$smpref" ] && command -v jq >/dev/null 2>&1; then
-    smp=$(jq -r '.results[] | select(.bench == "SampledCampaign") | .sample_speedup // empty' "$smpref")
-    smperr=$(jq -r '.results[] | select(.bench == "SampledCampaign") | .sample_ipc_err // empty' "$smpref")
+if [ -f "$benchref" ] && command -v jq >/dev/null 2>&1; then
+    smp=$(jq -r '.results[] | select(.bench == "SampledCampaign") | .sample_speedup // empty' "$benchref")
+    smperr=$(jq -r '.results[] | select(.bench == "SampledCampaign") | .sample_ipc_err // empty' "$benchref")
     if [ -z "$smp" ] || [ -z "$smperr" ]; then
-        echo "FAIL: $smpref records no sample_speedup / sample_ipc_err"
+        echo "FAIL: $benchref records no sample_speedup / sample_ipc_err"
         exit 1
     fi
     awk -v s="$smp" -v e="$smperr" 'BEGIN {
@@ -396,7 +389,7 @@ if [ -f "$smpref" ] && command -v jq >/dev/null 2>&1; then
         if (e > 2) { print "  FAIL: sampled-campaign mean IPC error above 2%"; exit 1 }
     }'
 else
-    echo "  skipped (no $smpref or jq)"
+    echo "  skipped (no $benchref or jq)"
 fi
 
 echo "== model-pruned exploration speedup and accuracy vs full detail =="
@@ -406,11 +399,11 @@ echo "== model-pruned exploration speedup and accuracy vs full detail =="
 # calibrated per-cell cycle predictions stay within 10% mean absolute
 # error of the full-detail truth over the ENTIRE grid (recorded in
 # BENCH_PR10.json by scripts/bench.sh).
-if [ -f BENCH_PR10.json ] && command -v jq >/dev/null 2>&1; then
-    exp=$(jq -r '.results[] | select(.bench == "ModelPrunedCampaign") | .explore_speedup // empty' BENCH_PR10.json)
-    mcerr=$(jq -r '.results[] | select(.bench == "ModelPrunedCampaign") | .model_cpi_err // empty' BENCH_PR10.json)
+if [ -f "$benchref" ] && command -v jq >/dev/null 2>&1; then
+    exp=$(jq -r '.results[] | select(.bench == "ModelPrunedCampaign") | .explore_speedup // empty' "$benchref")
+    mcerr=$(jq -r '.results[] | select(.bench == "ModelPrunedCampaign") | .model_cpi_err // empty' "$benchref")
     if [ -z "$exp" ] || [ -z "$mcerr" ]; then
-        echo "FAIL: BENCH_PR10.json records no explore_speedup / model_cpi_err"
+        echo "FAIL: $benchref records no explore_speedup / model_cpi_err"
         exit 1
     fi
     awk -v s="$exp" -v e="$mcerr" 'BEGIN {
@@ -419,7 +412,7 @@ if [ -f BENCH_PR10.json ] && command -v jq >/dev/null 2>&1; then
         if (e > 10) { print "  FAIL: model CPI error above 10%"; exit 1 }
     }'
 else
-    echo "  skipped (no BENCH_PR10.json or jq)"
+    echo "  skipped (no $benchref or jq)"
 fi
 
 echo "== model-pruned exploration smoke (audit slice + resume) =="
