@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -68,30 +69,45 @@ func (s *Store) Put(rec *Record) error {
 	if rec.CellID == "" {
 		return fmt.Errorf("campaign: record without a cell ID")
 	}
-	path := s.Path(rec.CellID)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("campaign: store shard dir: %w", err)
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
+	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("campaign: encoding %s: %w", rec.CellID, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+rec.CellID+".tmp*")
+	return s.PutEncoded(rec.CellID, data)
+}
+
+// PutEncoded is Put for a record the caller already holds as
+// json.Marshal(rec): the file is byte-identical to the one Put writes
+// (the compact encoding, indented). The service coordinator encodes a
+// finished record once and gives the same bytes to the store and to
+// every result it serves.
+func (s *Store) PutEncoded(id string, compact []byte) error {
+	path := s.Path(id)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("campaign: store shard dir: %w", err)
+	}
+	var data bytes.Buffer
+	data.Grow(2 * len(compact))
+	if err := json.Indent(&data, compact, "", "  "); err != nil {
+		return fmt.Errorf("campaign: encoding %s: %w", id, err)
+	}
+	data.WriteByte('\n')
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+id+".tmp*")
 	if err != nil {
 		return fmt.Errorf("campaign: temp record: %w", err)
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(data.Bytes())
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
 		if werr == nil {
 			werr = cerr
 		}
-		return fmt.Errorf("campaign: writing %s: %w", rec.CellID, werr)
+		return fmt.Errorf("campaign: writing %s: %w", id, werr)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: committing %s: %w", rec.CellID, err)
+		return fmt.Errorf("campaign: committing %s: %w", id, err)
 	}
 	return nil
 }

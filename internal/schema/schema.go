@@ -41,8 +41,13 @@ const (
 	// rejects the response rather than silently running the cell without
 	// its plan. Version 3 carries workload refs + content identities
 	// inside cells, so trace/synthetic workloads dispatch by name without
-	// shipping program bytes.
-	ServiceVersion = 3
+	// shipping program bytes. Version 4 lets a submission wait for its
+	// results and a lease request carry the worker's previous outcome
+	// (DESIGN.md §10.6): a v3 coordinator would drop those fields
+	// unread, so it must refuse the body (400) instead — while a v4
+	// coordinator keeps serving every v3 shape (separate submit / result /
+	// lease / complete requests).
+	ServiceVersion = 4
 	// EventVersion covers the coordinator's SSE lifecycle-event stream
 	// (internal/obs): every event carries it inline so dashboard clients
 	// can refuse streams newer than they understand.

@@ -64,23 +64,23 @@ func NewClient(opt ClientOptions) *Client {
 	return &Client{opt: opt, hc: hc}
 }
 
-// Exec runs one cell remotely: submit (idempotent — the coordinator
-// dedups by content ID), then await the outcome. It is mounted as the
-// harness engine's ExecFunc in server mode. Transport faults and
-// backpressure surface as transient RemoteErrors (the engine's retry
-// policy re-dispatches); a failure the coordinator declared permanent
-// surfaces as a permanent one.
+// Exec runs one cell remotely in one round trip: a submission
+// (idempotent — the coordinator dedups by content ID) that waits up to
+// PollWait for the outcome. Only a cell slower than that is then awaited
+// through Result. It is mounted as the harness engine's ExecFunc in
+// server mode. Transport faults and backpressure surface as transient
+// RemoteErrors (the engine's retry policy re-dispatches); a failure the
+// coordinator declared permanent surfaces as a permanent one.
 func (c *Client) Exec(cell campaign.Cell) (*campaign.Record, error) {
-	resp, err := c.Submit([]campaign.Cell{cell})
+	resp, err := c.submit([]campaign.Cell{cell}, 0, 0, c.opt.PollWait)
 	if err != nil {
 		return nil, err
 	}
-	id := resp.IDs[0]
+	res := &ResultResponse{Status: StatusPending}
+	if len(resp.Results) == 1 {
+		res = &resp.Results[0]
+	}
 	for {
-		res, err := c.Result(id, c.opt.PollWait)
-		if err != nil {
-			return nil, err
-		}
 		switch res.Status {
 		case StatusDone:
 			return res.Record, nil
@@ -94,6 +94,9 @@ func (c *Client) Exec(cell campaign.Cell) (*campaign.Record, error) {
 		// waiting. Progress is the coordinator's job to guarantee — lost
 		// workers expire their leases, poison cells exhaust MaxRequeues
 		// and fail, so this loop cannot spin forever on a dispatched cell.
+		if res, err = c.Result(resp.IDs[0], c.opt.PollWait); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -103,7 +106,7 @@ func (c *Client) Exec(cell campaign.Cell) (*campaign.Record, error) {
 // coordinator can stitch this batch's lifecycle across the fleet; the
 // ID is ignored at zero cost when fleet tracing is disabled.
 func (c *Client) Submit(cells []campaign.Cell) (*SubmitResponse, error) {
-	return c.SubmitPruned(cells, 0, 0)
+	return c.submit(cells, 0, 0, 0)
 }
 
 // SubmitPruned is Submit for model-pruned sweeps: pruned/audited report
@@ -112,7 +115,17 @@ func (c *Client) Submit(cells []campaign.Cell) (*SubmitResponse, error) {
 // progress snapshots and event stream account for the whole grid, not
 // just the surviving cells.
 func (c *Client) SubmitPruned(cells []campaign.Cell, pruned, audited uint64) (*SubmitResponse, error) {
-	req := SubmitRequest{Cells: cells, CorrID: obs.NewCorrID(), ModelPruned: pruned, ModelAudited: audited}
+	return c.submit(cells, pruned, audited, 0)
+}
+
+// submit sends one submission; wait > 0 asks the coordinator to hold the
+// answer until the cells have finished and to report them in it.
+func (c *Client) submit(cells []campaign.Cell, pruned, audited uint64, wait time.Duration) (*SubmitResponse, error) {
+	req := SubmitRequest{
+		Cells: cells, CorrID: obs.NewCorrID(),
+		ModelPruned: pruned, ModelAudited: audited,
+		WaitMS: wait.Milliseconds(),
+	}
 	stamp(&req.SchemaVersion)
 	var resp SubmitResponse
 	if err := c.callCorr(http.MethodPost, PathSubmit, req.CorrID, &req, &resp); err != nil {

@@ -16,6 +16,7 @@ import (
 
 	"largewindow/internal/campaign"
 	"largewindow/internal/obs"
+	"largewindow/internal/schema"
 	"largewindow/internal/telemetry"
 )
 
@@ -81,16 +82,30 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	return o
 }
 
-// svcCell is the coordinator's state for one distinct cell.
+// svcCell is the coordinator's state for one distinct cell. A finished
+// cell keeps this struct alone — identity, verdict and the encoded
+// record, which is what a result response needs — for as long as the
+// coordinator lives; everything that matters only while the cell is
+// queued or leased is in *inflight and is dropped with the verdict
+// (DESIGN.md §10.6).
 type svcCell struct {
-	cell campaign.Cell
-	id   string
-	corr string // campaign correlation ID (empty when tracing is off)
-
+	id       string
 	status   string // StatusPending | StatusRunning | StatusDone | StatusFailed
 	attempts int    // dispatches so far
-	failures int    // transient failures reported by workers
-	requeues int    // lease expiries suffered
+
+	rec    encodedRecord // StatusDone: the record as complete() encoded it
+	errMsg string        // StatusFailed
+
+	*inflight // nil once done or failed
+}
+
+// inflight is a cell's scheduling state between submission and verdict.
+type inflight struct {
+	cell campaign.Cell
+	corr string // campaign correlation ID (empty when tracing is off)
+
+	failures int // transient failures reported by workers
+	requeues int // lease expiries suffered
 
 	notBefore time.Time // retry backoff: not dispatchable before this
 	queuedAt  time.Time // start of the current queued span
@@ -106,9 +121,67 @@ type svcCell struct {
 	ivDone    uint64
 	ivPlanned uint64
 
-	rec    *campaign.Record
-	errMsg string
-	done   chan struct{} // closed on StatusDone / StatusFailed
+	done chan struct{} // closed on StatusDone / StatusFailed
+}
+
+// cellQueue is the pending queue, a ring indexed from head: taking the
+// front cell or putting a requeued one back there moves nothing, and a
+// vacated slot is cleared so the ring never keeps a dispatched cell
+// reachable.
+type cellQueue struct {
+	buf  []*svcCell // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *cellQueue) len() int { return q.n }
+
+// slot is the i-th queued cell's place in the ring.
+func (q *cellQueue) slot(i int) **svcCell { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// reserve makes room for one more cell.
+func (q *cellQueue) reserve() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]*svcCell, max(16, 2*len(q.buf)))
+	for i := 0; i < q.n; i++ {
+		buf[i] = *q.slot(i)
+	}
+	q.buf, q.head = buf, 0
+}
+
+func (q *cellQueue) pushBack(sc *svcCell) {
+	q.reserve()
+	q.n++
+	*q.slot(q.n - 1) = sc
+}
+
+func (q *cellQueue) pushFront(sc *svcCell) {
+	q.reserve()
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.n++
+	*q.slot(0) = sc
+}
+
+// popReady removes and returns the first cell whose retry backoff has
+// passed, keeping the order of the rest. The cells ahead of it — the ones
+// still backing off, usually none — move up one slot to close the gap.
+func (q *cellQueue) popReady(now time.Time) *svcCell {
+	for i := 0; i < q.n; i++ {
+		sc := *q.slot(i)
+		if sc.notBefore.After(now) {
+			continue
+		}
+		for j := i; j > 0; j-- {
+			*q.slot(j) = *q.slot(j - 1)
+		}
+		*q.slot(0) = nil
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+		q.n--
+		return sc
+	}
+	return nil
 }
 
 // Coordinator schedules submitted cells onto leasing workers and owns
@@ -121,10 +194,14 @@ type Coordinator struct {
 	opt   CoordinatorOptions
 	reg   *telemetry.Registry
 	start time.Time
+	// version is the newest protocol version this coordinator accepts:
+	// schema.ServiceVersion, lowered only by the test that plays an old
+	// coordinator against new peers.
+	version int
 
 	mu       sync.Mutex
 	cells    map[string]*svcCell
-	queue    []*svcCell
+	queue    cellQueue
 	leases   map[string]*svcCell
 	wake     chan struct{} // closed+replaced when work may be available
 	draining bool
@@ -154,6 +231,7 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 		opt:        opt.withDefaults(),
 		reg:        telemetry.NewRegistry(),
 		start:      time.Now(),
+		version:    schema.ServiceVersion,
 		cells:      make(map[string]*svcCell),
 		leases:     make(map[string]*svcCell),
 		wake:       make(chan struct{}),
@@ -174,7 +252,7 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 	c.reg.Gauge("service.queue.depth", func(int64) float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return float64(len(c.queue))
+		return float64(c.queue.len())
 	})
 	c.reg.Gauge("service.active_leases", func(int64) float64 {
 		c.mu.Lock()
@@ -357,7 +435,7 @@ func (c *Coordinator) progressLoop() {
 // sawtooth between completions.
 func (c *Coordinator) progress() *obs.Progress {
 	c.mu.Lock()
-	depth, running := len(c.queue), len(c.leases)
+	depth, running := c.queue.len(), len(c.leases)
 	var frac float64
 	var ivDone, ivPlanned uint64
 	for _, sc := range c.leases {
@@ -420,22 +498,30 @@ func (c *Coordinator) reapExpired(now time.Time) {
 		sc.queuedAt = now
 		c.publish(cellEvent(obs.EventRequeue, sc))
 		// Front of the queue: a requeued cell has already waited its turn.
-		c.queue = append([]*svcCell{sc}, c.queue...)
+		c.queue.pushFront(sc)
 		c.broadcastLocked()
 	}
 }
 
+// finishLocked gives a cell its verdict: waiters are released and the
+// scheduling state, which nothing reads past this point, is dropped.
+// Callers hold mu.
+func (c *Coordinator) finishLocked(sc *svcCell, status string) {
+	sc.status = status
+	close(sc.done)
+	sc.inflight = nil
+}
+
 // failLocked finishes a cell permanently. Callers hold mu.
 func (c *Coordinator) failLocked(sc *svcCell, msg string) {
-	sc.status = StatusFailed
-	sc.errMsg = msg
-	c.failed.Add(1)
-	close(sc.done)
 	ev := cellEvent(obs.EventFail, sc)
 	ev.Error = msg
-	c.publish(ev)
 	c.log(slog.LevelWarn, "cell failed permanently",
-		"cell", sc.cell.String(), "cell_id", sc.id, "corr_id", sc.corr, "error", msg)
+		"cell", ev.Cell, "cell_id", sc.id, "corr_id", sc.corr, "error", msg)
+	sc.errMsg = msg
+	c.failed.Add(1)
+	c.finishLocked(sc, StatusFailed)
+	c.publish(ev)
 }
 
 // Handler returns the coordinator's HTTP API.
@@ -459,12 +545,10 @@ func (c *Coordinator) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string, version *int) bool {
+func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any, what string, version *int) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
@@ -473,7 +557,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string, vers
 		http.Error(w, fmt.Sprintf("decoding %s: %v", what, err), http.StatusBadRequest)
 		return false
 	}
-	if err := checkVersion(*version, what); err != nil {
+	if err := schema.Check(*version, c.version, what); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return false
 	}
@@ -490,10 +574,11 @@ func (c *Coordinator) observed() bool {
 // or in the store) are deduplicated for free via their content IDs;
 // permanently failed cells are re-armed — failures are never persisted,
 // so a resubmitted failure re-executes, exactly like a fresh campaign
-// over an engine.
+// over an engine. A request with a wait budget is then held until its
+// cells have finished and answered with their results.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if !decodeBody(w, r, &req, "submit request", &req.SchemaVersion) {
+	if !c.decodeBody(w, r, &req, "submit request", &req.SchemaVersion) {
 		return
 	}
 	// The correlation ID propagates from the client (body or header);
@@ -510,7 +595,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// dispatch path. A racing duplicate submit resolves under the lock.
 	type probe struct {
 		id  string
-		rec *campaign.Record
+		rec encodedRecord
 	}
 	probes := make([]probe, len(req.Cells))
 	for i, cell := range req.Cells {
@@ -518,13 +603,15 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if c.opt.Resume && c.opt.Store != nil {
 			rec, err := c.opt.Store.Get(probes[i].id)
 			if err == nil && rec != nil {
-				probes[i].rec = rec
-			} else if err != nil {
+				probes[i].rec, err = json.Marshal(rec)
+			}
+			if err != nil {
 				c.log(slog.LevelWarn, "store entry unusable, re-running",
 					"cell_id", probes[i].id, "error", err)
 			}
 		}
 	}
+	wait := waitBudget(req.WaitMS)
 
 	now := time.Now()
 	c.mu.Lock()
@@ -542,7 +629,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			need++
 		}
 	}
-	if len(c.queue)+need > c.opt.QueueCap {
+	if c.queue.len()+need > c.opt.QueueCap {
 		c.mu.Unlock()
 		c.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
@@ -550,45 +637,52 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			http.StatusTooManyRequests)
 		return
 	}
-	resp := SubmitResponse{IDs: make([]string, len(req.Cells))}
+	resp := submitResponse[encodedRecord]{IDs: make([]string, len(req.Cells))}
+	states := make([]*svcCell, len(req.Cells)) // the submitted cells' states, in request order
 	for i, cell := range req.Cells {
 		id := probes[i].id
 		resp.IDs[i] = id
 		sc, known := c.cells[id]
+		if !known {
+			sc = &svcCell{id: id}
+			c.cells[id] = sc
+			c.submitted.Add(1)
+		}
+		states[i] = sc
 		if known && sc.status != StatusFailed {
 			continue // queued, running, or done: dedup
 		}
-		if !known {
-			sc = &svcCell{cell: cell, id: id, corr: corr, done: make(chan struct{})}
-			c.cells[id] = sc
-			c.submitted.Add(1)
-		} else {
-			// Re-armed failure: fresh lifecycle, fresh waiters.
-			sc.failures, sc.requeues, sc.attempts = 0, 0, 0
-			sc.errMsg = ""
-			sc.corr = corr
-			sc.done = make(chan struct{})
-		}
+		// A new cell, or a re-armed failure: fresh lifecycle, fresh waiters.
+		sc.attempts, sc.errMsg = 0, ""
+		sc.inflight = &inflight{cell: cell, corr: corr, done: make(chan struct{})}
 		if rec := probes[i].rec; rec != nil {
-			sc.status = StatusDone
+			ev := cellEvent(obs.EventComplete, sc)
+			ev.Note = "store hit"
 			sc.rec = rec
 			c.cacheHits.Add(1)
 			c.completed.Add(1)
-			close(sc.done)
-			ev := cellEvent(obs.EventComplete, sc)
-			ev.Note = "store hit"
+			c.finishLocked(sc, StatusDone)
 			c.publish(ev)
 			continue
 		}
 		sc.status = StatusPending
-		sc.notBefore = time.Time{}
 		sc.queuedAt = now
-		c.queue = append(c.queue, sc)
+		c.queue.pushBack(sc)
 		resp.Enqueued++
 		c.publish(cellEvent(obs.EventSubmit, sc))
 	}
 	if resp.Enqueued > 0 {
 		c.broadcastLocked()
+	}
+	// A waiting submission is released by the verdicts of its cells that
+	// have none yet, whoever submitted them first.
+	var unfinished []<-chan struct{}
+	if wait > 0 {
+		for _, sc := range states {
+			if sc.inflight != nil {
+				unfinished = append(unfinished, sc.done)
+			}
+		}
 	}
 	c.mu.Unlock()
 	// Model-pruned sweep accounting rides the submission that carries the
@@ -607,39 +701,97 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"pruned", req.ModelPruned, "audited", req.ModelAudited,
 			"cells", len(req.Cells), "corr_id", corr)
 	}
+	if wait > 0 {
+		if !awaitAll(r.Context(), unfinished, wait) {
+			return // the client hung up
+		}
+		resp.Results = make([]resultResponse[encodedRecord], len(states))
+		c.mu.Lock()
+		for i, sc := range states {
+			resp.Results[i] = resultLocked(sc)
+		}
+		c.mu.Unlock()
+	}
 	stamp(&resp.SchemaVersion)
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// waitBudget is a request's long-poll budget, capped at a minute.
+func waitBudget(ms int64) time.Duration {
+	return min(time.Duration(ms)*time.Millisecond, time.Minute)
+}
+
+// awaitAll waits until every channel is closed or the budget runs out;
+// false means the requester gave up first.
+func awaitAll(ctx context.Context, chans []<-chan struct{}, budget time.Duration) bool {
+	timeout := time.NewTimer(budget)
+	defer timeout.Stop()
+	for _, ch := range chans {
+		select {
+		case <-ch:
+		case <-timeout.C:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+	return true
+}
+
+// resultLocked snapshots one cell's outcome — the one routine behind
+// PathResult and a waiting submission's Results. Callers hold mu.
+func resultLocked(sc *svcCell) resultResponse[encodedRecord] {
+	res := resultResponse[encodedRecord]{
+		CellID:   sc.id,
+		Status:   sc.status,
+		Attempts: sc.attempts,
+	}
+	stamp(&res.SchemaVersion)
+	switch sc.status {
+	case StatusDone:
+		res.Record = sc.rec
+	case StatusFailed:
+		res.Error = sc.errMsg
+	}
+	return res
+}
+
 // handleLease hands one pending cell to a worker under a fresh lease,
 // long-polling up to the request's wait budget when the queue is dry.
+// The outcome of the worker's previous lease, when the request carries
+// it, is applied first: the client waiting on that cell is released
+// before this request settles into its poll, and the cell that client
+// submits next finds the worker already waiting.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !decodeBody(w, r, &req, "lease request", &req.SchemaVersion) {
+	if !c.decodeBody(w, r, &req, "lease request", &req.SchemaVersion) {
 		return
 	}
-	wait := time.Duration(req.WaitMS) * time.Millisecond
-	if wait > time.Minute {
-		wait = time.Minute
+	var resp LeaseResponse
+	stamp(&resp.SchemaVersion)
+	if req.Done != nil {
+		resp.DoneStatus = c.complete(req.Done)
 	}
-	deadline := time.Now().Add(wait)
+	// Minted before the lock is taken: reading the system's random source
+	// is no work to do under the coordinator-wide mutex.
+	leaseID := newLeaseID()
+	deadline := time.Now().Add(waitBudget(req.WaitMS))
 	for {
 		c.mu.Lock()
 		if c.draining {
 			c.mu.Unlock()
-			resp := LeaseResponse{Draining: true}
-			stamp(&resp.SchemaVersion)
+			resp.Draining = true
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
-		if sc := c.popReadyLocked(time.Now()); sc != nil {
-			lease := c.leaseLocked(sc, req.WorkerID)
+		if sc := c.queue.popReady(time.Now()); sc != nil {
+			resp.Lease = c.leaseLocked(sc, req.WorkerID, leaseID)
 			c.mu.Unlock()
-			c.log(slog.LevelDebug, "leased",
-				"cell", sc.cell.String(), "cell_id", lease.CellID, "corr_id", lease.CorrID,
-				"worker", req.WorkerID, "lease", lease.LeaseID, "attempt", lease.Attempt)
-			resp := LeaseResponse{Lease: lease}
-			stamp(&resp.SchemaVersion)
+			if c.opt.Log != nil { // per cell: do not build the arguments for nobody
+				c.log(slog.LevelDebug, "leased",
+					"cell", resp.Lease.Cell.String(), "cell_id", resp.Lease.CellID, "corr_id", resp.Lease.CorrID,
+					"worker", req.WorkerID, "lease", leaseID, "attempt", resp.Lease.Attempt)
+			}
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
@@ -647,16 +799,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.mu.Unlock()
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			resp := LeaseResponse{}
-			stamp(&resp.SchemaVersion)
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
 		// The 50ms tick also promotes cells whose retry backoff elapsed.
-		poll := 50 * time.Millisecond
-		if remain < poll {
-			poll = remain
-		}
+		poll := min(remain, 50*time.Millisecond)
 		select {
 		case <-wake:
 		case <-time.After(poll):
@@ -666,25 +813,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// popReadyLocked removes and returns the first dispatchable cell
-// (backoff windows respected). Callers hold mu.
-func (c *Coordinator) popReadyLocked(now time.Time) *svcCell {
-	for i, sc := range c.queue {
-		if sc.notBefore.After(now) {
-			continue
-		}
-		c.queue = append(c.queue[:i], c.queue[i+1:]...)
-		return sc
-	}
-	return nil
-}
-
-// leaseLocked creates a lease for a cell, closing its queued span and
-// opening its leased one. Callers hold mu.
-func (c *Coordinator) leaseLocked(sc *svcCell, worker string) *Lease {
+// newLeaseID mints an unguessable lease ID.
+func newLeaseID() string {
 	var raw [8]byte
 	rand.Read(raw[:])
-	id := hex.EncodeToString(raw[:])
+	return hex.EncodeToString(raw[:])
+}
+
+// leaseLocked puts a cell under the lease id, closing its queued span
+// and opening its leased one. Callers hold mu.
+func (c *Coordinator) leaseLocked(sc *svcCell, worker, id string) *Lease {
 	now := time.Now()
 	sc.status = StatusRunning
 	sc.leaseID = id
@@ -717,7 +855,7 @@ func (c *Coordinator) leaseLocked(sc *svcCell, worker string) *Lease {
 // cell (its eventual completion would be refused anyway).
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !decodeBody(w, r, &req, "heartbeat", &req.SchemaVersion) {
+	if !c.decodeBody(w, r, &req, "heartbeat", &req.SchemaVersion) {
 		return
 	}
 	c.mu.Lock()
@@ -737,23 +875,33 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// handleComplete resolves a leased cell. Stale leases (expired, or the
-// cell re-dispatched elsewhere) are refused with 410 so a hung worker
-// waking up late cannot overwrite the authoritative outcome. Records are
-// sanity-checked against the cell's content ID — a corrupted worker
-// cannot poison the store — and persisted before waiters release.
+// handleComplete is a completion sent on its own — what a worker does
+// with its last outcome at shutdown, and what a protocol-v3 worker does
+// with every one.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !decodeBody(w, r, &req, "completion", &req.SchemaVersion) {
+	if !c.decodeBody(w, r, &req, "completion", &req.SchemaVersion) {
 		return
 	}
+	if code := c.complete(&req); code != http.StatusOK {
+		http.Error(w, "lease not held", code)
+	}
+}
+
+// complete resolves a leased cell with its worker's outcome and returns
+// the HTTP status that answers it. Stale leases (expired, the cell
+// re-dispatched elsewhere, or this very outcome already applied) are
+// refused with 410 so a hung worker waking up late cannot overwrite the
+// authoritative outcome. Records are sanity-checked against the cell's
+// content ID — a corrupted worker cannot poison the store — and
+// persisted before waiters release.
+func (c *Coordinator) complete(req *CompleteRequest) int {
 	now := time.Now()
 	c.mu.Lock()
 	sc, ok := c.leases[req.LeaseID]
 	if !ok || sc.leaseID != req.LeaseID {
 		c.mu.Unlock()
-		http.Error(w, "lease not held", http.StatusGone)
-		return
+		return http.StatusGone
 	}
 	delete(c.leases, req.LeaseID)
 
@@ -779,35 +927,43 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			c.opt.Spans.Record(sp)
 		}
 	}
+	var enc encodedRecord
 	if errMsg == "" {
 		rec.CellID = sc.id
-		// Persist before releasing waiters: a client that saw "done" must
-		// never observe a store the record has not reached yet. The cell
-		// is out of the lease table and not queued, so nothing else can
-		// touch it while the lock is dropped for disk I/O.
+		// Encode once — these bytes are the store file and every result
+		// response — and persist before releasing waiters: a client that
+		// saw "done" must never observe a store the record has not
+		// reached yet. The cell is out of the lease table and not queued,
+		// so nothing else can touch it while the lock is dropped for the
+		// encoding and the disk I/O.
 		c.mu.Unlock()
-		if c.opt.Store != nil {
+		var err error
+		if enc, err = json.Marshal(rec); err != nil {
+			errMsg, transient = fmt.Sprintf("record does not encode: %v", err), false
+		} else if c.opt.Store != nil {
 			putStart := time.Now()
-			if perr := c.opt.Store.Put(rec); perr != nil {
+			if perr := c.opt.Store.PutEncoded(sc.id, enc); perr != nil {
 				c.log(slog.LevelWarn, "persisting record",
 					"cell", sc.cell.String(), "cell_id", sc.id, "error", perr)
 			}
 			c.span(obs.SpanPersisting, sc, putStart, time.Now(), "")
 		}
 		c.mu.Lock()
-		sc.status = StatusDone
-		sc.rec = rec
-		c.completed.Add(1)
-		c.instrs.Add(rec.Stats.Committed)
-		close(sc.done)
+	}
+	if errMsg == "" {
 		ev := cellEvent(obs.EventComplete, sc)
 		ev.Worker = req.WorkerID
+		sc.rec = enc
+		c.completed.Add(1)
+		c.instrs.Add(rec.Stats.Committed)
+		c.finishLocked(sc, StatusDone)
 		c.mu.Unlock()
 		c.publish(ev)
-		c.log(slog.LevelDebug, "completed",
-			"cell", sc.cell.String(), "cell_id", sc.id, "corr_id", sc.corr, "worker", req.WorkerID)
-		w.WriteHeader(http.StatusOK)
-		return
+		if c.opt.Log != nil { // per cell: do not build the arguments for nobody
+			c.log(slog.LevelDebug, "completed",
+				"cell", ev.Cell, "cell_id", ev.CellID, "corr_id", ev.CorrID, "worker", req.WorkerID)
+		}
+		return http.StatusOK
 	}
 
 	sc.failures++
@@ -816,22 +972,21 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		sc.status = StatusPending
 		sc.notBefore = now.Add(c.opt.Retry.Backoff(sc.failures))
 		sc.queuedAt = now
-		c.queue = append(c.queue, sc)
+		c.queue.pushBack(sc)
 		ev := cellEvent(obs.EventRetry, sc)
 		ev.Worker = req.WorkerID
 		ev.Error = errMsg
 		c.publish(ev)
 		c.broadcastLocked()
-		c.mu.Unlock()
 		c.log(slog.LevelWarn, "retrying after transient failure",
-			"cell", sc.cell.String(), "cell_id", sc.id, "corr_id", sc.corr,
+			"cell", ev.Cell, "cell_id", sc.id, "corr_id", sc.corr,
 			"failure", sc.failures, "worker", req.WorkerID, "error", errMsg)
-		w.WriteHeader(http.StatusOK)
-		return
+		c.mu.Unlock()
+		return http.StatusOK
 	}
 	c.failLocked(sc, errMsg)
 	c.mu.Unlock()
-	w.WriteHeader(http.StatusOK)
+	return http.StatusOK
 }
 
 // handleResult reports (optionally awaiting) one cell's outcome.
@@ -842,50 +997,30 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	waitMS, _ := strconv.ParseInt(r.URL.Query().Get("wait_ms"), 10, 64)
-	wait := time.Duration(waitMS) * time.Millisecond
-	if wait > time.Minute {
-		wait = time.Minute
-	}
 	c.mu.Lock()
 	sc, ok := c.cells[id]
-	var done chan struct{}
-	if ok {
-		done = sc.done
+	var unfinished []<-chan struct{}
+	if ok && sc.inflight != nil {
+		unfinished = []<-chan struct{}{sc.done}
 	}
 	c.mu.Unlock()
 	if !ok {
 		http.Error(w, "unknown cell (submit it first)", http.StatusNotFound)
 		return
 	}
-	if wait > 0 {
-		select {
-		case <-done:
-		case <-time.After(wait):
-		case <-r.Context().Done():
-			return
-		}
+	if wait := waitBudget(waitMS); wait > 0 && !awaitAll(r.Context(), unfinished, wait) {
+		return
 	}
 	c.mu.Lock()
-	resp := ResultResponse{
-		CellID:   id,
-		Status:   sc.status,
-		Attempts: sc.attempts,
-	}
-	if sc.status == StatusDone {
-		resp.Record = sc.rec
-	}
-	if sc.status == StatusFailed {
-		resp.Error = sc.errMsg
-	}
+	resp := resultLocked(sc)
 	c.mu.Unlock()
-	stamp(&resp.SchemaVersion)
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // Stats snapshots the coordinator's counters.
 func (c *Coordinator) Stats() StatsResponse {
 	c.mu.Lock()
-	depth, active, draining := len(c.queue), len(c.leases), c.draining
+	depth, active, draining := c.queue.len(), len(c.leases), c.draining
 	c.mu.Unlock()
 	resp := StatsResponse{
 		QueueDepth:    depth,

@@ -2,8 +2,9 @@
 // internal/telemetry/overhead_test.go: the same client→coordinator→
 // worker sweep runs with observability fully off (nil bus, nil span
 // log) and fully on (events + spans + a draining subscriber), and the
-// disabled path must not measurably regress — plus an allocation-level
-// proof that the disabled publish and span hooks are free.
+// difference must stay inside an absolute per-cell budget — plus an
+// allocation-level proof that the disabled publish and span hooks are
+// free.
 package service
 
 import (
@@ -17,8 +18,12 @@ import (
 	"largewindow/internal/obs"
 )
 
-// sweepOnce runs a small service sweep and returns cells completed.
-func sweepOnce(tb testing.TB, observed bool) uint64 {
+// sweepCells is the size of one sweep.
+const sweepCells = 16
+
+// sweepOnce runs a small service sweep and returns how long its cells
+// took, fleet start-up and teardown left out.
+func sweepOnce(tb testing.TB, observed bool) time.Duration {
 	opt := CoordinatorOptions{LeaseTTL: time.Second}
 	var bus *obs.Bus
 	if observed {
@@ -64,16 +69,20 @@ func sweepOnce(tb testing.TB, observed bool) uint64 {
 	}()
 
 	client := NewClient(ClientOptions{Server: srv.URL, PollWait: 200 * time.Millisecond})
-	const n = 16
-	for i := 0; i < n; i++ {
+	start := time.Now()
+	for i := 0; i < sweepCells; i++ {
 		cell := testCell(16+i, "gzip")
 		if _, err := client.Exec(cell); err != nil {
 			tb.Fatalf("exec: %v", err)
 		}
 	}
+	elapsed := time.Since(start)
 	cancel()
 	<-workerDone
-	return coord.Stats().Completed
+	if got := coord.Stats().Completed; got != sweepCells {
+		tb.Fatalf("sweep completed %d of %d cells", got, sweepCells)
+	}
+	return elapsed
 }
 
 func BenchmarkServiceObsOff(b *testing.B) {
@@ -88,30 +97,39 @@ func BenchmarkServiceObsOn(b *testing.B) {
 	}
 }
 
-// TestDisabledObsOverhead is the informational gate run by
-// scripts/check.sh: observability fully on must stay within 25% of
-// fully off over the same sweep (the real budget is noise-level; the
-// loose bound keeps tier-1 stable on loaded machines).
+// obsBudgetPerCell is what full observability (event bus with a draining
+// subscriber, span log, 10 ms progress ticks, worker spans riding the
+// completions) may add to one cell. Five runs here read -16 to +32 µs
+// around a true cost near 15; a cell's whole trip is ~230 µs, so the
+// budget trips on a hook that grew a round trip, a lock convoy or a
+// per-event encode, not on a loaded host.
+const obsBudgetPerCell = 100 * time.Microsecond
+
+// TestDisabledObsOverhead is the overhead gate run by scripts/check.sh,
+// stated as an absolute cost: the fastest of N sweeps with observability
+// fully on, minus the fastest of N with it fully off, per cell. A ratio
+// of the two would move with the cost of the sweep itself — it read
+// anywhere from -10% to +43% as the protocol got faster while the hooks
+// cost the same — and a best-of-N difference sheds the host's noise,
+// which only ever adds.
 func TestDisabledObsOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
+	if testing.Short() || raceEnabled {
+		t.Skip("timing budget skipped in -short mode and under the race detector")
 	}
-	off := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sweepOnce(b, false)
+	const rounds = 40
+	best := map[bool]time.Duration{}
+	for i := 0; i < rounds; i++ {
+		for _, observed := range []bool{i%2 == 0, i%2 != 0} { // alternate which side goes first
+			if d := sweepOnce(t, observed); best[observed] == 0 || d < best[observed] {
+				best[observed] = d
+			}
 		}
-	})
-	on := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sweepOnce(b, true)
-		}
-	})
-	offNs, onNs := float64(off.NsPerOp()), float64(on.NsPerOp())
-	ratio := onNs / offNs
-	t.Logf("obs off: %.2fms/sweep, on: %.2fms/sweep, enabled overhead %.1f%%",
-		offNs/1e6, onNs/1e6, 100*(ratio-1))
-	if ratio > 1.25 {
-		t.Errorf("observability-enabled sweep is %.1f%% slower than disabled — fast path broken", 100*(ratio-1))
+	}
+	perCell := (best[true] - best[false]) / sweepCells
+	t.Logf("obs off: %.2fms/sweep, on: %.2fms/sweep (best of %d), observability overhead %v per cell (budget %v)",
+		best[false].Seconds()*1e3, best[true].Seconds()*1e3, rounds, perCell, obsBudgetPerCell)
+	if perCell > obsBudgetPerCell {
+		t.Errorf("observability costs %v per cell, budget %v — a hook got expensive", perCell, obsBudgetPerCell)
 	}
 }
 
@@ -121,7 +139,7 @@ func TestDisabledObsOverhead(t *testing.T) {
 func TestDisabledObsZeroAlloc(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Second})
 	defer c.Close()
-	sc := &svcCell{id: "cell", cell: campaign.Cell{Bench: "gzip"}}
+	sc := &svcCell{id: "cell", inflight: &inflight{cell: campaign.Cell{Bench: "gzip"}}}
 	start := time.Now()
 
 	if n := testing.AllocsPerRun(1000, func() {

@@ -9,8 +9,10 @@
 //
 // The protocol is deliberately minimal JSON-over-HTTP:
 //
-//	POST /api/v1/cells      submit cells (429 + Retry-After on overload)
-//	POST /api/v1/lease      claim a cell under a deadline (long-polls)
+//	POST /api/v1/cells      submit cells (429 + Retry-After on overload);
+//	                        with wait_ms, long-polls and answers their results
+//	POST /api/v1/lease      claim a cell under a deadline (long-polls);
+//	                        with done, first delivers the previous outcome
 //	POST /api/v1/heartbeat  extend a lease (410 Gone when it was lost)
 //	POST /api/v1/complete   deliver a record or a classified failure
 //	GET  /api/v1/result     fetch/await one cell's outcome
@@ -18,6 +20,13 @@
 //	GET  /api/v1/events     SSE lifecycle-event stream (DESIGN.md §11)
 //	GET  /metrics           Prometheus text exposition
 //	GET  /healthz           liveness
+//
+// A cell in steady state costs two round trips (DESIGN.md §10.6): the
+// client's one waiting submit, and the worker's one lease request that
+// carries the outcome of the cell before. /complete and /result remain
+// for what those cannot cover — a worker flushing its last outcome at
+// shutdown, a client whose wait elapsed — and for protocol-v3 peers,
+// which use nothing else. Bodies are compact JSON.
 //
 // Safety rests on invariants the store already guarantees: records are
 // schema-versioned and content-addressed by deterministic cell IDs,
@@ -28,6 +37,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -68,10 +78,25 @@ type SubmitRequest struct {
 	// Additive fields; absent (zero) for ordinary submissions.
 	ModelPruned  uint64 `json:"model_pruned,omitempty"`
 	ModelAudited uint64 `json:"model_audited,omitempty"`
+	// WaitMS > 0 makes the submission a long poll (protocol v4): the
+	// coordinator answers once every submitted cell has finished, or
+	// after WaitMS milliseconds, and the response reports each cell in
+	// Results. Zero answers at once, without Results.
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // SubmitResponse acknowledges a submission.
-type SubmitResponse struct {
+type SubmitResponse = submitResponse[*campaign.Record]
+
+// ResultResponse reports one cell's current outcome.
+type ResultResponse = resultResponse[*campaign.Record]
+
+// submitResponse and resultResponse define the two result-carrying wire
+// shapes once for both ends of the wire: a client decodes the record
+// (R = *campaign.Record), the coordinator writes the encoding it made
+// when the cell completed (R = json.RawMessage) instead of encoding the
+// record again for every response.
+type submitResponse[R any] struct {
 	SchemaVersion int `json:"schema_version"`
 	// IDs are the content IDs of the submitted cells, in request order.
 	IDs []string `json:"ids"`
@@ -79,7 +104,26 @@ type SubmitResponse struct {
 	// (the rest were already known: queued, running, done, or served
 	// from the store).
 	Enqueued int `json:"enqueued"`
+	// Results reports every submitted cell, in request order, as it
+	// stood when a waiting submission (SubmitRequest.WaitMS) was
+	// answered; a cell still pending or running then is awaited through
+	// PathResult. Absent when the request did not wait.
+	Results []resultResponse[R] `json:"results,omitempty"`
 }
+
+type resultResponse[R any] struct {
+	SchemaVersion int    `json:"schema_version"`
+	CellID        string `json:"cell_id"`
+	Status        string `json:"status"`
+	Record        R      `json:"record,omitempty"`
+	Error         string `json:"error,omitempty"`
+	// Attempts counts dispatches of this cell so far (re-dispatch after
+	// lost workers and transient failures included).
+	Attempts int `json:"attempts,omitempty"`
+}
+
+// encodedRecord is a finished record as json.Marshal wrote it.
+type encodedRecord = json.RawMessage
 
 // LeaseRequest asks for one cell of work. The coordinator long-polls up
 // to WaitMS milliseconds before answering "no work" so an idle fleet
@@ -88,6 +132,10 @@ type LeaseRequest struct {
 	SchemaVersion int    `json:"schema_version"`
 	WorkerID      string `json:"worker_id"`
 	WaitMS        int64  `json:"wait_ms,omitempty"`
+	// Done is the outcome of the worker's previous lease (protocol v4),
+	// applied before the long poll starts exactly as a PathComplete
+	// request would be; LeaseResponse.DoneStatus answers it.
+	Done *CompleteRequest `json:"done,omitempty"`
 }
 
 // Lease is one dispatched cell: the work plus the deadline contract. The
@@ -114,6 +162,11 @@ type LeaseResponse struct {
 	SchemaVersion int    `json:"schema_version"`
 	Lease         *Lease `json:"lease,omitempty"`
 	Draining      bool   `json:"draining,omitempty"`
+	// DoneStatus answers LeaseRequest.Done with the HTTP status a
+	// PathComplete request would have got: 200 accepted, 410 the lease
+	// was no longer held (expired, or this outcome was already applied
+	// and the answer lost). Zero when the request carried no outcome.
+	DoneStatus int `json:"done_status,omitempty"`
 }
 
 // HeartbeatRequest extends a lease's deadline. Sampled cells
@@ -133,7 +186,9 @@ type HeartbeatRequest struct {
 // CompleteRequest delivers one leased cell's outcome: a record on
 // success, or an error string plus the worker's transient/permanent
 // classification on failure (the coordinator's retry policy decides
-// whether a transient failure is re-dispatched).
+// whether a transient failure is re-dispatched). It is the body of
+// PathComplete and, as LeaseRequest.Done, rides the worker's next lease
+// request.
 type CompleteRequest struct {
 	SchemaVersion int              `json:"schema_version"`
 	WorkerID      string           `json:"worker_id"`
@@ -155,18 +210,6 @@ const (
 	StatusDone    = "done"    // record available
 	StatusFailed  = "failed"  // permanently failed (retry budget exhausted)
 )
-
-// ResultResponse reports one cell's current outcome.
-type ResultResponse struct {
-	SchemaVersion int              `json:"schema_version"`
-	CellID        string           `json:"cell_id"`
-	Status        string           `json:"status"`
-	Record        *campaign.Record `json:"record,omitempty"`
-	Error         string           `json:"error,omitempty"`
-	// Attempts counts dispatches of this cell so far (re-dispatch after
-	// lost workers and transient failures included).
-	Attempts int `json:"attempts,omitempty"`
-}
 
 // StatsResponse is the coordinator's point-in-time health snapshot,
 // mirroring its telemetry counters.
@@ -191,11 +234,6 @@ type StatsResponse struct {
 
 // stamp fills the schema version of an outgoing body.
 func stamp(v *int) { *v = schema.ServiceVersion }
-
-// checkVersion validates an incoming body's version.
-func checkVersion(got int, what string) error {
-	return schema.Check(got, schema.ServiceVersion, what)
-}
 
 // RemoteError is a classified failure returned by the client tier.
 // Transport faults and backpressure are transient (the campaign engine's

@@ -151,36 +151,50 @@ func (w *Worker) Kill() {
 	w.killOnce.Do(func() { close(w.killed) })
 }
 
-// Run is the worker loop: lease, execute (heartbeating), complete,
-// repeat. Cancelling ctx is the graceful path — an in-flight cell runs
-// to completion and is delivered before Run returns. Run also returns
-// when the coordinator reports it is draining, or on Kill.
+// outcome is a finished lease's result on its way to the coordinator.
+type outcome struct {
+	ls  *Lease
+	req *CompleteRequest
+}
+
+// Run is the worker loop: lease, execute (heartbeating), repeat — each
+// lease request delivering the outcome of the cell before it, so a cell
+// costs the worker one round trip. Cancelling ctx is the graceful path —
+// an in-flight cell runs to completion and an outcome not yet delivered
+// goes out in a completion request of its own before Run returns. Run
+// also returns when the coordinator reports it is draining, or on Kill
+// (which delivers nothing).
 func (w *Worker) Run(ctx context.Context) error {
 	backoff := 50 * time.Millisecond
+	var out *outcome // the previous lease's outcome, not yet delivered
 	for {
 		select {
-		case <-ctx.Done():
-			return nil
 		case <-w.killed:
 			return nil
 		default:
 		}
-		resp, err := w.lease(ctx)
+		if ctx.Err() != nil {
+			w.flush(out)
+			return nil
+		}
+		resp, err := w.lease(ctx, out)
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			w.log(slog.LevelWarn, "lease request failed",
-				"worker", w.opt.ID, "error", err, "retry_in", backoff)
-			if !w.sleep(ctx, backoff) {
-				return nil
-			}
-			if backoff *= 2; backoff > 2*time.Second {
-				backoff = 2 * time.Second
+			// The coordinator may or may not have applied the outcome the
+			// request carried; it goes out again, and an outcome applied
+			// twice is answered 410 the second time.
+			if ctx.Err() == nil {
+				w.log(slog.LevelWarn, "lease request failed",
+					"worker", w.opt.ID, "error", err, "retry_in", backoff)
+				w.sleep(ctx, backoff)
+				backoff = min(2*backoff, 2*time.Second)
 			}
 			continue
 		}
 		backoff = 50 * time.Millisecond
+		if out != nil {
+			w.delivered(out, resp.DoneStatus)
+			out = nil
+		}
 		if resp.Draining {
 			w.log(slog.LevelInfo, "coordinator draining, exiting", "worker", w.opt.ID)
 			return nil
@@ -188,19 +202,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		if resp.Lease == nil {
 			continue // long-poll expired dry; ask again
 		}
-		w.runLease(resp.Lease)
+		out = w.runLease(resp.Lease)
 	}
 }
 
 // sleep waits d unless the worker is cancelled or killed first.
-func (w *Worker) sleep(ctx context.Context, d time.Duration) bool {
+func (w *Worker) sleep(ctx context.Context, d time.Duration) {
 	select {
 	case <-time.After(d):
-		return true
 	case <-ctx.Done():
-		return false
 	case <-w.killed:
-		return false
 	}
 }
 
@@ -219,22 +230,25 @@ func (w *Worker) workerSpan(ls *Lease, name string, start, end time.Time, note s
 	}
 }
 
-// runLease executes one leased cell while heartbeating, then delivers
-// the outcome. Execution runs on its own goroutine so a Kill abandons it
-// mid-flight — exactly the orphaned-work shape a crashed process leaves.
-func (w *Worker) runLease(ls *Lease) {
-	type outcome struct {
+// runLease executes one leased cell while heartbeating and returns the
+// outcome to deliver — nil when there is none: the lease was lost, or the
+// worker killed. Execution runs on its own goroutine so a Kill abandons
+// it mid-flight — exactly the orphaned-work shape a crashed process
+// leaves.
+func (w *Worker) runLease(ls *Lease) *outcome {
+	type execResult struct {
 		rec     *campaign.Record
 		err     error
 		started time.Time
 		ended   time.Time
 	}
-	traced := ls.CorrID != ""
 	attemptStart := time.Now()
-	w.log(slog.LevelDebug, "leased",
-		"worker", w.opt.ID, "cell", ls.Cell.String(), "cell_id", ls.CellID,
-		"lease", ls.LeaseID, "corr_id", ls.CorrID, "attempt", ls.Attempt)
-	execDone := make(chan outcome, 1)
+	if w.opt.Log != nil { // per cell: do not build the arguments for nobody
+		w.log(slog.LevelDebug, "leased",
+			"worker", w.opt.ID, "cell", ls.Cell.String(), "cell_id", ls.CellID,
+			"lease", ls.LeaseID, "corr_id", ls.CorrID, "attempt", ls.Attempt)
+	}
+	execDone := make(chan execResult, 1)
 	var ivDone, ivPlanned atomic.Uint64
 	go func() {
 		started := time.Now()
@@ -246,7 +260,7 @@ func (w *Worker) runLease(ls *Lease) {
 				ivPlanned.Store(uint64(planned))
 			}
 		})
-		execDone <- outcome{rec, err, started, time.Now()}
+		execDone <- execResult{rec, err, started, time.Now()}
 	}()
 	ttl := time.Duration(ls.TTLMS) * time.Millisecond
 	hbEvery := ttl / 3
@@ -258,22 +272,13 @@ func (w *Worker) runLease(ls *Lease) {
 	lost := false
 	for {
 		select {
-		case out := <-execDone:
+		case res := <-execDone:
 			if lost {
 				w.log(slog.LevelWarn, "lease lost, discarding result",
 					"worker", w.opt.ID, "lease", ls.LeaseID, "cell", ls.Cell.String(), "corr_id", ls.CorrID)
-				return
+				return nil
 			}
-			var spans []obs.Span
-			if traced {
-				note := ""
-				if out.err != nil {
-					note = out.err.Error()
-				}
-				spans = append(spans, w.workerSpan(ls, obs.SpanExecuting, out.started, out.ended, note))
-			}
-			w.complete(ls, out.rec, out.err, attemptStart, spans)
-			return
+			return w.outcomeOf(ls, res.rec, res.err, attemptStart, res.started, res.ended)
 		case <-hb.C:
 			if lost {
 				continue
@@ -292,7 +297,7 @@ func (w *Worker) runLease(ls *Lease) {
 				w.opt.Metrics.noteHeartbeat(time.Since(hbStart))
 			}
 		case <-w.killed:
-			return
+			return nil
 		}
 	}
 }
@@ -316,69 +321,87 @@ func (w *Worker) execIsolated(cell campaign.Cell, onInterval func(done, planned 
 	return w.opt.Exec(cell)
 }
 
-// complete delivers one outcome, retrying transport errors — the result
-// embodies real simulation time and is worth fighting for. A 410 means
-// the lease died while we computed; the coordinator has already
-// re-dispatched the cell, so the result is dropped. For traced leases
-// the attempt span (lease receipt → outcome delivered) closes here and
-// ships with the request.
-func (w *Worker) complete(ls *Lease, rec *campaign.Record, execErr error, attemptStart time.Time, spans []obs.Span) {
-	req := CompleteRequest{
+// outcomeOf builds the completion for one executed lease. For traced
+// leases it carries the worker's two spans: executing, and attempt
+// (lease receipt → outcome ready to go out).
+func (w *Worker) outcomeOf(ls *Lease, rec *campaign.Record, execErr error, attemptStart, execStart, execEnd time.Time) *outcome {
+	req := &CompleteRequest{
 		WorkerID: w.opt.ID,
 		LeaseID:  ls.LeaseID,
 	}
+	stamp(&req.SchemaVersion)
+	verdict := "ok"
 	if execErr != nil {
 		req.Error = execErr.Error()
 		req.Transient = w.opt.Classify != nil && w.opt.Classify(execErr)
+		verdict = "error: " + req.Error
 	} else {
 		rec.CellID = ls.CellID
 		req.Record = rec
 	}
 	if ls.CorrID != "" {
-		verdict := "ok"
-		if execErr != nil {
-			verdict = "error: " + execErr.Error()
+		req.Spans = []obs.Span{
+			w.workerSpan(ls, obs.SpanExecuting, execStart, execEnd, req.Error),
+			w.workerSpan(ls, obs.SpanAttempt, attemptStart, time.Now(), verdict),
 		}
-		req.Spans = append(spans, w.workerSpan(ls, obs.SpanAttempt, attemptStart, time.Now(), verdict))
 	}
-	stamp(&req.SchemaVersion)
+	return &outcome{ls: ls, req: req}
+}
+
+// delivered accounts for the coordinator's answer to an outcome, however
+// it travelled. A 410 means the lease died while we computed (or the
+// outcome had already arrived and its answer was lost); the coordinator
+// has the cell in hand either way, so the result is dropped.
+func (w *Worker) delivered(out *outcome, code int) {
+	ls, failure := out.ls, out.req.Error
+	switch code {
+	case http.StatusOK:
+		w.cellsDone.Add(1)
+		if m := w.opt.Metrics; m != nil {
+			m.CellsDone.Add(1)
+			if failure != "" {
+				m.CellsFailed.Add(1)
+			} else {
+				m.CellsOK.Add(1)
+			}
+		}
+		if failure != "" {
+			w.log(slog.LevelWarn, "completed with failure",
+				"worker", w.opt.ID, "cell", ls.Cell.String(), "cell_id", ls.CellID,
+				"corr_id", ls.CorrID, "error", failure)
+		} else if w.opt.Log != nil { // per cell: do not build the arguments for nobody
+			w.log(slog.LevelDebug, "completed",
+				"worker", w.opt.ID, "cell", ls.Cell.String(), "cell_id", ls.CellID,
+				"corr_id", ls.CorrID)
+		}
+	case http.StatusGone:
+		w.opt.Metrics.noteLeaseLost()
+		w.log(slog.LevelWarn, "completion refused, lease lost",
+			"worker", w.opt.ID, "cell", ls.Cell.String(), "lease", ls.LeaseID, "corr_id", ls.CorrID)
+	default:
+		w.log(slog.LevelWarn, "completion rejected",
+			"worker", w.opt.ID, "cell", ls.Cell.String(), "http_status", code)
+	}
+}
+
+// flush delivers an outcome (if any) in a completion request of its own —
+// the shutdown path, when no further lease request will carry it —
+// retrying transport errors: the result embodies real simulation time
+// and is worth fighting for.
+func (w *Worker) flush(out *outcome) {
+	if out == nil {
+		return
+	}
 	backoff := 100 * time.Millisecond
 	for attempt := 1; ; attempt++ {
-		code, err := w.post(PathComplete, ls.CorrID, &req, nil)
-		switch {
-		case err == nil && code == http.StatusOK:
-			w.cellsDone.Add(1)
-			if m := w.opt.Metrics; m != nil {
-				m.CellsDone.Add(1)
-				if execErr != nil {
-					m.CellsFailed.Add(1)
-				} else {
-					m.CellsOK.Add(1)
-				}
-			}
-			if execErr != nil {
-				w.log(slog.LevelWarn, "completed with failure",
-					"worker", w.opt.ID, "cell", ls.Cell.String(), "cell_id", ls.CellID,
-					"corr_id", ls.CorrID, "error", execErr)
-			} else {
-				w.log(slog.LevelDebug, "completed",
-					"worker", w.opt.ID, "cell", ls.Cell.String(), "cell_id", ls.CellID,
-					"corr_id", ls.CorrID)
-			}
-			return
-		case err == nil && code == http.StatusGone:
-			w.opt.Metrics.noteLeaseLost()
-			w.log(slog.LevelWarn, "completion refused, lease lost",
-				"worker", w.opt.ID, "cell", ls.Cell.String(), "lease", ls.LeaseID, "corr_id", ls.CorrID)
-			return
-		case err == nil:
-			w.log(slog.LevelWarn, "completion rejected",
-				"worker", w.opt.ID, "cell", ls.Cell.String(), "http_status", code)
+		code, err := w.post(PathComplete, out.ls.CorrID, out.req, nil)
+		if err == nil {
+			w.delivered(out, code)
 			return
 		}
 		if attempt >= 5 {
 			w.log(slog.LevelWarn, "giving up delivering completion",
-				"worker", w.opt.ID, "cell", ls.Cell.String(), "error", err)
+				"worker", w.opt.ID, "cell", out.ls.Cell.String(), "error", err)
 			return
 		}
 		select {
@@ -386,23 +409,21 @@ func (w *Worker) complete(ls *Lease, rec *campaign.Record, execErr error, attemp
 		case <-w.killed:
 			return
 		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
+		backoff = min(2*backoff, 2*time.Second)
 	}
 }
 
-// lease asks the coordinator for work, long-polling.
-func (w *Worker) lease(ctx context.Context) (*LeaseResponse, error) {
+// lease asks the coordinator for work, long-polling; out, when non-nil,
+// rides along as the previous lease's outcome.
+func (w *Worker) lease(ctx context.Context, out *outcome) (*LeaseResponse, error) {
 	req := LeaseRequest{WorkerID: w.opt.ID, WaitMS: w.opt.PollWait.Milliseconds()}
+	if out != nil {
+		req.Done = out.req
+	}
 	stamp(&req.SchemaVersion)
 	var resp LeaseResponse
-	code, err := w.postCtx(ctx, PathLease, "", &req, &resp)
-	if err != nil {
+	if _, err := w.postCtx(ctx, PathLease, "", &req, &resp); err != nil {
 		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("lease: HTTP %d", code)
 	}
 	return &resp, nil
 }
@@ -445,12 +466,18 @@ func (w *Worker) postCtx(ctx context.Context, path, corr string, body, out any) 
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
+	switch {
+	case out == nil:
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	case resp.StatusCode == http.StatusOK:
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return resp.StatusCode, err
 		}
-	} else {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	default:
+		// A refusal where an answer was expected is an error in the
+		// coordinator's own words (a version mismatch names both versions).
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return resp.StatusCode, fmt.Errorf("%s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	return resp.StatusCode, nil
 }

@@ -32,9 +32,10 @@ go test -count=1 -run 'TestFastForwardEquivalence|TestFastForwardEngages|TestRun
 echo "== heap steady-state allocation budget =="
 go test -count=1 -run 'TestSteadyStateAllocFree' ./internal/heap/
 
-echo "== base + WIB cell allocation budgets + alloc-free issue select / dispatch / indexed LSQ / bank select / memory hot path =="
+echo "== base + WIB + fleet cell allocation budgets + alloc-free issue select / dispatch / indexed LSQ / bank select / memory hot path =="
 go test -count=1 -run 'TestBaseCellAllocBudget|TestWIBCellAllocBudget|TestIndexedPathsAllocFree' ./internal/core/
 go test -count=1 -run 'TestMemoryHotPathAllocFree' ./internal/isa/
+go test -count=1 -run 'TestFleetCellAllocBudget' ./internal/service/
 
 echo "== paged memory vs its map-based oracle, shared frozen images (race) =="
 go test -race -count=1 ./internal/isa ./internal/emu
@@ -278,10 +279,12 @@ go run ./cmd/wibtrace -render "$teldir/mgrid.kanata" >/dev/null
 echo "== telemetry overhead (disabled path must stay near-free) =="
 go test -count=1 -run TestDisabledTelemetryOverhead -v ./internal/telemetry/ | grep -E 'overhead|PASS|FAIL'
 
-echo "== observability overhead (disabled fleet hooks must stay free) =="
-# Same sweep with events+spans on vs off must be within noise, and the
-# disabled publish/span hooks must be zero-allocation.
-go test -count=1 -run 'TestDisabledObsOverhead|TestDisabledObsZeroAlloc' -v ./internal/service/ | grep -E 'overhead|PASS|FAIL'
+echo "== observability overhead (fleet hooks inside their per-cell budget, disabled ones free) =="
+# Best-of-N sweep with events+spans on minus best-of-N with them off must
+# stay under an absolute budget of microseconds per cell (a ratio of the
+# two moved with the protocol's own speed), and the disabled publish/span
+# hooks must be zero-allocation.
+go test -count=1 -run 'TestDisabledObsOverhead|TestDisabledObsZeroAlloc' -v ./internal/service/ | grep -E 'per cell|PASS|FAIL'
 
 echo "== sampled campaign smoke (race-enabled parallel engine + resume) =="
 # A fig4 subset where every cell runs as a SMARTS sampled simulation
