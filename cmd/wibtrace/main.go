@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -117,12 +118,9 @@ func main() {
 
 	m := emu.New(prog)
 	if *trace > 0 {
-		for i := uint64(0); i < *trace && !m.Halted; i++ {
-			fmt.Printf("%6d  pc=%-5d %s\n", i, m.PC, isa.Disassemble(prog.Code[m.PC]))
-			if err := m.Step(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if err := traceInstrs(os.Stdout, m, *trace); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		return
 	}
@@ -153,11 +151,21 @@ func main() {
 	}
 }
 
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
+// traceInstrs steps the machine up to n instructions, printing each one
+// before it executes. A PC outside the code segment (a Jr to a wild
+// address) is the emulator's error to report, so nothing is disassembled
+// there.
+func traceInstrs(w io.Writer, m *emu.Machine, n uint64) error {
+	code := m.Prog.Code
+	for i := uint64(0); i < n && !m.Halted; i++ {
+		if m.PC < uint64(len(code)) {
+			fmt.Fprintf(w, "%6d  pc=%-5d %s\n", i, m.PC, isa.Disassemble(code[m.PC]))
+		}
+		if err := m.Step(); err != nil {
+			return err
+		}
 	}
-	return b
+	return nil
 }
 
 // renderArtifact sniffs a telemetry artifact's format and prints a

@@ -85,6 +85,20 @@ func BenchmarkRunSink(b *testing.B) {
 	benchRun(b, func(m *Machine, n uint64) (uint64, error) { return m.RunSink(n, &sink) })
 }
 
+// nopProfile drops every event, so BenchmarkRunProfile times the loop's
+// three interface calls rather than a profiler.
+type nopProfile struct{}
+
+func (nopProfile) Instr(uint64, isa.Class)  {}
+func (nopProfile) Mem(uint64, uint64, bool) {}
+func (nopProfile) Branch(WarmBranch)        {}
+
+// BenchmarkRunProfile is the interval model's and the trace recorder's
+// path: every instruction through the ProfileSink interface.
+func BenchmarkRunProfile(b *testing.B) {
+	benchRun(b, func(m *Machine, n uint64) (uint64, error) { return m.RunProfile(n, nopProfile{}) })
+}
+
 // BenchmarkRun is the bare loop, no capture.
 func BenchmarkRun(b *testing.B) {
 	benchRun(b, func(m *Machine, n uint64) (uint64, error) { return m.Run(n) })

@@ -273,7 +273,7 @@ func BuildCheckpoint(prog *isa.Program, skip uint64) (*Checkpoint, error) {
 	m := New(prog)
 	w := NewWarmLog(DefaultWarmMem, DefaultWarmFetch, DefaultWarmBranch)
 	if skip > 0 {
-		if _, err := m.run(skip, w); err != nil && !errors.Is(err, ErrNotHalted) {
+		if _, err := m.run(skip, w, nil); err != nil && !errors.Is(err, ErrNotHalted) {
 			return nil, fmt.Errorf("emu: fast-forward of %s: %w", prog.Name, err)
 		}
 	}

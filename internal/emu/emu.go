@@ -106,21 +106,19 @@ func (m *Machine) Step() error {
 // It returns the number of instructions executed. If the budget expires
 // first, the error is ErrNotHalted (wrapped errors.Is-compatible).
 //
-// Run executes on the predecoded fast path (see predecode.go); it is
+// Run executes on the fast interpreter (see predecode.go); it is
 // architecturally identical to a Step loop, which tests enforce.
 func (m *Machine) Run(maxInstr uint64) (uint64, error) {
-	return m.run(maxInstr, nil)
+	return m.run(maxInstr, nil, nil)
 }
 
 // RunWarm is Run with warm-state capture: the executed access stream
 // (instruction-fetch lines, data addresses, branch outcomes) is recorded
 // into the warm log's bounded rings, for replay into a timing core's
 // caches, TLB, and branch predictor when a checkpoint is restored.
+// A nil log captures nothing.
 func (m *Machine) RunWarm(maxInstr uint64, warm *WarmLog) (uint64, error) {
-	if warm == nil {
-		return m.run(maxInstr, nil)
-	}
-	return m.run(maxInstr, warm)
+	return m.run(maxInstr, warm, nil)
 }
 
 // RunSink is Run with live warm streaming: every executed access is fed
@@ -130,14 +128,14 @@ func (m *Machine) RunWarm(maxInstr uint64, warm *WarmLog) (uint64, error) {
 // simulation uses it between measured intervals, where the bounded tail
 // a WarmLog retains is not enough to reconverge large caches.
 func (m *Machine) RunSink(maxInstr uint64, sink WarmSink) (uint64, error) {
-	return m.run(maxInstr, sink)
+	return m.run(maxInstr, sink, nil)
 }
 
 // ReadReg returns the architectural value of a register operand,
 // applying the same Zero-register and FP-bank rules the executor uses.
-// The trace recorder (internal/trace) inspects source operands through
-// it just before Step to derive effective addresses and branch outcomes
-// without duplicating executor semantics.
+// Trace verification (internal/trace) inspects source operands through
+// it just before Step to re-derive effective addresses and branch
+// outcomes without duplicating executor semantics.
 func (m *Machine) ReadReg(r isa.RegRef) uint64 { return m.readSrc(r) }
 
 func (m *Machine) readSrc(r isa.RegRef) uint64 {

@@ -297,3 +297,55 @@ func TestProgramCollectableAfterRun(t *testing.T) {
 	}
 	t.Error("an emulated program was still reachable after its last user dropped it")
 }
+
+// TestRunSinkNilWarmLog: a nil *WarmLog handed to RunSink is a non-nil
+// WarmSink interface value; it must mean "no sink" there as it does in
+// RunWarm, not a nil dereference on the first fetch line.
+func TestRunSinkNilWarmLog(t *testing.T) {
+	want := New(iterativeFactorial(10))
+	if _, err := want.Run(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(*Machine) (uint64, error){
+		"RunSink": func(m *Machine) (uint64, error) { return m.RunSink(1<<20, (*WarmLog)(nil)) },
+		"RunWarm": func(m *Machine) (uint64, error) { return m.RunWarm(1<<20, nil) },
+	} {
+		m := New(iterativeFactorial(10))
+		if _, err := run(m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m.Snapshot() != want.Snapshot() {
+			t.Errorf("%s with a nil log diverges from Run", name)
+		}
+	}
+}
+
+// TestRunLoopAllocFree: with the decode table built and every page the
+// kernel writes already private, the run loop allocates nothing, whatever
+// it reports to — the register array, the counters and the sink record
+// all stay on its stack.
+func TestRunLoopAllocFree(t *testing.T) {
+	prog := checkpointZoo()[2] // the striding store/load loops
+	m := New(prog)
+	if _, err := m.Run(1 << 20); err != nil { // builds the table, privatises the pages
+		t.Fatal(err)
+	}
+	log := NewWarmLog(64, 64, 64)
+	var sink countSink
+	for name, run := range map[string]func() (uint64, error){
+		"Run":        func() (uint64, error) { return m.Run(1 << 20) },
+		"RunWarm":    func() (uint64, error) { return m.RunWarm(1<<20, log) },
+		"RunSink":    func() (uint64, error) { return m.RunSink(1<<20, &sink) },
+		"RunProfile": func() (uint64, error) { return m.RunProfile(1<<20, nopProfile{}) },
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			m.PC, m.Halted = prog.Entry, false
+			if n, err := run(); err != nil || n == 0 {
+				t.Fatalf("%s: ran %d instructions, err %v", name, n, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per run, want 0", name, allocs)
+		}
+	}
+}

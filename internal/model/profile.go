@@ -7,8 +7,9 @@
 // The package has three layers:
 //
 //   - Collect runs a workload once on the functional emulator
-//     (~73M instrs/s) with stat-counting warm caches, TLB, and branch
-//     predictor, extracting a Profile: instruction mix, per-level miss
+//     (~200M instrs/s before the collector's own work, which sets the
+//     rate) with stat-counting warm caches, TLB, and branch predictor,
+//     extracting a Profile: instruction mix, per-level miss
 //     and mispredict counts, an MLP-aware ladder of serialized
 //     (non-overlappable) long-miss counts per window size, and a
 //     critical-dependency-chain ILP ladder.

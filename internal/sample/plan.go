@@ -2,9 +2,10 @@
 // simulator (Wunderlich et al., ISCA'03; the gem5 functional↔detailed
 // switching discipline): the program is divided into fixed periods, each
 // period ends with a short detailed window (optional detailed warmup W
-// followed by a measured unit U), and the ~74M instrs/s functional
-// emulator carries the program between windows while feeding the warm
-// rings so caches, TLBs, and the branch predictor stay functionally warm.
+// followed by a measured unit U), and the functional emulator (~200M
+// instrs/s bare, ~75M streaming into a cache hierarchy and predictor)
+// carries the program between windows while feeding the warm sinks so
+// caches, TLBs, and the branch predictor stay functionally warm.
 // Per-interval IPCs aggregate into a point estimate with a Student-t 95%
 // confidence interval (internal/stats).
 //

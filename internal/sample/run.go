@@ -74,7 +74,7 @@ func (w liveWarm) WarmBranch(b emu.WarmBranch) {
 
 // ProgramLength runs a throwaway functional machine to completion and
 // returns the program's dynamic instruction count — what auto-period
-// plans resolve against. It costs one emulator pass (~74M instrs/s);
+// plans resolve against. It costs one emulator pass (~200M instrs/s);
 // campaign callers memoize it per benchmark.
 func ProgramLength(prog *isa.Program) (uint64, error) {
 	m := emu.New(prog)

@@ -12,12 +12,11 @@ import (
 // Record captures a workload into a Trace by running it on the
 // functional emulator: the full static program image is copied in, and
 // up to maxInstr dynamic instruction records (PC, class, effective
-// address, branch outcome, indirect target) are captured by inspecting
-// operands just before each Step. maxInstr == 0 records the dynamic
-// stream until Halt (budgeted at 1<<32 as a runaway guard). The
-// recorded stream hash is the emulator's committed-PC hash over the
-// recorded prefix, which Verify (validate.go) and the replay oracle can
-// re-derive.
+// address, branch outcome, indirect target) are built from the
+// emulator's profile events. maxInstr == 0 records the dynamic stream
+// until Halt (budgeted at 1<<32 as a runaway guard). The recorded stream
+// hash is the emulator's committed-PC hash over the recorded prefix,
+// which Verify (validate.go) and the replay oracle can re-derive.
 func Record(src workload.Source, scale workload.Scale, maxInstr uint64) (*Trace, error) {
 	prog, err := src.Build(scale)
 	if err != nil {
@@ -28,31 +27,9 @@ func Record(src workload.Source, scale workload.Scale, maxInstr uint64) (*Trace,
 		budget = 1 << 32
 	}
 	m := emu.New(prog)
-	recs := make([]Rec, 0, min(budget, 1<<20))
-	for uint64(len(recs)) < budget && !m.Halted {
-		pc := m.PC
-		if pc >= uint64(len(prog.Code)) {
-			return nil, fmt.Errorf("trace: recording %s: pc %d outside code", src.Ref(), pc)
-		}
-		in := prog.Code[pc]
-		r := Rec{PC: pc, Class: in.Op.Class()}
-		switch r.Class {
-		case isa.ClassLoad, isa.ClassStore:
-			r.HasMem = true
-			r.Addr = isa.EffAddr(in, m.ReadReg(in.Src1()))
-		case isa.ClassBranch:
-			r.Taken = isa.BranchTaken(in, m.ReadReg(in.Src1()), m.ReadReg(in.Src2()))
-		case isa.ClassJump:
-			r.Taken = true
-			if in.Op == isa.OpJr {
-				r.HasTgt = true
-				r.Target = m.ReadReg(in.Src1())
-			}
-		}
-		if err := m.Step(); err != nil {
-			return nil, fmt.Errorf("trace: recording %s: %w", src.Ref(), err)
-		}
-		recs = append(recs, r)
+	rec := recorder{code: prog.Code, recs: make([]Rec, 0, min(budget, 1<<20))}
+	if _, err := m.RunProfile(budget, &rec); err != nil && !errors.Is(err, emu.ErrNotHalted) {
+		return nil, fmt.Errorf("trace: recording %s: %w", src.Ref(), err)
 	}
 	if maxInstr == 0 && !m.Halted {
 		return nil, fmt.Errorf("trace: recording %s: no Halt within %d instructions", src.Ref(), budget)
@@ -70,7 +47,7 @@ func Record(src workload.Source, scale workload.Scale, maxInstr uint64) (*Trace,
 		Instrs:     m.InstrCount,
 		StreamHash: m.StreamHash,
 		Halted:     m.Halted,
-		Records:    recs,
+		Records:    rec.recs,
 	}
 	return t, nil
 }
@@ -89,9 +66,27 @@ func RecordRef(ref string, scale workload.Scale, maxInstr uint64) (*Trace, error
 	return Record(src, scale, maxInstr)
 }
 
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
+// recorder is the emu.ProfileSink that builds the record stream: Instr
+// opens a record, and the Mem or Branch event of the same instruction,
+// if any, fills it in.
+type recorder struct {
+	code []isa.Instr
+	recs []Rec
+}
+
+func (r *recorder) Instr(pc uint64, class isa.Class) {
+	r.recs = append(r.recs, Rec{PC: pc, Class: class})
+}
+
+func (r *recorder) Mem(_, addr uint64, _ bool) {
+	cur := &r.recs[len(r.recs)-1]
+	cur.HasMem, cur.Addr = true, addr
+}
+
+func (r *recorder) Branch(b emu.WarmBranch) {
+	cur := &r.recs[len(r.recs)-1]
+	cur.Taken = b.Taken
+	if r.code[b.PC].Op == isa.OpJr {
+		cur.HasTgt, cur.Target = true, b.Target
 	}
-	return b
 }

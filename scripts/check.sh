@@ -32,10 +32,14 @@ go test -count=1 -run 'TestFastForwardEquivalence|TestFastForwardEngages|TestRun
 echo "== heap steady-state allocation budget =="
 go test -count=1 -run 'TestSteadyStateAllocFree' ./internal/heap/
 
-echo "== base + WIB + fleet cell allocation budgets + alloc-free issue select / dispatch / indexed LSQ / bank select / memory hot path =="
+echo "== base + WIB + fleet cell allocation budgets + alloc-free issue select / dispatch / indexed LSQ / bank select / memory hot path / emulator run loop =="
 go test -count=1 -run 'TestBaseCellAllocBudget|TestWIBCellAllocBudget|TestIndexedPathsAllocFree' ./internal/core/
 go test -count=1 -run 'TestMemoryHotPathAllocFree' ./internal/isa/
+go test -count=1 -run 'TestRunLoopAllocFree' ./internal/emu/
 go test -count=1 -run 'TestFleetCellAllocBudget' ./internal/service/
+
+echo "== fast interpreter vs Step fuzz smoke (every opcode, every sink kind) =="
+go test -run '^$' -fuzz '^FuzzRunMatchesStep$' -fuzztime 10s ./internal/emu/
 
 echo "== paged memory vs its map-based oracle, shared frozen images (race) =="
 go test -race -count=1 ./internal/isa ./internal/emu
