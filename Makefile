@@ -12,13 +12,12 @@ test:
 check:
 	sh scripts/check.sh
 
-# Benchmark snapshot: throughput + campaign speedups (checkpointed,
-# sampled and model-pruned) + Fig4 at fixed -benchtime, written to
-# BENCH_PR10.json (the reference scripts/check.sh gates against).
+# The repo benchmark: six workloads, one per fidelity tier (see
+# benchmark/README.md for -trace, -repeat and -compare).
 bench:
-	sh scripts/bench.sh
+	$(GO) run ./benchmark
 
-# Full figure/table benchmark sweep (slow).
+# Per-figure testing.B sweep of the paper's tables (slow).
 bench-full:
 	$(GO) test -bench=. -benchmem
 

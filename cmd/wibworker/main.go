@@ -74,10 +74,7 @@ func main() {
 	// One session, shared by every slot: the coordinator owns dedup,
 	// retries, and persistence, so the session is pure execution — plus a
 	// shared checkpoint cache for the cells' fast-forward windows.
-	session := harness.NewSession(harness.Options{
-		RunDeadline:     *deadline,
-		CheckpointCache: true,
-	})
+	session := harness.NewSession(harness.Options{RunDeadline: *deadline})
 	logger.Info("wibworker starting", "slots", slots, "server", *server)
 
 	// One metrics instance across every slot: /metrics reports the

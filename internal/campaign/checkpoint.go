@@ -84,15 +84,13 @@ type Checkpoints struct {
 	reused atomic.Uint64 // Gets served without a functional pass
 }
 
-// NewCheckpoints opens (creating the directory if needed) a checkpoint
-// cache. dir == "" keeps the cache memory-only. log (may be nil) receives
-// corrupt-entry and persistence warnings.
+// NewCheckpoints opens a checkpoint cache. dir == "" keeps the cache
+// memory-only; otherwise the directory is created when the first
+// checkpoint persists, so a campaign that never skips leaves none behind
+// (and one that cannot create it still shares checkpoints in memory,
+// logging each failed persist). log (may be nil) receives corrupt-entry
+// and persistence warnings. The error is always nil.
 func NewCheckpoints(dir string, log io.Writer) (*Checkpoints, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("campaign: creating checkpoint store: %w", err)
-		}
-	}
 	return &Checkpoints{dir: dir, log: log, slots: make(map[string]*ckptSlot)}, nil
 }
 
@@ -180,6 +178,9 @@ func (c *Checkpoints) persist(path, id string, cp *emu.Checkpoint) error {
 	data, err := json.Marshal(cp)
 	if err != nil {
 		return err
+	}
+	if err := os.MkdirAll(c.dir, 0o755); err != nil {
+		return fmt.Errorf("campaign: creating checkpoint store: %w", err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+id+".tmp*")
 	if err != nil {

@@ -363,11 +363,10 @@ type Snapshot struct {
 	Instrs    uint64
 	Elapsed   time.Duration
 
-	// Checkpoint-cache activity (zero-valued unless Options.Checkpoints
-	// was attached).
-	HasCheckpoints bool
-	CkptBuilt      uint64 // functional fast-forward passes executed
-	CkptReused     uint64 // checkpoint requests served from cache
+	// Checkpoint-cache activity (zero unless Options.Checkpoints was
+	// attached and some cell asked for a skip window).
+	CkptBuilt  uint64 // functional fast-forward passes executed
+	CkptReused uint64 // checkpoint requests served from cache
 
 	// Sampled-simulation interval progress (zero unless the campaign ran
 	// sampled cells).
@@ -398,7 +397,6 @@ func (e *Engine) Snapshot() Snapshot {
 		ModelAudited:     e.modelAudited.Load(),
 	}
 	if e.opt.Checkpoints != nil {
-		s.HasCheckpoints = true
 		s.CkptBuilt, s.CkptReused = e.opt.Checkpoints.Counts()
 	}
 	return s
@@ -414,7 +412,7 @@ func (s Snapshot) Summary() string {
 	if s.Retries > 0 {
 		out += fmt.Sprintf(", %d retried", s.Retries)
 	}
-	if s.HasCheckpoints {
+	if s.CkptBuilt+s.CkptReused > 0 {
 		out += fmt.Sprintf(", checkpoints: %d built / %d reused", s.CkptBuilt, s.CkptReused)
 	}
 	if s.ModelPruned > 0 {

@@ -83,7 +83,7 @@ func renderLine(s Snapshot, expected uint64) string {
 	if s.Failed > 0 {
 		line += fmt.Sprintf(" (%d FAILED)", s.Failed)
 	}
-	if s.HasCheckpoints && s.CkptBuilt+s.CkptReused > 0 {
+	if s.CkptBuilt+s.CkptReused > 0 {
 		line += fmt.Sprintf(" · ckpt %d built/%d reused", s.CkptBuilt, s.CkptReused)
 	}
 	if s.ModelPruned > 0 {

@@ -79,7 +79,7 @@ func TestRenderLineSane(t *testing.T) {
 			name: "checkpoint cache activity surfaces",
 			s: Snapshot{
 				Total: 4, Done: 2, Executed: 2, Elapsed: time.Second,
-				HasCheckpoints: true, CkptBuilt: 2, CkptReused: 6,
+				CkptBuilt: 2, CkptReused: 6,
 			},
 			want: []string{"ckpt 2 built/6 reused"},
 		},

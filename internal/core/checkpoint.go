@@ -9,16 +9,21 @@ import (
 	"largewindow/internal/mem"
 )
 
-// warmSink adapts the processor's cache hierarchy and branch predictor to
-// the emulator's warm-replay interface. All touches go through the
-// stat-free warm APIs, so the measured region's counters start at zero.
-type warmSink struct{ p *Processor }
+// WarmSink adapts a cache hierarchy and branch predictor to the emulator's
+// warm-sink interface. All touches go through the stat-free warm APIs, so
+// a measured region's counters reflect only its own traffic. A checkpoint
+// restore replays its bounded warm log through one; the sampler streams
+// the program's whole functional history through one between windows.
+type WarmSink struct {
+	H  *mem.Hierarchy
+	BP *bpred.Predictor
+}
 
-func (w warmSink) WarmFetch(line uint64) { w.p.hier.WarmFetch(line) }
-func (w warmSink) WarmLoad(addr uint64)  { w.p.hier.WarmLoad(addr) }
-func (w warmSink) WarmStore(addr uint64) { w.p.hier.WarmStore(addr) }
-func (w warmSink) WarmBranch(b emu.WarmBranch) {
-	w.p.bp.WarmBranch(b.PC, b.Target, b.Taken, b.Cond, b.BTB)
+func (w WarmSink) WarmFetch(line uint64) { w.H.WarmFetch(line) }
+func (w WarmSink) WarmLoad(addr uint64)  { w.H.WarmLoad(addr) }
+func (w WarmSink) WarmStore(addr uint64) { w.H.WarmStore(addr) }
+func (w WarmSink) WarmBranch(b emu.WarmBranch) {
+	w.BP.WarmBranch(b.PC, b.Target, b.Taken, b.Cond, b.BTB)
 }
 
 // AdoptWarmState replaces the processor's cold cache hierarchy and branch
@@ -96,6 +101,6 @@ func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 		}
 		p.oracle = m
 	}
-	cp.Warm.Replay(warmSink{p})
+	cp.Warm.Replay(WarmSink{H: p.hier, BP: p.bp})
 	return nil
 }

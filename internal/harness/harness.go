@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +30,6 @@ import (
 	"largewindow/internal/isa"
 	"largewindow/internal/sample"
 	"largewindow/internal/stats"
-	"largewindow/internal/telemetry"
 	_ "largewindow/internal/trace" // register trace: and synth: workload schemes
 	"largewindow/internal/workload"
 )
@@ -76,12 +76,6 @@ type Options struct {
 	// TelemetryDir, SkipInstr checkpointing) do not apply to cells a
 	// custom Exec runs elsewhere.
 	Exec campaign.ExecFunc
-	// CheckpointCache forces the session to maintain a shared functional-
-	// checkpoint cache even when SkipInstr is 0. Service workers set it:
-	// the cells they execute carry their own per-cell skip windows, and
-	// without a session-level cache every cell would rebuild its
-	// checkpoint from scratch.
-	CheckpointCache bool
 	// PreRun, when non-nil, is invoked on each freshly constructed
 	// processor before its run starts. It exists for tests (fault
 	// injection, tracing hooks); production sessions leave it nil. Note
@@ -175,7 +169,7 @@ type Session struct {
 	opt   Options
 	eng   *campaign.Engine
 	store *campaign.Store
-	ckpts *campaign.Checkpoints // nil when SkipInstr == 0
+	ckpts *campaign.Checkpoints
 
 	mu       sync.Mutex
 	view     map[string]*viewCell
@@ -215,23 +209,16 @@ func NewSession(opt Options) *Session {
 			s.store = store
 		}
 	}
-	if opt.SkipInstr > 0 || opt.CheckpointCache {
-		ckptDir := ""
-		if s.store != nil {
-			ckptDir = filepath.Join(opt.CacheDir, "ckpt")
-		}
-		ckpts, err := campaign.NewCheckpoints(ckptDir, opt.Log)
-		if err != nil {
-			// Degrade to a memory-only checkpoint cache; the campaign still
-			// shares one functional pass per (bench, scale, skip) in-process.
-			if opt.Log != nil {
-				fmt.Fprintf(opt.Log, "  checkpoint persistence disabled: %v\n", err)
-			}
-			ckpts, _ = campaign.NewCheckpoints("", opt.Log)
-		}
-		s.ckpts = ckpts
+	// The checkpoint cache is a map until a cell asks for a skip window,
+	// so every session has one: local campaigns share a functional pass per
+	// (bench, scale, skip) across configs, and service workers — whose
+	// cells carry their own skip windows — across the cells they lease.
+	ckptDir := ""
+	if s.store != nil {
+		ckptDir = filepath.Join(opt.CacheDir, "ckpt")
 	}
-	exec := campaign.ExecFunc(s.execCell)
+	s.ckpts, _ = campaign.NewCheckpoints(ckptDir, opt.Log) // never fails: the directory is created on first persist
+	exec := campaign.ExecFunc(s.ExecCell)
 	if opt.Exec != nil {
 		exec = opt.Exec
 	}
@@ -250,8 +237,7 @@ func NewSession(opt Options) *Session {
 	return s
 }
 
-// Checkpoints exposes the session's shared checkpoint cache (nil when
-// SkipInstr is 0).
+// Checkpoints exposes the session's shared checkpoint cache.
 func (s *Session) Checkpoints() *campaign.Checkpoints { return s.ckpts }
 
 // Campaign exposes the session's engine (progress counters, priming).
@@ -427,19 +413,36 @@ func (s *Session) resolveCell(cell campaign.Cell) (workload.Source, error) {
 	return src, nil
 }
 
-// execCell is the engine's executor: it builds the workload, constructs
-// the processor, and runs one cell to completion. The engine wraps it
-// with panic isolation and the transient-retry policy.
-func (s *Session) execCell(cell campaign.Cell) (*campaign.Record, error) {
-	return s.execCellProgress(cell, nil)
+// ExecCell executes one campaign cell in-process, panic-isolated, without
+// touching the session's engine memo or store. It is the session engine's
+// executor, and the execution surface service workers mount behind the
+// coordinator protocol: the coordinator owns dedup, retries, and
+// persistence, so the worker needs raw single-shot execution — but still
+// shares the session's checkpoint cache across the cells it is leased.
+func (s *Session) ExecCell(cell campaign.Cell) (*campaign.Record, error) {
+	return s.ExecCellWithProgress(cell, nil)
 }
 
-// execCellProgress is execCell with an optional per-cell interval
-// progress callback (nil for local campaigns, whose progress feeds the
-// engine counters directly). Service workers thread the callback into
-// their lease heartbeats so the coordinator's ETA model sees fractional
-// in-flight progress on long sampled cells.
-func (s *Session) execCellProgress(cell campaign.Cell, onInterval func(done, planned int)) (*campaign.Record, error) {
+// ExecCellWithProgress is ExecCell with a per-cell interval progress
+// callback: onInterval(done, planned) fires once up front (done == 0,
+// announcing the plan size) and again as each measured window of a
+// sampled cell completes. Detailed (non-sampled) cells never invoke it.
+// Service workers pass a callback that stashes the counts for their next
+// lease heartbeat, letting the coordinator fold fractional in-flight
+// progress into the fleet ETA; interval completions also feed the
+// session engine's counters so a local sampled campaign's progress line
+// shows interval k/N.
+//
+// Every cell is one shape: resolve the workload, build the program, run
+// either one detailed window (core.RunWindow, from the session's shared
+// checkpoint when the cell skips) or the cell's sampling plan
+// (sample.Run, many windows), and map the outcome onto a Record.
+func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done, planned int)) (rec *campaign.Record, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			rec, err = nil, fmt.Errorf("harness: panic executing %s: %v\n%s", cell, r, debug.Stack())
+		}
+	}()
 	src, err := s.resolveCell(cell)
 	if err != nil {
 		return nil, err
@@ -449,125 +452,77 @@ func (s *Session) execCellProgress(cell campaign.Cell, onInterval func(done, pla
 	if err != nil {
 		return nil, fmt.Errorf("harness: building %s: %w", resultKey(src), err)
 	}
+	var out *sample.Outcome
 	if cell.Sampling != nil {
-		return s.execSampledCell(cell, src, prog, onInterval)
-	}
-	p, err := core.New(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	if cell.SkipInstr > 0 {
-		cp, err := s.checkpointFor(cell, prog)
+		plan := *cell.Sampling
+		if !plan.Resolved() {
+			key := src.Identity() + "/" + cell.Scale.String()
+			v, ok := s.progLen.Load(key)
+			if !ok {
+				total, err := sample.ProgramLength(prog)
+				if err != nil {
+					return nil, err
+				}
+				v, _ = s.progLen.LoadOrStore(key, total)
+			}
+			plan = plan.Resolve(v.(uint64))
+		}
+		ctx, cancel := s.runContext(cell, src)
+		defer cancel()
+		s.eng.AddPlannedIntervals(uint64(plan.Intervals))
+		if onInterval != nil {
+			onInterval(0, plan.Intervals)
+		}
+		out, err = sample.Run(ctx, cfg, prog, plan, cell.MaxCycles,
+			func(done, planned int) {
+				s.eng.IntervalDone()
+				if onInterval != nil {
+					onInterval(done, planned)
+				}
+			})
 		if err != nil {
 			return nil, err
 		}
-		if err := p.RestoreCheckpoint(cp); err != nil {
-			return nil, err
+	} else {
+		win := core.Window{
+			SampleInterval: s.opt.SampleInterval,
+			Measure:        cell.MaxInstr,
+			MaxCycles:      cell.MaxCycles,
 		}
-	}
-	if s.opt.PreRun != nil {
-		s.opt.PreRun(p, cfg, src)
-	}
-	closeTelemetry, err := s.attachTelemetry(p, cfg, src)
-	if err != nil {
-		return nil, err
-	}
-	ctx := s.opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if s.opt.RunDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opt.RunDeadline)
-		defer cancel()
-	}
-	st, err := p.RunContext(ctx, cell.MaxInstr, cell.MaxCycles)
-	if closeTelemetry != nil {
-		if terr := closeTelemetry(st.Cycles); terr != nil && s.opt.Log != nil {
-			fmt.Fprintf(s.opt.Log, "  telemetry %s on %s: %v\n", src.Name(), cfg.Name, terr)
-		}
-	}
-	if err != nil && !errors.Is(err, core.ErrBudget) {
-		var se *core.SimError
-		if errors.As(err, &se) {
-			se.Bench = src.Name()
-			se.Scale = cell.Scale.String()
-		}
-		return nil, err
-	}
-	h := p.Hierarchy()
-	rec := &campaign.Record{
-		Config:     cfg.Name,
-		Bench:      src.Name(),
-		Suite:      src.Suite().String(),
-		Scale:      cell.Scale.String(),
-		MaxInstr:   cell.MaxInstr,
-		MaxCycles:  cell.MaxCycles,
-		SkipInstr:  cell.SkipInstr,
-		Workload:   cell.Workload,
-		WorkloadID: cell.WorkloadID,
-		IPC:        st.IPC,
-		Stats:      *st,
-		DL1Miss:    h.L1DStats().MissRatio(),
-		L2Local:    h.L2Stats().MissRatio(),
-		BrAcc:      st.CondAccuracy(),
-	}
-	if s.opt.Log != nil {
-		fmt.Fprintf(s.opt.Log, "  ran %-10s on %-16s IPC=%.3f cycles=%d dl1=%.3f l2=%.3f\n",
-			src.Name(), cfg.Name, rec.IPC, rec.Stats.Cycles, rec.DL1Miss, rec.L2Local)
-	}
-	return rec, nil
-}
-
-// execSampledCell runs one cell under its sampling plan: the functional
-// emulator carries the benchmark between the plan's detailed windows and
-// the record aggregates the measured windows into a point estimate with
-// a confidence interval. Interval completions feed the engine's progress
-// counters so a sampled campaign's progress line shows interval k/N.
-func (s *Session) execSampledCell(cell campaign.Cell, src workload.Source, prog *isa.Program, onInterval func(done, planned int)) (*campaign.Record, error) {
-	plan := *cell.Sampling
-	if !plan.Resolved() {
-		key := src.Identity() + "/" + cell.Scale.String()
-		v, ok := s.progLen.Load(key)
-		if !ok {
-			total, err := sample.ProgramLength(prog)
-			if err != nil {
+		if cell.SkipInstr > 0 {
+			if win.Start, err = s.checkpointFor(cell, prog); err != nil {
 				return nil, err
 			}
-			v, _ = s.progLen.LoadOrStore(key, total)
 		}
-		plan = plan.Resolve(v.(uint64))
-	}
-	ctx := s.opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if s.opt.RunDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opt.RunDeadline)
+		if s.opt.PreRun != nil {
+			win.PreRun = func(p *core.Processor) { s.opt.PreRun(p, cfg, src) }
+		}
+		telFile, err := s.telemetryFile(cfg, src)
+		if err != nil {
+			return nil, err
+		}
+		if telFile != nil {
+			win.Telemetry = telFile
+		}
+		ctx, cancel := s.runContext(cell, src)
 		defer cancel()
-	}
-	s.eng.AddPlannedIntervals(uint64(plan.Intervals))
-	if onInterval != nil {
-		onInterval(0, plan.Intervals)
-	}
-	out, err := sample.Run(ctx, cell.Config, prog, plan, cell.MaxCycles,
-		func(done, planned int) {
-			s.eng.IntervalDone()
-			if onInterval != nil {
-				onInterval(done, planned)
+		w, err := core.RunWindow(ctx, cfg, prog, win)
+		if telFile != nil {
+			terr := w.TelemetryErr
+			if cerr := telFile.Close(); terr == nil {
+				terr = cerr
 			}
-		})
-	if err != nil {
-		var se *core.SimError
-		if errors.As(err, &se) {
-			se.Bench = src.Name()
-			se.Scale = cell.Scale.String()
+			if terr != nil && s.opt.Log != nil {
+				fmt.Fprintf(s.opt.Log, "  telemetry %s on %s: %v\n", src.Name(), cfg.Name, terr)
+			}
 		}
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
+		out = sample.OneWindow(w)
 	}
-	rec := &campaign.Record{
-		Config:     cell.Config.Name,
+	rec = &campaign.Record{
+		Config:     cfg.Name,
 		Bench:      src.Name(),
 		Suite:      src.Suite().String(),
 		Scale:      cell.Scale.String(),
@@ -589,30 +544,43 @@ func (s *Session) execSampledCell(cell campaign.Cell, src workload.Source, prog 
 		IPCCI95:      out.IPCCI95,
 		IntervalIPCs: out.IntervalIPCs,
 	}
-	if s.opt.Log != nil {
+	if s.opt.Log != nil && rec.Sampling != nil {
 		fmt.Fprintf(s.opt.Log, "  ran %-10s on %-16s IPC=%.3f ±%.3f (%d intervals) dl1=%.3f l2=%.3f\n",
-			src.Name(), cell.Config.Name, rec.IPC, rec.IPCCI95, rec.Intervals, rec.DL1Miss, rec.L2Local)
+			src.Name(), cfg.Name, rec.IPC, rec.IPCCI95, rec.Intervals, rec.DL1Miss, rec.L2Local)
+	} else if s.opt.Log != nil {
+		fmt.Fprintf(s.opt.Log, "  ran %-10s on %-16s IPC=%.3f cycles=%d dl1=%.3f l2=%.3f\n",
+			src.Name(), cfg.Name, rec.IPC, rec.Stats.Cycles, rec.DL1Miss, rec.L2Local)
 	}
 	return rec, nil
+}
+
+// runContext derives one cell's simulation context from the session's:
+// labelled with the workload, so a structured failure names what it ran,
+// and bounded by RunDeadline when one is set.
+func (s *Session) runContext(cell campaign.Cell, src workload.Source) (context.Context, context.CancelFunc) {
+	ctx := s.opt.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx = core.WithLabels(ctx, src.Name(), cell.Scale.String())
+	if s.opt.RunDeadline > 0 {
+		return context.WithTimeout(ctx, s.opt.RunDeadline)
+	}
+	return ctx, func() {}
 }
 
 // checkpointFor resolves (building at most once per key, campaign-wide)
 // the functional fast-forward checkpoint a cell starts from.
 func (s *Session) checkpointFor(cell campaign.Cell, prog *isa.Program) (*emu.Checkpoint, error) {
-	build := func() (*emu.Checkpoint, error) {
-		return emu.BuildCheckpoint(prog, cell.SkipInstr)
-	}
-	if s.ckpts == nil {
-		return build()
-	}
 	key := campaign.CheckpointKey{Bench: cell.Bench, Scale: cell.Scale, Skip: cell.SkipInstr, Workload: cell.WorkloadID}
-	return s.ckpts.Get(key, build)
+	return s.ckpts.Get(key, func() (*emu.Checkpoint, error) {
+		return emu.BuildCheckpoint(prog, cell.SkipInstr)
+	})
 }
 
-// attachTelemetry wires a per-cell JSONL collector when TelemetryDir is
-// set. The returned closer flushes the stream with the run's final cycle
-// count; it is nil when telemetry is off.
-func (s *Session) attachTelemetry(p *core.Processor, cfg core.Config, src workload.Source) (func(int64) error, error) {
+// telemetryFile creates the cell's JSONL sample file when TelemetryDir is
+// set (nil when telemetry is off). The caller closes it after the run.
+func (s *Session) telemetryFile(cfg core.Config, src workload.Source) (*os.File, error) {
 	if s.opt.TelemetryDir == "" {
 		return nil, nil
 	}
@@ -629,15 +597,7 @@ func (s *Session) attachTelemetry(p *core.Processor, cfg core.Config, src worklo
 	if err != nil {
 		return nil, fmt.Errorf("harness: telemetry file: %w", err)
 	}
-	col := telemetry.NewCollector(f, s.opt.SampleInterval)
-	p.AttachTelemetry(col)
-	return func(endCycle int64) error {
-		cerr := col.Close(endCycle)
-		if ferr := f.Close(); cerr == nil {
-			cerr = ferr
-		}
-		return cerr
-	}, nil
+	return f, nil
 }
 
 // Transient is the harness's retry classifier: wall-clock deadline hits
@@ -650,32 +610,6 @@ func Transient(err error) bool {
 	}
 	var se *core.SimError
 	return errors.As(err, &se) && se.Transient
-}
-
-// ExecCell executes one campaign cell in-process, panic-isolated, without
-// touching the session's engine, memo, or store. It is the execution
-// surface service workers mount behind the coordinator protocol: the
-// coordinator owns dedup, retries, and persistence, so the worker needs
-// raw single-shot execution — but still shares the session's checkpoint
-// cache across the cells it is leased.
-func (s *Session) ExecCell(cell campaign.Cell) (rec *campaign.Record, err error) {
-	return s.ExecCellWithProgress(cell, nil)
-}
-
-// ExecCellWithProgress is ExecCell with a per-cell interval progress
-// callback: onInterval(done, planned) fires once up front (done == 0,
-// announcing the plan size) and again as each measured window of a
-// sampled cell completes. Detailed (non-sampled) cells never invoke it.
-// Service workers pass a callback that stashes the counts for their next
-// lease heartbeat, letting the coordinator fold fractional in-flight
-// progress into the fleet ETA.
-func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done, planned int)) (rec *campaign.Record, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rec, err = nil, fmt.Errorf("harness: panic executing %s: %v", cell, r)
-		}
-	}()
-	return s.execCellProgress(cell, onInterval)
 }
 
 // RunAll simulates every selected benchmark under cfg, concurrently, and

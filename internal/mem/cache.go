@@ -55,16 +55,79 @@ type line struct {
 	lru   uint64 // higher = more recently used
 }
 
+// tagArray is a set-associative array of tags with true-LRU replacement:
+// the storage and the one lookup shared by the caches (line tags) and the
+// TLB (page tags). The tag is the full unit number, which keeps lookups
+// unambiguous.
+type tagArray struct {
+	sets    [][]line
+	setMask uint64
+	shift   uint // log2 of the unit (line or page) size in bytes
+	tick    uint64
+}
+
+// newTagArray lays out nsets sets of assoc ways over units of unitBytes
+// (both powers of two; the callers validate).
+func newTagArray(nsets, assoc int, unitBytes uint64) tagArray {
+	sets := make([][]line, nsets)
+	backing := make([]line, nsets*assoc)
+	for i := range sets {
+		sets[i] = backing[i*assoc : (i+1)*assoc]
+	}
+	shift := uint(0)
+	for uint64(1)<<shift != unitBytes {
+		shift++
+	}
+	return tagArray{sets: sets, setMask: uint64(nsets - 1), shift: shift}
+}
+
+func (a *tagArray) index(addr uint64) (set uint64, tag uint64) {
+	unit := addr >> a.shift
+	return unit & a.setMask, unit
+}
+
+// touch is the one set-associative lookup of the memory system: it finds
+// addr's tag among its set's ways, refreshing its LRU stamp (and dirtying
+// it on a store) on a hit, and on a miss installs it over the first
+// invalid way or, failing one, the least recently used, reporting whether
+// that victim was dirty. It counts nothing: the timed path (Cache.Access,
+// TLB.Translate) and the stat-free warm path (Cache.Warm, TLB.Warm) are
+// their own counters around it, so all four replace identically.
+func (a *tagArray) touch(addr uint64, store bool) (hit, evictedDirty bool) {
+	a.tick++
+	set, tag := a.index(addr)
+	ways := a.sets[set]
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
+			ways[i].lru = a.tick
+			if store {
+				ways[i].dirty = true
+			}
+			return true, false
+		}
+	}
+	victim := 0
+	for i := range ways {
+		if !ways[i].valid {
+			victim = i
+			break
+		}
+		if ways[i].lru < ways[victim].lru {
+			victim = i
+		}
+	}
+	evictedDirty = ways[victim].valid && ways[victim].dirty
+	ways[victim] = line{tag: tag, valid: true, dirty: store, lru: a.tick}
+	return false, evictedDirty
+}
+
 // Cache is one set-associative, write-back, write-allocate cache with
 // true-LRU replacement. It tracks tags only; simulated data lives in the
 // architectural isa.Memory.
 type Cache struct {
-	cfg       CacheConfig
-	sets      [][]line
-	setMask   uint64
-	lineShift uint
-	tick      uint64
-	stats     CacheStats
+	cfg CacheConfig
+	tagArray
+	stats CacheStats
 }
 
 // NewCache builds a cache; the configuration must validate.
@@ -73,25 +136,11 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
-	shift := uint(0)
-	for 1<<shift != cfg.LineBytes {
-		shift++
-	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), lineShift: shift}
+	return &Cache{cfg: cfg, tagArray: newTagArray(nsets, cfg.Assoc, uint64(cfg.LineBytes))}
 }
 
 // LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift << c.lineShift }
-
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
-	l := addr >> c.lineShift
-	return l & c.setMask, l >> 0 // full line number as tag keeps lookups unambiguous
-}
+func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.shift << c.shift }
 
 // Probe reports whether addr currently hits, without updating LRU or
 // statistics.
@@ -106,38 +155,18 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 // Access looks up addr, updating LRU and statistics. On a miss it
-// allocates the line (evicting LRU) and reports whether a dirty victim was
-// written back. dirty marks the line dirty on stores.
+// allocates the line (evicting LRU) and counts a writeback when the
+// victim was dirty. store marks the line dirty.
 func (c *Cache) Access(addr uint64, store bool) (hit bool) {
 	c.stats.Accesses++
-	c.tick++
-	set, tag := c.index(addr)
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].lru = c.tick
-			if store {
-				ways[i].dirty = true
-			}
-			return true
+	hit, evictedDirty := c.touch(addr, store)
+	if !hit {
+		c.stats.Misses++
+		if evictedDirty {
+			c.stats.Writebacks++
 		}
 	}
-	c.stats.Misses++
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].lru < ways[victim].lru {
-			victim = i
-		}
-	}
-	if ways[victim].valid && ways[victim].dirty {
-		c.stats.Writebacks++
-	}
-	ways[victim] = line{tag: tag, valid: true, dirty: store, lru: c.tick}
-	return false
+	return hit
 }
 
 // Invalidate drops a line if present (used by tests).

@@ -5,11 +5,8 @@ package mem
 // the translation. Like the caches it tracks tags only — the simulator has
 // a flat physical address space.
 type TLB struct {
-	entries   [][]line
-	setMask   uint64
-	pageShift uint
-	penalty   int64
-	tick      uint64
+	tagArray
+	penalty int64
 
 	Accesses uint64
 	Misses   uint64
@@ -22,16 +19,7 @@ func NewTLB(entries, assoc int, pageBytes uint64, penalty int64) *TLB {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("mem: TLB set count must be a positive power of two")
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, entries)
-	for i := range sets {
-		sets[i] = backing[i*assoc : (i+1)*assoc]
-	}
-	shift := uint(0)
-	for uint64(1)<<shift != pageBytes {
-		shift++
-	}
-	return &TLB{entries: sets, setMask: uint64(nsets - 1), pageShift: shift, penalty: penalty}
+	return &TLB{tagArray: newTagArray(nsets, assoc, pageBytes), penalty: penalty}
 }
 
 // Translate looks up the page containing addr and returns the added delay
@@ -39,28 +27,10 @@ func NewTLB(entries, assoc int, pageBytes uint64, penalty int64) *TLB {
 // installed on a miss.
 func (t *TLB) Translate(addr uint64) int64 {
 	t.Accesses++
-	t.tick++
-	page := addr >> t.pageShift
-	set := page & t.setMask
-	ways := t.entries[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == page {
-			ways[i].lru = t.tick
-			return 0
-		}
+	if hit, _ := t.touch(addr, false); hit {
+		return 0
 	}
 	t.Misses++
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].lru < ways[victim].lru {
-			victim = i
-		}
-	}
-	ways[victim] = line{tag: page, valid: true, lru: t.tick}
 	return t.penalty
 }
 

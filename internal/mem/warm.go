@@ -13,62 +13,22 @@ package mem
 // installed dirty, so measured-region evictions of warm dirty lines still
 // count as writebacks — matching a cache warmed by real execution.
 func (c *Cache) Warm(addr uint64, store bool) (hit bool) {
-	c.tick++
-	set, tag := c.index(addr)
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].lru = c.tick
-			if store {
-				ways[i].dirty = true
-			}
-			return true
-		}
-	}
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].lru < ways[victim].lru {
-			victim = i
-		}
-	}
-	ways[victim] = line{tag: tag, valid: true, dirty: store, lru: c.tick}
-	return false
+	hit, _ = c.touch(addr, store)
+	return hit
 }
 
 // Warm installs the translation for addr without counting an access or a
 // miss, reporting whether the translation was already present.
 func (t *TLB) Warm(addr uint64) (hit bool) {
-	t.tick++
-	page := addr >> t.pageShift
-	set := page & t.setMask
-	ways := t.entries[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == page {
-			ways[i].lru = t.tick
-			return true
-		}
-	}
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].lru < ways[victim].lru {
-			victim = i
-		}
-	}
-	ways[victim] = line{tag: page, valid: true, lru: t.tick}
-	return false
+	hit, _ = t.touch(addr, false)
+	return hit
 }
 
 // warmData warms the data path for one access: the D-TLB and the L1D,
 // touching the L2 only when the L1D warm-touch misses — the same
-// filtering a demand miss path applies.
+// filtering a demand miss path applies. (It is profileData without the
+// classification; calling that and dropping the result measured ~2%
+// slower per warm access, DESIGN.md §9.2, so the seven lines stay.)
 func (h *Hierarchy) warmData(addr uint64, store bool) {
 	if h.tlb != nil {
 		h.tlb.Warm(addr)

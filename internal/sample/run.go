@@ -56,22 +56,6 @@ type Outcome struct {
 	TotalInstr uint64
 }
 
-// liveWarm adapts a persistent cache hierarchy and branch predictor to
-// the emulator's warm-sink interface: the functional stream between
-// measured intervals feeds them directly, with no ring bound, so each
-// interval's detailed core inherits the program's full access history.
-type liveWarm struct {
-	h  *mem.Hierarchy
-	bp *bpred.Predictor
-}
-
-func (w liveWarm) WarmFetch(line uint64) { w.h.WarmFetch(line) }
-func (w liveWarm) WarmLoad(a uint64)     { w.h.WarmLoad(a) }
-func (w liveWarm) WarmStore(a uint64)    { w.h.WarmStore(a) }
-func (w liveWarm) WarmBranch(b emu.WarmBranch) {
-	w.bp.WarmBranch(b.PC, b.Target, b.Taken, b.Cond, b.BTB)
-}
-
 // ProgramLength runs a throwaway functional machine to completion and
 // returns the program's dynamic instruction count — what auto-period
 // plans resolve against. It costs one emulator pass (~200M instrs/s);
@@ -111,10 +95,10 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	}
 	out := &Outcome{Plan: plan}
 	m := emu.New(prog)
-	warm := liveWarm{h: mem.NewHierarchy(cfg.Mem), bp: bpred.New(cfg.Bpred)}
+	warm := core.WarmSink{H: mem.NewHierarchy(cfg.Mem), BP: bpred.New(cfg.Bpred)}
 
 	// Aggregated measured-window memory-system counters.
-	var dl1Acc, dl1Miss, l2Acc, l2Miss, tlbAcc, tlbMiss uint64
+	var dl1, l2, tlb mem.CacheStats
 	var cpis []float64
 
 	for k := 0; k < plan.Intervals; k++ {
@@ -129,79 +113,50 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 			break
 		}
 
-		cp := m.Checkpoint()
-		p, err := core.New(cfg, prog)
+		// Hand the persistent warm state to this interval's core through a
+		// copy-on-write checkpoint. The in-flight fill table carries cycle
+		// stamps from the previous interval's clock; drop it (cache
+		// contents stay). The predictor goes over as a CLONE: the shared
+		// copy stays architectural-stream-pure, because a core's in-window
+		// speculation (and the abandoned in-flight tail when its budget
+		// expires) would otherwise contaminate the trained state later
+		// intervals inherit — a sliver of extra mispredicts that a deep
+		// window amplifies into tens of percent of IPC error.
+		warm.H.ResetTiming()
+		w, err := core.RunWindow(ctx, cfg, prog, core.Window{
+			Start:     m.Checkpoint(),
+			Hier:      warm.H,
+			Bpred:     warm.BP.Clone(),
+			Warmup:    plan.Warmup,
+			Measure:   plan.Length,
+			MaxCycles: maxCycles,
+		})
 		if err != nil {
-			return nil, err
-		}
-		// Hand the persistent warm state to this interval's core. The
-		// in-flight fill table carries cycle stamps from the previous
-		// interval's clock; drop it (cache contents stay). The predictor
-		// goes over as a CLONE: the shared copy stays architectural-stream-
-		// pure, because a core's in-window speculation (and the abandoned
-		// in-flight tail when its budget expires) would otherwise
-		// contaminate the trained state later intervals inherit — a sliver
-		// of extra mispredicts that a deep window amplifies into tens of
-		// percent of IPC error.
-		warm.h.ResetTiming()
-		if err := p.AdoptWarmState(warm.h, warm.bp.Clone()); err != nil {
-			return nil, intervalErr(k, prog.Name, err)
-		}
-		if err := p.RestoreCheckpoint(cp); err != nil {
 			return nil, fmt.Errorf("sample: interval %d of %s: %w", k, prog.Name, err)
 		}
-
-		// Detailed warmup (not measured), then the measured unit. Budgets
-		// are absolute committed counts on one continuing processor, so
-		// the second RunContext picks up exactly where the first stopped.
-		var pre core.Stats
-		var preDL1, preL2 struct{ acc, miss uint64 }
-		var preTLBAcc, preTLBMiss uint64
-		if plan.Warmup > 0 {
-			st, err := p.RunContext(ctx, plan.Warmup, maxCycles)
-			if err != nil && !errors.Is(err, core.ErrBudget) {
-				return nil, intervalErr(k, prog.Name, err)
-			}
-			if err == nil || st.Committed < plan.Warmup {
-				// Halted (or cycle-bounded) inside warmup: no measured
-				// window exists for this interval.
-				out.Halted = err == nil
-				break
-			}
-			pre = *st
-			h := p.Hierarchy()
-			l1d, l2 := h.L1DStats(), h.L2Stats()
-			preDL1.acc, preDL1.miss = l1d.Accesses, l1d.Misses
-			preL2.acc, preL2.miss = l2.Accesses, l2.Misses
-			preTLBAcc, preTLBMiss = h.TLBStats()
+		if !w.Measured {
+			// Halted (or cycle-bounded) inside warmup: no measured window
+			// exists for this interval.
+			out.Halted = w.Halted
+			break
 		}
-		st, err := p.RunContext(ctx, plan.Detailed(), maxCycles)
-		if err != nil && !errors.Is(err, core.ErrBudget) {
-			return nil, intervalErr(k, prog.Name, err)
-		}
-		win := st.Delta(pre)
-		if win.Committed > 0 && win.Cycles > 0 {
+		if win := w.Stats; win.Committed > 0 && win.Cycles > 0 {
 			out.Stats.Accumulate(win)
 			out.IntervalIPCs = append(out.IntervalIPCs, win.IPC)
 			cpis = append(cpis, float64(win.Cycles)/float64(win.Committed))
-			h := p.Hierarchy()
-			l1d, l2 := h.L1DStats(), h.L2Stats()
-			dl1Acc += l1d.Accesses - preDL1.acc
-			dl1Miss += l1d.Misses - preDL1.miss
-			l2Acc += l2.Accesses - preL2.acc
-			l2Miss += l2.Misses - preL2.miss
-			ta, tm := h.TLBStats()
-			tlbAcc += ta - preTLBAcc
-			tlbMiss += tm - preTLBMiss
+			addCounts(&dl1, w.L1D)
+			addCounts(&l2, w.L2)
+			addCounts(&tlb, w.TLB)
 			if progress != nil {
 				progress(len(out.IntervalIPCs), plan.Intervals)
 			}
 		}
-		if err == nil {
+		detailed := w.Warmed + w.Stats.Committed
+		if w.Halted {
 			// The program halted inside the detailed window: the partial
 			// window above (if any) is the final interval.
 			out.Halted = true
-			m.InstrCount += st.Committed // advance TotalInstr bookkeeping
+			m.InstrCount += detailed // advance TotalInstr bookkeeping
 			break
 		}
 
@@ -211,7 +166,7 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 		// refreshed in architectural order, scrubbing the abandoned
 		// interval's speculative leftovers. Every instruction of the
 		// program thus trains the shared warm state exactly once.
-		if _, err := m.RunSink(st.Committed, warm); err != nil && !errors.Is(err, emu.ErrNotHalted) {
+		if _, err := m.RunSink(detailed, warm); err != nil && !errors.Is(err, emu.ErrNotHalted) {
 			return nil, fmt.Errorf("sample: advancing past interval %d of %s: %w", k, prog.Name, err)
 		}
 	}
@@ -233,20 +188,32 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	if out.TotalInstr > out.Stats.Committed {
 		out.Stats.Skipped = out.TotalInstr - out.Stats.Committed
 	}
-	out.DL1Miss = ratio(dl1Miss, dl1Acc)
-	out.L2Local = ratio(l2Miss, l2Acc)
-	out.TLBMiss = ratio(tlbMiss, tlbAcc)
+	out.DL1Miss = dl1.MissRatio()
+	out.L2Local = l2.MissRatio()
+	out.TLBMiss = tlb.MissRatio()
 	out.BrAcc = out.Stats.CondAccuracy()
 	return out, nil
 }
 
-func intervalErr(k int, bench string, err error) error {
-	return fmt.Errorf("sample: interval %d of %s: %w", k, bench, err)
+func addCounts(sum *mem.CacheStats, w mem.CacheStats) {
+	sum.Accesses += w.Accesses
+	sum.Misses += w.Misses
+	sum.Writebacks += w.Writebacks
 }
 
-func ratio(num, den uint64) float64 {
-	if den == 0 {
-		return 0
+// OneWindow reports a single contiguous detailed window — a plain or
+// skip/measure run — in the sampled run's currency, so every surface maps
+// one Outcome type onto its own view. Nothing is re-derived: the stats,
+// IPC and ratios are the window's own.
+func OneWindow(w core.WindowResult) *Outcome {
+	return &Outcome{
+		Stats:      w.Stats,
+		MeanIPC:    w.Stats.IPC,
+		DL1Miss:    w.L1D.MissRatio(),
+		L2Local:    w.L2.MissRatio(),
+		TLBMiss:    w.TLB.MissRatio(),
+		BrAcc:      w.Stats.CondAccuracy(),
+		Halted:     w.Halted,
+		TotalInstr: w.Stats.Skipped + w.Stats.Committed,
 	}
-	return float64(num) / float64(den)
 }

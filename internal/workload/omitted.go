@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"sort"
-
-	"largewindow/internal/isa"
-)
+import "largewindow/internal/isa"
 
 // The paper omits two programs from its suites: "We omit several
 // benchmarks either because the L1 data cache miss ratios are below 1% or
@@ -21,33 +17,6 @@ func init() {
 
 func registerOmitted(name string, suite Suite, build func(Scale) *isa.Program) {
 	registry[name] = Spec{Name: name, Suite: suite, Build: build, Omitted: true}
-}
-
-// GetOmitted looks up a benchmark the paper excluded from its suites.
-//
-// Deprecated: omitted kernels live in the main registry now — use Get
-// and check Spec.Omitted. Kept as a thin wrapper for old callers.
-func GetOmitted(name string) (Spec, bool) {
-	s, ok := Get(name)
-	if !ok || !s.Omitted {
-		return Spec{}, false
-	}
-	return s, true
-}
-
-// OmittedNames lists the excluded benchmarks.
-//
-// Deprecated: filter All-style listings by Spec.Omitted instead; this
-// wrapper derives the list from the registry.
-func OmittedNames() []string {
-	var out []string
-	for name, s := range registry {
-		if s.Omitted {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // buildHealth models Olden health: a four-way hierarchy of villages, each

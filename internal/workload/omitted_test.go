@@ -6,17 +6,23 @@ import (
 	"largewindow/internal/emu"
 )
 
+// omittedNames are the two kernels the paper excluded (omitted.go).
+var omittedNames = []string{"ammp", "health"}
+
 func TestOmittedExcludedFromSuites(t *testing.T) {
-	if got := OmittedNames(); len(got) != 2 || got[0] != "ammp" || got[1] != "health" {
-		t.Fatalf("OmittedNames = %v, want [ammp health]", got)
+	omitted := 0
+	for _, sp := range registry {
+		if sp.Omitted {
+			omitted++
+		}
 	}
-	for _, name := range OmittedNames() {
+	if omitted != len(omittedNames) {
+		t.Fatalf("registry marks %d kernels omitted, want %v", omitted, omittedNames)
+	}
+	for _, name := range omittedNames {
 		sp, ok := Get(name)
 		if !ok || !sp.Omitted {
 			t.Errorf("%s not retrievable via Get with Omitted set", name)
-		}
-		if _, ok := GetOmitted(name); !ok {
-			t.Errorf("%s not retrievable via the deprecated GetOmitted wrapper", name)
 		}
 	}
 	for _, sp := range All() {
@@ -24,13 +30,10 @@ func TestOmittedExcludedFromSuites(t *testing.T) {
 			t.Errorf("%s leaked into the evaluation suites", sp.Name)
 		}
 	}
-	if _, ok := GetOmitted("art"); ok {
-		t.Error("suite benchmark retrievable via GetOmitted")
-	}
 }
 
 func TestOmittedKernelsTerminate(t *testing.T) {
-	for _, name := range OmittedNames() {
+	for _, name := range omittedNames {
 		spec, _ := Get(name)
 		m := emu.New(spec.Build(ScaleTest))
 		n, err := m.Run(30_000_000)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestWithSkipSetsMeasuredWindow(t *testing.T) {
-	prog := Benchmark("gzip", ScaleTest)
+	prog := mustProgram(t, "gzip", ScaleTest)
 	res, err := SimulateContext(context.Background(), BaseConfig(), prog,
 		WithSkip(5_000), WithMeasure(3_000))
 	if err != nil {
@@ -28,12 +28,12 @@ func TestWithSkipSetsMeasuredWindow(t *testing.T) {
 func TestWithCheckpointSharesOneFunctionalPass(t *testing.T) {
 	// One FastForward pass, reused across two configurations — the v2
 	// surface of the campaign-level checkpoint sharing.
-	cp, err := FastForward(Benchmark("gzip", ScaleTest), 5_000)
+	cp, err := FastForward(mustProgram(t, "gzip", ScaleTest), 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{BaseConfig(), WIBConfig()} {
-		res, err := SimulateContext(context.Background(), cfg, Benchmark("gzip", ScaleTest),
+		res, err := SimulateContext(context.Background(), cfg, mustProgram(t, "gzip", ScaleTest),
 			WithCheckpoint(cp), WithMeasure(2_000))
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
@@ -47,16 +47,16 @@ func TestWithCheckpointSharesOneFunctionalPass(t *testing.T) {
 func TestWithCheckpointMatchesWithSkip(t *testing.T) {
 	// WithSkip builds internally exactly what FastForward+WithCheckpoint
 	// builds externally: identical stats either way.
-	viaSkip, err := SimulateContext(context.Background(), BaseConfig(), Benchmark("art", ScaleTest),
+	viaSkip, err := SimulateContext(context.Background(), BaseConfig(), mustProgram(t, "art", ScaleTest),
 		WithSkip(4_000), WithMeasure(2_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := FastForward(Benchmark("art", ScaleTest), 4_000)
+	cp, err := FastForward(mustProgram(t, "art", ScaleTest), 4_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCp, err := SimulateContext(context.Background(), BaseConfig(), Benchmark("art", ScaleTest),
+	viaCp, err := SimulateContext(context.Background(), BaseConfig(), mustProgram(t, "art", ScaleTest),
 		WithCheckpoint(cp), WithMeasure(2_000))
 	if err != nil {
 		t.Fatal(err)
@@ -67,12 +67,12 @@ func TestWithCheckpointMatchesWithSkip(t *testing.T) {
 }
 
 func TestSkipZeroIsPlainRun(t *testing.T) {
-	plain, err := SimulateContext(context.Background(), BaseConfig(), Benchmark("gzip", ScaleTest),
+	plain, err := SimulateContext(context.Background(), BaseConfig(), mustProgram(t, "gzip", ScaleTest),
 		WithMaxInstr(5_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	skipped, err := SimulateContext(context.Background(), BaseConfig(), Benchmark("gzip", ScaleTest),
+	skipped, err := SimulateContext(context.Background(), BaseConfig(), mustProgram(t, "gzip", ScaleTest),
 		WithSkip(0), WithMaxInstr(5_000))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package largewindow
 
 import (
+	"context"
 	"testing"
 
 	"largewindow/internal/isa"
@@ -22,6 +23,21 @@ func tinyProgram(t *testing.T) *Program {
 	return p
 }
 
+// mustProgram builds a registry kernel (or any workload ref) at the given
+// scale — the fixture most facade tests start from.
+func mustProgram(t testing.TB, ref string, scale Scale) *Program {
+	t.Helper()
+	w, err := ParseWorkloadRef(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Build(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 func TestSimulateMatchesEmulate(t *testing.T) {
 	prog := tinyProgram(t)
 	ref, err := Emulate(prog, 1_000_000)
@@ -31,7 +47,7 @@ func TestSimulateMatchesEmulate(t *testing.T) {
 	if ref.IntReg[isa.A0] != 200 {
 		t.Errorf("emulated A0 = %d", ref.IntReg[isa.A0])
 	}
-	res, err := Simulate(BaseConfig(), prog, 0)
+	res, err := SimulateContext(context.Background(), BaseConfig(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +63,8 @@ func TestSimulateMatchesEmulate(t *testing.T) {
 }
 
 func TestSimulateBudget(t *testing.T) {
-	prog := Benchmark("gzip", ScaleTest)
-	res, err := Simulate(BaseConfig(), prog, 2_000)
+	prog := mustProgram(t, "gzip", ScaleTest)
+	res, err := SimulateContext(context.Background(), BaseConfig(), prog, WithMaxInstr(2_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +82,10 @@ func TestBenchmarkNames(t *testing.T) {
 		t.Fatalf("benchmarks = %d, want 18", len(names))
 	}
 	for _, n := range names {
-		if Benchmark(n, ScaleTest) == nil {
+		if mustProgram(t, n, ScaleTest) == nil {
 			t.Errorf("benchmark %s nil", n)
 		}
 	}
-}
-
-func TestBenchmarkUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for unknown benchmark")
-		}
-	}()
-	Benchmark("nope", ScaleTest)
 }
 
 func TestConfigConstructors(t *testing.T) {
@@ -100,7 +107,7 @@ func TestConfigConstructors(t *testing.T) {
 func TestSimulateRejectsBadConfig(t *testing.T) {
 	cfg := BaseConfig()
 	cfg.ActiveList = -1
-	if _, err := Simulate(cfg, tinyProgram(t), 0); err == nil {
+	if _, err := SimulateContext(context.Background(), cfg, tinyProgram(t)); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

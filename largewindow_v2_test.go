@@ -10,29 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"largewindow/internal/core"
 	"largewindow/internal/telemetry"
 )
 
-func TestSimulateContextMatchesSimulate(t *testing.T) {
-	prog := tinyProgram(t)
-	v1, err := Simulate(BaseConfig(), prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := SimulateContext(context.Background(), BaseConfig(), tinyProgram(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v2.Halted {
-		t.Error("v2 run did not halt")
-	}
-	if v1.Stats.Cycles != v2.Stats.Cycles || v1.Stats.StreamHash != v2.Stats.StreamHash {
-		t.Errorf("v1 and v2 runs diverge: %d/%d cycles", v1.Stats.Cycles, v2.Stats.Cycles)
-	}
-}
-
 func TestSimulateContextMaxInstr(t *testing.T) {
-	prog := Benchmark("gzip", ScaleTest)
+	prog := mustProgram(t, "gzip", ScaleTest)
 	res, err := SimulateContext(context.Background(), BaseConfig(), prog, WithMaxInstr(2_000))
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +29,7 @@ func TestSimulateContextMaxInstr(t *testing.T) {
 }
 
 func TestSimulateContextMaxCycles(t *testing.T) {
-	prog := Benchmark("gzip", ScaleTest)
+	prog := mustProgram(t, "gzip", ScaleTest)
 	res, err := SimulateContext(context.Background(), BaseConfig(), prog, WithMaxCycles(500))
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +45,7 @@ func TestSimulateContextMaxCycles(t *testing.T) {
 func TestSimulateContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already dead before the run starts
-	prog := Benchmark("mst", ScaleRun)
+	prog := mustProgram(t, "mst", ScaleRun)
 	_, err := SimulateContext(ctx, BaseConfig(), prog)
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
@@ -72,9 +55,44 @@ func TestSimulateContextCancellation(t *testing.T) {
 	}
 }
 
+// TestSimulateContextLabelsFailures: a structured failure out of the
+// facade names the workload it ran — plain and sampled alike — so a crash
+// dump written from it replays.
+func TestSimulateContextLabelsFailures(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	w, err := ParseWorkloadRef("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ParseSamplingPlan("n=2,len=200,warm=100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string][]Option{
+		"plain":   {WithWorkload(w, ScaleTest)},
+		"sampled": {WithWorkload(w, ScaleTest), WithSampling(plan)},
+	} {
+		_, err := SimulateContext(ctx, BaseConfig(), nil, opts...)
+		var se *core.SimError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: err = %v, want a SimError", name, err)
+		}
+		if se.Bench != "gzip" || se.Scale != "test" {
+			t.Errorf("%s: SimError labelled %q/%q, want gzip/test", name, se.Bench, se.Scale)
+		}
+	}
+	// A bare program has a name but no scale.
+	_, err = SimulateContext(ctx, BaseConfig(), mustProgram(t, "gzip", ScaleTest))
+	var se *core.SimError
+	if !errors.As(err, &se) || se.Bench != "gzip" || se.Scale != "" {
+		t.Errorf("bare program: err = %v, want a SimError labelled gzip with no scale", err)
+	}
+}
+
 func TestSimulateContextTelemetry(t *testing.T) {
 	var buf bytes.Buffer
-	prog := Benchmark("gzip", ScaleTest)
+	prog := mustProgram(t, "gzip", ScaleTest)
 	res, err := SimulateContext(context.Background(), BaseConfig(), prog,
 		WithMaxInstr(5_000), WithTelemetry(&buf, 256))
 	if err != nil {
@@ -93,39 +111,8 @@ func TestSimulateContextTelemetry(t *testing.T) {
 	}
 }
 
-func TestLookupBenchmark(t *testing.T) {
-	prog, err := LookupBenchmark("art", ScaleTest)
-	if err != nil || prog == nil {
-		t.Fatalf("LookupBenchmark(art) = %v, %v", prog, err)
-	}
-	_, err = LookupBenchmark("nope", ScaleTest)
-	if err == nil {
-		t.Fatal("unknown benchmark accepted")
-	}
-	// The error must teach the caller the valid names.
-	for _, name := range []string{"art", "gzip", "treeadd"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list %q", err, name)
-		}
-	}
-}
-
-func TestBenchmarkPanicListsNames(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic for unknown benchmark")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "gzip") {
-			t.Errorf("panic %v does not list valid benchmarks", r)
-		}
-	}()
-	Benchmark("nope", ScaleTest)
-}
-
 func TestResultJSONRoundTrip(t *testing.T) {
-	prog := Benchmark("gzip", ScaleTest)
+	prog := mustProgram(t, "gzip", ScaleTest)
 	res, err := SimulateContext(context.Background(), BaseConfig(), prog, WithMaxInstr(5_000))
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +158,19 @@ func TestResultJSONGoldenV1(t *testing.T) {
 	if res.Stats.AvgMLP() == 0 {
 		t.Error("golden MLP accumulators lost in decode")
 	}
+	// And back: the encoder must reproduce the golden byte for byte
+	// (the file is hand-indented, so compare compacted).
+	back, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, data); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, want.Bytes()) {
+		t.Errorf("re-encoded golden differs from testdata/result_v1.json:\n got %s\nwant %s", back, want.Bytes())
+	}
 }
 
 func TestResultJSONRejectsFutureSchema(t *testing.T) {
@@ -211,6 +211,13 @@ func TestParseWorkloadRef(t *testing.T) {
 			t.Errorf("ParseWorkloadRef(%q) accepted", bad)
 		}
 	}
+	// An unknown kernel name must teach the caller the valid ones.
+	_, err = ParseWorkloadRef("nope")
+	for _, name := range []string{"art", "gzip", "treeadd"} {
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("error %v does not list %q", err, name)
+		}
+	}
 }
 
 func TestWithWorkload(t *testing.T) {
@@ -234,7 +241,7 @@ func TestWithWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := SimulateContext(ctx, BaseConfig(), Benchmark("gzip", ScaleTest), WithMaxInstr(3_000))
+	v1, err := SimulateContext(ctx, BaseConfig(), mustProgram(t, "gzip", ScaleTest), WithMaxInstr(3_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +254,7 @@ func TestWithWorkload(t *testing.T) {
 	}
 
 	// Supplying both prog and workload is an error; so is neither.
-	if _, err := SimulateContext(ctx, BaseConfig(), Benchmark("gzip", ScaleTest), WithWorkload(bw, ScaleTest)); err == nil {
+	if _, err := SimulateContext(ctx, BaseConfig(), mustProgram(t, "gzip", ScaleTest), WithWorkload(bw, ScaleTest)); err == nil {
 		t.Error("prog + WithWorkload accepted")
 	}
 	if _, err := SimulateContext(ctx, BaseConfig(), nil); err == nil {

@@ -7,24 +7,17 @@ import (
 	"largewindow/internal/schema"
 )
 
-// resultWire is Result's stable JSON shape. The schema_version field is
-// stamped on encode and checked on decode, so results persisted by one
-// release (campaign caches, -telemetry-out captures, crash-dump
+// resultFields is Result without its JSON methods, so the wire wrapper
+// below encodes Result's own tagged fields instead of recursing.
+type resultFields Result
+
+// resultWire is Result's JSON shape: its fields behind a schema_version
+// stamp, written on encode and checked on decode, so results persisted
+// by one release (campaign caches, -telemetry-out captures, crash-dump
 // attachments) decode — or fail loudly — under another.
 type resultWire struct {
-	SchemaVersion    int     `json:"schema_version"`
-	Stats            Stats   `json:"stats"`
-	DL1MissRatio     float64 `json:"dl1_miss_ratio"`
-	L2LocalMissRatio float64 `json:"l2_local_miss_ratio"`
-	TLBMissRatio     float64 `json:"tlb_miss_ratio"`
-	Halted           bool    `json:"halted"`
-
-	// Sampled-run fields, present (schema v2) only for WithSampling runs.
-	Sampling     *SamplingPlan `json:"sampling,omitempty"`
-	Intervals    int           `json:"intervals,omitempty"`
-	IPCStdDev    float64       `json:"ipc_stddev,omitempty"`
-	IPCCI95      float64       `json:"ipc_ci95,omitempty"`
-	IntervalIPCs []float64     `json:"interval_ipcs,omitempty"`
+	SchemaVersion int `json:"schema_version"`
+	resultFields
 }
 
 // MarshalJSON encodes the result with the minimal schema version its
@@ -37,19 +30,7 @@ func (r Result) MarshalJSON() ([]byte, error) {
 	if r.Sampling != nil {
 		version = 2
 	}
-	return json.Marshal(resultWire{
-		SchemaVersion:    version,
-		Stats:            r.Stats,
-		DL1MissRatio:     r.DL1MissRatio,
-		L2LocalMissRatio: r.L2LocalMissRatio,
-		TLBMissRatio:     r.TLBMissRatio,
-		Halted:           r.Halted,
-		Sampling:         r.Sampling,
-		Intervals:        r.Intervals,
-		IPCStdDev:        r.IPCStdDev,
-		IPCCI95:          r.IPCCI95,
-		IntervalIPCs:     r.IntervalIPCs,
-	})
+	return json.Marshal(resultWire{SchemaVersion: version, resultFields: resultFields(r)})
 }
 
 // UnmarshalJSON decodes a result, rejecting encodings from a newer
@@ -63,17 +44,6 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 	if err := schema.Check(w.SchemaVersion, schema.ResultVersion, "result"); err != nil {
 		return err
 	}
-	*r = Result{
-		Stats:            w.Stats,
-		DL1MissRatio:     w.DL1MissRatio,
-		L2LocalMissRatio: w.L2LocalMissRatio,
-		TLBMissRatio:     w.TLBMissRatio,
-		Halted:           w.Halted,
-		Sampling:         w.Sampling,
-		Intervals:        w.Intervals,
-		IPCStdDev:        w.IPCStdDev,
-		IPCCI95:          w.IPCCI95,
-		IntervalIPCs:     w.IntervalIPCs,
-	}
+	*r = Result(w.resultFields)
 	return nil
 }

@@ -48,25 +48,6 @@ go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
 echo "== fault-injection smoke sweep =="
 go test -count=1 -run 'TestCampaignDetectsEveryFault|TestWatchdogFaultsBounded' ./internal/fault/
 
-echo "== deprecated Simulate() is facade-only =="
-# New code takes SimulateContext; the one legitimate Simulate caller is
-# the deprecated wrapper itself (and its own regression test).
-if grep -rn 'largewindow\.Simulate(' cmd/ examples/ internal/ 2>/dev/null; then
-    echo "FAIL: call sites above use the deprecated largewindow.Simulate — use SimulateContext"
-    exit 1
-fi
-
-echo "== deprecated workload lookups are facade-only =="
-# New code resolves workloads through workload.Source / ParseRef; the
-# legacy Benchmark()/LookupBenchmark()/GetOmitted()/OmittedNames()
-# entry points survive only as thin wrappers in the root package and
-# internal/workload itself.
-if grep -rn 'largewindow\.Benchmark(\|largewindow\.LookupBenchmark(\|GetOmitted\|OmittedNames' \
-        cmd/ examples/ internal/ --include='*.go' | grep -v '^internal/workload/'; then
-    echo "FAIL: call sites above use deprecated workload lookups — use workload.ParseRef / Source"
-    exit 1
-fi
-
 echo "== trace record -> replay bit-identity + byte-identity goldens =="
 # The acceptance bar for the trace frontend (DESIGN.md §13): replaying a
 # recorded trace must produce Stats bit-identical to simulating the
@@ -317,110 +298,6 @@ if ! diff -u "$smpdir/first.out" "$smpdir/second.out"; then
 fi
 rm -rf "$smpdir"
 echo "  sampled: race-clean at -parallel 4, 0 cells recomputed on resume, tables identical"
-
-# The one snapshot scripts/bench.sh writes; every gate below reads it.
-benchref=BENCH_PR10.json
-
-echo "== simulator throughput vs $benchref =="
-# Quick regression smoke: re-measure instrs/s for each throughput config
-# and compare against the recorded snapshot. The threshold is generous
-# (0.4x) — it catches "the fast path fell off" regressions, not machine
-# noise. Refresh the snapshot with `make bench` after intentional changes.
-if [ -f "$benchref" ] && command -v jq >/dev/null 2>&1; then
-    go test -run '^$' -bench '^BenchmarkSimulatorThroughput$' \
-        -benchtime 1s -count 1 . >/tmp/bench_now.$$ || { cat /tmp/bench_now.$$; exit 1; }
-    awk '
-    /^Benchmark/ {
-        name = $1
-        sub(/-[0-9]+$/, "", name); sub(/^Benchmark/, "", name)
-        for (i = 3; i < NF; i += 2) if ($(i+1) == "instrs/s") print name, $i
-    }' /tmp/bench_now.$$ | while read -r name now; do
-        ref=$(jq -r --arg n "$name" \
-            '.results[] | select(.bench == $n) | .instrs_per_sec // empty' "$benchref")
-        if [ -z "$ref" ]; then
-            echo "  $name: ${now} instrs/s (no reference recorded)"
-            continue
-        fi
-        awk -v name="$name" -v now="$now" -v ref="$ref" 'BEGIN {
-            delta = 100 * (now - ref) / ref
-            printf "  %s: %.0f instrs/s vs recorded %.0f (%+.1f%%)\n", name, now, ref, delta
-            if (now < 0.4 * ref) {
-                printf "  FAIL: %s throughput below 0.4x the recorded snapshot\n", name
-                exit 1
-            }
-        }' || { rm -f /tmp/bench_now.$$; exit 1; }
-    done
-    rm -f /tmp/bench_now.$$
-else
-    echo "  skipped (no $benchref or jq)"
-fi
-
-echo "== checkpointed-campaign speedup vs detailed-only =="
-# PR 5's acceptance bar: a multi-config sweep with a functional skip must
-# beat detailed-only execution by >= 3x wall-clock (recorded by
-# scripts/bench.sh).
-if [ -f "$benchref" ] && command -v jq >/dev/null 2>&1; then
-    ckpt=$(jq -r '.results[] | select(.bench == "CheckpointedCampaign") | .ckpt_speedup // empty' "$benchref")
-    if [ -z "$ckpt" ]; then
-        echo "FAIL: $benchref records no ckpt_speedup"
-        exit 1
-    fi
-    awk -v s="$ckpt" 'BEGIN {
-        printf "  checkpointed sweep: %.2fx vs detailed-only\n", s
-        if (s < 3) { print "  FAIL: checkpoint speedup below 3x"; exit 1 }
-    }'
-else
-    echo "  skipped (no $benchref or jq)"
-fi
-
-echo "== sampled-campaign speedup and accuracy vs full detail =="
-# The sampling engine's acceptance bar: the full 18-kernel suite under
-# base + WIB, sampled under the default plan, must beat full-detail
-# execution by >= 4.5x wall-clock while keeping the mean absolute IPC
-# error of the sampled estimate at or below 2% (recorded by
-# scripts/bench.sh). The bar was 5x when PR 8 recorded 5.15x; the PR 9
-# workload.Source redesign shifted the sampled arm's constant costs,
-# and re-measurement (repeated, quiet machine, with and without the
-# PR 10 diff) is stable at 4.88-4.92x — the bar keeps a variance
-# margin under that rather than pinning the stale pre-PR-9 reference.
-if [ -f "$benchref" ] && command -v jq >/dev/null 2>&1; then
-    smp=$(jq -r '.results[] | select(.bench == "SampledCampaign") | .sample_speedup // empty' "$benchref")
-    smperr=$(jq -r '.results[] | select(.bench == "SampledCampaign") | .sample_ipc_err // empty' "$benchref")
-    if [ -z "$smp" ] || [ -z "$smperr" ]; then
-        echo "FAIL: $benchref records no sample_speedup / sample_ipc_err"
-        exit 1
-    fi
-    awk -v s="$smp" -v e="$smperr" 'BEGIN {
-        printf "  sampled suite: %.2fx vs full detail, mean |IPC error| %.2f%%\n", s, e
-        if (s < 4.5) { print "  FAIL: sampled-campaign speedup below 4.5x"; exit 1 }
-        if (e > 2) { print "  FAIL: sampled-campaign mean IPC error above 2%"; exit 1 }
-    }'
-else
-    echo "  skipped (no $benchref or jq)"
-fi
-
-echo "== model-pruned exploration speedup and accuracy vs full detail =="
-# The interval model's acceptance bar (DESIGN.md §14): a 30-config x
-# 6-kernel design-space sweep explored with model pruning must beat
-# cell-by-cell full-detail execution by >= 3x wall-clock, while the
-# calibrated per-cell cycle predictions stay within 10% mean absolute
-# error of the full-detail truth over the ENTIRE grid (recorded in
-# BENCH_PR10.json by scripts/bench.sh).
-if [ -f "$benchref" ] && command -v jq >/dev/null 2>&1; then
-    exp=$(jq -r '.results[] | select(.bench == "ModelPrunedCampaign") | .explore_speedup // empty' "$benchref")
-    mcerr=$(jq -r '.results[] | select(.bench == "ModelPrunedCampaign") | .model_cpi_err // empty' "$benchref")
-    if [ -z "$exp" ] || [ -z "$mcerr" ]; then
-        echo "FAIL: $benchref records no explore_speedup / model_cpi_err"
-        exit 1
-    fi
-    awk -v s="$exp" -v e="$mcerr" 'BEGIN {
-        printf "  explored sweep: %.2fx vs full detail, mean |CPI error| %.2f%%\n", s, e
-        if (s < 3) { print "  FAIL: model-pruned exploration speedup below 3x"; exit 1 }
-        if (e > 10) { print "  FAIL: model CPI error above 10%"; exit 1 }
-    }'
-else
-    echo "  skipped (no $benchref or jq)"
-fi
 
 echo "== model-pruned exploration smoke (audit slice + resume) =="
 # experiments -explore over the default grid must report its pruning
