@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"largewindow/internal/core"
+	"largewindow/internal/golden"
 )
 
 // wibsim runs the command in-process and returns its exit status and
@@ -19,31 +20,6 @@ func wibsim(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
-// checkGoldenText compares got with the recorded file. A missing file is
-// recorded from got and the test fails once (internal/golden's idiom, for
-// whole-text reports): after a deliberate change delete the file, run the
-// test, re-run to verify.
-func checkGoldenText(t *testing.T, path, got string) {
-	t.Helper()
-	want, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Errorf("%s was missing; recorded it, re-run to verify", path)
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("report differs from %s\n got:\n%s\nwant:\n%s", path, got, want)
-	}
-}
-
 // TestReportGolden pins the plain report byte for byte on both machines:
 // it carries no wall-clock value, so every line is simulated state.
 func TestReportGolden(t *testing.T) {
@@ -52,7 +28,7 @@ func TestReportGolden(t *testing.T) {
 		if code != 0 || stderr != "" {
 			t.Fatalf("%s: exit %d, stderr %q", config, code, stderr)
 		}
-		checkGoldenText(t, filepath.Join("testdata", "gzip_"+config+".golden"), stdout)
+		golden.CheckText(t, filepath.Join("testdata", "gzip_"+config+".golden"), stdout)
 	}
 }
 

@@ -83,3 +83,27 @@ func write(path, header string, got map[string]string) error {
 	}
 	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
+
+// CheckText is Check for a whole rendered text (a report, a set of
+// tables): got must equal the file at path byte for byte. A missing file
+// is recorded from got and the test fails once, as with Check.
+func CheckText(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Errorf("%s was missing; recorded it, re-run to verify", path)
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("text differs from %s\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"largewindow/internal/core"
+	"largewindow/internal/golden"
+	"largewindow/internal/sample"
 	"largewindow/internal/workload"
 )
 
@@ -109,27 +111,38 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-// TestExperimentsSmoke runs every experiment end-to-end on two tiny
-// kernels with a small budget: tables must render with content.
-func TestExperimentsSmoke(t *testing.T) {
+// TestExperimentTablesGolden pins every experiment's rendered tables byte
+// for byte: all ten on four kernels (one or two per suite), then Table 2
+// and Figure 5 under a sampling plan (Table 2's ±CI branch). The file was
+// recorded from the hand-written generators that preceded the declarative
+// Experiment; after a deliberate model change delete it, run once to
+// re-record, re-run to verify.
+func TestExperimentTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	s := testSession("gzip", "art", "treeadd")
 	var sb strings.Builder
-	if err := RunExperiments(s, nil, &sb); err != nil {
+	full := NewSession(Options{
+		MaxInstr:   20_000,
+		Scale:      workload.ScaleTest,
+		Benchmarks: []string{"gzip", "art", "treeadd", "mgrid"},
+	})
+	if err := RunExperiments(full, nil, &sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		"Figure 1", "Table 2", "Figure 4", "Figure 5", "Figure 6",
-		"selection policies", "Figure 7", "sensitivity",
-		"gzip", "art", "treeadd",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("experiment output missing %q", want)
-		}
+	plan, err := sample.Parse("n=4,len=500,warm=200,seed=3,random")
+	if err != nil {
+		t.Fatal(err)
 	}
+	sampled := NewSession(Options{
+		Scale:      workload.ScaleTest,
+		Benchmarks: []string{"gzip", "treeadd"},
+		Sampling:   &plan,
+	})
+	if err := RunExperiments(sampled, []string{"table2", "fig5"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	golden.CheckText(t, "testdata/experiments.golden", sb.String())
 }
 
 func TestRunExperimentsUnknownIDIgnored(t *testing.T) {
