@@ -67,7 +67,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 
@@ -79,55 +78,69 @@ import (
 	"largewindow/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs the campaign, renders
+// the tables to stdout and everything else to stderr, and returns the
+// exit status (0 ok, 1 a failed cell or campaign, 2 bad usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		runIDs  = flag.String("run", "all", "comma-separated experiment ids (see -list)")
-		list    = flag.Bool("list", false, "list experiments and exit")
-		instr   = flag.Uint64("instr", 300_000, "committed-instruction budget per run")
-		skip    = flag.Uint64("skip", 0, "fast-forward N instructions functionally before each measured region (checkpoints shared across configs)")
-		smpl    = flag.String("sample", "", "run every cell as a SMARTS sampled simulation under this plan (n=...,period=...,len=...[,warm=N,seed=S,random])")
-		bench   = flag.String("bench", "", "comma-separated benchmark subset (default all 18)")
+		runIDs  = fs.String("run", "all", "comma-separated experiment ids (see -list)")
+		list    = fs.Bool("list", false, "list experiments and exit")
+		instr   = fs.Uint64("instr", 300_000, "committed-instruction budget per run")
+		skip    = fs.Uint64("skip", 0, "fast-forward N instructions functionally before each measured region (checkpoints shared across configs)")
+		smpl    = fs.String("sample", "", "run every cell as a SMARTS sampled simulation under this plan (n=...,period=...,len=...[,warm=N,seed=S,random])")
+		bench   = fs.String("bench", "", "comma-separated benchmark subset (default all 18)")
 		wloads  workloadFlags
-		scale   = flag.String("scale", "run", "kernel scale: test, run, or full")
-		par     = flag.Int("parallel", 0, "concurrent simulations (default GOMAXPROCS)")
-		verbose = flag.Bool("v", false, "log each simulation run")
+		scale   = fs.String("scale", "run", "kernel scale: test, run, or full")
+		par     = fs.Int("parallel", 0, "concurrent simulations (default GOMAXPROCS)")
+		verbose = fs.Bool("v", false, "log each simulation run")
 
-		cacheDir = flag.String("cache-dir", "", "persist finished cells as JSON records in this directory")
-		resume   = flag.Bool("resume", false, "serve cells already in -cache-dir from disk instead of re-running them")
-		retries  = flag.Int("retries", 0, "attempts per cell across transient failures (0 = 2: run plus one retry)")
-		server   = flag.String("server", "", "execute cells on a wibserve coordinator at this base URL instead of in-process")
-		progFlag = flag.Bool("progress", true, "live campaign progress line (auto-disabled when stderr is not a terminal)")
-		watch    = flag.Bool("watch", false, "render the coordinator's live event stream as a fleet dashboard (needs -server)")
+		cacheDir = fs.String("cache-dir", "", "persist finished cells as JSON records in this directory")
+		resume   = fs.Bool("resume", false, "serve cells already in -cache-dir from disk instead of re-running them")
+		retries  = fs.Int("retries", 0, "attempts per cell across transient failures (0 = 2: run plus one retry)")
+		server   = fs.String("server", "", "execute cells on a wibserve coordinator at this base URL instead of in-process")
+		progFlag = fs.Bool("progress", true, "live campaign progress line (auto-disabled when stderr is not a terminal)")
+		watch    = fs.Bool("watch", false, "render the coordinator's live event stream as a fleet dashboard (needs -server)")
 
-		deadline  = flag.Duration("deadline", 0, "wall-clock limit per simulation (0 = none)")
-		crashDump = flag.String("crash-dump", "", "directory for per-failure JSON crash dumps")
+		deadline  = fs.Duration("deadline", 0, "wall-clock limit per simulation (0 = none)")
+		crashDump = fs.String("crash-dump", "", "directory for per-failure JSON crash dumps")
 
-		telemDir  = flag.String("telemetry-dir", "", "write one JSONL telemetry series per cell into this directory")
-		sampleIvl = flag.Int64("sample-interval", 0, "telemetry sampling period in cycles (0 = default)")
-		pprofOut  = flag.String("pprof", "", "write a CPU profile of the whole sweep")
+		telemDir  = fs.String("telemetry-dir", "", "write one JSONL telemetry series per cell into this directory")
+		sampleIvl = fs.Int64("sample-interval", 0, "telemetry sampling period in cycles (0 = default)")
+		pprofOut  = fs.String("pprof", "", "write a CPU profile of the whole sweep")
 
-		explore = flag.Bool("explore", false, "model-pruned design-space exploration instead of the experiment tables")
-		topK    = flag.Int("topk", 0, "explore: simulate the K best predicted configs in full (0 = 3)")
-		audit   = flag.Float64("audit", 0, "explore: fraction of pruned cells simulated to audit the model (0 = 0.1, negative disables)")
-		seed    = flag.Uint64("seed", 0, "explore: audit-slice selection seed (same seed + -resume re-executes nothing)")
+		explore = fs.Bool("explore", false, "model-pruned design-space exploration instead of the experiment tables")
+		topK    = fs.Int("topk", 0, "explore: simulate the K best predicted configs in full (0 = 3)")
+		audit   = fs.Float64("audit", 0, "explore: fraction of pruned cells simulated to audit the model (0 = 0.1, negative disables)")
+		seed    = fs.Uint64("seed", 0, "explore: audit-slice selection seed (same seed + -resume re-executes nothing)")
 	)
-	flag.Var(&wloads, "workload", "workload ref (bench:NAME, trace:PATH, synth:SPEC); repeatable")
-	flag.Parse()
+	fs.Var(&wloads, "workload", "workload ref (bench:NAME, trace:PATH, synth:SPEC); repeatable")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return code
+	}
 
 	if *list {
 		for _, ex := range harness.Experiments() {
-			fmt.Printf("%-8s %s\n", ex.ID, ex.Title)
+			fmt.Fprintf(stdout, "%-8s %s\n", ex.ID, ex.Title)
 		}
-		return
+		return 0
 	}
 	sc, ok := workload.ParseScale(*scale)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scale %q (valid: test, run, full)\n", *scale)
-		os.Exit(2)
+		return fail(2, "unknown scale %q (valid: test, run, full)", *scale)
 	}
 	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -cache-dir (there is no cache to resume from)")
-		os.Exit(2)
+		return fail(2, "-resume needs -cache-dir (there is no cache to resume from)")
+	}
+	if *watch && *server == "" {
+		return fail(2, "-watch needs -server (the event stream lives on the coordinator)")
 	}
 	opt := harness.Options{
 		MaxInstr:       *instr,
@@ -143,59 +156,46 @@ func main() {
 	if *smpl != "" {
 		plan, err := sample.Parse(*smpl)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, "%v", err)
 		}
 		opt.Sampling = &plan
-	}
-	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
 	}
 	if *bench != "" {
 		names := strings.Split(*bench, ",")
 		for _, n := range names {
 			if _, ok := workload.Get(n); !ok {
-				fmt.Fprintf(os.Stderr, "unknown benchmark %q; valid benchmarks:\n  %s\n",
-					n, strings.Join(workload.Names(), "\n  "))
-				os.Exit(2)
+				return fail(2, "unknown benchmark %q; valid benchmarks:\n  %s", n, strings.Join(workload.Names(), "\n  "))
 			}
 		}
 		opt.Benchmarks = names
 	}
 	for _, ref := range wloads {
 		if _, err := workload.ParseRef(ref); err != nil {
-			fmt.Fprintf(os.Stderr, "bad -workload ref: %v\n", err)
-			os.Exit(2)
+			return fail(2, "bad -workload ref: %v", err)
 		}
 		opt.Benchmarks = append(opt.Benchmarks, ref)
 	}
-	var logw io.Writer
 	if *verbose {
-		logw = os.Stderr
+		opt.Log = stderr
 	}
-	opt.Log = logw
 	opt.Retry.MaxAttempts = *retries
 
-	if *watch && *server == "" {
-		fmt.Fprintln(os.Stderr, "-watch needs -server (the event stream lives on the coordinator)")
-		os.Exit(2)
+	if *pprofOut != "" {
+		f, err := os.Create(*pprofOut)
+		if err != nil {
+			return fail(1, "%v", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(1, "%v", err)
+		}
+		defer pprof.StopCPUProfile()
 	}
 	var remote *service.Client
 	if *server != "" {
-		remote = service.NewClient(service.ClientOptions{Server: *server, Log: logw})
+		remote = service.NewClient(service.ClientOptions{Server: *server, Log: opt.Log})
 		if err := remote.Healthy(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: coordinator %s unreachable: %v\n", *server, err)
-			os.Exit(1)
+			return fail(1, "experiments: coordinator %s unreachable: %v", *server, err)
 		}
 		opt.Exec = remote.Exec
 		// Remote cells fail transiently on transport faults and lost
@@ -205,124 +205,109 @@ func main() {
 
 	s := harness.NewSession(opt)
 	if serr := s.StoreErr(); serr != nil {
-		fmt.Fprintf(os.Stderr, "experiments: cache unavailable, running without it: %v\n", serr)
+		fmt.Fprintf(stderr, "experiments: cache unavailable, running without it: %v\n", serr)
 	}
-	if *explore {
-		runExplore(s, remote, harness.ExploreOptions{TopK: *topK, AuditFrac: *audit, Seed: *seed},
-			*progFlag, *watch, *server)
-		return
-	}
-	ids := strings.Split(*runIDs, ",")
 
-	// Prime the full campaign manifest so the worker pool crunches every
-	// cell of the selected experiments concurrently while tables render
-	// in paper order.
-	workers := *par
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// The two modes differ only in what they render; what surrounds the
+	// rendering — the live line before it, the accounting after — is one
+	// sequence below.
+	var render func() error
+	var expected int
+	if *explore {
+		render = func() error {
+			return renderExploration(s, remote, harness.ExploreOptions{TopK: *topK, AuditFrac: *audit, Seed: *seed}, stdout, stderr)
+		}
+	} else {
+		// Prime the full campaign manifest so the worker pool crunches
+		// every cell of the selected experiments concurrently while tables
+		// render in paper order.
+		ids := strings.Split(*runIDs, ",")
+		manifest, err := s.ManifestFor(ids)
+		if err != nil {
+			return fail(2, "experiments: %v", err)
+		}
+		expected = s.Prime(manifest)
+		if *verbose {
+			fmt.Fprintf(stderr, "campaign: primed %d cells onto %d workers\n", expected, s.Campaign().Workers())
+		}
+		render = func() error { return harness.RunExperiments(s, ids, stdout) }
 	}
-	manifest, err := s.ManifestFor(ids)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
-	expected := s.Prime(manifest)
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "campaign: primed %d cells onto %d workers\n", expected, workers)
-	}
+
 	// -watch replaces the local progress line with the coordinator's
 	// fleet-wide view; two repainting lines would fight over the cursor.
-	var watcher *fleetWatch
-	var progress *campaign.Progress
+	stopLive := func() {}
 	if *watch {
-		watcher = watchFleet(*server)
-	} else if *progFlag && isTerminal(os.Stderr) {
-		progress = campaign.NewProgress(s.Campaign(), os.Stderr, 0, uint64(expected))
+		stopLive = watchFleet(*server, stderr).stop
+	} else if *progFlag && isTerminal(stderr) {
+		stopLive = campaign.NewProgress(s.Campaign(), stderr, 0, uint64(expected)).Stop
 	}
+	err := render()
+	stopLive()
 
-	err = harness.RunExperiments(s, ids, os.Stdout)
-	if progress != nil {
-		progress.Stop()
-	}
-	if watcher != nil {
-		watcher.stop()
-	}
-	fmt.Fprintln(os.Stderr, s.Campaign().Snapshot().Summary())
+	fmt.Fprintln(stderr, s.Campaign().Snapshot().Summary())
 	if remote != nil {
 		if st, serr := remote.Stats(); serr == nil {
-			fmt.Fprintf(os.Stderr,
+			fmt.Fprintf(stderr,
 				"coordinator: %d completed, %d failed, %d cache hits, %d retries, %d requeues, %d lease expiries\n",
 				st.Completed, st.Failed, st.CacheHits, st.Retries, st.Requeues, st.LeaseExpiries)
 		}
 	}
-	if fails := s.Failures(); len(fails) > 0 {
-		fmt.Fprintln(os.Stderr)
-		fmt.Fprint(os.Stderr, s.FailureSummary())
-		writeCrashDumps(*crashDump, fails)
+	fails := s.Failures()
+	if len(fails) > 0 {
+		fmt.Fprintln(stderr)
+		fmt.Fprint(stderr, s.FailureSummary())
+		writeCrashDumps(stderr, *crashDump, fails)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		pprof.StopCPUProfile() // os.Exit skips the deferred stop
-		os.Exit(1)
+		return fail(1, "experiments: %v", err)
 	}
+	if len(fails) > 0 {
+		return 1
+	}
+	return 0
 }
 
-// runExplore runs the model-pruned design-space exploration over the
-// default WIB/cache geometry grid and renders its Pareto table. In
+// renderExploration runs the model-pruned design-space exploration over
+// the default WIB/cache geometry grid and renders its Pareto table. In
 // server mode the pruned/audited accounting is also reported to the
 // coordinator (an empty pruned-only submission), so the fleet's
 // progress snapshots and event stream cover the whole grid.
-func runExplore(s *harness.Session, remote *service.Client, opt harness.ExploreOptions, progFlag, watch bool, server string) {
-	var watcher *fleetWatch
-	var progress *campaign.Progress
-	if watch {
-		watcher = watchFleet(server)
-	} else if progFlag && isTerminal(os.Stderr) {
-		progress = campaign.NewProgress(s.Campaign(), os.Stderr, 0, 0)
-	}
+func renderExploration(s *harness.Session, remote *service.Client, opt harness.ExploreOptions, stdout, stderr io.Writer) error {
 	rep, err := s.Explore(harness.ExploreGrid(), opt)
-	if progress != nil {
-		progress.Stop()
-	}
-	if watcher != nil {
-		watcher.stop()
-	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: explore: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("explore: %w", err)
 	}
 	for _, t := range harness.ExploreTables(rep) {
-		t.Render(os.Stdout)
-		fmt.Println()
+		t.Render(stdout)
+		fmt.Fprintln(stdout)
 	}
 	if remote != nil {
 		if _, perr := remote.SubmitPruned(nil, uint64(rep.Pruned), uint64(rep.Audited)); perr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: reporting pruned counts: %v\n", perr)
+			fmt.Fprintf(stderr, "experiments: reporting pruned counts: %v\n", perr)
 		}
 	}
-	fmt.Fprintln(os.Stderr, s.Campaign().Snapshot().Summary())
-	if fails := s.Failures(); len(fails) > 0 {
-		fmt.Fprintln(os.Stderr)
-		fmt.Fprint(os.Stderr, s.FailureSummary())
-		os.Exit(1)
-	}
+	return nil
 }
 
-// isTerminal reports whether f is an interactive terminal (the live
+// isTerminal reports whether w is an interactive terminal (the live
 // progress line is repaint-in-place and belongs only there).
-func isTerminal(f *os.File) bool {
+func isTerminal(w io.Writer) bool {
+	f, ok := w.(*os.File)
+	if !ok {
+		return false
+	}
 	st, err := f.Stat()
 	return err == nil && st.Mode()&os.ModeCharDevice != 0
 }
 
 // writeCrashDumps saves each failed cell's structured error under dir as
 // <config>-<bench>.json; a missing dir is a no-op.
-func writeCrashDumps(dir string, fails []*harness.Result) {
+func writeCrashDumps(stderr io.Writer, dir string, fails []*harness.Result) {
 	if dir == "" {
 		return
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "crash-dump dir: %v\n", err)
+		fmt.Fprintf(stderr, "crash-dump dir: %v\n", err)
 		return
 	}
 	for _, f := range fails {
@@ -334,18 +319,12 @@ func writeCrashDumps(dir string, fails []*harness.Result) {
 		if err != nil {
 			continue
 		}
-		name := strings.Map(func(r rune) rune {
-			if r == '/' || r == ' ' {
-				return '_'
-			}
-			return r
-		}, f.Config+"-"+f.Bench) + ".json"
-		path := filepath.Join(dir, name)
+		path := filepath.Join(dir, harness.CellFileName(f.Config, f.Bench, ".json"))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
+			fmt.Fprintf(stderr, "writing %s: %v\n", path, err)
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "crash dump written to %s (replay with: wibtrace -replay %s)\n", path, path)
+		fmt.Fprintf(stderr, "crash dump written to %s (replay with: wibtrace -replay %s)\n", path, path)
 	}
 }
 

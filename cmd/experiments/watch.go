@@ -3,7 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
@@ -18,20 +18,21 @@ import (
 type fleetWatch struct {
 	cancel context.CancelFunc
 	done   chan struct{}
+	stderr io.Writer
 }
 
 // watchFleet subscribes to server's SSE stream in the background.
 // Call stop when the campaign finishes.
-func watchFleet(server string) *fleetWatch {
+func watchFleet(server string, stderr io.Writer) *fleetWatch {
 	ctx, cancel := context.WithCancel(context.Background())
-	w := &fleetWatch{cancel: cancel, done: make(chan struct{})}
-	term := isTerminal(os.Stderr)
+	w := &fleetWatch{cancel: cancel, done: make(chan struct{}), stderr: stderr}
+	term := isTerminal(stderr)
 	go func() {
 		defer close(w.done)
 		lastLen := 0
 		clear := func() {
 			if term && lastLen > 0 {
-				fmt.Fprintf(os.Stderr, "\r%s\r", strings.Repeat(" ", lastLen))
+				fmt.Fprintf(stderr, "\r%s\r", strings.Repeat(" ", lastLen))
 				lastLen = 0
 			}
 		}
@@ -47,26 +48,26 @@ func watchFleet(server string) *fleetWatch {
 					if n := lastLen - len(line); n > 0 {
 						pad = strings.Repeat(" ", n)
 					}
-					fmt.Fprintf(os.Stderr, "\r%s%s", line, pad)
+					fmt.Fprintf(stderr, "\r%s%s", line, pad)
 					lastLen = len(line)
 				} else {
-					fmt.Fprintln(os.Stderr, line)
+					fmt.Fprintln(stderr, line)
 				}
 			case obs.EventHeartbeat, obs.EventSubmit:
 				// Routine chatter: heartbeats tick constantly and submits
 				// arrive in bursts the progress line already counts.
 			case obs.EventGap:
 				clear()
-				fmt.Fprintf(os.Stderr, "fleet: event stream dropped %d events (slow consumer)\n", ev.Dropped)
+				fmt.Fprintf(stderr, "fleet: event stream dropped %d events (slow consumer)\n", ev.Dropped)
 			default:
 				clear()
-				fmt.Fprintln(os.Stderr, renderFleetEvent(ev))
+				fmt.Fprintln(stderr, renderFleetEvent(ev))
 			}
 			return nil
 		})
 		clear()
 		if err != nil && ctx.Err() == nil {
-			fmt.Fprintf(os.Stderr, "fleet: watch ended: %v\n", err)
+			fmt.Fprintf(stderr, "fleet: watch ended: %v\n", err)
 		}
 	}()
 	return w
@@ -79,7 +80,7 @@ func (w *fleetWatch) stop() {
 	case <-w.done:
 	case <-time.After(2 * time.Second):
 	}
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintln(w.stderr)
 }
 
 // renderFleetLine formats one progress snapshot. Rates and ETAs arrive

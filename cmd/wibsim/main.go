@@ -115,14 +115,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, fmt.Errorf("%v (use -list for kernels, or trace:PATH / synth:SPEC)", err))
 	}
-	var sc workload.Scale
-	switch *scale {
-	case "test":
-		sc = workload.ScaleTest
-	case "full":
-		sc = workload.ScaleFull
-	default:
-		sc = workload.ScaleRun
+	sc, ok := workload.ParseScale(*scale)
+	if !ok {
+		return fail(2, fmt.Errorf("unknown scale %q (valid: test, run, full)", *scale))
 	}
 
 	var cfg core.Config

@@ -10,6 +10,7 @@ import (
 
 	"largewindow/internal/core"
 	"largewindow/internal/golden"
+	"largewindow/internal/telemetry"
 )
 
 // wibsim runs the command in-process and returns its exit status and
@@ -112,10 +113,42 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		{"-config", "nope"},
 		{"-bench", "nope"},
 		{"-sample", "n=0,len=10"},
+		{"-scale", "tset"}, // used to run silently at "run" scale
 		{"-no-such-flag"},
 	} {
 		if code, stdout, _ := wibsim(args...); code != 2 || stdout != "" {
 			t.Errorf("%v: exit %d (stdout %q), want 2 and no report", args, code, stdout)
 		}
+	}
+}
+
+// TestTelemetryArtifacts: a telemetry-sampled WIB run leaves a JSONL
+// series, a Chrome trace and a Kanata stream that the readers behind
+// `wibtrace -render` accept, with content in each.
+func TestTelemetryArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	series, chrome, kanata := filepath.Join(dir, "mgrid.jsonl"), filepath.Join(dir, "mgrid.trace.json"), filepath.Join(dir, "mgrid.kanata")
+	code, _, stderr := wibsim("-bench", "mgrid", "-scale", "test", "-config", "wib", "-instr", "200000",
+		"-telemetry", "-telemetry-out", series, "-sample-interval", "500", "-trace-out", chrome, "-kanata", kanata)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	open := func(path string) *os.File {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	samples, err := telemetry.ReadSamples(open(series))
+	if err != nil || len(samples) < 2 || samples[len(samples)-1].Counters["core.commit.instrs"] == 0 {
+		t.Errorf("sample series: %d samples, err %v", len(samples), err)
+	}
+	if st, err := telemetry.ReadChromeTrace(open(chrome)); err != nil || st.Events == 0 {
+		t.Errorf("chrome trace: %+v, err %v", st, err)
+	}
+	if st, err := telemetry.ReadKanata(open(kanata)); err != nil || st.Retired == 0 {
+		t.Errorf("kanata stream: %+v, err %v", st, err)
 	}
 }

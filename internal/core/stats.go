@@ -4,52 +4,52 @@ import "largewindow/internal/isa"
 
 // Stats accumulates everything the evaluation reports.
 type Stats struct {
-	Name string
+	Name string `json:"name,omitempty"`
 
-	Cycles    int64
-	Committed uint64
-	IPC       float64
+	Cycles    int64   `json:"cycles"`
+	Committed uint64  `json:"committed"`
+	IPC       float64 `json:"ipc"`
 
 	// Skipped counts instructions fast-forwarded functionally before the
 	// measured region began (RestoreCheckpoint); Committed and every other
 	// counter cover the measured region only.
-	Skipped uint64
+	Skipped uint64 `json:"skipped,omitempty"`
 
 	// StreamHash is the hash of the committed PC stream; it must match the
 	// functional emulator's for the same program (golden-model property).
-	StreamHash uint64
+	StreamHash uint64 `json:"stream_hash"`
 
 	// Branch prediction (committed conditional branches only, as in the
 	// paper's "Branch Dir Pred" column).
-	CondBranches uint64
-	CondCorrect  uint64
-	Mispredicts  uint64 // recoveries triggered by branches
-	Misfetches   uint64 // BTB-miss bubbles for predicted-taken transfers
+	CondBranches uint64 `json:"cond_branches"`
+	CondCorrect  uint64 `json:"cond_correct"`
+	Mispredicts  uint64 `json:"mispredicts"` // recoveries triggered by branches
+	Misfetches   uint64 `json:"misfetches"`  // BTB-miss bubbles for predicted-taken transfers
 
 	// Memory ordering.
-	Replays        uint64 // load-store order violation squashes
-	StoreWaitHits  uint64 // loads held back by the store-wait table
-	ForwardedLoads uint64
+	Replays        uint64 `json:"replays"`         // load-store order violation squashes
+	StoreWaitHits  uint64 `json:"store_wait_hits"` // loads held back by the store-wait table
+	ForwardedLoads uint64 `json:"forwarded_loads"`
 
 	// Fetch.
-	FetchedInstrs  uint64
-	SquashedInstrs uint64
+	FetchedInstrs  uint64 `json:"fetched_instrs"`
+	SquashedInstrs uint64 `json:"squashed_instrs"`
 
 	// WIB behaviour.
-	WIBInsertions    uint64 // total times instructions entered the WIB
-	WIBReinsertions  uint64 // instructions reinserted into an issue queue
-	WIBInstructions  uint64 // committed instructions that ever entered it
-	WIBMaxInsertions int    // worst single-instruction insertion count
-	BitVectorStalls  uint64 // load issues deferred for lack of a bit-vector
-	WIBPeakOccupancy int
-	HeadEvictions    uint64 // forward-progress spills of queued instructions
-	PoolSpills       uint64 // pool-of-blocks overflows (§3.5 organization)
-	SliceExecuted    uint64 // instructions executed on the slice core (§6)
+	WIBInsertions    uint64 `json:"wib_insertions"`     // total times instructions entered the WIB
+	WIBReinsertions  uint64 `json:"wib_reinsertions"`   // instructions reinserted into an issue queue
+	WIBInstructions  uint64 `json:"wib_instructions"`   // committed instructions that ever entered it
+	WIBMaxInsertions int    `json:"wib_max_insertions"` // worst single-instruction insertion count
+	BitVectorStalls  uint64 `json:"bit_vector_stalls"`  // load issues deferred for lack of a bit-vector
+	WIBPeakOccupancy int    `json:"wib_peak_occupancy"`
+	HeadEvictions    uint64 `json:"head_evictions"` // forward-progress spills of queued instructions
+	PoolSpills       uint64 `json:"pool_spills"`    // pool-of-blocks overflows (§3.5 organization)
+	SliceExecuted    uint64 `json:"slice_executed"` // instructions executed on the slice core (§6)
 
 	// Memory-level parallelism: outstanding demand-load L2 misses,
 	// accumulated over cycles with at least one outstanding (the paper's
 	// motivation is overlapping these misses; see AvgMLP).
-	MLPPeak int
+	MLPPeak int `json:"mlp_peak"`
 
 	classMix         [16]uint64
 	robOccupancy     uint64

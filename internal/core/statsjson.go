@@ -2,44 +2,21 @@ package core
 
 import "encoding/json"
 
-// statsWire is the serialized form of Stats. The unexported accumulators
-// (class mix, occupancy and MLP sums) must survive the round trip so that
-// derived metrics (AvgROBOccupancy, AvgMLP, ClassCount) computed from a
-// cache-served Result are bit-identical to a freshly executed one — the
-// campaign resume gate diffs whole tables on exactly that property.
+// statsFields is Stats without its methods: its exported fields encode
+// through their own json tags, and encoding it does not recurse into
+// MarshalJSON.
+type statsFields Stats
+
+// statsWire is the serialized form of Stats: the tagged fields plus the
+// unexported accumulators (class mix, occupancy and MLP sums), which must
+// survive the round trip so that derived metrics (AvgROBOccupancy, AvgMLP,
+// ClassCount) computed from a cache-served Result are bit-identical to a
+// freshly executed one — the campaign resume gate diffs whole tables on
+// exactly that property. A new counter needs a tagged field on Stats and
+// nothing here; a new unexported accumulator needs a line in each of the
+// three places below (TestStatsJSONGuardsNewFields fails until it has them).
 type statsWire struct {
-	Name string `json:"name,omitempty"`
-
-	Cycles     int64   `json:"cycles"`
-	Committed  uint64  `json:"committed"`
-	IPC        float64 `json:"ipc"`
-	Skipped    uint64  `json:"skipped,omitempty"`
-	StreamHash uint64  `json:"stream_hash"`
-
-	CondBranches uint64 `json:"cond_branches"`
-	CondCorrect  uint64 `json:"cond_correct"`
-	Mispredicts  uint64 `json:"mispredicts"`
-	Misfetches   uint64 `json:"misfetches"`
-
-	Replays        uint64 `json:"replays"`
-	StoreWaitHits  uint64 `json:"store_wait_hits"`
-	ForwardedLoads uint64 `json:"forwarded_loads"`
-
-	FetchedInstrs  uint64 `json:"fetched_instrs"`
-	SquashedInstrs uint64 `json:"squashed_instrs"`
-
-	WIBInsertions    uint64 `json:"wib_insertions"`
-	WIBReinsertions  uint64 `json:"wib_reinsertions"`
-	WIBInstructions  uint64 `json:"wib_instructions"`
-	WIBMaxInsertions int    `json:"wib_max_insertions"`
-	BitVectorStalls  uint64 `json:"bit_vector_stalls"`
-	WIBPeakOccupancy int    `json:"wib_peak_occupancy"`
-	HeadEvictions    uint64 `json:"head_evictions"`
-	PoolSpills       uint64 `json:"pool_spills"`
-	SliceExecuted    uint64 `json:"slice_executed"`
-
-	MLPPeak int `json:"mlp_peak"`
-
+	statsFields
 	ClassMix         [16]uint64 `json:"class_mix"`
 	ROBOccupancySum  uint64     `json:"rob_occupancy_sum"`
 	OccupancySamples uint64     `json:"occupancy_samples"`
@@ -49,38 +26,7 @@ type statsWire struct {
 
 // MarshalJSON serializes Stats including the unexported accumulators.
 func (s Stats) MarshalJSON() ([]byte, error) {
-	return json.Marshal(statsWire{
-		Name:             s.Name,
-		Cycles:           s.Cycles,
-		Committed:        s.Committed,
-		IPC:              s.IPC,
-		Skipped:          s.Skipped,
-		StreamHash:       s.StreamHash,
-		CondBranches:     s.CondBranches,
-		CondCorrect:      s.CondCorrect,
-		Mispredicts:      s.Mispredicts,
-		Misfetches:       s.Misfetches,
-		Replays:          s.Replays,
-		StoreWaitHits:    s.StoreWaitHits,
-		ForwardedLoads:   s.ForwardedLoads,
-		FetchedInstrs:    s.FetchedInstrs,
-		SquashedInstrs:   s.SquashedInstrs,
-		WIBInsertions:    s.WIBInsertions,
-		WIBReinsertions:  s.WIBReinsertions,
-		WIBInstructions:  s.WIBInstructions,
-		WIBMaxInsertions: s.WIBMaxInsertions,
-		BitVectorStalls:  s.BitVectorStalls,
-		WIBPeakOccupancy: s.WIBPeakOccupancy,
-		HeadEvictions:    s.HeadEvictions,
-		PoolSpills:       s.PoolSpills,
-		SliceExecuted:    s.SliceExecuted,
-		MLPPeak:          s.MLPPeak,
-		ClassMix:         s.classMix,
-		ROBOccupancySum:  s.robOccupancy,
-		OccupancySamples: s.occupancySamples,
-		MLPSum:           s.mlpSum,
-		MLPCyclesTotal:   s.mlpCycles,
-	})
+	return json.Marshal(statsWire{statsFields(s), s.classMix, s.robOccupancy, s.occupancySamples, s.mlpSum, s.mlpCycles})
 }
 
 // UnmarshalJSON restores Stats, including the unexported accumulators.
@@ -89,37 +35,7 @@ func (s *Stats) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	*s = Stats{
-		Name:             w.Name,
-		Cycles:           w.Cycles,
-		Committed:        w.Committed,
-		IPC:              w.IPC,
-		Skipped:          w.Skipped,
-		StreamHash:       w.StreamHash,
-		CondBranches:     w.CondBranches,
-		CondCorrect:      w.CondCorrect,
-		Mispredicts:      w.Mispredicts,
-		Misfetches:       w.Misfetches,
-		Replays:          w.Replays,
-		StoreWaitHits:    w.StoreWaitHits,
-		ForwardedLoads:   w.ForwardedLoads,
-		FetchedInstrs:    w.FetchedInstrs,
-		SquashedInstrs:   w.SquashedInstrs,
-		WIBInsertions:    w.WIBInsertions,
-		WIBReinsertions:  w.WIBReinsertions,
-		WIBInstructions:  w.WIBInstructions,
-		WIBMaxInsertions: w.WIBMaxInsertions,
-		BitVectorStalls:  w.BitVectorStalls,
-		WIBPeakOccupancy: w.WIBPeakOccupancy,
-		HeadEvictions:    w.HeadEvictions,
-		PoolSpills:       w.PoolSpills,
-		SliceExecuted:    w.SliceExecuted,
-		MLPPeak:          w.MLPPeak,
-		classMix:         w.ClassMix,
-		robOccupancy:     w.ROBOccupancySum,
-		occupancySamples: w.OccupancySamples,
-		mlpSum:           w.MLPSum,
-		mlpCycles:        w.MLPCyclesTotal,
-	}
+	*s = Stats(w.statsFields)
+	s.classMix, s.robOccupancy, s.occupancySamples, s.mlpSum, s.mlpCycles = w.ClassMix, w.ROBOccupancySum, w.OccupancySamples, w.MLPSum, w.MLPCyclesTotal
 	return nil
 }

@@ -3,58 +3,81 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"largewindow/internal/campaign"
 	"largewindow/internal/core"
+	"largewindow/internal/sample"
 	"largewindow/internal/stats"
 	"largewindow/internal/workload"
 )
 
-// Experiment regenerates one of the paper's tables or figures.
-//
-// Configs declares, ahead of execution, every configuration the Run body
-// will simulate — the same builder functions back both, so the campaign
-// manifest and the rendered tables agree cell for cell. ManifestFor uses
-// it to prime the engine with an experiment set's full cell grid before
-// any table starts rendering.
+// Row is one machine of an experiment: the label it is reported under,
+// the machine, and the machine its speedup is measured against.
+type Row struct {
+	Label string
+	Cfg   core.Config
+	Ref   *core.Config // nil = the 32-IQ/128 baseline
+}
+
+// Experiment declares one of the paper's tables or figures: the machines
+// it compares and the layout of the measured sweep. Everything else is
+// derived from the declaration: Configs is computed from Rows, the
+// campaign manifest (ManifestFor) is Configs × the selected workloads, and
+// Session.measure runs exactly Configs before a layout reads a result —
+// so the manifest and the rendered tables agree cell for cell by
+// construction.
 type Experiment struct {
-	ID      string // "fig1", "table2", ...
-	Title   string
-	Run     func(*Session) ([]*stats.Table, error)
-	Configs func() []core.Config
+	ID     string // "fig1", "table2", ...
+	Title  string
+	Rows   []Row
+	render func(*sweep) []*stats.Table
+}
+
+// Configs lists every configuration the experiment simulates: the
+// 32-IQ/128 baseline (every experiment's speedup denominator), then each
+// row's reference and machine.
+func (ex Experiment) Configs() []core.Config {
+	cfgs := []core.Config{core.DefaultConfig()}
+	for _, r := range ex.Rows {
+		if r.Ref != nil {
+			cfgs = append(cfgs, *r.Ref)
+		}
+		cfgs = append(cfgs, r.Cfg)
+	}
+	return cfgs
 }
 
 // Experiments returns every experiment in paper order (DESIGN.md §3).
 func Experiments() []Experiment {
-	return []Experiment{
-		{"fig1", "Figure 1: conventional window-size limit study", (*Session).Figure1, fig1Configs},
-		{"table2", "Table 2: benchmark performance statistics", (*Session).Table2, table2Configs},
-		{"fig4", "Figure 4: WIB performance vs. scaled conventional designs", (*Session).Figure4, fig4Configs},
-		{"fig5", "Figure 5: performance of limited bit-vectors", (*Session).Figure5, fig5Configs},
-		{"fig6", "Figure 6: WIB capacity effects", (*Session).Figure6, fig6Configs},
-		{"policy", "Section 4.4: WIB-to-issue-queue instruction selection", (*Session).PolicyStudy, policyConfigs},
-		{"fig7", "Figure 7: non-banked multicycle WIB", (*Session).Figure7, fig7Configs},
-		{"sens", "Section 4.1: memory latency / L2 size / L1D sensitivity", (*Session).Sensitivity, sensConfigs},
-		{"pool", "Section 3.5 (extension): bit-vector vs. pool-of-blocks organization", (*Session).PoolStudy, poolConfigs},
-		{"slice", "Section 6 (extension): slice execution core and register-file variants", (*Session).SliceStudy, sliceConfigs},
-	}
+	return []Experiment{fig1(), table2(), fig4(), fig5(), fig6(), policy(), fig7(), sens(), pool(), slice()}
 }
 
 // selectExperiments resolves an id list ("all" or nil = all) to the
-// experiments it names, in paper order.
-func selectExperiments(ids []string) []Experiment {
+// experiments it names, in paper order. An id that names no experiment
+// is an error, not an empty selection.
+func selectExperiments(ids []string) ([]Experiment, error) {
 	want := map[string]bool{}
 	for _, id := range ids {
 		want[id] = true
 	}
-	all := len(ids) == 0 || want["all"]
+	every := len(ids) == 0 || want["all"]
+	delete(want, "all")
 	var out []Experiment
+	valid := []string{"all"}
 	for _, ex := range Experiments() {
-		if all || want[ex.ID] {
+		valid = append(valid, ex.ID)
+		if every || want[ex.ID] {
 			out = append(out, ex)
 		}
+		delete(want, ex.ID)
 	}
-	return out
+	for _, id := range ids {
+		if want[id] {
+			return nil, fmt.Errorf("harness: unknown experiment %q (valid: %s)", id, strings.Join(valid, ", "))
+		}
+	}
+	return out, nil
 }
 
 // ManifestFor expands the named experiments ("all" or nil = all) into
@@ -63,12 +86,16 @@ func selectExperiments(ids []string) []Experiment {
 // deduplicated (the baseline appears in every experiment but once in
 // the manifest) and sorted.
 func (s *Session) ManifestFor(ids []string) (campaign.Manifest, error) {
+	exps, err := selectExperiments(ids)
+	if err != nil {
+		return campaign.Manifest{}, err
+	}
 	srcs, err := s.benchmarks()
 	if err != nil {
 		return campaign.Manifest{}, err
 	}
 	var cells []campaign.Cell
-	for _, ex := range selectExperiments(ids) {
+	for _, ex := range exps {
 		for _, cfg := range ex.Configs() {
 			for _, src := range srcs {
 				cells = append(cells, s.cell(cfg, src))
@@ -81,94 +108,262 @@ func (s *Session) ManifestFor(ids []string) (campaign.Manifest, error) {
 // RunExperiments runs the named experiments ("all" or nil = all) and
 // renders their tables to w.
 func RunExperiments(s *Session, ids []string, w io.Writer) error {
-	for _, ex := range selectExperiments(ids) {
+	exps, err := selectExperiments(ids)
+	if err != nil {
+		return err
+	}
+	for _, ex := range exps {
 		fmt.Fprintf(w, "### %s\n\n", ex.Title)
-		tables, err := ex.Run(s)
+		m, err := s.measure(ex)
 		if err != nil {
 			return fmt.Errorf("%s: %w", ex.ID, err)
 		}
-		for _, t := range tables {
+		for _, t := range ex.render(m) {
 			t.Render(w)
 		}
 	}
 	return nil
 }
 
-// baseline returns the 32-IQ/128 results.
-func (s *Session) baseline() (map[string]*Result, error) {
-	return s.RunAll(core.DefaultConfig())
+// sweep is an experiment's measured grid. res[i][j] is row i's machine on
+// workload j and ref[i][j] the machine it is measured against on the same
+// workload, both in the session's workload order.
+type sweep struct {
+	rows     []Row
+	srcs     []workload.Source
+	plan     *sample.Plan // non-nil: every cell was a sampled run
+	res, ref [][]*Result
 }
 
-// suiteSpeedupRow renders a per-suite average speedup row.
-func suiteSpeedupRow(t *stats.Table, label string, av map[workload.Suite]float64) {
-	t.AddRow(label,
-		fmt.Sprintf("%.3f (%s)", av[workload.SuiteInt], stats.Pct(av[workload.SuiteInt])),
-		fmt.Sprintf("%.3f (%s)", av[workload.SuiteFP], stats.Pct(av[workload.SuiteFP])),
-		fmt.Sprintf("%.3f (%s)", av[workload.SuiteOlden], stats.Pct(av[workload.SuiteOlden])))
+// measure runs the experiment's Configs() — exactly the list the manifest
+// was expanded from — and files the results under the rows that declared
+// them. A failed cell fails the experiment (RunAll has already let the
+// rest of that configuration finish).
+func (s *Session) measure(ex Experiment) (*sweep, error) {
+	srcs, err := s.benchmarks()
+	if err != nil {
+		return nil, err
+	}
+	var grid [][]*Result // one line per Configs() entry, in workload order
+	for _, cfg := range ex.Configs() {
+		byKey, err := s.RunAll(cfg)
+		if err != nil {
+			return nil, err
+		}
+		line := make([]*Result, len(srcs))
+		for j, src := range srcs {
+			line[j] = byKey[resultKey(src)]
+		}
+		grid = append(grid, line)
+	}
+	m := &sweep{rows: ex.Rows, srcs: srcs, plan: s.opt.Sampling}
+	next := 1 // grid[0] is the baseline; Configs() lists each row's reference, then its machine
+	for _, row := range ex.Rows {
+		ref := grid[0]
+		if row.Ref != nil {
+			ref, next = grid[next], next+1
+		}
+		m.ref, m.res = append(m.ref, ref), append(m.res, grid[next])
+		next++
+	}
+	return m, nil
 }
 
-func suiteHeader() []string {
-	return []string{"configuration", "SPEC-INT speedup", "SPEC-FP speedup", "Olden speedup"}
+// speedups returns, in workload order, row i's speedup over its reference
+// on every workload of one suite (the paper's metric; its suite averages
+// are their arithmetic means).
+func (m *sweep) speedups(i int, suite workload.Suite) []float64 {
+	var sp []float64
+	for j, src := range m.srcs {
+		if src.Suite() == suite {
+			sp = append(sp, stats.Speedup(m.res[i][j].IPC, m.ref[i][j].IPC))
+		}
+	}
+	return sp
 }
 
-// withBaseline prepends the 32-IQ/128 reference machine (every
-// experiment's speedup denominator) to an experiment's own sweep.
-func withBaseline(cfgs ...core.Config) []core.Config {
-	return append([]core.Config{core.DefaultConfig()}, cfgs...)
-}
-
-// fig1Sweep is Figure 1's conventional-window scaling ladder.
-func fig1Sweep() []core.Config {
-	return []core.Config{
-		core.ScaledConfig(64, 128),
-		core.ScaledConfig(128, 128),
-		core.ScaledConfig(256, 256),
-		core.ScaledConfig(512, 512),
-		core.ScaledConfig(1024, 1024),
-		core.ScaledConfig(2048, 2048),
-		core.ScaledConfig(4096, 4096),
+// suiteTable lays rows lo..hi-1 out as one table: a line per row, the
+// suite-average speedup of its machine over its reference per column.
+func suiteTable(title string, lo, hi int, note string) func(*sweep) []*stats.Table {
+	return func(m *sweep) []*stats.Table {
+		t := &stats.Table{
+			Title:   title,
+			Headers: []string{"configuration", "SPEC-INT speedup", "SPEC-FP speedup", "Olden speedup"},
+		}
+		for i := lo; i < hi; i++ {
+			line := []interface{}{m.rows[i].Label}
+			for _, suite := range suites {
+				av := stats.ArithMean(m.speedups(i, suite))
+				line = append(line, fmt.Sprintf("%.3f (%s)", av, stats.Pct(av)))
+			}
+			t.AddRow(line...)
+		}
+		if note != "" {
+			t.Notes = append(t.Notes, note)
+		}
+		return []*stats.Table{t}
 	}
 }
 
-func fig1Configs() []core.Config { return withBaseline(fig1Sweep()...) }
-
-func table2Configs() []core.Config { return withBaseline(core.WIBDefault()) }
-
-// fig4Sweep is Figure 4's comparison set: the two scaled conventional
-// machines and the WIB machine.
-func fig4Sweep() []core.Config {
-	return []core.Config{
-		core.ScaledConfig(32, 2048),
-		core.ScaledConfig(2048, 2048),
-		core.WIBDefault(),
+// benchTables lays the sweep out as one table per suite: a line per
+// benchmark, a column per row, and an Average line (with the percentage
+// improvement when pctAvg is set). notes[k], when non-empty, goes under
+// the k-th suite's table.
+func benchTables(titleFmt string, pctAvg bool, notes ...string) func(*sweep) []*stats.Table {
+	return func(m *sweep) []*stats.Table {
+		var tables []*stats.Table
+		for k, suite := range suites {
+			t := &stats.Table{Title: fmt.Sprintf(titleFmt, suite), Headers: []string{"benchmark"}}
+			if k < len(notes) && notes[k] != "" {
+				t.Notes = []string{notes[k]}
+			}
+			for _, src := range m.srcs {
+				if src.Suite() == suite {
+					t.Rows = append(t.Rows, []string{src.Name()})
+				}
+			}
+			avg := []string{"Average"}
+			for i, row := range m.rows {
+				t.Headers = append(t.Headers, row.Label)
+				sp := m.speedups(i, suite)
+				for b, v := range sp {
+					t.Rows[b] = append(t.Rows[b], fmt.Sprintf("%.2f", v))
+				}
+				mean := stats.ArithMean(sp)
+				cell := fmt.Sprintf("%.2f", mean)
+				if pctAvg {
+					cell += fmt.Sprintf(" (%s)", stats.Pct(mean))
+				}
+				avg = append(avg, cell)
+			}
+			t.Rows = append(t.Rows, avg)
+			tables = append(tables, t)
+		}
+		return tables
 	}
 }
 
-func fig4Configs() []core.Config { return withBaseline(fig4Sweep()...) }
-
-var fig5BitVectors = []int{16, 32, 64, 1024}
-
-func fig5Configs() []core.Config {
-	var cfgs []core.Config
-	for _, bv := range fig5BitVectors {
-		cfgs = append(cfgs, core.WIBConfigSized(2048, bv))
+// named makes one row per machine, labelled with the machine's own name.
+func named(cfgs ...core.Config) []Row {
+	rows := make([]Row, len(cfgs))
+	for i, cfg := range cfgs {
+		rows[i] = Row{Label: cfg.Name, Cfg: cfg}
 	}
-	return withBaseline(cfgs...)
+	return rows
 }
 
-var fig6Capacities = []int{128, 256, 512, 1024, 2048}
-
-func fig6Configs() []core.Config {
-	var cfgs []core.Config
-	for _, n := range fig6Capacities {
-		cfgs = append(cfgs, core.WIBConfigSized(n, 64))
+// fig1 is the limit study: conventional issue queues from 32 to 4K
+// entries (IQ ≤ 128 keep the 128-entry active list; larger configurations
+// scale the active list, registers, and LSQ with the queue, §2.2.2).
+func fig1() Experiment {
+	const note = "paper shape: IPC rises with window size and plateaus near 2K entries"
+	return Experiment{
+		ID: "fig1", Title: "Figure 1: conventional window-size limit study",
+		Rows: []Row{
+			{Label: "64", Cfg: core.ScaledConfig(64, 128)},
+			{Label: "128", Cfg: core.ScaledConfig(128, 128)},
+			{Label: "256", Cfg: core.ScaledConfig(256, 256)},
+			{Label: "512", Cfg: core.ScaledConfig(512, 512)},
+			{Label: "1K", Cfg: core.ScaledConfig(1024, 1024)},
+			{Label: "2K", Cfg: core.ScaledConfig(2048, 2048)},
+			{Label: "4K", Cfg: core.ScaledConfig(4096, 4096)},
+		},
+		render: benchTables("Figure 1 (%s): speedup over 32-IQ/128 by window size", false, note, note, note),
 	}
-	return withBaseline(cfgs...)
 }
 
-// policySweep builds §4.4's selection-policy set: the banked reference
-// plus three idealized single-cycle WIBs differing only in policy.
-func policySweep() []core.Config {
+// table2 reports the base machine's per-benchmark statistics plus the
+// WIB machine's IPC, with harmonic means per suite.
+func table2() Experiment {
+	const title = "Table 2: benchmark performance statistics"
+	return Experiment{
+		ID: "table2", Title: title,
+		Rows: []Row{{Label: "WIB", Cfg: core.WIBDefault()}},
+		render: func(m *sweep) []*stats.Table {
+			// Sampled sessions qualify each IPC with its 95% confidence half-width.
+			sampled := m.plan != nil
+			ipc := func(r *Result) any {
+				if sampled {
+					return fmt.Sprintf("%.3f ±%.3f", r.IPC, r.IPCCI95)
+				}
+				return r.IPC
+			}
+			baseHdr, wibHdr := "base IPC", "WIB IPC"
+			if sampled {
+				baseHdr, wibHdr = "base IPC ±CI", "WIB IPC ±CI"
+			}
+			t := &stats.Table{
+				Title:   title,
+				Headers: []string{"benchmark", baseHdr, "branch dir pred", "DL1 miss ratio", "UL2 local miss", wibHdr},
+			}
+			for _, suite := range suites {
+				var baseIPCs, wibIPCs []float64
+				for j, src := range m.srcs {
+					if src.Suite() != suite {
+						continue
+					}
+					b, w := m.ref[0][j], m.res[0][j]
+					t.AddRow(src.Name(), ipc(b), b.BrAcc, b.DL1Miss, b.L2Local, ipc(w))
+					baseIPCs = append(baseIPCs, b.IPC)
+					wibIPCs = append(wibIPCs, w.IPC)
+				}
+				t.AddRow(fmt.Sprintf("HM (%s)", suite), stats.HarmonicMean(baseIPCs), "", "", "", stats.HarmonicMean(wibIPCs))
+			}
+			t.AddNote("paper harmonic means: base 1.00/1.42/1.17, WIB 1.24/3.02/1.61 (INT/FP/Olden)")
+			if sampled {
+				t.AddNote("sampled run (%s): IPCs are point estimates ± 95%% CI over interval IPCs", m.plan)
+			}
+			return []*stats.Table{t}
+		},
+	}
+}
+
+// fig4 compares the WIB machine against the base and the two scaled
+// conventional machines (32-IQ/2K and 2K-IQ/2K).
+func fig4() Experiment {
+	return Experiment{
+		ID: "fig4", Title: "Figure 4: WIB performance vs. scaled conventional designs",
+		Rows: []Row{
+			{Label: "32-IQ/2K", Cfg: core.ScaledConfig(32, 2048)},
+			{Label: "2K-IQ/2K", Cfg: core.ScaledConfig(2048, 2048)},
+			{Label: "WIB", Cfg: core.WIBDefault()},
+		},
+		render: benchTables("Figure 4 (%s): speedup over 32-IQ/128", true, "", "",
+			"paper averages: WIB +20%/+84%/+50%; 2K-IQ/2K +35%/+140%/+103% (INT/FP/Olden)"),
+	}
+}
+
+// fig5 limits the number of bit-vectors (outstanding load misses).
+func fig5() Experiment {
+	var rows []Row
+	for _, bv := range []int{16, 32, 64, 1024} {
+		rows = append(rows, Row{Label: fmt.Sprintf("%d bit-vectors", bv), Cfg: core.WIBConfigSized(2048, bv)})
+	}
+	return Experiment{
+		ID: "fig5", Title: "Figure 5: performance of limited bit-vectors", Rows: rows,
+		render: suiteTable("Figure 5: limited bit-vectors (2K WIB), suite-average speedup over 32-IQ/128", 0, len(rows),
+			"paper: 16 vectors still give +16%/+26%/+38%; 64 give +19%/+45%/+50%"),
+	}
+}
+
+// fig6 shrinks the WIB capacity (with the active list, registers, and
+// LSQ scaling along), with bit-vectors fixed at 64.
+func fig6() Experiment {
+	var rows []Row
+	for _, n := range []int{128, 256, 512, 1024, 2048} {
+		rows = append(rows, Row{Label: fmt.Sprintf("%d-entry WIB", n), Cfg: core.WIBConfigSized(n, 64)})
+	}
+	return Experiment{
+		ID: "fig6", Title: "Figure 6: WIB capacity effects", Rows: rows,
+		render: suiteTable("Figure 6: WIB capacity effects (64 bit-vectors), suite-average speedup over 32-IQ/128", 0, len(rows),
+			"paper: 256-entry WIB keeps +9%/+26%/+14%; monotone in capacity"),
+	}
+}
+
+// policy compares reinsertion selection policies (§4.4) — the banked
+// reference plus three idealized single-cycle WIBs differing only in
+// policy — and reports WIB insertion counts.
+func policy() Experiment {
 	mk := func(policy core.WIBPolicy, name string) core.Config {
 		cfg := core.WIBConfigSized(2048, 0)
 		cfg.WIB.Banked = false
@@ -176,18 +371,46 @@ func policySweep() []core.Config {
 		cfg.Name = name
 		return cfg
 	}
-	return []core.Config{
+	rows := named(
 		core.WIBDefault(), // (1) banked
 		mk(core.PolicyProgramOrder, "WIB-ideal/program-order"),
 		mk(core.PolicyRoundRobinLoad, "WIB-ideal/rr-load"),
 		mk(core.PolicyOldestLoad, "WIB-ideal/oldest-load"),
+	)
+	speedups := suiteTable("Section 4.4: selection policies, suite-average speedup over 32-IQ/128", 0, len(rows), "")
+	return Experiment{
+		ID: "policy", Title: "Section 4.4: WIB-to-issue-queue instruction selection", Rows: rows,
+		render: func(m *sweep) []*stats.Table {
+			ins := &stats.Table{
+				Title:   "Section 4.4: WIB insertion counts per WIB-using instruction",
+				Headers: []string{"configuration", "avg insertions", "max insertions"},
+			}
+			for i, row := range m.rows {
+				var avg float64
+				n, maxIns := 0, 0
+				for _, r := range m.res[i] {
+					if r.Stats.WIBInstructions > 0 {
+						avg += r.Stats.AvgWIBInsertions()
+						n++
+					}
+					if r.Stats.WIBMaxInsertions > maxIns {
+						maxIns = r.Stats.WIBMaxInsertions
+					}
+				}
+				if n > 0 {
+					avg /= float64(n)
+				}
+				ins.AddRow(row.Label, avg, maxIns)
+			}
+			ins.AddNote("paper (mgrid): banked averages 4 insertions (max 280); other policies reduce it to ~1 (max 9)")
+			return append(speedups(m), ins)
+		},
 	}
 }
 
-func policyConfigs() []core.Config { return withBaseline(policySweep()...) }
-
-// fig7Sweep compares the banked WIB against multicycle non-banked ones.
-func fig7Sweep() []core.Config {
+// fig7 compares the banked WIB against non-banked organizations with
+// 4- and 6-cycle access.
+func fig7() Experiment {
 	mk := func(lat int64) core.Config {
 		cfg := core.WIBConfigSized(2048, 0)
 		cfg.WIB.Banked = false
@@ -195,446 +418,106 @@ func fig7Sweep() []core.Config {
 		cfg.Name = fmt.Sprintf("WIB-nonbanked/%dcyc", lat)
 		return cfg
 	}
-	return []core.Config{core.WIBDefault(), mk(4), mk(6)}
-}
-
-func fig7Configs() []core.Config { return withBaseline(fig7Sweep()...) }
-
-// poolSweep is the §3.5 extension set: the bit-vector reference plus
-// pool-of-blocks organizations over shrinking pool sizes.
-func poolSweep() []core.Config {
-	return []core.Config{
-		core.WIBDefault(), // bit-vector reference
-		core.WIBPoolOfBlocks(2048, 64, 32),
-		core.WIBPoolOfBlocks(2048, 16, 32),
-		core.WIBPoolOfBlocks(2048, 4, 32),
+	rows := named(core.WIBDefault(), mk(4), mk(6))
+	return Experiment{
+		ID: "fig7", Title: "Figure 7: non-banked multicycle WIB", Rows: rows,
+		render: suiteTable("Figure 7: banked vs. non-banked WIB, suite-average speedup over 32-IQ/128", 0, len(rows),
+			"paper: multicycle non-banked access costs only slightly vs. banked"),
 	}
 }
 
-func poolConfigs() []core.Config { return withBaseline(poolSweep()...) }
-
-// sliceSweep is the §6 future-work set: slice cores, register-file
-// prefetch at reinsertion, and a multi-banked register file.
-func sliceSweep() []core.Config {
-	prefetch := core.WIBDefault()
-	prefetch.RFPrefetchOnReinsert = true
-	prefetch.Name = "WIB+rf-prefetch"
-	return []core.Config{
-		core.WIBDefault(),
-		core.WIBWithSliceCore(2048, 2),
-		core.WIBWithSliceCore(2048, 4),
-		prefetch,
-		core.WIBMultiBankedRF(2048, 8, 2),
-	}
-}
-
-func sliceConfigs() []core.Config { return withBaseline(sliceSweep()...) }
-
-// sensVariant is one §4.1 memory-system variation: the base and WIB
-// machines with the same modification applied to both.
-type sensVariant struct {
-	label string
-	base  core.Config
-	wib   core.Config
-}
-
-func sensVariantList() []sensVariant {
-	mk := func(label string, mod func(*core.Config)) sensVariant {
+// sens reproduces the §4.1 text experiments: 100-cycle memory and a 1MB
+// L2 — each applied to both the base and the WIB machine, the WIB one
+// measured against the base one — and spending the WIB area on a 64KB
+// L1-D instead.
+func sens() Experiment {
+	var rows []Row
+	variant := func(label string, mod func(*core.Config)) {
 		baseCfg := core.DefaultConfig()
 		mod(&baseCfg)
 		baseCfg.Name = "32-IQ/128/" + label
 		wibCfg := core.WIBDefault()
 		mod(&wibCfg)
 		wibCfg.Name = "WIB/" + label
-		return sensVariant{label: label, base: baseCfg, wib: wibCfg}
+		rows = append(rows, Row{Label: label, Cfg: wibCfg, Ref: &baseCfg})
 	}
-	return []sensVariant{
-		mk("default (250-cycle mem)", func(c *core.Config) {}),
-		mk("100-cycle memory", func(c *core.Config) { c.Mem.MemLatency = 100 }),
-		mk("1MB L2", func(c *core.Config) { c.Mem.L2.SizeBytes = 1 << 20 }),
-	}
-}
-
-// sensBigL1D is §4.1's alternative area use: the conventional machine
-// with a doubled L1 data cache.
-func sensBigL1D() core.Config {
+	variant("default (250-cycle mem)", func(c *core.Config) {})
+	variant("100-cycle memory", func(c *core.Config) { c.Mem.MemLatency = 100 })
+	variant("1MB L2", func(c *core.Config) { c.Mem.L2.SizeBytes = 1 << 20 })
+	variants := len(rows)
+	// Alternative area use: 64KB L1-D on the conventional machine.
 	big := core.DefaultConfig()
 	big.Mem.L1D.SizeBytes = 64 << 10
 	big.Name = "32-IQ/128/64KB-L1D"
-	return big
+	rows = append(rows, Row{Label: "64KB L1-D", Cfg: big})
+
+	memsys := suiteTable("Section 4.1 sensitivity: WIB speedup under memory-system variations", 0, variants,
+		"paper: 100-cycle memory shrinks WIB gains to +5%/+30%/+17%; 1MB L2 to +5%/+61%/+38%")
+	bigL1D := suiteTable("Section 4.1: doubling the L1 data cache instead (speedup over 32KB base)", variants, len(rows),
+		"paper: <2% improvement for all benchmarks except vortex (+9%) — the WIB is the better use of area")
+	return Experiment{
+		ID: "sens", Title: "Section 4.1: memory latency / L2 size / L1D sensitivity", Rows: rows,
+		render: func(m *sweep) []*stats.Table { return append(memsys(m), bigL1D(m)...) },
+	}
 }
 
-func sensConfigs() []core.Config {
-	var cfgs []core.Config
-	for _, v := range sensVariantList() {
-		cfgs = append(cfgs, v.base, v.wib)
-	}
-	cfgs = append(cfgs, sensBigL1D())
-	return withBaseline(cfgs...)
-}
-
-// Figure1 is the limit study: conventional issue queues from 32 to 4K
-// entries (IQ ≤ 128 keep the 128-entry active list; larger configurations
-// scale the active list, registers, and LSQ with the queue, §2.2.2).
-func (s *Session) Figure1() ([]*stats.Table, error) {
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
-	}
-	configs := fig1Sweep()
-	var tables []*stats.Table
-	for _, suite := range suites {
-		t := &stats.Table{
-			Title:   fmt.Sprintf("Figure 1 (%s): speedup over 32-IQ/128 by window size", suite),
-			Headers: append([]string{"benchmark"}, "64", "128", "256", "512", "1K", "2K", "4K"),
-		}
-		rows := map[string][]string{}
-		var order []string
-		srcs, err := s.benchmarks()
-		if err != nil {
-			return nil, err
-		}
-		for _, src := range srcs {
-			if src.Suite() == suite {
-				key := resultKey(src)
-				rows[key] = []string{src.Name()}
-				order = append(order, key)
-			}
-		}
-		perCfgAvg := make([]float64, len(configs))
-		for ci, cfg := range configs {
-			res, err := s.RunAll(cfg)
-			if err != nil {
-				return nil, err
-			}
-			var sp []float64
-			for _, name := range order {
-				v := stats.Speedup(res[name].IPC, base[name].IPC)
-				rows[name] = append(rows[name], fmt.Sprintf("%.2f", v))
-				sp = append(sp, v)
-			}
-			perCfgAvg[ci] = stats.ArithMean(sp)
-		}
-		for _, name := range order {
-			t.Rows = append(t.Rows, rows[name])
-		}
-		avg := []string{"Average"}
-		for _, v := range perCfgAvg {
-			avg = append(avg, fmt.Sprintf("%.2f", v))
-		}
-		t.Rows = append(t.Rows, avg)
-		t.AddNote("paper shape: IPC rises with window size and plateaus near 2K entries")
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
-
-// Table2 reports the base machine's per-benchmark statistics plus the
-// WIB machine's IPC, with harmonic means per suite.
-func (s *Session) Table2() ([]*stats.Table, error) {
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
-	}
-	wib, err := s.RunAll(core.WIBDefault())
-	if err != nil {
-		return nil, err
-	}
-	// Sampled sessions qualify each IPC with its 95% confidence half-width.
-	sampled := s.opt.Sampling != nil
-	ipc := func(r *Result) any {
-		if sampled {
-			return fmt.Sprintf("%.3f ±%.3f", r.IPC, r.IPCCI95)
-		}
-		return r.IPC
-	}
-	baseHdr, wibHdr := "base IPC", "WIB IPC"
-	if sampled {
-		baseHdr, wibHdr = "base IPC ±CI", "WIB IPC ±CI"
-	}
-	t := &stats.Table{
-		Title:   "Table 2: benchmark performance statistics",
-		Headers: []string{"benchmark", baseHdr, "branch dir pred", "DL1 miss ratio", "UL2 local miss", wibHdr},
-	}
-	srcs, err := s.benchmarks()
-	if err != nil {
-		return nil, err
-	}
-	for _, suite := range suites {
-		var baseIPCs, wibIPCs []float64
-		for _, src := range srcs {
-			if src.Suite() != suite {
-				continue
-			}
-			key := resultKey(src)
-			b, w := base[key], wib[key]
-			t.AddRow(src.Name(), ipc(b), b.BrAcc, b.DL1Miss, b.L2Local, ipc(w))
-			baseIPCs = append(baseIPCs, b.IPC)
-			wibIPCs = append(wibIPCs, w.IPC)
-		}
-		t.AddRow(fmt.Sprintf("HM (%s)", suite), stats.HarmonicMean(baseIPCs), "", "", "", stats.HarmonicMean(wibIPCs))
-	}
-	t.AddNote("paper harmonic means: base 1.00/1.42/1.17, WIB 1.24/3.02/1.61 (INT/FP/Olden)")
-	if sampled {
-		t.AddNote("sampled run (%s): IPCs are point estimates ± 95%% CI over interval IPCs", s.opt.Sampling)
-	}
-	return []*stats.Table{t}, nil
-}
-
-// Figure4 compares the WIB machine against the base and the two scaled
-// conventional machines (32-IQ/2K and 2K-IQ/2K).
-func (s *Session) Figure4() ([]*stats.Table, error) {
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
-	}
-	configs := fig4Sweep()
-	results := make([]map[string]*Result, len(configs))
-	for i, cfg := range configs {
-		r, err := s.RunAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	var tables []*stats.Table
-	for _, suite := range suites {
-		t := &stats.Table{
-			Title:   fmt.Sprintf("Figure 4 (%s): speedup over 32-IQ/128", suite),
-			Headers: []string{"benchmark", "32-IQ/2K", "2K-IQ/2K", "WIB"},
-		}
-		per := make([][]float64, len(configs))
-		srcs, err := s.benchmarks()
-		if err != nil {
-			return nil, err
-		}
-		for _, src := range srcs {
-			if src.Suite() != suite {
-				continue
-			}
-			key := resultKey(src)
-			row := []interface{}{src.Name()}
-			for i := range configs {
-				v := stats.Speedup(results[i][key].IPC, base[key].IPC)
-				row = append(row, fmt.Sprintf("%.2f", v))
-				per[i] = append(per[i], v)
-			}
-			t.AddRow(row...)
-		}
-		avg := []interface{}{"Average"}
-		for i := range configs {
-			avg = append(avg, fmt.Sprintf("%.2f (%s)", stats.ArithMean(per[i]), stats.Pct(stats.ArithMean(per[i]))))
-		}
-		t.AddRow(avg...)
-		tables = append(tables, t)
-	}
-	tables[len(tables)-1].AddNote("paper averages: WIB +20%%/+84%%/+50%%; 2K-IQ/2K +35%%/+140%%/+103%% (INT/FP/Olden)")
-	return tables, nil
-}
-
-// Figure5 limits the number of bit-vectors (outstanding load misses).
-func (s *Session) Figure5() ([]*stats.Table, error) {
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   "Figure 5: limited bit-vectors (2K WIB), suite-average speedup over 32-IQ/128",
-		Headers: suiteHeader(),
-	}
-	for _, bv := range fig5BitVectors {
-		cfg := core.WIBConfigSized(2048, bv)
-		res, err := s.RunAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-		suiteSpeedupRow(t, fmt.Sprintf("%d bit-vectors", bv), s.suiteAverages(res, base))
-	}
-	t.AddNote("paper: 16 vectors still give +16%%/+26%%/+38%%; 64 give +19%%/+45%%/+50%%")
-	return []*stats.Table{t}, nil
-}
-
-// Figure6 shrinks the WIB capacity (with the active list, registers, and
-// LSQ scaling along), with bit-vectors fixed at 64.
-func (s *Session) Figure6() ([]*stats.Table, error) {
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   "Figure 6: WIB capacity effects (64 bit-vectors), suite-average speedup over 32-IQ/128",
-		Headers: suiteHeader(),
-	}
-	for _, n := range fig6Capacities {
-		cfg := core.WIBConfigSized(n, 64)
-		res, err := s.RunAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-		suiteSpeedupRow(t, fmt.Sprintf("%d-entry WIB", n), s.suiteAverages(res, base))
-	}
-	t.AddNote("paper: 256-entry WIB keeps +9%%/+26%%/+14%%; monotone in capacity")
-	return []*stats.Table{t}, nil
-}
-
-// PolicyStudy compares reinsertion selection policies on an idealized
-// single-cycle WIB (§4.4) and reports WIB insertion counts.
-func (s *Session) PolicyStudy() ([]*stats.Table, error) {
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   "Section 4.4: selection policies, suite-average speedup over 32-IQ/128",
-		Headers: suiteHeader(),
-	}
-	ins := &stats.Table{
-		Title:   "Section 4.4: WIB insertion counts per WIB-using instruction",
-		Headers: []string{"configuration", "avg insertions", "max insertions"},
-	}
-	for _, cfg := range policySweep() {
-		res, err := s.RunAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-		suiteSpeedupRow(t, cfg.Name, s.suiteAverages(res, base))
-		var avg float64
-		var n int
-		maxIns := 0
-		for _, r := range res {
-			if r.Stats.WIBInstructions > 0 {
-				avg += r.Stats.AvgWIBInsertions()
-				n++
-			}
-			if r.Stats.WIBMaxInsertions > maxIns {
-				maxIns = r.Stats.WIBMaxInsertions
-			}
-		}
-		if n > 0 {
-			avg /= float64(n)
-		}
-		ins.AddRow(cfg.Name, avg, maxIns)
-	}
-	ins.AddNote("paper (mgrid): banked averages 4 insertions (max 280); other policies reduce it to ~1 (max 9)")
-	return []*stats.Table{t, ins}, nil
-}
-
-// Figure7 compares the banked WIB against non-banked organizations with
-// 4- and 6-cycle access.
-func (s *Session) Figure7() ([]*stats.Table, error) {
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   "Figure 7: banked vs. non-banked WIB, suite-average speedup over 32-IQ/128",
-		Headers: suiteHeader(),
-	}
-	for _, cfg := range fig7Sweep() {
-		res, err := s.RunAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-		suiteSpeedupRow(t, cfg.Name, s.suiteAverages(res, base))
-	}
-	t.AddNote("paper: multicycle non-banked access costs only slightly vs. banked")
-	return []*stats.Table{t}, nil
-}
-
-// PoolStudy is an extension experiment: the paper describes (and rejects)
-// a pool-of-blocks WIB organization in §3.5 but does not evaluate it. We
+// pool is an extension experiment: the paper describes (and rejects) a
+// pool-of-blocks WIB organization in §3.5 but does not evaluate it. We
 // do: deposit-order chains with a shared block pool, swept over pool
 // sizes, against the paper's bit-vector design.
-func (s *Session) PoolStudy() ([]*stats.Table, error) {
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
+func pool() Experiment {
+	rows := named(
+		core.WIBDefault(), // bit-vector reference
+		core.WIBPoolOfBlocks(2048, 64, 32),
+		core.WIBPoolOfBlocks(2048, 16, 32),
+		core.WIBPoolOfBlocks(2048, 4, 32),
+	)
+	speedups := suiteTable("Section 3.5 extension: WIB organizations, suite-average speedup over 32-IQ/128", 0, len(rows),
+		"the paper rejected this organization for its squash complexity and deadlock risk (§3.5)")
+	return Experiment{
+		ID: "pool", Title: "Section 3.5 (extension): bit-vector vs. pool-of-blocks organization", Rows: rows,
+		render: func(m *sweep) []*stats.Table {
+			spills := &stats.Table{
+				Title:   "Section 3.5 extension: pool-of-blocks overflow spills",
+				Headers: []string{"configuration", "total pool spills (all benchmarks)"},
+			}
+			for i, row := range m.rows {
+				var sp uint64
+				for _, r := range m.res[i] {
+					sp += r.Stats.PoolSpills
+				}
+				spills.AddRow(row.Label, sp)
+			}
+			return append(speedups(m), spills)
+		},
 	}
-	t := &stats.Table{
-		Title:   "Section 3.5 extension: WIB organizations, suite-average speedup over 32-IQ/128",
-		Headers: suiteHeader(),
-	}
-	spills := &stats.Table{
-		Title:   "Section 3.5 extension: pool-of-blocks overflow spills",
-		Headers: []string{"configuration", "total pool spills (all benchmarks)"},
-	}
-	for _, cfg := range poolSweep() {
-		res, err := s.RunAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-		suiteSpeedupRow(t, cfg.Name, s.suiteAverages(res, base))
-		var sp uint64
-		for _, r := range res {
-			sp += r.Stats.PoolSpills
-		}
-		spills.AddRow(cfg.Name, sp)
-	}
-	t.AddNote("the paper rejected this organization for its squash complexity and deadlock risk (§3.5)")
-	return []*stats.Table{t, spills}, nil
 }
 
-// SliceStudy measures the paper's §6 future-work directions: executing
-// WIB instructions on a separate (slice) core, register-file prefetching
-// at reinsertion, and the multi-banked register-file alternative.
-func (s *Session) SliceStudy() ([]*stats.Table, error) {
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
+// slice measures the paper's §6 future-work directions: executing WIB
+// instructions on a separate (slice) core, register-file prefetching at
+// reinsertion, and the multi-banked register-file alternative.
+func slice() Experiment {
+	prefetch := core.WIBDefault()
+	prefetch.RFPrefetchOnReinsert = true
+	prefetch.Name = "WIB+rf-prefetch"
+	rows := named(
+		core.WIBDefault(),
+		core.WIBWithSliceCore(2048, 2),
+		core.WIBWithSliceCore(2048, 4),
+		prefetch,
+		core.WIBMultiBankedRF(2048, 8, 2),
+	)
+	return Experiment{
+		ID: "slice", Title: "Section 6 (extension): slice execution core and register-file variants", Rows: rows,
+		render: func(m *sweep) []*stats.Table {
+			var sliceTotal uint64
+			for i := range m.rows {
+				for _, r := range m.res[i] {
+					sliceTotal += r.Stats.SliceExecuted
+				}
+			}
+			return suiteTable("Section 6 extension: future-work variants, suite-average speedup over 32-IQ/128", 0, len(rows),
+				fmt.Sprintf("slice cores executed %d instructions across all runs; the paper left this design to future work", sliceTotal))(m)
+		},
 	}
-	t := &stats.Table{
-		Title:   "Section 6 extension: future-work variants, suite-average speedup over 32-IQ/128",
-		Headers: suiteHeader(),
-	}
-	var sliceTotal uint64
-	for _, cfg := range sliceSweep() {
-		res, err := s.RunAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-		suiteSpeedupRow(t, cfg.Name, s.suiteAverages(res, base))
-		for _, r := range res {
-			sliceTotal += r.Stats.SliceExecuted
-		}
-	}
-	t.AddNote("slice cores executed %d instructions across all runs; the paper left this design to future work", sliceTotal)
-	return []*stats.Table{t}, nil
-}
-
-// Sensitivity reproduces the §4.1 text experiments: 100-cycle memory,
-// a 1MB L2, and spending the WIB area on a 64KB L1-D instead.
-func (s *Session) Sensitivity() ([]*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Section 4.1 sensitivity: WIB speedup under memory-system variations",
-		Headers: suiteHeader(),
-	}
-	for _, v := range sensVariantList() {
-		base, err := s.RunAll(v.base)
-		if err != nil {
-			return nil, err
-		}
-		wib, err := s.RunAll(v.wib)
-		if err != nil {
-			return nil, err
-		}
-		suiteSpeedupRow(t, v.label, s.suiteAverages(wib, base))
-	}
-	t.AddNote("paper: 100-cycle memory shrinks WIB gains to +5%%/+30%%/+17%%; 1MB L2 to +5%%/+61%%/+38%%")
-
-	// Alternative area use: 64KB L1-D on the conventional machine.
-	alt := &stats.Table{
-		Title:   "Section 4.1: doubling the L1 data cache instead (speedup over 32KB base)",
-		Headers: suiteHeader(),
-	}
-	base, err := s.baseline()
-	if err != nil {
-		return nil, err
-	}
-	bigRes, err := s.RunAll(sensBigL1D())
-	if err != nil {
-		return nil, err
-	}
-	suiteSpeedupRow(alt, "64KB L1-D", s.suiteAverages(bigRes, base))
-	alt.AddNote("paper: <2%% improvement for all benchmarks except vortex (+9%%) — the WIB is the better use of area")
-	return []*stats.Table{t, alt}, nil
 }

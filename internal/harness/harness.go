@@ -127,27 +127,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is the outcome of one simulation run. A failed run has Err set
-// and zero metrics; failed cells stay in the session's failure list so a
+// Result is the outcome of one simulation run: the cell's campaign record
+// (fresh or cache-served — IPC, Stats, the miss ratios and the sampling
+// statistics are its fields, promoted) under the session's view of the
+// workload's suite. A failed run has Err set and a record carrying only
+// its labels; failed cells stay in the session's failure list so a
 // sweep's summary can name them.
 type Result struct {
-	Bench   string
-	Suite   workload.Suite
-	Config  string
-	IPC     float64
-	Stats   core.Stats
-	DL1Miss float64 // data-cache miss ratio (loads+stores)
-	L2Local float64 // unified L2 local miss ratio
-	BrAcc   float64 // conditional-branch direction accuracy
-	Err     error   // non-nil: the cell failed (SimError or panic)
-
-	// Sampled-run statistics, set only when the cell ran under a sampling
-	// plan. IPC above is then the sampled point estimate; IPCCI95 is the
-	// Student-t 95% confidence half-width around it.
-	Sampling  *sample.Plan
-	Intervals int
-	IPCStdDev float64
-	IPCCI95   float64
+	*campaign.Record
+	Suite workload.Suite
+	Err   error // non-nil: the cell failed (SimError or panic)
 }
 
 // viewCell is the session's once-per-cell view over the engine: the
@@ -342,7 +331,7 @@ func (s *Session) Run(cfg core.Config, src workload.Source) (*Result, error) {
 		rec, err := s.eng.Run(cell)
 		if err != nil {
 			err = fmt.Errorf("%s on %s: %w", resultKey(src), cfg.Name, err)
-			vc.res = &Result{Bench: src.Name(), Suite: src.Suite(), Config: cfg.Name, Err: err}
+			vc.res = &Result{Record: &campaign.Record{Bench: src.Name(), Config: cfg.Name}, Suite: src.Suite(), Err: err}
 			vc.err = err
 			s.mu.Lock()
 			s.failures = append(s.failures, vc.res)
@@ -357,36 +346,14 @@ func (s *Session) Run(cfg core.Config, src workload.Source) (*Result, error) {
 	return vc.res, vc.err
 }
 
-// RunRef is Run over an unresolved workload ref.
-func (s *Session) RunRef(cfg core.Config, ref string) (*Result, error) {
-	src, err := s.resolveRef(ref)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(cfg, src)
-}
-
-// recordToResult converts a campaign record (fresh or cache-served) into
-// the harness view the table generators consume.
+// recordToResult wraps a campaign record (fresh or cache-served) in the
+// harness view the table layouts consume.
 func recordToResult(rec *campaign.Record, src workload.Source) *Result {
 	suite := src.Suite()
 	if parsed, ok := workload.ParseSuite(rec.Suite); ok {
 		suite = parsed
 	}
-	return &Result{
-		Bench:     rec.Bench,
-		Suite:     suite,
-		Config:    rec.Config,
-		IPC:       rec.IPC,
-		Stats:     rec.Stats,
-		DL1Miss:   rec.DL1Miss,
-		L2Local:   rec.L2Local,
-		BrAcc:     rec.BrAcc,
-		Sampling:  rec.Sampling,
-		Intervals: rec.Intervals,
-		IPCStdDev: rec.IPCStdDev,
-		IPCCI95:   rec.IPCCI95,
-	}
+	return &Result{Record: rec, Suite: suite}
 }
 
 // resolveCell maps a cell back to its workload source. Bench cells go
@@ -587,17 +554,23 @@ func (s *Session) telemetryFile(cfg core.Config, src workload.Source) (*os.File,
 	if err := os.MkdirAll(s.opt.TelemetryDir, 0o755); err != nil {
 		return nil, fmt.Errorf("harness: telemetry dir: %w", err)
 	}
-	name := strings.Map(func(r rune) rune {
-		if r == '/' || r == ' ' {
-			return '_'
-		}
-		return r
-	}, cfg.Name) + "-" + src.Name() + ".jsonl"
-	f, err := os.Create(filepath.Join(s.opt.TelemetryDir, name))
+	f, err := os.Create(filepath.Join(s.opt.TelemetryDir, CellFileName(cfg.Name, src.Name(), ".jsonl")))
 	if err != nil {
 		return nil, fmt.Errorf("harness: telemetry file: %w", err)
 	}
 	return f, nil
+}
+
+// CellFileName names a per-cell artifact (a telemetry series, a crash
+// dump) <config>-<bench><ext>, with the '/' and ' ' of configuration
+// names made safe for a file name.
+func CellFileName(config, bench, ext string) string {
+	return strings.Map(func(r rune) rune {
+		if r == '/' || r == ' ' {
+			return '_'
+		}
+		return r
+	}, config+"-"+bench) + ext
 }
 
 // Transient is the harness's retry classifier: wall-clock deadline hits
@@ -699,24 +672,6 @@ func (s *Session) FailureSummary() string {
 	var b strings.Builder
 	t.Render(&b)
 	return b.String()
-}
-
-// suiteAverages computes the per-suite arithmetic-mean speedup of `news`
-// over `olds` (the paper's suite averages).
-func (s *Session) suiteAverages(news, olds map[string]*Result) map[workload.Suite]float64 {
-	per := map[workload.Suite][]float64{}
-	for name, n := range news {
-		o, ok := olds[name]
-		if !ok {
-			continue
-		}
-		per[n.Suite] = append(per[n.Suite], stats.Speedup(n.IPC, o.IPC))
-	}
-	out := map[workload.Suite]float64{}
-	for suite, xs := range per {
-		out[suite] = stats.ArithMean(xs)
-	}
-	return out
 }
 
 var suites = []workload.Suite{workload.SuiteInt, workload.SuiteFP, workload.SuiteOlden}

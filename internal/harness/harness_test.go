@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"largewindow/internal/campaign"
 	"largewindow/internal/core"
 	"largewindow/internal/golden"
 	"largewindow/internal/sample"
@@ -72,31 +75,49 @@ func TestRunAllFilters(t *testing.T) {
 	}
 }
 
+// TestSuiteAverages builds a sweep by hand — one row measured against
+// the baseline, one against its own reference — and checks the suite
+// averages the suiteTable layout renders from it.
 func TestSuiteAverages(t *testing.T) {
-	s := testSession()
-	news := map[string]*Result{
-		"a": {Bench: "a", Suite: workload.SuiteInt, IPC: 2},
-		"b": {Bench: "b", Suite: workload.SuiteInt, IPC: 3},
-		"c": {Bench: "c", Suite: workload.SuiteFP, IPC: 4},
+	var srcs []workload.Source
+	for _, name := range []string{"gzip", "gcc", "art"} { // INT, INT, FP
+		spec, _ := workload.Get(name)
+		srcs = append(srcs, spec.Source())
 	}
-	olds := map[string]*Result{
-		"a": {Bench: "a", Suite: workload.SuiteInt, IPC: 1},
-		"b": {Bench: "b", Suite: workload.SuiteInt, IPC: 1},
-		"c": {Bench: "c", Suite: workload.SuiteFP, IPC: 2},
+	ipcs := func(xs ...float64) []*Result {
+		out := make([]*Result, len(xs))
+		for i, x := range xs {
+			out[i] = &Result{Record: &campaign.Record{IPC: x}}
+		}
+		return out
 	}
-	av := s.suiteAverages(news, olds)
-	if av[workload.SuiteInt] != 2.5 {
-		t.Errorf("int average = %v", av[workload.SuiteInt])
+	base := ipcs(1, 1, 2)
+	m := &sweep{
+		rows: []Row{{Label: "vs-base"}, {Label: "vs-own"}},
+		srcs: srcs,
+		res:  [][]*Result{ipcs(2, 3, 4), ipcs(2, 3, 4)},
+		ref:  [][]*Result{base, ipcs(2, 2, 1)},
 	}
-	if av[workload.SuiteFP] != 2 {
-		t.Errorf("fp average = %v", av[workload.SuiteFP])
+	if sp := m.speedups(0, workload.SuiteInt); len(sp) != 2 || sp[0] != 2 || sp[1] != 3 {
+		t.Errorf("int speedups = %v, want [2 3]", sp)
+	}
+	tables := suiteTable("t", 0, 2, "n")(m)
+	if len(tables) != 1 || len(tables[0].Rows) != 2 {
+		t.Fatalf("suiteTable rendered %+v", tables)
+	}
+	want := [][]string{
+		{"vs-base", "2.500 (+150.0%)", "2.000 (+100.0%)", "0.000 (-100.0%)"},
+		{"vs-own", "1.250 (+25.0%)", "4.000 (+300.0%)", "0.000 (-100.0%)"},
+	}
+	if !reflect.DeepEqual(tables[0].Rows, want) {
+		t.Errorf("rows = %v\nwant   %v", tables[0].Rows, want)
 	}
 }
 
 func TestExperimentRegistry(t *testing.T) {
 	ids := map[string]bool{}
 	for _, ex := range Experiments() {
-		if ex.ID == "" || ex.Title == "" || ex.Run == nil {
+		if ex.ID == "" || ex.Title == "" || len(ex.Rows) == 0 || ex.render == nil {
 			t.Errorf("malformed experiment %+v", ex)
 		}
 		if ids[ex.ID] {
@@ -145,14 +166,55 @@ func TestExperimentTablesGolden(t *testing.T) {
 	golden.CheckText(t, "testdata/experiments.golden", sb.String())
 }
 
-func TestRunExperimentsUnknownIDIgnored(t *testing.T) {
+// TestManifestIsWhatRendersAsk: for every experiment (and for all of them
+// together) the manifest names exactly the cells rendering reads. A fresh
+// session that renders without priming executes as many distinct cells
+// as the manifest holds, and a session primed with the manifest executes
+// no cell beyond it while rendering — so the two sets are equal.
+func TestManifestIsWhatRendersAsk(t *testing.T) {
+	selections := [][]string{{"all"}}
+	for _, ex := range Experiments() {
+		selections = append(selections, []string{ex.ID})
+	}
+	for _, ids := range selections {
+		for _, prime := range []bool{false, true} {
+			s := NewSession(Options{MaxInstr: 2_000, Scale: workload.ScaleTest, Benchmarks: []string{"treeadd", "gzip"}})
+			manifest, err := s.ManifestFor(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prime {
+				s.Prime(manifest)
+			}
+			if err := RunExperiments(s, ids, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			s.Campaign().Wait()
+			if got := s.Campaign().Snapshot().Executed; got != uint64(manifest.Len()) {
+				t.Errorf("%v (primed=%v): rendering left %d cells executed, the manifest names %d", ids, prime, got, manifest.Len())
+			}
+		}
+	}
+}
+
+// TestRunExperimentsUnknownIDRejected: an id that names no experiment is
+// an error listing the valid ids — from the manifest and from the run —
+// not an empty selection that renders nothing and exits 0.
+func TestRunExperimentsUnknownIDRejected(t *testing.T) {
 	s := testSession("treeadd")
 	var sb strings.Builder
-	if err := RunExperiments(s, []string{"nope"}, &sb); err != nil {
-		t.Fatal(err)
+	err := RunExperiments(s, []string{"fig4", "fig44"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), `"fig44"`) || !strings.Contains(err.Error(), "fig4, fig5") {
+		t.Errorf("RunExperiments error = %v; want one naming fig44 and the valid ids", err)
 	}
 	if sb.Len() != 0 {
-		t.Error("unknown id produced output")
+		t.Errorf("a rejected selection still rendered:\n%s", sb.String())
+	}
+	if _, err := s.ManifestFor([]string{"fig44"}); err == nil {
+		t.Error("ManifestFor accepted an unknown id")
+	}
+	if snap := s.Campaign().Snapshot(); snap.Executed != 0 {
+		t.Errorf("a rejected selection executed %d cells", snap.Executed)
 	}
 }
 
