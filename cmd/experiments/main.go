@@ -132,9 +132,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	sc, ok := workload.ParseScale(*scale)
-	if !ok {
-		return fail(2, "unknown scale %q (valid: test, run, full)", *scale)
+	sc, err := workload.ParseScale(*scale)
+	if err != nil {
+		return fail(2, "%v", err)
 	}
 	if *resume && *cacheDir == "" {
 		return fail(2, "-resume needs -cache-dir (there is no cache to resume from)")
@@ -241,15 +241,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else if *progFlag && isTerminal(stderr) {
 		stopLive = campaign.NewProgress(s.Campaign(), stderr, 0, uint64(expected)).Stop
 	}
-	err := render()
+	err = render()
 	stopLive()
 
 	fmt.Fprintln(stderr, s.Campaign().Snapshot().Summary())
 	if remote != nil {
 		if st, serr := remote.Stats(); serr == nil {
-			fmt.Fprintf(stderr,
-				"coordinator: %d completed, %d failed, %d cache hits, %d retries, %d requeues, %d lease expiries\n",
-				st.Completed, st.Failed, st.CacheHits, st.Retries, st.Requeues, st.LeaseExpiries)
+			fmt.Fprintf(stderr, "coordinator: %s\n", st.Summary())
 		}
 	}
 	fails := s.Failures()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"largewindow/internal/campaign"
 	"largewindow/internal/obs"
 	"largewindow/internal/service"
 )
@@ -84,7 +85,7 @@ func (w *fleetWatch) stop() {
 }
 
 // renderFleetLine formats one progress snapshot. Rates and ETAs arrive
-// pre-sanitized (obs.SaneRate/SaneETA): never NaN, Inf, or negative —
+// pre-sanitized (obs.SaneRate/SaneETAFrac): never NaN, Inf, or negative —
 // unknown ETA is negative by contract and rendered as "--".
 func renderFleetLine(p *obs.Progress) string {
 	var b strings.Builder
@@ -94,7 +95,7 @@ func renderFleetLine(p *obs.Progress) string {
 	}
 	fmt.Fprintf(&b, ", %d running, queue %d", p.Running, p.QueueDepth)
 	if p.InstrsPerSec > 0 {
-		fmt.Fprintf(&b, ", %s instrs/s", siRate(p.InstrsPerSec))
+		fmt.Fprintf(&b, ", %s instrs/s", campaign.SIFormat(p.InstrsPerSec))
 	}
 	if p.ETASec >= 0 {
 		fmt.Fprintf(&b, ", ETA %s", (time.Duration(p.ETASec * float64(time.Second))).Round(time.Second))
@@ -126,17 +127,4 @@ func renderFleetEvent(ev obs.Event) string {
 		fmt.Fprintf(&b, " [%s]", ev.Note)
 	}
 	return b.String()
-}
-
-// siRate renders a rate with an SI suffix (12.3M, 456k).
-func siRate(v float64) string {
-	switch {
-	case v >= 1e9:
-		return fmt.Sprintf("%.1fG", v/1e9)
-	case v >= 1e6:
-		return fmt.Sprintf("%.1fM", v/1e6)
-	case v >= 1e3:
-		return fmt.Sprintf("%.1fk", v/1e3)
-	}
-	return fmt.Sprintf("%.0f", v)
 }

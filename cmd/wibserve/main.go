@@ -31,6 +31,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -45,38 +46,53 @@ import (
 )
 
 func main() {
-	var (
-		addr      = flag.String("addr", ":8420", "listen address (use :0 for an ephemeral port)")
-		cacheDir  = flag.String("cache-dir", "", "content-addressed record store directory (required)")
-		resume    = flag.Bool("resume", false, "serve submitted cells already present in -cache-dir from disk")
-		queueCap  = flag.Int("queue-cap", 0, "pending-queue bound; overflowing submissions get 429 (0 = 4096)")
-		leaseTTL  = flag.Duration("lease-ttl", 0, "heartbeat deadline before a leased cell is requeued (0 = 30s)")
-		requeues  = flag.Int("max-requeues", 0, "lease expiries before a cell fails permanently (0 = 5)")
-		retryMax  = flag.Int("retry-max", 0, "attempts per cell across transient worker failures (0 = 2)")
-		retryBP   = flag.Duration("retry-base", 0, "base re-dispatch backoff, doubling per failure (0 = immediate)")
-		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight leases on shutdown")
-		events    = flag.Bool("events", true, "serve the SSE lifecycle-event stream at /api/v1/events")
-		spanLog   = flag.String("span-log", "", "record fleet lifecycle spans to this JSONL file (for wibtrace -fleet)")
-		progEvery = flag.Duration("progress-interval", 0, "pace of progress events on the stream (0 = 1s)")
-		logFormat = flag.String("log-format", "text", "structured log encoding: text or json")
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty)")
-		verbose   = flag.Bool("v", false, "log dispatch, expiry, and rejection events")
-	)
-	flag.Parse()
+	// The stop function is dropped: the process exits when run returns.
+	ctx, _ := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, *verbose)
+// run is the whole command: it parses args, serves until ctx is
+// cancelled (main cancels it on SIGINT/SIGTERM), drains, and returns the
+// exit status (0 ok, 1 a failed start or serve, 2 bad usage). The bound
+// address goes to stdout, everything else to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wibserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr      = fs.String("addr", ":8420", "listen address (use :0 for an ephemeral port)")
+		cacheDir  = fs.String("cache-dir", "", "content-addressed record store directory (required)")
+		resume    = fs.Bool("resume", false, "serve submitted cells already present in -cache-dir from disk")
+		queueCap  = fs.Int("queue-cap", 0, "pending-queue bound; overflowing submissions get 429 (0 = 4096)")
+		leaseTTL  = fs.Duration("lease-ttl", 0, "heartbeat deadline before a leased cell is requeued (0 = 30s)")
+		requeues  = fs.Int("max-requeues", 0, "lease expiries before a cell fails permanently (0 = 5)")
+		retryMax  = fs.Int("retry-max", 0, "attempts per cell across transient worker failures (0 = 2)")
+		retryBP   = fs.Duration("retry-base", 0, "base re-dispatch backoff, doubling per failure (0 = immediate)")
+		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight leases on shutdown")
+		events    = fs.Bool("events", true, "serve the SSE lifecycle-event stream at /api/v1/events")
+		spanLog   = fs.String("span-log", "", "record fleet lifecycle spans to this JSONL file (for wibtrace -fleet)")
+		progEvery = fs.Duration("progress-interval", 0, "pace of progress events on the stream (0 = 1s)")
+		logFormat = fs.String("log-format", "text", "structured log encoding: text or json")
+		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty)")
+		verbose   = fs.Bool("v", false, "log dispatch, expiry, and rejection events")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "wibserve: "+format+"\n", a...)
+		return code
+	}
+
+	logger, err := obs.NewLogger(stderr, *logFormat, *verbose)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wibserve: %v\n", err)
-		os.Exit(2)
+		return fail(2, "%v", err)
 	}
 	if *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "wibserve: -cache-dir is required (completed records must persist somewhere)")
-		os.Exit(2)
+		return fail(2, "-cache-dir is required (completed records must persist somewhere)")
 	}
 	store, err := campaign.NewStore(*cacheDir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wibserve: %v\n", err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
 	opt := service.CoordinatorOptions{
 		Store:       store,
@@ -99,8 +115,7 @@ func main() {
 	if *spanLog != "" {
 		spanFile, err = os.Create(*spanLog)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wibserve: span log: %v\n", err)
-			os.Exit(1)
+			return fail(1, "span log: %v", err)
 		}
 		opt.Spans = obs.NewSpanLog(spanFile)
 	}
@@ -120,33 +135,30 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wibserve: %v\n", err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
 	srv := &http.Server{Handler: coord.Handler()}
 	// Stays on stdout, and stays first: recipes and the check harness
 	// scrape this line for the bound address.
-	fmt.Printf("wibserve listening on %s\n", ln.Addr())
+	fmt.Fprintf(stdout, "wibserve listening on %s\n", ln.Addr())
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
-	case sig := <-sigc:
-		logger.Info("signal received, draining", "signal", sig.String())
+	case <-ctx.Done():
+		logger.Info("shutdown requested, draining")
 	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "wibserve: %v\n", err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
+	// The grace period starts now: ctx is already cancelled.
+	dctx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
-	if err := coord.Drain(ctx); err != nil {
+	if err := coord.Drain(dctx); err != nil {
 		logger.Warn("drain incomplete", "error", err)
 	}
-	srv.Shutdown(ctx)
+	srv.Shutdown(dctx)
 	if spanFile != nil {
 		// Drain already flushed the span log's buffer; close the file so
 		// the last spans are durable before the exit status prints.
@@ -155,7 +167,6 @@ func main() {
 		}
 	}
 	st := coord.Stats()
-	fmt.Fprintf(os.Stderr,
-		"wibserve: done — %d submitted, %d completed, %d failed, %d cache hits, %d retries, %d requeues, %d lease expiries\n",
-		st.Submitted, st.Completed, st.Failed, st.CacheHits, st.Retries, st.Requeues, st.LeaseExpiries)
+	fmt.Fprintf(stderr, "wibserve: done — %d submitted, %s\n", st.Submitted, st.Summary())
+	return 0
 }

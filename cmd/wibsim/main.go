@@ -115,9 +115,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, fmt.Errorf("%v (use -list for kernels, or trace:PATH / synth:SPEC)", err))
 	}
-	sc, ok := workload.ParseScale(*scale)
-	if !ok {
-		return fail(2, fmt.Errorf("unknown scale %q (valid: test, run, full)", *scale))
+	sc, err := workload.ParseScale(*scale)
+	if err != nil {
+		return fail(2, err)
 	}
 
 	var cfg core.Config

@@ -89,19 +89,10 @@ func main() {
 		return
 	}
 
-	src, err := workload.ParseRef(*bench)
+	src, sc, err := parseWorkload(*bench, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	var sc workload.Scale
-	switch *scale {
-	case "run":
-		sc = workload.ScaleRun
-	case "full":
-		sc = workload.ScaleFull
-	default:
-		sc = workload.ScaleTest
 	}
 	prog, err := src.Build(sc)
 	if err != nil {
@@ -149,6 +140,17 @@ func main() {
 	for _, e := range mix {
 		fmt.Printf("  %-8s %9d (%.1f%%)\n", e.c, e.n, 100*float64(e.n)/float64(m.InstrCount))
 	}
+}
+
+// parseWorkload resolves the -bench and -scale flags; an error is bad
+// usage (exit 2), never a silent default.
+func parseWorkload(bench, scale string) (workload.Source, workload.Scale, error) {
+	src, err := workload.ParseRef(bench)
+	if err != nil {
+		return nil, 0, err
+	}
+	sc, err := workload.ParseScale(scale)
+	return src, sc, err
 }
 
 // traceInstrs steps the machine up to n instructions, printing each one

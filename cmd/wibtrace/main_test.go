@@ -6,6 +6,7 @@ import (
 
 	"largewindow/internal/emu"
 	"largewindow/internal/isa"
+	"largewindow/internal/workload"
 )
 
 // TestTraceInstrsWildJump: a Jr to an address outside the code segment
@@ -46,5 +47,21 @@ func TestTraceInstrsStopsAtHaltAndBudget(t *testing.T) {
 		if got := strings.Count(out.String(), "\n"); got != tc.lines {
 			t.Errorf("n=%d printed %d lines, want %d:\n%s", tc.n, got, tc.lines, out.String())
 		}
+	}
+}
+
+// TestParseWorkloadRejectsUnknownScale: -scale rnu used to profile at
+// test scale without a word; it is bad usage that names the valid scales.
+func TestParseWorkloadRejectsUnknownScale(t *testing.T) {
+	_, _, err := parseWorkload("treeadd", "rnu")
+	if err == nil || err.Error() != `unknown scale "rnu" (valid: test, run, full)` {
+		t.Errorf("-scale rnu: err = %v, want the unknown-scale error", err)
+	}
+	if _, _, err := parseWorkload("no-such-kernel", "test"); err == nil {
+		t.Error("-bench no-such-kernel accepted")
+	}
+	src, sc, err := parseWorkload("treeadd", "run")
+	if err != nil || src.Name() != "treeadd" || sc != workload.ScaleRun {
+		t.Errorf("-bench treeadd -scale run = %v, %v, %v", src, sc, err)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -44,27 +45,41 @@ import (
 )
 
 func main() {
-	var (
-		server      = flag.String("server", "", "coordinator base URL (required)")
-		id          = flag.String("id", "", "worker name in coordinator logs (default host-pid)")
-		par         = flag.Int("parallel", 0, "concurrent lease slots (0 = GOMAXPROCS)")
-		poll        = flag.Duration("poll", 0, "lease long-poll budget when the queue is dry (0 = 2s)")
-		deadline    = flag.Duration("deadline", 0, "wall-clock limit per simulation, reported transient (0 = none)")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics on this address (off when empty)")
-		logFormat   = flag.String("log-format", "text", "structured log encoding: text or json")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty)")
-		verbose     = flag.Bool("v", false, "log lease and completion events")
-	)
-	flag.Parse()
+	// The stop function is dropped: the process exits when run returns.
+	ctx, _ := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, *verbose)
+// run is the whole command: it parses args, runs the lease slots until
+// ctx is cancelled (main cancels it on SIGINT/SIGTERM) or the coordinator
+// tells them to exit, and returns the exit status (0 ok, 2 bad usage).
+// Everything a worker prints goes to stderr.
+func run(ctx context.Context, args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wibworker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		server      = fs.String("server", "", "coordinator base URL (required)")
+		id          = fs.String("id", "", "worker name in coordinator logs (default host-pid)")
+		par         = fs.Int("parallel", 0, "concurrent lease slots (0 = GOMAXPROCS)")
+		poll        = fs.Duration("poll", 0, "lease long-poll budget when the queue is dry (0 = 2s)")
+		deadline    = fs.Duration("deadline", 0, "wall-clock limit per simulation, reported transient (0 = none)")
+		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics on this address (off when empty)")
+		logFormat   = fs.String("log-format", "text", "structured log encoding: text or json")
+		pprofAddr   = fs.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty)")
+		verbose     = fs.Bool("v", false, "log lease and completion events")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	logger, err := obs.NewLogger(stderr, *logFormat, *verbose)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wibworker: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "wibworker: %v\n", err)
+		return 2
 	}
 	if *server == "" {
-		fmt.Fprintln(os.Stderr, "wibworker: -server is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "wibworker: -server is required")
+		return 2
 	}
 	slots := *par
 	if slots <= 0 {
@@ -113,14 +128,10 @@ func main() {
 		}()
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		sig := <-sigc
-		logger.Info("signal received, finishing in-flight cells", "signal", sig.String())
-		cancel()
-	}()
+	stopLog := context.AfterFunc(ctx, func() {
+		logger.Info("shutdown requested, finishing in-flight cells")
+	})
+	defer stopLog()
 
 	base := *id
 	var wg sync.WaitGroup
@@ -152,5 +163,6 @@ func main() {
 	for _, w := range workers {
 		done += w.CellsDone()
 	}
-	fmt.Fprintf(os.Stderr, "wibworker: exiting after %d completions\n", done)
+	fmt.Fprintf(stderr, "wibworker: exiting after %d completions\n", done)
+	return 0
 }

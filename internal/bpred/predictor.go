@@ -192,16 +192,6 @@ func (p *Predictor) Clone() *Predictor {
 	return &q
 }
 
-// ResetRAS empties the return-address stack while leaving every trained
-// structure (direction tables, history, BTB) untouched. Sampled
-// simulation calls it between measured intervals: an abandoned interval
-// leaves a shared predictor's RAS holding return addresses from a far
-// earlier program position, and popping those stale entries confidently
-// mispredicts every outer return of a deep call chain. An empty stack
-// instead re-fills within the detailed warmup, exactly as after a
-// checkpoint restore (WarmBranch deliberately never touches the RAS).
-func (p *Predictor) ResetRAS() { p.ras = NewRAS(len(p.ras.stack)) }
-
 // BTBStats reports BTB lookups and hits.
 func (p *Predictor) BTBStats() (lookups, hits uint64) { return p.btb.Lookups, p.btb.Hits }
 

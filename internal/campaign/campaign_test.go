@@ -8,10 +8,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"largewindow/internal/core"
 	"largewindow/internal/workload"
@@ -270,11 +272,10 @@ func TestEngineParallelSingleFlight(t *testing.T) {
 	}
 }
 
-// TestEngineStealsAcrossShards pins work stealing: all cells hash-landed
-// on whatever shards they land on, yet a pool of 4 workers must drain
-// them all even though shard assignment is uncorrelated with worker
-// availability.
-func TestEngineStealsAcrossShards(t *testing.T) {
+// TestPoolDrainsPrimedManifest: a pool of 4 workers executes every cell
+// of a primed manifest exactly once and Wait returns when the last one
+// has finished.
+func TestPoolDrainsPrimedManifest(t *testing.T) {
 	var calls atomic.Int32
 	eng := NewEngine(func(c Cell) (*Record, error) {
 		calls.Add(1)
@@ -291,6 +292,76 @@ func TestEngineStealsAcrossShards(t *testing.T) {
 	}
 	if s := eng.Snapshot(); s.Done != uint64(len(cells)) {
 		t.Errorf("done = %d, want %d", s.Done, len(cells))
+	}
+}
+
+// TestPrimedCellsRunInManifestOrder pins the queue discipline the
+// experiments command relies on to stream tables while the pool works:
+// one worker executes primed cells in the order they were primed.
+func TestPrimedCellsRunInManifestOrder(t *testing.T) {
+	var got []string // one worker: appends are serialised by the pool
+	eng := NewEngine(func(c Cell) (*Record, error) {
+		got = append(got, c.Bench)
+		return fakeExec(c)
+	}, Options{Workers: 1})
+	var cells []Cell
+	var want []string
+	for i := 0; i < 8; i++ {
+		cells = append(cells, testCell("", 64, fmt.Sprintf("b%02d", i)))
+		want = append(want, cells[i].Bench)
+	}
+	eng.Prime(cells)
+	eng.Wait()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("execution order %v, want manifest order %v", got, want)
+	}
+}
+
+// TestEnqueueRacesLastWorkerExit hammers the window in which a cell is
+// enqueued just as the last worker finds the queue empty: every Run must
+// still get its own cell's record, Wait must return, and the idle engine
+// must hold no goroutines.
+func TestEnqueueRacesLastWorkerExit(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			eng := NewEngine(func(c Cell) (*Record, error) {
+				return &Record{Bench: c.Bench}, nil
+			}, Options{Workers: workers})
+			const callers, cells = 4, 2000
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				g := g
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := g; i < cells; i += callers {
+						// One cell at a time: the pool goes idle between
+						// most of this caller's Runs.
+						c := testCell("", 64, fmt.Sprintf("b%04d", i))
+						rec, err := eng.Run(c)
+						if err != nil || rec.Bench != c.Bench || rec.CellID != c.ID() {
+							t.Errorf("Run(%s) = %+v, %v", c.Bench, rec, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			eng.Wait()
+			if s := eng.Snapshot(); s.Done != cells || s.Executed != cells {
+				t.Errorf("snapshot %+v, want %d done and executed", s, cells)
+			}
+			// The last worker resolves its cell before it gives up its
+			// slot, so allow it a moment to get there.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Errorf("idle engine holds %d goroutines over the baseline of %d", n-baseline, baseline)
+			}
+		})
 	}
 }
 
@@ -327,9 +398,9 @@ func TestEngineTransientRetry(t *testing.T) {
 		}
 		return fakeExec(c)
 	}, Options{
-		Workers:     1,
-		IsTransient: func(err error) bool { return errors.Is(err, sentinel) },
-		Log:         &log,
+		Workers: 1,
+		Retry:   RetryPolicy{IsTransient: func(err error) bool { return errors.Is(err, sentinel) }},
+		Log:     &log,
 	})
 	if _, err := eng.Run(testCell("", 64, "gzip")); err != nil {
 		t.Fatalf("transient failure not retried: %v", err)

@@ -1,8 +1,9 @@
-// Package campaign is the sharded execution engine behind the paper's
+// Package campaign is the execution engine behind the paper's
 // evaluation grid. An experiment set expands into a deterministic
 // manifest of (benchmark × configuration × budget) cells; the engine runs
-// the cells across a bounded work-stealing worker pool with per-worker
-// panic isolation, and persists every finished cell's result as a
+// the cells in manifest order on a bounded worker pool fed by one FIFO
+// queue, with per-worker panic isolation, resolves each cell at most once
+// (internal/flight), and persists every finished cell's result as a
 // schema-versioned JSON record in an on-disk content-addressed store, so
 // an interrupted or re-invoked campaign resumes with zero recomputation
 // and cache hits survive across processes.

@@ -8,10 +8,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"largewindow/internal/emu"
+	"largewindow/internal/flight"
 	"largewindow/internal/workload"
 )
 
@@ -59,15 +59,6 @@ func (k CheckpointKey) String() string {
 	return fmt.Sprintf("%s/%s+%d", k.Bench, k.Scale, k.Skip)
 }
 
-// ckptSlot is the single-flight slot for one checkpoint: exactly one
-// resolution (disk load or functional build) happens per key, and every
-// concurrent Get for the same key blocks on the same done channel.
-type ckptSlot struct {
-	done chan struct{}
-	cp   *emu.Checkpoint
-	err  error
-}
-
 // Checkpoints is the shared checkpoint cache of a campaign: an in-memory
 // single-flight map over an optional on-disk store. With a directory,
 // checkpoints persist at <dir>/<id>.json (atomic temp+rename, like
@@ -77,8 +68,7 @@ type Checkpoints struct {
 	dir string
 	log io.Writer
 
-	mu    sync.Mutex
-	slots map[string]*ckptSlot
+	slots flight.Memo[*emu.Checkpoint]
 
 	built  atomic.Uint64 // functional passes executed
 	reused atomic.Uint64 // Gets served without a functional pass
@@ -91,7 +81,7 @@ type Checkpoints struct {
 // logging each failed persist). log (may be nil) receives corrupt-entry
 // and persistence warnings. The error is always nil.
 func NewCheckpoints(dir string, log io.Writer) (*Checkpoints, error) {
-	return &Checkpoints{dir: dir, log: log, slots: make(map[string]*ckptSlot)}, nil
+	return &Checkpoints{dir: dir, log: log}, nil
 }
 
 // Counts reports how many Gets built a checkpoint functionally and how
@@ -116,29 +106,16 @@ func (c *Checkpoints) Path(id string) string {
 // future-schema disk entry is rebuilt and overwritten.
 func (c *Checkpoints) Get(key CheckpointKey, build func() (*emu.Checkpoint, error)) (*emu.Checkpoint, error) {
 	id := key.ID()
-	c.mu.Lock()
-	slot, ok := c.slots[id]
-	if !ok {
-		slot = &ckptSlot{done: make(chan struct{})}
-		c.slots[id] = slot
-	}
-	c.mu.Unlock()
-	if ok {
-		<-slot.done
-		if slot.err == nil {
-			c.reused.Add(1)
-		}
-		return slot.cp, slot.err
-	}
-
-	cp, fromDisk, err := c.resolve(id, key, build)
-	slot.cp, slot.err = cp, err
-	close(slot.done)
+	fromDisk := false
+	cp, err, first := c.slots.Do(id, func() (cp *emu.Checkpoint, err error) {
+		cp, fromDisk, err = c.resolve(id, key, build)
+		return cp, err
+	})
 	if err == nil {
-		if fromDisk {
-			c.reused.Add(1)
-		} else {
+		if first && !fromDisk {
 			c.built.Add(1)
+		} else {
+			c.reused.Add(1)
 		}
 	}
 	return cp, err
@@ -172,32 +149,12 @@ func (c *Checkpoints) resolve(id string, key CheckpointKey, build func() (*emu.C
 	return cp, false, nil
 }
 
-// persist writes a checkpoint atomically (temp file + rename), so a
+// persist encodes a checkpoint and commits it with writeAtomic, so a
 // campaign killed mid-write leaves either the previous entry or none.
 func (c *Checkpoints) persist(path, id string, cp *emu.Checkpoint) error {
 	data, err := json.Marshal(cp)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return fmt.Errorf("campaign: creating checkpoint store: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+id+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return werr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return writeAtomic(path, id, append(data, '\n'))
 }

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"runtime"
 	"runtime/debug"
@@ -10,7 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"largewindow/internal/telemetry"
+	"largewindow/internal/flight"
 )
 
 // ExecFunc executes one cell and returns its record. The engine provides
@@ -29,14 +28,11 @@ type Options struct {
 	// store is served from disk without executing. Without Resume the
 	// store is write-only — a fresh campaign overwrites old records.
 	Resume bool
-	// IsTransient, when non-nil, classifies errors worth retrying
-	// (wall-clock deadlines on a loaded machine; never simulator bugs).
-	// It is shorthand for Retry.IsTransient and is used only when the
-	// Retry policy carries no classifier of its own.
-	IsTransient func(error) bool
-	// Retry is the cell re-execution policy (budget, backoff, jitter).
-	// The zero value preserves the engine's historical behavior: one
-	// immediate retry of transient failures.
+	// Retry is the cell re-execution policy (budget, backoff, jitter) and
+	// its classifier of errors worth retrying (wall-clock deadlines on a
+	// loaded machine; never simulator bugs). The zero value retries
+	// nothing; a policy carrying only IsTransient retries transient
+	// failures once, immediately.
 	Retry RetryPolicy
 	// Log receives retry and cache-corruption lines (nil = quiet).
 	Log io.Writer
@@ -47,44 +43,31 @@ type Options struct {
 	Checkpoints *Checkpoints
 }
 
-// cellState is the single-flight slot for one cell: exactly one
-// resolution (cache hit or execution) happens per ID per engine, and
-// every Run call for the same cell blocks on the same done channel and
-// receives the same *Record pointer.
-type cellState struct {
+// job is one queued cell: what to execute and the single-flight slot
+// (Engine.cells) its record resolves.
+type job struct {
 	cell Cell
 	id   string
-	done chan struct{}
-	rec  *Record
-	err  error
+	slot *flight.Slot[*Record]
 }
 
-// shard is one lock-striped slice of the pending-work queue. Cells land
-// on the shard their ID hashes to; each worker drains a home shard and
-// steals from the others when its own runs dry, so an uneven manifest
-// (one config's cells all expensive) still keeps every worker busy.
-type shard struct {
-	mu sync.Mutex
-	q  []*cellState
-}
-
-// Engine executes cells across a bounded work-stealing worker pool with
-// per-worker panic isolation and a persistent result cache. Workers are
-// work-conserving: they spawn on demand when cells are queued and exit
-// when the queue drains, so an idle engine holds no goroutines and needs
-// no Close.
+// Engine executes cells across a bounded worker pool with per-worker
+// panic isolation and a persistent result cache. Exactly one resolution
+// (cache hit or execution) happens per cell ID per engine, and every Run
+// of the same cell receives the same *Record pointer. The pool drains one
+// FIFO queue, so a primed manifest executes in manifest order. Workers
+// spawn on demand when cells are queued and exit when the queue drains,
+// so an idle engine holds no goroutines and needs no Close.
 type Engine struct {
-	exec   ExecFunc
-	opt    Options
-	reg    *telemetry.Registry
-	shards []shard
+	exec  ExecFunc
+	opt   Options
+	cells flight.Memo[*Record]
 
-	mu    sync.Mutex
-	cells map[string]*cellState
-
-	active  atomic.Int32 // live workers
-	queued  atomic.Int64 // enqueued, unclaimed cells
-	spawned atomic.Int64 // worker spawn counter (home-shard assignment)
+	// One mutex is enough: a cell is milliseconds of simulation, so the
+	// queue is touched a few hundred times a second at most.
+	mu      sync.Mutex
+	queue   []job // pending cells, oldest first
+	workers int   // live workers, at most opt.Workers
 
 	total     atomic.Uint64 // cells submitted (single-flight entries)
 	completed atomic.Uint64 // cells finished (any path)
@@ -115,29 +98,7 @@ func NewEngine(exec ExecFunc, opt Options) *Engine {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.Retry.IsTransient == nil {
-		opt.Retry.IsTransient = opt.IsTransient
-	}
-	e := &Engine{
-		exec:   exec,
-		opt:    opt,
-		reg:    telemetry.NewRegistry(),
-		shards: make([]shard, opt.Workers),
-		cells:  make(map[string]*cellState),
-		start:  time.Now(),
-	}
-	e.reg.CounterFunc("campaign.cells.total", e.total.Load)
-	e.reg.CounterFunc("campaign.cells.done", e.completed.Load)
-	e.reg.CounterFunc("campaign.cells.executed", e.executed.Load)
-	e.reg.CounterFunc("campaign.cells.cache_hits", e.cacheHits.Load)
-	e.reg.CounterFunc("campaign.cells.failed", e.failed.Load)
-	e.reg.CounterFunc("campaign.cells.retries", e.retries.Load)
-	e.reg.CounterFunc("campaign.instrs", e.instrs.Load)
-	e.reg.CounterFunc("campaign.intervals.done", e.intervalsDone.Load)
-	e.reg.CounterFunc("campaign.intervals.planned", e.intervalsPlanned.Load)
-	e.reg.CounterFunc("campaign.cells.model_pruned", e.modelPruned.Load)
-	e.reg.CounterFunc("campaign.cells.model_audited", e.modelAudited.Load)
-	return e
+	return &Engine{exec: exec, opt: opt, start: time.Now()}
 }
 
 // AddModelPruned registers n sweep cells the interval model answered in
@@ -156,10 +117,6 @@ func (e *Engine) AddPlannedIntervals(n uint64) { e.intervalsPlanned.Add(n) }
 // IntervalDone marks one measured interval of a sampled cell complete.
 func (e *Engine) IntervalDone() { e.intervalsDone.Add(1) }
 
-// Registry exposes the engine's metrics (cells done/total, aggregate
-// instruction throughput) for progress rendering and telemetry sampling.
-func (e *Engine) Registry() *telemetry.Registry { return e.reg }
-
 // Workers returns the pool bound.
 func (e *Engine) Workers() int { return e.opt.Workers }
 
@@ -168,17 +125,16 @@ func (e *Engine) Workers() int { return e.opt.Workers }
 // by executing it on the worker pool. Concurrent Runs of the same cell
 // share one resolution and one *Record.
 func (e *Engine) Run(cell Cell) (*Record, error) {
-	st := e.state(cell)
-	<-st.done
-	return st.rec, st.err
+	return e.submit(cell).Wait()
 }
 
-// Prime submits cells without waiting: the pool starts crunching the
-// whole manifest immediately while the caller renders tables in its own
-// order, waiting only on the cells each table needs.
+// Prime submits cells without waiting: the pool starts on the manifest
+// immediately and works through it in the order given, while the caller
+// renders tables in its own order, waiting only on the cells each table
+// needs.
 func (e *Engine) Prime(cells []Cell) {
 	for _, c := range cells {
-		e.state(c)
+		e.submit(c)
 	}
 }
 
@@ -189,19 +145,13 @@ func (e *Engine) Wait() {
 	}
 }
 
-// state returns the single-flight slot for a cell, creating and
-// resolving it (cache probe, then enqueue) on first sight.
-func (e *Engine) state(cell Cell) *cellState {
+// submit returns the single-flight slot for a cell, resolving it (cache
+// probe, then enqueue) on first sight.
+func (e *Engine) submit(cell Cell) *flight.Slot[*Record] {
 	id := cell.ID()
-	e.mu.Lock()
-	st, ok := e.cells[id]
-	if !ok {
-		st = &cellState{cell: cell, id: id, done: make(chan struct{})}
-		e.cells[id] = st
-	}
-	e.mu.Unlock()
-	if ok {
-		return st
+	slot, first := e.cells.Claim(id)
+	if !first {
+		return slot
 	}
 	e.total.Add(1)
 	if e.opt.Resume && e.opt.Store != nil {
@@ -211,132 +161,81 @@ func (e *Engine) state(cell Cell) *cellState {
 		}
 		if rec != nil && err == nil {
 			e.cacheHits.Add(1)
-			e.finish(st, rec, nil)
-			return st
+			e.finish(slot, rec, nil)
+			return slot
 		}
 	}
-	e.enqueue(st)
-	return st
+	e.enqueue(job{cell: cell, id: id, slot: slot})
+	return slot
 }
 
-// enqueue pushes a cell onto its home shard and ensures a worker exists
-// to claim it.
-func (e *Engine) enqueue(st *cellState) {
-	sh := &e.shards[e.shardIndex(st.id)]
-	sh.mu.Lock()
-	sh.q = append(sh.q, st)
-	sh.mu.Unlock()
-	e.queued.Add(1)
-	e.maybeSpawn()
+// enqueue appends a cell to the queue and starts a worker for it unless
+// the pool is already at its bound.
+func (e *Engine) enqueue(j job) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.queue = append(e.queue, j)
+	if e.workers < e.opt.Workers {
+		e.workers++
+		go e.worker()
+	}
 }
 
-func (e *Engine) shardIndex(id string) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32()) % len(e.shards)
-}
-
-// maybeSpawn starts a worker unless the pool is already at its bound.
-func (e *Engine) maybeSpawn() {
+// worker runs queued cells oldest first and exits when the queue is dry.
+// It gives up its slot under the lock that guards the queue, so an
+// enqueue either lands before the emptiness check (and this worker takes
+// the cell) or after the decrement (and the enqueuer spawns a worker):
+// no cell is ever left queued with nobody to run it.
+func (e *Engine) worker() {
 	for {
-		n := e.active.Load()
-		if int(n) >= e.opt.Workers {
+		e.mu.Lock()
+		if len(e.queue) == 0 {
+			e.workers--
+			e.mu.Unlock()
 			return
 		}
-		if e.active.CompareAndSwap(n, n+1) {
-			home := int(e.spawned.Add(1)-1) % len(e.shards)
-			go e.worker(home)
-			return
-		}
-	}
-}
-
-// worker drains its home shard, steals from the others, and exits when
-// the whole queue is dry. The post-decrement recheck closes the race
-// where a cell is enqueued just as the last worker goes idle: either
-// this worker reacquires its slot and continues, or the enqueuer's
-// maybeSpawn (or another full-pool worker's next scan) picks the cell up.
-func (e *Engine) worker(home int) {
-	for {
-		st := e.claim(home)
-		if st == nil {
-			e.active.Add(-1)
-			if e.queued.Load() == 0 || !e.reacquire() {
-				return
-			}
-			continue
-		}
-		e.runCell(st)
-	}
-}
-
-// claim pops from the home shard, then scans the other shards in order.
-func (e *Engine) claim(home int) *cellState {
-	n := len(e.shards)
-	for i := 0; i < n; i++ {
-		sh := &e.shards[(home+i)%n]
-		sh.mu.Lock()
-		var st *cellState
-		if k := len(sh.q); k > 0 {
-			st = sh.q[k-1]
-			sh.q[k-1] = nil
-			sh.q = sh.q[:k-1]
-		}
-		sh.mu.Unlock()
-		if st != nil {
-			e.queued.Add(-1)
-			return st
-		}
-	}
-	return nil
-}
-
-func (e *Engine) reacquire() bool {
-	for {
-		n := e.active.Load()
-		if int(n) >= e.opt.Workers {
-			return false
-		}
-		if e.active.CompareAndSwap(n, n+1) {
-			return true
-		}
+		j := e.queue[0]
+		e.queue[0] = job{} // the backing array must not pin a finished cell
+		e.queue = e.queue[1:]
+		e.mu.Unlock()
+		e.runCell(j)
 	}
 }
 
 // runCell executes one claimed cell with panic isolation and the
 // engine's retry policy, persists the record, and releases waiters.
-func (e *Engine) runCell(st *cellState) {
-	rec, err := e.execIsolated(st.cell)
+func (e *Engine) runCell(j job) {
+	rec, err := e.execIsolated(j.cell)
 	for failures := 1; e.opt.Retry.Retryable(failures, err); failures++ {
 		e.retries.Add(1)
 		if e.opt.Log != nil {
 			fmt.Fprintf(e.opt.Log, "  RETRY %s on %s (attempt %d): %v\n",
-				st.cell.Bench, st.cell.Config.Name, failures+1, err)
+				j.cell.Bench, j.cell.Config.Name, failures+1, err)
 		}
 		if d := e.opt.Retry.Backoff(failures); d > 0 {
 			time.Sleep(d)
 		}
-		rec, err = e.execIsolated(st.cell)
+		rec, err = e.execIsolated(j.cell)
 	}
 	e.executed.Add(1)
 	if err != nil {
 		e.failed.Add(1)
-		e.finish(st, nil, err)
+		e.finish(j.slot, nil, err)
 		return
 	}
-	rec.CellID = st.id
+	rec.CellID = j.id
 	e.instrs.Add(rec.Stats.Committed)
 	if e.opt.Store != nil {
 		if perr := e.opt.Store.Put(rec); perr != nil && e.opt.Log != nil {
-			fmt.Fprintf(e.opt.Log, "  persisting %s: %v\n", st.cell, perr)
+			fmt.Fprintf(e.opt.Log, "  persisting %s: %v\n", j.cell, perr)
 		}
 	}
-	e.finish(st, rec, nil)
+	e.finish(j.slot, rec, nil)
 }
 
 // execIsolated shields the pool from a panicking executor: one corrupted
 // cell yields an error on that cell, never a dead worker (and with it a
-// campaign that hangs forever on an unresolved cellState).
+// campaign that hangs forever on an unresolved slot).
 func (e *Engine) execIsolated(c Cell) (rec *Record, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -346,10 +245,9 @@ func (e *Engine) execIsolated(c Cell) (rec *Record, err error) {
 	return e.exec(c)
 }
 
-func (e *Engine) finish(st *cellState, rec *Record, err error) {
-	st.rec, st.err = rec, err
+func (e *Engine) finish(slot *flight.Slot[*Record], rec *Record, err error) {
 	e.completed.Add(1)
-	close(st.done)
+	slot.Resolve(rec, err)
 }
 
 // Snapshot is a point-in-time view of campaign progress.

@@ -3,9 +3,10 @@ package campaign
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
+
+	"largewindow/internal/obs"
 )
 
 // Progress renders a live one-line campaign status fed by the engine's
@@ -66,13 +67,7 @@ func renderLine(s Snapshot, expected uint64) string {
 	if expected > total {
 		total = expected
 	}
-	rate := 0.0
-	if secs := s.Elapsed.Seconds(); secs > 0 {
-		rate = float64(s.Instrs) / secs
-	}
-	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
-		rate = 0
-	}
+	rate := obs.SaneRate(float64(s.Instrs), s.Elapsed.Seconds())
 	line := fmt.Sprintf("campaign %d/%d cells", s.Done, total)
 	if s.CacheHits > 0 {
 		line += fmt.Sprintf(" (%d cached)", s.CacheHits)
@@ -95,7 +90,7 @@ func renderLine(s Snapshot, expected uint64) string {
 		// progress. Show measured-interval progress instead.
 		line += fmt.Sprintf(" · interval %d/%d", s.IntervalsDone, s.IntervalsPlanned)
 	} else {
-		line += fmt.Sprintf(" · %s instrs/s", siFormat(rate))
+		line += fmt.Sprintf(" · %s instrs/s", SIFormat(rate))
 	}
 	if eta, ok := renderETA(s, total); ok {
 		line += " · ETA " + eta
@@ -128,8 +123,8 @@ func (p *Progress) Stop() {
 	fmt.Fprintf(p.w, "\r\x1b[K")
 }
 
-// siFormat renders a rate with an SI suffix (2.1M, 764k).
-func siFormat(v float64) string {
+// SIFormat renders a rate with an SI suffix (2.1M, 764k).
+func SIFormat(v float64) string {
 	switch {
 	case v >= 1e9:
 		return fmt.Sprintf("%.1fG", v/1e9)

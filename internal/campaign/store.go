@@ -82,21 +82,29 @@ func (s *Store) Put(rec *Record) error {
 // finished record once and gives the same bytes to the store and to
 // every result it serves.
 func (s *Store) PutEncoded(id string, compact []byte) error {
-	path := s.Path(id)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("campaign: store shard dir: %w", err)
-	}
 	var data bytes.Buffer
 	data.Grow(2 * len(compact))
 	if err := json.Indent(&data, compact, "", "  "); err != nil {
 		return fmt.Errorf("campaign: encoding %s: %w", id, err)
 	}
 	data.WriteByte('\n')
+	return writeAtomic(s.Path(id), id, data.Bytes())
+}
+
+// writeAtomic is the tier's one durable write: data goes to a temp
+// sibling of path (".<id>.tmp*", which IDs skips) in path's directory,
+// created if need be, and is renamed over it, so a process killed
+// mid-write leaves either the previous file or none — never a torn one —
+// and a concurrent reader sees only complete files.
+func writeAtomic(path, id string, data []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("campaign: creating directory for %s: %w", id, err)
+	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+id+".tmp*")
 	if err != nil {
-		return fmt.Errorf("campaign: temp record: %w", err)
+		return fmt.Errorf("campaign: temp file for %s: %w", id, err)
 	}
-	_, werr := tmp.Write(data.Bytes())
+	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

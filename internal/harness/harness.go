@@ -1,13 +1,13 @@
 // Package harness runs the paper's evaluation: it expands (benchmark ×
 // configuration) grids into campaign cells, executes them through the
-// sharded campaign engine (internal/campaign), and regenerates every
+// campaign engine (internal/campaign), and regenerates every
 // table and figure of the paper (DESIGN.md §3 maps each experiment to the
 // module that implements it).
 //
 // Session is a thin view over the campaign store: Run and RunAll resolve
-// cells through the engine — which memoizes in-process, executes on a
-// bounded work-stealing pool, and (when CacheDir is set) persists every
-// finished cell so a later session resumes without recomputation.
+// cells through the engine — which memoizes in-process, executes in
+// submission order on a bounded pool, and (when CacheDir is set) persists
+// every finished cell so a later session resumes without recomputation.
 package harness
 
 import (
@@ -27,6 +27,7 @@ import (
 	"largewindow/internal/campaign"
 	"largewindow/internal/core"
 	"largewindow/internal/emu"
+	"largewindow/internal/flight"
 	"largewindow/internal/isa"
 	"largewindow/internal/sample"
 	"largewindow/internal/stats"
@@ -139,17 +140,6 @@ type Result struct {
 	Err   error // non-nil: the cell failed (SimError or panic)
 }
 
-// viewCell is the session's once-per-cell view over the engine: the
-// sync.Once guarantees one Record→Result conversion (so every caller
-// sees the same *Result pointer) and one failure-list entry, even under
-// concurrent Run calls. Successes and failures alike are memoized — a
-// crashed cell is not silently re-run by the next experiment needing it.
-type viewCell struct {
-	once sync.Once
-	res  *Result
-	err  error
-}
-
 // Session runs and memoizes simulations as a view over a campaign
 // engine. Construction never fails fatally: an unusable cache directory
 // degrades to an in-process-only session with the error recorded in
@@ -160,8 +150,14 @@ type Session struct {
 	store *campaign.Store
 	ckpts *campaign.Checkpoints
 
+	// view is the once-per-cell Record→Result conversion over the engine:
+	// every caller sees the same *Result pointer and a failed cell enters
+	// the failure list once, even under concurrent Run calls. Successes
+	// and failures alike are memoized — a crashed cell is not silently
+	// re-run by the next experiment needing it.
+	view flight.Memo[*Result]
+
 	mu       sync.Mutex
-	view     map[string]*viewCell
 	failures []*Result
 	storeErr error
 
@@ -183,10 +179,7 @@ type Session struct {
 // falls back to in-process memoization only.
 func NewSession(opt Options) *Session {
 	opt = opt.withDefaults()
-	s := &Session{
-		opt:  opt,
-		view: make(map[string]*viewCell),
-	}
+	s := &Session{opt: opt}
 	if opt.CacheDir != "" {
 		store, err := campaign.NewStore(opt.CacheDir)
 		if err != nil {
@@ -318,32 +311,22 @@ func resultKey(src workload.Source) string {
 // cell is recorded as failed.
 func (s *Session) Run(cfg core.Config, src workload.Source) (*Result, error) {
 	cell := s.cell(cfg, src)
-	id := cell.ID()
-	s.mu.Lock()
-	vc, ok := s.view[id]
-	if !ok {
-		vc = &viewCell{}
-		s.view[id] = vc
-	}
-	s.mu.Unlock()
-
-	vc.once.Do(func() {
+	res, err, _ := s.view.Do(cell.ID(), func() (*Result, error) {
 		rec, err := s.eng.Run(cell)
 		if err != nil {
 			err = fmt.Errorf("%s on %s: %w", resultKey(src), cfg.Name, err)
-			vc.res = &Result{Record: &campaign.Record{Bench: src.Name(), Config: cfg.Name}, Suite: src.Suite(), Err: err}
-			vc.err = err
+			res := &Result{Record: &campaign.Record{Bench: src.Name(), Config: cfg.Name}, Suite: src.Suite(), Err: err}
 			s.mu.Lock()
-			s.failures = append(s.failures, vc.res)
+			s.failures = append(s.failures, res)
 			s.mu.Unlock()
 			if s.opt.Log != nil {
 				fmt.Fprintf(s.opt.Log, "  FAIL %-10s on %-16s %v\n", resultKey(src), cfg.Name, err)
 			}
-			return
+			return res, err
 		}
-		vc.res = recordToResult(rec, src)
+		return recordToResult(rec, src), nil
 	})
-	return vc.res, vc.err
+	return res, err
 }
 
 // recordToResult wraps a campaign record (fresh or cache-served) in the

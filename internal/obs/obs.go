@@ -124,26 +124,13 @@ func SaneRate(total float64, secs float64) float64 {
 	return r
 }
 
-// SaneETA extrapolates seconds-to-completion from done/total progress
-// over elapsed seconds. It returns -1 (unknown) whenever the inputs
-// cannot support a sane estimate: nothing finished, already finished,
-// or degenerate elapsed time.
-func SaneETA(done, total uint64, elapsedSec float64) float64 {
-	if done == 0 || total <= done || elapsedSec <= 0 {
-		return -1
-	}
-	perCell := elapsedSec / float64(done)
-	eta := perCell * float64(total-done)
-	if math.IsNaN(eta) || math.IsInf(eta, 0) || eta < 0 {
-		return -1
-	}
-	return eta
-}
-
-// SaneETAFrac is SaneETA over fractional progress: done may include
-// partial credit for in-flight cells (a sampled cell 30/100 intervals
-// in counts 0.3), which keeps long-cell fleet ETAs from sawtoothing
-// between heartbeats. The same degenerate shapes return -1 (unknown).
+// SaneETAFrac extrapolates seconds-to-completion from done/total
+// progress over elapsed seconds. done may include partial credit for
+// in-flight cells (a sampled cell 30/100 intervals in counts 0.3), which
+// keeps long-cell fleet ETAs from sawtoothing between heartbeats. It
+// returns -1 (unknown) whenever the inputs cannot support a sane
+// estimate: nothing finished, already finished, or degenerate elapsed
+// time.
 func SaneETAFrac(done float64, total uint64, elapsedSec float64) float64 {
 	if done <= 0 || float64(total) <= done || elapsedSec <= 0 {
 		return -1

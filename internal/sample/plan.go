@@ -97,10 +97,6 @@ func (p Plan) Resolve(total uint64) Plan {
 // Detailed returns the detailed-window size W+U in instructions.
 func (p Plan) Detailed() uint64 { return p.Warmup + p.Length }
 
-// Coverage returns the total program region the plan spans: N×P
-// instructions.
-func (p Plan) Coverage() uint64 { return uint64(p.Intervals) * p.Period }
-
 // Offset returns the absolute instruction index at which interval k's
 // detailed window (warmup first) begins. Systematic plans place the
 // window at the end of each period, so functional warming covers the

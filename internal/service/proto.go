@@ -232,6 +232,14 @@ type StatsResponse struct {
 	Draining      bool   `json:"draining"`
 }
 
+// Summary renders the coordinator's outcome counters the way both
+// commands that print them (wibserve's exit line, experiments -server)
+// word them; the check gate greps these figures.
+func (s StatsResponse) Summary() string {
+	return fmt.Sprintf("%d completed, %d failed, %d cache hits, %d retries, %d requeues, %d lease expiries",
+		s.Completed, s.Failed, s.CacheHits, s.Retries, s.Requeues, s.LeaseExpiries)
+}
+
 // stamp fills the schema version of an outgoing body.
 func stamp(v *int) { *v = schema.ServiceVersion }
 

@@ -42,10 +42,6 @@ func (m *WorkerMetrics) noteHeartbeat(rtt time.Duration) {
 	m.hbLastUS.Store(us)
 }
 
-// HeartbeatLastUS reports the most recent heartbeat round-trip in
-// microseconds (0 before the first heartbeat).
-func (m *WorkerMetrics) HeartbeatLastUS() uint64 { return m.hbLastUS.Load() }
-
 // Register exposes the metrics on a telemetry registry (served as
 // Prometheus text by the worker's -metrics-addr listener).
 func (m *WorkerMetrics) Register(reg *telemetry.Registry) {

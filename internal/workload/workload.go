@@ -88,18 +88,19 @@ func (s Scale) String() string {
 	}
 }
 
-// ParseScale is the inverse of Scale.String, used by the CLIs and when
-// decoding persisted campaign records.
-func ParseScale(s string) (Scale, bool) {
+// ParseScale is the inverse of Scale.String, used by every CLI's -scale
+// flag. A name that is not a scale is an error naming the valid ones —
+// never a silent default.
+func ParseScale(s string) (Scale, error) {
 	switch s {
 	case "test":
-		return ScaleTest, true
+		return ScaleTest, nil
 	case "run":
-		return ScaleRun, true
+		return ScaleRun, nil
 	case "full":
-		return ScaleFull, true
+		return ScaleFull, nil
 	default:
-		return 0, false
+		return 0, fmt.Errorf("unknown scale %q (valid: test, run, full)", s)
 	}
 }
 

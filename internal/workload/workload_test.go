@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"largewindow/internal/emu"
@@ -107,6 +108,36 @@ func TestScalesDiffer(t *testing.T) {
 	large := buildArt(ScaleRun)
 	if large.Image.NonZeroWords() <= small.Image.NonZeroWords() {
 		t.Error("run scale not larger than test scale")
+	}
+}
+
+// TestParseScale: the three names round-trip through Scale.String, and
+// anything else — empty, wrong case, a typo — is an error that names the
+// valid values, never a default scale.
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Scale
+		ok   bool
+	}{
+		{"test", ScaleTest, true},
+		{"run", ScaleRun, true},
+		{"full", ScaleFull, true},
+		{"", 0, false},
+		{"Run", 0, false},
+		{"rnu", 0, false},
+	} {
+		got, err := ParseScale(tc.in)
+		if tc.ok {
+			if err != nil || got != tc.want || got.String() != tc.in {
+				t.Errorf("ParseScale(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+			}
+			continue
+		}
+		want := fmt.Sprintf("unknown scale %q (valid: test, run, full)", tc.in)
+		if err == nil || err.Error() != want {
+			t.Errorf("ParseScale(%q) error = %v, want %q", tc.in, err, want)
+		}
 	}
 }
 

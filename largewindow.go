@@ -14,7 +14,8 @@
 //	internal/regfile   single- and two-level register file timing
 //	internal/core      the out-of-order pipeline and the WIB
 //	internal/workload  the 18 benchmark kernels of the evaluation
-//	internal/campaign  sharded campaign engine with a persistent result cache
+//	internal/flight    single-flight memo (resolve a content ID at most once)
+//	internal/campaign  campaign engine (FIFO worker pool) with a persistent result cache
 //	internal/harness   the paper's experiments (Figures 1,4-7; Table 2; §4)
 //
 // Quick start:

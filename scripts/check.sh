@@ -29,13 +29,27 @@ go test -race ./...
 echo "== go test (allocation budgets and overhead gates skip themselves under -race) =="
 go test ./...
 
+# A gate that names its test passes vacuously once the test is renamed:
+# `go test -run` of nothing prints "[no tests to run]" and `-fuzz` of
+# nothing prints PASS, both with status 0. So each named gate first
+# proves its target exists.
+gate_exists() { # <test or fuzz name> <package>
+    if ! go test -list "^$1\$" "$2" | grep -qx "$1"; then
+        echo "FAIL: gate names a test that does not exist: $1 in $2"
+        exit 1
+    fi
+}
+
 echo "== fast interpreter vs Step fuzz smoke (every opcode, every sink kind) =="
+gate_exists FuzzRunMatchesStep ./internal/emu/
 go test -run '^$' -fuzz '^FuzzRunMatchesStep$' -fuzztime 10s ./internal/emu/
 
 echo "== trace decoder fuzz smoke (typed errors, never panic) =="
+gate_exists FuzzRead ./internal/trace/
 go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/trace/
 
 echo "== shared frozen memory images under concurrent clones (race, repeated) =="
+gate_exists TestMemoryFrozenConcurrentClones ./internal/isa
 go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
 
 echo "== distributed campaign chaos gate =="
