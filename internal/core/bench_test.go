@@ -268,6 +268,43 @@ func dispatchScenarios(tb testing.TB) []scenario {
 	}}}
 }
 
+// eventQueueScenarios is one cycle's traffic through the event queue at
+// steady state: three completions scheduled — short latencies, an L2 miss
+// now and then, and every 64th cycle one beyond the calendar's horizon, so
+// the overflow list and its migration are on the measured path — and
+// everything due popped.
+func eventQueueScenarios(tb testing.TB) []scenario {
+	var q eventQueue
+	lat := [8]int64{1, 1, 2, 1, 4, 3, 1, 250}
+	var now int64
+	var seq uint64
+	cycle := func() {
+		now++
+		for i := 0; i < 3; i++ {
+			seq++
+			d := lat[seq*2654435761>>7&7]
+			if i == 0 && now&63 == 0 {
+				d = calSlots + 500
+			}
+			q.schedule(event{cycle: now + d, seq: seq, rob: int32(seq & 127)})
+		}
+		for {
+			if _, ok := q.popDue(now); !ok {
+				break
+			}
+		}
+	}
+	for i := 0; i < 4*calSlots; i++ {
+		cycle() // grow the arena to its steady size
+	}
+	return []scenario{{"cycle", func() {
+		cycle()
+		if q.len() == 0 || q.len() > 200 {
+			tb.Fatalf("%d events pending at steady state", q.len())
+		}
+	}}}
+}
+
 func runScenarios(b *testing.B, scenarios []scenario) {
 	for _, s := range scenarios {
 		b.Run(s.name, func(b *testing.B) {
@@ -284,12 +321,14 @@ func BenchmarkLSQCheckViolation(b *testing.B) { runScenarios(b, lsqViolationScen
 func BenchmarkReinsertBanked(b *testing.B)    { runScenarios(b, bankedSelectScenarios(b)) }
 func BenchmarkIssueSelect(b *testing.B)       { runScenarios(b, issueSelectScenarios(b)) }
 func BenchmarkDispatch(b *testing.B)          { runScenarios(b, dispatchScenarios(b)) }
+func BenchmarkEventQueue(b *testing.B)        { runScenarios(b, eventQueueScenarios(b)) }
 
 // TestIndexedPathsAllocFree asserts what the layer benchmarks report: the
-// indexed searches, both selects and dispatch allocate nothing.
+// indexed searches, both selects, dispatch and the event queue allocate
+// nothing.
 func TestIndexedPathsAllocFree(t *testing.T) {
 	for _, group := range [][]scenario{lsqForwardScenarios(t), lsqViolationScenarios(t), bankedSelectScenarios(t),
-		issueSelectScenarios(t), dispatchScenarios(t)} {
+		issueSelectScenarios(t), dispatchScenarios(t), eventQueueScenarios(t)} {
 		for _, s := range group {
 			if allocs := testing.AllocsPerRun(200, s.run); allocs != 0 {
 				t.Errorf("%s: %v allocs/op, want 0", s.name, allocs)

@@ -237,7 +237,6 @@ func New(cfg Config, prog *isa.Program) (*Processor, error) {
 	p.intIQ = newIssueQueue(cfg.IntIQSize, cfg.ActiveList)
 	p.fpIQ = newIssueQueue(cfg.FPIQSize, cfg.ActiveList)
 	p.fus = newFUPools(cfg)
-	p.events = newEventQueue()
 	p.lsq = newLSQ(cfg.LoadQueue, cfg.StoreQueue)
 	p.l2MissReady = heap.NewWithCapacity(int64Before, 16)
 
