@@ -288,10 +288,7 @@ func eventQueueScenarios(tb testing.TB) []scenario {
 			}
 			q.schedule(event{cycle: now + d, seq: seq, rob: int32(seq & 127)})
 		}
-		for {
-			if _, ok := q.popDue(now); !ok {
-				break
-			}
+		for _, due := q.popDue(now); due; _, due = q.popDue(now) {
 		}
 	}
 	for i := 0; i < 4*calSlots; i++ {

@@ -52,7 +52,7 @@ type evList struct{ head, tail int32 }
 
 // eventQueue is a calendar queue: a ring of per-cycle buckets over the
 // window [floor, floor+calSlots), an occupancy bit per bucket so the next
-// due cycle is a bits.TrailingZeros64 scan from the floor, and one sorted
+// due cycle is a bits.TrailingZeros64 scan from min, and one sorted
 // overflow list for events beyond the window, which move into the ring as
 // the floor advances. Nodes come from one arena with a free list, so the
 // steady state allocates nothing, and the zero value is an empty queue.

@@ -126,7 +126,8 @@ func runQueueScript(t testing.TB, script []byte) {
 				earliest++
 			}
 			e := event{cycle: earliest, rob: int32(seq & 1023), kind: eventKind(op & 1)}
-			switch far := [...]int64{0, 250, 600, calSlots - 1, calSlots, calSlots + 1, 3000}; {
+			far := [...]int64{0, 250, 600, calSlots - 1, calSlots, calSlots + 1, 3000}
+			switch {
 			case op%8 < 2:
 				e.cycle += 1 + int64(arg%8)
 			case arg%8 < len(far):

@@ -1,6 +1,7 @@
 // Package heap provides a generic, non-boxing binary min-heap for the
-// simulator's hot scheduling paths (the event queue, the WIB eligible
-// pool, the MLP fill tracker, the cache fill tables).
+// simulator's hot scheduling paths (the WIB eligible pool, the MLP fill
+// tracker, the cache fill tables; internal/core's event-queue tests keep
+// it as their oracle).
 //
 // It exists to replace container/heap, whose interface{}-typed Push/Pop
 // box one value per operation — several heap operations run per simulated
@@ -10,10 +11,12 @@
 // container/heap (same comparison directions, same tie-breaks, same
 // Remove fallback order), so a Heap produces the exact same element layout
 // — and therefore the exact same pop order among equal keys — as the
-// container/heap code it replaces. That property is load-bearing: the
-// core's golden statistics depend on the order same-cycle events are
-// processed, and swapping in a heap with a different (still valid) layout
-// would silently change them.
+// container/heap code it replaces. That property was load-bearing while
+// the core's event queue was a Heap keyed by cycle alone — same-cycle
+// events fired in layout order, and the golden statistics recorded it —
+// until that order was specified (DESIGN.md §8.3). It is kept, and
+// TestLayoutMatchesContainerHeap pins it, because the cache fill tables
+// still hold equal keys.
 package heap
 
 // Heap is a binary min-heap ordered by the less function. The zero value

@@ -48,6 +48,10 @@ echo "== trace decoder fuzz smoke (typed errors, never panic) =="
 gate_exists FuzzRead ./internal/trace/
 go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/trace/
 
+echo "== calendar event queue vs heap oracle fuzz smoke (schedule/pop/jump/drop scripts) =="
+gate_exists FuzzEventQueueMatchesHeap ./internal/core/
+go test -run '^$' -fuzz '^FuzzEventQueueMatchesHeap$' -fuzztime 10s ./internal/core/
+
 echo "== shared frozen memory images under concurrent clones (race, repeated) =="
 gate_exists TestMemoryFrozenConcurrentClones ./internal/isa
 go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
