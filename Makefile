@@ -8,7 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Pre-merge gate: vet + build + race-enabled tests + fault-campaign smoke.
+# Pre-merge gate: gofmt + vet + build + go test (race-enabled, then plain)
+# + three fuzz smokes + a repeated race run.
 check:
 	sh scripts/check.sh
 

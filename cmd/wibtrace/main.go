@@ -45,89 +45,85 @@ import (
 	"largewindow/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, prints the requested report
+// to stdout and diagnostics to stderr, and returns the exit status (0 ok,
+// 1 a failed operation, 2 bad usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wibtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench  = flag.String("bench", "treeadd", "workload ref: kernel name, trace:PATH, or synth:SPEC")
-		dumpT  = flag.String("dump", "", "decode and summarize a .wtr workload trace, then exit")
-		scale  = flag.String("scale", "test", "kernel scale: test, run, full")
-		instr  = flag.Uint64("instr", 10_000_000, "instruction budget")
-		disasm = flag.Bool("disasm", false, "print the kernel's code and exit")
-		trace  = flag.Uint64("trace", 0, "print the first N executed instructions")
-		replay = flag.String("replay", "", "decode and print a JSON crash dump, then exit")
-		render = flag.String("render", "", "validate and summarize a telemetry/trace file, then exit")
-		fleet  = flag.String("fleet", "", "stitch a fleet span log (file or directory) into a Chrome trace, then exit")
-		out    = flag.String("o", "", "output path for -fleet (default: <input>.trace.json)")
+		bench  = fs.String("bench", "treeadd", "workload ref: kernel name, trace:PATH, or synth:SPEC")
+		dumpT  = fs.String("dump", "", "decode and summarize a .wtr workload trace, then exit")
+		scale  = fs.String("scale", "test", "kernel scale: test, run, full")
+		instr  = fs.Uint64("instr", 10_000_000, "instruction budget")
+		disasm = fs.Bool("disasm", false, "print the kernel's code and exit")
+		trace  = fs.Uint64("trace", 0, "print the first N executed instructions")
+		replay = fs.String("replay", "", "decode and print a JSON crash dump, then exit")
+		render = fs.String("render", "", "validate and summarize a telemetry/trace file, then exit")
+		fleet  = fs.String("fleet", "", "stitch a fleet span log (file or directory) into a Chrome trace, then exit")
+		out    = fs.String("o", "", "output path for -fleet (default: <input>.trace.json)")
 	)
-	flag.Parse()
-
-	if *replay != "" {
-		if err := replayDump(*replay); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *fleet != "" {
-		if err := stitchFleet(*fleet, *out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	var err error
+	switch {
+	case *replay != "":
+		err = replayDump(stdout, *replay)
+	case *fleet != "":
+		err = stitchFleet(stdout, *fleet, *out)
+	case *render != "":
+		err = renderArtifact(stdout, *render)
+	case *dumpT != "":
+		err = dumpTrace(stdout, *dumpT)
+	default:
+		src, sc, perr := parseWorkload(*bench, *scale)
+		if perr != nil {
+			fmt.Fprintln(stderr, perr)
+			return 2
 		}
-		return
+		err = profile(stdout, stderr, src, sc, *instr, *trace, *disasm)
 	}
-	if *render != "" {
-		if err := renderArtifact(*render); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dumpT != "" {
-		if err := dumpTrace(*dumpT); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	src, sc, err := parseWorkload(*bench, *scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
+}
+
+// profile is the default mode: build the workload, then disassemble it,
+// trace its first instructions, or run it on the functional emulator and
+// print its architectural profile.
+func profile(stdout, stderr io.Writer, src workload.Source, sc workload.Scale, instr, trace uint64, disasm bool) error {
 	prog, err := src.Build(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-
-	if *disasm {
+	if disasm {
 		for pc, in := range prog.Code {
-			fmt.Printf("%5d: %s\n", pc, isa.Disassemble(in))
+			fmt.Fprintf(stdout, "%5d: %s\n", pc, isa.Disassemble(in))
 		}
-		return
+		return nil
 	}
-
 	m := emu.New(prog)
-	if *trace > 0 {
-		if err := traceInstrs(os.Stdout, m, *trace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	if trace > 0 {
+		return traceInstrs(stdout, m, trace)
 	}
-	n, err := m.Run(*instr)
+	n, err := m.Run(instr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "warning: %v\n", err)
+		fmt.Fprintf(stderr, "warning: %v\n", err)
 	}
-	fmt.Printf("benchmark     %s (%s)\n", src.Name(), src.Suite())
-	fmt.Printf("static code   %d instructions\n", len(prog.Code))
+	fmt.Fprintf(stdout, "benchmark     %s (%s)\n", src.Name(), src.Suite())
+	fmt.Fprintf(stdout, "static code   %d instructions\n", len(prog.Code))
 	words := prog.NewMemoryImage().NonZeroWords()
-	fmt.Printf("initial data  %d words, heap %d KB\n", words, (words*8)/1024)
-	fmt.Printf("executed      %d instructions (halted=%v)\n", n, m.Halted)
-	fmt.Printf("cond branches %d (%.1f%% taken)\n", m.CondCount,
+	fmt.Fprintf(stdout, "initial data  %d words, heap %d KB\n", words, (words*8)/1024)
+	fmt.Fprintf(stdout, "executed      %d instructions (halted=%v)\n", n, m.Halted)
+	fmt.Fprintf(stdout, "cond branches %d (%.1f%% taken)\n", m.CondCount,
 		100*float64(m.TakenCond)/float64(max(m.CondCount, 1)))
-	fmt.Printf("memory pages  %d touched\n", m.Mem.Pages())
-	fmt.Println("class mix:")
+	fmt.Fprintf(stdout, "memory pages  %d touched\n", m.Mem.Pages())
+	fmt.Fprintln(stdout, "class mix:")
 	type kv struct {
 		c isa.Class
 		n uint64
@@ -138,8 +134,9 @@ func main() {
 	}
 	sort.Slice(mix, func(i, j int) bool { return mix[i].n > mix[j].n })
 	for _, e := range mix {
-		fmt.Printf("  %-8s %9d (%.1f%%)\n", e.c, e.n, 100*float64(e.n)/float64(m.InstrCount))
+		fmt.Fprintf(stdout, "  %-8s %9d (%.1f%%)\n", e.c, e.n, 100*float64(e.n)/float64(m.InstrCount))
 	}
+	return nil
 }
 
 // parseWorkload resolves the -bench and -scale flags; an error is bad
@@ -173,7 +170,7 @@ func traceInstrs(w io.Writer, m *emu.Machine, n uint64) error {
 // renderArtifact sniffs a telemetry artifact's format and prints a
 // validation summary: Kanata streams by their header, Chrome traces by
 // the traceEvents envelope, and JSONL sample series otherwise.
-func renderArtifact(path string) error {
+func renderArtifact(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -184,25 +181,25 @@ func renderArtifact(path string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("kanata stream     %s\n", path)
-		fmt.Printf("instructions      %d (%d retired, %d flushed)\n", st.Instructions, st.Retired, st.Flushed)
-		fmt.Printf("stage intervals   %d\n", st.StageStarts)
-		fmt.Printf("final cycle       %d\n", st.Cycles)
+		fmt.Fprintf(w, "kanata stream     %s\n", path)
+		fmt.Fprintf(w, "instructions      %d (%d retired, %d flushed)\n", st.Instructions, st.Retired, st.Flushed)
+		fmt.Fprintf(w, "stage intervals   %d\n", st.StageStarts)
+		fmt.Fprintf(w, "final cycle       %d\n", st.Cycles)
 		return nil
 	case bytes.Contains(firstLine(data), []byte("traceEvents")):
 		st, err := telemetry.ReadChromeTrace(bytes.NewReader(data))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("chrome trace      %s\n", path)
-		fmt.Printf("events            %d over cycles [%d, %d]\n", st.Events, st.FirstCycle, st.LastCycle)
+		fmt.Fprintf(w, "chrome trace      %s\n", path)
+		fmt.Fprintf(w, "events            %d over cycles [%d, %d]\n", st.Events, st.FirstCycle, st.LastCycle)
 		var cats []string
 		for c := range st.PerCat {
 			cats = append(cats, c)
 		}
 		sort.Strings(cats)
 		for _, c := range cats {
-			fmt.Printf("  %-12s %d\n", c, st.PerCat[c])
+			fmt.Fprintf(w, "  %-12s %d\n", c, st.PerCat[c])
 		}
 		return nil
 	default:
@@ -214,28 +211,28 @@ func renderArtifact(path string) error {
 			return fmt.Errorf("%s: empty sample series", path)
 		}
 		first, last := samples[0], samples[len(samples)-1]
-		fmt.Printf("telemetry series  %s\n", path)
-		fmt.Printf("samples           %d over cycles [%d, %d]\n", len(samples), first.Cycle, last.Cycle)
+		fmt.Fprintf(w, "telemetry series  %s\n", path)
+		fmt.Fprintf(w, "samples           %d over cycles [%d, %d]\n", len(samples), first.Cycle, last.Cycle)
 		var names []string
 		for n := range last.Counters {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		fmt.Printf("counters          %d registered\n", len(names))
+		fmt.Fprintf(w, "counters          %d registered\n", len(names))
 		for _, n := range names {
-			fmt.Printf("  %-24s %12d\n", n, last.Counters[n])
+			fmt.Fprintf(w, "  %-24s %12d\n", n, last.Counters[n])
 		}
 		if commits, ok := last.Counters["core.commit.instrs"]; ok && last.Cycle > 0 {
-			fmt.Printf("overall IPC       %.4f\n", float64(commits)/float64(last.Cycle))
+			fmt.Fprintf(w, "overall IPC       %.4f\n", float64(commits)/float64(last.Cycle))
 		}
 		// A per-sample occupancy sparkline for the metric the paper cares
 		// about most: WIB fill over time.
 		if _, ok := last.Gauges["wib.occupancy"]; ok {
-			fmt.Printf("wib occupancy     ")
+			fmt.Fprintf(w, "wib occupancy     ")
 			for _, s := range samples {
-				fmt.Printf("%c", sparkChar(s.Gauges["wib.occupancy"], wibSeriesMax(samples)))
+				fmt.Fprintf(w, "%c", sparkChar(s.Gauges["wib.occupancy"], wibSeriesMax(samples)))
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	}
@@ -244,7 +241,7 @@ func renderArtifact(path string) error {
 // stitchFleet reads one or more fleet span logs, prints a validation
 // summary (cells, spans per lifecycle stage, recording hops, correlation
 // consistency), and writes the stitched Chrome trace.
-func stitchFleet(path, out string) error {
+func stitchFleet(w io.Writer, path, out string) error {
 	var spans []obs.Span
 	info, err := os.Stat(path)
 	if err != nil {
@@ -277,20 +274,20 @@ func stitchFleet(path, out string) error {
 		return fmt.Errorf("wibtrace: %s holds no spans (was the fleet traced? start wibserve with -span-log)", path)
 	}
 	sum := obs.StitchSummary(spans)
-	fmt.Printf("fleet span log    %s\n", path)
-	fmt.Printf("spans             %d across %d cells\n", sum.Spans, sum.Cells)
-	fmt.Printf("wall clock        %.3fs\n", float64(sum.LastUS-sum.FirstUS)/1e6)
-	fmt.Printf("hops              %s\n", strings.Join(sum.Sources, ", "))
+	fmt.Fprintf(w, "fleet span log    %s\n", path)
+	fmt.Fprintf(w, "spans             %d across %d cells\n", sum.Spans, sum.Cells)
+	fmt.Fprintf(w, "wall clock        %.3fs\n", float64(sum.LastUS-sum.FirstUS)/1e6)
+	fmt.Fprintf(w, "hops              %s\n", strings.Join(sum.Sources, ", "))
 	var stages []string
 	for s := range sum.PerStage {
 		stages = append(stages, s)
 	}
 	sort.Strings(stages)
 	for _, s := range stages {
-		fmt.Printf("  %-12s %d\n", s, sum.PerStage[s])
+		fmt.Fprintf(w, "  %-12s %d\n", s, sum.PerStage[s])
 	}
 	if sum.CorrMismatch > 0 {
-		fmt.Printf("WARNING           %d cells carry inconsistent correlation IDs\n", sum.CorrMismatch)
+		fmt.Fprintf(w, "WARNING           %d cells carry inconsistent correlation IDs\n", sum.CorrMismatch)
 	}
 	if out == "" {
 		out = path
@@ -310,7 +307,7 @@ func stitchFleet(path, out string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("chrome trace      %s (open in chrome://tracing or ui.perfetto.dev)\n", out)
+	fmt.Fprintf(w, "chrome trace      %s (open in chrome://tracing or ui.perfetto.dev)\n", out)
 	return nil
 }
 
@@ -348,7 +345,7 @@ func sparkChar(v, max float64) rune {
 
 // replayDump decodes a crash dump written by `wibsim -crash-dump` or
 // `experiments -crash-dump` and prints everything a post-mortem needs.
-func replayDump(path string) error {
+func replayDump(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -357,30 +354,30 @@ func replayDump(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("crash dump        %s\n", path)
-	fmt.Printf("kind              %s\n", se.Kind)
-	fmt.Printf("message           %s\n", se.Msg)
-	fmt.Printf("cycle             %d\n", se.Cycle)
-	fmt.Printf("committed         %d instructions\n", se.Committed)
-	fmt.Printf("configuration     %s\n", se.Config)
+	fmt.Fprintf(w, "crash dump        %s\n", path)
+	fmt.Fprintf(w, "kind              %s\n", se.Kind)
+	fmt.Fprintf(w, "message           %s\n", se.Msg)
+	fmt.Fprintf(w, "cycle             %d\n", se.Cycle)
+	fmt.Fprintf(w, "committed         %d instructions\n", se.Committed)
+	fmt.Fprintf(w, "configuration     %s\n", se.Config)
 	if se.Bench != "" {
-		fmt.Printf("benchmark         %s (scale %s)\n", se.Bench, se.Scale)
+		fmt.Fprintf(w, "benchmark         %s (scale %s)\n", se.Bench, se.Scale)
 	}
 	if se.Seq != 0 {
-		fmt.Printf("instruction       seq %d, pc %d\n", se.Seq, se.PC)
+		fmt.Fprintf(w, "instruction       seq %d, pc %d\n", se.Seq, se.PC)
 	}
 	if se.Transient {
-		fmt.Printf("transient         yes (environmental; retry before debugging)\n")
+		fmt.Fprintf(w, "transient         yes (environmental; retry before debugging)\n")
 	}
 	if st := se.Stall; st != nil {
-		fmt.Printf("stalled head      rob=%d seq=%d pc=%d %s\n", st.ROB, st.Seq, st.PC, st.Instr)
-		fmt.Printf("  stage           %s\n", st.Stage)
-		fmt.Printf("  waiting on      %s\n", st.Reason)
+		fmt.Fprintf(w, "stalled head      rob=%d seq=%d pc=%d %s\n", st.ROB, st.Seq, st.PC, st.Instr)
+		fmt.Fprintf(w, "  stage           %s\n", st.Stage)
+		fmt.Fprintf(w, "  waiting on      %s\n", st.Reason)
 	}
 	if len(se.Events) > 0 {
-		fmt.Printf("\nrecent pipeline events (oldest first):\n")
+		fmt.Fprintf(w, "\nrecent pipeline events (oldest first):\n")
 		for _, ev := range se.Events {
-			fmt.Printf("  %s\n", ev)
+			fmt.Fprintf(w, "  %s\n", ev)
 		}
 	}
 	// The dump names the benchmark: disassemble around the failing PC so
@@ -407,48 +404,48 @@ func replayDump(path string) error {
 			if hi >= uint64(len(prog.Code)) {
 				hi = uint64(len(prog.Code)) - 1
 			}
-			fmt.Printf("\ncode around pc %d:\n", pc)
+			fmt.Fprintf(w, "\ncode around pc %d:\n", pc)
 			for a := lo; a <= hi; a++ {
 				marker := "  "
 				if a == pc {
 					marker = "=>"
 				}
-				fmt.Printf("  %s %5d: %s\n", marker, a, isa.Disassemble(prog.Code[a]))
+				fmt.Fprintf(w, "  %s %5d: %s\n", marker, a, isa.Disassemble(prog.Code[a]))
 			}
 		}
 	}
 	if se.Dump != "" {
-		fmt.Printf("\npipeline state at failure:\n%s\n", se.Dump)
+		fmt.Fprintf(w, "\npipeline state at failure:\n%s\n", se.Dump)
 	}
 	if se.Stack != "" {
-		fmt.Printf("\ngoroutine stack (untyped panic):\n%s\n", se.Stack)
+		fmt.Fprintf(w, "\ngoroutine stack (untyped panic):\n%s\n", se.Stack)
 	}
 	if se.Bench != "" {
-		fmt.Printf("\nreproduce with:\n  wibsim -bench %s -scale %s -lockstep -dump\n", se.Bench, se.Scale)
+		fmt.Fprintf(w, "\nreproduce with:\n  wibsim -bench %s -scale %s -lockstep -dump\n", se.Bench, se.Scale)
 	}
 	return nil
 }
 
 // dumpTrace decodes a .wtr workload trace, prints its header, validates
 // it structurally, and summarizes the dynamic record stream.
-func dumpTrace(path string) error {
+func dumpTrace(w io.Writer, path string) error {
 	tr, err := wtrace.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trace         %s\n", path)
-	fmt.Printf("name          %s (%s)\n", tr.Name, tr.Suite)
-	fmt.Printf("source ref    %s\n", tr.Source)
-	fmt.Printf("identity      %s\n", tr.Identity())
-	fmt.Printf("program       %d static instrs, %d data words, entry pc %d\n",
+	fmt.Fprintf(w, "trace         %s\n", path)
+	fmt.Fprintf(w, "name          %s (%s)\n", tr.Name, tr.Suite)
+	fmt.Fprintf(w, "source ref    %s\n", tr.Source)
+	fmt.Fprintf(w, "identity      %s\n", tr.Identity())
+	fmt.Fprintf(w, "program       %d static instrs, %d data words, entry pc %d\n",
 		len(tr.Code), tr.Data.NonZeroWords(), tr.Entry)
-	fmt.Printf("recorded      %d instructions (halted=%v), %d dynamic records\n",
+	fmt.Fprintf(w, "recorded      %d instructions (halted=%v), %d dynamic records\n",
 		tr.Instrs, tr.Halted, len(tr.Records))
-	fmt.Printf("stream hash   %016x\n", tr.StreamHash)
+	fmt.Fprintf(w, "stream hash   %016x\n", tr.StreamHash)
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("structural validation FAILED: %w", err)
 	}
-	fmt.Printf("validation    ok\n")
+	fmt.Fprintf(w, "validation    ok\n")
 
 	if len(tr.Records) == 0 {
 		return nil
@@ -470,14 +467,14 @@ func dumpTrace(path string) error {
 		}
 	}
 	n := float64(len(tr.Records))
-	fmt.Printf("record mix    %.1f%% loads, %.1f%% stores, %.1f%% branches (%.1f%% taken), %.1f%% jumps\n",
+	fmt.Fprintf(w, "record mix    %.1f%% loads, %.1f%% stores, %.1f%% branches (%.1f%% taken), %.1f%% jumps\n",
 		100*float64(loads)/n, 100*float64(stores)/n, 100*float64(branches)/n,
 		100*float64(taken)/maxf(float64(branches), 1), 100*float64(jumps)/n)
 	show := len(tr.Records)
 	if show > 10 {
 		show = 10
 	}
-	fmt.Printf("first %d records:\n", show)
+	fmt.Fprintf(w, "first %d records:\n", show)
 	for i := 0; i < show; i++ {
 		r := tr.Records[i]
 		line := fmt.Sprintf("  %6d  pc=%-5d %s", i, r.PC, isa.Disassemble(tr.Code[r.PC]))
@@ -490,7 +487,7 @@ func dumpTrace(path string) error {
 		if r.HasTgt {
 			line += fmt.Sprintf("  target=%d", r.Target)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 	return nil
 }

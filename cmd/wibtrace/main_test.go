@@ -1,13 +1,157 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"largewindow/internal/campaign"
+	"largewindow/internal/core"
 	"largewindow/internal/emu"
+	"largewindow/internal/golden"
 	"largewindow/internal/isa"
+	"largewindow/internal/obs"
+	"largewindow/internal/service"
 	"largewindow/internal/workload"
 )
+
+// wibtrace runs the command in-process and returns its exit status and
+// both output streams.
+func wibtrace(args ...string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+func TestBadUsageExitsTwo(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+		{[]string{"-scale", "rnu"}, `unknown scale "rnu"`},
+		{[]string{"-bench", "no-such-kernel"}, "no-such-kernel"},
+		{[]string{"-trace", "many"}, "invalid value"},
+	} {
+		if code, stdout, stderr := wibtrace(tc.args...); code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming %q", tc.args, code, stdout, stderr, tc.want)
+		}
+	}
+}
+
+// TestFailedOperationExitsOne: a file that is missing, or is not what the
+// mode decodes, is a failed operation with the reason on stderr.
+func TestFailedOperationExitsOne(t *testing.T) {
+	notJSON := filepath.Join(t.TempDir(), "not.json")
+	if err := os.WriteFile(notJSON, []byte("not a dump\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-replay", filepath.Join(t.TempDir(), "missing.json")},
+		{"-replay", notJSON},
+		{"-render", notJSON},
+		{"-fleet", notJSON},
+		{"-dump", notJSON},
+	} {
+		if code, stdout, stderr := wibtrace(args...); code != 1 || stdout != "" || stderr == "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 and a reason", args, code, stdout, stderr)
+		}
+	}
+}
+
+// TestReportsGolden pins -replay of a checked-in crash dump (treeadd on
+// WIB/2048 under a 265-cycle watchdog: a stalled head, a recovery in the
+// event ring, parked rows in the pipeline dump) and -render of the three
+// telemetry artifacts of one short traced run, byte for byte. The inputs
+// are files, so the reports move only when the renderer does.
+func TestReportsGolden(t *testing.T) {
+	for _, tc := range []struct{ mode, input string }{
+		{"-replay", "treeadd_wib.crash.json"},
+		{"-render", "treeadd_wib.telemetry.jsonl"},
+		{"-render", "treeadd_wib.trace.json"},
+		{"-render", "treeadd_wib.kanata"},
+	} {
+		code, stdout, stderr := wibtrace(tc.mode, filepath.Join("testdata", tc.input))
+		if code != 0 || stderr != "" {
+			t.Errorf("%s %s: exit %d, stderr %q", tc.mode, tc.input, code, stderr)
+			continue
+		}
+		golden.CheckText(t, filepath.Join("testdata", tc.input+".golden"), stdout)
+	}
+}
+
+// TestFleetStitchesCoordinatorSpanLog: -fleet on the span log an
+// in-process coordinator wrote while a worker ran three cells reports
+// every cell and both hops, and writes a Chrome trace that -render
+// accepts — the distributed-tracing acceptance bar, end to end.
+func TestFleetStitchesCoordinatorSpanLog(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "spans.jsonl")
+	logFile, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logFile.Close()
+	spans := obs.NewSpanLog(logFile)
+	coord := service.NewCoordinator(service.CoordinatorOptions{Spans: spans})
+	defer coord.Close()
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	worker := service.NewWorker(service.WorkerOptions{
+		Server:   srv.URL,
+		ID:       "stitch",
+		PollWait: 100 * time.Millisecond,
+		Exec: func(c campaign.Cell) (*campaign.Record, error) {
+			return &campaign.Record{Config: c.Config.Name, Bench: c.Bench, Scale: c.Scale.String()}, nil
+		},
+	})
+	done := make(chan struct{})
+	go func() { defer close(done); worker.Run(ctx) }()
+	client := service.NewClient(service.ClientOptions{Server: srv.URL, PollWait: 100 * time.Millisecond})
+	for _, bench := range []string{"gzip", "art", "treeadd"} {
+		cell := campaign.Cell{Config: core.DefaultConfig(), Bench: bench, Scale: workload.ScaleTest, MaxInstr: 5000}
+		if _, err := client.Exec(cell); err != nil {
+			t.Fatalf("Exec(%s): %v", bench, err)
+		}
+	}
+	cancel()
+	<-done
+	if err := spans.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	out := filepath.Join(dir, "fleet.trace.json")
+	code, stdout, stderr := wibtrace("-fleet", logPath, "-o", out)
+	if code != 0 || stderr != "" {
+		t.Fatalf("-fleet: exit %d, stderr %q", code, stderr)
+	}
+	for _, want := range []string{
+		`(?m)^spans             \d+ across 3 cells$`,
+		`(?m)^hops              coordinator, worker:stitch$`,
+		`(?m)^  executing    3$`,
+		`(?m)^chrome trace      ` + regexp.QuoteMeta(out) + ` `,
+	} {
+		if !regexp.MustCompile(want).MatchString(stdout) {
+			t.Errorf("-fleet report has no line matching %s:\n%s", want, stdout)
+		}
+	}
+	if strings.Contains(stdout, "WARNING") {
+		t.Errorf("-fleet reports inconsistent correlation IDs:\n%s", stdout)
+	}
+	code, stdout, stderr = wibtrace("-render", out)
+	if code != 0 || stderr != "" || !strings.HasPrefix(stdout, "chrome trace      "+out+"\n") {
+		t.Errorf("-render of the stitched trace: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
 
 // TestTraceInstrsWildJump: a Jr to an address outside the code segment
 // ends the trace with the emulator's error, after printing the

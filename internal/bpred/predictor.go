@@ -30,6 +30,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate checks the geometry New would otherwise panic on.
+func (c Config) Validate() error {
+	for _, t := range [3]struct {
+		name    string
+		entries int
+	}{{"bimodal", c.BimodalEntries}, {"two-level", c.TwoLevelEntries}, {"chooser", c.ChooserEntries}} {
+		if t.entries <= 0 || t.entries&(t.entries-1) != 0 {
+			return fmt.Errorf("bpred: %s entries (%d) must be a positive power of two", t.name, t.entries)
+		}
+	}
+	if sets := c.BTBEntries / max(c.BTBAssoc, 1); c.BTBAssoc <= 0 || sets <= 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("bpred: BTB set count (%d entries / %d ways) is not a positive power of two", c.BTBEntries, c.BTBAssoc)
+	}
+	if c.RASEntries <= 0 {
+		return fmt.Errorf("bpred: RAS size (%d) must be positive", c.RASEntries)
+	}
+	return nil
+}
+
 // Pred is the outcome of one prediction.
 type Pred struct {
 	Taken   bool   // predicted direction (always true for jumps)

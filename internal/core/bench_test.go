@@ -204,7 +204,7 @@ func issueSelectScenarios(tb testing.TB) []scenario {
 				intIQ: true, newPhys: noReg, src1Phys: noReg, src2Phys: noReg}
 			if i < requesters-1 || i == slots-1 {
 				p.rob[idx].stage, p.rob[idx].done = stRequest, false
-				p.intIQ.request(idx)
+				p.intIQ.req.add(idx)
 				p.intIQ.count++
 			}
 		}
@@ -215,8 +215,8 @@ func issueSelectScenarios(tb testing.TB) []scenario {
 		}
 		return func() {
 			p.issueFrom(p.intIQ, p.cfg.IssueInt)
-			if p.intIQ.nreq != requesters {
-				tb.Fatalf("select with no free unit left %d of %d requests", p.intIQ.nreq, requesters)
+			if p.intIQ.req.n != requesters {
+				tb.Fatalf("select with no free unit left %d of %d requests", p.intIQ.req.n, requesters)
 			}
 		}
 	}
@@ -262,8 +262,8 @@ func dispatchScenarios(tb testing.TB) []scenario {
 			}
 		}
 		p.squashFrom(start, true)
-		if p.robCount != 0 || p.intIQ.count != 0 || p.fpIQ.count != 0 || p.intIQ.nreq != 0 {
-			tb.Fatalf("squash left %d entries, %d+%d queued, %d requesting", p.robCount, p.intIQ.count, p.fpIQ.count, p.intIQ.nreq)
+		if p.robCount != 0 || p.intIQ.count != 0 || p.fpIQ.count != 0 || p.intIQ.req.n != 0 {
+			tb.Fatalf("squash left %d entries, %d+%d queued, %d requesting", p.robCount, p.intIQ.count, p.fpIQ.count, p.intIQ.req.n)
 		}
 	}}}
 }

@@ -82,8 +82,8 @@ func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 		if a == int(isa.Zero) {
 			v = 0
 		}
-		p.intPR[p.intMap[a]].value = v
-		p.fpPR[p.fpMap[a]].value = cp.FPReg[a]
+		p.regs[0].arch(a).value = v
+		p.regs[1].arch(a).value = cp.FPReg[a]
 	}
 	p.fetchPC = cp.PC
 	p.stats.StreamHash = cp.StreamHash

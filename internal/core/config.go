@@ -371,6 +371,23 @@ func (c Config) Validate() error {
 	if c.LoadQueue <= 0 || c.StoreQueue <= 0 {
 		return fmt.Errorf("core: %s: non-positive LSQ sizes", c.Name)
 	}
+	// A zero below is not a slow machine but one that never fetches or
+	// never issues some class: it would run into the deadlock watchdog.
+	if c.IFQSize <= 0 || c.IssueInt <= 0 || c.IssueFP <= 0 {
+		return fmt.Errorf("core: %s: non-positive fetch queue or issue widths", c.Name)
+	}
+	if min(c.NumIntALU, c.NumIntMult, c.NumFPAdd, c.NumFPMult, c.NumFPDiv, c.NumFPSqrt) <= 0 {
+		return fmt.Errorf("core: %s: non-positive functional-unit counts", c.Name)
+	}
+	if c.StoreWaitEntries <= 0 || c.StoreWaitEntries&(c.StoreWaitEntries-1) != 0 {
+		return fmt.Errorf("core: %s: store-wait entries (%d) must be a positive power of two", c.Name, c.StoreWaitEntries)
+	}
+	if err := c.Mem.Validate(); err != nil {
+		return fmt.Errorf("core: %s: %w", c.Name, err)
+	}
+	if err := c.Bpred.Validate(); err != nil {
+		return fmt.Errorf("core: %s: %w", c.Name, err)
+	}
 	if c.WIB != nil {
 		w := c.WIB
 		if w.Entries != c.ActiveList {

@@ -185,6 +185,51 @@ func TestInvalidConfigRejectedByNew(t *testing.T) {
 	}
 }
 
+// TestNewRejectsWhatConstructorsPanicOn: each row used to get through
+// Validate and then panic in a constructor (cache, TLB, predictor,
+// store-wait geometry) or build a machine that can never fetch or issue
+// and burns the whole watchdog before reporting a "deadlock".
+func TestNewRejectsWhatConstructorsPanicOn(t *testing.T) {
+	b := isa.NewBuilder("nop")
+	b.Halt()
+	prog := b.MustBuild()
+	for _, row := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"l1d sets not a power of two", func(c *Config) { c.Mem.L1D.SizeBytes = 48 << 10 }},
+		{"l1i zero ways", func(c *Config) { c.Mem.L1I.Assoc = 0 }},
+		{"l2 line not a power of two", func(c *Config) { c.Mem.L2.LineBytes = 48 }},
+		{"tlb sets not a power of two", func(c *Config) { c.Mem.TLBEntries = 100 }},
+		{"tlb zero ways", func(c *Config) { c.Mem.TLBAssoc = 0 }},
+		{"tlb page not a power of two", func(c *Config) { c.Mem.TLBPageBytes = 5000 }},
+		{"store-wait not a power of two", func(c *Config) { c.StoreWaitEntries = 1000 }},
+		{"bimodal not a power of two", func(c *Config) { c.Bpred.BimodalEntries = 1000 }},
+		{"two-level zero", func(c *Config) { c.Bpred.TwoLevelEntries = 0 }},
+		{"chooser negative", func(c *Config) { c.Bpred.ChooserEntries = -4096 }},
+		{"btb sets not a power of two", func(c *Config) { c.Bpred.BTBEntries = 1000 }},
+		{"btb zero ways", func(c *Config) { c.Bpred.BTBAssoc = 0 }},
+		{"ras empty", func(c *Config) { c.Bpred.RASEntries = 0 }},
+		{"no fetch queue", func(c *Config) { c.IFQSize = 0 }},
+		{"no integer issue", func(c *Config) { c.IssueInt = 0 }},
+		{"no fp issue", func(c *Config) { c.IssueFP = 0 }},
+		{"no integer ALU", func(c *Config) { c.NumIntALU = 0 }},
+		{"no fp divider", func(c *Config) { c.NumFPDiv = 0 }},
+	} {
+		cfg := WIBDefault()
+		row.mutate(&cfg)
+		if p, err := New(cfg, prog); err == nil || p != nil {
+			t.Errorf("%s: New returned (%v, %v), want an error", row.name, p, err)
+		}
+	}
+	// A disabled TLB's geometry is never built, so it is not checked.
+	cfg := DefaultConfig()
+	cfg.Mem.DisableTLB, cfg.Mem.TLBEntries = true, 0
+	if _, err := New(cfg, prog); err != nil {
+		t.Errorf("disabled TLB with no entries: %v", err)
+	}
+}
+
 func TestStatsDerived(t *testing.T) {
 	s := &Stats{CondBranches: 10, CondCorrect: 9, WIBInstructions: 4, WIBInsertions: 12}
 	if s.CondAccuracy() != 0.9 {

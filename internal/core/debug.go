@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 )
 
@@ -24,13 +23,9 @@ func (p *Processor) DebugDump(n int) string {
 		for _, g := range p.wib.groups {
 			rows += len(g.rows)
 		}
-		bankRows := 0
-		for _, word := range p.wib.bankElig {
-			bankRows += bits.OnesCount64(word)
-		}
 		fmt.Fprintf(&b, "wib: occupancy=%d freeCols=%d/%d groups=%d(rows=%d) heap=%d banks=%d rrNext=%d nextAccess=%d\n",
 			p.wib.occupancy, len(p.wib.free), len(p.wib.cols),
-			len(p.wib.groups), rows, p.wib.elig.Len(), bankRows, p.wib.rrNext, p.wib.nextAccess)
+			len(p.wib.groups), rows, p.wib.elig.Len(), p.wib.eligCount, p.wib.rrNext, p.wib.nextAccess)
 		for c := range p.wib.cols {
 			if p.wib.cols[c].active {
 				fmt.Fprintf(&b, "  col %d active loadSeq=%d rows=%d\n", c, p.wib.cols[c].loadSeq, p.wib.cols[c].n)

@@ -48,7 +48,7 @@ func (p *Processor) idle() bool {
 			return false // commit would retire it
 		}
 	}
-	if p.intIQ.nreq > 0 || p.fpIQ.nreq > 0 {
+	if p.intIQ.req.n > 0 || p.fpIQ.req.n > 0 {
 		return false // select would run
 	}
 	if p.wib != nil && p.wib.hasEligible() {

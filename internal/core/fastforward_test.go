@@ -176,7 +176,7 @@ func TestFastForwardEngagesAfterSquash(t *testing.T) {
 	}
 	squashes, idleAtOnce := 0, 0
 	for !p.halted && p.now < 1_000_000 {
-		requesting, mispredicts := p.intIQ.nreq, p.stats.Mispredicts
+		requesting, mispredicts := p.intIQ.req.n, p.stats.Mispredicts
 		p.cycle()
 		if p.stats.Mispredicts == mispredicts || requesting == 0 {
 			continue
@@ -185,7 +185,7 @@ func TestFastForwardEngagesAfterSquash(t *testing.T) {
 		// older than the branch; when nothing does, nothing else can move
 		// until the redirect penalty has passed.
 		squashes++
-		if p.intIQ.nreq == 0 && p.rob[p.robHead].stage == stIssued {
+		if p.intIQ.req.n == 0 && p.rob[p.robHead].stage == stIssued {
 			if !p.idle() {
 				t.Fatalf("cycle %d: squash left no requester and a stalled front end, yet the machine is not idle\n%s", p.now, p.DebugDump(8))
 			}

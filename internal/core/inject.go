@@ -165,10 +165,11 @@ func (p *Processor) injectValueCorrupt(rng *rand.Rand) bool {
 
 // injectDoubleFree duplicates a random free-list entry.
 func (p *Processor) injectDoubleFree(rng *rand.Rand) bool {
-	if len(p.intFree) == 0 {
+	s := &p.regs[0]
+	if len(s.free) == 0 {
 		return false
 	}
-	p.intFree = append(p.intFree, p.intFree[rng.Intn(len(p.intFree))])
+	s.free = append(s.free, s.free[rng.Intn(len(s.free))])
 	return true
 }
 

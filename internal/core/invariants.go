@@ -6,10 +6,9 @@ package core
 // raise typed SimPanics — they are simulator bugs, never program
 // behaviour — which Processor.Run recovers into structured SimErrors.
 func (p *Processor) checkInvariants() {
-	// Physical register accounting: every register is exactly one of
-	// {architecturally mapped, allocated in flight, free}.
-	p.checkRegSpace(false, p.intFree, &p.intMap)
-	p.checkRegSpace(true, p.fpFree, &p.fpMap)
+	for i := range p.regs {
+		p.regs[i].check(p)
+	}
 
 	// Issue-queue occupancy matches entry stages; WIB occupancy matches
 	// parked stages; LSQ counts match allocated entries.
@@ -30,7 +29,7 @@ func (p *Processor) checkInvariants() {
 				fpQ++
 			}
 			if e.stage == stRequest {
-				if !p.queueOf(e).requesting(idx) {
+				if !p.queueOf(e).req.has(idx) {
 					throw(KindIQRequestMap, e.seq, "seq %d in slot %d requests issue but its request bit is clear", e.seq, idx)
 				}
 				requests++
@@ -57,11 +56,7 @@ func (p *Processor) checkInvariants() {
 	if fpQ != p.fpIQ.count {
 		throw(KindIQCount, 0, "fp IQ count %d, entries say %d", p.fpIQ.count, fpQ)
 	}
-	// Every requester's bit is set in its own queue's bitmap (checked
-	// above), so equal totals mean the bitmaps hold no other bit.
-	if n := p.intIQ.countRequests() + p.fpIQ.countRequests(); n != requests {
-		throw(KindIQRequestMap, 0, "request bitmaps hold %d bits, active list has %d entries requesting", n, requests)
-	}
+	checkSlotSets(KindIQRequestMap, "request lines", requests, p.intIQ.req, p.fpIQ.req)
 	if p.wib != nil && parked != p.wib.occupancy {
 		throw(KindWIBOccupancy, 0, "WIB occupancy %d, entries say %d", p.wib.occupancy, parked)
 	}
@@ -73,9 +68,10 @@ func (p *Processor) checkInvariants() {
 	}
 	p.lsq.checkIndexes()
 	if banked {
-		// Every eligible entry's bit is set (checked above), so equal
-		// totals mean the bitmap holds no other bit.
-		p.wib.checkEligibleCounts(eligible)
+		checkSlotSets(KindWIBEligibleMap, "eligible bits", eligible, p.wib.banks...)
+		if p.wib.eligCount != eligible {
+			throw(KindWIBEligibleMap, 0, "eligible count says %d, active list has %d eligible", p.wib.eligCount, eligible)
+		}
 	}
 	if p.wib != nil {
 		// Bit-vector conservation: every column is either active or on the
@@ -99,39 +95,6 @@ func (p *Processor) checkInvariants() {
 		if used+p.wib.poolFree != p.wib.cfg.Blocks {
 			throw(KindPoolLeak, 0, "pool blocks leaked: used %d + free %d != %d",
 				used, p.wib.poolFree, p.wib.cfg.Blocks)
-		}
-	}
-}
-
-// checkRegSpace verifies one register space's free list and mappings are
-// disjoint and complete.
-func (p *Processor) checkRegSpace(fp bool, free []int32, specMap *[32]int32) {
-	total := len(p.intPR)
-	if fp {
-		total = len(p.fpPR)
-	}
-	seen := make([]uint8, total)
-	for _, r := range free {
-		if seen[r] != 0 {
-			throw(KindFreeListDouble, 0, "phys reg %d (fp=%v) on the free list twice", r, fp)
-		}
-		seen[r] = 1
-	}
-	for a, r := range specMap {
-		if seen[r] == 1 {
-			throw(KindMapToFree, 0, "arch %d maps to FREE phys %d (fp=%v)", a, r, fp)
-		}
-		seen[r] |= 2
-	}
-	// Every in-flight destination must be allocated (not free).
-	size := int32(len(p.rob))
-	for i := int32(0); i < p.robCount; i++ {
-		e := &p.rob[(p.robHead+i)%size]
-		if e.newPhys != noReg && e.destFP == fp {
-			if seen[e.newPhys] == 1 {
-				throw(KindInFlightFree, e.seq, "in-flight dest phys %d (fp=%v, seq %d) is on the free list", e.newPhys, fp, e.seq)
-			}
-			seen[e.newPhys] |= 4
 		}
 	}
 }

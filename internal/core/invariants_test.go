@@ -96,8 +96,8 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 			// select throws when it meets the bit, and if the issue width
 			// runs out first the end-of-cycle recount names the bitmap.
 			name:       "iq-request-stray-bit",
-			applicable: func(p *Processor) bool { return p.robCount < int32(len(p.rob)) && !p.intIQ.requesting(p.robTail) },
-			corrupt:    func(p *Processor) { p.intIQ.req[p.robTail>>6] |= 1 << (p.robTail & 63) },
+			applicable: func(p *Processor) bool { return p.robCount < int32(len(p.rob)) && !p.intIQ.req.has(p.robTail) },
+			corrupt:    func(p *Processor) { p.intIQ.req.words[p.robTail>>6] |= 1 << (p.robTail & 63) },
 			kinds:      []ErrKind{KindIQRequestMap},
 			nextCycle:  true,
 		},
@@ -108,8 +108,7 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 			applicable: func(p *Processor) bool { return p.oldestRequester() >= 0 },
 			corrupt: func(p *Processor) {
 				rob := p.oldestRequester()
-				p.intIQ.req[rob>>6] &^= 1 << (rob & 63)
-				p.intIQ.nreq--
+				p.intIQ.req.remove(rob)
 			},
 			kinds:     []ErrKind{KindIQRequestMap},
 			nextCycle: true,
@@ -139,8 +138,8 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 			name:       "wib-eligible-bit-flip",
 			applicable: func(p *Processor) bool { return !p.wib.eligibleBitSet(p.robTail) },
 			corrupt: func(p *Processor) {
-				word, mask := p.wib.bankBit(p.wib.bankOf(p.robTail))
-				*word ^= mask
+				b, k := p.wib.bankOf(p.robTail)
+				p.wib.banks[b].words[k>>6] ^= 1 << (k & 63)
 			},
 			kinds:     []ErrKind{KindWIBEligibleMap},
 			nextCycle: true,
@@ -177,14 +176,14 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 		},
 		{
 			name:       "free-list-duplicate",
-			applicable: func(p *Processor) bool { return len(p.intFree) > 0 },
-			corrupt:    func(p *Processor) { p.intFree = append(p.intFree, p.intFree[0]) },
+			applicable: func(p *Processor) bool { return len(p.regs[0].free) > 0 },
+			corrupt:    func(p *Processor) { p.regs[0].free = append(p.regs[0].free, p.regs[0].free[0]) },
 			kinds:      []ErrKind{KindFreeListDouble},
 		},
 		{
 			name:       "map-points-at-free",
-			applicable: func(p *Processor) bool { return len(p.intFree) > 0 },
-			corrupt:    func(p *Processor) { p.intMap[7] = p.intFree[0] },
+			applicable: func(p *Processor) bool { return len(p.regs[0].free) > 0 },
+			corrupt:    func(p *Processor) { p.regs[0].spec[7] = p.regs[0].free[0] },
 			kinds:      []ErrKind{KindMapToFree},
 		},
 		{
@@ -193,7 +192,7 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 				return p.oldestRenamedDest() >= 0
 			},
 			corrupt: func(p *Processor) {
-				p.intFree = append(p.intFree, p.oldestRenamedDest())
+				p.regs[0].free = append(p.regs[0].free, p.oldestRenamedDest())
 			},
 			// The freed register may also still be the current mapping for
 			// its architectural register, so the map check can fire first.

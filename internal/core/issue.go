@@ -1,104 +1,52 @@
 package core
 
 import (
-	"math/bits"
-
 	"largewindow/internal/isa"
 	"largewindow/internal/regfile"
 )
 
 // issueQueue models one issue queue: a capacity (entries live in the ROB;
-// only occupancy is tracked here) plus the wakeup-select request lines, one
-// bit per active-list slot, set exactly while the slot holds a stRequest
-// entry of this queue. The active list allocates in program order, so the
-// first set bit in ring order from its head is the oldest requester —
-// select is oldest-first, as in the base machine.
+// only occupancy is tracked here) plus the wakeup-select request lines: the
+// set of active-list slots holding a stRequest entry of this queue. Its
+// first member in ring order from the active-list head is the oldest
+// requester — select is oldest-first, as in the base machine. Every way
+// out of stRequest — a grant, a squash, a head-evict, a stale operand —
+// removes the slot from req on the spot.
 type issueQueue struct {
 	size  int
 	count int
-	req   []uint64 // bit i: active-list slot i requests issue
-	nreq  int      // popcount of req
+	req   slotSet
 }
 
 func newIssueQueue(size, activeList int) *issueQueue {
-	return &issueQueue{size: size, req: make([]uint64, (activeList+63)/64)}
+	return &issueQueue{size: size, req: newSlotSet(activeList)}
 }
 
 func (q *issueQueue) full() bool { return q.count >= q.size }
 
-func (q *issueQueue) requesting(rob int32) bool { return q.req[rob>>6]&(1<<(rob&63)) != 0 }
-
-// request and clearRequest are the only writers of the bitmap. Every way
-// out of stRequest — a grant, a squash, a head-evict, a stale operand —
-// goes through clearRequest.
-func (q *issueQueue) request(rob int32) {
-	if !q.requesting(rob) {
-		q.req[rob>>6] |= 1 << (rob & 63)
-		q.nreq++
-	}
-}
-
-func (q *issueQueue) clearRequest(rob int32) {
-	if q.requesting(rob) {
-		q.req[rob>>6] &^= 1 << (rob & 63)
-		q.nreq--
-	}
-}
-
-// countRequests recounts the bitmap (Debug runs) and checks nreq against it.
-func (q *issueQueue) countRequests() int {
-	n := 0
-	for _, w := range q.req {
-		n += bits.OnesCount64(w)
-	}
-	if n != q.nreq {
-		throw(KindIQRequestMap, 0, "issue queue of %d counts %d requests, its bitmap holds %d", q.size, q.nreq, n)
-	}
-	return n
-}
-
-// nextRequest returns the first requesting slot in [from, to), or -1.
-func (q *issueQueue) nextRequest(from, to int32) int32 {
-	for from < to {
-		w := from >> 6
-		if m := q.req[w] &^ (1<<(from&63) - 1); m != 0 {
-			if rob := w<<6 + int32(bits.TrailingZeros64(m)); rob < to {
-				return rob
-			}
-			return -1
-		}
-		from = (w + 1) << 6
-	}
-	return -1
-}
-
-// selectOldest is the select loop of both queues: one forward scan of the
-// bitmap in ring order from the active-list head, offering each request
-// to grant until width are granted, and returning that number. A granted
-// entry gives up its bit and its queue slot; one turned away keeps its
-// bit and is met again, in age order, next pass. grant may clear the bit
-// itself (the entry stops requesting but stays queued) and may make
-// younger entries request: those lie ahead of the scan, which re-reads
-// the bitmap at every step and so meets them in the same pass.
+// selectOldest is the select loop of both queues: one scan of the request
+// lines in ring order from the active-list head, offering each request to
+// grant until width are granted, and returning that number. A granted
+// entry gives up its request line and its queue slot; one turned away
+// keeps requesting and is met again, in age order, next pass. grant may
+// withdraw the request itself (the entry stays queued) and may make
+// younger entries request: those lie ahead of the scan, which searches the
+// set afresh at every step and so meets them in the same pass.
 func (q *issueQueue) selectOldest(head int32, width int, grant func(rob int32) bool) int {
 	issued, kept := 0, 0 // kept: requests behind the scan
-	// The ring from the head is [head, slots) then [0, head).
-	pos, end := head, int32(len(q.req))<<6
-	for issued < width && kept < q.nreq {
-		rob := q.nextRequest(pos, end)
+	// While kept < n a request lies ahead of the scan, so the ring search
+	// finds it before coming round to the head again.
+	for pos := head; issued < width && kept < q.req.n; {
+		rob := q.req.firstFrom(pos)
 		if rob < 0 {
-			if end == head {
-				break
-			}
-			pos, end = 0, head
-			continue
+			break
 		}
 		pos = rob + 1
 		if grant(rob) {
-			q.clearRequest(rob)
+			q.req.remove(rob)
 			q.count--
 			issued++
-		} else if q.requesting(rob) {
+		} else if q.req.has(rob) {
 			kept++
 		}
 	}
@@ -203,7 +151,7 @@ func (p *Processor) registerInIQ(rob int32) {
 	}
 	if e.waitCount == 0 {
 		e.stage = stRequest
-		p.queueOf(e).request(rob)
+		p.queueOf(e).req.add(rob)
 	} else {
 		e.stage = stWaiting
 	}
@@ -258,13 +206,13 @@ func (p *Processor) wakeWaiters(fp bool, idx int32, waitSet bool) {
 				// Promote immediately; remaining operands re-evaluated at
 				// select time and after reinsertion.
 				e.stage = stRequest
-				p.queueOf(e).request(w.rob)
+				p.queueOf(e).req.add(w.rob)
 				continue
 			}
 			e.waitCount--
 			if e.waitCount <= 0 {
 				e.stage = stRequest
-				p.queueOf(e).request(w.rob)
+				p.queueOf(e).req.add(w.rob)
 			}
 		}
 	}
@@ -312,24 +260,22 @@ func (p *Processor) selectEntry(q *issueQueue, rob int32) bool {
 		// producer is awaiting reinsertion), the instruction becomes
 		// immediately eligible — it may recycle through the queue,
 		// which is the behaviour the paper reports (§4.1).
-		if col, ok := p.waitColumn(e); ok && p.wib.blockAvailable(col) {
-			p.moveToWIB(rob, e, col)
-		} else {
-			// No live bit-vector (the producer awaits reinsertion) or
-			// — in the pool-of-blocks organization — no block left to
-			// deposit into: spill straight to the eligible pool.
-			if ok {
-				p.stats.PoolSpills++
-			}
-			p.parkEligible(rob, e)
+		col, ok := p.waitColumn(e)
+		if ok && !p.wib.blockAvailable(col) {
+			// Pool-of-blocks organization with no block left to deposit
+			// into: spill straight to the eligible pool, as when no live
+			// bit-vector is left (the producer awaits reinsertion).
+			p.stats.PoolSpills++
+			col = -1
 		}
+		p.wib.park(p, rob, e, col)
 		return true
 	}
 	if !s1ok || !s2ok {
 		// Stale request (a wait operand resolved or was never truly
 		// satisfiable); go back to waiting. The entry never left the
 		// queue, so occupancy is unchanged.
-		q.clearRequest(rob)
+		q.req.remove(rob)
 		p.registerInIQ(rob)
 		return false
 	}
@@ -377,22 +323,14 @@ func (p *Processor) waitColumn(e *robEntry) (int32, bool) {
 
 // launch starts a plain ALU/FP instruction on a reserved functional unit.
 func (p *Processor) launch(rob int32, e *robEntry, lat int64) {
-	if p.tracer != nil {
-		now := p.now
-		p.tracer.event(e.seq, func(t *InstrTrace) { t.Issued = now })
-	}
+	p.traceIssued(e)
 	e.stage = stIssued
 	delay := p.regReadDelay(e)
 	p.events.schedule(event{cycle: p.now + delay + lat, kind: evExecDone, rob: rob, seq: e.seq})
 }
 
 // rf returns the register-file timing model of one register space.
-func (p *Processor) rf(fp bool) regfile.Model {
-	if fp {
-		return p.rfFP
-	}
-	return p.rfInt
-}
+func (p *Processor) rf(fp bool) regfile.Model { return p.space(fp).rf }
 
 // prefetchSources pulls an instruction's source registers into the
 // two-level register file's first level (no-op for other file kinds).

@@ -117,7 +117,7 @@ func (w *selectWorld) request(idx int32) {
 	again := e.stage == stRequest
 	e.stage = stRequest
 	if w.ref == nil {
-		w.p.intIQ.request(idx)
+		w.p.intIQ.req.add(idx)
 	} else if !again {
 		w.ref.request(e.seq, idx)
 	}
@@ -126,7 +126,7 @@ func (w *selectWorld) request(idx int32) {
 func (w *selectWorld) stopRequesting(idx int32) {
 	w.p.rob[idx].stage = stWaiting
 	if w.ref == nil {
-		w.p.intIQ.clearRequest(idx)
+		w.p.intIQ.req.remove(idx)
 	}
 }
 
@@ -334,7 +334,7 @@ func TestIssueSelectDifferential(t *testing.T) {
 			before := pass
 			d.step(&pass)
 			if pass != before {
-				kept += d.prod.p.intIQ.nreq
+				kept += d.prod.p.intIQ.req.n
 				for i := 1; i < len(d.prod.granted); i++ {
 					if d.prod.granted[i] <= d.prod.granted[i-1] {
 						t.Fatalf("pass %d granted seq %d after seq %d", pass, d.prod.granted[i], d.prod.granted[i-1])
@@ -365,7 +365,7 @@ func TestSelectThrowsOnStrayRequestBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.intIQ.request(5) // slot 5 is free
+	p.intIQ.req.add(5) // slot 5 is free
 	defer func() {
 		if sp, ok := recover().(*SimPanic); !ok || sp.Kind != KindIQRequestMap {
 			t.Errorf("select over a stray request bit: recovered %v, want a %s panic", sp, KindIQRequestMap)

@@ -80,11 +80,7 @@ func (p *Processor) tryIssueLoad(rob int32, e *robEntry) bool {
 	}
 	if trigger {
 		e.ownCol = col
-		r := p.pr(e.destFP, e.newPhys)
-		r.wait = true
-		r.col = col
-		r.colGen = p.wib.gen(col)
-		p.wakeWaiters(e.destFP, e.newPhys, true)
+		p.setWait(e, col)
 	} else if col >= 0 {
 		p.wib.releaseColumn(col)
 	}
@@ -102,10 +98,7 @@ func (p *Processor) completeLoad(rob int32, e *robEntry) {
 	}
 	e.done = true
 	e.stage = stDone
-	if p.tracer != nil {
-		now := p.now
-		p.tracer.event(e.seq, func(t *InstrTrace) { t.Completed = now })
-	}
+	p.traceCompleted(e)
 	if e.ownCol >= 0 {
 		p.wib.completeColumn(p, e.ownCol)
 		e.ownCol = -1
@@ -154,13 +147,5 @@ func (p *Processor) storeAddressResolved(e *robEntry) {
 	p.lsq.resolveStore(e.sq, addr)
 	if loadRob, _, found := p.lsq.checkViolation(e.sq, addr); found {
 		p.recoverReplay(loadRob)
-	}
-}
-
-// traceIssued stamps the issue cycle when tracing is enabled.
-func (p *Processor) traceIssued(e *robEntry) {
-	if p.tracer != nil {
-		now := p.now
-		p.tracer.event(e.seq, func(t *InstrTrace) { t.Issued = now })
 	}
 }

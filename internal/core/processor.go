@@ -9,7 +9,6 @@ import (
 	"largewindow/internal/heap"
 	"largewindow/internal/isa"
 	"largewindow/internal/mem"
-	"largewindow/internal/regfile"
 )
 
 // stage is the lifecycle state of an in-flight instruction.
@@ -70,20 +69,6 @@ type robEntry struct {
 	done       bool  // result produced
 }
 
-// physReg is one physical register: its value, readiness, and the WIB
-// wait bit with its bit-vector index (§3.2). colGen guards against the
-// bit-vector being freed and reused while the wait bit is still set (the
-// producer has been reinserted but has not executed yet).
-type physReg struct {
-	value   uint64
-	ready   bool
-	wait    bool
-	free    bool // on a free list (double-free detection)
-	col     int32
-	colGen  uint64
-	waiters []waiter
-}
-
 // waiter records an issue-queue entry waiting on a register; seq guards
 // against slot reuse.
 type waiter struct {
@@ -128,20 +113,11 @@ type Processor struct {
 	// Committed architectural state (the golden-comparable part).
 	memory *isa.Memory
 
-	// Physical registers and renaming.
-	intPR []physReg
-	fpPR  []physReg
+	// Physical registers and renaming: the integer space, then the
+	// floating-point one.
+	regs [2]regSpace
 	// waiterBlock is the unclaimed tail of the current waiter block.
 	waiterBlock []waiter
-	intMap      [isa.NumRegs]int32
-	fpMap       [isa.NumRegs]int32
-	intFree     []int32
-	fpFree      []int32
-
-	// Retirement maps track the committed architectural mapping, so the
-	// final register state can be extracted for golden-model comparison.
-	retIntMap [isa.NumRegs]int32
-	retFPMap  [isa.NumRegs]int32
 
 	// Active list.
 	rob      []robEntry
@@ -168,10 +144,8 @@ type Processor struct {
 	lsq  *lsq
 	sw   *storeWait
 
-	// Prediction and register file timing.
-	bp    *bpred.Predictor
-	rfInt regfile.Model
-	rfFP  regfile.Model
+	// Prediction.
+	bp *bpred.Predictor
 
 	wib *wib // nil when disabled
 
@@ -226,8 +200,7 @@ func New(cfg Config, prog *isa.Program) (*Processor, error) {
 		prog:   prog,
 		dec:    prog.Decoded(),
 		memory: prog.NewMemoryImage(),
-		intPR:  make([]physReg, cfg.IntRegs),
-		fpPR:   make([]physReg, cfg.FPRegs),
+		regs:   [2]regSpace{newRegSpace(cfg, cfg.IntRegs, false), newRegSpace(cfg, cfg.FPRegs, true)},
 		rob:    make([]robEntry, cfg.ActiveList),
 		ifq:    make([]ifqEntry, cfg.IFQSize),
 		hier:   mem.NewHierarchy(cfg.Mem),
@@ -240,39 +213,8 @@ func New(cfg Config, prog *isa.Program) (*Processor, error) {
 	p.lsq = newLSQ(cfg.LoadQueue, cfg.StoreQueue)
 	p.l2MissReady = heap.NewWithCapacity(int64Before, 16)
 
-	switch cfg.RegFile {
-	case RFTwoLevel:
-		p.rfInt = regfile.NewTwoLevel(cfg.IntRegs, cfg.RFL1Capacity, cfg.RFReadPorts, cfg.RFL2Latency)
-		p.rfFP = regfile.NewTwoLevel(cfg.FPRegs, cfg.RFL1Capacity, cfg.RFReadPorts, cfg.RFL2Latency)
-	case RFMultiBanked:
-		p.rfInt = regfile.NewMultiBanked(cfg.RFBanks, cfg.RFBankPorts)
-		p.rfFP = regfile.NewMultiBanked(cfg.RFBanks, cfg.RFBankPorts)
-	default:
-		p.rfInt = regfile.SingleLevel{}
-		p.rfFP = regfile.SingleLevel{}
-	}
-
-	// Architectural registers map to physical 0..31; the rest are free.
-	for a := 0; a < isa.NumRegs; a++ {
-		p.intMap[a] = int32(a)
-		p.fpMap[a] = int32(a)
-		p.retIntMap[a] = int32(a)
-		p.retFPMap[a] = int32(a)
-		p.intPR[a].ready = true
-		p.fpPR[a].ready = true
-	}
-	p.intFree = make([]int32, 0, cfg.IntRegs)
-	p.fpFree = make([]int32, 0, cfg.FPRegs)
-	for r := isa.NumRegs; r < cfg.IntRegs; r++ {
-		p.intFree = append(p.intFree, int32(r))
-		p.intPR[r].free = true
-	}
-	for r := isa.NumRegs; r < cfg.FPRegs; r++ {
-		p.fpFree = append(p.fpFree, int32(r))
-		p.fpPR[r].free = true
-	}
-	p.intPR[p.intMap[isa.SP]].value = prog.StackTop
-	p.intPR[p.intMap[isa.GP]].value = prog.DataBase
+	p.regs[0].arch(int(isa.SP)).value = prog.StackTop
+	p.regs[0].arch(int(isa.GP)).value = prog.DataBase
 
 	if cfg.WIB != nil {
 		p.wib = newWIB(*cfg.WIB, cfg.ActiveList, cfg.LoadQueue)
@@ -402,9 +344,6 @@ func (p *Processor) cycle() {
 	}
 }
 
-// entry returns the ROB entry at index i.
-func (p *Processor) entry(i int32) *robEntry { return &p.rob[i] }
-
 // liveEntry validates that (rob, seq) still names the same instruction.
 func (p *Processor) liveEntry(rob int32, seq uint64) *robEntry {
 	e := &p.rob[rob]
@@ -414,12 +353,16 @@ func (p *Processor) liveEntry(rob int32, seq uint64) *robEntry {
 	return e
 }
 
-func (p *Processor) pr(fp bool, idx int32) *physReg {
+// space returns the register space an operand with the given FP flag
+// names; pr one of its physical registers.
+func (p *Processor) space(fp bool) *regSpace {
 	if fp {
-		return &p.fpPR[idx]
+		return &p.regs[1]
 	}
-	return &p.intPR[idx]
+	return &p.regs[0]
 }
+
+func (p *Processor) pr(fp bool, idx int32) *physReg { return &p.space(fp).pr[idx] }
 
 // readOperand returns the current value of a source operand; idx == noReg
 // reads as zero (absent operand or the hardwired integer zero register).
@@ -480,10 +423,7 @@ func (p *Processor) completeExec(rob int32, e *robEntry) {
 	if e.newPhys != noReg {
 		p.writeResult(e, p.execValue(e))
 	}
-	if p.tracer != nil {
-		now := p.now
-		p.tracer.event(e.seq, func(t *InstrTrace) { t.Completed = now })
-	}
+	p.traceCompleted(e)
 	if e.sq != noReg {
 		p.storeAddressResolved(e)
 		e.addrDone = true
@@ -515,8 +455,7 @@ func (p *Processor) writeResult(e *robEntry, v uint64) {
 	r := p.pr(e.destFP, e.newPhys)
 	r.value = v
 	r.ready = true
-	r.wait = false
-	r.col = -1
+	r.clearWait()
 	p.rf(e.destFP).Wrote(int(e.newPhys), p.now)
 	p.wakeWaiters(e.destFP, e.newPhys, false)
 }
@@ -557,8 +496,7 @@ func (p *Processor) commit() {
 		p.stats.StreamHash = emu.MixHash(p.stats.StreamHash, e.pc)
 		p.stats.classMix[e.class]++
 		if p.tracer != nil {
-			now := p.now
-			p.tracer.event(e.seq, func(t *InstrTrace) { t.Committed = now })
+			p.trace(e, func(t *InstrTrace, now int64) { t.Committed = now })
 			p.tracer.archive(e.seq)
 		}
 
@@ -592,13 +530,10 @@ func (p *Processor) commit() {
 		// Advance the retirement map and free the previous mapping of the
 		// architectural destination.
 		if e.newPhys != noReg {
-			if e.destFP {
-				p.retFPMap[e.archDest] = e.newPhys
-			} else {
-				p.retIntMap[e.archDest] = e.newPhys
-			}
+			s := p.space(e.destFP)
+			s.ret[e.archDest] = e.newPhys
 			if e.oldPhys != noReg {
-				p.freePhys(e.destFP, e.oldPhys)
+				s.release(e.oldPhys)
 			}
 		}
 		e.stage = stFree
@@ -644,31 +579,13 @@ func (p *Processor) checkOracle(e *robEntry) {
 	}
 }
 
-// freePhys returns a physical register to its free list.
-func (p *Processor) freePhys(fp bool, idx int32) {
-	r := p.pr(fp, idx)
-	if r.free {
-		throw(KindRegDoubleFree, 0, "phys reg %d (fp=%v) freed twice", idx, fp)
-	}
-	r.free = true
-	r.ready = false
-	r.wait = false
-	r.col = -1
-	r.waiters = r.waiters[:0]
-	if fp {
-		p.fpFree = append(p.fpFree, idx)
-	} else {
-		p.intFree = append(p.intFree, idx)
-	}
-}
-
 // ArchState extracts the committed architectural state for golden-model
 // comparison. Valid after Run returns.
 func (p *Processor) ArchState() emu.State {
 	var st emu.State
 	for a := 0; a < isa.NumRegs; a++ {
-		st.IntReg[a] = p.intPR[p.retIntMap[a]].value
-		st.FPReg[a] = p.fpPR[p.retFPMap[a]].value
+		st.IntReg[a] = p.regs[0].committed(a)
+		st.FPReg[a] = p.regs[1].committed(a)
 	}
 	st.IntReg[isa.Zero] = 0
 	st.MemChecksum = p.memory.Checksum()

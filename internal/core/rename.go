@@ -32,14 +32,8 @@ func (p *Processor) dispatchStalled(fe *ifqEntry) bool {
 	}
 	d := &p.dec[fe.pc]
 	class, dest := d.Class, d.Dest
-	if needsDest(dest) {
-		if dest.FP {
-			if len(p.fpFree) == 0 {
-				return true
-			}
-		} else if len(p.intFree) == 0 {
-			return true
-		}
+	if namesReg(dest) && len(p.space(dest.FP).free) == 0 {
+		return true
 	}
 	if class == isa.ClassLoad && p.lsq.loadFull() {
 		return true
@@ -66,10 +60,18 @@ func (p *Processor) dispatchStalled(fe *ifqEntry) bool {
 	return false
 }
 
-// needsDest reports whether a destination reference claims a physical
-// register (the hardwired integer zero register does not).
-func needsDest(dest isa.RegRef) bool {
-	return dest.Valid && (dest.FP || dest.N != isa.Zero)
+// namesReg reports whether an operand reference names a physical register
+// (an absent one and the hardwired integer zero register do not).
+func namesReg(r isa.RegRef) bool {
+	return r.Valid && (r.FP || r.N != isa.Zero)
+}
+
+// renameSource maps a source reference through the speculative map.
+func (p *Processor) renameSource(r isa.RegRef) (fp bool, phys int32) {
+	if !namesReg(r) {
+		return false, noReg
+	}
+	return r.FP, p.space(r.FP).spec[r.N]
 }
 
 // isFPClass reports whether the class dispatches to the FP issue queue.
@@ -100,43 +102,14 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 	e.intIQ = !isFPClass(class)
 	p.nextSeq++
 
-	// Rename sources against the current speculative map.
-	if s := d.Src1; s.Valid {
-		e.src1FP = s.FP
-		if s.FP {
-			e.src1Phys = p.fpMap[s.N]
-		} else if s.N != isa.Zero {
-			e.src1Phys = p.intMap[s.N]
-		}
-	}
-	if s := d.Src2; s.Valid {
-		e.src2FP = s.FP
-		if s.FP {
-			e.src2Phys = p.fpMap[s.N]
-		} else if s.N != isa.Zero {
-			e.src2Phys = p.intMap[s.N]
-		}
-	}
-
-	// Allocate and map the destination.
-	if needsDest(dest) {
+	// Rename sources against the current speculative map, then allocate
+	// and map the destination.
+	e.src1FP, e.src1Phys = p.renameSource(d.Src1)
+	e.src2FP, e.src2Phys = p.renameSource(d.Src2)
+	if namesReg(dest) {
 		e.archDest = int8(dest.N)
 		e.destFP = dest.FP
-		if dest.FP {
-			e.newPhys = p.fpFree[len(p.fpFree)-1]
-			p.fpFree = p.fpFree[:len(p.fpFree)-1]
-			e.oldPhys = p.fpMap[dest.N]
-			p.fpMap[dest.N] = e.newPhys
-			pr := &p.fpPR[e.newPhys]
-			*pr = physReg{waiters: pr.waiters[:0], col: -1}
-		} else {
-			e.newPhys = p.intFree[len(p.intFree)-1]
-			p.intFree = p.intFree[:len(p.intFree)-1]
-			e.oldPhys = p.intMap[dest.N]
-			p.intMap[dest.N] = e.newPhys
-			pr := &p.intPR[e.newPhys]
-			*pr = physReg{waiters: pr.waiters[:0], col: -1}
-		}
+		e.newPhys, e.oldPhys = p.space(dest.FP).rename(dest.N)
 	}
 
 	switch class {
@@ -181,51 +154,6 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 	return true
 }
 
-// moveToWIB parks a pretend-ready instruction in the WIB attached to
-// column col, frees its issue-queue slot (the caller adjusts occupancy),
-// and propagates the wait bit through its destination register (§3.2).
-func (p *Processor) moveToWIB(rob int32, e *robEntry, col int32) {
-	p.wib.park(p, rob, e, col)
-	if e.newPhys != noReg {
-		r := p.pr(e.destFP, e.newPhys)
-		r.wait = true
-		r.col = col
-		r.colGen = p.wib.gen(col)
-		p.wakeWaiters(e.destFP, e.newPhys, true)
-	}
-}
-
-// parkEligible moves a pretend-ready instruction whose bit-vectors have
-// all completed straight to the eligible pool: it leaves the issue queue
-// (the caller adjusts occupancy) and will be reinserted like any other WIB
-// entry. Its wait bit propagates with no live column, so transitive
-// dependents behave the same way.
-func (p *Processor) parkEligible(rob int32, e *robEntry) {
-	if p.tracer != nil {
-		now := p.now
-		p.tracer.event(e.seq, func(t *InstrTrace) { t.Parks = append(t.Parks, now) })
-	}
-	e.stage = stEligible
-	e.wibCol = -1
-	e.insertions++
-	p.stats.WIBInsertions++
-	if p.tel != nil {
-		p.tel.cPark.Inc()
-	}
-	p.wib.occupancy++
-	if p.wib.occupancy > p.wib.peak {
-		p.wib.peak = p.wib.occupancy
-		p.stats.WIBPeakOccupancy = p.wib.peak
-	}
-	p.wib.addEligible(e.seq, []wibRow{{rob: rob, seq: e.seq}})
-	if e.newPhys != noReg {
-		r := p.pr(e.destFP, e.newPhys)
-		r.wait = true
-		r.col = -1
-		p.wakeWaiters(e.destFP, e.newPhys, true)
-	}
-}
-
 // unblockHead guarantees forward progress for the oldest instruction: if
 // the active-list head is WIB-eligible but its issue queue is full, the
 // youngest queued instruction is spilled back to the eligible pool to
@@ -248,10 +176,10 @@ func (p *Processor) unblockHead() {
 		idx := (p.robTail - i + size) % size // youngest first
 		e := &p.rob[idx]
 		if (e.stage == stWaiting || e.stage == stRequest) && p.queueOf(e) == q {
-			q.clearRequest(idx)
+			q.req.remove(idx)
 			q.count--
 			p.note("head-evict", e.seq, e.pc)
-			p.parkEligible(idx, e)
+			p.wib.park(p, idx, e, -1)
 			p.stats.HeadEvictions++
 			return
 		}
@@ -317,11 +245,7 @@ func (p *Processor) squashEntry(idx int32, e *robEntry) {
 		p.tel.cSquash.Inc()
 	}
 	if p.tracer != nil {
-		now := p.now
-		p.tracer.event(e.seq, func(t *InstrTrace) {
-			t.Squashed = true
-			t.SquashCyc = now
-		})
+		p.trace(e, func(t *InstrTrace, now int64) { t.Squashed, t.SquashCyc = true, now })
 		p.tracer.archive(e.seq)
 	}
 	if e.isBranch {
@@ -330,7 +254,7 @@ func (p *Processor) squashEntry(idx int32, e *robEntry) {
 	switch e.stage {
 	case stWaiting, stRequest:
 		q := p.queueOf(e)
-		q.clearRequest(idx)
+		q.req.remove(idx)
 		q.count--
 	case stInWIB:
 		p.wib.unpark()
@@ -348,12 +272,9 @@ func (p *Processor) squashEntry(idx int32, e *robEntry) {
 		p.wib.releaseColumn(e.ownCol)
 	}
 	if e.newPhys != noReg {
-		if e.destFP {
-			p.fpMap[e.archDest] = e.oldPhys
-		} else {
-			p.intMap[e.archDest] = e.oldPhys
-		}
-		p.freePhys(e.destFP, e.newPhys)
+		s := p.space(e.destFP)
+		s.spec[e.archDest] = e.oldPhys
+		s.release(e.newPhys)
 	}
 	e.stage = stFree
 }

@@ -127,11 +127,7 @@ func (p *Processor) sliceTryExecute(rob int32, e *robEntry) sliceOutcome {
 		// Clear the (now pointless) wait bit so consumers use the ready
 		// path, mirroring reinsertion semantics.
 		if e.newPhys != noReg {
-			pr := p.pr(e.destFP, e.newPhys)
-			if pr.wait {
-				pr.wait = false
-				pr.col = -1
-			}
+			p.pr(e.destFP, e.newPhys).clearWait()
 		}
 		e.stage = stIssued
 		p.traceIssued(e)
@@ -146,8 +142,8 @@ func (p *Processor) sliceTryExecute(rob int32, e *robEntry) sliceOutcome {
 	// If an operand waits on another outstanding miss, follow it into
 	// that bit-vector; otherwise stay eligible until the producer runs.
 	if col, ok := p.waitColumn(e); ok && p.wib.blockAvailable(col) {
-		p.wib.unpark()           // leaving the eligible pool...
-		p.moveToWIB(rob, e, col) // ...and parking again (re-counts occupancy)
+		p.wib.unpark()             // leaving the eligible pool...
+		p.wib.park(p, rob, e, col) // ...and parking again (re-counts occupancy)
 		return sliceReparked
 	}
 	return sliceNotReady

@@ -11,7 +11,7 @@ func TestSliceCoreExecutesChains(t *testing.T) {
 	if p.stats.SliceExecuted == 0 {
 		t.Error("slice core executed nothing on a miss-bound chain")
 	}
-	if got := p.intPR[p.retIntMap[20]].value; got != 6*48 { // A0 = arch reg 20
+	if got := p.regs[0].committed(20); got != 6*48 { // A0 = arch reg 20
 		t.Errorf("A0 = %d, want %d", got, 6*48)
 	}
 }

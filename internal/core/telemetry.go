@@ -67,11 +67,10 @@ func (p *Processor) AttachTelemetry(col *telemetry.Collector) {
 
 	p.hier.AttachTelemetry(reg)
 	p.bp.AttachTelemetry(reg)
-	if rf, ok := p.rfInt.(rfTelemetry); ok {
-		rf.AttachTelemetry(reg, "regfile.int")
-	}
-	if rf, ok := p.rfFP.(rfTelemetry); ok {
-		rf.AttachTelemetry(reg, "regfile.fp")
+	for i, name := range [2]string{"regfile.int", "regfile.fp"} {
+		if rf, ok := p.regs[i].rf.(rfTelemetry); ok {
+			rf.AttachTelemetry(reg, name)
+		}
 	}
 	p.tel = t
 }

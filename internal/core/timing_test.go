@@ -392,7 +392,7 @@ func TestDeferredLoadKeepsRequestBit(t *testing.T) {
 			if held++; held > longest {
 				longest = held
 			}
-			if !p.intIQ.requesting(idx) || p.intIQ.nreq == 0 {
+			if !p.intIQ.req.has(idx) || p.intIQ.req.n == 0 {
 				t.Fatalf("%s cycle %d: held load seq %d is in stRequest with its request bit clear", cfg.Name, p.now, e.seq)
 			}
 			if p.idle() {

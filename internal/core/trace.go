@@ -76,9 +76,14 @@ func (tr *tracer) dispatch(e *robEntry, fetched int64, now int64) {
 	tr.active[e.seq] = t
 }
 
-func (tr *tracer) event(seq uint64, f func(*InstrTrace)) {
-	if t, ok := tr.active[seq]; ok {
-		f(t)
+// trace applies f to e's lifecycle record, with the current cycle, when
+// tracing is enabled. Call sites pass a capture-free literal, so the
+// disabled path costs the nil test alone.
+func (p *Processor) trace(e *robEntry, f func(t *InstrTrace, now int64)) {
+	if p.tracer != nil {
+		if t, ok := p.tracer.active[e.seq]; ok {
+			f(t, p.now)
+		}
 	}
 }
 
@@ -102,6 +107,16 @@ func (tr *tracer) archive(seq uint64) {
 		tr.next = 0
 		tr.filled = true
 	}
+}
+
+// traceIssued and traceCompleted stamp the two milestones more than one
+// pipeline path reaches.
+func (p *Processor) traceIssued(e *robEntry) {
+	p.trace(e, func(t *InstrTrace, now int64) { t.Issued = now })
+}
+
+func (p *Processor) traceCompleted(e *robEntry) {
+	p.trace(e, func(t *InstrTrace, now int64) { t.Completed = now })
 }
 
 // Traces returns the archived instruction lifecycles, oldest first.

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/bits"
+	"cmp"
 	"slices"
 
 	"largewindow/internal/heap"
@@ -74,19 +74,17 @@ type wib struct {
 	chunks    []rowChunk // row arena, grown on demand and never shrunk
 	freeChunk int32      // head of the free-chunk list
 
-	// Banked organization: the eligible bitmap, plus the rotating sticky
-	// priority order (§3.3.1). Bank b owns active-list slots ≡ b (mod
-	// Banks); bit k of its bankWords words is slot b + k·Banks, so
-	// ascending bit order is ascending slot order within the bank.
-	// bankCount and eligCount are the per-bank and total popcounts.
+	// Banked organization: each bank's eligible set, plus the rotating
+	// sticky priority order (§3.3.1). Bank b owns active-list slots ≡ b
+	// (mod Banks); position k of its set is slot b + k·Banks, so ascending
+	// position is ascending slot order within the bank. eligCount is the
+	// total over the banks.
 	//
 	// A cycle reaches only the banks of its own parity, so the order is
 	// kept per parity: bankPrio[0] ranks the even banks, bankPrio[1] the
 	// odd ones, and a cycle that finds nothing eligible leaves both as
 	// they are.
-	bankElig  []uint64 // Banks × bankWords
-	bankWords int
-	bankCount []int32
+	banks     []slotSet
 	eligCount int
 	bankPrio  [2][]int32
 
@@ -152,11 +150,8 @@ func newWIB(cfg WIBConfig, activeList, loadQueue int) *wib {
 		w.cfg.Banked = false
 	}
 	if w.cfg.Banked {
-		perBank := (activeList + w.cfg.Banks - 1) / w.cfg.Banks
-		w.bankWords = (perBank + 63) / 64
-		w.bankElig = make([]uint64, w.cfg.Banks*w.bankWords)
-		w.bankCount = make([]int32, w.cfg.Banks)
-		for b := 0; b < w.cfg.Banks; b++ {
+		w.banks = newSlotSets(w.cfg.Banks, (activeList+w.cfg.Banks-1)/w.cfg.Banks)
+		for b := range w.banks {
 			w.bankPrio[b&1] = append(w.bankPrio[b&1], int32(b))
 		}
 		w.prioScratch = make([]int32, 0, w.cfg.Banks)
@@ -262,28 +257,52 @@ func (w *wib) releaseColumn(c int32) {
 	w.free = append(w.free, c)
 }
 
-// park moves an instruction into the WIB, attached to column c.
+// park is the one way into the WIB. A pretend-ready instruction leaves
+// its issue queue (the caller adjusts occupancy) to wait on bit-vector
+// column c; with c < 0 — every bit-vector it referenced has completed, or
+// it is evicted to unblock the head — it goes straight to the eligible
+// pool and is reinserted like any other entry. Either way the wait bit
+// propagates through its destination register (§3.2), with no live column
+// in the second case, so transitive dependents behave the same way.
 func (w *wib) park(p *Processor, rob int32, e *robEntry, c int32) {
-	if c < 0 || int(c) >= len(w.cols) || !w.cols[c].active {
+	if c >= 0 && (int(c) >= len(w.cols) || !w.cols[c].active) {
 		throw(KindWIBBadColumn, e.seq, "park seq %d on dead bit-vector column %d", e.seq, c)
 	}
-	if p.tracer != nil {
-		now := p.now
-		p.tracer.event(e.seq, func(t *InstrTrace) { t.Parks = append(t.Parks, now) })
-	}
-	e.stage = stInWIB
+	p.trace(e, func(t *InstrTrace, now int64) { t.Parks = append(t.Parks, now) })
 	e.wibCol = c
 	e.insertions++
 	p.stats.WIBInsertions++
 	if p.tel != nil {
 		p.tel.cPark.Inc()
 	}
-	w.depositRow(c, wibRow{rob: rob, seq: e.seq})
 	w.occupancy++
 	if w.occupancy > w.peak {
 		w.peak = w.occupancy
 		p.stats.WIBPeakOccupancy = w.peak
 	}
+	row := wibRow{rob: rob, seq: e.seq}
+	if c >= 0 {
+		e.stage = stInWIB
+		w.depositRow(c, row)
+	} else {
+		e.stage = stEligible
+		w.addEligible(e.seq, []wibRow{row})
+	}
+	if e.newPhys != noReg {
+		p.setWait(e, c)
+	}
+}
+
+// setWait is the one way a wait bit is set: e's destination register
+// becomes pretend-ready on bit-vector column c (on none when c < 0), and
+// the wakeup broadcast tells its consumers (§3.2).
+func (p *Processor) setWait(e *robEntry, c int32) {
+	r := p.pr(e.destFP, e.newPhys)
+	r.wait, r.col = true, c
+	if c >= 0 {
+		r.colGen = p.wib.gen(c)
+	}
+	p.wakeWaiters(e.destFP, e.newPhys, true)
 }
 
 // unpark is the occupancy counterpart of park, used at reinsertion and
@@ -355,37 +374,29 @@ func (w *wib) addEligible(loadSeq uint64, live []wibRow) {
 	}
 }
 
-// bankBit locates bit k of bank b in the eligible bitmap.
-func (w *wib) bankBit(b, k int) (word *uint64, mask uint64) {
-	return &w.bankElig[b*w.bankWords+k>>6], 1 << (k & 63)
+// bankOf splits an active-list slot into its bank and its position there.
+func (w *wib) bankOf(rob int32) (b, k int32) {
+	banks := int32(len(w.banks))
+	return rob % banks, rob / banks
 }
 
-// bankOf splits an active-list slot into its bank and bit index.
-func (w *wib) bankOf(rob int32) (b, k int) {
-	return int(rob) % w.cfg.Banks, int(rob) / w.cfg.Banks
-}
-
+// setEligibleBit and clearEligibleBit are the only writers of the banked
+// eligible set: in when an instruction becomes eligible, out (position k
+// of bank b, slot b + k·Banks) at reinsertion and at squash. A second set
+// or a clear of a clear bit means the bitmap and the active list disagree
+// about who is eligible.
 func (w *wib) setEligibleBit(rob int32, seq uint64) {
 	b, k := w.bankOf(rob)
-	word, mask := w.bankBit(b, k)
-	if *word&mask != 0 {
+	if !w.banks[b].add(k) {
 		throw(KindWIBEligibleBit, seq, "seq %d became eligible in slot %d, whose eligible bit is already set", seq, rob)
 	}
-	*word |= mask
-	w.bankCount[b]++
 	w.eligCount++
 }
 
-// clearEligibleBit removes bit k of bank b (slot b + k·Banks) from the
-// eligible set, at reinsertion and at squash. A clear bit here means the
-// bitmap and the active list disagree about who is eligible.
-func (w *wib) clearEligibleBit(b, k int, seq uint64) {
-	word, mask := w.bankBit(b, k)
-	if *word&mask == 0 {
-		throw(KindWIBEligibleBit, seq, "seq %d leaves the eligible set from slot %d, whose eligible bit is clear", seq, b+k*w.cfg.Banks)
+func (w *wib) clearEligibleBit(b, k int32, seq uint64) {
+	if !w.banks[b].remove(k) {
+		throw(KindWIBEligibleBit, seq, "seq %d leaves the eligible set from slot %d, whose eligible bit is clear", seq, b+k*int32(len(w.banks)))
 	}
-	*word &^= mask
-	w.bankCount[b]--
 	w.eligCount--
 }
 
@@ -401,29 +412,8 @@ func (w *wib) squashEligible(rob int32, seq uint64) {
 
 // eligibleBitSet reports whether slot rob is in the banked eligible set.
 func (w *wib) eligibleBitSet(rob int32) bool {
-	word, mask := w.bankBit(w.bankOf(rob))
-	return *word&mask != 0
-}
-
-// checkEligibleCounts verifies (Debug runs) that each bank's count and the
-// total are the popcounts of the bitmap, and that the total is the number
-// of stEligible active-list entries the caller counted.
-func (w *wib) checkEligibleCounts(eligible int) {
-	total := 0
-	for b := range w.bankCount {
-		n := 0
-		for _, word := range w.bankElig[b*w.bankWords : (b+1)*w.bankWords] {
-			n += bits.OnesCount64(word)
-		}
-		if n != int(w.bankCount[b]) {
-			throw(KindWIBEligibleMap, 0, "bank %d counts %d eligible, its bitmap holds %d", b, w.bankCount[b], n)
-		}
-		total += n
-	}
-	if total != w.eligCount || total != eligible {
-		throw(KindWIBEligibleMap, 0, "eligible bitmap holds %d bits, count says %d, active list has %d eligible",
-			total, w.eligCount, eligible)
-	}
+	b, k := w.bankOf(rob)
+	return w.banks[b].has(k)
 }
 
 // hasEligible reports whether any structure the selection policies drain
@@ -498,10 +488,7 @@ func (w *wib) tryReinsert(p *Processor, rob int32, e *robEntry) bool {
 	if p.tel != nil {
 		p.tel.cReinsert.Inc()
 	}
-	if p.tracer != nil {
-		now := p.now
-		p.tracer.event(e.seq, func(t *InstrTrace) { t.Reinserts = append(t.Reinserts, now) })
-	}
+	p.trace(e, func(t *InstrTrace, now int64) { t.Reinserts = append(t.Reinserts, now) })
 	// §6 future work: prefetch the sources into the two-level register
 	// file's first level so the register-read stage hits.
 	if p.cfg.RFPrefetchOnReinsert {
@@ -511,11 +498,7 @@ func (w *wib) tryReinsert(p *Processor, rob int32, e *robEntry) bool {
 	// synchronize on the true ready bit again (the register stays
 	// not-ready until this instruction executes).
 	if e.newPhys != noReg {
-		pr := p.pr(e.destFP, e.newPhys)
-		if pr.wait {
-			pr.wait = false
-			pr.col = -1
-		}
+		p.pr(e.destFP, e.newPhys).clearWait()
 	}
 	p.registerInIQ(rob)
 	return true
@@ -531,8 +514,7 @@ func (w *wib) reinsertBanked(p *Processor, maxSlots int) int {
 		return 0
 	}
 	used := 0
-	banks := w.cfg.Banks
-	headRow, headBank := int(p.robHead)/banks, int(p.robHead)%banks
+	headBank, headRow := w.bankOf(p.robHead)
 	// Stable partition of this parity's order into blocked banks (kept in
 	// front, compacted in place) and done banks (moved behind them).
 	order := w.bankPrio[p.now&1]
@@ -544,19 +526,22 @@ func (w *wib) reinsertBanked(p *Processor, maxSlots int) int {
 			blocked++
 			continue
 		}
-		if w.bankCount[b] == 0 {
+		if w.banks[b].n == 0 {
 			done = append(done, b)
 			continue
 		}
-		k := w.oldestInBank(int(b), headRow, headBank)
-		rob := b + int32(k*banks)
+		k := w.oldestInBank(b, headRow, headBank)
+		if k < 0 {
+			throw(KindWIBEligibleMap, 0, "bank %d counts %d eligible but its bitmap is empty", b, w.banks[b].n)
+		}
+		rob := b + k*int32(len(w.banks))
 		e := &p.rob[rob]
 		if e.stage != stEligible {
 			throw(KindWIBEligibleMap, e.seq, "bank %d selected slot %d, which is not eligible (seq %d, %s)",
 				b, rob, e.seq, stageNames[e.stage])
 		}
 		if w.tryReinsert(p, rob, e) {
-			w.clearEligibleBit(int(b), k, e.seq)
+			w.clearEligibleBit(b, k, e.seq)
 			used++
 			done = append(done, b)
 		} else {
@@ -572,40 +557,19 @@ func (w *wib) reinsertBanked(p *Processor, maxSlots int) int {
 	return used
 }
 
-// oldestInBank is bank b's priority encoder: the first set eligible bit
+// oldestInBank is bank b's priority encoder: the first eligible position
 // in ring order from the active-list head, which is the bank's oldest
 // eligible instruction because the active list allocates in program
 // order. The head is given as (row, bank) = divmod(robHead, Banks); the
-// result is the bit's index k, naming active-list slot b + k·Banks. The
-// bank must hold an eligible bit (bankCount[b] > 0).
-func (w *wib) oldestInBank(b, headRow, headBank int) int {
-	words := w.bankElig[b*w.bankWords : (b+1)*w.bankWords]
-	// k0 is the bank's first bit at or after the head: the scan covers
-	// [k0, end) and then wraps to [0, k0).
+// result k names active-list slot b + k·Banks, and is -1 for an empty
+// bank.
+func (w *wib) oldestInBank(b, headRow, headBank int32) int32 {
+	// The bank's first position at or after the head.
 	k0 := headRow
 	if b < headBank {
 		k0++
 	}
-	w0, below := k0>>6, uint64(1)<<(k0&63)-1
-	if w0 < len(words) {
-		if m := words[w0] &^ below; m != 0 {
-			return w0<<6 + bits.TrailingZeros64(m)
-		}
-		for i := w0 + 1; i < len(words); i++ {
-			if words[i] != 0 {
-				return i<<6 + bits.TrailingZeros64(words[i])
-			}
-		}
-	}
-	for i, m := range words {
-		if m != 0 {
-			// Ahead of the head everything was clear, so the first set
-			// bit from the bottom lies below k0.
-			return i<<6 + bits.TrailingZeros64(m)
-		}
-	}
-	throw(KindWIBEligibleMap, 0, "bank %d counts %d eligible but its bitmap is empty", b, w.bankCount[b])
-	return 0
+	return w.banks[b].firstFrom(k0)
 }
 
 // reinsertProgramOrder drains the global seq-ordered heap.
@@ -663,15 +627,7 @@ func (w *wib) reinsertChain(p *Processor, maxSlots int) int {
 func (w *wib) reinsertGroups(p *Processor, maxSlots int, roundRobin bool) int {
 	used := 0
 	if !roundRobin {
-		slices.SortStableFunc(w.groups, func(a, b wibGroup) int {
-			switch {
-			case a.loadSeq < b.loadSeq:
-				return -1
-			case a.loadSeq > b.loadSeq:
-				return 1
-			}
-			return 0
-		})
+		slices.SortStableFunc(w.groups, func(a, b wibGroup) int { return cmp.Compare(a.loadSeq, b.loadSeq) })
 	}
 	attempts := 0
 	for used < maxSlots && len(w.groups) > 0 && attempts < 4*maxSlots {

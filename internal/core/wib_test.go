@@ -61,7 +61,7 @@ func TestChainParksAndDrains(t *testing.T) {
 	if p.wib.occupancy != 0 {
 		t.Errorf("WIB occupancy %d after halt", p.wib.occupancy)
 	}
-	if got := p.intPR[p.retIntMap[isa.A0]].value; got != 6*64 {
+	if got := p.regs[0].committed(int(isa.A0)); got != 6*64 {
 		t.Errorf("A0 = %d, want %d", got, 6*64)
 	}
 }
@@ -186,7 +186,7 @@ func refOldestInBank(p *Processor, rows *[]wibRow) (wibRow, bool) {
 }
 
 // bankedDriver drives a banked WIB through its production entry points
-// (park, parkEligible, completeColumn, reinsertBanked, squashFrom) on a
+// (park, completeColumn, reinsertBanked, squashFrom) on a
 // hand-advanced active list, shadowing the eligible set as per-bank row
 // lists for the oracle.
 type bankedDriver struct {
@@ -247,7 +247,7 @@ func (d *bankedDriver) dispatch() {
 // request bit.
 func (d *bankedDriver) leaveQueue(idx int32, e *robEntry) {
 	q := d.p.queueOf(e)
-	q.clearRequest(idx)
+	q.req.remove(idx)
 	q.count--
 }
 
@@ -261,7 +261,7 @@ func (d *bankedDriver) park() {
 		if len(d.cols) > 0 && d.rng.Intn(10) < 8 {
 			d.p.wib.park(d.p, idx, e, d.cols[d.rng.Intn(len(d.cols))])
 		} else {
-			d.p.parkEligible(idx, e)
+			d.p.wib.park(d.p, idx, e, -1)
 		}
 	}
 }
@@ -294,18 +294,18 @@ func (d *bankedDriver) sync(step int) {
 			}
 		}
 	}
-	headRow, headBank := int(p.robHead)/banks, int(p.robHead)%banks
+	headBank, headRow := w.bankOf(p.robHead)
 	for b := 0; b < banks; b++ {
 		want, ok := refOldestInBank(p, &d.shadow[b])
 		d.compared++
-		if has := w.bankCount[b] > 0; has != ok {
+		if has := w.banks[b].n > 0; has != ok {
 			d.t.Fatalf("step %d bank %d: bitmap non-empty=%v, oracle found=%v", step, b, has, ok)
 		}
 		if !ok {
 			continue
 		}
 		d.found++
-		got := int32(b + w.oldestInBank(b, headRow, headBank)*banks)
+		got := int32(b) + w.oldestInBank(int32(b), headRow, headBank)*int32(banks)
 		if got != want.rob || p.rob[got].seq != want.seq {
 			d.t.Fatalf("step %d bank %d (head %d): selected slot %d (seq %d), oracle slot %d (seq %d)",
 				step, b, p.robHead, got, p.rob[got].seq, want.rob, want.seq)
@@ -406,7 +406,7 @@ func TestEligibleBitMisuseThrows(t *testing.T) {
 		t.Errorf("setting a set bit: kind %q, want %q", k, KindWIBEligibleBit)
 	}
 	w.clearEligibleBit(1, 3, 7)
-	if w.eligCount != 0 || w.bankCount[1] != 0 || w.hasEligible() {
-		t.Errorf("counts after set+clear: total %d, bank %d", w.eligCount, w.bankCount[1])
+	if w.eligCount != 0 || w.banks[1].n != 0 || w.hasEligible() {
+		t.Errorf("counts after set+clear: total %d, bank %d", w.eligCount, w.banks[1].n)
 	}
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+
 	"largewindow/internal/heap"
 	"largewindow/internal/telemetry"
 )
@@ -69,7 +71,27 @@ type Hierarchy struct {
 	MemFills      uint64 // L2 misses serviced by main memory
 }
 
-// NewHierarchy builds the memory system.
+// Validate checks the geometry NewHierarchy would otherwise panic on (or,
+// for a page size that is not a power of two, never return from).
+func (c Config) Validate() error {
+	for _, cc := range [3]CacheConfig{c.L1I, c.L1D, c.L2} {
+		if err := cc.Validate(); err != nil {
+			return err
+		}
+	}
+	if c.DisableTLB {
+		return nil
+	}
+	if sets := c.TLBEntries / max(c.TLBAssoc, 1); c.TLBAssoc <= 0 || sets <= 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("mem: TLB set count (%d entries / %d ways) is not a positive power of two", c.TLBEntries, c.TLBAssoc)
+	}
+	if c.TLBPageBytes == 0 || c.TLBPageBytes&(c.TLBPageBytes-1) != 0 {
+		return fmt.Errorf("mem: TLB page size %d is not a power of two", c.TLBPageBytes)
+	}
+	return nil
+}
+
+// NewHierarchy builds the memory system; cfg must pass Validate.
 func NewHierarchy(cfg Config) *Hierarchy {
 	h := &Hierarchy{
 		cfg:         cfg,

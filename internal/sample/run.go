@@ -86,6 +86,9 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.Validate(); err != nil { // before the warm state is built from it
+		return nil, err
+	}
 	if !plan.Resolved() {
 		total, err := ProgramLength(prog)
 		if err != nil {

@@ -3,6 +3,7 @@ package largewindow
 import (
 	"context"
 	"testing"
+	"time"
 
 	"largewindow/internal/isa"
 )
@@ -109,5 +110,46 @@ func TestSimulateRejectsBadConfig(t *testing.T) {
 	cfg.ActiveList = -1
 	if _, err := SimulateContext(context.Background(), cfg, tinyProgram(t)); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestSimulateReturnsErrorsNotPanics: SimulateContext returns an error by
+// signature, so a geometry a constructor would panic on, or a machine with
+// nothing to fetch into or issue from (which used to burn the million-
+// cycle watchdog first), comes back as one — at once, on the plain and on
+// the sampled path.
+func TestSimulateReturnsErrorsNotPanics(t *testing.T) {
+	prog := tinyProgram(t)
+	plan, err := ParseSamplingPlan("n=2,len=100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"l1d sets not a power of two", func(c *Config) { c.Mem.L1D.SizeBytes = 48 << 10 }},
+		{"tlb sets not a power of two", func(c *Config) { c.Mem.TLBEntries = 100 }},
+		{"tlb page not a power of two", func(c *Config) { c.Mem.TLBPageBytes = 5000 }},
+		{"store-wait not a power of two", func(c *Config) { c.StoreWaitEntries = 1000 }},
+		{"bimodal not a power of two", func(c *Config) { c.Bpred.BimodalEntries = 1000 }},
+		{"btb zero ways", func(c *Config) { c.Bpred.BTBAssoc = 0 }},
+		{"ras empty", func(c *Config) { c.Bpred.RASEntries = 0 }},
+		{"no fetch queue", func(c *Config) { c.IFQSize = 0 }},
+		{"no integer issue", func(c *Config) { c.IssueInt = 0 }},
+		{"no integer ALU", func(c *Config) { c.NumIntALU = 0 }},
+	} {
+		for _, opts := range [][]Option{nil, {WithSampling(plan)}} {
+			cfg := WIBConfig()
+			row.mutate(&cfg)
+			start := time.Now()
+			res, err := SimulateContext(context.Background(), cfg, prog, opts...)
+			if err == nil || res != nil {
+				t.Errorf("%s (%d options): got (%v, %v), want an error", row.name, len(opts), res, err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s (%d options): took %v to say no", row.name, len(opts), d)
+			}
+		}
 	}
 }
