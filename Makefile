@@ -8,8 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Pre-merge gate: gofmt + vet + build + go test (race-enabled, then plain)
-# + three fuzz smokes + a repeated race run.
+# Pre-merge gate: gofmt + vet + build + go test (race-enabled, then plain;
+# the removal audit, internal/audit, runs in both) + four fuzz smokes + a
+# repeated race run.
 check:
 	sh scripts/check.sh
 

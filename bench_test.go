@@ -65,16 +65,16 @@ func reportSuiteSpeedups(b *testing.B, s *harness.Session, newCfg, oldCfg Config
 	if err != nil {
 		b.Fatal(err)
 	}
-	per := map[workload.Suite][]float64{}
+	per := map[string][]float64{}
 	var committed uint64
 	for name, n := range news {
 		o := olds[name]
 		per[n.Suite] = append(per[n.Suite], stats.Speedup(n.IPC, o.IPC))
 		committed += n.Stats.Committed + o.Stats.Committed
 	}
-	b.ReportMetric(stats.ArithMean(per[workload.SuiteInt]), "int-speedup")
-	b.ReportMetric(stats.ArithMean(per[workload.SuiteFP]), "fp-speedup")
-	b.ReportMetric(stats.ArithMean(per[workload.SuiteOlden]), "olden-speedup")
+	b.ReportMetric(stats.ArithMean(per[workload.SuiteInt.String()]), "int-speedup")
+	b.ReportMetric(stats.ArithMean(per[workload.SuiteFP.String()]), "fp-speedup")
+	b.ReportMetric(stats.ArithMean(per[workload.SuiteOlden.String()]), "olden-speedup")
 	return committed
 }
 

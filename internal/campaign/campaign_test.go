@@ -447,6 +447,22 @@ func TestManifestDedupAndOrder(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("manifest order %v, want %v", got, want)
 	}
+	// Cells that differ only in their budgets share both sort labels: the
+	// dedup map's iteration order used to decide between them.
+	var twins []Cell
+	for budget := uint64(1000); budget < 1008; budget++ {
+		cell := testCell("", 64, "gzip")
+		cell.MaxInstr = budget
+		twins = append(twins, cell)
+	}
+	first := NewManifest(twins).Cells()
+	for try := 0; try < 50; try++ {
+		for i, cell := range NewManifest(twins).Cells() {
+			if cell.MaxInstr != first[i].MaxInstr {
+				t.Fatalf("manifest %d orders same-label cells differently at %d", try, i)
+			}
+		}
+	}
 }
 
 func TestProgressLine(t *testing.T) {

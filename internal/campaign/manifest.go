@@ -9,7 +9,6 @@ import "sort"
 // rather than approximate.
 type Manifest struct {
 	cells []Cell
-	ids   []string
 }
 
 // NewManifest deduplicates and orders cells into a manifest. Experiments
@@ -28,20 +27,16 @@ func NewManifest(cells []Cell) Manifest {
 		if out[i].Config.Name != out[j].Config.Name {
 			return out[i].Config.Name < out[j].Config.Name
 		}
-		return out[i].Bench < out[j].Bench
+		if out[i].Bench != out[j].Bench {
+			return out[i].Bench < out[j].Bench
+		}
+		return out[i].ID() < out[j].ID() // same labels, different budgets: seen's order must not show
 	})
-	m := Manifest{cells: out, ids: make([]string, len(out))}
-	for i, c := range out {
-		m.ids[i] = c.ID()
-	}
-	return m
+	return Manifest{cells: out}
 }
 
 // Cells returns the manifest's cells in deterministic order.
 func (m Manifest) Cells() []Cell { return m.cells }
-
-// IDs returns the cell IDs, parallel to Cells.
-func (m Manifest) IDs() []string { return m.ids }
 
 // Len is the number of distinct cells.
 func (m Manifest) Len() int { return len(m.cells) }

@@ -34,9 +34,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns where the record for a cell ID lives (whether or not it
 // exists yet).
 func (s *Store) Path(id string) string {

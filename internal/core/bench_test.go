@@ -81,12 +81,12 @@ const benchQueueFill = 600
 func lsqForwardScenarios(tb testing.TB) []scenario {
 	l := newLSQ(1024, 1024)
 	for i := 0; i < benchQueueFill; i++ {
-		resolvedStore(l, int32(i), uint64(i+1), uint64(i)*8, uint64(i), true)
+		resolvedStore(l, uint64(i+1), uint64(i)*8, uint64(i), true)
 	}
 	// The store the deferred load waits on: address known, data pending.
-	pending := resolvedStore(l, benchQueueFill, benchQueueFill+1, benchQueueFill*8, 0, false)
+	pending := resolvedStore(l, benchQueueFill+1, benchQueueFill*8, 0, false)
 	for i := 0; i < 7; i++ {
-		resolvedStore(l, int32(benchQueueFill+1+i), uint64(benchQueueFill+2+i), uint64(benchQueueFill+1+i)*8, 1, true)
+		resolvedStore(l, uint64(benchQueueFill+2+i), uint64(benchQueueFill+1+i)*8, 1, true)
 	}
 	ld := l.allocLoad(2000, 5000)
 	near, far := uint64(benchQueueFill+7)*8, uint64(0)
@@ -126,7 +126,7 @@ func lsqForwardScenarios(tb testing.TB) []scenario {
 
 func lsqViolationScenarios(tb testing.TB) []scenario {
 	l := newLSQ(1024, 1024)
-	st := l.allocStore(0, 1)
+	st := l.allocStore(1)
 	for i := 0; i < benchQueueFill; i++ {
 		l.executeLoad(l.allocLoad(int32(i+1), uint64(i+2)), uint64(i)*8, 0, 0)
 	}

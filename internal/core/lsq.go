@@ -28,7 +28,6 @@ type sqEntry struct {
 	addr   uint64
 	data   uint64
 	lqPos  uint64 // load-queue tail position at dispatch: loads at or above it are younger
-	rob    int32
 	addrOK bool
 	dataOK bool
 	valid  bool
@@ -49,9 +48,9 @@ type sqEntry struct {
 //   - sqAddrs: per hashed address, how many valid stores have resolved to it;
 //   - lqAddrs: per hashed address, how many valid loads have executed at it.
 type lsq struct {
-	lq             []lqEntry
-	lqHead, lqTail uint64
-	lqCount        int
+	lq      []lqEntry
+	lqTail  uint64
+	lqCount int
 
 	sq             []sqEntry
 	sqHead, sqTail uint64
@@ -123,13 +122,13 @@ func (l *lsq) allocLoad(rob int32, seq uint64) int32 {
 }
 
 // allocStore reserves the next store-queue slot in program order.
-func (l *lsq) allocStore(rob int32, seq uint64) int32 {
+func (l *lsq) allocStore(seq uint64) int32 {
 	idx := l.sqSlot(l.sqTail)
 	if l.sqCount >= len(l.sq) || l.sq[idx].valid {
 		throw(KindLSQOverflow, seq, "store queue overflow: alloc seq %d into slot %d (count %d/%d, valid=%v)",
 			seq, idx, l.sqCount, len(l.sq), l.sq[idx].valid)
 	}
-	l.sq[idx] = sqEntry{rob: rob, seq: seq, lqPos: l.lqTail, valid: true}
+	l.sq[idx] = sqEntry{seq: seq, lqPos: l.lqTail, valid: true}
 	l.sqTail++
 	l.sqCount++
 	l.sqUnresolved++
@@ -197,7 +196,6 @@ func (l *lsq) dropStore(i int32, what string) {
 // releaseLoad frees the head load slot at commit.
 func (l *lsq) releaseLoad(i int32) {
 	l.dropLoad(i, "releasing")
-	l.lqHead++
 }
 
 // releaseStore frees the head store slot at commit.

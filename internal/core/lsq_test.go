@@ -27,8 +27,8 @@ func TestLSQAllocRelease(t *testing.T) {
 
 // resolvedStore allocates a store and resolves its address (and, when
 // dataOK, its data) through the LSQ's mutators, so the indexes see it.
-func resolvedStore(l *lsq, rob int32, seq, addr, data uint64, dataOK bool) int32 {
-	i := l.allocStore(rob, seq)
+func resolvedStore(l *lsq, seq, addr, data uint64, dataOK bool) int32 {
+	i := l.allocStore(seq)
 	l.resolveStore(i, addr)
 	l.store(i).data, l.store(i).dataOK = data, dataOK
 	return i
@@ -37,11 +37,11 @@ func resolvedStore(l *lsq, rob int32, seq, addr, data uint64, dataOK bool) int32
 func TestLSQForwardYoungestOlder(t *testing.T) {
 	l := newLSQ(4, 4)
 	// Program order: st 10, ld 15, st 20, ld 25, st 30, ld 35.
-	resolvedStore(l, 1, 10, 0x100, 111, true)
+	resolvedStore(l, 10, 0x100, 111, true)
 	ld15 := l.allocLoad(2, 15)
-	s2 := resolvedStore(l, 3, 20, 0x100, 222, true)
+	s2 := resolvedStore(l, 20, 0x100, 222, true)
 	ld25 := l.allocLoad(4, 25)
-	resolvedStore(l, 5, 30, 0x200, 333, true)
+	resolvedStore(l, 30, 0x200, 333, true)
 	ld35 := l.allocLoad(6, 35)
 
 	// The load at seq 25 to 0x100 forwards from store 20 (youngest older).
@@ -76,7 +76,7 @@ func TestLSQForwardYoungestOlder(t *testing.T) {
 func TestLSQOlderStoreUnknown(t *testing.T) {
 	l := newLSQ(4, 4)
 	early := l.allocLoad(0, 5)
-	s1 := l.allocStore(1, 10)
+	s1 := l.allocStore(10)
 	late := l.allocLoad(2, 20)
 	if !l.olderStoreUnknown(late) {
 		t.Error("unresolved older store not detected")
@@ -90,7 +90,7 @@ func TestLSQOlderStoreUnknown(t *testing.T) {
 	}
 	// An unresolved store younger than the load keeps the count non-zero
 	// but must not hold the load.
-	l.allocStore(3, 30)
+	l.allocStore(30)
 	if l.olderStoreUnknown(late) {
 		t.Error("younger unresolved store held an older load")
 	}
@@ -102,12 +102,12 @@ func TestLSQViolation(t *testing.T) {
 	// Program order: st 20, ld 30, st 45, ld 50, ld 60, st 70. The loads
 	// executed to 0x100: 30 and 60 read memory (fwdSeq 0), 50 forwarded
 	// from a store at seq 40 that has since committed.
-	s20 := l.allocStore(1, 20)
+	s20 := l.allocStore(20)
 	la := l.allocLoad(5, 30)
-	s45 := l.allocStore(2, 45)
+	s45 := l.allocStore(45)
 	lb := l.allocLoad(6, 50)
 	lc := l.allocLoad(7, 60)
-	s70 := l.allocStore(3, 70)
+	s70 := l.allocStore(70)
 	l.executeLoad(la, 0x100, 1, 0)
 	l.executeLoad(lb, 0x100, 2, 40)
 	l.executeLoad(lc, 0x100, 3, 0)
@@ -135,7 +135,7 @@ func TestLSQViolation(t *testing.T) {
 
 	// Unexecuted loads don't violate.
 	l2 := newLSQ(4, 4)
-	st := l2.allocStore(1, 20)
+	st := l2.allocStore(20)
 	l2.allocLoad(5, 30)
 	if _, _, found = l2.checkViolation(st, 0x100); found {
 		t.Error("violation on unexecuted load")
@@ -247,7 +247,7 @@ func TestLSQDifferential(t *testing.T) {
 				}
 			case r < 40: // dispatch a store
 				if !l.storeFull() {
-					ops = append(ops, memOp{seq: seq, isStore: true, slot: l.allocStore(int32(seq%97), seq)})
+					ops = append(ops, memOp{seq: seq, isStore: true, slot: l.allocStore(seq)})
 					seq++
 				}
 			case r < 58: // a store's address resolves; a violating load replays

@@ -65,8 +65,7 @@ type robEntry struct {
 	ownCol     int32 // bit-vector column this load miss allocated, -1
 	insertions int   // how many times it entered the WIB
 
-	dispatched int64 // cycle it entered the issue queue
-	done       bool  // result produced
+	done bool // result produced
 }
 
 // waiter records an issue-queue entry waiting on a register; seq guards
@@ -170,9 +169,8 @@ type Processor struct {
 	// replays, evictions, fault injections) for crash dumps.
 	ring eventRing
 
-	now     int64
-	halted  bool
-	haltSeq uint64 // seq of the committed Halt
+	now    int64
+	halted bool
 
 	// Idle-cycle fast-forward diagnostics (see fastforward.go).
 	ffCycles int64
@@ -503,7 +501,6 @@ func (p *Processor) commit() {
 		switch {
 		case e.class == isa.ClassHalt:
 			p.halted = true
-			p.haltSeq = e.seq
 			p.note("halt", e.seq, e.pc)
 		case e.sq != noReg:
 			p.commitStore(e)
@@ -600,6 +597,3 @@ func (p *Processor) Statistics() *Stats { return &p.stats }
 
 // Hierarchy exposes the memory system for stats reporting.
 func (p *Processor) Hierarchy() *mem.Hierarchy { return p.hier }
-
-// Predictor exposes the branch predictor for stats reporting.
-func (p *Processor) Predictor() *bpred.Predictor { return p.bp }

@@ -116,7 +116,7 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 	case isa.ClassLoad:
 		e.lq = p.lsq.allocLoad(idx, e.seq)
 	case isa.ClassStore:
-		e.sq = p.lsq.allocStore(idx, e.seq)
+		e.sq = p.lsq.allocStore(e.seq)
 	}
 	if fe.isBranch {
 		e.isBranch = true
@@ -147,7 +147,6 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 			p.writeResult(e, fe.pc+1) // Jal link value
 		}
 	default:
-		e.dispatched = p.now
 		p.queueOf(e).count++
 		p.registerInIQ(idx)
 	}

@@ -75,14 +75,6 @@ func (p *Processor) AttachTelemetry(col *telemetry.Collector) {
 	p.tel = t
 }
 
-// Telemetry returns the attached collector (nil when telemetry is off).
-func (p *Processor) Telemetry() *telemetry.Collector {
-	if p.tel == nil {
-		return nil
-	}
-	return p.tel.col
-}
-
 // TraceRecords converts the core's archived lifecycle traces into the
 // telemetry layer's renderer-ready records (Chrome trace, Kanata view).
 func TraceRecords(traces []InstrTrace) []telemetry.InstrRecord {
@@ -133,7 +125,3 @@ func (p *Processor) accountMLP() {
 		}
 	}
 }
-
-// OutstandingL2Misses reports the number of demand-load L2 misses in
-// flight at the current cycle.
-func (p *Processor) OutstandingL2Misses() int { return p.l2MissReady.Len() }

@@ -26,9 +26,6 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 	var buf bytes.Buffer
 	col := telemetry.NewCollector(&buf, 500)
 	p.AttachTelemetry(col)
-	if p.Telemetry() != col {
-		t.Fatal("Telemetry() did not return the attached collector")
-	}
 	st, err := p.Run(0, 2_000_000)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -97,9 +94,6 @@ func TestMLPStat(t *testing.T) {
 		}
 		if st.MLPPeak > 1 {
 			overlapped = true
-		}
-		if p.OutstandingL2Misses() != 0 && !p.halted {
-			continue
 		}
 	}
 	if !overlapped {

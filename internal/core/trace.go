@@ -26,14 +26,6 @@ type InstrTrace struct {
 	SquashCyc int64
 }
 
-// Latency returns dispatch-to-complete cycles (0 if incomplete).
-func (t *InstrTrace) Latency() int64 {
-	if t.Completed == 0 {
-		return 0
-	}
-	return t.Completed - t.Dispatch
-}
-
 // tracer records instruction lifecycles into a bounded ring. It is
 // attached to a Processor via Config.TraceCapacity. Records cycle through
 // a freelist: dispatch takes a pooled entry, archive deep-copies it into

@@ -65,7 +65,7 @@ func benchRun(b *testing.B, step func(m *Machine, n uint64) (uint64, error)) {
 // a WarmLog's rings, as BuildCheckpoint drives it.
 func BenchmarkRunWarm(b *testing.B) {
 	benchRun(b, func(m *Machine, n uint64) (uint64, error) {
-		return m.RunWarm(n, NewWarmLog(DefaultWarmMem, DefaultWarmFetch, DefaultWarmBranch))
+		return m.RunSink(n, NewWarmLog(DefaultWarmMem, DefaultWarmFetch, DefaultWarmBranch))
 	})
 }
 

@@ -37,7 +37,6 @@ type ring[T any] struct {
 	buf []T
 	max int
 	w   int
-	n   uint64 // total pushes ever
 }
 
 func (r *ring[T]) push(v T) {
@@ -47,7 +46,6 @@ func (r *ring[T]) push(v T) {
 		if r.w == r.max {
 			r.w = 0
 		}
-		r.n++
 		return
 	}
 	r.grow(v)
@@ -61,7 +59,6 @@ func (r *ring[T]) grow(v T) {
 	}
 	r.buf = append(r.buf, v)
 	r.w = len(r.buf) % r.max
-	r.n++
 }
 
 // seq returns the retained samples oldest-first.
@@ -136,12 +133,6 @@ func NewWarmLog(memCap, fetchCap, branchCap int) *WarmLog {
 	}
 }
 
-// Counts reports how many samples of each kind were recorded in total
-// (including ones the bounded rings have since overwritten).
-func (w *WarmLog) Counts() (mem, fetch, branch uint64) {
-	return w.mem.n, w.fetch.n, w.branch.n
-}
-
 // WarmSink receives a functional access stream — either a warm log's
 // replay or the emulator's live stream (Machine.RunSink). The timing core
 // implements it over its cache hierarchy and branch predictor with
@@ -153,7 +144,7 @@ type WarmSink interface {
 	WarmBranch(b WarmBranch)
 }
 
-// WarmLog itself is a WarmSink, so ring capture (RunWarm) and full-history
+// WarmLog itself is a WarmSink, so ring capture (BuildCheckpoint) and full-history
 // streaming (RunSink) enter the same run loop; the loop recognises a
 // WarmLog and stores into its rings without the interface call.
 func (w *WarmLog) WarmFetch(lineAddr uint64) { w.fetch.push(lineAddr) }

@@ -112,21 +112,14 @@ func (m *Machine) Run(maxInstr uint64) (uint64, error) {
 	return m.run(maxInstr, nil, nil)
 }
 
-// RunWarm is Run with warm-state capture: the executed access stream
-// (instruction-fetch lines, data addresses, branch outcomes) is recorded
-// into the warm log's bounded rings, for replay into a timing core's
-// caches, TLB, and branch predictor when a checkpoint is restored.
-// A nil log captures nothing.
-func (m *Machine) RunWarm(maxInstr uint64, warm *WarmLog) (uint64, error) {
-	return m.run(maxInstr, warm, nil)
-}
-
-// RunSink is Run with live warm streaming: every executed access is fed
+// RunSink is Run with live warm streaming: every executed access
+// (instruction-fetch lines, data addresses, branch outcomes) is fed
 // directly into the sink as it happens, with no ring bound. Feeding a
 // timing core's cache hierarchy and branch predictor this way keeps them
 // functionally warm with the program's FULL access history — sampled
 // simulation uses it between measured intervals, where the bounded tail
-// a WarmLog retains is not enough to reconverge large caches.
+// a WarmLog retains is not enough to reconverge large caches. A *WarmLog
+// is a sink too (its rings keep that tail); a nil one captures nothing.
 func (m *Machine) RunSink(maxInstr uint64, sink WarmSink) (uint64, error) {
 	return m.run(maxInstr, sink, nil)
 }

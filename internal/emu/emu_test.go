@@ -299,24 +299,19 @@ func TestProgramCollectableAfterRun(t *testing.T) {
 }
 
 // TestRunSinkNilWarmLog: a nil *WarmLog handed to RunSink is a non-nil
-// WarmSink interface value; it must mean "no sink" there as it does in
-// RunWarm, not a nil dereference on the first fetch line.
+// WarmSink interface value; it must mean "no sink", not a nil dereference
+// on the first fetch line.
 func TestRunSinkNilWarmLog(t *testing.T) {
 	want := New(iterativeFactorial(10))
 	if _, err := want.Run(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func(*Machine) (uint64, error){
-		"RunSink": func(m *Machine) (uint64, error) { return m.RunSink(1<<20, (*WarmLog)(nil)) },
-		"RunWarm": func(m *Machine) (uint64, error) { return m.RunWarm(1<<20, nil) },
-	} {
-		m := New(iterativeFactorial(10))
-		if _, err := run(m); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m.Snapshot() != want.Snapshot() {
-			t.Errorf("%s with a nil log diverges from Run", name)
-		}
+	m := New(iterativeFactorial(10))
+	if _, err := m.RunSink(1<<20, (*WarmLog)(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if m.Snapshot() != want.Snapshot() {
+		t.Error("RunSink with a nil log diverges from Run")
 	}
 }
 
@@ -333,10 +328,10 @@ func TestRunLoopAllocFree(t *testing.T) {
 	log := NewWarmLog(64, 64, 64)
 	var sink countSink
 	for name, run := range map[string]func() (uint64, error){
-		"Run":        func() (uint64, error) { return m.Run(1 << 20) },
-		"RunWarm":    func() (uint64, error) { return m.RunWarm(1<<20, log) },
-		"RunSink":    func() (uint64, error) { return m.RunSink(1<<20, &sink) },
-		"RunProfile": func() (uint64, error) { return m.RunProfile(1<<20, nopProfile{}) },
+		"Run":         func() (uint64, error) { return m.Run(1 << 20) },
+		"RunSink/log": func() (uint64, error) { return m.RunSink(1<<20, log) },
+		"RunSink":     func() (uint64, error) { return m.RunSink(1<<20, &sink) },
+		"RunProfile":  func() (uint64, error) { return m.RunProfile(1<<20, nopProfile{}) },
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			m.PC, m.Halted = prog.Entry, false

@@ -239,8 +239,8 @@ func FuzzRunMatchesStep(f *testing.F) {
 
 		fast = fc.machine()
 		log := NewWarmLog(int(fc.budget), int(fc.budget), int(fc.budget))
-		n, err = fast.RunWarm(fc.budget, log)
-		sameOutcome(t, "RunWarm", fast, slow, n, wantN, err, wantErr)
+		n, err = fast.RunSink(fc.budget, log)
+		sameOutcome(t, "RunSink into a WarmLog", fast, slow, n, wantN, err, wantErr)
 		var logBranches []WarmBranch
 		for _, b := range log.branch.seq() {
 			logBranches = append(logBranches, b.unpack())
@@ -278,7 +278,7 @@ func FuzzRunMatchesStep(f *testing.F) {
 			case 0:
 				c, err = fast.Run(size)
 			case 1:
-				c, err = fast.RunWarm(size, log)
+				c, err = fast.RunSink(size, log)
 			case 2:
 				c, err = fast.RunSink(size, &warm)
 			default:

@@ -32,7 +32,7 @@ type sinks struct {
 	lastLine uint64
 }
 
-// run is the fast interpreter behind Run, RunWarm, RunSink and RunProfile:
+// run is the fast interpreter behind Run, RunSink and RunProfile:
 // identical architectural semantics to a Step loop (FuzzRunMatchesStep
 // holds it to that over every opcode), reached differently. Operands are
 // read from one register array through the slots the shared decode table
@@ -62,7 +62,7 @@ func (m *Machine) run(maxInstr uint64, warm WarmSink, prof ProfileSink) (uint64,
 		sk.kind = sinkWarm
 	}
 
-	// regs holds isa.NumSlots registers and classCnt isa.NumClasses
+	// regs holds isa.SlotSink+1 registers and classCnt isa.NumClasses
 	// counts; both are sized to the uint8 that indexes them, so the loop
 	// carries no bounds checks. The counters are arrays so that they live
 	// in memory, not in the registers the hash chain and the operands

@@ -61,7 +61,7 @@ func TestSessionCancelMidCampaign(t *testing.T) {
 	}
 
 	// Exactly the successful cells persisted, each record complete.
-	ids, err := s1.Store().IDs()
+	ids, err := s1.store.IDs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSessionCancelMidCampaign(t *testing.T) {
 		t.Fatalf("store holds %d records, want %d (the successes)", len(ids), len(res1))
 	}
 	for _, id := range ids {
-		rec, err := s1.Store().Get(id)
+		rec, err := s1.store.Get(id)
 		if err != nil || rec == nil {
 			t.Fatalf("persisted record %s unreadable after cancellation: %v", id, err)
 		}

@@ -29,7 +29,7 @@ func TestCheckpointCacheNeedsNoKnob(t *testing.T) {
 			t.Errorf("%s: skipped %d, want 2000", cfg.Name, rec.Stats.Skipped)
 		}
 	}
-	if built, reused := worker.Checkpoints().Counts(); built != 1 || reused != 1 {
+	if built, reused := worker.ckpts.Counts(); built != 1 || reused != 1 {
 		t.Errorf("two configs over one skip window: %d built / %d reused, want 1 / 1", built, reused)
 	}
 

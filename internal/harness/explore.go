@@ -21,10 +21,6 @@ type ExploreOptions struct {
 	AuditFrac float64
 	// Seed makes the audit slice deterministic across resumed runs.
 	Seed uint64
-	// ProfileInstr bounds each profiling pass; 0 uses the session's
-	// MaxInstr so the model predicts the region the detailed core
-	// measures.
-	ProfileInstr uint64
 }
 
 // ExploreGrid is the default WIB/cache geometry space for `experiments
@@ -74,15 +70,11 @@ func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report
 		benches[i] = resultKey(src)
 		byBench[benches[i]] = i
 	}
-	profileInstr := opt.ProfileInstr
-	if profileInstr == 0 {
-		profileInstr = s.opt.MaxInstr
-	}
 	space := &model.Space{
 		Configs:      cfgs,
 		Benches:      benches,
 		Scale:        s.opt.Scale,
-		ProfileInstr: profileInstr,
+		ProfileInstr: s.opt.MaxInstr, // the model predicts the region the detailed core measures
 		TopK:         opt.TopK,
 		AuditFrac:    opt.AuditFrac,
 		Seed:         opt.Seed,

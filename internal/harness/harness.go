@@ -130,14 +130,12 @@ func (o Options) withDefaults() Options {
 
 // Result is the outcome of one simulation run: the cell's campaign record
 // (fresh or cache-served — IPC, Stats, the miss ratios and the sampling
-// statistics are its fields, promoted) under the session's view of the
-// workload's suite. A failed run has Err set and a record carrying only
-// its labels; failed cells stay in the session's failure list so a
-// sweep's summary can name them.
+// statistics are its fields, promoted). A failed run has Err set and a
+// record carrying only its labels; failed cells stay in the session's
+// failure list so a sweep's summary can name them.
 type Result struct {
 	*campaign.Record
-	Suite workload.Suite
-	Err   error // non-nil: the cell failed (SimError or panic)
+	Err error // non-nil: the cell failed (SimError or panic)
 }
 
 // Session runs and memoizes simulations as a view over a campaign
@@ -219,15 +217,8 @@ func NewSession(opt Options) *Session {
 	return s
 }
 
-// Checkpoints exposes the session's shared checkpoint cache.
-func (s *Session) Checkpoints() *campaign.Checkpoints { return s.ckpts }
-
 // Campaign exposes the session's engine (progress counters, priming).
 func (s *Session) Campaign() *campaign.Engine { return s.eng }
-
-// Store returns the persistent result store, nil when CacheDir is unset
-// or unusable.
-func (s *Session) Store() *campaign.Store { return s.store }
 
 // StoreErr reports why the persistent store is unavailable (nil when it
 // is usable or was never requested).
@@ -315,7 +306,7 @@ func (s *Session) Run(cfg core.Config, src workload.Source) (*Result, error) {
 		rec, err := s.eng.Run(cell)
 		if err != nil {
 			err = fmt.Errorf("%s on %s: %w", resultKey(src), cfg.Name, err)
-			res := &Result{Record: &campaign.Record{Bench: src.Name(), Config: cfg.Name}, Suite: src.Suite(), Err: err}
+			res := &Result{Record: &campaign.Record{Bench: src.Name(), Config: cfg.Name}, Err: err}
 			s.mu.Lock()
 			s.failures = append(s.failures, res)
 			s.mu.Unlock()
@@ -324,19 +315,9 @@ func (s *Session) Run(cfg core.Config, src workload.Source) (*Result, error) {
 			}
 			return res, err
 		}
-		return recordToResult(rec, src), nil
+		return &Result{Record: rec}, nil
 	})
 	return res, err
-}
-
-// recordToResult wraps a campaign record (fresh or cache-served) in the
-// harness view the table layouts consume.
-func recordToResult(rec *campaign.Record, src workload.Source) *Result {
-	suite := src.Suite()
-	if parsed, ok := workload.ParseSuite(rec.Suite); ok {
-		suite = parsed
-	}
-	return &Result{Record: rec, Suite: suite}
 }
 
 // resolveCell maps a cell back to its workload source. Bench cells go

@@ -64,13 +64,13 @@ func TestSessionResumeAfterCrash(t *testing.T) {
 	if len(res1) != 3 || len(s1.Failures()) != 2 {
 		t.Fatalf("campaign 1: %d survivors, %d failures; want 3 and 2", len(res1), len(s1.Failures()))
 	}
-	ids, err := s1.Store().IDs()
+	ids, err := s1.store.IDs()
 	if err != nil || len(ids) != 3 {
 		t.Fatalf("persisted %d records (%v), want 3", len(ids), err)
 	}
 	before := map[string][]byte{}
 	for _, id := range ids {
-		data, err := os.ReadFile(s1.Store().Path(id))
+		data, err := os.ReadFile(s1.store.Path(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestSessionResumeAfterCrash(t *testing.T) {
 	// And the cache files themselves are untouched: resume reads records,
 	// it never rewrites them.
 	for id, want := range before {
-		got, err := os.ReadFile(s2.Store().Path(id))
+		got, err := os.ReadFile(s2.store.Path(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestSessionCacheDisabledGracefully(t *testing.T) {
 	if s.StoreErr() == nil {
 		t.Error("file-as-cache-dir reported no error")
 	}
-	if s.Store() != nil {
+	if s.store != nil {
 		t.Error("unusable store not nil")
 	}
 	if _, err := s.RunAll(core.DefaultConfig()); err != nil {

@@ -31,7 +31,7 @@ func sampledCampaignBytes(t *testing.T, parallel int) []byte {
 			t.Fatal(err)
 		}
 	}
-	store := s.Store()
+	store := s.store
 	if store == nil {
 		t.Fatal("no store")
 	}

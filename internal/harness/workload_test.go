@@ -56,7 +56,7 @@ func TestExternalWorkloadsSampledCachedResume(t *testing.T) {
 		if r.Intervals == 0 {
 			t.Errorf("%s: not sampled (0 intervals)", key)
 		}
-		if r.Suite != workload.SuiteFP && r.Suite != workload.SuiteExternal {
+		if r.Suite != workload.SuiteFP.String() && r.Suite != workload.SuiteExternal.String() {
 			t.Errorf("%s: suite = %v", key, r.Suite)
 		}
 	}

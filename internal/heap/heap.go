@@ -1,7 +1,10 @@
 // Package heap provides a generic, non-boxing binary min-heap for the
-// simulator's hot scheduling paths (the WIB eligible pool, the MLP fill
-// tracker, the cache fill tables; internal/core's event-queue tests keep
-// it as their oracle).
+// simulator's hot scheduling paths: the program-order WIB's eligible
+// pool, the MLP fill tracker and the cache fill tables. The last two hold
+// one entry per outstanding L2 miss ordered by fill time — up to 142 at
+// once on mst, 88 on art (WIB/2048, DESIGN.md §5.2) — which is why they
+// are a heap and not a scanned slice. internal/core's event-queue tests
+// keep it as their oracle, and benchmark/ times it as heap.pushpop_ns.
 //
 // It exists to replace container/heap, whose interface{}-typed Push/Pop
 // box one value per operation — several heap operations run per simulated
@@ -92,15 +95,6 @@ func (h *Heap[T]) Init() {
 	for i := n/2 - 1; i >= 0; i-- {
 		h.down(i, n)
 	}
-}
-
-// Reset empties the heap, keeping the backing array for reuse.
-func (h *Heap[T]) Reset() {
-	var zero T
-	for i := range h.items {
-		h.items[i] = zero
-	}
-	h.items = h.items[:0]
 }
 
 // Slice exposes the raw backing array in heap order. Callers must not

@@ -100,22 +100,6 @@ func TestLayoutMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	h := NewWithCapacity(intLess, 16)
-	for i := 0; i < 10; i++ {
-		h.Push(i)
-	}
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", h.Len())
-	}
-	h.Push(3)
-	h.Push(1)
-	if h.Pop() != 1 || h.Pop() != 3 {
-		t.Fatal("heap broken after Reset")
-	}
-}
-
 // TestSteadyStateAllocFree asserts the hot-path contract: once the
 // backing array has grown, Push/Pop/Peek/Append/Init allocate nothing.
 func TestSteadyStateAllocFree(t *testing.T) {

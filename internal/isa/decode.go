@@ -1,7 +1,7 @@
 package isa
 
 // Register-slot layout of the flat decode: an interpreter holds the whole
-// architectural register state in one [NumSlots]uint64 array and indexes
+// architectural register state in one array of SlotSink+1 words and indexes
 // it with Decoded.S1/S2/D, with no Valid/FP/Zero tests per operand.
 // Integer register N is slot N, FP register N is slot SlotFP+N. Slot 0 is
 // integer register Zero: nothing ever writes it, so it also serves every
@@ -10,7 +10,6 @@ package isa
 const (
 	SlotFP   = NumRegs
 	SlotSink = 2 * NumRegs
-	NumSlots = SlotSink + 1
 )
 
 // Decoded is the predecoded form of one static instruction: everything an

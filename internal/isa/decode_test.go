@@ -32,7 +32,7 @@ func TestDecodedSlots(t *testing.T) {
 			t.Errorf("%v: slots %d,%d -> %d, want %d,%d -> %d", in,
 				d.S1, d.S2, d.D, want(in.Src1(), 0), want(in.Src2(), 0), want(in.Dest(), SlotSink))
 		}
-		if d.S1 >= SlotSink || d.S2 >= SlotSink || d.D == 0 || d.D >= NumSlots {
+		if d.S1 >= SlotSink || d.S2 >= SlotSink || d.D == 0 || d.D > SlotSink {
 			t.Errorf("%v: slots %d,%d -> %d out of range", in, d.S1, d.S2, d.D)
 		}
 		if d.Imm != uint64(int64(in.Imm)) {

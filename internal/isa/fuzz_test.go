@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// randomInstr produces an arbitrary valid instruction.
+func randomInstr(r *rand.Rand) Instr {
+	return Instr{
+		Op:  Op(r.Intn(NumOps)),
+		Rd:  Reg(r.Intn(NumRegs)),
+		Rs1: Reg(r.Intn(NumRegs)),
+		Rs2: Reg(r.Intn(NumRegs)),
+		Imm: int32(r.Uint32()),
+	}
+}
+
 // TestEvalTotal checks that the semantic helpers are total: no panic and
 // deterministic output for every opcode over random operand values,
 // including pathological FP bit patterns.

@@ -241,12 +241,6 @@ func (op Op) IsBranch() bool {
 // IsCondBranch reports whether the opcode is a conditional branch.
 func (op Op) IsCondBranch() bool { return op.Class() == ClassBranch }
 
-// IsMem reports whether the opcode accesses data memory.
-func (op Op) IsMem() bool {
-	c := op.Class()
-	return c == ClassLoad || c == ClassStore
-}
-
 // Instr is one decoded instruction. Fields that an opcode does not use are
 // zero. Imm holds immediates, memory byte offsets, and branch/jump
 // instruction offsets (relative to PC+1).

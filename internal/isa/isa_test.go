@@ -20,18 +20,18 @@ func TestOpClassCoverage(t *testing.T) {
 
 func TestOpPredicates(t *testing.T) {
 	tests := []struct {
-		op                        Op
-		branch, condBranch, isMem bool
+		op                 Op
+		branch, condBranch bool
 	}{
-		{OpBeq, true, true, false},
-		{OpBge, true, true, false},
-		{OpJ, true, false, false},
-		{OpJal, true, false, false},
-		{OpJr, true, false, false},
-		{OpLd, false, false, true},
-		{OpFst, false, false, true},
-		{OpAdd, false, false, false},
-		{OpHalt, false, false, false},
+		{OpBeq, true, true},
+		{OpBge, true, true},
+		{OpJ, true, false},
+		{OpJal, true, false},
+		{OpJr, true, false},
+		{OpLd, false, false},
+		{OpFst, false, false},
+		{OpAdd, false, false},
+		{OpHalt, false, false},
 	}
 	for _, tc := range tests {
 		if got := tc.op.IsBranch(); got != tc.branch {
@@ -39,9 +39,6 @@ func TestOpPredicates(t *testing.T) {
 		}
 		if got := tc.op.IsCondBranch(); got != tc.condBranch {
 			t.Errorf("%v.IsCondBranch() = %v, want %v", tc.op, got, tc.condBranch)
-		}
-		if got := tc.op.IsMem(); got != tc.isMem {
-			t.Errorf("%v.IsMem() = %v, want %v", tc.op, got, tc.isMem)
 		}
 	}
 }

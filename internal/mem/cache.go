@@ -125,7 +125,6 @@ func (a *tagArray) touch(addr uint64, store bool) (hit, evictedDirty bool) {
 // true-LRU replacement. It tracks tags only; simulated data lives in the
 // architectural isa.Memory.
 type Cache struct {
-	cfg CacheConfig
 	tagArray
 	stats CacheStats
 }
@@ -136,7 +135,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
-	return &Cache{cfg: cfg, tagArray: newTagArray(nsets, cfg.Assoc, uint64(cfg.LineBytes))}
+	return &Cache{tagArray: newTagArray(nsets, cfg.Assoc, uint64(cfg.LineBytes))}
 }
 
 // LineAddr returns the line-aligned address containing addr.
@@ -169,18 +168,5 @@ func (c *Cache) Access(addr uint64, store bool) (hit bool) {
 	return hit
 }
 
-// Invalidate drops a line if present (used by tests).
-func (c *Cache) Invalidate(addr uint64) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].tag == tag {
-			c.sets[set][i] = line{}
-		}
-	}
-}
-
 // Stats returns a copy of the access counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }

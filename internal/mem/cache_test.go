@@ -93,15 +93,6 @@ func TestCacheProbeDoesNotPerturb(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := smallCache()
-	c.Access(0, false)
-	c.Invalidate(0)
-	if c.Probe(0) {
-		t.Error("line survived invalidation")
-	}
-}
-
 func TestCacheDistinguishesTagsBeyondIndex(t *testing.T) {
 	// Two addresses with identical set index but different tags must not
 	// alias.

@@ -43,11 +43,10 @@ func DefaultConfig() Config {
 
 // AccessResult describes the timing and classification of one access.
 type AccessResult struct {
-	Ready   int64 // cycle at which the data is available
-	L1Miss  bool
-	L2Miss  bool
-	TLBMiss bool
-	Merged  bool // L1 miss merged into an in-flight fill of the same line
+	Ready  int64 // cycle at which the data is available
+	L1Miss bool
+	L2Miss bool
+	Merged bool // L1 miss merged into an in-flight fill of the same line
 }
 
 // Hierarchy is the full simulated memory system. It is not safe for
@@ -64,11 +63,9 @@ type Hierarchy struct {
 	inflightL1D *inflightTable
 	inflightL1I *inflightTable
 
-	DemandFetches uint64
-	LoadCount     uint64
-	StoreCount    uint64
-	LoadL1Misses  uint64
-	MemFills      uint64 // L2 misses serviced by main memory
+	LoadCount  uint64
+	StoreCount uint64
+	MemFills   uint64 // L2 misses serviced by main memory
 }
 
 // Validate checks the geometry NewHierarchy would otherwise panic on (or,
@@ -106,9 +103,6 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	}
 	return h
 }
-
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // ResetTiming discards transient, cycle-stamped state — the outstanding
 // line fills — while keeping every cache, TLB, and LRU content intact.
@@ -203,17 +197,10 @@ func (h *Hierarchy) access(l1 *Cache, inflight *inflightTable, addr uint64, now 
 func (h *Hierarchy) Load(addr uint64, now int64) AccessResult {
 	h.LoadCount++
 	var tlbDelay int64
-	var tlbMiss bool
 	if h.tlb != nil {
 		tlbDelay = h.tlb.Translate(addr)
-		tlbMiss = tlbDelay > 0
 	}
-	res := h.access(h.l1d, h.inflightL1D, addr, now+tlbDelay, false)
-	res.TLBMiss = tlbMiss
-	if res.L1Miss {
-		h.LoadL1Misses++
-	}
-	return res
+	return h.access(h.l1d, h.inflightL1D, addr, now+tlbDelay, false)
 }
 
 // ProbeLoad reports whether a load to addr would hit in the L1D right now
@@ -236,20 +223,15 @@ func (h *Hierarchy) ProbeLoad(addr uint64, now int64) (hit bool, merged bool) {
 func (h *Hierarchy) Store(addr uint64, now int64) AccessResult {
 	h.StoreCount++
 	var tlbDelay int64
-	var tlbMiss bool
 	if h.tlb != nil {
 		tlbDelay = h.tlb.Translate(addr)
-		tlbMiss = tlbDelay > 0
 	}
-	res := h.access(h.l1d, h.inflightL1D, addr, now+tlbDelay, true)
-	res.TLBMiss = tlbMiss
-	return res
+	return h.access(h.l1d, h.inflightL1D, addr, now+tlbDelay, true)
 }
 
 // Fetch performs an instruction fetch of the line containing byte address
 // addr.
 func (h *Hierarchy) Fetch(addr uint64, now int64) AccessResult {
-	h.DemandFetches++
 	return h.access(h.l1i, h.inflightL1I, addr, now, false)
 }
 

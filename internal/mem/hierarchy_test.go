@@ -11,8 +11,8 @@ func TestLoadHitTiming(t *testing.T) {
 	h := NewHierarchy(testConfig())
 	h.Load(0x1000, 0) // cold miss warms everything
 	r := h.Load(0x1000, 1000)
-	if r.L1Miss || r.TLBMiss {
-		t.Errorf("warm load classified as miss: %+v", r)
+	if _, tlbMisses := h.TLBStats(); r.L1Miss || tlbMisses != 1 {
+		t.Errorf("warm load classified as miss: %+v, %d TLB misses", r, tlbMisses)
 	}
 	if r.Ready != 1000+2 {
 		t.Errorf("L1 hit ready = %d, want 1002", r.Ready)
@@ -126,13 +126,20 @@ func TestFetchUsesICache(t *testing.T) {
 
 func TestTLBMissAddsPenalty(t *testing.T) {
 	h := NewHierarchy(testConfig())
+	cfg := testConfig()
 	r := h.Load(0x7000, 0)
-	if !r.TLBMiss {
+	if _, misses := h.TLBStats(); misses != 1 {
 		t.Error("first touch of page did not miss TLB")
 	}
-	r2 := h.Load(0x7000+64, 100) // same page, different line
-	if r2.TLBMiss {
+	if want := cfg.TLBPenalty + cfg.L1Latency + cfg.L2Latency + cfg.MemLatency; r.Ready != want {
+		t.Errorf("cold load behind a TLB miss ready = %d, want %d", r.Ready, want)
+	}
+	r2 := h.Load(0x7000+64, 1000) // same page, different line
+	if _, misses := h.TLBStats(); misses != 1 {
 		t.Error("second touch of page missed TLB")
+	}
+	if want := 1000 + cfg.L1Latency + cfg.L2Latency + cfg.MemLatency; r2.Ready != want {
+		t.Errorf("cold load behind a TLB hit ready = %d, want %d", r2.Ready, want)
 	}
 }
 
@@ -141,9 +148,6 @@ func TestDisableTLB(t *testing.T) {
 	cfg.DisableTLB = true
 	h := NewHierarchy(cfg)
 	r := h.Load(0x9000, 0)
-	if r.TLBMiss {
-		t.Error("disabled TLB reported a miss")
-	}
 	if want := int64(2 + 10 + 250); r.Ready != want {
 		t.Errorf("ready = %d, want %d", r.Ready, want)
 	}
@@ -166,14 +170,14 @@ func TestUnifiedL2SharedByIAndD(t *testing.T) {
 func TestLoadCounters(t *testing.T) {
 	h := NewHierarchy(testConfig())
 	r := h.Load(0, 0)
-	h.Load(0, 10) // merged secondary miss: still a miss (data not present)
+	merged := h.Load(0, 10) // merged secondary miss: still a miss (data not present)
 	h.Store(8, 20)
-	h.Load(0, r.Ready+1) // post-fill hit
+	hit := h.Load(0, r.Ready+1) // post-fill hit
 	if h.LoadCount != 3 || h.StoreCount != 1 {
 		t.Errorf("counts = %d loads, %d stores", h.LoadCount, h.StoreCount)
 	}
-	if h.LoadL1Misses != 2 {
-		t.Errorf("load L1 misses = %d, want 2", h.LoadL1Misses)
+	if !r.L1Miss || !merged.L1Miss || hit.L1Miss {
+		t.Errorf("L1 misses = %v, %v, %v, want a primary miss, a merged miss, a hit", r.L1Miss, merged.L1Miss, hit.L1Miss)
 	}
 }
 

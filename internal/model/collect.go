@@ -269,6 +269,13 @@ func serializedAt(misses []missRec, w int64) float64 {
 // functional pass, producing the interval model's inputs. scale labels
 // the workload build (it does not affect collection).
 func Collect(prog *isa.Program, scale string, opt CollectOptions) (*Profile, error) {
+	// The constructors below panic on the geometry Validate refuses.
+	if err := opt.Mem.Validate(); err != nil {
+		return nil, fmt.Errorf("model: %w", err)
+	}
+	if err := opt.Bpred.Validate(); err != nil {
+		return nil, fmt.Errorf("model: %w", err)
+	}
 	windows := opt.Windows
 	if len(windows) == 0 {
 		windows = DefaultWindows

@@ -62,8 +62,8 @@ func TestCollectProfileShape(t *testing.T) {
 	if p.LongLoadMisses == 0 {
 		t.Fatal("miss=0.2 ws=4m synth produced no long load misses")
 	}
-	if p.Loads() == 0 || p.CondBranches == 0 {
-		t.Fatalf("missing class events: loads=%d cond=%d", p.Loads(), p.CondBranches)
+	if p.ClassMix[isa.ClassLoad] == 0 || p.CondBranches == 0 {
+		t.Fatalf("missing class events: loads=%d cond=%d", p.ClassMix[isa.ClassLoad], p.CondBranches)
 	}
 	if p.DataMemMisses < p.LongLoadMisses {
 		t.Fatalf("long load misses %d exceed total memory misses %d", p.LongLoadMisses, p.DataMemMisses)

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -253,10 +252,4 @@ func (c *Calibration) Apply(bench string, cfg core.Config, raw Prediction) Predi
 	out.IPC = raw.IPC / s
 	out.Calibrated = true
 	return out
-}
-
-// String renders the term breakdown for reports.
-func (pr Prediction) String() string {
-	return fmt.Sprintf("pred %.0f cycles (IPC %.3f) @ W=%.0f: base %.0f, long-miss %.0f (%.0f serial), l2-hit %.0f, branch %.0f, fetch %.0f, tlb %.0f, ramp %.0f",
-		pr.Cycles, pr.IPC, pr.Weff, pr.Base, pr.LongMiss, pr.SerialMisses, pr.L2Hit, pr.Branch, pr.Fetch, pr.TLB, pr.Ramp)
 }

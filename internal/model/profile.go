@@ -152,15 +152,3 @@ func (p *Profile) ILPAt(w float64) float64 {
 	}
 	return v
 }
-
-// Loads returns the profiled load count.
-func (p *Profile) Loads() uint64 { return p.ClassMix[isa.ClassLoad] }
-
-// Stores returns the profiled store count.
-func (p *Profile) Stores() uint64 { return p.ClassMix[isa.ClassStore] }
-
-// String summarizes the profile for logs and the -predict report.
-func (p *Profile) String() string {
-	return fmt.Sprintf("profile %s/%s: %d instrs, %d long load misses, %d mispredicts",
-		p.Bench, p.Scale, p.N, p.LongLoadMisses, p.Mispredicts)
-}

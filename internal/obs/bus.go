@@ -65,7 +65,7 @@ func (b *Bus) Subscribe(buf int) *Subscriber {
 	if buf <= 0 {
 		buf = DefaultSubscriberBuffer
 	}
-	s := &Subscriber{bus: b, ch: make(chan Event, buf)}
+	s := &Subscriber{ch: make(chan Event, buf)}
 	b.mu.Lock()
 	if b.subs == nil {
 		b.subs = make(map[*Subscriber]struct{}) // zero-value Bus works too
@@ -116,7 +116,6 @@ func (b *Bus) Dropped() uint64 {
 
 // Subscriber is one attached consumer of a Bus.
 type Subscriber struct {
-	bus     *Bus
 	ch      chan Event
 	dropped atomic.Uint64
 }

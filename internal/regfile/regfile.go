@@ -20,8 +20,6 @@ type Model interface {
 	// ReadDelay returns extra cycles needed to read r at cycle now, beyond
 	// the pipeline's normal register-read stage.
 	ReadDelay(r int, now int64) int64
-	// Reset clears all state (new program run).
-	Reset()
 }
 
 // SingleLevel reads every register in the normal pipeline stage: no extra
@@ -34,9 +32,6 @@ func (SingleLevel) Wrote(int, int64) {}
 
 // ReadDelay implements Model.
 func (SingleLevel) ReadDelay(int, int64) int64 { return 0 }
-
-// Reset implements Model.
-func (SingleLevel) Reset() {}
 
 // TwoLevel keeps the most recently written registers in a small L1 file;
 // reads that miss go to the pipelined L2 through a limited number of read
@@ -74,16 +69,6 @@ func NewTwoLevel(totalRegs, l1Capacity, readPorts int, l2Latency int64) *TwoLeve
 		tail:       -1,
 	}
 	return t
-}
-
-// Reset implements Model.
-func (t *TwoLevel) Reset() {
-	for i := range t.inL1 {
-		t.inL1[i] = false
-	}
-	t.head, t.tail, t.count = -1, -1, 0
-	t.portUse = make(map[int64]int)
-	t.Hits, t.Misses = 0, 0
 }
 
 func (t *TwoLevel) unlink(r int32) {
@@ -240,12 +225,6 @@ func (m *MultiBanked) ReadDelay(r int, now int64) int64 {
 		m.conflicts++
 	}
 	return start - now
-}
-
-// Reset implements Model.
-func (m *MultiBanked) Reset() {
-	m.use = make(map[int64][]uint8)
-	m.conflicts, m.reads = 0, 0
 }
 
 // AttachTelemetry registers the banked file's read/conflict counters

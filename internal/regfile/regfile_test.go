@@ -11,7 +11,6 @@ func TestSingleLevelIsFree(t *testing.T) {
 	if d := m.ReadDelay(4095, 10); d != 0 {
 		t.Errorf("delay = %d", d)
 	}
-	m.Reset()
 }
 
 func TestTwoLevelHitAfterWrite(t *testing.T) {
@@ -69,19 +68,6 @@ func TestTwoLevelPortContention(t *testing.T) {
 	}
 }
 
-func TestTwoLevelReset(t *testing.T) {
-	m := NewTwoLevel(64, 4, 2, 4)
-	m.Wrote(5, 0)
-	m.ReadDelay(6, 0)
-	m.Reset()
-	if m.L1Count() != 0 || m.Hits != 0 || m.Misses != 0 {
-		t.Error("reset incomplete")
-	}
-	if d := m.ReadDelay(5, 0); d != 4 {
-		t.Errorf("post-reset read of former resident = %d, want 4", d)
-	}
-}
-
 func TestTwoLevelManyRegsChurn(t *testing.T) {
 	// Churn far more registers than capacity; structure must stay
 	// consistent and capacity bounded.
@@ -125,10 +111,6 @@ func TestMultiBankedConflictSerializes(t *testing.T) {
 	}
 	if m.ConflictRate() < 0.6 {
 		t.Errorf("conflict rate = %v", m.ConflictRate())
-	}
-	m.Reset()
-	if d := m.ReadDelay(4, 10); d != 0 {
-		t.Error("reset did not clear port usage")
 	}
 }
 

@@ -26,8 +26,6 @@ type ClientOptions struct {
 	PollWait time.Duration
 	// Log receives backpressure and retry lines (nil = quiet).
 	Log io.Writer
-	// HTTPClient overrides the transport (tests).
-	HTTPClient *http.Client
 }
 
 // Client submits cells to a coordinator and awaits their records. Its
@@ -57,11 +55,7 @@ func NewClient(opt ClientOptions) *Client {
 	if opt.PollWait <= 0 {
 		opt.PollWait = 5 * time.Second
 	}
-	hc := opt.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: 2 * time.Minute}
-	}
-	return &Client{opt: opt, hc: hc}
+	return &Client{opt: opt, hc: &http.Client{Timeout: 2 * time.Minute}}
 }
 
 // Exec runs one cell remotely in one round trip: a submission

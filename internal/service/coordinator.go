@@ -428,28 +428,32 @@ func (c *Coordinator) progressLoop() {
 	}
 }
 
-// progress snapshots fleet progress with every rendered rate guarded
-// against NaN/Inf/negative shapes (campaign start, zero counters).
-// In-flight sampled cells contribute fractional credit to the ETA — a
+// leaseCredit sums what the leased sampled cells last reported: intervals
+// done and planned, and the fractional credit they add to the ETA — a
 // cell 30/100 intervals in counts 0.3 done — so long-cell fleets don't
-// sawtooth between completions.
-func (c *Coordinator) progress() *obs.Progress {
-	c.mu.Lock()
-	depth, running := c.queue.len(), len(c.leases)
-	var frac float64
-	var ivDone, ivPlanned uint64
+// sawtooth between completions. Credit is summed in 2^-32ths of a cell:
+// integer addition commutes, so the lease map's iteration order cannot
+// show in the result. The caller holds c.mu.
+func (c *Coordinator) leaseCredit() (credit float64, ivDone, ivPlanned uint64) {
+	const one = 1 << 32
+	var fixed uint64
 	for _, sc := range c.leases {
 		if sc.ivPlanned == 0 {
 			continue
 		}
 		ivDone += sc.ivDone
 		ivPlanned += sc.ivPlanned
-		if f := float64(sc.ivDone) / float64(sc.ivPlanned); f < 1 {
-			frac += f
-		} else {
-			frac += 1
-		}
+		fixed += min(sc.ivDone, sc.ivPlanned) * one / sc.ivPlanned
 	}
+	return float64(fixed) / one, ivDone, ivPlanned
+}
+
+// progress snapshots fleet progress with every rendered rate guarded
+// against NaN/Inf/negative shapes (campaign start, zero counters).
+func (c *Coordinator) progress() *obs.Progress {
+	c.mu.Lock()
+	depth, running := c.queue.len(), len(c.leases)
+	frac, ivDone, ivPlanned := c.leaseCredit()
 	c.mu.Unlock()
 	elapsed := time.Since(c.start).Seconds()
 	p := &obs.Progress{

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -137,6 +139,36 @@ func TestHeartbeatIntervalProgress(t *testing.T) {
 	}
 	if p.ETASec <= 0 {
 		t.Errorf("fractional interval credit produced no ETA (got %g)", p.ETASec)
+	}
+}
+
+// TestLeaseCreditIgnoresMapOrder: the ETA's fractional credit is a sum
+// over the lease map. Summed as floats in iteration order it differed in
+// its last bits from one snapshot to the next; fifty snapshots of the
+// same leases must agree to the bit, and a finished-but-leased cell
+// counts one, never more.
+func TestLeaseCreditIgnoresMapOrder(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{})
+	defer c.Close()
+	for i, planned := range []uint64{3, 7, 9, 11, 13, 17, 19, 23, 29, 31, 37, 0} {
+		c.leases[fmt.Sprint("lease-", i)] = &svcCell{inflight: &inflight{ivDone: uint64(i) + 1, ivPlanned: planned}}
+	}
+	c.leases["overshoot"] = &svcCell{inflight: &inflight{ivDone: 12, ivPlanned: 10}}
+	want, done, planned := c.leaseCredit()
+	if done != 66+12 || planned != 199+10 {
+		t.Fatalf("intervals = %d/%d, want 78/209", done, planned)
+	}
+	var exact float64
+	for i, p := range []float64{3, 7, 9, 11, 13, 17, 19, 23, 29, 31, 37} {
+		exact += float64(i+1) / p
+	}
+	if exact++; math.Abs(want-exact) > 1e-6 {
+		t.Fatalf("credit = %v, want %v", want, exact)
+	}
+	for i := 0; i < 50; i++ {
+		if got, _, _ := c.leaseCredit(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("snapshot %d: credit %v, first snapshot %v", i, got, want)
+		}
 	}
 }
 

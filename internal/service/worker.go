@@ -86,8 +86,6 @@ type WorkerOptions struct {
 	// and lost lease — typically one instance shared by every slot of a
 	// worker process. nil disables metric accounting.
 	Metrics *WorkerMetrics
-	// HTTPClient overrides the transport (tests).
-	HTTPClient *http.Client
 }
 
 // Worker pulls leased cells from a coordinator and executes them. Its
@@ -119,15 +117,8 @@ func NewWorker(opt WorkerOptions) *Worker {
 	if opt.PollWait <= 0 {
 		opt.PollWait = 2 * time.Second
 	}
-	hc := opt.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: 2 * time.Minute}
-	}
-	return &Worker{opt: opt, hc: hc, killed: make(chan struct{})}
+	return &Worker{opt: opt, hc: &http.Client{Timeout: 2 * time.Minute}, killed: make(chan struct{})}
 }
-
-// ID returns the worker's name.
-func (w *Worker) ID() string { return w.opt.ID }
 
 // CellsDone counts completions this worker delivered.
 func (w *Worker) CellsDone() uint64 { return w.cellsDone.Load() }

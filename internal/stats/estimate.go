@@ -63,27 +63,3 @@ func CI95(xs []float64) float64 {
 	}
 	return t * s / math.Sqrt(float64(n))
 }
-
-// WeightedMean returns sum(w_i * x_i) / sum(w_i). Mismatched lengths,
-// empty inputs, non-positive total weight, or NaN/Inf values make it
-// undefined and return 0. Sampled runs use it to weight interval IPCs by
-// measured instruction counts when intervals are unequal (a halted tail
-// interval).
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) == 0 || len(xs) != len(ws) {
-		return 0
-	}
-	var num, den float64
-	for i, x := range xs {
-		w := ws[i]
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-			return 0
-		}
-		num += w * x
-		den += w
-	}
-	if den <= 0 {
-		return 0
-	}
-	return num / den
-}

@@ -58,25 +58,3 @@ func TestCI95(t *testing.T) {
 		t.Errorf("CI95(large N) = %v, want %v", got, want)
 	}
 }
-
-func TestWeightedMean(t *testing.T) {
-	cases := []struct {
-		name   string
-		xs, ws []float64
-		want   float64
-	}{
-		{"empty", nil, nil, 0},
-		{"mismatched", []float64{1, 2}, []float64{1}, 0},
-		{"uniform weights = mean", []float64{1, 2, 3}, []float64{1, 1, 1}, 2},
-		{"weighted", []float64{1, 3}, []float64{3, 1}, 1.5},
-		{"zero total weight", []float64{1, 2}, []float64{0, 0}, 0},
-		{"negative weight", []float64{1, 2}, []float64{1, -1}, 0},
-		{"NaN value", []float64{math.NaN()}, []float64{1}, 0},
-		{"Inf weight", []float64{1}, []float64{math.Inf(1)}, 0},
-	}
-	for _, c := range cases {
-		if got := WeightedMean(c.xs, c.ws); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("WeightedMean(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}

@@ -79,9 +79,6 @@ func NewCollector(w io.Writer, interval int64) *Collector {
 // Registry returns the collector's metric registry.
 func (c *Collector) Registry() *Registry { return c.reg }
 
-// Interval returns the sampling period in cycles.
-func (c *Collector) Interval() int64 { return c.interval }
-
 // Tick emits a sample when cycle reaches the next sampling point. It is
 // the per-cycle hook and does nothing between sampling points.
 func (c *Collector) Tick(cycle int64) {
@@ -153,9 +150,6 @@ func (c *Collector) Close(endCycle int64) error {
 	}
 	return c.err
 }
-
-// Err returns the first write error encountered, if any.
-func (c *Collector) Err() error { return c.err }
 
 // ReadSamples parses a JSONL sample stream, returning every record. It is
 // the validation path used by `wibtrace -render` and the smoke tests; a

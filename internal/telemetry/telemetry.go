@@ -28,9 +28,6 @@ func (c *Counter) Add(d uint64) { c.v += d }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v++ }
 
-// Value returns the current cumulative count.
-func (c *Counter) Value() uint64 { return c.v }
-
 // Histogram is a fixed-bucket distribution. Bounds are inclusive upper
 // bounds in ascending order; one implicit overflow bucket catches values
 // beyond the last bound.
@@ -60,17 +57,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.n++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean returns the mean observed value (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
 }
 
 // snapshot copies the histogram state for a sample record.
@@ -149,9 +135,6 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	r.record(name)
 	return h
 }
-
-// Names returns every registered metric name in registration order.
-func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
 
 // MetricKind discriminates the flavors of an exported Point.
 type MetricKind int

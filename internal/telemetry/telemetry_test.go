@@ -12,11 +12,11 @@ func TestCounterAndRegistryIdempotence(t *testing.T) {
 	c := r.Counter("a.b")
 	c.Inc()
 	c.Add(4)
-	if got := r.Counter("a.b").Value(); got != 5 {
+	if got := r.Counter("a.b").v; got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	if n := len(r.Names()); n != 1 {
-		t.Fatalf("duplicate registration recorded: names = %v", r.Names())
+	if n := len(r.names); n != 1 {
+		t.Fatalf("duplicate registration recorded: names = %v", r.names)
 	}
 }
 
@@ -31,11 +31,8 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, h.counts[i], w, h.counts)
 		}
 	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d, want 6", h.Count())
-	}
-	if math.Abs(h.Mean()-123.0/6) > 1e-9 {
-		t.Fatalf("mean = %v", h.Mean())
+	if h.n != 6 || h.sum != 123 {
+		t.Fatalf("count = %d, sum = %v, want 6 and 123", h.n, h.sum)
 	}
 }
 
@@ -53,7 +50,7 @@ func TestCollectorSamplesAndDeltas(t *testing.T) {
 	col := NewCollector(&buf, 100)
 	reg := col.Registry()
 	c := reg.Counter("core.commit")
-	reg.CounterFunc("mem.accesses", func() uint64 { return 3 * c.Value() })
+	reg.CounterFunc("mem.accesses", func() uint64 { return 3 * c.v })
 	occupancy := 7.0
 	reg.Gauge("core.rob", func(int64) float64 { return occupancy })
 	reg.Gauge("bad.ratio", func(int64) float64 { return math.NaN() })
@@ -107,8 +104,8 @@ func TestCollectorSamplesAndDeltas(t *testing.T) {
 
 func TestCollectorDefaultInterval(t *testing.T) {
 	col := NewCollector(&bytes.Buffer{}, 0)
-	if col.Interval() != DefaultSampleInterval {
-		t.Fatalf("interval = %d, want %d", col.Interval(), DefaultSampleInterval)
+	if col.interval != DefaultSampleInterval {
+		t.Fatalf("interval = %d, want %d", col.interval, DefaultSampleInterval)
 	}
 }
 

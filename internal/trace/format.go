@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 	"os"
@@ -387,7 +386,7 @@ func Read(r io.Reader) (*Trace, error) {
 		body = zr
 	}
 	h := sha256.New()
-	d := &decoder{r: bufio.NewReader(io.TeeReader(body, h)), h: h}
+	d := &decoder{r: bufio.NewReader(io.TeeReader(body, h))}
 	t, err := d.decodeBody()
 	if err != nil {
 		return nil, err
@@ -412,7 +411,6 @@ func ReadFile(path string) (*Trace, error) {
 
 type decoder struct {
 	r *bufio.Reader
-	h hash.Hash
 }
 
 func (d *decoder) uvarint(what string) (uint64, error) {

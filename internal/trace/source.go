@@ -85,10 +85,6 @@ func (f *fileSource) Build(workload.Scale) (*isa.Program, error) {
 	return t.Program(), nil
 }
 
-// Open returns the decoded trace behind a file source, for CLIs that
-// want recording metadata beyond the Source surface.
-func (f *fileSource) Open() (*Trace, error) { return f.load() }
-
 // synthSource is the workload.Source over a parameterized synthetic
 // spec. Identity is the canonical spec string itself — the spec IS the
 // content, no hashing needed — so any spelling of equal parameters

@@ -142,17 +142,6 @@ func All() []Spec {
 	return out
 }
 
-// BySuite returns the evaluation kernels of one suite in table order.
-func BySuite(s Suite) []Spec {
-	var out []Spec
-	for _, sp := range All() {
-		if sp.Suite == s {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
 // Get looks a kernel up by name. Both evaluation and omitted kernels
 // resolve; use Spec.Omitted (or All) to distinguish.
 func Get(name string) (Spec, bool) {

@@ -16,7 +16,12 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	total := 0
 	for suite, names := range want {
-		got := BySuite(suite)
+		var got []Spec
+		for _, sp := range All() {
+			if sp.Suite == suite {
+				got = append(got, sp)
+			}
+		}
 		if len(got) != len(names) {
 			t.Fatalf("%v: %d kernels, want %d", suite, len(got), len(names))
 		}

@@ -117,7 +117,8 @@ func TestSimulateRejectsBadConfig(t *testing.T) {
 // signature, so a geometry a constructor would panic on, or a machine with
 // nothing to fetch into or issue from (which used to burn the million-
 // cycle watchdog first), comes back as one — at once, on the plain and on
-// the sampled path.
+// the sampled path. ExploreContext says no to the same machines: its
+// profiling pass builds a hierarchy and a predictor before any cell runs.
 func TestSimulateReturnsErrorsNotPanics(t *testing.T) {
 	prog := tinyProgram(t)
 	plan, err := ParseSamplingPlan("n=2,len=100")
@@ -150,6 +151,17 @@ func TestSimulateReturnsErrorsNotPanics(t *testing.T) {
 			if d := time.Since(start); d > time.Second {
 				t.Errorf("%s (%d options): took %v to say no", row.name, len(opts), d)
 			}
+		}
+		cfg := WIBConfig()
+		row.mutate(&cfg)
+		start := time.Now()
+		rep, err := ExploreContext(context.Background(), []Config{BaseConfig(), cfg}, []string{"treeadd"},
+			WithWorkloadScale(ScaleTest), WithMaxInstr(2000))
+		if err == nil || rep != nil {
+			t.Errorf("%s: ExploreContext got (%v, %v), want an error", row.name, rep, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: ExploreContext took %v to say no", row.name, d)
 		}
 	}
 }

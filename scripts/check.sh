@@ -53,6 +53,13 @@ echo "== calendar event queue vs heap oracle fuzz smoke (schedule/pop/jump/drop 
 gate_exists FuzzEventQueueMatchesHeap ./internal/core/
 go test -run '^$' -fuzz '^FuzzEventQueueMatchesHeap$' -fuzztime 10s ./internal/core/
 
+echo "== slot set vs naive scan fuzz smoke (set/clear/firstFrom/collect scripts) =="
+gate_exists FuzzSlotSetMatchesNaive ./internal/core/
+go test -run '^$' -fuzz '^FuzzSlotSetMatchesNaive$' -fuzztime 10s ./internal/core/
+
+echo "== removal audit is still in the suite (it ran twice above, under ./...) =="
+gate_exists TestAudit ./internal/audit/
+
 echo "== shared frozen memory images under concurrent clones (race, repeated) =="
 gate_exists TestMemoryFrozenConcurrentClones ./internal/isa
 go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
