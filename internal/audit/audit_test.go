@@ -92,7 +92,7 @@ func TestAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("type-checked %d packages in %.1fs", len(m.prod), time.Since(start).Seconds())
-	a := &auditor{t: t, m: m, allow: readAllow(t)}
+	a := &auditor{t: t, m: m, allow: readAllow(t), ifaces: map[string]*types.Interface{}}
 	a.collect()
 	a.ruleAB()
 	a.ruleC()
@@ -105,10 +105,11 @@ func TestAudit(t *testing.T) {
 }
 
 type auditor struct {
-	t     *testing.T
-	m     *module
-	allow []*entry
-	syms  []*sym
+	t      *testing.T
+	m      *module
+	allow  []*entry
+	syms   []*sym
+	ifaces map[string]*types.Interface // resolved iface targets; nil for a bad one, reported once
 }
 
 // allowed reports whether an entry of the given kind names target, and
@@ -352,6 +353,18 @@ func (a *auditor) satisfies(f *types.Func, name string) bool {
 // lookupInterface resolves "error", "fmt.Stringer" or
 // "internal/emu.WarmSink" to its interface type.
 func (a *auditor) lookupInterface(name string) *types.Interface {
+	if iface, ok := a.ifaces[name]; ok {
+		return iface
+	}
+	iface := a.resolveInterface(name)
+	if iface == nil {
+		a.t.Errorf("%s: iface %s does not name an interface", allowFile, name)
+	}
+	a.ifaces[name] = iface
+	return iface
+}
+
+func (a *auditor) resolveInterface(name string) *types.Interface {
 	var obj types.Object
 	if i := strings.LastIndex(name, "."); i < 0 {
 		obj = types.Universe.Lookup(name)
@@ -362,7 +375,6 @@ func (a *auditor) lookupInterface(name string) *types.Interface {
 		}
 		pkg, err := a.m.Import(path)
 		if err != nil {
-			a.t.Errorf("%s: iface %s: %v", allowFile, name, err)
 			return nil
 		}
 		obj = pkg.Scope().Lookup(name[i+1:])

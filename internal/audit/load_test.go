@@ -137,29 +137,17 @@ func load() (*module, error) {
 		if rel != "." {
 			path += "/" + rel
 		}
-		parse := func(names []string) ([]*ast.File, error) {
-			var files []*ast.File
+		var parsed [3][]*ast.File // production, in-package tests, external tests
+		for i, names := range [][]string{bp.GoFiles, bp.TestGoFiles, bp.XTestGoFiles} {
 			for _, n := range names {
 				f, err := parser.ParseFile(m.fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				files = append(files, f)
+				parsed[i] = append(parsed[i], f)
 			}
-			return files, nil
 		}
-		prod, err := parse(bp.GoFiles)
-		if err != nil {
-			return err
-		}
-		in, err := parse(bp.TestGoFiles)
-		if err != nil {
-			return err
-		}
-		ext, err := parse(bp.XTestGoFiles)
-		if err != nil {
-			return err
-		}
+		prod, in, ext := parsed[0], parsed[1], parsed[2]
 		if len(prod) > 0 {
 			u := &unit{dir: rel, path: path, files: prod}
 			m.prod = append(m.prod, u)
