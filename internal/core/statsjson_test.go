@@ -70,60 +70,120 @@ func statsField(v reflect.Value, i int) reflect.Value {
 	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 }
 
-// TestStatsJSONGuardsNewFields sets every field of Stats, exported or not,
-// to a distinct non-zero value and requires each to survive the three
-// places a field can be silently dropped: the JSON round trip (the wire
-// encoding), Delta against a zero snapshot, and Accumulate into a zero
-// total (the window arithmetic sampling and skip/measure runs use). A new
-// field fails here by name until all three carry it.
-func TestStatsJSONGuardsNewFields(t *testing.T) {
-	var in Stats
-	n := 0
+// fillStats sets every field of Stats, exported or not, from next: one
+// call per scalar, array elements included, so no field can be left out
+// by a test that was not told about it.
+func fillStats(s *Stats, next func() uint64) {
 	var fill func(f reflect.Value)
 	fill = func(f reflect.Value) {
-		n++
 		switch f.Kind() {
 		case reflect.String:
-			f.SetString(fmt.Sprint("name-", n))
+			f.SetString(fmt.Sprint("name-", next()))
 		case reflect.Int, reflect.Int64:
-			f.SetInt(int64(1000 + n))
+			f.SetInt(int64(next()))
 		case reflect.Uint64:
-			f.SetUint(uint64(1000 + n))
+			f.SetUint(next())
 		case reflect.Float64:
-			f.SetFloat(float64(n))
+			f.SetFloat(float64(next()))
 		case reflect.Array:
 			for i := 0; i < f.Len(); i++ {
 				fill(f.Index(i))
 			}
 		default:
-			t.Fatalf("Stats has a field of kind %s: teach this test to fill it", f.Kind())
+			panic(fmt.Sprintf("Stats has a field of kind %s: teach fillStats to fill it", f.Kind()))
+		}
+	}
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		fill(statsField(v, i))
+	}
+}
+
+// statsKept names the fields of Stats that are not additive counters: a
+// window keeps the later snapshot's labels and stream digest, and a peak
+// is a maximum, not a sum. IPC is derived. Every other field must
+// subtract in Delta and add in Accumulate, whoever adds it.
+var statsKept = map[string]bool{
+	"Name": true, "Skipped": true, "StreamHash": true,
+	"WIBMaxInsertions": true, "WIBPeakOccupancy": true, "MLPPeak": true,
+}
+
+// scaledStats returns in with every additive counter multiplied by k and
+// IPC set to ipc: what k windows equal to in must sum to (k = 0: what a
+// window of no length must read).
+func scaledStats(in Stats, k uint64, ipc float64) Stats {
+	var scale func(f reflect.Value)
+	scale = func(f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Int64:
+			f.SetInt(f.Int() * int64(k))
+		case reflect.Uint64:
+			f.SetUint(f.Uint() * k)
+		case reflect.Array:
+			for i := 0; i < f.Len(); i++ {
+				scale(f.Index(i))
+			}
 		}
 	}
 	v := reflect.ValueOf(&in).Elem()
 	for i := 0; i < v.NumField(); i++ {
-		fill(statsField(v, i))
+		if !statsKept[v.Type().Field(i).Name] {
+			scale(statsField(v, i))
+		}
 	}
+	in.IPC = ipc
+	return in
+}
+
+// diffStats reports, by name, every field of got that differs from want.
+func diffStats(t *testing.T, path string, got, want Stats) {
+	t.Helper()
+	g, w := reflect.ValueOf(&got).Elem(), reflect.ValueOf(&want).Elem()
+	for i := 0; i < w.NumField(); i++ {
+		if want, have := statsField(w, i).Interface(), statsField(g, i).Interface(); !reflect.DeepEqual(want, have) {
+			t.Errorf("%s: Stats.%s = %v, want %v", path, w.Type().Field(i).Name, have, want)
+		}
+	}
+}
+
+// TestStatsJSONGuardsNewFields sets every field of Stats, exported or not,
+// to a distinct non-zero value and requires each to survive the three
+// places a field can be silently dropped: the JSON round trip (the wire
+// encoding), Delta against a zero snapshot, and Accumulate into a zero
+// total (the window arithmetic sampling and skip/measure runs use). Those
+// read the same whether a counter was subtracted or merely kept, so the
+// arithmetic is then held to what it must do: a window against itself is
+// empty but for its peaks and labels, two equal windows sum to twice the
+// counters and the same peaks, and neither operation allocates. A new
+// field fails here by name until the wire and the fold list carry it.
+func TestStatsJSONGuardsNewFields(t *testing.T) {
+	var in Stats
+	n := uint64(1000)
+	fillStats(&in, func() uint64 { n++; return n })
 	in.IPC = float64(in.Committed) / float64(in.Cycles) // derived; Delta and Accumulate recompute it
 
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded, accumulated Stats
+	var decoded, once, twice Stats
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	accumulated.Accumulate(in)
-	for path, got := range map[string]Stats{
-		"JSON round trip":      decoded,
-		"Delta(zero)":          in.Delta(Stats{}),
-		"Accumulate into zero": accumulated,
-	} {
-		g := reflect.ValueOf(&got).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			if want, have := statsField(v, i).Interface(), statsField(g, i).Interface(); !reflect.DeepEqual(want, have) {
-				t.Errorf("%s drops Stats.%s: got %v, want %v", path, v.Type().Field(i).Name, have, want)
-			}
-		}
+	once.Accumulate(in)
+	twice.Accumulate(in)
+	twice.Accumulate(in)
+	diffStats(t, "JSON round trip", decoded, in)
+	diffStats(t, "Delta(zero)", in.Delta(Stats{}), in)
+	diffStats(t, "Accumulate into zero", once, in)
+	diffStats(t, "Delta(itself)", in.Delta(in), scaledStats(in, 0, 0))
+	diffStats(t, "Accumulate twice", twice, scaledStats(in, 2, in.IPC))
+
+	var sink Stats
+	if a := testing.AllocsPerRun(100, func() { sink = in.Delta(once) }); a != 0 {
+		t.Errorf("Delta: %v allocs per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { sink.Accumulate(in) }); a != 0 {
+		t.Errorf("Accumulate: %v allocs per call, want 0", a)
 	}
 }
