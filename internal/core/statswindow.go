@@ -8,109 +8,73 @@ package core
 // (AvgROBOccupancy, AvgMLP, ClassCount) stay correct on windowed stats —
 // which is why they live here, in package core.
 
-// Delta returns the counters accumulated since prev: s - prev, field by
-// field. Monotone counters subtract; peak/max fields keep s's value (the
-// peak observed by the end of the window bounds the window's own peak);
-// IPC is recomputed from the windowed committed/cycle counts. Name,
-// Skipped, and StreamHash carry s's values — the stream hash is a running
-// digest, not a counter.
-func (s Stats) Delta(prev Stats) Stats {
-	d := Stats{
-		Name:       s.Name,
-		Cycles:     s.Cycles - prev.Cycles,
-		Committed:  s.Committed - prev.Committed,
-		Skipped:    s.Skipped,
-		StreamHash: s.StreamHash,
+// fold is the one list of Stats' additive counters: s.X += k*o.X for each
+// of them, in wrapping arithmetic, so k = 1 adds o's window to s and
+// k = ^0 (that is, -1) takes it away. A new counter is a field on Stats
+// and a line here; the labels (Name, Skipped, StreamHash), the three
+// peaks and the derived IPC are not counters and are Delta's and
+// Accumulate's own business. A multiplier, not a func(a *uint64, b
+// uint64): a pointer handed to a function value escapes, and Delta's
+// result would be allocated per window.
+func (s *Stats) fold(o *Stats, k uint64) {
+	s.Cycles += int64(k) * o.Cycles
+	s.Committed += k * o.Committed
 
-		CondBranches: s.CondBranches - prev.CondBranches,
-		CondCorrect:  s.CondCorrect - prev.CondCorrect,
-		Mispredicts:  s.Mispredicts - prev.Mispredicts,
-		Misfetches:   s.Misfetches - prev.Misfetches,
+	s.CondBranches += k * o.CondBranches
+	s.CondCorrect += k * o.CondCorrect
+	s.Mispredicts += k * o.Mispredicts
+	s.Misfetches += k * o.Misfetches
 
-		Replays:        s.Replays - prev.Replays,
-		StoreWaitHits:  s.StoreWaitHits - prev.StoreWaitHits,
-		ForwardedLoads: s.ForwardedLoads - prev.ForwardedLoads,
+	s.Replays += k * o.Replays
+	s.StoreWaitHits += k * o.StoreWaitHits
+	s.ForwardedLoads += k * o.ForwardedLoads
 
-		FetchedInstrs:  s.FetchedInstrs - prev.FetchedInstrs,
-		SquashedInstrs: s.SquashedInstrs - prev.SquashedInstrs,
+	s.FetchedInstrs += k * o.FetchedInstrs
+	s.SquashedInstrs += k * o.SquashedInstrs
 
-		WIBInsertions:    s.WIBInsertions - prev.WIBInsertions,
-		WIBReinsertions:  s.WIBReinsertions - prev.WIBReinsertions,
-		WIBInstructions:  s.WIBInstructions - prev.WIBInstructions,
-		WIBMaxInsertions: s.WIBMaxInsertions,
-		BitVectorStalls:  s.BitVectorStalls - prev.BitVectorStalls,
-		WIBPeakOccupancy: s.WIBPeakOccupancy,
-		HeadEvictions:    s.HeadEvictions - prev.HeadEvictions,
-		PoolSpills:       s.PoolSpills - prev.PoolSpills,
-		SliceExecuted:    s.SliceExecuted - prev.SliceExecuted,
-
-		MLPPeak: s.MLPPeak,
-
-		robOccupancy:     s.robOccupancy - prev.robOccupancy,
-		occupancySamples: s.occupancySamples - prev.occupancySamples,
-		mlpSum:           s.mlpSum - prev.mlpSum,
-		mlpCycles:        s.mlpCycles - prev.mlpCycles,
-	}
-	for i := range d.classMix {
-		d.classMix[i] = s.classMix[i] - prev.classMix[i]
-	}
-	if d.Cycles > 0 {
-		d.IPC = float64(d.Committed) / float64(d.Cycles)
-	}
-	return d
-}
-
-// Accumulate adds window w's counters into s. Peak/max fields take the
-// maximum across windows; IPC is recomputed from the running totals;
-// Name and StreamHash take w's values (the latest window wins, so the
-// aggregate carries the final interval's stream digest). Skipped sums:
-// each window's Skipped counts the functional instructions that preceded
-// it.
-func (s *Stats) Accumulate(w Stats) {
-	s.Name = w.Name
-	s.Cycles += w.Cycles
-	s.Committed += w.Committed
-	s.Skipped = w.Skipped
-	s.StreamHash = w.StreamHash
-
-	s.CondBranches += w.CondBranches
-	s.CondCorrect += w.CondCorrect
-	s.Mispredicts += w.Mispredicts
-	s.Misfetches += w.Misfetches
-
-	s.Replays += w.Replays
-	s.StoreWaitHits += w.StoreWaitHits
-	s.ForwardedLoads += w.ForwardedLoads
-
-	s.FetchedInstrs += w.FetchedInstrs
-	s.SquashedInstrs += w.SquashedInstrs
-
-	s.WIBInsertions += w.WIBInsertions
-	s.WIBReinsertions += w.WIBReinsertions
-	s.WIBInstructions += w.WIBInstructions
-	if w.WIBMaxInsertions > s.WIBMaxInsertions {
-		s.WIBMaxInsertions = w.WIBMaxInsertions
-	}
-	s.BitVectorStalls += w.BitVectorStalls
-	if w.WIBPeakOccupancy > s.WIBPeakOccupancy {
-		s.WIBPeakOccupancy = w.WIBPeakOccupancy
-	}
-	s.HeadEvictions += w.HeadEvictions
-	s.PoolSpills += w.PoolSpills
-	s.SliceExecuted += w.SliceExecuted
-
-	if w.MLPPeak > s.MLPPeak {
-		s.MLPPeak = w.MLPPeak
-	}
+	s.WIBInsertions += k * o.WIBInsertions
+	s.WIBReinsertions += k * o.WIBReinsertions
+	s.WIBInstructions += k * o.WIBInstructions
+	s.BitVectorStalls += k * o.BitVectorStalls
+	s.HeadEvictions += k * o.HeadEvictions
+	s.PoolSpills += k * o.PoolSpills
+	s.SliceExecuted += k * o.SliceExecuted
 
 	for i := range s.classMix {
-		s.classMix[i] += w.classMix[i]
+		s.classMix[i] += k * o.classMix[i]
 	}
-	s.robOccupancy += w.robOccupancy
-	s.occupancySamples += w.occupancySamples
-	s.mlpSum += w.mlpSum
-	s.mlpCycles += w.mlpCycles
+	s.robOccupancy += k * o.robOccupancy
+	s.occupancySamples += k * o.occupancySamples
+	s.mlpSum += k * o.mlpSum
+	s.mlpCycles += k * o.mlpCycles
+}
 
+// Delta returns the counters accumulated since prev: s with prev's
+// counters taken away and IPC recomputed from the windowed committed and
+// cycle counts. Everything else is s's own: the peak observed by the end
+// of the window bounds the window's own peak, and Name, Skipped and
+// StreamHash (a running digest, not a counter) describe the later
+// snapshot.
+func (s Stats) Delta(prev Stats) Stats {
+	s.fold(&prev, ^uint64(0))
+	s.IPC = 0
+	if s.Cycles > 0 {
+		s.IPC = float64(s.Committed) / float64(s.Cycles)
+	}
+	return s
+}
+
+// Accumulate adds window w's counters into s. Peaks take the maximum
+// across windows; IPC is recomputed from the running totals; Name,
+// Skipped and StreamHash take w's values (the latest window wins, so the
+// aggregate carries the final interval's stream digest and the count of
+// functional instructions that preceded it).
+func (s *Stats) Accumulate(w Stats) {
+	s.fold(&w, 1)
+	s.WIBMaxInsertions = max(s.WIBMaxInsertions, w.WIBMaxInsertions)
+	s.WIBPeakOccupancy = max(s.WIBPeakOccupancy, w.WIBPeakOccupancy)
+	s.MLPPeak = max(s.MLPPeak, w.MLPPeak)
+	s.Name, s.Skipped, s.StreamHash = w.Name, w.Skipped, w.StreamHash
 	if s.Cycles > 0 {
 		s.IPC = float64(s.Committed) / float64(s.Cycles)
 	}

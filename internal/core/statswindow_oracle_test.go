@@ -136,10 +136,12 @@ func (genStats) Generate(r *rand.Rand, _ int) reflect.Value {
 // field and bit for bit (wrapping subtraction included).
 func TestStatsWindowMatchesOracle(t *testing.T) {
 	same := func(a, b genStats) bool {
-		got, want := a.Stats, a.Stats
-		got.Accumulate(b.Stats)
+		sum, want := a.Stats, a.Stats
+		sum.Accumulate(b.Stats)
 		oracleAccumulate(&want, b.Stats)
-		return a.Delta(b.Stats) == oracleDelta(a.Stats, b.Stats) && got == want
+		diffStats(t, "Accumulate", sum, want)
+		diffStats(t, "Delta", a.Delta(b.Stats), oracleDelta(a.Stats, b.Stats))
+		return !t.Failed()
 	}
 	if err := quick.Check(same, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
