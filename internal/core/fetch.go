@@ -54,9 +54,6 @@ func (p *Processor) fetch() {
 		}
 		p.ifqN++
 		p.stats.FetchedInstrs++
-		if p.tel != nil {
-			p.tel.cFetched.Inc()
-		}
 		p.fetchPC = next
 		if c == isa.ClassHalt {
 			p.fetchHalted = true
@@ -77,9 +74,6 @@ func (p *Processor) flushIFQ() {
 			p.bp.Squash(fe.cp)
 		}
 		p.stats.SquashedInstrs++
-		if p.tel != nil {
-			p.tel.cSquash.Inc()
-		}
 	}
 	p.ifqN = 0
 }

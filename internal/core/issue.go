@@ -226,10 +226,7 @@ func (p *Processor) issue() {
 
 // issueFrom runs one select pass over q.
 func (p *Processor) issueFrom(q *issueQueue, width int) {
-	issued := q.selectOldest(p.robHead, width, func(rob int32) bool { return p.selectEntry(q, rob) })
-	if p.tel != nil && issued > 0 {
-		p.tel.cIssue.Add(uint64(issued))
-	}
+	p.issueSlots += uint64(q.selectOldest(p.robHead, width, func(rob int32) bool { return p.selectEntry(q, rob) }))
 }
 
 // selectEntry decides one request of q and reports whether the entry

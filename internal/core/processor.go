@@ -150,10 +150,15 @@ type Processor struct {
 
 	tracer *tracer // nil unless Config.TraceCapacity > 0
 
-	// tel is nil unless a telemetry collector is attached; every probe in
-	// the pipeline guards on that nil so the disabled path costs one
-	// branch (see telemetry.go).
+	// tel is nil unless a telemetry collector is attached. Its three
+	// probes (the sampler tick, the fast-forward catch-up and the
+	// load-latency histogram) guard on that nil; every counter series is
+	// read from a field the core keeps anyway (see telemetry.go).
 	tel *telemetryState
+	// issueSlots counts issue slots consumed, moves into the WIB included:
+	// the one pipeline series Stats has no field for and nothing else
+	// implies.
+	issueSlots uint64
 
 	// l2MissReady holds the fill-completion cycles of outstanding demand-
 	// load L2 misses, for the MLP statistic (min-heap, pruned per cycle).
@@ -488,9 +493,6 @@ func (p *Processor) commit() {
 			p.checkOracle(e)
 		}
 		p.stats.Committed++
-		if p.tel != nil {
-			p.tel.cCommit.Inc()
-		}
 		p.stats.StreamHash = emu.MixHash(p.stats.StreamHash, e.pc)
 		p.stats.classMix[e.class]++
 		if p.tracer != nil {

@@ -129,9 +129,6 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 	if p.tracer != nil {
 		p.tracer.dispatch(e, fe.fetched, p.now)
 	}
-	if p.tel != nil {
-		p.tel.cDispatch.Inc()
-	}
 
 	switch {
 	case class == isa.ClassNop || class == isa.ClassHalt:
@@ -240,9 +237,6 @@ func (p *Processor) squashFrom(boundarySeq uint64, inclusive bool) {
 
 func (p *Processor) squashEntry(idx int32, e *robEntry) {
 	p.stats.SquashedInstrs++
-	if p.tel != nil {
-		p.tel.cSquash.Inc()
-	}
 	if p.tracer != nil {
 		p.trace(e, func(t *InstrTrace, now int64) { t.Squashed, t.SquashCyc = true, now })
 		p.tracer.archive(e.seq)

@@ -2,26 +2,19 @@ package core
 
 import "largewindow/internal/telemetry"
 
-// This file wires the observability layer through the core. The design
-// rule is zero cost when disabled: the Processor holds a *telemetryState
-// that is nil unless AttachTelemetry was called, and every probe in the
-// pipeline is guarded by a single `p.tel != nil` check. Counters on the
-// hot paths are cached as struct fields so the per-event cost is one
-// branch plus one increment — no map lookups.
+// This file wires the observability layer through the core. A machine
+// event is counted once: every counter series is a CounterFunc over a
+// field the core keeps whether or not anyone is watching (Stats, the
+// dispatch sequence number, issueSlots), read at sample time, so a series
+// cannot disagree with the end-of-run report. Only what has no such field
+// is a probe, guarded by `p.tel != nil`: the sampler's per-cycle Tick, its
+// CatchUp across a fast-forwarded idle stretch, and the load-latency
+// histogram.
 
-// telemetryState caches the hot-path metric handles of one attached
-// collector.
+// telemetryState is one attached collector and the one metric the core
+// must push into it.
 type telemetryState struct {
-	col *telemetry.Collector
-
-	cFetched  *telemetry.Counter // instructions entering the fetch queue
-	cDispatch *telemetry.Counter // instructions renamed into the active list
-	cIssue    *telemetry.Counter // issue slots consumed (incl. WIB moves)
-	cCommit   *telemetry.Counter // instructions retired
-	cSquash   *telemetry.Counter // instructions squashed (ROB + fetch queue)
-	cPark     *telemetry.Counter // WIB insertions
-	cReinsert *telemetry.Counter // WIB reinsertions into an issue queue
-
+	col      *telemetry.Collector
 	hLoadLat *telemetry.Histogram // load issue→data latency, cycles
 }
 
@@ -37,16 +30,19 @@ type rfTelemetry interface {
 // final cycle count) after the run to flush the sample stream.
 func (p *Processor) AttachTelemetry(col *telemetry.Collector) {
 	reg := col.Registry()
+	st := &p.stats
+	reg.CounterFunc("core.fetch.instrs", func() uint64 { return st.FetchedInstrs })
+	// Every instruction renamed into the active list takes the next
+	// sequence number, and numbers are never reused.
+	reg.CounterFunc("core.dispatch.instrs", func() uint64 { return p.nextSeq - 1 })
+	reg.CounterFunc("core.issue.slots", func() uint64 { return p.issueSlots })
+	reg.CounterFunc("core.commit.instrs", func() uint64 { return st.Committed })
+	reg.CounterFunc("core.squash.instrs", func() uint64 { return st.SquashedInstrs }) // active list + fetch queue
+	reg.CounterFunc("wib.insertions", func() uint64 { return st.WIBInsertions })
+	reg.CounterFunc("wib.reinsertions", func() uint64 { return st.WIBReinsertions })
 	t := &telemetryState{
-		col:       col,
-		cFetched:  reg.Counter("core.fetch.instrs"),
-		cDispatch: reg.Counter("core.dispatch.instrs"),
-		cIssue:    reg.Counter("core.issue.slots"),
-		cCommit:   reg.Counter("core.commit.instrs"),
-		cSquash:   reg.Counter("core.squash.instrs"),
-		cPark:     reg.Counter("wib.insertions"),
-		cReinsert: reg.Counter("wib.reinsertions"),
-		hLoadLat:  reg.Histogram("mem.load.latency", 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
+		col:      col,
+		hLoadLat: reg.Histogram("mem.load.latency", 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
 	}
 
 	reg.Gauge("core.ipc", func(cycle int64) float64 {

@@ -272,9 +272,6 @@ func (w *wib) park(p *Processor, rob int32, e *robEntry, c int32) {
 	e.wibCol = c
 	e.insertions++
 	p.stats.WIBInsertions++
-	if p.tel != nil {
-		p.tel.cPark.Inc()
-	}
 	w.occupancy++
 	if w.occupancy > w.peak {
 		w.peak = w.occupancy
@@ -485,9 +482,6 @@ func (w *wib) tryReinsert(p *Processor, rob int32, e *robEntry) bool {
 	q.count++
 	w.unpark()
 	p.stats.WIBReinsertions++
-	if p.tel != nil {
-		p.tel.cReinsert.Inc()
-	}
 	p.trace(e, func(t *InstrTrace, now int64) { t.Reinserts = append(t.Reinserts, now) })
 	// §6 future work: prefetch the sources into the two-level register
 	// file's first level so the register-read stage hits.

@@ -100,7 +100,8 @@ func (c *Collector) Sample(cycle int64) {
 		Gauges:   make(map[string]float64),
 	}
 	for _, name := range c.reg.names {
-		if v, ok := c.reg.counterValue(name); ok {
+		if fn, ok := c.reg.counterFns[name]; ok {
+			v := fn()
 			s.Counters[name] = v
 			s.Deltas[name] = v - c.prev[name]
 			c.prev[name] = v

@@ -1,14 +1,17 @@
-// Package telemetry is the simulator's observability layer: typed
-// counters, gauges, and histograms registered by name in a Registry, a
+// Package telemetry is the simulator's observability layer: counters,
+// gauges, and histograms registered by name in a Registry, a
 // cycle-interval Sampler that writes a JSONL time series (see DESIGN.md
 // "Observability" for the schema), and renderers that turn archived
 // per-instruction lifecycle records into Chrome trace-event JSON and a
 // Kanata-style pipeline view.
 //
-// The package is designed to be zero-cost when disabled: instrumented
-// code holds a nil collector pointer and guards every probe with a single
-// nil check, so a run with telemetry off pays only untaken branches.
-// Metric types are plain (non-atomic) because the cycle-level core is
+// A counter or a gauge is a function over a field its owner keeps anyway,
+// read at sample time: the package holds no count of its own, so a series
+// cannot diverge from the report the same field feeds, and a run with
+// telemetry off pays nothing for them. Only what has no field to read is
+// a probe in the instrumented code, behind one nil check of its collector
+// pointer: the sampler's Tick and CatchUp, and Histogram.Observe. The
+// histogram is plain (non-atomic) because the cycle-level core is
 // single-threaded; one Collector must not be shared across concurrently
 // running processors.
 package telemetry
@@ -17,16 +20,6 @@ import (
 	"fmt"
 	"sort"
 )
-
-// Counter is a monotonically increasing count, owned by the instrumented
-// code and sampled (with interval deltas) by the Sampler.
-type Counter struct{ v uint64 }
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.v += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v++ }
 
 // Histogram is a fixed-bucket distribution. Bounds are inclusive upper
 // bounds in ascending order; one implicit overflow bucket catches values
@@ -74,7 +67,6 @@ func (h *Histogram) snapshot() HistSnapshot {
 // order is preserved in sample output for stable, diffable streams.
 type Registry struct {
 	names      []string
-	counters   map[string]*Counter
 	counterFns map[string]func() uint64
 	gauges     map[string]func(cycle int64) float64
 	hists      map[string]*Histogram
@@ -83,7 +75,6 @@ type Registry struct {
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
 		counterFns: make(map[string]func() uint64),
 		gauges:     make(map[string]func(int64) float64),
 		hists:      make(map[string]*Histogram),
@@ -94,21 +85,10 @@ func (r *Registry) record(name string) {
 	r.names = append(r.names, name)
 }
 
-// Counter registers (or returns the existing) counter under name.
-func (r *Registry) Counter(name string) *Counter {
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	r.record(name)
-	return c
-}
-
-// CounterFunc registers a source-backed counter: fn is read at sample
-// time and must be monotonically non-decreasing (interval deltas are
-// derived from it). It lets subsystems that already keep their own
-// counters (caches, predictors) publish them without double counting.
+// CounterFunc registers a counter: fn is read at sample time and must be
+// monotonically non-decreasing (interval deltas are derived from it). The
+// count itself is the owner's (a Stats field, a cache's traffic counters,
+// a coordinator's atomics), so publishing it counts nothing twice.
 func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	if _, ok := r.counterFns[name]; !ok {
 		r.record(name)
@@ -159,16 +139,15 @@ type Point struct {
 
 // Points snapshots every registered metric in registration order. Gauge
 // functions receive cycle (pass 0 for wall-clock services that have no
-// cycle domain). Counters registered via CounterFunc are read through
-// their functions, so registries whose counters are backed by atomics
-// are safe to snapshot concurrently with the code updating them; plain
-// Counters and Histograms share the single-threaded ownership contract
-// documented on the package.
+// cycle domain). Counters are read through their functions, so registries
+// whose counters are backed by atomics are safe to snapshot concurrently
+// with the code updating them; Histograms share the single-threaded
+// ownership contract documented on the package.
 func (r *Registry) Points(cycle int64) []Point {
 	out := make([]Point, 0, len(r.names))
 	for _, name := range r.names {
-		if v, ok := r.counterValue(name); ok {
-			out = append(out, Point{Name: name, Kind: KindCounter, Counter: v})
+		if fn, ok := r.counterFns[name]; ok {
+			out = append(out, Point{Name: name, Kind: KindCounter, Counter: fn()})
 			continue
 		}
 		if fn, ok := r.gauges[name]; ok {
@@ -180,15 +159,4 @@ func (r *Registry) Points(cycle int64) []Point {
 		}
 	}
 	return out
-}
-
-// counterValue reads a counter or counter-func by name.
-func (r *Registry) counterValue(name string) (uint64, bool) {
-	if c, ok := r.counters[name]; ok {
-		return c.v, true
-	}
-	if fn, ok := r.counterFns[name]; ok {
-		return fn(), true
-	}
-	return 0, false
 }

@@ -9,11 +9,12 @@ import (
 
 func TestCounterAndRegistryIdempotence(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("a.b")
-	c.Inc()
-	c.Add(4)
-	if got := r.Counter("a.b").v; got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
+	var v uint64
+	r.CounterFunc("a.b", func() uint64 { return 0 })
+	r.CounterFunc("a.b", func() uint64 { return v })
+	v = 5
+	if pts := r.Points(0); len(pts) != 1 || pts[0].Counter != 5 {
+		t.Fatalf("points = %+v, want one counter reading 5 through the later function", pts)
 	}
 	if n := len(r.names); n != 1 {
 		t.Fatalf("duplicate registration recorded: names = %v", r.names)
@@ -49,8 +50,9 @@ func TestCollectorSamplesAndDeltas(t *testing.T) {
 	var buf bytes.Buffer
 	col := NewCollector(&buf, 100)
 	reg := col.Registry()
-	c := reg.Counter("core.commit")
-	reg.CounterFunc("mem.accesses", func() uint64 { return 3 * c.v })
+	var commits uint64
+	reg.CounterFunc("core.commit", func() uint64 { return commits })
+	reg.CounterFunc("mem.accesses", func() uint64 { return 3 * commits })
 	occupancy := 7.0
 	reg.Gauge("core.rob", func(int64) float64 { return occupancy })
 	reg.Gauge("bad.ratio", func(int64) float64 { return math.NaN() })
@@ -58,7 +60,7 @@ func TestCollectorSamplesAndDeltas(t *testing.T) {
 
 	for cyc := int64(1); cyc <= 250; cyc++ {
 		if cyc%2 == 0 {
-			c.Inc()
+			commits++
 		}
 		col.Tick(cyc)
 	}
