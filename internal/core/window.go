@@ -169,17 +169,9 @@ func (p *Processor) measure(ctx context.Context, w Window, res *WindowResult) (*
 	res.Halted = err == nil
 	res.Warmed = pre.Committed
 	res.Stats = st.Delta(pre)
-	res.L1D = cacheDelta(p.hier.L1DStats(), l1d)
-	res.L2 = cacheDelta(p.hier.L2Stats(), l2)
+	res.L1D = p.hier.L1DStats().Sub(l1d)
+	res.L2 = p.hier.L2Stats().Sub(l2)
 	acc, miss := p.hier.TLBStats()
 	res.TLB = mem.CacheStats{Accesses: acc - tlbAcc, Misses: miss - tlbMiss}
 	return st, nil
-}
-
-func cacheDelta(now, pre mem.CacheStats) mem.CacheStats {
-	return mem.CacheStats{
-		Accesses:   now.Accesses - pre.Accesses,
-		Misses:     now.Misses - pre.Misses,
-		Writebacks: now.Writebacks - pre.Writebacks,
-	}
 }

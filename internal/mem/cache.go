@@ -39,6 +39,18 @@ type CacheStats struct {
 	Writebacks uint64
 }
 
+// Sub returns the traffic since the earlier snapshot prev.
+func (s CacheStats) Sub(prev CacheStats) CacheStats {
+	return CacheStats{s.Accesses - prev.Accesses, s.Misses - prev.Misses, s.Writebacks - prev.Writebacks}
+}
+
+// Add sums window w's traffic into s.
+func (s *CacheStats) Add(w CacheStats) {
+	s.Accesses += w.Accesses
+	s.Misses += w.Misses
+	s.Writebacks += w.Writebacks
+}
+
 // MissRatio is Misses/Accesses (0 when idle). For the L2 this is the
 // "local" miss ratio of paper Table 2 because only L1 misses reach it.
 func (s CacheStats) MissRatio() float64 {

@@ -145,3 +145,17 @@ func TestCacheStatsMissRatio(t *testing.T) {
 		t.Errorf("miss ratio = %v", s.MissRatio())
 	}
 }
+
+// TestCacheStatsWindowArithmetic: Sub and Add cover every field (the
+// window's traffic put back onto the earlier snapshot is the later one).
+func TestCacheStatsWindowArithmetic(t *testing.T) {
+	f := func(now, d CacheStats) bool {
+		prev := now.Sub(d)
+		sum := prev
+		sum.Add(now.Sub(prev))
+		return now.Sub(prev) == d && sum == now && now.Sub(now) == (CacheStats{})
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

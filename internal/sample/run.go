@@ -147,9 +147,9 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 			out.Stats.Accumulate(win)
 			out.IntervalIPCs = append(out.IntervalIPCs, win.IPC)
 			cpis = append(cpis, float64(win.Cycles)/float64(win.Committed))
-			addCounts(&dl1, w.L1D)
-			addCounts(&l2, w.L2)
-			addCounts(&tlb, w.TLB)
+			dl1.Add(w.L1D)
+			l2.Add(w.L2)
+			tlb.Add(w.TLB)
 			if progress != nil {
 				progress(len(out.IntervalIPCs), plan.Intervals)
 			}
@@ -196,12 +196,6 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	out.TLBMiss = tlb.MissRatio()
 	out.BrAcc = out.Stats.CondAccuracy()
 	return out, nil
-}
-
-func addCounts(sum *mem.CacheStats, w mem.CacheStats) {
-	sum.Accesses += w.Accesses
-	sum.Misses += w.Misses
-	sum.Writebacks += w.Writebacks
 }
 
 // OneWindow reports a single contiguous detailed window — a plain or
