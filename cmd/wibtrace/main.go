@@ -125,9 +125,9 @@ func profile(stdout, stderr io.Writer, src workload.Source, sc workload.Scale, i
 	fmt.Fprintf(stdout, "memory pages  %d touched\n", m.Mem.Pages())
 	fmt.Fprintln(stdout, "class mix:")
 	var mix []isa.Class // by count, equal counts in class order
-	for c := isa.Class(0); int(c) < isa.NumClasses; c++ {
-		if m.ClassMix[c] > 0 {
-			mix = append(mix, c)
+	for c, n := range m.ClassMix {
+		if n > 0 {
+			mix = append(mix, isa.Class(c))
 		}
 	}
 	sort.SliceStable(mix, func(i, j int) bool { return m.ClassMix[mix[i]] > m.ClassMix[mix[j]] })

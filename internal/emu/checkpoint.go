@@ -214,10 +214,8 @@ func (m *Machine) Checkpoint() *Checkpoint {
 		CondCount:  m.CondCount,
 		IntReg:     m.IntReg,
 		FPReg:      m.FPReg,
+		ClassMix:   m.ClassMix,
 		Mem:        m.Mem.Clone(),
-	}
-	for c, n := range m.ClassMix {
-		cp.ClassMix[c] = n
 	}
 	cp.Mem.Freeze()
 	return cp
@@ -241,18 +239,13 @@ func Restore(prog *isa.Program, cp *Checkpoint) (*Machine, error) {
 		PC:         cp.PC,
 		Halted:     cp.Halted,
 		InstrCount: cp.InstrCount,
-		ClassMix:   make(map[isa.Class]uint64),
+		ClassMix:   cp.ClassMix,
 		TakenCond:  cp.TakenCond,
 		CondCount:  cp.CondCount,
 		StreamHash: cp.StreamHash,
 	}
 	m.IntReg = cp.IntReg
 	m.FPReg = cp.FPReg
-	for c, n := range cp.ClassMix {
-		if n > 0 {
-			m.ClassMix[isa.Class(c)] = n
-		}
-	}
 	return m, nil
 }
 

@@ -27,7 +27,7 @@ type Machine struct {
 
 	// Statistics.
 	InstrCount uint64
-	ClassMix   map[isa.Class]uint64
+	ClassMix   [isa.NumClasses]uint64
 	TakenCond  uint64
 	CondCount  uint64
 
@@ -41,10 +41,9 @@ type Machine struct {
 // memory image loaded, SP at StackTop and GP at DataBase.
 func New(p *isa.Program) *Machine {
 	m := &Machine{
-		Prog:     p,
-		Mem:      p.NewMemoryImage(),
-		PC:       p.Entry,
-		ClassMix: make(map[isa.Class]uint64),
+		Prog: p,
+		Mem:  p.NewMemoryImage(),
+		PC:   p.Entry,
 	}
 	m.IntReg[isa.SP] = p.StackTop
 	m.IntReg[isa.GP] = p.DataBase

@@ -71,6 +71,7 @@ func (m *Machine) run(maxInstr uint64, warm WarmSink, prof ProfileSink) (uint64,
 	var classCnt [256]uint64
 	var conds [2]uint64
 	var err error
+	copy(classCnt[:], m.ClassMix[:])
 	copy(regs[:isa.SlotFP], m.IntReg[:])
 	copy(regs[isa.SlotFP:isa.SlotSink], m.FPReg[:])
 	regs[isa.Zero] = 0 // reads as zero whatever IntReg[0] holds
@@ -240,11 +241,7 @@ loop:
 	m.InstrCount += count
 	copy(m.IntReg[1:], regs[1:isa.SlotFP])
 	copy(m.FPReg[:], regs[isa.SlotFP:isa.SlotSink])
-	for c, n := range classCnt[:isa.NumClasses] {
-		if n > 0 {
-			m.ClassMix[isa.Class(c)] += n
-		}
-	}
+	copy(m.ClassMix[:], classCnt[:])
 	if err == nil && !m.Halted {
 		err = ErrNotHalted
 	}

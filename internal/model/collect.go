@@ -325,9 +325,7 @@ func Collect(prog *isa.Program, scale string, opt CollectOptions) (*Profile, err
 	p := c.prof
 	p.N = n
 	p.Halted = m.Halted
-	for cl, cnt := range m.ClassMix {
-		p.ClassMix[cl] = cnt
-	}
+	p.ClassMix = m.ClassMix
 
 	p.SerialMisses = make([]float64, len(windows))
 	p.ILP = make([]float64, len(windows))

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"largewindow/internal/bpred"
 	"largewindow/internal/core"
 	"largewindow/internal/stats"
 	"largewindow/internal/workload"
@@ -128,8 +129,53 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
+// profileKey is everything a profile depends on: the program, and the
+// cache family and predictor geometry Collect runs it against.
+type profileKey struct {
+	bench, mem string
+	bpred      bpred.Config
+}
+
+func keyOf(bench string, cfg core.Config) profileKey {
+	return profileKey{bench, MemKey(cfg.Mem), cfg.Bpred}
+}
+
+// collectProfiles profiles each bench once per distinct (cache family,
+// predictor geometry) among the configs.
+func (s *Space) collectProfiles(logf func(string, ...any)) (map[profileKey]*Profile, error) {
+	profiles := map[profileKey]*Profile{}
+	for _, bench := range s.Benches {
+		src, err := workload.ParseRef(bench)
+		if err != nil {
+			return nil, fmt.Errorf("model: explore workload %q: %w", bench, err)
+		}
+		prog, err := src.Build(s.Scale)
+		if err != nil {
+			return nil, fmt.Errorf("model: building %q: %w", bench, err)
+		}
+		for _, cfg := range s.Configs {
+			key := keyOf(bench, cfg)
+			if _, ok := profiles[key]; ok {
+				continue
+			}
+			p, err := Collect(prog, s.Scale.String(), CollectOptions{
+				MaxInstr: s.ProfileInstr,
+				Windows:  s.Windows,
+				Mem:      cfg.Mem,
+				Bpred:    cfg.Bpred,
+			})
+			if err != nil {
+				return nil, err
+			}
+			profiles[key] = p
+		}
+		logf("model: profiled %s", bench)
+	}
+	return profiles, nil
+}
+
 // Explore runs the model-pruned sweep: profile once per (bench, cache
-// family), predict every cell, simulate only the anchors (the extreme
+// family, predictor geometry), predict every cell, simulate only the anchors (the extreme
 // windows of each config family, which calibrate the model), every cell
 // of the top-K predicted configs, and a seeded audit slice of the pruned
 // cells that measures live model error.
@@ -153,41 +199,16 @@ func (s *Space) Explore() (*Report, error) {
 		logf = func(string, ...any) {}
 	}
 
-	// Profile once per (bench, cache family).
-	profiles := map[string]*Profile{} // bench \x00 memKey
-	for _, bench := range s.Benches {
-		src, err := workload.ParseRef(bench)
-		if err != nil {
-			return nil, fmt.Errorf("model: explore workload %q: %w", bench, err)
-		}
-		prog, err := src.Build(s.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("model: building %q: %w", bench, err)
-		}
-		for _, cfg := range s.Configs {
-			key := bench + "\x00" + MemKey(cfg.Mem)
-			if _, ok := profiles[key]; ok {
-				continue
-			}
-			p, err := Collect(prog, s.Scale.String(), CollectOptions{
-				MaxInstr: s.ProfileInstr,
-				Windows:  s.Windows,
-				Mem:      cfg.Mem,
-				Bpred:    cfg.Bpred,
-			})
-			if err != nil {
-				return nil, err
-			}
-			profiles[key] = p
-		}
-		logf("model: profiled %s", bench)
+	profiles, err := s.collectProfiles(logf)
+	if err != nil {
+		return nil, err
 	}
 
 	// Raw predictions for the full grid, cell index = ci*len(Benches)+bi.
 	nb := len(s.Benches)
 	points := make([]Point, len(s.Configs)*nb)
 	profOf := func(ci, bi int) *Profile {
-		return profiles[s.Benches[bi]+"\x00"+MemKey(s.Configs[ci].Mem)]
+		return profiles[keyOf(s.Benches[bi], s.Configs[ci])]
 	}
 	for ci, cfg := range s.Configs {
 		for bi, bench := range s.Benches {

@@ -327,3 +327,30 @@ func TestEffectiveWindow(t *testing.T) {
 		t.Fatalf("Family wib: %q", f)
 	}
 }
+
+// TestExploreProfilesPerPredictor: Collect runs the program against the
+// config's predictor as well as its caches, so two configs that differ
+// only in predictor geometry must not share a profile (they used to: the
+// key was the cache family alone, and the second config was predicted
+// from the first one's mispredict count).
+func TestExploreProfilesPerPredictor(t *testing.T) {
+	big, small := core.DefaultConfig(), core.DefaultConfig()
+	small.Name = "tiny-bpred"
+	small.Bpred.BimodalEntries, small.Bpred.TwoLevelEntries, small.Bpred.ChooserEntries = 2, 2, 2
+	sp := &Space{Configs: []core.Config{big, small}, Benches: []string{"gzip"}, Scale: workload.ScaleTest}
+	profiles, err := sp.collectProfiles(t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(profiles) != 2 {
+		t.Fatalf("%d profiles for two predictor geometries, want 2", len(profiles))
+	}
+	pb, ps := profiles[keyOf("gzip", big)], profiles[keyOf("gzip", small)]
+	if pb.Mispredicts == 0 || ps.Mispredicts <= pb.Mispredicts {
+		t.Errorf("mispredicts: %d with the default predictor, %d with 2-entry tables; want more with the small one",
+			pb.Mispredicts, ps.Mispredicts)
+	}
+	if a, b := Predict(pb, big).Branch, Predict(ps, small).Branch; a >= b {
+		t.Errorf("predicted branch cycles %v (default) >= %v (tiny predictor)", a, b)
+	}
+}
