@@ -159,16 +159,15 @@ type Session struct {
 	failures []*Result
 	storeErr error
 
-	// progLen memoizes measured program lengths ("identity/scale" →
-	// uint64) so auto-period sampling plans pay one sizing pass per
-	// workload, not one per cell (a Fig.4-style sweep runs several
-	// configs per kernel).
-	progLen sync.Map
+	// progLen memoizes measured program lengths by "identity/scale", so
+	// auto-period sampling plans pay one sizing pass per workload, not one
+	// per cell (a Fig.4-style sweep runs several configs per kernel, and
+	// runs them concurrently).
+	progLen flight.Memo[uint64]
 
-	// sources memoizes resolved workload refs ("trace:..." → Source) so
-	// a campaign of N cells over one trace file decodes it once, not N
-	// times.
-	sources sync.Map
+	// sources memoizes resolved workload refs ("trace:...") so a campaign
+	// of N cells over one trace file decodes it once, not N times.
+	sources flight.Memo[workload.Source]
 }
 
 // NewSession creates a harness session. When opt.CacheDir is set, the
@@ -273,15 +272,8 @@ func (s *Session) benchmarks() ([]workload.Source, error) {
 // resolveRef parses one workload ref, memoized session-wide so a
 // campaign of many cells over one trace file decodes it once.
 func (s *Session) resolveRef(ref string) (workload.Source, error) {
-	if v, ok := s.sources.Load(ref); ok {
-		return v.(workload.Source), nil
-	}
-	src, err := workload.ParseRef(ref)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := s.sources.LoadOrStore(ref, src)
-	return v.(workload.Source), nil
+	src, err, _ := s.sources.Do(ref, func() (workload.Source, error) { return workload.ParseRef(ref) })
+	return src, err
 }
 
 // resultKey names a source in RunAll maps and log lines: registry
@@ -387,16 +379,12 @@ func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done,
 	if cell.Sampling != nil {
 		plan := *cell.Sampling
 		if !plan.Resolved() {
-			key := src.Identity() + "/" + cell.Scale.String()
-			v, ok := s.progLen.Load(key)
-			if !ok {
-				total, err := sample.ProgramLength(prog)
-				if err != nil {
-					return nil, err
-				}
-				v, _ = s.progLen.LoadOrStore(key, total)
+			total, err, _ := s.progLen.Do(src.Identity()+"/"+cell.Scale.String(),
+				func() (uint64, error) { return sample.ProgramLength(prog) })
+			if err != nil {
+				return nil, err
 			}
-			plan = plan.Resolve(v.(uint64))
+			plan = plan.Resolve(total)
 		}
 		ctx, cancel := s.runContext(cell, src)
 		defer cancel()

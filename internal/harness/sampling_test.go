@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"sort"
+	"sync"
 	"testing"
 
+	"largewindow/internal/campaign"
 	"largewindow/internal/core"
 	"largewindow/internal/sample"
 	"largewindow/internal/workload"
@@ -113,5 +115,48 @@ func TestSampledSessionResults(t *testing.T) {
 	if res2.IPC != res.IPC || res2.IPCCI95 != res.IPCCI95 {
 		t.Errorf("cache-served sampled result differs: %v±%v vs %v±%v",
 			res2.IPC, res2.IPCCI95, res.IPC, res.IPCCI95)
+	}
+}
+
+// TestConcurrentAutoPeriodCellsAgree: an auto-period plan is resolved
+// against the program's measured length, a full functional pass the
+// session memoizes per workload. Concurrent cells of one workload (a
+// fleet worker's slots, a parallel campaign's configs) must share that
+// pass through the single-flight memo and come out as the same record.
+// Run under -race: the memo is the only state the cells share.
+func TestConcurrentAutoPeriodCellsAgree(t *testing.T) {
+	s := NewSession(Options{})
+	cell := campaign.Cell{Config: core.WIBDefault(), Bench: "mgrid", Scale: workload.ScaleTest,
+		MaxCycles: 10_000_000, Sampling: &sample.Plan{Intervals: 3, Length: 200, Warmup: 200}}
+	const cells = 6
+	recs := make([][]byte, cells)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec, err := s.ExecCell(cell)
+			if err != nil {
+				t.Errorf("cell %d: %v", i, err)
+				return
+			}
+			if recs[i], err = json.Marshal(rec); err != nil {
+				t.Errorf("cell %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, rec := range recs {
+		if !bytes.Equal(rec, recs[0]) {
+			t.Errorf("cell %d's record differs from cell 0's:\n%s\n%s", i, rec, recs[0])
+		}
+	}
+	if len(recs[0]) == 0 || !bytes.Contains(recs[0], []byte(`"period"`)) {
+		t.Errorf("record carries no resolved plan: %s", recs[0])
+	}
+	spec, _ := workload.Get("mgrid")
+	_, _, first := s.progLen.Do(spec.Source().Identity()+"/"+cell.Scale.String(), func() (uint64, error) { return 0, nil })
+	if first {
+		t.Error("the cells did not size mgrid through the session's memo")
 	}
 }
