@@ -12,9 +12,10 @@ type statsFields Stats
 // survive the round trip so that derived metrics (AvgROBOccupancy, AvgMLP,
 // ClassCount) computed from a cache-served Result are bit-identical to a
 // freshly executed one — the campaign resume gate diffs whole tables on
-// exactly that property. A new counter needs a tagged field on Stats and
-// nothing here; a new unexported accumulator needs a line in each of the
-// three places below (TestStatsJSONGuardsNewFields fails until it has them).
+// exactly that property. A new counter needs a tagged field on Stats, its
+// line in fold (statswindow.go) and nothing here; a new unexported
+// accumulator needs a line in each of the three places below as well
+// (TestStatsJSONGuardsNewFields fails, naming it, until it has them).
 type statsWire struct {
 	statsFields
 	ClassMix         [16]uint64 `json:"class_mix"`

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"largewindow/internal/bpred"
 	"largewindow/internal/core"
 	"largewindow/internal/stats"
 	"largewindow/internal/workload"
@@ -129,21 +128,16 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// profileKey is everything a profile depends on: the program, and the
+// profileKey names everything a profile depends on: the program, and the
 // cache family and predictor geometry Collect runs it against.
-type profileKey struct {
-	bench, mem string
-	bpred      bpred.Config
-}
-
-func keyOf(bench string, cfg core.Config) profileKey {
-	return profileKey{bench, MemKey(cfg.Mem), cfg.Bpred}
+func profileKey(bench string, cfg core.Config) string {
+	return fmt.Sprintf("%s\x00%s\x00%v", bench, MemKey(cfg.Mem), cfg.Bpred)
 }
 
 // collectProfiles profiles each bench once per distinct (cache family,
 // predictor geometry) among the configs.
-func (s *Space) collectProfiles(logf func(string, ...any)) (map[profileKey]*Profile, error) {
-	profiles := map[profileKey]*Profile{}
+func (s *Space) collectProfiles(logf func(string, ...any)) (map[string]*Profile, error) {
+	profiles := map[string]*Profile{}
 	for _, bench := range s.Benches {
 		src, err := workload.ParseRef(bench)
 		if err != nil {
@@ -154,7 +148,7 @@ func (s *Space) collectProfiles(logf func(string, ...any)) (map[profileKey]*Prof
 			return nil, fmt.Errorf("model: building %q: %w", bench, err)
 		}
 		for _, cfg := range s.Configs {
-			key := keyOf(bench, cfg)
+			key := profileKey(bench, cfg)
 			if _, ok := profiles[key]; ok {
 				continue
 			}
@@ -208,7 +202,7 @@ func (s *Space) Explore() (*Report, error) {
 	nb := len(s.Benches)
 	points := make([]Point, len(s.Configs)*nb)
 	profOf := func(ci, bi int) *Profile {
-		return profiles[keyOf(s.Benches[bi], s.Configs[ci])]
+		return profiles[profileKey(s.Benches[bi], s.Configs[ci])]
 	}
 	for ci, cfg := range s.Configs {
 		for bi, bench := range s.Benches {

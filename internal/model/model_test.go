@@ -345,7 +345,7 @@ func TestExploreProfilesPerPredictor(t *testing.T) {
 	if len(profiles) != 2 {
 		t.Fatalf("%d profiles for two predictor geometries, want 2", len(profiles))
 	}
-	pb, ps := profiles[keyOf("gzip", big)], profiles[keyOf("gzip", small)]
+	pb, ps := profiles[profileKey("gzip", big)], profiles[profileKey("gzip", small)]
 	if pb.Mispredicts == 0 || ps.Mispredicts <= pb.Mispredicts {
 		t.Errorf("mispredicts: %d with the default predictor, %d with 2-entry tables; want more with the small one",
 			pb.Mispredicts, ps.Mispredicts)

@@ -6,9 +6,9 @@
 // submit and propagated through every hop — stitched into one Chrome
 // trace by `wibtrace -fleet`.
 //
-// Like internal/telemetry, the package is zero-cost when disabled: the
-// service tier holds nil *Bus / *SpanLog pointers and guards every
-// publish with a single nil check, so a fleet run with observability
+// Like internal/telemetry's probes, the package is zero-cost when
+// disabled: the service tier holds nil *Bus / *SpanLog pointers and guards
+// every publish with a single nil check, so a fleet run with observability
 // off pays only untaken branches (the overhead gate in
 // internal/service proves it).
 package obs

@@ -85,13 +85,13 @@ func (c *Collector) Tick(cycle int64) {
 	if cycle < c.next {
 		return
 	}
-	c.Sample(cycle)
+	c.sample(cycle)
 }
 
-// Sample emits one record at the given cycle and schedules the next
+// sample emits one record at the given cycle and schedules the next
 // sampling point. Non-finite gauge values (NaN/Inf, e.g. ratios of an
 // idle structure) are dropped from the record so it stays valid JSON.
-func (c *Collector) Sample(cycle int64) {
+func (c *Collector) sample(cycle int64) {
 	s := Sample{
 		Cycle:    cycle,
 		Interval: cycle - c.lastCycle,
@@ -135,7 +135,7 @@ func (c *Collector) Sample(cycle int64) {
 // the core's idle-cycle fast-forward guarantees that.
 func (c *Collector) CatchUp(upto int64) {
 	for c.next <= upto {
-		c.Sample(c.next)
+		c.sample(c.next)
 	}
 }
 
@@ -144,7 +144,7 @@ func (c *Collector) CatchUp(upto int64) {
 // seen while writing.
 func (c *Collector) Close(endCycle int64) error {
 	if endCycle > c.lastCycle {
-		c.Sample(endCycle)
+		c.sample(endCycle)
 	}
 	if err := c.bw.Flush(); err != nil && c.err == nil {
 		c.err = err

@@ -31,8 +31,8 @@ type Histogram struct {
 	n      uint64
 }
 
-// NewHistogram builds a histogram with the given ascending upper bounds.
-func NewHistogram(bounds ...float64) *Histogram {
+// newHistogram builds a histogram with the given ascending upper bounds.
+func newHistogram(bounds ...float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic(fmt.Sprintf("telemetry: histogram bounds not ascending: %v", bounds))
@@ -110,7 +110,7 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	h := NewHistogram(bounds...)
+	h := newHistogram(bounds...)
 	r.hists[name] = h
 	r.record(name)
 	return h

@@ -22,7 +22,7 @@ func TestCounterAndRegistryIdempotence(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(2, 8, 32)
+	h := newHistogram(2, 8, 32)
 	for _, v := range []float64{1, 2, 3, 8, 9, 100} {
 		h.Observe(v)
 	}
@@ -43,7 +43,7 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 			t.Fatal("expected panic on unsorted bounds")
 		}
 	}()
-	NewHistogram(4, 2)
+	newHistogram(4, 2)
 }
 
 func TestCollectorSamplesAndDeltas(t *testing.T) {
