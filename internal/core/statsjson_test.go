@@ -115,7 +115,7 @@ func scaledStats(in Stats, k uint64, ipc float64) Stats {
 	var scale func(f reflect.Value)
 	scale = func(f reflect.Value) {
 		switch f.Kind() {
-		case reflect.Int64:
+		case reflect.Int, reflect.Int64:
 			f.SetInt(f.Int() * int64(k))
 		case reflect.Uint64:
 			f.SetUint(f.Uint() * k)

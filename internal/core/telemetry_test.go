@@ -12,8 +12,8 @@ import (
 // and checks that the sampled stream parses and that the final value of
 // each of the seven pipeline series is the end-of-run count it names: the
 // five that Stats reports equal their Stats field, and the two it does not
-// (dispatch, issue slots) keep the values recorded on this run before the
-// series were read from the counters the core keeps anyway.
+// (dispatch, issue slots) equal what this run read when each series had an
+// increment of its own at the event, which is what pins their meaning.
 func TestTelemetryCountersMatchStats(t *testing.T) {
 	spec, ok := workload.Get("mgrid")
 	if !ok {
