@@ -128,17 +128,18 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// profileKey names everything a profile depends on: the program, and the
-// cache family and predictor geometry Collect runs it against.
-func profileKey(bench string, cfg core.Config) string {
-	return fmt.Sprintf("%s\x00%s\x00%v", bench, MemKey(cfg.Mem), cfg.Bpred)
-}
-
-// collectProfiles profiles each bench once per distinct (cache family,
-// predictor geometry) among the configs.
-func (s *Space) collectProfiles(logf func(string, ...any)) (map[string]*Profile, error) {
-	profiles := map[string]*Profile{}
-	for _, bench := range s.Benches {
+// collectProfiles returns the profile of every cell (index
+// ci*len(Benches)+bi), collecting one per bench and distinct family: a
+// profile depends on the program and on the cache hierarchy and predictor
+// geometry Collect runs it against, and on nothing else in the config.
+func (s *Space) collectProfiles(logf func(string, ...any)) ([]*Profile, error) {
+	family := make([]string, len(s.Configs))
+	for ci, cfg := range s.Configs {
+		family[ci] = fmt.Sprintf("%s\x00%v", MemKey(cfg.Mem), cfg.Bpred)
+	}
+	nb := len(s.Benches)
+	profiles := make([]*Profile, len(s.Configs)*nb)
+	for bi, bench := range s.Benches {
 		src, err := workload.ParseRef(bench)
 		if err != nil {
 			return nil, fmt.Errorf("model: explore workload %q: %w", bench, err)
@@ -147,21 +148,22 @@ func (s *Space) collectProfiles(logf func(string, ...any)) (map[string]*Profile,
 		if err != nil {
 			return nil, fmt.Errorf("model: building %q: %w", bench, err)
 		}
-		for _, cfg := range s.Configs {
-			key := profileKey(bench, cfg)
-			if _, ok := profiles[key]; ok {
-				continue
+		byFamily := map[string]*Profile{}
+		for ci, cfg := range s.Configs {
+			p := byFamily[family[ci]]
+			if p == nil {
+				p, err = Collect(prog, s.Scale.String(), CollectOptions{
+					MaxInstr: s.ProfileInstr,
+					Windows:  s.Windows,
+					Mem:      cfg.Mem,
+					Bpred:    cfg.Bpred,
+				})
+				if err != nil {
+					return nil, err
+				}
+				byFamily[family[ci]] = p
 			}
-			p, err := Collect(prog, s.Scale.String(), CollectOptions{
-				MaxInstr: s.ProfileInstr,
-				Windows:  s.Windows,
-				Mem:      cfg.Mem,
-				Bpred:    cfg.Bpred,
-			})
-			if err != nil {
-				return nil, err
-			}
-			profiles[key] = p
+			profiles[ci*nb+bi] = p
 		}
 		logf("model: profiled %s", bench)
 	}
@@ -201,15 +203,12 @@ func (s *Space) Explore() (*Report, error) {
 	// Raw predictions for the full grid, cell index = ci*len(Benches)+bi.
 	nb := len(s.Benches)
 	points := make([]Point, len(s.Configs)*nb)
-	profOf := func(ci, bi int) *Profile {
-		return profiles[profileKey(s.Benches[bi], s.Configs[ci])]
-	}
 	for ci, cfg := range s.Configs {
 		for bi, bench := range s.Benches {
 			points[ci*nb+bi] = Point{
 				Config: cfg.Name,
 				Bench:  bench,
-				Pred:   Predict(profOf(ci, bi), cfg),
+				Pred:   Predict(profiles[ci*nb+bi], cfg),
 			}
 		}
 	}
