@@ -7,8 +7,8 @@ import "largewindow/internal/telemetry"
 // field the core keeps whether or not anyone is watching (Stats, the
 // dispatch sequence number, issueSlots), read at sample time, so a series
 // cannot disagree with the end-of-run report. Only what has no such field
-// is a probe, guarded by `p.tel != nil`: the sampler's per-cycle Tick, its
-// CatchUp across a fast-forwarded idle stretch, and the load-latency
+// is a probe, behind a nil check of p.tel: the sampler's per-cycle Tick,
+// its CatchUp across a fast-forwarded idle stretch, and the load-latency
 // histogram.
 
 // telemetryState is one attached collector and the one metric the core
