@@ -16,7 +16,9 @@
 // The coordinator is stateless beyond its in-memory queue: every finished
 // record persists atomically into the content-addressed store under
 // -cache-dir, so killing and restarting wibserve loses only bookkeeping
-// that resubmission rebuilds — never results. SIGTERM/SIGINT triggers a
+// that resubmission rebuilds — never results: a client whose result poll
+// meets the restarted coordinator submits its cell again, a store hit
+// under -resume. SIGTERM/SIGINT triggers a
 // graceful drain: new submissions are refused (503), workers are told to
 // exit as they next ask for work, and in-flight leases get -drain-timeout
 // to deliver before the process exits.

@@ -135,13 +135,17 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) int {
 
 	base := *id
 	var wg sync.WaitGroup
-	workers := make([]*service.Worker, slots)
+	slot := func(w *service.Worker) {
+		defer wg.Done()
+		w.Run(ctx)
+	}
 	for i := 0; i < slots; i++ {
 		wid := base
 		if wid != "" && slots > 1 {
 			wid = fmt.Sprintf("%s-%d", base, i)
 		}
-		w := service.NewWorker(service.WorkerOptions{
+		wg.Add(1)
+		go slot(service.NewWorker(service.WorkerOptions{
 			Server:       *server,
 			ID:           wid,
 			Exec:         session.ExecCell,
@@ -150,19 +154,9 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) int {
 			PollWait:     *poll,
 			Log:          logger,
 			Metrics:      metrics,
-		})
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.Run(ctx)
-		}()
+		}))
 	}
 	wg.Wait()
-	var done uint64
-	for _, w := range workers {
-		done += w.CellsDone()
-	}
-	fmt.Fprintf(stderr, "wibworker: exiting after %d completions\n", done)
+	fmt.Fprintf(stderr, "wibworker: exiting after %d completions\n", metrics.CellsDone.Load())
 	return 0
 }

@@ -64,33 +64,38 @@ func NewClient(opt ClientOptions) *Client {
 // through Result. It is mounted as the harness engine's ExecFunc in
 // server mode. Transport faults and backpressure surface as transient
 // RemoteErrors (the engine's retry policy re-dispatches); a failure the
-// coordinator declared permanent surfaces as a permanent one.
+// coordinator declared permanent surfaces as a permanent one. A result
+// poll answered 404 means the coordinator restarted and forgot the cell:
+// Exec submits it again, which a coordinator over the same store serves
+// as a hit under Resume, or runs.
 func (c *Client) Exec(cell campaign.Cell) (*campaign.Record, error) {
-	resp, err := c.submit([]campaign.Cell{cell}, 0, 0, c.opt.PollWait)
-	if err != nil {
-		return nil, err
-	}
-	res := &ResultResponse{Status: StatusPending}
-	if len(resp.Results) == 1 {
-		res = &resp.Results[0]
-	}
 	for {
-		switch res.Status {
-		case StatusDone:
-			return res.Record, nil
-		case StatusFailed:
-			return nil, &RemoteError{
-				Op:  "cell " + cell.String(),
-				Err: fmt.Errorf("%s (after %d attempts)", res.Error, res.Attempts),
-			}
+		resp, err := c.submit([]campaign.Cell{cell}, 0, 0, c.opt.PollWait)
+		if err != nil {
+			return nil, err
+		}
+		res := &ResultResponse{Status: StatusPending}
+		if len(resp.Results) == 1 {
+			res = &resp.Results[0]
 		}
 		// Pending or running: the fleet is on it (or will be); keep
 		// waiting. Progress is the coordinator's job to guarantee — lost
 		// workers expire their leases, poison cells exhaust MaxRequeues
 		// and fail, so this loop cannot spin forever on a dispatched cell.
-		if res, err = c.Result(resp.IDs[0], c.opt.PollWait); err != nil {
-			return nil, err
+		for err == nil && res.Status != StatusDone && res.Status != StatusFailed {
+			res, err = c.Result(resp.IDs[0], c.opt.PollWait)
 		}
+		var re *RemoteError
+		switch {
+		case errors.As(err, &re) && re.status == http.StatusNotFound:
+			continue
+		case err != nil:
+			return nil, err
+		case res.Status == StatusFailed:
+			err = fmt.Errorf("%s (after %d attempts)", res.Error, res.Attempts)
+			return nil, &RemoteError{Op: "cell " + cell.String(), Err: err}
+		}
+		return res.Record, nil
 	}
 }
 
@@ -223,7 +228,7 @@ func (c *Client) callCorr(method, path, corr string, body, out any) error {
 		resp.Body.Close()
 		lastErr = fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 		if !retryableStatus(resp.StatusCode) {
-			return &RemoteError{Op: path, Err: lastErr}
+			return &RemoteError{Op: path, Err: lastErr, status: resp.StatusCode}
 		}
 		// Backpressure: the coordinator told us when to come back.
 		if ra := resp.Header.Get("Retry-After"); ra != "" {

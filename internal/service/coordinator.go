@@ -35,31 +35,26 @@ type CoordinatorOptions struct {
 	// LeaseTTL is how long a dispatched cell may go without a heartbeat
 	// before it returns to the queue (<= 0: 30s).
 	LeaseTTL time.Duration
-	// Retry governs re-dispatch of cells whose workers report a
-	// transient failure: budget via MaxAttempts, cool-down via
-	// BaseDelay/MaxDelay/Jitter. (Classification happens worker-side and
-	// rides the wire; the policy's own IsTransient is not consulted.)
+	// Retry governs re-dispatch of cells whose workers report a transient
+	// failure: budget via MaxAttempts, cool-down via BaseDelay/MaxDelay/
+	// Jitter. (Workers classify; the policy's IsTransient is not used.)
 	Retry campaign.RetryPolicy
-	// MaxRequeues bounds how many times one cell may be returned to the
-	// queue by lease expiry before it fails permanently (<= 0: 5) — the
-	// poison-cell guard: a cell that kills every worker it touches must
-	// not eat the fleet forever.
+	// MaxRequeues bounds how often lease expiry may requeue one cell
+	// before it fails permanently (<= 0: 5) — the poison-cell guard: a
+	// cell that kills every worker it touches must not eat the fleet.
 	MaxRequeues int
 	// Log receives dispatch, expiry, and rejection records with
 	// structured cell/lease/worker/correlation IDs (nil = quiet).
 	// Routine lifecycle traffic logs at Debug; failures at Warn.
 	Log *slog.Logger
 
-	// Events, when non-nil, receives every lifecycle event (submit,
-	// lease, heartbeat, requeue, retry, complete, fail) plus periodic
-	// progress snapshots, and is served to any number of SSE
-	// subscribers at PathEvents. nil disables event streaming at zero
-	// cost (one untaken branch per would-be event).
+	// Events, when non-nil, receives every lifecycle event plus periodic
+	// progress snapshots, served to any number of SSE subscribers at
+	// PathEvents. nil disables event streaming at zero cost.
 	Events *obs.Bus
-	// Spans, when non-nil, records distributed cell-lifecycle spans
-	// (queued, leased, persisting coordinator-side; attempt, executing
-	// merged from workers' completions) for `wibtrace -fleet`. nil
-	// disables span tracing at zero cost.
+	// Spans, when non-nil, records cell-lifecycle spans (queued, leased,
+	// persisting here; attempt, executing merged from workers) for
+	// `wibtrace -fleet`. nil disables span tracing at zero cost.
 	Spans *obs.SpanLog
 	// ProgressInterval paces progress events on the bus (<= 0: 1s);
 	// ignored when Events is nil.
@@ -83,17 +78,16 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 }
 
 // svcCell is the coordinator's state for one distinct cell. A finished
-// cell keeps this struct alone — identity, verdict and the encoded
-// record, which is what a result response needs — for as long as the
-// coordinator lives; everything that matters only while the cell is
-// queued or leased is in *inflight and is dropped with the verdict
-// (DESIGN.md §10.6).
+// cell keeps this struct alone — identity, verdict and encoded record,
+// what a result response needs — for the coordinator's life; what matters
+// only while the cell is queued, cooling down or leased is in *inflight,
+// dropped with the verdict (DESIGN.md §10.6).
 type svcCell struct {
 	id       string
 	status   string // StatusPending | StatusRunning | StatusDone | StatusFailed
 	attempts int    // dispatches so far
 
-	rec    encodedRecord // StatusDone: the record as complete() encoded it
+	rec    encodedRecord // StatusDone: the record as persisted
 	errMsg string        // StatusFailed
 
 	*inflight // nil once done or failed
@@ -107,19 +101,16 @@ type inflight struct {
 	failures int // transient failures reported by workers
 	requeues int // lease expiries suffered
 
-	notBefore time.Time // retry backoff: not dispatchable before this
-	queuedAt  time.Time // start of the current queued span
-	leasedAt  time.Time // start of the current leased span
+	queuedAt time.Time // start of the current queued span
+	leasedAt time.Time // start of the current leased span
 
 	leaseID string
 	expiry  time.Time
 	worker  string
 
-	// Sampled-cell interval progress reported by the holder's heartbeats
-	// (done of planned measured windows); zero for detailed cells. Reset
-	// on every fresh lease — a re-dispatched cell starts over.
-	ivDone    uint64
-	ivPlanned uint64
+	// Sampled-cell interval progress from the holder's heartbeats (done
+	// of planned measured windows), reset with every lease.
+	ivDone, ivPlanned uint64
 
 	done chan struct{} // closed on StatusDone / StatusFailed
 }
@@ -127,7 +118,7 @@ type inflight struct {
 // cellQueue is the pending queue, a ring indexed from head: taking the
 // front cell or putting a requeued one back there moves nothing, and a
 // vacated slot is cleared so the ring never keeps a dispatched cell
-// reachable.
+// reachable. It holds only cells a worker may take now.
 type cellQueue struct {
 	buf  []*svcCell // len is zero or a power of two
 	head int
@@ -164,32 +155,33 @@ func (q *cellQueue) pushFront(sc *svcCell) {
 	*q.slot(0) = sc
 }
 
-// popReady removes and returns the first cell whose retry backoff has
-// passed, keeping the order of the rest. The cells ahead of it — the ones
-// still backing off, usually none — move up one slot to close the gap.
-func (q *cellQueue) popReady(now time.Time) *svcCell {
-	for i := 0; i < q.n; i++ {
-		sc := *q.slot(i)
-		if sc.notBefore.After(now) {
-			continue
-		}
-		for j := i; j > 0; j-- {
-			*q.slot(j) = *q.slot(j - 1)
-		}
-		*q.slot(0) = nil
-		q.head = (q.head + 1) & (len(q.buf) - 1)
-		q.n--
-		return sc
+// pop removes and returns the front cell, nil when the queue is empty.
+func (q *cellQueue) pop() *svcCell {
+	if q.n == 0 {
+		return nil
 	}
-	return nil
+	sc := *q.slot(0)
+	*q.slot(0) = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return sc
 }
 
 // Coordinator schedules submitted cells onto leasing workers and owns
 // the authoritative lifecycle of every cell: pending → running →
 // done/failed, with lease-expiry requeue and transient-failure retry in
-// between. All state is in memory except finished records, which live in
-// the shared store — losing the coordinator loses only bookkeeping that
-// resubmission rebuilds, never results.
+// between. The lifecycle is six transitions — submit, lease, heartbeat,
+// settle (claim, then settle: the store write sits between the halves,
+// outside the lock), expire and promote — each taking the time and what
+// its caller decoded, reading no clock, doing no I/O, and returning the
+// step that happened, which emit alone turns into events, spans, log
+// records and counter bumps.
+//
+// All state is in memory except finished records, which live in the
+// shared store, so losing the coordinator loses no result: a Client whose
+// result poll meets a restarted coordinator (404, unknown cell) submits
+// the cell again, and with Resume the new coordinator serves the cells
+// already in the store as hits and queues the rest.
 type Coordinator struct {
 	opt   CoordinatorOptions
 	reg   *telemetry.Registry
@@ -202,41 +194,34 @@ type Coordinator struct {
 	mu       sync.Mutex
 	cells    map[string]*svcCell
 	queue    cellQueue
+	cooling  int // cells waiting out a retry cool-down: in no queue, a timer each
 	leases   map[string]*svcCell
-	wake     chan struct{} // closed+replaced when work may be available
+	wake     chan struct{} // closed by the next enqueue; nil until a lease poll waits
 	draining bool
+	idle     chan struct{} // closed when a drain's last lease settles
 
-	submitted     atomic.Uint64
-	completed     atomic.Uint64
-	failed        atomic.Uint64
-	cacheHits     atomic.Uint64
-	retries       atomic.Uint64
-	requeues      atomic.Uint64
-	leaseExpiries atomic.Uint64
-	rejected      atomic.Uint64
-	instrs        atomic.Uint64 // simulated instructions across completions
-	modelPruned   atomic.Uint64 // cells answered by the interval model, fleet-wide
-	modelAudited  atomic.Uint64 // pruned cells simulated anyway to audit the model
+	// Counters, bumped by emit alone and read lock-free. instrs sums the
+	// completions' simulated instructions; modelPruned counts cells the
+	// interval model answered, modelAudited those simulated to audit it.
+	submitted, completed, failed, cacheHits, retries, requeues atomic.Uint64
+	leaseExpiries, rejected, instrs, modelPruned, modelAudited atomic.Uint64
 
-	stopReaper   chan struct{}
-	reaperDone   chan struct{}
-	progressDone chan struct{} // nil unless the progress loop started
+	closing       sync.Once
+	stop, stopped chan struct{} // the clock goroutine's
 }
 
-// NewCoordinator builds a coordinator and starts its lease reaper (and,
-// when an event bus is attached, its progress broadcaster). Call Close
-// (or Drain) when done.
+// NewCoordinator builds a coordinator and starts its clock (the lease
+// reaper and the progress broadcast). Call Close (or Drain) when done.
 func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
-		opt:        opt.withDefaults(),
-		reg:        telemetry.NewRegistry(),
-		start:      time.Now(),
-		version:    schema.ServiceVersion,
-		cells:      make(map[string]*svcCell),
-		leases:     make(map[string]*svcCell),
-		wake:       make(chan struct{}),
-		stopReaper: make(chan struct{}),
-		reaperDone: make(chan struct{}),
+		opt:     opt.withDefaults(),
+		reg:     telemetry.NewRegistry(),
+		start:   time.Now(),
+		version: schema.ServiceVersion,
+		cells:   make(map[string]*svcCell),
+		leases:  make(map[string]*svcCell),
+		stop:    make(chan struct{}),
+		stopped: make(chan struct{}),
 	}
 	c.reg.CounterFunc("service.cells.submitted", c.submitted.Load)
 	c.reg.CounterFunc("service.cells.completed", c.completed.Load)
@@ -249,37 +234,368 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 	c.reg.CounterFunc("service.instrs", c.instrs.Load)
 	c.reg.CounterFunc("service.cells.model_pruned", c.modelPruned.Load)
 	c.reg.CounterFunc("service.cells.model_audited", c.modelAudited.Load)
-	c.reg.Gauge("service.queue.depth", func(int64) float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.queue.len())
-	})
-	c.reg.Gauge("service.active_leases", func(int64) float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.leases))
-	})
+	c.reg.Gauge("service.queue.depth", func(int64) float64 { return float64(c.Stats().QueueDepth) })
+	c.reg.Gauge("service.active_leases", func(int64) float64 { return float64(c.Stats().ActiveLeases) })
 	if c.opt.Events != nil {
 		c.reg.CounterFunc("service.events.published", c.opt.Events.Published)
 		c.reg.CounterFunc("service.events.dropped", c.opt.Events.Dropped)
-		c.reg.Gauge("service.events.subscribers", func(int64) float64 {
-			return float64(c.opt.Events.Subscribers())
-		})
+		c.reg.Gauge("service.events.subscribers", func(int64) float64 { return float64(c.opt.Events.Subscribers()) })
 	}
 	if c.opt.Spans != nil {
 		c.reg.CounterFunc("service.spans.recorded", c.opt.Spans.Count)
 	}
-	go c.reaper()
-	if c.opt.Events != nil {
-		c.progressDone = make(chan struct{})
-		go c.progressLoop()
-	}
+	go c.clock()
 	return c
 }
 
 // Registry exposes the coordinator's telemetry counters (also served as
 // Prometheus text at PathMetrics).
 func (c *Coordinator) Registry() *telemetry.Registry { return c.reg }
+
+// --- transitions: callers hold mu ---
+
+// arrival is one submitted cell: its store record (Resume) as probed
+// before the lock, and what submit made of it.
+type arrival struct {
+	id   string
+	hit  encodedRecord
+	sc   *svcCell
+	step step // stepNone for a duplicate
+}
+
+// submit registers cells. Known cells (queued, cooling, running or
+// finished) are deduplicated by content ID; new cells and failed ones —
+// failures are never persisted, so a resubmitted failure re-executes —
+// get a fresh lifecycle: finished at once on a store hit, queued
+// otherwise. It returns false, having changed nothing, when the queue
+// cannot absorb the need cells the batch would queue.
+func (c *Coordinator) submit(now time.Time, cells []campaign.Cell, corr string, in []arrival) (need int, ok bool) {
+	for i := range in {
+		sc, known := c.cells[in[i].id]
+		if (!known || sc.status == StatusFailed) && in[i].hit == nil {
+			need++
+		}
+	}
+	if c.queue.len()+c.cooling+need > c.opt.QueueCap {
+		return need, false
+	}
+	for i, cell := range cells {
+		a := &in[i]
+		sc, known := c.cells[a.id]
+		if !known {
+			sc = &svcCell{id: a.id}
+			c.cells[a.id] = sc
+		}
+		if a.sc = sc; known && sc.status != StatusFailed {
+			continue
+		}
+		sc.attempts, sc.errMsg = 0, ""
+		sc.inflight = &inflight{cell: cell, corr: corr, queuedAt: now, done: make(chan struct{})}
+		a.step = step{kind: stepQueued, cell: *sc, fresh: !known}
+		if a.hit != nil {
+			a.step.kind = stepHit
+			sc.rec = a.hit
+			c.finish(sc, StatusDone, "")
+			continue
+		}
+		sc.status = StatusPending
+		c.ready(sc)
+	}
+	return need, true
+}
+
+// lease hands the front cell to worker under lease id; stepNone when the
+// queue is empty.
+func (c *Coordinator) lease(now time.Time, worker, id string) step {
+	sc := c.queue.pop()
+	if sc == nil {
+		return step{}
+	}
+	sc.status, sc.leaseID, sc.worker = StatusRunning, id, worker
+	sc.expiry = now.Add(c.opt.LeaseTTL)
+	sc.ivDone, sc.ivPlanned = 0, 0
+	sc.attempts++
+	sc.leasedAt = now
+	c.leases[id] = sc
+	return step{kind: stepLeased, at: now, cell: *sc}
+}
+
+// heartbeat extends a live lease and records the holder's interval
+// progress; stepNone for a lease not held.
+func (c *Coordinator) heartbeat(now time.Time, req *HeartbeatRequest) step {
+	sc, ok := c.leases[req.LeaseID]
+	if !ok {
+		return step{}
+	}
+	sc.expiry = now.Add(c.opt.LeaseTTL)
+	if req.IntervalsPlanned > 0 {
+		sc.ivDone, sc.ivPlanned = req.IntervalsDone, req.IntervalsPlanned
+	}
+	return step{kind: stepHeartbeat, cell: *sc}
+}
+
+// claim is settle's first half: it takes the cell out of the lease table
+// and judges the outcome. A stale lease (expired, or this very outcome
+// already applied) returns no cell and stepNone: a late zombie cannot
+// overwrite the authoritative outcome. A record naming another cell is a
+// transient failure: the worker is corrupt, the work is fine.
+func (c *Coordinator) claim(now time.Time, req *CompleteRequest) (*svcCell, step) {
+	sc, ok := c.leases[req.LeaseID]
+	if !ok {
+		return nil, step{}
+	}
+	c.unlease(sc)
+	s := step{kind: stepClaimed, at: now, cell: *sc, worker: req.WorkerID,
+		err: req.Error, transient: req.Transient, spans: req.Spans}
+	switch rec := req.Record; {
+	case s.err != "":
+	case rec == nil:
+		s.err, s.transient = "completion carried neither record nor error", true
+	case rec.CellID != "" && rec.CellID != sc.id:
+		s.err = fmt.Sprintf("record names cell %s, lease was for %s (corrupt worker?)", rec.CellID, sc.id)
+		s.transient = true
+	}
+	return sc, s
+}
+
+// settle gives a claimed cell its verdict: done with the record in enc,
+// a retry while the budget lasts, or failed. A retry is queued at once
+// under a zero backoff; otherwise it cools down for the step's delay,
+// which the caller times before calling promote.
+func (c *Coordinator) settle(now time.Time, sc *svcCell, claimed step) step {
+	s := claimed
+	if s.kind = stepDone; s.err == "" {
+		sc.rec = s.enc
+		c.finish(sc, StatusDone, "")
+		return s
+	}
+	if sc.failures++; !s.transient || sc.failures >= c.opt.Retry.Attempts() {
+		s.kind = stepFailed
+		c.finish(sc, StatusFailed, s.err)
+		return s
+	}
+	s.kind = stepRetry
+	sc.status, sc.queuedAt = StatusPending, now
+	if s.delay = c.opt.Retry.Backoff(sc.failures); s.delay > 0 {
+		c.cooling++
+	} else {
+		c.ready(sc)
+	}
+	return s
+}
+
+// expire returns a lease that went a full TTL unheard to the front of the
+// queue (the cell has waited its turn) or, past MaxRequeues, fails the
+// cell; stepNone while the lease is live. Re-dispatch is always safe:
+// failures are never persisted and records are content-addressed.
+func (c *Coordinator) expire(now time.Time, sc *svcCell) step {
+	if now.Before(sc.expiry) {
+		return step{}
+	}
+	s := step{kind: stepExpired, at: now, lease: sc.leaseID}
+	c.unlease(sc)
+	s.cell = *sc
+	if sc.requeues++; sc.requeues > c.opt.MaxRequeues {
+		s.err = fmt.Sprintf("lease expired %d times (poison cell or fleet-wide loss)", sc.requeues)
+		c.finish(sc, StatusFailed, s.err)
+		return s
+	}
+	sc.status, sc.queuedAt = StatusPending, now
+	c.queue.pushFront(sc)
+	c.wakePolls()
+	return s
+}
+
+// promote ends a retry cool-down: the cell joins the back of the queue.
+func (c *Coordinator) promote(sc *svcCell) {
+	c.cooling--
+	c.ready(sc)
+}
+
+// ready queues a cell at the back and wakes the lease polls.
+func (c *Coordinator) ready(sc *svcCell) {
+	c.queue.pushBack(sc)
+	c.wakePolls()
+}
+
+// wakePolls releases every waiting lease poll.
+func (c *Coordinator) wakePolls() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
+}
+
+// unlease drops a cell's lease; the last one out releases a waiting Drain.
+func (c *Coordinator) unlease(sc *svcCell) {
+	delete(c.leases, sc.leaseID)
+	sc.leaseID = ""
+	if len(c.leases) == 0 && c.idle != nil {
+		close(c.idle)
+		c.idle = nil
+	}
+}
+
+// finish gives a cell its verdict: waiters are released and the
+// scheduling state, which nothing reads past this point, is dropped.
+func (c *Coordinator) finish(sc *svcCell, status, errMsg string) {
+	sc.status, sc.errMsg = status, errMsg
+	close(sc.done)
+	sc.inflight = nil
+}
+
+// stepKind names what happened. stepNone is nothing: a duplicate
+// submission, a dry queue, a lease not held.
+type stepKind uint8
+
+const (
+	stepNone      stepKind = iota
+	stepQueued             // submit: a new or re-armed cell joined the queue
+	stepHit                // submit: a new or re-armed cell was a store hit
+	stepLeased             // lease
+	stepHeartbeat          // heartbeat
+	stepClaimed            // claim
+	stepDone               // settle (and, with since set, the store write before it)
+	stepRetry              // settle
+	stepFailed             // settle
+	stepExpired            // expire: requeued, or failed when err is set
+	stepUnusable           // a store entry probed for a submission does not decode
+	stepRejected           // a submission bounced by backpressure
+	stepPruned             // a submission carried model-pruned accounting
+	stepDrain              // Drain began
+	stepProgress           // a progress snapshot is due
+)
+
+// step is one thing that happened, as emit reports it. cell copies the
+// cell as the transition saw it, keeping the scheduling state a verdict
+// drops; that state is shared, so a cell step is emitted under mu.
+type step struct {
+	kind      stepKind
+	cell      svcCell
+	at, since time.Time     // the span a step closes ends at at; a store write spans since to at
+	worker    string        // the worker that reported a claimed outcome
+	lease     string        // stepExpired: the lease that died
+	err       string        // the failure carried
+	putErr    error         // stepDone: the store write's error
+	transient bool          // claim: the failure is worth a retry
+	fresh     bool          // submit: the coordinator had not seen the cell
+	enc       encodedRecord // settle: the record as persisted
+	n         uint64        // stepDone: instructions; stepDrain: leases in flight
+	delay     time.Duration // stepRetry: the cool-down
+	spans     []obs.Span    // stepClaimed: the worker's own spans
+	sub       *SubmitRequest
+}
+
+// emit reports one step: counters always; the bus, span log and logger
+// each behind a nil check, the per-cell log records built only for a
+// logger. stepProgress takes mu itself and is emitted without it.
+func (c *Coordinator) emit(s step) {
+	sc, logs := &s.cell, c.opt.Log != nil
+	switch s.kind {
+	case stepQueued, stepHit:
+		if s.fresh {
+			c.submitted.Add(1)
+		}
+		typ, note := obs.EventSubmit, ""
+		if s.kind == stepHit {
+			typ, note = obs.EventComplete, "store hit"
+			c.cacheHits.Add(1)
+			c.completed.Add(1)
+		}
+		c.event(typ, sc, "", "", note)
+	case stepLeased:
+		c.span(obs.SpanQueued, sc, sc.queuedAt, s.at, "")
+		c.event(obs.EventLease, sc, sc.worker, "", "")
+		if logs {
+			c.log(slog.LevelDebug, "leased", "cell", sc.cell.String(), "cell_id", sc.id, "corr_id", sc.corr,
+				"worker", sc.worker, "lease", sc.leaseID, "attempt", sc.attempts)
+		}
+	case stepHeartbeat:
+		c.event(obs.EventHeartbeat, sc, sc.worker, "", "")
+	case stepClaimed:
+		c.span(obs.SpanLeased, sc, sc.leasedAt, s.at, s.err)
+		for _, sp := range s.spans { // the worker's side of the hop
+			c.opt.Spans.Record(sp)
+		}
+	case stepDone:
+		if !s.since.IsZero() {
+			if s.putErr != nil {
+				c.log(slog.LevelWarn, "persisting record", "cell", sc.cell.String(), "cell_id", sc.id, "error", s.putErr)
+			}
+			c.span(obs.SpanPersisting, sc, s.since, s.at, "")
+		}
+		c.completed.Add(1)
+		c.instrs.Add(s.n)
+		c.event(obs.EventComplete, sc, s.worker, "", "")
+		if logs {
+			c.log(slog.LevelDebug, "completed",
+				"cell", sc.cell.String(), "cell_id", sc.id, "corr_id", sc.corr, "worker", s.worker)
+		}
+	case stepRetry:
+		c.retries.Add(1)
+		c.event(obs.EventRetry, sc, s.worker, s.err, "")
+		c.log(slog.LevelWarn, "retrying after transient failure", "cell", sc.cell.String(), "cell_id", sc.id,
+			"corr_id", sc.corr, "failure", sc.failures, "worker", s.worker, "error", s.err)
+	case stepExpired:
+		c.span(obs.SpanLeased, sc, sc.leasedAt, s.at, "lease expired")
+		c.leaseExpiries.Add(1)
+		c.log(slog.LevelWarn, "lease expired", "lease", s.lease, "worker", sc.worker, "cell", sc.cell.String(),
+			"cell_id", sc.id, "corr_id", sc.corr, "attempt", sc.attempts)
+		if s.err == "" {
+			c.requeues.Add(1)
+			c.event(obs.EventRequeue, sc, sc.worker, "", "")
+			break
+		}
+		fallthrough // past MaxRequeues: the poison-cell guard failed it
+	case stepFailed:
+		c.log(slog.LevelWarn, "cell failed permanently", "cell", sc.cell.String(), "cell_id", sc.id,
+			"corr_id", sc.corr, "error", s.err)
+		c.failed.Add(1)
+		c.event(obs.EventFail, sc, sc.worker, s.err, "")
+	case stepUnusable:
+		c.log(slog.LevelWarn, "store entry unusable, re-running", "cell_id", sc.id, "error", s.err)
+	case stepRejected:
+		c.rejected.Add(1)
+	case stepPruned:
+		r := s.sub
+		c.modelPruned.Add(r.ModelPruned)
+		c.modelAudited.Add(r.ModelAudited)
+		c.publish(obs.Event{Type: obs.EventPrune, CorrID: r.CorrID, Note: fmt.Sprintf(
+			"model pruned %d cells (%d audited) alongside %d submitted", r.ModelPruned, r.ModelAudited, len(r.Cells))})
+		c.log(slog.LevelInfo, "model-pruned submission", "pruned", r.ModelPruned, "audited", r.ModelAudited,
+			"cells", len(r.Cells), "corr_id", r.CorrID)
+	case stepDrain:
+		c.publish(obs.Event{Type: obs.EventDrain})
+		c.log(slog.LevelInfo, "coordinator draining", "leases_in_flight", int(s.n))
+	case stepProgress: // only with a bus attached: see clock
+		c.publish(obs.Event{Type: obs.EventProgress, Progress: c.progress()})
+	}
+}
+
+// event publishes one cell's lifecycle event; a nil bus costs one branch.
+func (c *Coordinator) event(typ string, sc *svcCell, worker, errMsg, note string) {
+	if c.opt.Events != nil {
+		c.opt.Events.Publish(obs.Event{Type: typ, CellID: sc.id, Cell: sc.cell.String(), CorrID: sc.corr,
+			Worker: worker, LeaseID: sc.leaseID, Attempt: sc.attempts, Error: errMsg, Note: note})
+	}
+}
+
+// publish offers one event to the bus; a nil bus costs one untaken
+// branch, keeping the disabled path free (the overhead gate in
+// obs_overhead_test.go holds this to account).
+func (c *Coordinator) publish(ev obs.Event) {
+	if c.opt.Events != nil {
+		c.opt.Events.Publish(ev)
+	}
+}
+
+// span records one coordinator-side lifecycle span; nil log = free.
+func (c *Coordinator) span(name string, sc *svcCell, start, end time.Time, note string) {
+	if c.opt.Spans != nil {
+		c.opt.Spans.Record(obs.Span{CorrID: sc.corr, CellID: sc.id, Cell: sc.cell.String(), Name: name,
+			Src: "coordinator", Attempt: sc.attempts, StartUS: start.UnixMicro(), EndUS: end.UnixMicro(), Note: note})
+	}
+}
 
 // log emits one structured record when a logger is attached.
 func (c *Coordinator) log(level slog.Level, msg string, args ...any) {
@@ -288,142 +604,65 @@ func (c *Coordinator) log(level slog.Level, msg string, args ...any) {
 	}
 }
 
-// publish offers one lifecycle event to the bus; a nil bus costs one
-// untaken branch, keeping the disabled path free (the overhead gate in
-// obs_overhead_test.go holds this to account).
-func (c *Coordinator) publish(ev obs.Event) {
-	if c.opt.Events == nil {
-		return
-	}
-	c.opt.Events.Publish(ev)
-}
-
-// cellEvent builds the common event shape for one cell. Callers must
-// hold mu or own the cell exclusively (completed cells are quiescent).
-func cellEvent(typ string, sc *svcCell) obs.Event {
-	return obs.Event{
-		Type:    typ,
-		CellID:  sc.id,
-		Cell:    sc.cell.String(),
-		CorrID:  sc.corr,
-		Worker:  sc.worker,
-		LeaseID: sc.leaseID,
-		Attempt: sc.attempts,
-	}
-}
-
-// span records one coordinator-side lifecycle span; nil log = free.
-func (c *Coordinator) span(name string, sc *svcCell, start, end time.Time, note string) {
-	if c.opt.Spans == nil {
-		return
-	}
-	c.opt.Spans.Record(obs.Span{
-		CorrID:  sc.corr,
-		CellID:  sc.id,
-		Cell:    sc.cell.String(),
-		Name:    name,
-		Src:     "coordinator",
-		Attempt: sc.attempts,
-		StartUS: start.UnixMicro(),
-		EndUS:   end.UnixMicro(),
-		Note:    note,
-	})
-}
-
-// Close stops the reaper and progress broadcaster and flushes the span
-// log. It does not wait for in-flight work; use Drain for a graceful
-// shutdown.
+// Close stops the clock and flushes the span log. It does not wait for
+// in-flight work; use Drain for a graceful shutdown.
 func (c *Coordinator) Close() {
-	select {
-	case <-c.stopReaper:
-	default:
-		close(c.stopReaper)
-	}
-	<-c.reaperDone
-	if c.progressDone != nil {
-		<-c.progressDone
-	}
+	c.closing.Do(func() { close(c.stop) })
+	<-c.stopped
 	c.opt.Spans.Flush()
 }
 
-// Drain enters graceful shutdown: new submissions are refused (503), no
-// further leases are issued (workers are told to exit), and the call
-// blocks until every in-flight lease completes or ctx expires. Queued
-// cells that never dispatched stay pending — they were never promised,
-// and resubmission to a future coordinator re-dispatches them safely.
+// Drain enters graceful shutdown: submissions are refused (503), workers
+// are told to exit, and the call blocks until the last in-flight lease
+// settles or ctx expires. Undispatched cells stay pending: they were
+// never promised, and a future coordinator re-dispatches them safely.
 func (c *Coordinator) Drain(ctx context.Context) error {
+	defer c.Close()
 	c.mu.Lock()
 	c.draining = true
-	c.broadcastLocked()
+	c.wakePolls()
+	inFlight := len(c.leases)
+	if inFlight > 0 && c.idle == nil {
+		c.idle = make(chan struct{})
+	}
+	idle := c.idle
 	c.mu.Unlock()
-	c.publish(obs.Event{Type: obs.EventDrain})
-	c.log(slog.LevelInfo, "coordinator draining", "leases_in_flight", c.activeLeases())
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if c.activeLeases() == 0 {
-			c.Close()
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			c.Close()
-			return fmt.Errorf("service: drain: %d leases still in flight: %w", c.activeLeases(), ctx.Err())
-		case <-tick.C:
-		}
+	c.emit(step{kind: stepDrain, n: uint64(inFlight)})
+	if idle == nil {
+		return nil
+	}
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("service: drain: %d leases still in flight: %w", c.Stats().ActiveLeases, ctx.Err())
 	}
 }
 
-func (c *Coordinator) activeLeases() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.leases)
-}
-
-// broadcastLocked wakes every long-polling lease request. Callers hold mu.
-func (c *Coordinator) broadcastLocked() {
-	close(c.wake)
-	c.wake = make(chan struct{})
-}
-
-// reaper returns expired leases to the queue: a worker that missed its
-// heartbeat window is presumed dead, and because failures are never
-// persisted and records are content-addressed, re-dispatching its cell
-// is always safe.
-func (c *Coordinator) reaper() {
-	defer close(c.reaperDone)
-	interval := c.opt.LeaseTTL / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
+// clock is the reaper — each tick sends every lease through expire — and,
+// with an event bus, the progress snapshots `experiments -watch` renders.
+func (c *Coordinator) clock() {
+	defer close(c.stopped)
+	reap := time.NewTicker(min(max(c.opt.LeaseTTL/4, 10*time.Millisecond), time.Second))
+	defer reap.Stop()
+	var progress <-chan time.Time
+	if c.opt.Events != nil {
+		tick := time.NewTicker(c.opt.ProgressInterval)
+		defer tick.Stop()
+		progress = tick.C
 	}
-	if interval > time.Second {
-		interval = time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
 	for {
 		select {
-		case <-c.stopReaper:
+		case <-c.stop:
 			return
-		case now := <-tick.C:
-			c.reapExpired(now)
-		}
-	}
-}
-
-// progressLoop broadcasts periodic fleet snapshots on the event bus:
-// cells done, aggregate simulated-instruction throughput, and an ETA —
-// the stream `experiments -watch` renders live.
-func (c *Coordinator) progressLoop() {
-	defer close(c.progressDone)
-	tick := time.NewTicker(c.opt.ProgressInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stopReaper:
-			return
-		case <-tick.C:
-			c.publish(obs.Event{Type: obs.EventProgress, Progress: c.progress()})
+		case now := <-reap.C:
+			c.mu.Lock()
+			for _, sc := range c.leases {
+				c.emit(c.expire(now, sc))
+			}
+			c.mu.Unlock()
+		case <-progress:
+			c.emit(step{kind: stepProgress})
 		}
 	}
 }
@@ -451,82 +690,36 @@ func (c *Coordinator) leaseCredit() (credit float64, ivDone, ivPlanned uint64) {
 // progress snapshots fleet progress with every rendered rate guarded
 // against NaN/Inf/negative shapes (campaign start, zero counters).
 func (c *Coordinator) progress() *obs.Progress {
+	st := c.Stats()
 	c.mu.Lock()
-	depth, running := c.queue.len(), len(c.leases)
 	frac, ivDone, ivPlanned := c.leaseCredit()
 	c.mu.Unlock()
 	elapsed := time.Since(c.start).Seconds()
-	p := &obs.Progress{
-		Submitted:        c.submitted.Load(),
-		Done:             c.completed.Load(),
-		Failed:           c.failed.Load(),
-		Running:          running,
-		QueueDepth:       depth,
-		CacheHits:        c.cacheHits.Load(),
-		Retries:          c.retries.Load(),
-		Requeues:         c.requeues.Load(),
-		Instrs:           c.instrs.Load(),
-		ElapsedSec:       elapsed,
-		IntervalsDone:    ivDone,
-		IntervalsPlanned: ivPlanned,
-		ModelPruned:      c.modelPruned.Load(),
-		ModelAudited:     c.modelAudited.Load(),
-	}
+	p := &obs.Progress{Submitted: st.Submitted, Done: st.Completed, Failed: st.Failed,
+		Running: st.ActiveLeases, QueueDepth: st.QueueDepth, CacheHits: st.CacheHits,
+		Retries: st.Retries, Requeues: st.Requeues, Instrs: st.Instrs, ElapsedSec: elapsed,
+		IntervalsDone: ivDone, IntervalsPlanned: ivPlanned,
+		ModelPruned: st.ModelPruned, ModelAudited: st.ModelAudited}
 	p.InstrsPerSec = obs.SaneRate(float64(p.Instrs), elapsed)
 	p.ETASec = obs.SaneETAFrac(float64(p.Done+p.Failed)+frac, p.Submitted, elapsed)
 	return p
 }
 
-func (c *Coordinator) reapExpired(now time.Time) {
+// Stats snapshots the coordinator's counters.
+func (c *Coordinator) Stats() StatsResponse {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, sc := range c.leases {
-		if now.Before(sc.expiry) {
-			continue
-		}
-		delete(c.leases, id)
-		c.span(obs.SpanLeased, sc, sc.leasedAt, now, "lease expired")
-		sc.leaseID = ""
-		c.leaseExpiries.Add(1)
-		c.log(slog.LevelWarn, "lease expired",
-			"lease", id, "worker", sc.worker, "cell", sc.cell.String(),
-			"cell_id", sc.id, "corr_id", sc.corr, "attempt", sc.attempts)
-		sc.requeues++
-		if sc.requeues > c.opt.MaxRequeues {
-			c.failLocked(sc, fmt.Sprintf("lease expired %d times (poison cell or fleet-wide loss)", sc.requeues))
-			continue
-		}
-		c.requeues.Add(1)
-		sc.status = StatusPending
-		sc.notBefore = time.Time{}
-		sc.queuedAt = now
-		c.publish(cellEvent(obs.EventRequeue, sc))
-		// Front of the queue: a requeued cell has already waited its turn.
-		c.queue.pushFront(sc)
-		c.broadcastLocked()
-	}
+	depth, active, draining := c.queue.len()+c.cooling, len(c.leases), c.draining // cooling cells count as queued
+	c.mu.Unlock()
+	resp := StatsResponse{QueueDepth: depth, QueueCap: c.opt.QueueCap, ActiveLeases: active, Draining: draining,
+		Submitted: c.submitted.Load(), Completed: c.completed.Load(), Failed: c.failed.Load(),
+		CacheHits: c.cacheHits.Load(), Retries: c.retries.Load(), Requeues: c.requeues.Load(),
+		LeaseExpiries: c.leaseExpiries.Load(), Rejected: c.rejected.Load(), Instrs: c.instrs.Load(),
+		ModelPruned: c.modelPruned.Load(), ModelAudited: c.modelAudited.Load()}
+	stamp(&resp.SchemaVersion)
+	return resp
 }
 
-// finishLocked gives a cell its verdict: waiters are released and the
-// scheduling state, which nothing reads past this point, is dropped.
-// Callers hold mu.
-func (c *Coordinator) finishLocked(sc *svcCell, status string) {
-	sc.status = status
-	close(sc.done)
-	sc.inflight = nil
-}
-
-// failLocked finishes a cell permanently. Callers hold mu.
-func (c *Coordinator) failLocked(sc *svcCell, msg string) {
-	ev := cellEvent(obs.EventFail, sc)
-	ev.Error = msg
-	c.log(slog.LevelWarn, "cell failed permanently",
-		"cell", ev.Cell, "cell_id", sc.id, "corr_id", sc.corr, "error", msg)
-	sc.errMsg = msg
-	c.failed.Add(1)
-	c.finishLocked(sc, StatusFailed)
-	c.publish(ev)
-}
+// --- the HTTP API: decode, lock, transition, emit, unlock, respond ---
 
 // Handler returns the coordinator's HTTP API.
 func (c *Coordinator) Handler() http.Handler {
@@ -536,13 +729,10 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc(PathHeartbeat, c.handleHeartbeat)
 	mux.HandleFunc(PathComplete, c.handleComplete)
 	mux.HandleFunc(PathResult, c.handleResult)
-	mux.HandleFunc(PathStats, c.handleStats)
+	mux.HandleFunc(PathStats, func(w http.ResponseWriter, r *http.Request) { writeJSON(w, http.StatusOK, c.Stats()) })
 	mux.Handle(PathEvents, obs.SSEHandler(c.opt.Events))
 	mux.Handle(PathMetrics, obs.MetricsHandler(c.reg))
-	mux.HandleFunc(PathHealth, func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok\n")
-	})
+	mux.HandleFunc(PathHealth, func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok\n") })
 	return mux
 }
 
@@ -570,149 +760,79 @@ func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any, 
 
 // observed reports whether any tracing surface is enabled — the single
 // cheap check the hot dispatch path guards correlation work behind.
-func (c *Coordinator) observed() bool {
-	return c.opt.Events != nil || c.opt.Spans != nil
-}
+func (c *Coordinator) observed() bool { return c.opt.Events != nil || c.opt.Spans != nil }
 
-// handleSubmit registers cells. Known cells (queued, running, finished,
-// or in the store) are deduplicated for free via their content IDs;
-// permanently failed cells are re-armed — failures are never persisted,
-// so a resubmitted failure re-executes, exactly like a fresh campaign
-// over an engine. A request with a wait budget is then held until its
-// cells have finished and answered with their results.
+// handleSubmit registers cells (submit) and, for a request with a wait
+// budget, holds the answer until its cells have finished.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if !c.decodeBody(w, r, &req, "submit request", &req.SchemaVersion) {
 		return
 	}
-	// The correlation ID propagates from the client (body or header);
-	// when tracing is on and the client sent none, mint one here so
-	// every span and event of this campaign still stitches together.
-	corr := req.CorrID
-	if corr == "" {
-		corr = r.Header.Get(obs.CorrHeader)
+	// The correlation ID comes from the client (body or header), or is
+	// minted here when tracing is on, so the campaign's spans stitch.
+	if req.CorrID == "" {
+		req.CorrID = r.Header.Get(obs.CorrHeader)
 	}
-	if corr == "" && c.observed() {
-		corr = obs.NewCorrID()
+	if req.CorrID == "" && c.observed() {
+		req.CorrID = obs.NewCorrID()
 	}
 	// Probe the store outside the lock: disk reads must not stall the
 	// dispatch path. A racing duplicate submit resolves under the lock.
-	type probe struct {
-		id  string
-		rec encodedRecord
-	}
-	probes := make([]probe, len(req.Cells))
+	in := make([]arrival, len(req.Cells))
 	for i, cell := range req.Cells {
-		probes[i].id = cell.ID()
+		in[i].id = cell.ID()
 		if c.opt.Resume && c.opt.Store != nil {
-			rec, err := c.opt.Store.Get(probes[i].id)
+			rec, err := c.opt.Store.Get(in[i].id)
 			if err == nil && rec != nil {
-				probes[i].rec, err = json.Marshal(rec)
+				in[i].hit, err = json.Marshal(rec)
 			}
 			if err != nil {
-				c.log(slog.LevelWarn, "store entry unusable, re-running",
-					"cell_id", probes[i].id, "error", err)
+				c.emit(step{kind: stepUnusable, cell: svcCell{id: in[i].id}, err: err.Error()})
 			}
 		}
 	}
 	wait := waitBudget(req.WaitMS)
 
-	now := time.Now()
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
 		http.Error(w, "coordinator is draining", http.StatusServiceUnavailable)
 		return
 	}
-	// Backpressure: count the enqueues this request needs and bounce the
-	// whole batch if the queue cannot absorb them.
-	need := 0
-	for i := range req.Cells {
-		sc, known := c.cells[probes[i].id]
-		if (!known || sc.status == StatusFailed) && probes[i].rec == nil {
-			need++
-		}
-	}
-	if c.queue.len()+need > c.opt.QueueCap {
+	need, ok := c.submit(time.Now(), req.Cells, req.CorrID, in)
+	if !ok {
+		c.emit(step{kind: stepRejected})
 		c.mu.Unlock()
-		c.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, fmt.Sprintf("queue full (%d pending, cap %d)", need, c.opt.QueueCap),
-			http.StatusTooManyRequests)
+		http.Error(w, fmt.Sprintf("queue full (%d pending, cap %d)", need, c.opt.QueueCap), http.StatusTooManyRequests)
 		return
 	}
-	resp := submitResponse[encodedRecord]{IDs: make([]string, len(req.Cells))}
-	states := make([]*svcCell, len(req.Cells)) // the submitted cells' states, in request order
-	for i, cell := range req.Cells {
-		id := probes[i].id
-		resp.IDs[i] = id
-		sc, known := c.cells[id]
-		if !known {
-			sc = &svcCell{id: id}
-			c.cells[id] = sc
-			c.submitted.Add(1)
-		}
-		states[i] = sc
-		if known && sc.status != StatusFailed {
-			continue // queued, running, or done: dedup
-		}
-		// A new cell, or a re-armed failure: fresh lifecycle, fresh waiters.
-		sc.attempts, sc.errMsg = 0, ""
-		sc.inflight = &inflight{cell: cell, corr: corr, done: make(chan struct{})}
-		if rec := probes[i].rec; rec != nil {
-			ev := cellEvent(obs.EventComplete, sc)
-			ev.Note = "store hit"
-			sc.rec = rec
-			c.cacheHits.Add(1)
-			c.completed.Add(1)
-			c.finishLocked(sc, StatusDone)
-			c.publish(ev)
-			continue
-		}
-		sc.status = StatusPending
-		sc.queuedAt = now
-		c.queue.pushBack(sc)
-		resp.Enqueued++
-		c.publish(cellEvent(obs.EventSubmit, sc))
-	}
-	if resp.Enqueued > 0 {
-		c.broadcastLocked()
-	}
+	resp := submitResponse[encodedRecord]{IDs: make([]string, len(in))}
 	// A waiting submission is released by the verdicts of its cells that
 	// have none yet, whoever submitted them first.
 	var unfinished []<-chan struct{}
-	if wait > 0 {
-		for _, sc := range states {
-			if sc.inflight != nil {
-				unfinished = append(unfinished, sc.done)
-			}
+	for i, a := range in {
+		c.emit(a.step)
+		if resp.IDs[i] = a.id; a.step.kind == stepQueued {
+			resp.Enqueued++
+		}
+		if wait > 0 && a.sc.inflight != nil {
+			unfinished = append(unfinished, a.sc.done)
 		}
 	}
 	c.mu.Unlock()
-	// Model-pruned sweep accounting rides the submission that carries the
-	// surviving cells: fold the counts into the fleet counters and tell
-	// the event stream how much of the grid the model answered.
 	if req.ModelPruned > 0 || req.ModelAudited > 0 {
-		c.modelPruned.Add(req.ModelPruned)
-		c.modelAudited.Add(req.ModelAudited)
-		c.publish(obs.Event{
-			Type:   obs.EventPrune,
-			CorrID: corr,
-			Note: fmt.Sprintf("model pruned %d cells (%d audited) alongside %d submitted",
-				req.ModelPruned, req.ModelAudited, len(req.Cells)),
-		})
-		c.log(slog.LevelInfo, "model-pruned submission",
-			"pruned", req.ModelPruned, "audited", req.ModelAudited,
-			"cells", len(req.Cells), "corr_id", corr)
+		c.emit(step{kind: stepPruned, sub: &req})
 	}
 	if wait > 0 {
 		if !awaitAll(r.Context(), unfinished, wait) {
 			return // the client hung up
 		}
-		resp.Results = make([]resultResponse[encodedRecord], len(states))
+		resp.Results = make([]resultResponse[encodedRecord], len(in))
 		c.mu.Lock()
-		for i, sc := range states {
-			resp.Results[i] = resultLocked(sc)
+		for i, a := range in {
+			resp.Results[i] = resultLocked(a.sc)
 		}
 		c.mu.Unlock()
 	}
@@ -745,11 +865,7 @@ func awaitAll(ctx context.Context, chans []<-chan struct{}, budget time.Duration
 // resultLocked snapshots one cell's outcome — the one routine behind
 // PathResult and a waiting submission's Results. Callers hold mu.
 func resultLocked(sc *svcCell) resultResponse[encodedRecord] {
-	res := resultResponse[encodedRecord]{
-		CellID:   sc.id,
-		Status:   sc.status,
-		Attempts: sc.attempts,
-	}
+	res := resultResponse[encodedRecord]{CellID: sc.id, Status: sc.status, Attempts: sc.attempts}
 	stamp(&res.SchemaVersion)
 	switch sc.status {
 	case StatusDone:
@@ -760,12 +876,10 @@ func resultLocked(sc *svcCell) resultResponse[encodedRecord] {
 	return res
 }
 
-// handleLease hands one pending cell to a worker under a fresh lease,
-// long-polling up to the request's wait budget when the queue is dry.
-// The outcome of the worker's previous lease, when the request carries
-// it, is applied first: the client waiting on that cell is released
-// before this request settles into its poll, and the cell that client
-// submits next finds the worker already waiting.
+// handleLease hands one queued cell to a worker under a fresh lease,
+// long-polling while the queue is empty (a cell entering it is the only
+// wake-up). A carried outcome is settled first, so its client is released
+// and its next cell finds this worker already waiting.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !c.decodeBody(w, r, &req, "lease request", &req.SchemaVersion) {
@@ -774,47 +888,52 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var resp LeaseResponse
 	stamp(&resp.SchemaVersion)
 	if req.Done != nil {
-		resp.DoneStatus = c.complete(req.Done)
+		resp.DoneStatus = c.deliver(req.Done)
 	}
 	// Minted before the lock is taken: reading the system's random source
 	// is no work to do under the coordinator-wide mutex.
 	leaseID := newLeaseID()
 	deadline := time.Now().Add(waitBudget(req.WaitMS))
+	var timeout *time.Timer // armed on the first wait only
+poll:
 	for {
-		c.mu.Lock()
-		if c.draining {
-			c.mu.Unlock()
-			resp.Draining = true
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		if sc := c.queue.popReady(time.Now()); sc != nil {
-			resp.Lease = c.leaseLocked(sc, req.WorkerID, leaseID)
-			c.mu.Unlock()
-			if c.opt.Log != nil { // per cell: do not build the arguments for nobody
-				c.log(slog.LevelDebug, "leased",
-					"cell", resp.Lease.Cell.String(), "cell_id", resp.Lease.CellID, "corr_id", resp.Lease.CorrID,
-					"worker", req.WorkerID, "lease", leaseID, "attempt", resp.Lease.Attempt)
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		wake := c.wake
-		c.mu.Unlock()
 		remain := time.Until(deadline)
-		if remain <= 0 {
-			writeJSON(w, http.StatusOK, resp)
-			return
+		var wake chan struct{}
+		c.mu.Lock()
+		if resp.Draining = c.draining; !resp.Draining {
+			if s := c.lease(time.Now(), req.WorkerID, leaseID); s.kind != stepNone {
+				c.emit(s)
+				resp.Lease = &Lease{LeaseID: leaseID, CellID: s.cell.id, Cell: s.cell.cell,
+					Attempt: s.cell.attempts, TTLMS: c.opt.LeaseTTL.Milliseconds()}
+				// The correlation ID arms worker-side spans: withheld, an
+				// untraced fleet stays span-free end to end.
+				if c.observed() {
+					resp.Lease.CorrID = s.cell.corr
+				}
+			} else if remain > 0 {
+				if c.wake == nil {
+					c.wake = make(chan struct{})
+				}
+				wake = c.wake
+			}
 		}
-		// The 50ms tick also promotes cells whose retry backoff elapsed.
-		poll := min(remain, 50*time.Millisecond)
+		c.mu.Unlock()
+		if wake == nil {
+			break
+		}
+		if timeout == nil {
+			timeout = time.NewTimer(remain)
+			defer timeout.Stop()
+		}
 		select {
 		case <-wake:
-		case <-time.After(poll):
+		case <-timeout.C:
+			break poll
 		case <-r.Context().Done():
 			return
 		}
 	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // newLeaseID mints an unguessable lease ID.
@@ -822,36 +941,6 @@ func newLeaseID() string {
 	var raw [8]byte
 	rand.Read(raw[:])
 	return hex.EncodeToString(raw[:])
-}
-
-// leaseLocked puts a cell under the lease id, closing its queued span
-// and opening its leased one. Callers hold mu.
-func (c *Coordinator) leaseLocked(sc *svcCell, worker, id string) *Lease {
-	now := time.Now()
-	sc.status = StatusRunning
-	sc.leaseID = id
-	sc.worker = worker
-	sc.expiry = now.Add(c.opt.LeaseTTL)
-	sc.ivDone, sc.ivPlanned = 0, 0
-	sc.attempts++
-	c.span(obs.SpanQueued, sc, sc.queuedAt, now, "")
-	sc.leasedAt = now
-	c.leases[id] = sc
-	c.publish(cellEvent(obs.EventLease, sc))
-	ls := &Lease{
-		LeaseID: id,
-		CellID:  sc.id,
-		Cell:    sc.cell,
-		Attempt: sc.attempts,
-		TTLMS:   c.opt.LeaseTTL.Milliseconds(),
-	}
-	// Propagating the correlation ID is what arms worker-side span
-	// recording; withhold it when no tracing surface is on so a disabled
-	// fleet stays span-free end to end.
-	if c.observed() {
-		ls.CorrID = sc.corr
-	}
-	return ls
 }
 
 // handleHeartbeat extends a live lease. A lease the reaper already
@@ -863,20 +952,12 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	sc, ok := c.leases[req.LeaseID]
-	if ok {
-		sc.expiry = time.Now().Add(c.opt.LeaseTTL)
-		if req.IntervalsPlanned > 0 {
-			sc.ivDone, sc.ivPlanned = req.IntervalsDone, req.IntervalsPlanned
-		}
-		c.publish(cellEvent(obs.EventHeartbeat, sc))
-	}
+	s := c.heartbeat(time.Now(), &req)
+	c.emit(s)
 	c.mu.Unlock()
-	if !ok {
+	if s.kind == stepNone {
 		http.Error(w, "lease not held", http.StatusGone)
-		return
 	}
-	w.WriteHeader(http.StatusOK)
 }
 
 // handleComplete is a completion sent on its own — what a worker does
@@ -887,109 +968,48 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !c.decodeBody(w, r, &req, "completion", &req.SchemaVersion) {
 		return
 	}
-	if code := c.complete(&req); code != http.StatusOK {
+	if code := c.deliver(&req); code != http.StatusOK {
 		http.Error(w, "lease not held", code)
 	}
 }
 
-// complete resolves a leased cell with its worker's outcome and returns
-// the HTTP status that answers it. Stale leases (expired, the cell
-// re-dispatched elsewhere, or this very outcome already applied) are
-// refused with 410 so a hung worker waking up late cannot overwrite the
-// authoritative outcome. Records are sanity-checked against the cell's
-// content ID — a corrupted worker cannot poison the store — and
-// persisted before waiters release.
-func (c *Coordinator) complete(req *CompleteRequest) int {
+// deliver settles a worker's outcome and returns the HTTP status that
+// answers it: 200, or 410 for a lease no longer held. A record is encoded
+// once (the store file and every result response) and persisted between
+// claim and settle, outside the lock — a claimed cell is in no queue or
+// lease table — so no client sees "done" before the record is on disk.
+func (c *Coordinator) deliver(req *CompleteRequest) int {
 	now := time.Now()
 	c.mu.Lock()
-	sc, ok := c.leases[req.LeaseID]
-	if !ok || sc.leaseID != req.LeaseID {
+	sc, s := c.claim(now, req)
+	c.emit(s)
+	if sc == nil {
 		c.mu.Unlock()
 		return http.StatusGone
 	}
-	delete(c.leases, req.LeaseID)
-
-	errMsg, transient := req.Error, req.Transient
-	rec := req.Record
-	if errMsg == "" {
-		switch {
-		case rec == nil:
-			errMsg, transient = "completion carried neither record nor error", true
-		case rec.CellID != "" && rec.CellID != sc.id:
-			// A worker that disagrees about what it computed is corrupt;
-			// the work itself is fine — re-dispatch it.
-			errMsg = fmt.Sprintf("record names cell %s, lease was for %s (corrupt worker?)", rec.CellID, sc.id)
-			transient = true
-		}
-	}
-	c.span(obs.SpanLeased, sc, sc.leasedAt, now, errMsg)
-	sc.leaseID = ""
-	// Worker-side spans (executing, attempt) merge into the same log so
-	// the fleet timeline carries both sides of the hop.
-	if c.opt.Spans != nil {
-		for _, sp := range req.Spans {
-			c.opt.Spans.Record(sp)
-		}
-	}
-	var enc encodedRecord
-	if errMsg == "" {
-		rec.CellID = sc.id
-		// Encode once — these bytes are the store file and every result
-		// response — and persist before releasing waiters: a client that
-		// saw "done" must never observe a store the record has not
-		// reached yet. The cell is out of the lease table and not queued,
-		// so nothing else can touch it while the lock is dropped for the
-		// encoding and the disk I/O.
+	if s.err == "" {
 		c.mu.Unlock()
-		var err error
-		if enc, err = json.Marshal(rec); err != nil {
-			errMsg, transient = fmt.Sprintf("record does not encode: %v", err), false
-		} else if c.opt.Store != nil {
-			putStart := time.Now()
-			if perr := c.opt.Store.PutEncoded(sc.id, enc); perr != nil {
-				c.log(slog.LevelWarn, "persisting record",
-					"cell", sc.cell.String(), "cell_id", sc.id, "error", perr)
-			}
-			c.span(obs.SpanPersisting, sc, putStart, time.Now(), "")
+		rec := req.Record
+		rec.CellID = sc.id
+		if enc, err := json.Marshal(rec); err != nil {
+			s.err, s.transient = fmt.Sprintf("record does not encode: %v", err), false
+		} else if s.enc, s.n = enc, rec.Stats.Committed; c.opt.Store != nil {
+			s.since = time.Now()
+			s.putErr = c.opt.Store.PutEncoded(sc.id, enc)
+			s.at = time.Now()
 		}
 		c.mu.Lock()
 	}
-	if errMsg == "" {
-		ev := cellEvent(obs.EventComplete, sc)
-		ev.Worker = req.WorkerID
-		sc.rec = enc
-		c.completed.Add(1)
-		c.instrs.Add(rec.Stats.Committed)
-		c.finishLocked(sc, StatusDone)
-		c.mu.Unlock()
-		c.publish(ev)
-		if c.opt.Log != nil { // per cell: do not build the arguments for nobody
-			c.log(slog.LevelDebug, "completed",
-				"cell", ev.Cell, "cell_id", ev.CellID, "corr_id", ev.CorrID, "worker", req.WorkerID)
-		}
-		return http.StatusOK
-	}
-
-	sc.failures++
-	if transient && sc.failures < c.opt.Retry.Attempts() {
-		c.retries.Add(1)
-		sc.status = StatusPending
-		sc.notBefore = now.Add(c.opt.Retry.Backoff(sc.failures))
-		sc.queuedAt = now
-		c.queue.pushBack(sc)
-		ev := cellEvent(obs.EventRetry, sc)
-		ev.Worker = req.WorkerID
-		ev.Error = errMsg
-		c.publish(ev)
-		c.broadcastLocked()
-		c.log(slog.LevelWarn, "retrying after transient failure",
-			"cell", ev.Cell, "cell_id", sc.id, "corr_id", sc.corr,
-			"failure", sc.failures, "worker", req.WorkerID, "error", errMsg)
-		c.mu.Unlock()
-		return http.StatusOK
-	}
-	c.failLocked(sc, errMsg)
+	s = c.settle(now, sc, s)
+	c.emit(s)
 	c.mu.Unlock()
+	if s.delay > 0 {
+		time.AfterFunc(s.delay, func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.promote(sc)
+		})
+	}
 	return http.StatusOK
 }
 
@@ -1019,34 +1039,4 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	resp := resultLocked(sc)
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// Stats snapshots the coordinator's counters.
-func (c *Coordinator) Stats() StatsResponse {
-	c.mu.Lock()
-	depth, active, draining := c.queue.len(), len(c.leases), c.draining
-	c.mu.Unlock()
-	resp := StatsResponse{
-		QueueDepth:    depth,
-		QueueCap:      c.opt.QueueCap,
-		ActiveLeases:  active,
-		Submitted:     c.submitted.Load(),
-		Completed:     c.completed.Load(),
-		Failed:        c.failed.Load(),
-		CacheHits:     c.cacheHits.Load(),
-		Retries:       c.retries.Load(),
-		Requeues:      c.requeues.Load(),
-		LeaseExpiries: c.leaseExpiries.Load(),
-		Rejected:      c.rejected.Load(),
-		Instrs:        c.instrs.Load(),
-		ModelPruned:   c.modelPruned.Load(),
-		ModelAudited:  c.modelAudited.Load(),
-		Draining:      draining,
-	}
-	stamp(&resp.SchemaVersion)
-	return resp
-}
-
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Stats())
 }

@@ -251,6 +251,7 @@ type RemoteError struct {
 	Op        string
 	Err       error
 	Transient bool
+	status    int // the coordinator's refusal, when it answered one
 }
 
 func (e *RemoteError) Error() string {

@@ -205,6 +205,75 @@ func TestExecFallsBackToResult(t *testing.T) {
 	}
 }
 
+// TestClientSurvivesCoordinatorRestart: Execs waiting in the result poll
+// when the coordinator is replaced by a fresh one over the same store must
+// still return their records — the new coordinator answers the poll 404,
+// and Exec submits the cell again — and a cell the old coordinator
+// finished is a store hit for the new one.
+func TestClientSurvivesCoordinatorRestart(t *testing.T) {
+	store, err := campaign.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := CoordinatorOptions{Store: store, Resume: true, LeaseTTL: 5 * time.Second}
+	old := NewCoordinator(opt)
+	var current atomic.Value // http.Handler
+	current.Store(old.Handler())
+	var results atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathResult {
+			results.Add(1)
+		}
+		current.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	first := testCell(16, "gzip")
+	release := make(chan struct{})
+	startWorkers(t, srv.URL, 1, func(c campaign.Cell) (*campaign.Record, error) {
+		if c.ID() != first.ID() {
+			<-release
+		}
+		return fakeExec(c)
+	})
+	client := NewClient(ClientOptions{Server: srv.URL, PollWait: 20 * time.Millisecond})
+	if _, err := client.Exec(first); err != nil {
+		t.Fatal(err)
+	}
+	waiting := []campaign.Cell{testCell(32, "gzip"), testCell(64, "gzip")}
+	errs := make(chan error, len(waiting))
+	for _, cell := range waiting {
+		go func() {
+			rec, err := client.Exec(cell)
+			if err == nil && (rec == nil || rec.CellID != cell.ID()) {
+				err = fmt.Errorf("record %+v", rec)
+			}
+			errs <- err
+		}()
+	}
+	waitFor(t, func() bool { return results.Load() >= 2*int32(len(waiting)) })
+
+	fresh := NewCoordinator(opt)
+	defer fresh.Close()
+	current.Store(fresh.Handler())
+	old.Close()
+	close(release)
+	for range waiting {
+		if err := <-errs; err != nil {
+			t.Fatalf("exec across the restart: %v", err)
+		}
+	}
+	if rec, err := client.Exec(first); err != nil || rec == nil || rec.CellID != first.ID() {
+		t.Fatalf("finished cell after the restart: %+v, %v", rec, err)
+	}
+	if st := fresh.Stats(); st.Completed != 3 || st.CacheHits != 1 || st.Failed != 0 {
+		t.Errorf("new coordinator: %+v, want 2 runs and 1 store hit", st)
+	}
+	if ids, err := store.IDs(); err != nil || len(ids) != 1+len(waiting) {
+		t.Errorf("store holds %d records (%v), want %d", len(ids), err, 1+len(waiting))
+	}
+}
+
 // TestWorkerShutdownFlush: a worker told to stop while it holds an
 // outcome it could not deliver — the lease request carrying it was
 // refused — must deliver it in a completion request of its own before
@@ -275,8 +344,56 @@ func TestWorkerShutdownFlush(t *testing.T) {
 			if st.Completed != 1 || st.ActiveLeases != 0 || completions.Load() != 1 {
 				t.Errorf("Run returned with the outcome undelivered: %+v, %d completion requests", st, completions.Load())
 			}
-			if w.CellsDone() != 1 {
-				t.Errorf("worker counts %d delivered cells, want 1", w.CellsDone())
+			if n := w.opt.Metrics.CellsDone.Load(); n != 1 {
+				t.Errorf("worker counts %d delivered cells, want 1", n)
+			}
+		})
+	}
+	// Cancelled while the lease request carrying its outcome is parked in
+	// the coordinator's poll: the request is let finish, so the worker
+	// counts what the coordinator applied and no lease is left to expire.
+	// When the poll brings back a cell, the worker runs it and flushes it.
+	for _, more := range []bool{false, true} {
+		name := "cancel mid-poll"
+		if more {
+			name += ", then a lease"
+		}
+		t.Run(name, func(t *testing.T) {
+			coord, srv, counts := startCountedCoordinator(t, CoordinatorOptions{LeaseTTL: 30 * time.Second})
+			client := NewClient(ClientOptions{Server: srv.URL})
+			if _, err := client.Submit([]campaign.Cell{testCell(32, "mcf")}); err != nil {
+				t.Fatal(err)
+			}
+			poll := 300 * time.Millisecond
+			if more {
+				poll = 30 * time.Second // the poll cannot run dry before the second cell arrives
+			}
+			w := NewWorker(WorkerOptions{Server: srv.URL, ID: "leaving", PollWait: poll, Exec: fakeExec})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ran := make(chan struct{})
+			go func() { defer close(ran); w.Run(ctx) }()
+			waitFor(t, func() bool { return coord.Stats().Completed == 1 })
+			cancel()
+			want := uint64(1)
+			if more {
+				want = 2
+				if _, err := client.Submit([]campaign.Cell{testCell(64, "mcf")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case <-ran:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run did not return")
+			}
+			st := coord.Stats()
+			if st.Completed != want || st.ActiveLeases != 0 || st.QueueDepth != 0 || w.opt.Metrics.CellsDone.Load() != want {
+				t.Errorf("worker counts %d, coordinator %+v; want %d completed, no lease, empty queue",
+					w.opt.Metrics.CellsDone.Load(), st, want)
+			}
+			if got := counts.get(PathComplete); got != int(want-1) {
+				t.Errorf("%d completion requests, want %d", got, want-1)
 			}
 		})
 	}
@@ -410,21 +527,14 @@ func TestFinishedCellKeepsOnlyItsVerdict(t *testing.T) {
 }
 
 // TestCellQueueDifferential drives the ring against the slice queue it
-// replaced — push back, requeue at the front, take the first cell not
-// backing off — and checks after every step that the ring holds no
-// reference outside its live window.
+// replaced — push back, requeue at the front, take the front cell — and
+// checks after every step that the ring holds no reference outside its
+// live window.
 func TestCellQueueDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	now := time.Now()
 	var q cellQueue
 	var ref []*svcCell
-	newCell := func() *svcCell {
-		sc := &svcCell{inflight: &inflight{}}
-		if rng.Intn(4) == 0 {
-			sc.notBefore = now.Add(time.Hour) // backing off
-		}
-		return sc
-	}
+	newCell := func() *svcCell { return &svcCell{inflight: &inflight{}} }
 	for step := 0; step < 20000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4:
@@ -437,20 +547,11 @@ func TestCellQueueDifferential(t *testing.T) {
 			ref = append([]*svcCell{sc}, ref...)
 		default:
 			var want *svcCell
-			for i, sc := range ref {
-				if !sc.notBefore.After(now) {
-					want = sc
-					ref = append(ref[:i:i], ref[i+1:]...)
-					break
-				}
+			if len(ref) > 0 {
+				want, ref = ref[0], ref[1:]
 			}
-			if got := q.popReady(now); got != want {
-				t.Fatalf("step %d: popReady returned %p, reference %p", step, got, want)
-			}
-		}
-		if step%97 == 0 { // a backoff window elapses
-			for _, sc := range ref {
-				sc.notBefore = time.Time{}
+			if got := q.pop(); got != want {
+				t.Fatalf("step %d: pop returned %p, reference %p", step, got, want)
 			}
 		}
 		if q.len() != len(ref) {

@@ -33,9 +33,6 @@ type WorkerMetrics struct {
 }
 
 func (m *WorkerMetrics) noteHeartbeat(rtt time.Duration) {
-	if m == nil {
-		return
-	}
 	us := uint64(rtt.Microseconds())
 	m.Heartbeats.Add(1)
 	m.hbTotalUS.Add(us)
@@ -82,9 +79,9 @@ type WorkerOptions struct {
 	// cell/lease/correlation IDs (nil = quiet). Routine traffic logs at
 	// Debug; delivery problems at Warn.
 	Log *slog.Logger
-	// Metrics, when non-nil, is bumped on every completion, heartbeat,
-	// and lost lease — typically one instance shared by every slot of a
-	// worker process. nil disables metric accounting.
+	// Metrics is bumped on every completion, heartbeat, and lost lease —
+	// typically one instance shared by every slot of a worker process
+	// (nil: the worker keeps its own).
 	Metrics *WorkerMetrics
 }
 
@@ -104,8 +101,6 @@ type Worker struct {
 
 	killOnce sync.Once
 	killed   chan struct{} // chaos: abandon everything, immediately
-
-	cellsDone atomic.Uint64
 }
 
 // NewWorker builds a worker.
@@ -117,11 +112,11 @@ func NewWorker(opt WorkerOptions) *Worker {
 	if opt.PollWait <= 0 {
 		opt.PollWait = 2 * time.Second
 	}
+	if opt.Metrics == nil {
+		opt.Metrics = &WorkerMetrics{}
+	}
 	return &Worker{opt: opt, hc: &http.Client{Timeout: 2 * time.Minute}, killed: make(chan struct{})}
 }
-
-// CellsDone counts completions this worker delivered.
-func (w *Worker) CellsDone() uint64 { return w.cellsDone.Load() }
 
 // log emits one structured record when a logger is attached.
 func (w *Worker) log(level slog.Level, msg string, args ...any) {
@@ -146,11 +141,14 @@ type outcome struct {
 
 // Run is the worker loop: lease, execute (heartbeating), repeat — each
 // lease request delivering the outcome of the cell before it, so a cell
-// costs the worker one round trip. Cancelling ctx is the graceful path —
-// an in-flight cell runs to completion and an outcome not yet delivered
-// goes out in a completion request of its own before Run returns. Run
-// also returns when the coordinator reports it is draining, or on Kill
-// (which delivers nothing).
+// costs the worker one round trip. Cancelling ctx is the graceful path,
+// checked between requests: an in-flight cell runs to completion, a lease
+// request carrying an outcome is let finish (the coordinator may already
+// have applied it; aborting would only lose its answer), a cell that
+// request brings back is run too, and an outcome not yet delivered goes
+// out in a completion request of its own before Run returns. Run also
+// returns when the coordinator reports it is draining, or on Kill (which
+// delivers nothing).
 func (w *Worker) Run(ctx context.Context) error {
 	backoff := 50 * time.Millisecond
 	var out *outcome // the previous lease's outcome, not yet delivered
@@ -164,7 +162,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.flush(out)
 			return nil
 		}
-		resp, err := w.lease(ctx, out)
+		reqCtx := ctx
+		if out != nil {
+			reqCtx = context.Background() // not aborted: see above
+		}
+		resp, err := w.lease(reqCtx, out)
 		if err != nil {
 			// The coordinator may or may not have applied the outcome the
 			// request carried; it goes out again, and an outcome applied
@@ -289,11 +291,7 @@ func (w *Worker) runLease(ls *Lease) *outcome {
 	}
 }
 
-func (m *WorkerMetrics) noteLeaseLost() {
-	if m != nil {
-		m.LeasesLost.Add(1)
-	}
-}
+func (m *WorkerMetrics) noteLeaseLost() { m.LeasesLost.Add(1) }
 
 // execIsolated shields the worker loop from a panicking executor.
 func (w *Worker) execIsolated(cell campaign.Cell, onInterval func(done, planned int)) (rec *campaign.Record, err error) {
@@ -343,14 +341,12 @@ func (w *Worker) delivered(out *outcome, code int) {
 	ls, failure := out.ls, out.req.Error
 	switch code {
 	case http.StatusOK:
-		w.cellsDone.Add(1)
-		if m := w.opt.Metrics; m != nil {
-			m.CellsDone.Add(1)
-			if failure != "" {
-				m.CellsFailed.Add(1)
-			} else {
-				m.CellsOK.Add(1)
-			}
+		m := w.opt.Metrics
+		m.CellsDone.Add(1)
+		if failure != "" {
+			m.CellsFailed.Add(1)
+		} else {
+			m.CellsOK.Add(1)
 		}
 		if failure != "" {
 			w.log(slog.LevelWarn, "completed with failure",

@@ -57,6 +57,10 @@ echo "== slot set vs naive scan fuzz smoke (set/clear/firstFrom/collect scripts)
 gate_exists FuzzSlotSetMatchesNaive ./internal/core/
 go test -run '^$' -fuzz '^FuzzSlotSetMatchesNaive$' -fuzztime 10s ./internal/core/
 
+echo "== coordinator transitions vs queue/place model fuzz smoke (submit/lease/settle/expire/promote scripts) =="
+gate_exists FuzzCoordinatorLifecycle ./internal/service/
+go test -run '^$' -fuzz '^FuzzCoordinatorLifecycle$' -fuzztime 10s ./internal/service/
+
 echo "== removal audit is still in the suite (it ran twice above, under ./...) =="
 gate_exists TestAudit ./internal/audit/
 
