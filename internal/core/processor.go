@@ -295,10 +295,11 @@ func (p *Processor) RunContext(ctx context.Context, maxInstr uint64, maxCycles i
 			p.stats.finish(p.now, p.cfg)
 			return &p.stats, p.deadlockError(lastProgress)
 		}
-		if ff && !p.halted {
+		if ff && !p.halted && (maxInstr == 0 || p.stats.Committed < maxInstr) {
 			// Jump to just before the next cycle that can do work. The
 			// limit keeps the budget check and the watchdog firing at
-			// exactly the cycles they would fire at without skipping.
+			// exactly the cycles they would fire at without skipping; a
+			// met instruction budget stops the run before any skip.
 			limit := farFuture
 			if watchdog > 0 {
 				limit = lastProgress + watchdog + 1
