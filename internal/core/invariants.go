@@ -12,7 +12,7 @@ func (p *Processor) checkInvariants() {
 
 	// Issue-queue occupancy matches entry stages; WIB occupancy matches
 	// parked stages; LSQ counts match allocated entries.
-	var intQ, fpQ, requests, parked, eligible, loads, stores int
+	var intQ, fpQ, requests, parked, inWIB, eligible, loads, stores int
 	banked := p.wib != nil && p.wib.cfg.Banked
 	size := int32(len(p.rob))
 	for i := int32(0); i < p.robCount; i++ {
@@ -36,6 +36,7 @@ func (p *Processor) checkInvariants() {
 			}
 		case stInWIB:
 			parked++
+			inWIB++
 		case stEligible:
 			parked++
 			eligible++
@@ -86,6 +87,7 @@ func (p *Processor) checkInvariants() {
 			throw(KindWIBColumns, 0, "bit-vector columns leaked: active %d + free %d != %d",
 				active, len(p.wib.free), len(p.wib.cols))
 		}
+		p.wib.checkColumnLists(p, inWIB)
 	}
 	if p.wib != nil && p.wib.cfg.Org == OrgPoolOfBlocks {
 		used := 0

@@ -251,6 +251,7 @@ func (p *Processor) squashEntry(idx int32, e *robEntry) {
 		q.count--
 	case stInWIB:
 		p.wib.unpark()
+		p.wib.unlinkRow(e.wibCol, idx)
 	case stEligible:
 		p.wib.unpark()
 		p.wib.squashEligible(idx, e.seq)

@@ -27,7 +27,7 @@ const (
 	KindIQCount        ErrKind = "iq-count"           // issue-queue occupancy mismatch
 	KindIQRequestMap   ErrKind = "iq-request-map"     // issue-request bitmap != stRequest entries of the queue
 	KindWIBOccupancy   ErrKind = "wib-occupancy"      // WIB occupancy mismatch
-	KindWIBColumns     ErrKind = "wib-columns"        // bit-vector column leaked
+	KindWIBColumns     ErrKind = "wib-columns"        // bit-vector column leaked, or its list != stInWIB entries naming it
 	KindWIBEligibleMap ErrKind = "wib-eligible-map"   // banked eligible bitmap != stEligible entries
 	KindLQCount        ErrKind = "lq-count"           // load-queue count mismatch
 	KindSQCount        ErrKind = "sq-count"           // store-queue count mismatch

@@ -17,44 +17,33 @@ import (
 // selection policy, sharing (and taking priority for) dispatch bandwidth.
 //
 // Squash handling follows §3.3.2's bit-clearing at two granularities.
-// Bit-vector columns are lazy: rows carry the instruction's sequence
-// number, and stale rows (squashed, or slot reused) are dropped when the
-// column completes. The banked organization's eligible set is exact: one
-// bit per active-list slot, set when the instruction becomes eligible and
-// cleared when it is reinserted or squashed, so each bank's select is a
-// priority encode over its own bits (§3.3.1) and never meets a stale row.
-// The idealized policies (program-order heap, per-load groups, the
-// pool-of-blocks FIFO, the slice core) keep seq-validated rows.
+// Bit-vector columns are exact: each is a list of the active-list slots
+// parked on it, in deposit order, and squashing a parked instruction
+// unlinks its slot, so a completing column meets no stale row. The banked
+// organization's eligible set is exact too: one bit per active-list slot,
+// set when the instruction becomes eligible and cleared when it is
+// reinserted or squashed, so each bank's select is a priority encode over
+// its own bits (§3.3.1). The idealized policies (program-order heap,
+// per-load groups, the pool-of-blocks FIFO, the slice core) keep
+// seq-validated rows.
 
 type wibRow struct {
 	rob int32
 	seq uint64
 }
 
-// wibColumn is one bit-vector. Its rows live in a chain of fixed-size
-// chunks drawn from the WIB's shared arena, in deposit order; n counts
-// them (stale rows included).
+// wibColumn is one bit-vector: the list of active-list slots parked on it,
+// linked through the WIB's next/prev arrays in deposit order. n counts
+// deposits since the column was claimed, squashed ones included (the
+// pool-of-blocks organization's block accounting reads it).
 type wibColumn struct {
 	active     bool
 	loadSeq    uint64
-	head, tail int32 // chunk chain, noChunk when empty
+	head, tail int32 // first and last parked slot, noSlot when empty
 	n          int
 }
 
-// rowChunk is one block of column rows. Chains of chunks replace a slice
-// per column, so row storage follows the number of parked instructions
-// instead of (columns used) × (longest chain any of them ever held), and
-// a column that completes hands its storage to the next miss.
-type rowChunk struct {
-	rows [chunkRows]wibRow
-	n    int32
-	next int32 // next chunk of the column, or of the free list
-}
-
-const (
-	chunkRows       = 32
-	noChunk   int32 = -1
-)
+const noSlot int32 = -1
 
 // wibGroup is the surviving dependence chain of one completed load, used
 // by the per-load selection policies.
@@ -71,8 +60,10 @@ type wib struct {
 	gens []uint64 // per-column allocation generation (wait-bit staleness)
 	free []int32
 
-	chunks    []rowChunk // row arena, grown on demand and never shrunk
-	freeChunk int32      // head of the free-chunk list
+	// The column lists' links, indexed by active-list slot. A slot is on
+	// at most one list — the column its stInWIB instruction names — so one
+	// pair of arrays serves every column.
+	next, prev []int32
 
 	// Banked organization: each bank's eligible set, plus the rotating
 	// sticky priority order (§3.3.1). Bank b owns active-list slots ≡ b
@@ -127,16 +118,16 @@ func newWIB(cfg WIBConfig, activeList, loadQueue int) *wib {
 		// Unlimited: bounded by the number of loads that can be in flight.
 		nCols = loadQueue
 	}
-	w := &wib{cfg: cfg, cols: make([]wibColumn, nCols), gens: make([]uint64, nCols)}
+	w := &wib{cfg: cfg, cols: make([]wibColumn, nCols), gens: make([]uint64, nCols),
+		next: make([]int32, activeList), prev: make([]int32, activeList)}
 	w.elig = heap.New(rowBefore)
 	w.free = make([]int32, 0, nCols)
 	for i := nCols - 1; i >= 0; i-- {
 		w.free = append(w.free, int32(i))
 	}
 	for i := range w.cols {
-		w.cols[i].head, w.cols[i].tail = noChunk, noChunk
+		w.cols[i].head, w.cols[i].tail = noSlot, noSlot
 	}
-	w.freeChunk = noChunk
 	if cfg.Org == OrgPoolOfBlocks {
 		if w.cfg.BlockSlots <= 0 {
 			w.cfg.BlockSlots = 32
@@ -159,41 +150,72 @@ func newWIB(cfg WIBConfig, activeList, loadQueue int) *wib {
 	return w
 }
 
-// depositRow appends a row to column c's chain.
-func (w *wib) depositRow(c int32, r wibRow) {
+// depositRow appends active-list slot rob to column c's list.
+func (w *wib) depositRow(c, rob int32) {
 	col := &w.cols[c]
-	if col.tail == noChunk || w.chunks[col.tail].n == chunkRows {
-		k := w.freeChunk
-		if k != noChunk {
-			w.freeChunk = w.chunks[k].next
-		} else {
-			// Grow the arena by doubling from 16 chunks: a handful of
-			// allocations for the deepest window, none at construction.
-			k = int32(len(w.chunks))
-			w.chunks = append(slices.Grow(w.chunks, max(16, len(w.chunks))), rowChunk{})
-		}
-		w.chunks[k].n, w.chunks[k].next = 0, noChunk
-		if col.tail == noChunk {
-			col.head = k
-		} else {
-			w.chunks[col.tail].next = k
-		}
-		col.tail = k
+	w.next[rob], w.prev[rob] = noSlot, col.tail
+	if col.tail == noSlot {
+		col.head = rob
+	} else {
+		w.next[col.tail] = rob
 	}
-	ch := &w.chunks[col.tail]
-	ch.rows[ch.n] = r
-	ch.n++
+	col.tail = rob
 	col.n++
 }
 
-// dropRows returns column c's whole chain to the free list.
+// unlinkRow takes squashed slot rob off column c's list. The deposit count
+// keeps it.
+func (w *wib) unlinkRow(c, rob int32) {
+	col := &w.cols[c]
+	nx, pv := w.next[rob], w.prev[rob]
+	if pv == noSlot {
+		col.head = nx
+	} else {
+		w.next[pv] = nx
+	}
+	if nx == noSlot {
+		col.tail = pv
+	} else {
+		w.prev[nx] = pv
+	}
+}
+
+// dropRows empties column c's list and its deposit count.
 func (w *wib) dropRows(c int32) {
 	col := &w.cols[c]
-	if col.head != noChunk {
-		w.chunks[col.tail].next = w.freeChunk
-		w.freeChunk = col.head
+	col.head, col.tail, col.n = noSlot, noSlot, 0
+}
+
+// checkColumnLists is the column lists' per-cycle invariant (Debug runs):
+// each list, walked forward, holds only stInWIB entries naming its column
+// and is linked back the same way. The caller counted inWIB stInWIB
+// entries on the active list; equal totals mean the lists hold each of
+// them exactly once.
+func (w *wib) checkColumnLists(p *Processor, inWIB int) {
+	total := 0
+	for c := range w.cols {
+		col := &w.cols[c]
+		last := noSlot
+		for s := col.head; s != noSlot; s = w.next[s] {
+			if total++; total > inWIB {
+				throw(KindWIBColumns, 0, "column lists hold more slots than the %d entries parked on bit-vectors", inWIB)
+			}
+			if e := &p.rob[s]; e.stage != stInWIB || e.wibCol != int32(c) {
+				throw(KindWIBColumns, e.seq, "column %d lists slot %d, whose seq %d is %s on column %d",
+					c, s, e.seq, stageNames[e.stage], e.wibCol)
+			}
+			if w.prev[s] != last {
+				throw(KindWIBColumns, p.rob[s].seq, "column %d: slot %d links back to %d, not %d", c, s, w.prev[s], last)
+			}
+			last = s
+		}
+		if col.tail != last {
+			throw(KindWIBColumns, 0, "column %d ends at slot %d, its tail says %d", c, last, col.tail)
+		}
 	}
-	col.head, col.tail, col.n = noChunk, noChunk, 0
+	if total != inWIB {
+		throw(KindWIBColumns, 0, "column lists hold %d slots, %d entries are parked on bit-vectors", total, inWIB)
+	}
 }
 
 // blockAvailable reserves deposit space for one more instruction on a
@@ -246,10 +268,15 @@ func (w *wib) fresh(c int32, gen uint64) bool {
 }
 
 // releaseColumn frees a bit-vector without completing it (load squashed,
-// or the miss turned out not to trigger the WIB).
+// or the miss turned out not to trigger the WIB). Its list is empty: a
+// load's dependants are younger than it and squash first, and a miss that
+// does not trigger has had nothing parked on it.
 func (w *wib) releaseColumn(c int32) {
 	if !w.cols[c].active {
 		return
+	}
+	if s := w.cols[c].head; s != noSlot {
+		throw(KindWIBColumns, 0, "releasing bit-vector column %d with slot %d still parked on it", c, s)
 	}
 	w.releaseBlocks(c)
 	w.dropRows(c)
@@ -277,13 +304,12 @@ func (w *wib) park(p *Processor, rob int32, e *robEntry, c int32) {
 		w.peak = w.occupancy
 		p.stats.WIBPeakOccupancy = w.peak
 	}
-	row := wibRow{rob: rob, seq: e.seq}
 	if c >= 0 {
 		e.stage = stInWIB
-		w.depositRow(c, row)
+		w.depositRow(c, rob)
 	} else {
 		e.stage = stEligible
-		w.addEligible(e.seq, []wibRow{row})
+		w.addEligible(e.seq, []wibRow{{rob: rob, seq: e.seq}})
 	}
 	if e.newPhys != noReg {
 		p.setWait(e, c)
@@ -311,24 +337,18 @@ func (w *wib) unpark() {
 	w.occupancy--
 }
 
-// completeColumn converts a column's surviving rows into eligible
-// instructions and frees the bit-vector.
+// completeColumn makes the instructions parked on a column eligible, in
+// deposit order, and frees the bit-vector.
 func (w *wib) completeColumn(p *Processor, c int32) {
 	if c < 0 || int(c) >= len(w.cols) || !w.cols[c].active {
 		throw(KindWIBBadColumn, 0, "completing dead bit-vector column %d", c)
 	}
 	col := &w.cols[c]
 	live := w.liveScratch[:0]
-	for k := col.head; k != noChunk; k = w.chunks[k].next {
-		ch := &w.chunks[k]
-		for _, r := range ch.rows[:ch.n] {
-			e := p.liveEntry(r.rob, r.seq)
-			if e == nil || e.stage != stInWIB || e.wibCol != c {
-				continue
-			}
-			e.stage = stEligible
-			live = append(live, r)
-		}
+	for s := col.head; s != noSlot; s = w.next[s] {
+		e := &p.rob[s]
+		e.stage = stEligible
+		live = append(live, wibRow{rob: s, seq: e.seq})
 	}
 	w.addEligible(col.loadSeq, live)
 	w.liveScratch = live[:0]

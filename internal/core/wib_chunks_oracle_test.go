@@ -1,12 +1,13 @@
 package core
 
-// The row-chunk arena of the WIB's bit-vector columns, kept as the
-// differential oracle: each column is a chain of fixed-size chunks of
+// The row-chunk arena the WIB's bit-vector columns kept their rows in
+// before each column became a list of its parked slots (wib.go), kept as
+// the differential oracle: each column is a chain of fixed-size chunks of
 // (slot, seq) rows in deposit order, drawn from one shared arena, and
 // completing a column walks the chain and keeps the rows whose
 // instruction is still parked on that column — stale rows (squashed, or
 // the slot reused) are dropped there. TestWIBColumnsMatchChunkOracle holds
-// the WIB's columns to it.
+// the lists to it.
 
 import (
 	"math/rand"
