@@ -124,6 +124,33 @@ func lsqForwardScenarios(tb testing.TB) []scenario {
 	}
 }
 
+// lsqStoreWaitScenarios are a store-wait load's retries: the question
+// whether any older store's address is still unknown, asked behind 600
+// resolved stores. The unknown store is the oldest of them (the answer is
+// yes) or younger than the load (no: every older store has to be ruled
+// out).
+func lsqStoreWaitScenarios(tb testing.TB) []scenario {
+	mk := func(unknownFirst bool) func() {
+		l := newLSQ(1024, 1024)
+		if unknownFirst {
+			l.allocStore(1)
+		}
+		for i := 0; i < benchQueueFill; i++ {
+			resolvedStore(l, uint64(i+2), uint64(i)*8, uint64(i), true)
+		}
+		ld := l.allocLoad(2000, benchQueueFill+2)
+		if !unknownFirst {
+			l.allocStore(benchQueueFill + 3)
+		}
+		return func() {
+			if l.olderStoreUnknown(ld) != unknownFirst {
+				tb.Fatalf("olderStoreUnknown = %v, want %v", !unknownFirst, unknownFirst)
+			}
+		}
+	}
+	return []scenario{{"oldest-unknown", mk(true)}, {"younger-unknown", mk(false)}}
+}
+
 func lsqViolationScenarios(tb testing.TB) []scenario {
 	l := newLSQ(1024, 1024)
 	st := l.allocStore(1)
@@ -314,6 +341,7 @@ func runScenarios(b *testing.B, scenarios []scenario) {
 }
 
 func BenchmarkLSQForward(b *testing.B)        { runScenarios(b, lsqForwardScenarios(b)) }
+func BenchmarkLSQStoreWait(b *testing.B)      { runScenarios(b, lsqStoreWaitScenarios(b)) }
 func BenchmarkLSQCheckViolation(b *testing.B) { runScenarios(b, lsqViolationScenarios(b)) }
 func BenchmarkReinsertBanked(b *testing.B)    { runScenarios(b, bankedSelectScenarios(b)) }
 func BenchmarkIssueSelect(b *testing.B)       { runScenarios(b, issueSelectScenarios(b)) }
@@ -324,7 +352,7 @@ func BenchmarkEventQueue(b *testing.B)        { runScenarios(b, eventQueueScenar
 // indexed searches, both selects, dispatch and the event queue allocate
 // nothing.
 func TestIndexedPathsAllocFree(t *testing.T) {
-	for _, group := range [][]scenario{lsqForwardScenarios(t), lsqViolationScenarios(t), bankedSelectScenarios(t),
+	for _, group := range [][]scenario{lsqForwardScenarios(t), lsqStoreWaitScenarios(t), lsqViolationScenarios(t), bankedSelectScenarios(t),
 		issueSelectScenarios(t), dispatchScenarios(t), eventQueueScenarios(t)} {
 		for _, s := range group {
 			if allocs := testing.AllocsPerRun(200, s.run); allocs != 0 {

@@ -154,7 +154,7 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 		{
 			name:       "sq-unresolved-off-by-one",
 			applicable: func(p *Processor) bool { return true },
-			corrupt:    func(p *Processor) { p.lsq.sqUnresolved++ },
+			corrupt:    func(p *Processor) { p.lsq.sqUnresolved.n++ },
 			kinds:      []ErrKind{KindSQUnresolved},
 			nextCycle:  true,
 			machine:    storeChain,

@@ -44,7 +44,8 @@ type sqEntry struct {
 // maintained by the mutators below (resolveStore, executeLoad, release*,
 // squash*) and recounted per cycle in Debug runs (checkIndexes):
 //
-//   - sqUnresolved: valid stores whose address is not yet known;
+//   - sqUnresolved: the slots of valid stores whose address is not yet
+//     known, so the oldest of them is one ring search from the head;
 //   - sqAddrs: per hashed address, how many valid stores have resolved to it;
 //   - lqAddrs: per hashed address, how many valid loads have executed at it.
 type lsq struct {
@@ -56,7 +57,7 @@ type lsq struct {
 	sqHead, sqTail uint64
 	sqCount        int
 
-	sqUnresolved int
+	sqUnresolved slotSet
 	sqAddrs      addrCounts
 	lqAddrs      addrCounts
 
@@ -93,10 +94,11 @@ func (a *addrCounts) has(addr uint64) bool { return *a.bucket(addr) != 0 }
 
 func newLSQ(loads, stores int) *lsq {
 	return &lsq{
-		lq:      make([]lqEntry, loads),
-		sq:      make([]sqEntry, stores),
-		sqAddrs: newAddrCounts(stores),
-		lqAddrs: newAddrCounts(loads),
+		lq:           make([]lqEntry, loads),
+		sq:           make([]sqEntry, stores),
+		sqUnresolved: newSlotSet(stores),
+		sqAddrs:      newAddrCounts(stores),
+		lqAddrs:      newAddrCounts(loads),
 	}
 }
 
@@ -131,7 +133,7 @@ func (l *lsq) allocStore(seq uint64) int32 {
 	l.sq[idx] = sqEntry{seq: seq, lqPos: l.lqTail, valid: true}
 	l.sqTail++
 	l.sqCount++
-	l.sqUnresolved++
+	l.sqUnresolved.add(idx)
 	return idx
 }
 
@@ -147,7 +149,7 @@ func (l *lsq) resolveStore(i int32, addr uint64) {
 	}
 	s.addr = addr
 	s.addrOK = true
-	l.sqUnresolved--
+	l.sqUnresolved.remove(i)
 	l.sqAddrs.add(addr)
 }
 
@@ -188,7 +190,7 @@ func (l *lsq) dropStore(i int32, what string) {
 	if s.addrOK {
 		l.sqAddrs.remove(s.addr)
 	} else {
-		l.sqUnresolved--
+		l.sqUnresolved.remove(i)
 	}
 	l.sqCount--
 }
@@ -228,12 +230,13 @@ func (l *lsq) checkIndexes() {
 		case s.addrOK:
 			want.add(s.addr)
 		default:
+			if !l.sqUnresolved.has(int32(i)) {
+				throw(KindSQUnresolved, s.seq, "store-queue slot %d is unresolved but not in the unresolved set", i)
+			}
 			unresolved++
 		}
 	}
-	if unresolved != l.sqUnresolved {
-		throw(KindSQUnresolved, 0, "unresolved-store count %d, store queue holds %d", l.sqUnresolved, unresolved)
-	}
+	checkSlotSets(KindSQUnresolved, "unresolved stores", unresolved, l.sqUnresolved)
 	if !slices.Equal(want.n, l.sqAddrs.n) {
 		throw(KindSQAddrIndex, 0, "resolved-store address counts disagree with the store queue")
 	}
@@ -259,24 +262,20 @@ func (l *lsq) recountInto(a *addrCounts) addrCounts {
 }
 
 // olderStoreUnknown reports whether any store older than the load in slot
-// ld has an unresolved address. Every slot between the store head and the
-// load's recorded position is valid and older than the load.
+// ld has an unresolved address. The valid stores fill the ring in age
+// order from the head's slot, so the oldest unresolved one is the
+// unresolved set's first member from there, and it is older than the load
+// when it lies within the load's recorded pos - sqHead stores of the head.
 func (l *lsq) olderStoreUnknown(ld int32) bool {
-	if l.sqUnresolved == 0 {
+	if l.sqUnresolved.n == 0 {
 		return false
 	}
-	pos := l.lq[ld].sqPos
-	i := int(l.sqSlot(pos))
-	for n := pos - l.sqHead; n > 0; n-- {
-		if i == 0 {
-			i = len(l.sq)
-		}
-		i--
-		if !l.sq[i].addrOK {
-			return true
-		}
+	head := l.sqSlot(l.sqHead)
+	ahead := int(l.sqUnresolved.firstFrom(head) - head)
+	if ahead < 0 {
+		ahead += len(l.sq)
 	}
-	return false
+	return uint64(ahead) < l.lq[ld].sqPos-l.sqHead
 }
 
 // forward finds the youngest store older than the load in slot ld with a
