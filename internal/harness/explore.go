@@ -57,8 +57,10 @@ func ExploreGrid() []core.Config {
 // configs, and a seeded audit slice that measures live model error.
 // Simulated cells route through Session.Run, so they carry ordinary
 // content-addressed cell IDs — cached, resumable, and shared with full
-// sweeps of the same grid. Pruned/audited counts surface on the campaign
-// progress line via the engine's model counters.
+// sweeps of the same grid — and each phase's cells reach the engine
+// together, as many at once as the session runs in parallel. Pruned and
+// audited counts surface on the campaign progress line via the engine's
+// model counters.
 func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report, error) {
 	srcs, err := s.benchmarks()
 	if err != nil {
@@ -78,6 +80,7 @@ func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report
 		TopK:         opt.TopK,
 		AuditFrac:    opt.AuditFrac,
 		Seed:         opt.Seed,
+		Parallel:     s.opt.Parallel,
 		Exec: func(cfg core.Config, bench string) (uint64, float64, error) {
 			src := srcs[byBench[bench]]
 			r, err := s.Run(cfg, src)

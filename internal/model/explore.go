@@ -1,9 +1,14 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"largewindow/internal/core"
 	"largewindow/internal/stats"
@@ -11,9 +16,11 @@ import (
 )
 
 // ExecFunc simulates one (config, benchmark) cell on the detailed core
-// and returns its measured cycles and IPC. The harness supplies one that
-// routes through the campaign engine, so simulated cells are cached,
-// content-addressed, and resumable like any other sweep cell.
+// and returns its measured cycles and IPC. Explore calls it from several
+// goroutines at once, so it must be safe for concurrent use. The harness
+// supplies one that routes through the campaign engine, so simulated
+// cells are cached, content-addressed, and resumable like any other sweep
+// cell.
 type ExecFunc func(cfg core.Config, bench string) (cycles uint64, ipc float64, err error)
 
 // Space describes a model-pruned design-space exploration.
@@ -39,10 +46,13 @@ type Space struct {
 	Seed uint64
 	// Windows overrides the profile ladder (default DefaultWindows).
 	Windows []int
-	// Exec simulates one cell; required.
+	// Exec simulates one cell; required. Up to Parallel calls run at once.
 	Exec ExecFunc
+	// Parallel bounds how many Exec calls are in flight (0 =
+	// runtime.GOMAXPROCS(0)). Set it to the width of whatever runs Exec.
+	Parallel int
 	// Notify, when set, is called once the prune decision is made (after
-	// calibration and ranking, before the audit slice simulates): pruned
+	// calibration and ranking, before the top-K and audit cells simulate): pruned
 	// is the number of cells the model will answer, audited the subset of
 	// those simulated anyway. Campaign drivers feed these to the progress
 	// line and fleet events.
@@ -171,10 +181,13 @@ func (s *Space) collectProfiles(logf func(string, ...any)) ([]*Profile, error) {
 }
 
 // Explore runs the model-pruned sweep: profile once per (bench, cache
-// family, predictor geometry), predict every cell, simulate only the anchors (the extreme
-// windows of each config family, which calibrate the model), every cell
-// of the top-K predicted configs, and a seeded audit slice of the pruned
-// cells that measures live model error.
+// family, predictor geometry), predict every cell, simulate only the
+// anchors (the extreme windows of each config family, which calibrate the
+// model), every cell of the top-K predicted configs, and a seeded audit
+// slice of the pruned cells that measures live model error. The simulated
+// cells go to Exec in two batches — the anchors, then the top-K and audit
+// cells together — and the Report is the same whatever order a batch's
+// cells finish in.
 func (s *Space) Explore() (*Report, error) {
 	if s.Exec == nil {
 		return nil, fmt.Errorf("model: explore needs an Exec function")
@@ -214,22 +227,6 @@ func (s *Space) Explore() (*Report, error) {
 	}
 
 	rep := &Report{TotalCells: len(points)}
-	cal := NewCalibration()
-	simulate := func(ci, bi int) error {
-		pt := &points[ci*nb+bi]
-		if pt.Simulated {
-			return nil
-		}
-		cycles, ipc, err := s.Exec(s.Configs[ci], s.Benches[bi])
-		if err != nil {
-			return fmt.Errorf("model: explore cell %s × %s: %w", pt.Config, pt.Bench, err)
-		}
-		pt.Simulated = true
-		pt.SimCycles = cycles
-		pt.SimIPC = ipc
-		rep.Simulated++
-		return nil
-	}
 
 	// Anchors: per (family) the min- and max-window config plus the one
 	// nearest the geometric mean of the extremes, simulated on every
@@ -270,15 +267,20 @@ func (s *Space) Explore() (*Report, error) {
 		anchors = append(anchors, ci)
 	}
 	sort.Ints(anchors)
+	var batch []int
 	for _, ci := range anchors {
 		for bi := range s.Benches {
-			if err := simulate(ci, bi); err != nil {
-				return nil, err
-			}
-			pt := &points[ci*nb+bi]
-			pt.Anchor = true
-			cal.Observe(s.Benches[bi], s.Configs[ci], pt.Pred, pt.SimCycles)
+			batch = append(batch, ci*nb+bi)
 		}
+	}
+	if err := s.simulate(points, batch, rep); err != nil {
+		return nil, err
+	}
+	cal := NewCalibration()
+	for _, idx := range batch {
+		pt := &points[idx]
+		pt.Anchor = true
+		cal.Observe(pt.Bench, s.Configs[idx/nb], pt.Pred, pt.SimCycles)
 	}
 	rep.Anchors = len(anchors) * nb
 	logf("model: calibrated on %d anchor cells (%d configs)", rep.Anchors, len(anchors))
@@ -303,31 +305,26 @@ func (s *Space) Explore() (*Report, error) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return suitePred[order[a]] > suitePred[order[b]] })
-	keep := map[int]bool{}
+	keep := make([]bool, len(s.Configs))
 	for i := 0; i < topK && i < len(order); i++ {
 		keep[order[i]] = true
 	}
 	for _, ci := range anchors {
 		keep[ci] = true
 	}
-	keeps := make([]int, 0, len(keep))
-	for ci := range keep {
-		keeps = append(keeps, ci)
-	}
-	sort.Ints(keeps)
-	for _, ci := range keeps {
-		for bi := range s.Benches {
-			if err := simulate(ci, bi); err != nil {
-				return nil, err
-			}
-		}
-	}
 
-	// Audit slice: a seeded, deterministic sample of the pruned cells.
+	// The second batch: every cell of the top-K configs not simulated as an
+	// anchor, and the audit slice — a seeded, deterministic sample of the
+	// pruned cells, the cells of every other config. Both are known now,
+	// so they share one batch.
+	batch = batch[:0]
 	var pruned []int
 	for idx := range points {
-		if !points[idx].Simulated {
+		switch {
+		case !keep[idx/nb]:
 			pruned = append(pruned, idx)
+		case !points[idx].Simulated:
+			batch = append(batch, idx)
 		}
 	}
 	nAudit := 0
@@ -343,13 +340,11 @@ func (s *Space) Explore() (*Report, error) {
 	if s.Notify != nil {
 		s.Notify(len(pruned)-nAudit, nAudit)
 	}
+	if err := s.simulate(points, append(batch, pruned[:nAudit]...), rep); err != nil {
+		return nil, err
+	}
 	var auditPred, auditMeas []float64
-	for i := 0; i < nAudit; i++ {
-		idx := pruned[i]
-		ci, bi := idx/nb, idx%nb
-		if err := simulate(ci, bi); err != nil {
-			return nil, err
-		}
+	for _, idx := range pruned[:nAudit] {
 		pt := &points[idx]
 		pt.Audit = true
 		auditPred = append(auditPred, pt.Pred.Cycles)
@@ -401,6 +396,62 @@ func (s *Space) Explore() (*Report, error) {
 	logf("model: explored %d cells — %d simulated (%d anchors, %d audit), %d pruned, audit err %.1f%%",
 		rep.TotalCells, rep.Simulated, rep.Anchors, rep.Audited, rep.Pruned, rep.AuditErrPct)
 	return rep, nil
+}
+
+// simulate runs Exec on cells (index ci*len(Benches)+bi) as one batch:
+// up to Parallel calls in flight, the costliest predicted cell first
+// (longest-processing-time order, ties to the lower index), each worker
+// writing only its own cell's measurement. The cells are marked simulated
+// after the join. A failure skips the batch's cells above its index but
+// not those below, so the error returned is the lowest-index failing
+// cell's whatever the completion order.
+func (s *Space) simulate(points []Point, cells []int, rep *Report) error {
+	order := slices.Clone(cells)
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(points[b].Pred.Cycles, points[a].Pred.Cycles); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	workers := s.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	nb := len(s.Benches)
+	errs := make([]error, len(points))
+	var next, lowest atomic.Int64
+	lowest.Store(int64(len(points)))
+	var wg sync.WaitGroup
+	for range min(workers, len(order)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; k < int64(len(order)); k = next.Add(1) - 1 {
+				idx := order[k]
+				if int64(idx) > lowest.Load() {
+					continue
+				}
+				cycles, ipc, err := s.Exec(s.Configs[idx/nb], s.Benches[idx%nb])
+				if err != nil {
+					errs[idx] = err
+					for cur := lowest.Load(); int64(idx) < cur && !lowest.CompareAndSwap(cur, int64(idx)); cur = lowest.Load() {
+					}
+					continue
+				}
+				points[idx].SimCycles, points[idx].SimIPC = cycles, ipc
+			}
+		}()
+	}
+	wg.Wait()
+	if i := lowest.Load(); i < int64(len(points)) {
+		pt := &points[i]
+		return fmt.Errorf("model: explore cell %s × %s: %w", pt.Config, pt.Bench, errs[i])
+	}
+	for _, idx := range cells {
+		points[idx].Simulated = true
+	}
+	rep.Simulated += len(cells)
+	return nil
 }
 
 func abs(x float64) float64 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"largewindow/internal/bpred"
@@ -231,9 +232,9 @@ func TestExplorePrunesAndAudits(t *testing.T) {
 		"synth:mlp=4,miss=0.1,ws=4m,n=10000",
 		"synth:mlp=8,miss=0.3,ws=4m,n=10000",
 	}
-	var execCalls int
+	var execCalls atomic.Int64
 	exec := func(cfg core.Config, bench string) (uint64, float64, error) {
-		execCalls++
+		execCalls.Add(1)
 		src, err := workload.ParseRef(bench)
 		if err != nil {
 			return 0, 0, err
@@ -277,8 +278,8 @@ func TestExplorePrunesAndAudits(t *testing.T) {
 	if rep.Audited == 0 || rep.AuditErrPct <= 0 {
 		t.Fatalf("audit slice missing: audited=%d err=%.2f", rep.Audited, rep.AuditErrPct)
 	}
-	if execCalls != rep.Simulated {
-		t.Fatalf("exec called %d times for %d simulated cells", execCalls, rep.Simulated)
+	if n := execCalls.Load(); n != int64(rep.Simulated) {
+		t.Fatalf("exec called %d times for %d simulated cells", n, rep.Simulated)
 	}
 	if len(rep.Frontier) == 0 {
 		t.Fatal("empty Pareto frontier")

@@ -417,10 +417,13 @@ type ExploreReport = model.Report
 // mechanistic interval model that predicts every (config, workload)
 // cell in closed form; the detailed core simulates only the model's
 // calibration anchors, the predicted-best configs, and an audit slice
-// that measures live model error (see WithModelPrune). WithMaxInstr
+// that measures live model error (see WithModelPrune). The simulated
+// cells run in two batches (anchors, then the best configs and the audit
+// slice), up to runtime.GOMAXPROCS(0) cells at a time. WithMaxInstr
 // bounds both the profiling pass and each simulated cell;
-// WithWorkloadScale sets the kernel scale. Cancellation via ctx aborts
-// the exploration at the next simulated cell.
+// WithWorkloadScale sets the kernel scale. Cancelling ctx stops the cells
+// in flight and the rest of their batch; ExploreContext returns once
+// every cell has stopped.
 func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts ...Option) (*ExploreReport, error) {
 	var o simOptions
 	for _, opt := range opts {
@@ -435,6 +438,9 @@ func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts
 		AuditFrac:    o.modelAuditFrac,
 		Seed:         o.modelSeed,
 		Exec: func(cfg Config, bench string) (uint64, float64, error) {
+			if err := ctx.Err(); err != nil {
+				return 0, 0, err
+			}
 			src, err := ParseWorkloadRef(bench)
 			if err != nil {
 				return 0, 0, err

@@ -2,7 +2,10 @@ package largewindow
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func exploreTestGrid() []Config {
@@ -126,5 +129,49 @@ func TestExploreContextBadWorkload(t *testing.T) {
 		WithMaxInstr(10_000))
 	if err == nil {
 		t.Fatal("unknown workload did not error")
+	}
+}
+
+// TestExploreContextCancelStopsCellsInFlight: cancelling ctx while the
+// first batch runs stops its cells mid-simulation — each would run for
+// seconds — and ExploreContext returns context.Canceled with none of its
+// goroutines left behind.
+func TestExploreContextCancelStopsCellsInFlight(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ExploreContext(ctx, exploreTestGrid(), []string{"mst"},
+			WithMaxInstr(5_000_000), WithWorkloadScale(ScaleFull), WithModelPrune(1, -1))
+		done <- err
+	}()
+	// The batch has started once a worker goroutine joins the explorer's.
+	for start := time.Now(); runtime.NumGoroutine() < before+2; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 30*time.Second {
+			t.Fatal("no simulated cell started within 30 s")
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	cancelled := time.Now()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ExploreContext still running 30 s after its context was cancelled")
+	}
+	t.Logf("returned %v after the cancel", time.Since(cancelled))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(cancelled); d > 3*time.Second {
+		t.Errorf("ExploreContext took %v to return after the cancel", d)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines running after ExploreContext returned, %d before it started", n, before)
 	}
 }
