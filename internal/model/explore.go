@@ -52,10 +52,10 @@ type Space struct {
 	// runtime.GOMAXPROCS(0)). Set it to the width of whatever runs Exec.
 	Parallel int
 	// Notify, when set, is called once the prune decision is made (after
-	// calibration and ranking, before the top-K and audit cells simulate): pruned
-	// is the number of cells the model will answer, audited the subset of
-	// those simulated anyway. Campaign drivers feed these to the progress
-	// line and fleet events.
+	// calibration and ranking, before the top-K and audit cells simulate):
+	// pruned is the number of cells the model will answer, audited the
+	// subset of those simulated anyway. Campaign drivers feed these to the
+	// progress line and fleet events.
 	Notify func(pruned, audited int)
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
@@ -267,17 +267,17 @@ func (s *Space) Explore() (*Report, error) {
 		anchors = append(anchors, ci)
 	}
 	sort.Ints(anchors)
-	var batch []int
+	var anchorCells []int
 	for _, ci := range anchors {
 		for bi := range s.Benches {
-			batch = append(batch, ci*nb+bi)
+			anchorCells = append(anchorCells, ci*nb+bi)
 		}
 	}
-	if err := s.simulate(points, batch, rep); err != nil {
+	if err := s.simulate(points, anchorCells, rep); err != nil {
 		return nil, err
 	}
 	cal := NewCalibration()
-	for _, idx := range batch {
+	for _, idx := range anchorCells {
 		pt := &points[idx]
 		pt.Anchor = true
 		cal.Observe(pt.Bench, s.Configs[idx/nb], pt.Pred, pt.SimCycles)
@@ -317,14 +317,13 @@ func (s *Space) Explore() (*Report, error) {
 	// anchor, and the audit slice — a seeded, deterministic sample of the
 	// pruned cells, the cells of every other config. Both are known now,
 	// so they share one batch.
-	batch = batch[:0]
-	var pruned []int
+	var topCells, pruned []int
 	for idx := range points {
 		switch {
 		case !keep[idx/nb]:
 			pruned = append(pruned, idx)
 		case !points[idx].Simulated:
-			batch = append(batch, idx)
+			topCells = append(topCells, idx)
 		}
 	}
 	nAudit := 0
@@ -340,7 +339,7 @@ func (s *Space) Explore() (*Report, error) {
 	if s.Notify != nil {
 		s.Notify(len(pruned)-nAudit, nAudit)
 	}
-	if err := s.simulate(points, append(batch, pruned[:nAudit]...), rep); err != nil {
+	if err := s.simulate(points, append(topCells, pruned[:nAudit]...), rep); err != nil {
 		return nil, err
 	}
 	var auditPred, auditMeas []float64

@@ -68,4 +68,8 @@ echo "== shared frozen memory images under concurrent clones (race, repeated) ==
 gate_exists TestMemoryFrozenConcurrentClones ./internal/isa
 go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
 
+echo "== explorer batches in any completion order give the serial report (race, repeated) =="
+gate_exists TestExploreParallelMatchesSerial ./internal/model
+go test -race -count=10 -run '^TestExploreParallelMatchesSerial$' ./internal/model
+
 echo "check: all gates passed"
