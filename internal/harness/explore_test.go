@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +15,9 @@ import (
 // (up to a bound) for a second one to start before it runs, so an
 // explorer that submits one cell at a time is seen as a peak of one.
 func TestExploreKeepsTwoCellsInFlight(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the explorer fans out at GOMAXPROCS, which is 1")
+	}
 	var inFlight, peak atomic.Int32
 	var s *Session
 	s = NewSession(Options{
@@ -41,43 +45,5 @@ func TestExploreKeepsTwoCellsInFlight(t *testing.T) {
 	}
 	if got := peak.Load(); got > 2 {
 		t.Errorf("%d cells in flight on a 2-worker session", got)
-	}
-}
-
-// TestCellsRunningOneWorkloadShareItsProgram: cells that hold a workload's
-// program at the same time get one build; once the last lets go the
-// session keeps nothing, and the next cell builds afresh.
-func TestCellsRunningOneWorkloadShareItsProgram(t *testing.T) {
-	s := NewSession(Options{Scale: workload.ScaleTest})
-	spec, _ := workload.Get("art")
-	a, releaseA, err := s.program(spec.Source(), workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, releaseB, err := s.program(spec.Source(), workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("two cells holding art at once got two builds")
-	}
-	releaseA()
-	releaseB()
-	if n := len(s.running); n != 0 {
-		t.Errorf("%d programs kept after every cell released them", n)
-	}
-	c, releaseC, err := s.program(spec.Source(), workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer releaseC()
-	if c == a {
-		t.Error("a released program was handed out again")
-	}
-	if _, _, err := s.program(spec.Source(), workload.ScaleRun); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(s.running); n != 2 {
-		t.Errorf("%d programs held, want one per scale", n)
 	}
 }

@@ -168,22 +168,6 @@ type Session struct {
 	// sources memoizes resolved workload refs ("trace:...") so a campaign
 	// of N cells over one trace file decodes it once, not N times.
 	sources flight.Memo[workload.Source]
-
-	// running shares a built program among the cells executing it at the
-	// same time. A program is immutable once built (every core clones its
-	// frozen image), so the configs of a sweep running one workload side
-	// by side need one image between them, not one each. An entry lives
-	// only while a cell holds it: the session keeps no program it is not
-	// running.
-	progMu  sync.Mutex
-	running map[string]*sharedProg
-}
-
-type sharedProg struct {
-	ready chan struct{} // closed once prog and err are set
-	prog  *isa.Program
-	err   error
-	users int
 }
 
 // NewSession creates a harness session. When opt.CacheDir is set, the
@@ -387,11 +371,10 @@ func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done,
 		return nil, err
 	}
 	cfg := cell.Config
-	prog, release, err := s.program(src, cell.Scale)
+	prog, err := src.Build(cell.Scale)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: building %s: %w", resultKey(src), err)
 	}
-	defer release()
 	var out *sample.Outcome
 	if cell.Sampling != nil {
 		plan := *cell.Sampling
@@ -488,49 +471,6 @@ func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done,
 			src.Name(), cfg.Name, rec.IPC, rec.Stats.Cycles, rec.DL1Miss, rec.L2Local)
 	}
 	return rec, nil
-}
-
-// program returns src's program at scale — the one a running cell already
-// built, or a fresh build — and the release the caller owes once its cell
-// is done with it.
-func (s *Session) program(src workload.Source, scale workload.Scale) (*isa.Program, func(), error) {
-	key := src.Identity() + "/" + scale.String()
-	s.progMu.Lock()
-	sp := s.running[key]
-	first := sp == nil
-	if first {
-		if s.running == nil {
-			s.running = map[string]*sharedProg{}
-		}
-		sp = &sharedProg{ready: make(chan struct{})}
-		s.running[key] = sp
-	}
-	sp.users++
-	s.progMu.Unlock()
-	release := func() {
-		s.progMu.Lock()
-		if sp.users--; sp.users == 0 {
-			delete(s.running, key)
-		}
-		s.progMu.Unlock()
-	}
-	if first {
-		func() {
-			defer close(sp.ready)
-			defer func() {
-				if r := recover(); r != nil {
-					sp.err = fmt.Errorf("panic: %v", r)
-				}
-			}()
-			sp.prog, sp.err = src.Build(scale)
-		}()
-	}
-	<-sp.ready
-	if sp.err != nil {
-		release()
-		return nil, nil, fmt.Errorf("harness: building %s: %w", resultKey(src), sp.err)
-	}
-	return sp.prog, release, nil
 }
 
 // runContext derives one cell's simulation context from the session's:
