@@ -58,7 +58,7 @@ func ExploreGrid() []core.Config {
 // Simulated cells route through Session.Run, so they carry ordinary
 // content-addressed cell IDs — cached, resumable, and shared with full
 // sweeps of the same grid — and each phase's cells reach the engine
-// together, as many at once as the session runs in parallel. Pruned and
+// together, and the engine's pool bounds how many run at once. Pruned and
 // audited counts surface on the campaign progress line via the engine's
 // model counters.
 func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report, error) {
@@ -80,7 +80,6 @@ func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report
 		TopK:         opt.TopK,
 		AuditFrac:    opt.AuditFrac,
 		Seed:         opt.Seed,
-		Parallel:     s.opt.Parallel,
 		Exec: func(cfg core.Config, bench string) (uint64, float64, error) {
 			src := srcs[byBench[bench]]
 			r, err := s.Run(cfg, src)

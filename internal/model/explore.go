@@ -46,11 +46,10 @@ type Space struct {
 	Seed uint64
 	// Windows overrides the profile ladder (default DefaultWindows).
 	Windows []int
-	// Exec simulates one cell; required. Up to Parallel calls run at once.
+	// Exec simulates one cell; required. Up to runtime.GOMAXPROCS(0)
+	// calls run at once; an Exec backed by a smaller pool (the harness's
+	// engine) bounds its own width.
 	Exec ExecFunc
-	// Parallel bounds how many Exec calls are in flight (0 =
-	// runtime.GOMAXPROCS(0)). Set it to the width of whatever runs Exec.
-	Parallel int
 	// Notify, when set, is called once the prune decision is made (after
 	// calibration and ranking, before the top-K and audit cells simulate):
 	// pruned is the number of cells the model will answer, audited the
@@ -59,6 +58,10 @@ type Space struct {
 	Notify func(pruned, audited int)
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
+
+	// workers bounds how many Exec calls are in flight; 0 is
+	// runtime.GOMAXPROCS(0). Tests pin it to fix the width.
+	workers int
 }
 
 // Point is one cell of the exploration report.
@@ -398,7 +401,7 @@ func (s *Space) Explore() (*Report, error) {
 }
 
 // simulate runs Exec on cells (index ci*len(Benches)+bi) as one batch:
-// up to Parallel calls in flight, the costliest predicted cell first
+// up to s.workers calls in flight, the costliest predicted cell first
 // (longest-processing-time order, ties to the lower index), each worker
 // writing only its own cell's measurement. The cells are marked simulated
 // after the join. A failure skips the batch's cells above its index but
@@ -412,7 +415,7 @@ func (s *Space) simulate(points []Point, cells []int, rep *Report) error {
 		}
 		return a - b
 	})
-	workers := s.Parallel
+	workers := s.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -23,7 +23,7 @@ func fakeExec(cfg core.Config, bench string) (uint64, float64, error) {
 	return cycles, 10_000 / float64(cycles), nil
 }
 
-func batchTestSpace(exec ExecFunc, parallel int) *Space {
+func batchTestSpace(exec ExecFunc, workers int) *Space {
 	return &Space{
 		Configs: []core.Config{
 			core.ScaledConfig(16, 64),
@@ -40,14 +40,14 @@ func batchTestSpace(exec ExecFunc, parallel int) *Space {
 			"synth:mlp=8,miss=0.3,ws=4m,n=10000",
 		},
 		Scale: workload.ScaleTest, TopK: 2, AuditFrac: 0.25, Seed: 7,
-		Exec: exec, Parallel: parallel,
+		Exec: exec, workers: workers,
 	}
 }
 
 // gatedExec wraps an ExecFunc so that every call of a batch starts before
 // any finishes, and then they finish one at a time in the order perm
 // gives (a permutation of arrival positions). sizes are the batches'
-// lengths, in order; Parallel must be at least the largest.
+// lengths, in order; workers must be at least the largest.
 type gatedExec struct {
 	exec  ExecFunc
 	sizes []int
@@ -127,10 +127,10 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 	for _, par := range []int{2, 3, 0} {
 		got, err := batchTestSpace(fakeExec, par).Explore()
 		if err != nil {
-			t.Fatalf("Parallel %d: %v", par, err)
+			t.Fatalf("%d workers: %v", par, err)
 		}
 		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("Parallel %d: report differs from the serial one", par)
+			t.Errorf("%d workers: report differs from the serial one", par)
 		}
 	}
 }
@@ -213,7 +213,7 @@ func TestExploreErrorNamesLowestFailingCell(t *testing.T) {
 		}
 	}
 	for _, par := range []int{1, 2, 0} {
-		check("Parallel "+strconv.Itoa(par), failing, par)
+		check(strconv.Itoa(par)+" workers", failing, par)
 	}
 	sizes := []int{serial.Anchors, serial.Simulated - serial.Anchors}
 	for _, o := range completionOrders() {
