@@ -431,7 +431,8 @@ func recordTrace(w io.Writer, ref string, sc workload.Scale, maxInstr uint64, pa
 	}
 	fmt.Fprintf(w, "recorded          %s (%s) at scale %s\n", tr.Name, tr.Suite, sc)
 	fmt.Fprintf(w, "instructions      %d (halted=%v) in %s\n", tr.Instrs, tr.Halted, time.Since(start).Round(time.Millisecond))
-	fmt.Fprintf(w, "trace             %s (%d bytes, %.2f bits/instr)\n", path, size, float64(size*8)/float64(tr.Instrs))
+	fmt.Fprintf(w, "trace             %s (%d bytes)\n", path, size)
+	fmt.Fprintf(w, "program           %d static instrs, %d data words\n", len(tr.Code), tr.Data.NonZeroWords())
 	fmt.Fprintf(w, "identity          %s\n", tr.Identity())
 	fmt.Fprintf(w, "replay ref        trace:%s\n", path)
 	return nil

@@ -33,6 +33,31 @@ func TestReportGolden(t *testing.T) {
 	}
 }
 
+// TestRecordTraceReplaysLikeTheKernel: -record-trace writes a container
+// whose replay prints the kernel's own golden report, byte for byte.
+func TestRecordTraceReplaysLikeTheKernel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gzip.wtr")
+	code, stdout, stderr := wibsim("-bench", "gzip", "-scale", "test", "-instr", "0", "-record-trace", path)
+	if code != 0 || stderr != "" {
+		t.Fatalf("-record-trace: exit %d, stderr %q", code, stderr)
+	}
+	for _, want := range []string{
+		`(?m)^instructions      \d+ \(halted=true\) in \S+$`,
+		`(?m)^trace             ` + regexp.QuoteMeta(path) + ` \(\d+ bytes\)$`,
+		`(?m)^program           \d+ static instrs, \d+ data words$`,
+		`(?m)^replay ref        trace:` + regexp.QuoteMeta(path) + `$`,
+	} {
+		if !regexp.MustCompile(want).MatchString(stdout) {
+			t.Errorf("-record-trace report has no line matching %s:\n%s", want, stdout)
+		}
+	}
+	code, stdout, stderr = wibsim("-bench", "trace:"+path, "-scale", "test", "-instr", "20000", "-config", "base")
+	if code != 0 || stderr != "" {
+		t.Fatalf("replay: exit %d, stderr %q", code, stderr)
+	}
+	golden.CheckText(t, filepath.Join("testdata", "gzip_base.golden"), stdout)
+}
+
 func TestSkipMeasureReport(t *testing.T) {
 	code, stdout, stderr := wibsim("-bench", "gzip", "-scale", "test", "-skip", "5000", "-measure", "3000")
 	if code != 0 || stderr != "" {

@@ -9,9 +9,8 @@
 // dump, and the code around the failing PC.
 //
 // With -dump it decodes a .wtr workload trace recorded by `wibsim
-// -record-trace`, prints its header (name, identity, instruction count,
-// stream hash), runs the structural validator, and summarizes the
-// dynamic record stream.
+// -record-trace`, prints its header (name, identity, program size,
+// instruction count, stream hash) and runs the structural validator.
 //
 // With -render it validates and summarizes a telemetry artifact written
 // by `wibsim -telemetry/-trace-out/-kanata` or `experiments
@@ -424,8 +423,9 @@ func replayDump(w io.Writer, path string) error {
 	return nil
 }
 
-// dumpTrace decodes a .wtr workload trace, prints its header, validates
-// it structurally, and summarizes the dynamic record stream.
+// dumpTrace decodes a .wtr workload trace, prints its header and
+// validates it structurally. The container holds the program, not the
+// dynamic stream; the default mode and -trace re-derive that.
 func dumpTrace(w io.Writer, path string) error {
 	tr, err := wtrace.ReadFile(path)
 	if err != nil {
@@ -437,62 +437,12 @@ func dumpTrace(w io.Writer, path string) error {
 	fmt.Fprintf(w, "identity      %s\n", tr.Identity())
 	fmt.Fprintf(w, "program       %d static instrs, %d data words, entry pc %d\n",
 		len(tr.Code), tr.Data.NonZeroWords(), tr.Entry)
-	fmt.Fprintf(w, "recorded      %d instructions (halted=%v), %d dynamic records\n",
-		tr.Instrs, tr.Halted, len(tr.Records))
+	fmt.Fprintf(w, "recorded      %d instructions (halted=%v)\n", tr.Instrs, tr.Halted)
 	fmt.Fprintf(w, "stream hash   %016x\n", tr.StreamHash)
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("structural validation FAILED: %w", err)
 	}
 	fmt.Fprintf(w, "validation    ok\n")
-
-	if len(tr.Records) == 0 {
-		return nil
-	}
-	var loads, stores, branches, taken, jumps uint64
-	for _, r := range tr.Records {
-		switch r.Class {
-		case isa.ClassLoad:
-			loads++
-		case isa.ClassStore:
-			stores++
-		case isa.ClassBranch:
-			branches++
-			if r.Taken {
-				taken++
-			}
-		case isa.ClassJump:
-			jumps++
-		}
-	}
-	n := float64(len(tr.Records))
-	fmt.Fprintf(w, "record mix    %.1f%% loads, %.1f%% stores, %.1f%% branches (%.1f%% taken), %.1f%% jumps\n",
-		100*float64(loads)/n, 100*float64(stores)/n, 100*float64(branches)/n,
-		100*float64(taken)/maxf(float64(branches), 1), 100*float64(jumps)/n)
-	show := len(tr.Records)
-	if show > 10 {
-		show = 10
-	}
-	fmt.Fprintf(w, "first %d records:\n", show)
-	for i := 0; i < show; i++ {
-		r := tr.Records[i]
-		line := fmt.Sprintf("  %6d  pc=%-5d %s", i, r.PC, isa.Disassemble(tr.Code[r.PC]))
-		if r.HasMem {
-			line += fmt.Sprintf("  addr=0x%x", r.Addr)
-		}
-		if r.Class == isa.ClassBranch {
-			line += fmt.Sprintf("  taken=%v", r.Taken)
-		}
-		if r.HasTgt {
-			line += fmt.Sprintf("  target=%d", r.Target)
-		}
-		fmt.Fprintln(w, line)
-	}
+	fmt.Fprintf(w, "dynamic mix   wibtrace -bench trace:%s -instr %d (or -trace N to list them)\n", path, tr.Instrs)
 	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -18,6 +18,7 @@ import (
 	"largewindow/internal/isa"
 	"largewindow/internal/obs"
 	"largewindow/internal/service"
+	wtrace "largewindow/internal/trace"
 	"largewindow/internal/workload"
 )
 
@@ -83,6 +84,36 @@ func TestReportsGolden(t *testing.T) {
 			continue
 		}
 		golden.CheckText(t, filepath.Join("testdata", tc.input+".golden"), stdout)
+	}
+}
+
+// TestDumpTrace: -dump of a fresh recording and of a container an older
+// writer left with its records section prints the identity the reader
+// derives and passes validation.
+func TestDumpTrace(t *testing.T) {
+	fresh := filepath.Join(t.TempDir(), "gzip.wtr.gz")
+	tr, err := wtrace.RecordRef("bench:gzip", workload.ScaleTest, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteFile(fresh); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{fresh, filepath.Join("..", "..", "internal", "trace", "testdata", "treeadd_v1.wtr")} {
+		want, err := wtrace.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := wibtrace("-dump", path)
+		if code != 0 || stderr != "" {
+			t.Errorf("-dump %s: exit %d, stderr %q", path, code, stderr)
+			continue
+		}
+		for _, line := range []string{"identity      " + want.Identity(), "validation    ok"} {
+			if !strings.Contains(stdout, "\n"+line+"\n") {
+				t.Errorf("-dump %s has no line %q:\n%s", path, line, stdout)
+			}
+		}
 	}
 }
 

@@ -93,8 +93,8 @@ func (nopProfile) Instr(uint64, isa.Class)  {}
 func (nopProfile) Mem(uint64, uint64, bool) {}
 func (nopProfile) Branch(WarmBranch)        {}
 
-// BenchmarkRunProfile is the interval model's and the trace recorder's
-// path: every instruction through the ProfileSink interface.
+// BenchmarkRunProfile is the interval model's path: every instruction
+// through the ProfileSink interface.
 func BenchmarkRunProfile(b *testing.B) {
 	benchRun(b, func(m *Machine, n uint64) (uint64, error) { return m.RunProfile(n, nopProfile{}) })
 }

@@ -123,13 +123,6 @@ func (m *Machine) RunSink(maxInstr uint64, sink WarmSink) (uint64, error) {
 	return m.run(maxInstr, sink, nil)
 }
 
-// ReadReg returns the architectural value of a register operand,
-// applying the same Zero-register and FP-bank rules the executor uses.
-// Trace verification (internal/trace) inspects source operands through
-// it just before Step to re-derive effective addresses and branch
-// outcomes without duplicating executor semantics.
-func (m *Machine) ReadReg(r isa.RegRef) uint64 { return m.readSrc(r) }
-
 func (m *Machine) readSrc(r isa.RegRef) uint64 {
 	if !r.Valid {
 		return 0

@@ -149,8 +149,8 @@ func (p *profEvents) Mem(_, addr uint64, store bool)   { p.access(addr, store) }
 func (p *profEvents) Branch(b WarmBranch)              { p.branch = append(p.branch, b) }
 
 // stepRun is Run's contract on the Step interpreter, deriving the event
-// stream the way trace.Verify does: from the operands just before each
-// Step, through isa.EffAddr and isa.BranchTaken.
+// stream from the operands just before each Step, through isa.EffAddr
+// and isa.BranchTaken.
 func stepRun(m *Machine, maxInstr uint64, ev *events) (uint64, error) {
 	var count uint64
 	for count < maxInstr && !m.Halted {
@@ -158,7 +158,7 @@ func stepRun(m *Machine, maxInstr uint64, ev *events) (uint64, error) {
 		if pc < uint64(len(m.Prog.Code)) {
 			in := m.Prog.Code[pc]
 			ev.instr(pc, in.Op.Class())
-			rs1, rs2 := m.ReadReg(in.Src1()), m.ReadReg(in.Src2())
+			rs1, rs2 := m.readSrc(in.Src1()), m.readSrc(in.Src2())
 			switch in.Op.Class() {
 			case isa.ClassLoad, isa.ClassStore:
 				ev.access(isa.EffAddr(in, rs1), in.Op.Class() == isa.ClassStore)

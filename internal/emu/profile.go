@@ -23,11 +23,10 @@ type ProfileSink interface {
 // RunProfile executes up to maxInstr instructions on the fast interpreter
 // (see predecode.go), streaming every instruction into the sink. It is
 // the event source of the mechanistic interval model's one-pass profile
-// collector (internal/model) and of the trace recorder (internal/trace):
-// one functional execution yields the instruction mix, the address
-// stream for stat-counting warm caches, and the operand-resolved
-// dependence information for MLP and ILP analysis. Semantics and return
-// convention match Run.
+// collector (internal/model): one functional execution yields the
+// instruction mix, the address stream for stat-counting warm caches,
+// and the operand-resolved dependence information for MLP and ILP
+// analysis. Semantics and return convention match Run.
 func (m *Machine) RunProfile(maxInstr uint64, sink ProfileSink) (uint64, error) {
 	return m.run(maxInstr, nil, sink)
 }

@@ -1,10 +1,10 @@
 // Package trace implements the workload trace frontend: a versioned,
 // length-prefixed binary container (`.wtr` files) holding a recorded
-// program plus an optional varint-packed dynamic instruction stream, a
-// recorder that captures both from the functional emulator, a replay
-// workload.Source that feeds the detailed core bit-identically to the
-// original builder program, and a parameterized synthetic workload
-// generator (see synth.go). DESIGN.md §13 specifies the format.
+// program, a recorder that captures it together with the run's length
+// and stream hash, a replay workload.Source that feeds the detailed core
+// bit-identically to the original builder program, and a parameterized
+// synthetic workload generator (see synth.go). DESIGN.md §13 specifies
+// the format.
 //
 // Container layout (all multi-byte integers are unsigned or zigzag
 // varints, encoding/binary wire format):
@@ -16,13 +16,14 @@
 //
 // flags bit 0 marks a gzip-compressed body; other bits must be zero.
 // The header JSON is schema-stamped (schema.TraceVersion) with kind
-// "wib-trace". Sections appear in tag order: code (1), data (2),
-// optional dynamic records (3), then the mandatory end tag (0) whose
-// payload length must be zero — a file cut off mid-write decodes to
-// ErrTruncated, never to a silently shorter trace. The trace digest —
-// the content identity campaign cells carry — is the SHA-256 of the
-// uncompressed body, so recompressing a trace never changes its
-// identity.
+// "wib-trace". Sections appear in tag order: code (1), data (2), then
+// the mandatory end tag (0) whose payload length must be zero — a file
+// cut off mid-write decodes to ErrTruncated, never to a silently shorter
+// trace. Older writers also stored the dynamic record stream as tag 3;
+// the emulator re-derives it from code and data, so the reader skips it.
+// The trace digest — the content identity campaign cells carry — is the
+// SHA-256 of the uncompressed body as stored, so recompressing a trace
+// never changes its identity.
 package trace
 
 import (
@@ -67,31 +68,16 @@ const (
 	tagEnd      = 0x00
 	tagCode     = 0x01
 	tagData     = 0x02
-	tagRecords  = 0x03
+	tagRecords  = 0x03    // written by older writers, skipped on read
 	maxHeader   = 1 << 20 // 1 MiB of header JSON is already absurd
 	maxSection  = 1 << 31 // sanity bound on section payloads
 	identityLen = 32      // hex digits of digest in Identity(), = campaign idHexLen
 )
 
-// Rec is one dynamic instruction record: the committed PC, the
-// instruction class, and — where meaningful — the effective address
-// (loads/stores), the taken outcome (conditional branches), and the
-// runtime target (indirect jumps only; direct control targets are
-// derivable from the static code the container always carries).
-type Rec struct {
-	PC     uint64
-	Class  isa.Class
-	Addr   uint64
-	Target uint64
-	Taken  bool
-	HasMem bool
-	HasTgt bool
-}
-
 // Trace is a decoded workload trace: the full static program image plus
-// recording metadata and the optional dynamic record stream. Because
-// the static image is complete, Program() reconstructs an isa.Program
-// that simulates bit-identically to the one the recorder ran.
+// recording metadata. Because the static image is complete, Program()
+// reconstructs an isa.Program that simulates bit-identically to the one
+// the recorder ran, and the emulator re-derives the dynamic stream.
 type Trace struct {
 	Name   string
 	Suite  string
@@ -109,8 +95,6 @@ type Trace struct {
 	Instrs     uint64
 	StreamHash uint64
 	Halted     bool
-
-	Records []Rec
 
 	digest string
 }
@@ -130,7 +114,6 @@ type header struct {
 	Halted        bool   `json:"halted"`
 	Code          int    `json:"code"`
 	DataWords     int    `json:"data_words"`
-	RecordCount   uint64 `json:"records"`
 }
 
 // Program reconstructs the static program the trace was recorded from.
@@ -243,7 +226,6 @@ func (t *Trace) encodeBody(w io.Writer) error {
 		Halted:        t.Halted,
 		Code:          len(t.Code),
 		DataWords:     t.Data.NonZeroWords(),
-		RecordCount:   uint64(len(t.Records)),
 	})
 	if err != nil {
 		return err
@@ -270,11 +252,6 @@ func (t *Trace) encodeBody(w io.Writer) error {
 	}
 	if err := section(tagData, encodeData(t.Data)); err != nil {
 		return err
-	}
-	if len(t.Records) > 0 {
-		if err := section(tagRecords, encodeRecords(t.Entry, t.Records)); err != nil {
-			return err
-		}
 	}
 	return section(tagEnd, nil)
 }
@@ -308,55 +285,6 @@ func encodeData(data *isa.Memory) []byte {
 		buf = binary.AppendUvarint(buf, v)
 		prev = a
 	})
-	return buf
-}
-
-// Dynamic record control-byte layout.
-const (
-	recClassMask = 0x0f
-	recTaken     = 1 << 4
-	recHasMem    = 1 << 5
-	recHasTgt    = 1 << 6
-)
-
-// encodeRecords packs the dynamic stream: count, then per record a
-// control byte (class, taken, has-addr, has-target) followed by the PC
-// as a zigzag delta from the previous record's fallthrough (prev PC+1;
-// entry for the first record), the address as a zigzag delta from the
-// previous address, and the indirect target as a zigzag delta from the
-// record's own fallthrough.
-func encodeRecords(entry uint64, recs []Rec) []byte {
-	buf := make([]byte, 0, len(recs)*2)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(recs)))
-	buf = append(buf, tmp[:n]...)
-	expPC := entry
-	prevAddr := uint64(0)
-	for _, r := range recs {
-		ctrl := byte(r.Class) & recClassMask
-		if r.Taken {
-			ctrl |= recTaken
-		}
-		if r.HasMem {
-			ctrl |= recHasMem
-		}
-		if r.HasTgt {
-			ctrl |= recHasTgt
-		}
-		buf = append(buf, ctrl)
-		n = binary.PutVarint(tmp[:], int64(r.PC-expPC))
-		buf = append(buf, tmp[:n]...)
-		if r.HasMem {
-			n = binary.PutVarint(tmp[:], int64(r.Addr-prevAddr))
-			buf = append(buf, tmp[:n]...)
-			prevAddr = r.Addr
-		}
-		if r.HasTgt {
-			n = binary.PutVarint(tmp[:], int64(r.Target-(r.PC+1)))
-			buf = append(buf, tmp[:n]...)
-		}
-		expPC = r.PC + 1
-	}
 	return buf
 }
 
@@ -496,9 +424,7 @@ func (d *decoder) decodeBody() (*Trace, error) {
 				return nil, err
 			}
 		case tagRecords:
-			if t.Records, err = decodeRecords(payload, hdr.Entry, hdr.RecordCount); err != nil {
-				return nil, err
-			}
+			// An older writer's record stream: read (and digested), not kept.
 		default:
 			return nil, fmt.Errorf("%w: unknown section 0x%02x", ErrCorrupt, tag)
 		}
@@ -537,15 +463,6 @@ func (c *byteCursor) varint(what string) (int64, error) {
 	}
 	c.off += n
 	return v, nil
-}
-
-func (c *byteCursor) byte(what string) (byte, error) {
-	if c.off >= len(c.buf) {
-		return 0, fmt.Errorf("%w: %s", ErrCorrupt, what)
-	}
-	b := c.buf[c.off]
-	c.off++
-	return b, nil
 }
 
 func (c *byteCursor) done(what string) error {
@@ -626,59 +543,4 @@ func decodeData(payload []byte, count int) (*isa.Memory, error) {
 	}
 	data.Freeze()
 	return data, c.done("data section")
-}
-
-func decodeRecords(payload []byte, entry uint64, count uint64) ([]Rec, error) {
-	c := &byteCursor{buf: payload}
-	n, err := c.uvarint("record count")
-	if err != nil {
-		return nil, err
-	}
-	if n != count || n > uint64(len(payload)) { // ≥ 2 bytes per record
-		return nil, fmt.Errorf("%w: record count %d (header says %d, payload %d bytes)", ErrCorrupt, n, count, len(payload))
-	}
-	recs := make([]Rec, 0, n)
-	expPC := entry
-	prevAddr := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		ctrl, err := c.byte("record control")
-		if err != nil {
-			return nil, err
-		}
-		if ctrl&0x80 != 0 {
-			return nil, fmt.Errorf("%w: record %d reserved control bit", ErrCorrupt, i)
-		}
-		r := Rec{
-			Class:  isa.Class(ctrl & recClassMask),
-			Taken:  ctrl&recTaken != 0,
-			HasMem: ctrl&recHasMem != 0,
-			HasTgt: ctrl&recHasTgt != 0,
-		}
-		if int(r.Class) >= isa.NumClasses {
-			return nil, fmt.Errorf("%w: record %d class %d", ErrCorrupt, i, r.Class)
-		}
-		d, err := c.varint("record pc")
-		if err != nil {
-			return nil, err
-		}
-		r.PC = expPC + uint64(d)
-		if r.HasMem {
-			d, err := c.varint("record addr")
-			if err != nil {
-				return nil, err
-			}
-			r.Addr = prevAddr + uint64(d)
-			prevAddr = r.Addr
-		}
-		if r.HasTgt {
-			d, err := c.varint("record target")
-			if err != nil {
-				return nil, err
-			}
-			r.Target = r.PC + 1 + uint64(d)
-		}
-		expPC = r.PC + 1
-		recs = append(recs, r)
-	}
-	return recs, c.done("records section")
 }

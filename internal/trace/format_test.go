@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
+	"largewindow/internal/isa"
 	"largewindow/internal/workload"
 )
 
@@ -111,15 +113,22 @@ func TestVerifyFixture(t *testing.T) {
 	if err := tr.Verify(); err != nil {
 		t.Fatalf("freshly recorded trace fails Verify: %v", err)
 	}
-	if !tr.Halted || tr.Instrs == 0 || uint64(len(tr.Records)) != tr.Instrs {
-		t.Errorf("fixture metadata off: halted=%v instrs=%d records=%d", tr.Halted, tr.Instrs, len(tr.Records))
+	if !tr.Halted || tr.Instrs == 0 {
+		t.Errorf("fixture metadata off: halted=%v instrs=%d", tr.Halted, tr.Instrs)
 	}
-	// Tampering with a record must fail Verify.
-	tam := *tr
-	tam.Records = append([]Rec{}, tr.Records...)
-	tam.Records[len(tam.Records)/2].PC++
-	if err := tam.Verify(); !errors.Is(err, ErrInvalid) {
-		t.Errorf("tampered record passed Verify: %v", err)
+	// Tampering with any recorded fact must fail Verify.
+	for name, tamper := range map[string]func(*Trace){
+		"stream hash": func(t *Trace) { t.StreamHash++ },
+		"instrs":      func(t *Trace) { t.Instrs-- },
+		"past halt":   func(t *Trace) { t.Instrs++ },
+		"halted":      func(t *Trace) { t.Halted = false },
+		"code":        func(t *Trace) { t.Code = append([]isa.Instr{{Op: isa.OpNop}}, t.Code...) },
+	} {
+		tam := *tr
+		tamper(&tam)
+		if err := tam.Verify(); !errors.Is(err, ErrInvalid) {
+			t.Errorf("tampered %s passed Verify: %v", name, err)
+		}
 	}
 }
 
@@ -132,12 +141,51 @@ func TestRecordBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != 500 || tr.Halted {
-		t.Errorf("budgeted recording: records=%d halted=%v", len(tr.Records), tr.Halted)
+	if tr.Instrs != 500 || tr.Halted {
+		t.Errorf("budgeted recording: instrs=%d halted=%v", tr.Instrs, tr.Halted)
 	}
 	if err := tr.Verify(); err != nil {
 		t.Errorf("budgeted trace fails Verify: %v", err)
 	}
+}
+
+// TestRecordCostIsTheProgram: a container holds the program, not the run.
+// Recording to halt and recording 500 instructions write the same code
+// and data sections; only the header, which states the run, differs.
+func TestRecordCostIsTheProgram(t *testing.T) {
+	src, err := workload.ParseRef("bench:treeadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := recordFixture(t)
+	short, err := Record(src, workload.ScaleTest, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullHdr, fullSecs := splitContainer(t, full)
+	shortHdr, shortSecs := splitContainer(t, short)
+	if !bytes.Equal(fullSecs, shortSecs) {
+		t.Errorf("sections differ: %d bytes to halt, %d bytes for 500 instructions", len(fullSecs), len(shortSecs))
+	}
+	if bytes.Equal(fullHdr, shortHdr) || full.Instrs <= short.Instrs {
+		t.Errorf("headers do not tell the runs apart: %d vs %d instructions", full.Instrs, short.Instrs)
+	}
+}
+
+// splitContainer encodes tr without compression and returns the header
+// JSON and every byte after it (the sections, end tag included).
+func splitContainer(t *testing.T, tr *Trace) (hdr, sections []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Write(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()[len(magic)+1:]
+	_, n := binary.Uvarint(b) // version
+	b = b[n:]
+	hlen, n := binary.Uvarint(b)
+	b = b[n:]
+	return b[:hlen], b[hlen:]
 }
 
 func TestRecordRefRejectsTraceOfTrace(t *testing.T) {

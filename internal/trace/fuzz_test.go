@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
+	"os"
 	"testing"
 
 	"largewindow/internal/workload"
@@ -30,6 +32,23 @@ func FuzzRead(f *testing.F) {
 		half := buf.Len() / 2
 		f.Add(buf.Bytes()[:half])
 	}
+	// An older writer's container: the decoder must read through and
+	// skip its records section, plain and gzip.
+	v1, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var v1gz bytes.Buffer
+	v1gz.Write(append([]byte(magic), flagGzip))
+	zw := gzip.NewWriter(&v1gz)
+	if _, err := zw.Write(v1[len(magic)+1:]); err != nil {
+		f.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	f.Add(v1gz.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("WTR1"))
 	f.Add([]byte{'W', 'T', 'R', '1', 0x00, 0x01})
