@@ -12,9 +12,10 @@ import (
 
 // TestContainerBytesGolden pins the .wtr container bytes and the
 // trace:sha256: workload identity of two full-halt recordings, in the
-// plain and the gzip spelling. The values were recorded from the commit
-// before the paged program image replaced the Data map; campaign cell IDs
-// embed the identity, so a moved byte re-keys every cached trace cell.
+// plain and the gzip spelling. The values were re-recorded when the
+// writer stopped storing the dynamic record stream (a file with one keeps
+// its identity: TestV1FixtureStillReplays); campaign cell IDs embed the
+// identity, so a moved byte re-keys every cached trace cell.
 // (The .gz container digest also pins compress/gzip's output for the
 // toolchain in go.mod; the identity is over the uncompressed body.)
 func TestContainerBytesGolden(t *testing.T) {
