@@ -146,7 +146,6 @@ type FleetSpan struct {
 	Cat     string
 	StartUS int64
 	EndUS   int64
-	Instant bool // render as an instant event at StartUS (requeue, fail)
 	Args    map[string]interface{}
 }
 
@@ -185,19 +184,10 @@ func WriteChromeSpans(w io.Writer, spans []FleetSpan) error {
 			tids[laneKey] = tid
 			meta("thread_name", pid, tid, sp.Lane)
 		}
-		ev := chromeEvent{
-			Name: sp.Name, Cat: sp.Cat, Ph: "X",
-			TS: sp.StartUS - base, PID: pid, TID: tid, Args: sp.Args,
-		}
-		if sp.Instant {
-			ev.Ph = "i"
-		} else {
-			if sp.EndUS < sp.StartUS {
-				sp.EndUS = sp.StartUS
-			}
-			ev.Dur = sp.EndUS - sp.StartUS
-		}
-		f.TraceEvents = append(f.TraceEvents, ev)
+		f.TraceEvents = append(f.TraceEvents, chromeEvent{
+			Name: sp.Name, Cat: sp.Cat, Ph: "X", PID: pid, TID: tid, Args: sp.Args,
+			TS: sp.StartUS - base, Dur: max(sp.EndUS-sp.StartUS, 0),
+		})
 	}
 	return json.NewEncoder(w).Encode(&f)
 }
