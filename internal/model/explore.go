@@ -131,16 +131,6 @@ func CacheBudget(cfg core.Config) int {
 	return cfg.Mem.L1D.SizeBytes + cfg.Mem.L2.SizeBytes
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // collectProfiles returns the profile of every cell (index
 // ci*len(Benches)+bi), collecting one per bench and distinct family: a
 // profile depends on the program and on the cache hierarchy and predictor
@@ -337,7 +327,7 @@ func (s *Space) Explore() (*Report, error) {
 		}
 	}
 	sort.SliceStable(pruned, func(a, b int) bool {
-		return splitmix64(s.Seed^uint64(pruned[a])) < splitmix64(s.Seed^uint64(pruned[b]))
+		return stats.SplitMix64(s.Seed^uint64(pruned[a])) < stats.SplitMix64(s.Seed^uint64(pruned[b]))
 	})
 	if s.Notify != nil {
 		s.Notify(len(pruned)-nAudit, nAudit)

@@ -19,6 +19,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"largewindow/internal/stats"
 )
 
 // Plan describes one sampling regime. The program's first
@@ -108,19 +110,7 @@ func (p Plan) Offset(k int) uint64 {
 	if !p.Random {
 		return base + slack
 	}
-	return base + splitmix(p.Seed+uint64(k)+1)%(slack+1)
-}
-
-// splitmix is the splitmix64 output function: a strong 64-bit mixer used
-// to derive per-interval offsets deterministically from (seed, k).
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return base + stats.SplitMix64(p.Seed+uint64(k)+1)%(slack+1)
 }
 
 // String renders the plan in its spec form, parseable by Parse.

@@ -125,11 +125,18 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// SplitMix64 is the splitmix64 output function: a strong 64-bit mixer of
+// x plus the golden-ratio increment. The explorer's audit order, the
+// sampler's random offsets and the synthetic generator's layout draw
+// from it, so changing it moves cells, plans and programs.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // Pct formats a speedup as the paper's percentage improvement

@@ -57,6 +57,17 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
+// TestSplitMix64KnownAnswers: the first outputs of the reference
+// splitmix64 stream seeded with 0 are SplitMix64(k·γ), k = 0, 1, 2.
+func TestSplitMix64KnownAnswers(t *testing.T) {
+	const gamma = 0x9e3779b97f4a7c15
+	for k, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := SplitMix64(uint64(k) * gamma); got != want {
+			t.Errorf("output %d = %#x, want %#x", k, got, want)
+		}
+	}
+}
+
 func TestPct(t *testing.T) {
 	if got := Pct(1.2); got != "+20.0%" {
 		t.Errorf("Pct(1.2) = %q", got)

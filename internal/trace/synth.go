@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"largewindow/internal/isa"
+	"largewindow/internal/stats"
 )
 
 // SynthSpec parameterizes a synthetic workload — the paper-Table-2-style
@@ -176,11 +177,9 @@ func binEntropy(p float64) float64 {
 type splitmix64 struct{ s uint64 }
 
 func (r *splitmix64) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	v := stats.SplitMix64(r.s)
+	r.s += 0x9e3779b97f4a7c15 // the increment SplitMix64 adds
+	return v
 }
 
 // Build generates the synthetic program. The same spec always builds

@@ -525,10 +525,3 @@ func buildVpr(s Scale) *isa.Program {
 	b.Halt()
 	return b.MustBuild()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
