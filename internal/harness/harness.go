@@ -537,37 +537,34 @@ func Transient(err error) bool {
 	return errors.As(err, &se) && se.Transient
 }
 
-// RunAll simulates every selected benchmark under cfg, concurrently, and
-// returns the successful results keyed by benchmark name. Failed cells
-// do NOT abort the sweep: the remaining benchmarks still run, and the
+// RunAll simulates every selected benchmark under cfg and returns the
+// successful results keyed by benchmark name. The cells are primed in
+// table order, so the engine's pool runs them concurrently and starts
+// them in that order; RunAll then waits on each in turn. Failed cells do
+// NOT abort the sweep: the remaining benchmarks still run, and the
 // returned error joins every failure (in table order) so callers see all
-// of them at once. Failed cells are also recorded on the session —
-// see Failures and FailureSummary.
+// of them at once. Failed cells are also recorded on the session — see
+// Failures and FailureSummary.
 func (s *Session) RunAll(cfg core.Config) (map[string]*Result, error) {
 	srcs, err := s.benchmarks()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*Result, len(srcs))
-	errs := make([]error, len(srcs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
+	cells := make([]campaign.Cell, len(srcs))
 	for i, src := range srcs {
-		i, src := i, src
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, err := s.Run(cfg, src)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[resultKey(src)] = r
-		}()
+		cells[i] = s.cell(cfg, src)
 	}
-	wg.Wait()
+	s.eng.Prime(cells)
+	out := make(map[string]*Result, len(srcs))
+	var errs []error
+	for _, src := range srcs {
+		r, err := s.Run(cfg, src)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		out[resultKey(src)] = r
+	}
 	return out, errors.Join(errs...)
 }
 

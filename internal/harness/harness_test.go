@@ -75,6 +75,33 @@ func TestRunAllFilters(t *testing.T) {
 	}
 }
 
+// TestRunAllRunsInTableOrder: RunAll primes its cells in table order, so
+// a one-worker session executes them in that order, every time.
+func TestRunAllRunsInTableOrder(t *testing.T) {
+	table := []string{"mst", "treeadd", "art", "gzip"}
+	var mu sync.Mutex
+	var ran []string
+	s := NewSession(Options{
+		MaxInstr:   2_000,
+		Scale:      workload.ScaleTest,
+		Benchmarks: table,
+		Parallel:   1,
+		PreRun: func(p *core.Processor, cfg core.Config, src workload.Source) {
+			mu.Lock()
+			defer mu.Unlock()
+			ran = append(ran, src.Name())
+		},
+	})
+	if _, err := s.RunAll(core.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(ran, table) {
+		t.Errorf("cells ran in order %v, want table order %v", ran, table)
+	}
+}
+
 // TestSuiteAverages builds a sweep by hand — one row measured against
 // the baseline, one against its own reference — and checks the suite
 // averages the suiteTable layout renders from it.
