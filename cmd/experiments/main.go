@@ -25,10 +25,11 @@
 // against full sweeps, and re-running an exploration with -resume
 // executes nothing.
 //
-// The selected experiments expand into one campaign manifest — every
-// (configuration × benchmark) cell they need, deduplicated — which is
-// primed onto the engine's worker pool up front, so -parallel N crunches
-// the whole grid concurrently while tables render in paper order. With
+// Every (configuration × benchmark) cell the selected experiments read is
+// primed onto the engine's worker pool up front, once each and in the
+// order the tables read them, so -parallel N crunches the whole grid
+// concurrently while tables render in paper order, each as soon as its
+// own cells have finished. With
 // -cache-dir every finished cell persists to disk; re-running with
 // -resume serves finished cells from the cache and executes only what is
 // missing. A live progress line (cells done/total, aggregate instrs/s,
@@ -218,15 +219,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return renderExploration(s, remote, harness.ExploreOptions{TopK: *topK, AuditFrac: *audit, Seed: *seed}, stdout, stderr)
 		}
 	} else {
-		// Prime the full campaign manifest so the worker pool crunches
-		// every cell of the selected experiments concurrently while tables
-		// render in paper order.
+		// Prime every cell of the selected experiments so the worker pool
+		// crunches them concurrently, in table order, while tables render.
 		ids := strings.Split(*runIDs, ",")
-		manifest, err := s.ManifestFor(ids)
-		if err != nil {
+		if expected, err = s.Prime(ids); err != nil {
 			return fail(2, "experiments: %v", err)
 		}
-		expected = s.Prime(manifest)
 		if *verbose {
 			fmt.Fprintf(stderr, "campaign: primed %d cells onto %d workers\n", expected, s.Campaign().Workers())
 		}
@@ -300,7 +298,7 @@ func isTerminal(w io.Writer) bool {
 
 // writeCrashDumps saves each failed cell's structured error under dir as
 // <config>-<bench>.json; a missing dir is a no-op.
-func writeCrashDumps(stderr io.Writer, dir string, fails []*harness.Result) {
+func writeCrashDumps(stderr io.Writer, dir string, fails []campaign.Failure) {
 	if dir == "" {
 		return
 	}
@@ -317,7 +315,7 @@ func writeCrashDumps(stderr io.Writer, dir string, fails []*harness.Result) {
 		if err != nil {
 			continue
 		}
-		path := filepath.Join(dir, harness.CellFileName(f.Config, f.Bench, ".json"))
+		path := filepath.Join(dir, harness.CellFileName(f.Cell.Config.Name, f.Cell.Bench, ".json"))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			fmt.Fprintf(stderr, "writing %s: %v\n", path, err)
 			continue

@@ -425,43 +425,60 @@ func TestEngineTransientRetry(t *testing.T) {
 	}
 }
 
-func TestManifestDedupAndOrder(t *testing.T) {
+// TestPrimeDropsRepeats: Prime counts only the cells new to the engine —
+// a repeat within one call, or a cell primed or run before, is dropped —
+// and executes each cell once.
+func TestPrimeDropsRepeats(t *testing.T) {
+	var calls atomic.Int32
+	eng := NewEngine(func(c Cell) (*Record, error) {
+		calls.Add(1)
+		return fakeExec(c)
+	}, Options{Workers: 2})
 	a, b := testCell("", 64, "gzip"), testCell("", 64, "art")
 	c := testCell("", 128, "gzip")
-	m := NewManifest([]Cell{a, b, c, a, b}) // duplicates collapse
-	if m.Len() != 3 {
-		t.Fatalf("manifest size %d, want 3", m.Len())
+	if n := eng.Prime([]Cell{a, b, a, b}); n != 2 {
+		t.Errorf("Prime of 2 distinct cells counted %d", n)
 	}
-	m2 := NewManifest([]Cell{c, b, a}) // order-independent
-	for i := range m.Cells() {
-		if m.Cells()[i].ID() != m2.Cells()[i].ID() {
-			t.Fatalf("manifest order not deterministic at %d", i)
-		}
+	if _, err := eng.Run(c); err != nil {
+		t.Fatal(err)
 	}
-	// Sorted by (config, bench).
-	got := []string{}
-	for _, cell := range m.Cells() {
-		got = append(got, cell.String())
+	if n := eng.Prime([]Cell{c, b, a}); n != 0 {
+		t.Errorf("Prime of cells already submitted counted %d", n)
 	}
-	want := []string{"128-IQ/128/gzip", "64-IQ/128/art", "64-IQ/128/gzip"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("manifest order %v, want %v", got, want)
+	eng.Wait()
+	if calls.Load() != 3 {
+		t.Errorf("executed %d times, want once per distinct cell (3)", calls.Load())
 	}
-	// Cells that differ only in their budgets share both sort labels: the
-	// dedup map's iteration order used to decide between them.
-	var twins []Cell
-	for budget := uint64(1000); budget < 1008; budget++ {
-		cell := testCell("", 64, "gzip")
-		cell.MaxInstr = budget
-		twins = append(twins, cell)
-	}
-	first := NewManifest(twins).Cells()
-	for try := 0; try < 50; try++ {
-		for i, cell := range NewManifest(twins).Cells() {
-			if cell.MaxInstr != first[i].MaxInstr {
-				t.Fatalf("manifest %d orders same-label cells differently at %d", try, i)
+}
+
+// TestEngineFailureRecordedOnce: concurrent Runs of one failing cell
+// share one execution, so the engine lists the failure once and logs one
+// FAIL line.
+func TestEngineFailureRecordedOnce(t *testing.T) {
+	boom := errors.New("boom")
+	var log bytes.Buffer
+	eng := NewEngine(func(c Cell) (*Record, error) {
+		time.Sleep(10 * time.Millisecond) // let every caller arrive first
+		return nil, boom
+	}, Options{Workers: 4, Log: &log})
+	cell := testCell("", 64, "gzip")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := eng.Run(cell); !errors.Is(err, boom) {
+				t.Errorf("Run = %v, want the executor's error", err)
 			}
-		}
+		}()
+	}
+	wg.Wait()
+	fails := eng.Failures()
+	if len(fails) != 1 || fails[0].Cell.ID() != cell.ID() || !errors.Is(fails[0].Err, boom) {
+		t.Errorf("failures = %+v, want the one gzip cell", fails)
+	}
+	if n := strings.Count(log.String(), "FAIL "); n != 1 || eng.Snapshot().Failed != 1 {
+		t.Errorf("%d FAIL lines and %d failed cells, want 1 each:\n%s", n, eng.Snapshot().Failed, log.String())
 	}
 }
 

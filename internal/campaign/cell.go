@@ -1,8 +1,8 @@
 // Package campaign is the execution engine behind the paper's
-// evaluation grid. An experiment set expands into a deterministic
-// manifest of (benchmark × configuration × budget) cells; the engine runs
-// the cells in manifest order on a bounded worker pool fed by one FIFO
-// queue, with per-worker panic isolation, resolves each cell at most once
+// evaluation grid. An experiment set expands into (benchmark ×
+// configuration × budget) cells; the engine runs the cells in the order
+// they were submitted on a bounded worker pool fed by one FIFO queue,
+// with per-worker panic isolation, resolves each cell at most once
 // (internal/flight), and persists every finished cell's result as a
 // schema-versioned JSON record in an on-disk content-addressed store, so
 // an interrupted or re-invoked campaign resumes with zero recomputation
@@ -100,6 +100,15 @@ func (c Cell) ID() string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])[:idHexLen]
+}
+
+// label names the cell's workload in log lines: the kernel name for a
+// registry kernel, the ref for any other workload.
+func (c Cell) label() string {
+	if c.Workload != "" {
+		return c.Workload
+	}
+	return c.Bench
 }
 
 // String names the cell for logs and progress lines.

@@ -34,7 +34,7 @@ type Options struct {
 	// nothing; a policy carrying only IsTransient retries transient
 	// failures once, immediately.
 	Retry RetryPolicy
-	// Log receives retry and cache-corruption lines (nil = quiet).
+	// Log receives RETRY, FAIL and cache-corruption lines (nil = quiet).
 	Log io.Writer
 	// Checkpoints, when non-nil, is the campaign's shared functional-
 	// checkpoint cache. The engine itself never builds checkpoints (the
@@ -51,29 +51,36 @@ type job struct {
 	slot *flight.Slot[*Record]
 }
 
+// Failure is a cell that finished with an error, after its retries.
+type Failure struct {
+	Cell Cell
+	Err  error
+}
+
 // Engine executes cells across a bounded worker pool with per-worker
 // panic isolation and a persistent result cache. Exactly one resolution
 // (cache hit or execution) happens per cell ID per engine, and every Run
 // of the same cell receives the same *Record pointer. The pool drains one
-// FIFO queue, so a primed manifest executes in manifest order. Workers
-// spawn on demand when cells are queued and exit when the queue drains,
-// so an idle engine holds no goroutines and needs no Close.
+// FIFO queue, so primed cells execute in the order they were primed.
+// Workers spawn on demand when cells are queued and exit when the queue
+// drains, so an idle engine holds no goroutines and needs no Close.
 type Engine struct {
 	exec  ExecFunc
 	opt   Options
 	cells flight.Memo[*Record]
 
 	// One mutex is enough: a cell is milliseconds of simulation, so the
-	// queue is touched a few hundred times a second at most.
-	mu      sync.Mutex
-	queue   []job // pending cells, oldest first
-	workers int   // live workers, at most opt.Workers
+	// queue and the failure list are touched a few hundred times a second
+	// at most.
+	mu       sync.Mutex
+	queue    []job     // pending cells, oldest first
+	workers  int       // live workers, at most opt.Workers
+	failures []Failure // failed cells, in the order they finished
 
 	total     atomic.Uint64 // cells submitted (single-flight entries)
 	completed atomic.Uint64 // cells finished (any path)
 	executed  atomic.Uint64 // cells that actually simulated
 	cacheHits atomic.Uint64 // cells served from the store
-	failed    atomic.Uint64 // cells finished with an error
 	retries   atomic.Uint64 // transient retries performed
 	instrs    atomic.Uint64 // instructions committed by executed cells
 
@@ -125,17 +132,23 @@ func (e *Engine) Workers() int { return e.opt.Workers }
 // by executing it on the worker pool. Concurrent Runs of the same cell
 // share one resolution and one *Record.
 func (e *Engine) Run(cell Cell) (*Record, error) {
-	return e.submit(cell).Wait()
+	slot, _ := e.submit(cell)
+	return slot.Wait()
 }
 
-// Prime submits cells without waiting: the pool starts on the manifest
-// immediately and works through it in the order given, while the caller
-// renders tables in its own order, waiting only on the cells each table
-// needs.
-func (e *Engine) Prime(cells []Cell) {
+// Prime submits cells without waiting: the pool starts on them
+// immediately and works through them in the order given, while the caller
+// renders tables, waiting only on the cells each table needs. It returns
+// how many cells were new to the engine; a repeat (or a cell submitted
+// before) is dropped.
+func (e *Engine) Prime(cells []Cell) int {
+	n := 0
 	for _, c := range cells {
-		e.submit(c)
+		if _, first := e.submit(c); first {
+			n++
+		}
 	}
+	return n
 }
 
 // Wait blocks until every submitted cell has finished.
@@ -146,12 +159,12 @@ func (e *Engine) Wait() {
 }
 
 // submit returns the single-flight slot for a cell, resolving it (cache
-// probe, then enqueue) on first sight.
-func (e *Engine) submit(cell Cell) *flight.Slot[*Record] {
+// probe, then enqueue) on first sight; first reports that this call did.
+func (e *Engine) submit(cell Cell) (slot *flight.Slot[*Record], first bool) {
 	id := cell.ID()
-	slot, first := e.cells.Claim(id)
+	slot, first = e.cells.Claim(id)
 	if !first {
-		return slot
+		return slot, false
 	}
 	e.total.Add(1)
 	if e.opt.Resume && e.opt.Store != nil {
@@ -162,11 +175,11 @@ func (e *Engine) submit(cell Cell) *flight.Slot[*Record] {
 		if rec != nil && err == nil {
 			e.cacheHits.Add(1)
 			e.finish(slot, rec, nil)
-			return slot
+			return slot, true
 		}
 	}
 	e.enqueue(job{cell: cell, id: id, slot: slot})
-	return slot
+	return slot, true
 }
 
 // enqueue appends a cell to the queue and starts a worker for it unless
@@ -203,14 +216,15 @@ func (e *Engine) worker() {
 }
 
 // runCell executes one claimed cell with panic isolation and the
-// engine's retry policy, persists the record, and releases waiters.
+// engine's retry policy, persists the record (or records the failure),
+// and releases waiters.
 func (e *Engine) runCell(j job) {
 	rec, err := e.execIsolated(j.cell)
 	for failures := 1; e.opt.Retry.Retryable(failures, err); failures++ {
 		e.retries.Add(1)
 		if e.opt.Log != nil {
 			fmt.Fprintf(e.opt.Log, "  RETRY %s on %s (attempt %d): %v\n",
-				j.cell.Bench, j.cell.Config.Name, failures+1, err)
+				j.cell.label(), j.cell.Config.Name, failures+1, err)
 		}
 		if d := e.opt.Retry.Backoff(failures); d > 0 {
 			time.Sleep(d)
@@ -219,7 +233,12 @@ func (e *Engine) runCell(j job) {
 	}
 	e.executed.Add(1)
 	if err != nil {
-		e.failed.Add(1)
+		if e.opt.Log != nil {
+			fmt.Fprintf(e.opt.Log, "  FAIL %-10s on %-16s %v\n", j.cell.label(), j.cell.Config.Name, err)
+		}
+		e.mu.Lock()
+		e.failures = append(e.failures, Failure{Cell: j.cell, Err: err})
+		e.mu.Unlock()
 		e.finish(j.slot, nil, err)
 		return
 	}
@@ -248,6 +267,14 @@ func (e *Engine) execIsolated(c Cell) (rec *Record, err error) {
 func (e *Engine) finish(slot *flight.Slot[*Record], rec *Record, err error) {
 	e.completed.Add(1)
 	slot.Resolve(rec, err)
+}
+
+// Failures returns the cells that have failed so far, in the order they
+// finished. A failed cell is listed once, however many callers ran it.
+func (e *Engine) Failures() []Failure {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]Failure(nil), e.failures...)
 }
 
 // Snapshot is a point-in-time view of campaign progress.
@@ -279,12 +306,15 @@ type Snapshot struct {
 
 // Snapshot reads the engine's progress counters.
 func (e *Engine) Snapshot() Snapshot {
+	e.mu.Lock()
+	failed := len(e.failures)
+	e.mu.Unlock()
 	s := Snapshot{
 		Total:     e.total.Load(),
 		Done:      e.completed.Load(),
 		Executed:  e.executed.Load(),
 		CacheHits: e.cacheHits.Load(),
-		Failed:    e.failed.Load(),
+		Failed:    uint64(failed),
 		Retries:   e.retries.Load(),
 		Instrs:    e.instrs.Load(),
 		Elapsed:   time.Since(e.start),

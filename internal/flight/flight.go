@@ -1,7 +1,8 @@
 // Package flight is the campaign tier's one single-flight memo: "resolve
 // this content ID at most once, and hand every asker the same answer".
 // The engine's cells, the checkpoint cache and the harness session's
-// results are each a Memo keyed by a content ID.
+// program lengths and resolved workloads are each a Memo keyed by a
+// content ID.
 package flight
 
 import "sync"

@@ -22,11 +22,11 @@ type Row struct {
 
 // Experiment declares one of the paper's tables or figures: the machines
 // it compares and the layout of the measured sweep. Everything else is
-// derived from the declaration: Configs is computed from Rows, the
-// campaign manifest (ManifestFor) is Configs × the selected workloads, and
+// derived from the declaration: Configs is computed from Rows, the cells
+// Session.Prime submits are Configs × the selected workloads, and
 // Session.measure runs exactly Configs before a layout reads a result —
-// so the manifest and the rendered tables agree cell for cell by
-// construction.
+// so the primed cells and the rendered tables agree cell for cell, and in
+// order, by construction.
 type Experiment struct {
 	ID     string // "fig1", "table2", ...
 	Title  string
@@ -80,19 +80,22 @@ func selectExperiments(ids []string) ([]Experiment, error) {
 	return out, nil
 }
 
-// ManifestFor expands the named experiments ("all" or nil = all) into
-// the deterministic campaign manifest of every (configuration ×
-// benchmark) cell they will request under this session's budgets —
-// deduplicated (the baseline appears in every experiment but once in
-// the manifest) and sorted.
-func (s *Session) ManifestFor(ids []string) (campaign.Manifest, error) {
+// Prime submits every (configuration × benchmark) cell the named
+// experiments ("all" or nil = all) will read to the engine without
+// waiting, in the order the tables read them: the experiments in paper
+// order, each one's Configs() × the session's workloads. The engine runs
+// its queue in that order and drops the repeats (the baseline appears in
+// every experiment), so each table prints as soon as its own cells have
+// finished while the pool works on the next. It returns how many cells
+// were new to the engine; an unknown id is an error and submits nothing.
+func (s *Session) Prime(ids []string) (int, error) {
 	exps, err := selectExperiments(ids)
 	if err != nil {
-		return campaign.Manifest{}, err
+		return 0, err
 	}
 	srcs, err := s.benchmarks()
 	if err != nil {
-		return campaign.Manifest{}, err
+		return 0, err
 	}
 	var cells []campaign.Cell
 	for _, ex := range exps {
@@ -102,7 +105,7 @@ func (s *Session) ManifestFor(ids []string) (campaign.Manifest, error) {
 			}
 		}
 	}
-	return campaign.NewManifest(cells), nil
+	return s.eng.Prime(cells), nil
 }
 
 // RunExperiments runs the named experiments ("all" or nil = all) and
@@ -132,11 +135,11 @@ type sweep struct {
 	rows     []Row
 	srcs     []workload.Source
 	plan     *sample.Plan // non-nil: every cell was a sampled run
-	res, ref [][]*Result
+	res, ref [][]*campaign.Record
 }
 
-// measure runs the experiment's Configs() — exactly the list the manifest
-// was expanded from — and files the results under the rows that declared
+// measure runs the experiment's Configs() — exactly the list Prime
+// expands — and files the results under the rows that declared
 // them. A failed cell fails the experiment (RunAll has already let the
 // rest of that configuration finish).
 func (s *Session) measure(ex Experiment) (*sweep, error) {
@@ -144,13 +147,13 @@ func (s *Session) measure(ex Experiment) (*sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	var grid [][]*Result // one line per Configs() entry, in workload order
+	var grid [][]*campaign.Record // one line per Configs() entry, in workload order
 	for _, cfg := range ex.Configs() {
 		byKey, err := s.RunAll(cfg)
 		if err != nil {
 			return nil, err
 		}
-		line := make([]*Result, len(srcs))
+		line := make([]*campaign.Record, len(srcs))
 		for j, src := range srcs {
 			line[j] = byKey[resultKey(src)]
 		}
@@ -282,7 +285,7 @@ func table2() Experiment {
 		render: func(m *sweep) []*stats.Table {
 			// Sampled sessions qualify each IPC with its 95% confidence half-width.
 			sampled := m.plan != nil
-			ipc := func(r *Result) any {
+			ipc := func(r *campaign.Record) any {
 				if sampled {
 					return fmt.Sprintf("%.3f ±%.3f", r.IPC, r.IPCCI95)
 				}

@@ -4,10 +4,11 @@
 // table and figure of the paper (DESIGN.md §3 maps each experiment to the
 // module that implements it).
 //
-// Session is a thin view over the campaign store: Run and RunAll resolve
-// cells through the engine — which memoizes in-process, executes in
-// submission order on a bounded pool, and (when CacheDir is set) persists
-// every finished cell so a later session resumes without recomputation.
+// Session is a thin view over the campaign engine: Run and RunAll resolve
+// cells through it — it memoizes in-process, executes in submission order
+// on a bounded pool, records every failed cell once, and (when CacheDir is
+// set) persists every finished cell so a later session resumes without
+// recomputation.
 package harness
 
 import (
@@ -21,7 +22,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"largewindow/internal/campaign"
@@ -128,35 +128,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is the outcome of one simulation run: the cell's campaign record
-// (fresh or cache-served — IPC, Stats, the miss ratios and the sampling
-// statistics are its fields, promoted). A failed run has Err set and a
-// record carrying only its labels; failed cells stay in the session's
-// failure list so a sweep's summary can name them.
-type Result struct {
-	*campaign.Record
-	Err error // non-nil: the cell failed (SimError or panic)
-}
-
-// Session runs and memoizes simulations as a view over a campaign
-// engine. Construction never fails fatally: an unusable cache directory
-// degrades to an in-process-only session with the error recorded in
-// StoreErr.
+// Session runs simulations as a view over a campaign engine, whose cell
+// table is the session's one memo of results and failures alike — a
+// crashed cell is not silently re-run by the next experiment needing it.
+// Construction never fails fatally: an unusable cache directory degrades
+// to an in-process-only session with the error recorded in StoreErr.
 type Session struct {
-	opt   Options
-	eng   *campaign.Engine
-	store *campaign.Store
-	ckpts *campaign.Checkpoints
-
-	// view is the once-per-cell Record→Result conversion over the engine:
-	// every caller sees the same *Result pointer and a failed cell enters
-	// the failure list once, even under concurrent Run calls. Successes
-	// and failures alike are memoized — a crashed cell is not silently
-	// re-run by the next experiment needing it.
-	view flight.Memo[*Result]
-
-	mu       sync.Mutex
-	failures []*Result
+	opt      Options
+	eng      *campaign.Engine
+	store    *campaign.Store
+	ckpts    *campaign.Checkpoints
 	storeErr error
 
 	// progLen memoizes measured program lengths by "identity/scale", so
@@ -288,28 +269,17 @@ func resultKey(src workload.Source) string {
 }
 
 // Run simulates one workload under one configuration by resolving its
-// campaign cell: served from this session's memo, from the persistent
-// store (Resume), or executed on the engine's worker pool — single-
-// flight in every case, with transient failures retried once before the
-// cell is recorded as failed.
-func (s *Session) Run(cfg core.Config, src workload.Source) (*Result, error) {
-	cell := s.cell(cfg, src)
-	res, err, _ := s.view.Do(cell.ID(), func() (*Result, error) {
-		rec, err := s.eng.Run(cell)
-		if err != nil {
-			err = fmt.Errorf("%s on %s: %w", resultKey(src), cfg.Name, err)
-			res := &Result{Record: &campaign.Record{Bench: src.Name(), Config: cfg.Name}, Err: err}
-			s.mu.Lock()
-			s.failures = append(s.failures, res)
-			s.mu.Unlock()
-			if s.opt.Log != nil {
-				fmt.Fprintf(s.opt.Log, "  FAIL %-10s on %-16s %v\n", resultKey(src), cfg.Name, err)
-			}
-			return res, err
-		}
-		return &Result{Record: rec}, nil
-	})
-	return res, err
+// campaign cell on the engine: served from the engine's memo, from the
+// persistent store (Resume), or executed on its worker pool — single-
+// flight in every case, so every caller gets the same *Record, with
+// transient failures retried before the engine records the cell as
+// failed.
+func (s *Session) Run(cfg core.Config, src workload.Source) (*campaign.Record, error) {
+	rec, err := s.eng.Run(s.cell(cfg, src))
+	if err != nil {
+		return nil, fmt.Errorf("%s on %s: %w", resultKey(src), cfg.Name, err)
+	}
+	return rec, nil
 }
 
 // resolveCell maps a cell back to its workload source. Bench cells go
@@ -543,9 +513,9 @@ func Transient(err error) bool {
 // them in that order; RunAll then waits on each in turn. Failed cells do
 // NOT abort the sweep: the remaining benchmarks still run, and the
 // returned error joins every failure (in table order) so callers see all
-// of them at once. Failed cells are also recorded on the session — see
+// of them at once. Failed cells are also recorded by the engine — see
 // Failures and FailureSummary.
-func (s *Session) RunAll(cfg core.Config) (map[string]*Result, error) {
+func (s *Session) RunAll(cfg core.Config) (map[string]*campaign.Record, error) {
 	srcs, err := s.benchmarks()
 	if err != nil {
 		return nil, err
@@ -555,7 +525,7 @@ func (s *Session) RunAll(cfg core.Config) (map[string]*Result, error) {
 		cells[i] = s.cell(cfg, src)
 	}
 	s.eng.Prime(cells)
-	out := make(map[string]*Result, len(srcs))
+	out := make(map[string]*campaign.Record, len(srcs))
 	var errs []error
 	for _, src := range srcs {
 		r, err := s.Run(cfg, src)
@@ -568,26 +538,16 @@ func (s *Session) RunAll(cfg core.Config) (map[string]*Result, error) {
 	return out, errors.Join(errs...)
 }
 
-// Prime submits a manifest to the engine without waiting: the worker
-// pool starts crunching the whole campaign immediately while experiment
-// tables render in their own order, each waiting only on the cells it
-// needs. Returns the manifest size.
-func (s *Session) Prime(m campaign.Manifest) int {
-	s.eng.Prime(m.Cells())
-	return m.Len()
-}
-
-// Failures returns the failed cells recorded so far, ordered by
+// Failures returns the engine's failed cells so far, ordered by
 // (config, benchmark).
-func (s *Session) Failures() []*Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := append([]*Result(nil), s.failures...)
+func (s *Session) Failures() []campaign.Failure {
+	out := s.eng.Failures()
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Config != out[j].Config {
-			return out[i].Config < out[j].Config
+		a, b := out[i].Cell, out[j].Cell
+		if a.Config.Name != b.Config.Name {
+			return a.Config.Name < b.Config.Name
 		}
-		return out[i].Bench < out[j].Bench
+		return a.Bench < b.Bench
 	})
 	return out
 }
@@ -615,7 +575,7 @@ func (s *Session) FailureSummary() string {
 		if len(msg) > 72 {
 			msg = msg[:69] + "..."
 		}
-		t.AddRow(f.Config, f.Bench, kind, cycle, msg)
+		t.AddRow(f.Cell.Config.Name, f.Cell.Bench, kind, cycle, msg)
 	}
 	t.AddNote("%d of the sweep's cells failed; metrics above exclude them", len(fails))
 	var b strings.Builder

@@ -111,10 +111,10 @@ func TestSuiteAverages(t *testing.T) {
 		spec, _ := workload.Get(name)
 		srcs = append(srcs, spec.Source())
 	}
-	ipcs := func(xs ...float64) []*Result {
-		out := make([]*Result, len(xs))
+	ipcs := func(xs ...float64) []*campaign.Record {
+		out := make([]*campaign.Record, len(xs))
 		for i, x := range xs {
-			out[i] = &Result{Record: &campaign.Record{IPC: x}}
+			out[i] = &campaign.Record{IPC: x}
 		}
 		return out
 	}
@@ -122,8 +122,8 @@ func TestSuiteAverages(t *testing.T) {
 	m := &sweep{
 		rows: []Row{{Label: "vs-base"}, {Label: "vs-own"}},
 		srcs: srcs,
-		res:  [][]*Result{ipcs(2, 3, 4), ipcs(2, 3, 4)},
-		ref:  [][]*Result{base, ipcs(2, 2, 1)},
+		res:  [][]*campaign.Record{ipcs(2, 3, 4), ipcs(2, 3, 4)},
+		ref:  [][]*campaign.Record{base, ipcs(2, 2, 1)},
 	}
 	if sp := m.speedups(0, workload.SuiteInt); len(sp) != 2 || sp[0] != 2 || sp[1] != 3 {
 		t.Errorf("int speedups = %v, want [2 3]", sp)
@@ -193,40 +193,84 @@ func TestExperimentTablesGolden(t *testing.T) {
 	golden.CheckText(t, "testdata/experiments.golden", sb.String())
 }
 
-// TestManifestIsWhatRendersAsk: for every experiment (and for all of them
-// together) the manifest names exactly the cells rendering reads. A fresh
-// session that renders without priming executes as many distinct cells
-// as the manifest holds, and a session primed with the manifest executes
-// no cell beyond it while rendering — so the two sets are equal.
-func TestManifestIsWhatRendersAsk(t *testing.T) {
+// TestPrimeIsWhatRendersAsk: for every experiment (and for all of them
+// together) Prime submits exactly the cells rendering reads. A session
+// primed with the selection executes no cell beyond the count Prime
+// returned while rendering, and a fresh session that renders without
+// priming executes as many distinct cells — so the two sets are equal.
+func TestPrimeIsWhatRendersAsk(t *testing.T) {
 	selections := [][]string{{"all"}}
 	for _, ex := range Experiments() {
 		selections = append(selections, []string{ex.ID})
 	}
+	session := func() *Session {
+		return NewSession(Options{MaxInstr: 2_000, Scale: workload.ScaleTest, Benchmarks: []string{"treeadd", "gzip"}})
+	}
+	executed := func(s *Session, ids []string) uint64 {
+		if err := RunExperiments(s, ids, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		s.Campaign().Wait()
+		return s.Campaign().Snapshot().Executed
+	}
 	for _, ids := range selections {
-		for _, prime := range []bool{false, true} {
-			s := NewSession(Options{MaxInstr: 2_000, Scale: workload.ScaleTest, Benchmarks: []string{"treeadd", "gzip"}})
-			manifest, err := s.ManifestFor(ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if prime {
-				s.Prime(manifest)
-			}
-			if err := RunExperiments(s, ids, io.Discard); err != nil {
-				t.Fatal(err)
-			}
-			s.Campaign().Wait()
-			if got := s.Campaign().Snapshot().Executed; got != uint64(manifest.Len()) {
-				t.Errorf("%v (primed=%v): rendering left %d cells executed, the manifest names %d", ids, prime, got, manifest.Len())
-			}
+		primed := session()
+		n, err := primed.Prime(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := executed(primed, ids); got != uint64(n) {
+			t.Errorf("%v: rendering a primed session left %d cells executed, Prime submitted %d", ids, got, n)
+		}
+		if got := executed(session(), ids); got != uint64(n) {
+			t.Errorf("%v: rendering an unprimed session executed %d cells, Prime submits %d", ids, got, n)
 		}
 	}
 }
 
+// TestPrimeRunsCellsInTableOrder: Prime submits the selected experiments'
+// cells in the order their tables read them — experiments in paper order
+// (Table 2 before Figure 4, whatever order the ids came in), each one's
+// Configs() × the workloads, a cell already submitted dropped — so a
+// one-worker session executes them in that order.
+func TestPrimeRunsCellsInTableOrder(t *testing.T) {
+	benches := []string{"treeadd", "gzip"}
+	var mu sync.Mutex
+	var ran []string
+	s := NewSession(Options{
+		MaxInstr:   2_000,
+		Scale:      workload.ScaleTest,
+		Benchmarks: benches,
+		Parallel:   1,
+		PreRun: func(p *core.Processor, cfg core.Config, src workload.Source) {
+			mu.Lock()
+			defer mu.Unlock()
+			ran = append(ran, cfg.Name+"/"+src.Name())
+		},
+	})
+	n, err := s.Prime([]string{"fig4", "table2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Campaign().Wait()
+	var want []string
+	// Table 2 reads the baseline and WIB; Figure 4 reads those again, then
+	// its two scaled conventional machines.
+	for _, cfg := range []string{"32-IQ/128", "WIB/2048", "32-IQ/2048", "2048-IQ/2048"} {
+		for _, b := range benches {
+			want = append(want, cfg+"/"+b)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if n != len(want) || !reflect.DeepEqual(ran, want) {
+		t.Errorf("Prime submitted %d cells, which ran in order\n  %v\nwant %d in table order\n  %v", n, ran, len(want), want)
+	}
+}
+
 // TestRunExperimentsUnknownIDRejected: an id that names no experiment is
-// an error listing the valid ids — from the manifest and from the run —
-// not an empty selection that renders nothing and exits 0.
+// an error listing the valid ids — from Prime and from the run — not an
+// empty selection that renders nothing and exits 0.
 func TestRunExperimentsUnknownIDRejected(t *testing.T) {
 	s := testSession("treeadd")
 	var sb strings.Builder
@@ -237,11 +281,11 @@ func TestRunExperimentsUnknownIDRejected(t *testing.T) {
 	if sb.Len() != 0 {
 		t.Errorf("a rejected selection still rendered:\n%s", sb.String())
 	}
-	if _, err := s.ManifestFor([]string{"fig44"}); err == nil {
-		t.Error("ManifestFor accepted an unknown id")
+	if n, err := s.Prime([]string{"fig4", "fig44"}); err == nil || n != 0 {
+		t.Errorf("Prime accepted an unknown id: %d cells, err %v", n, err)
 	}
-	if snap := s.Campaign().Snapshot(); snap.Executed != 0 {
-		t.Errorf("a rejected selection executed %d cells", snap.Executed)
+	if snap := s.Campaign().Snapshot(); snap.Total != 0 || snap.Executed != 0 {
+		t.Errorf("a rejected selection submitted %d cells and executed %d", snap.Total, snap.Executed)
 	}
 }
 
@@ -309,7 +353,7 @@ func TestRunAllSurvivesFaultyCell(t *testing.T) {
 		}
 	}
 	fails := s.Failures()
-	if len(fails) != 1 || fails[0].Bench != "mst" || fails[0].Config != "debug-base" {
+	if len(fails) != 1 || fails[0].Cell.Bench != "mst" || fails[0].Cell.Config.Name != "debug-base" {
 		t.Fatalf("failures = %+v, want exactly mst/debug-base", fails)
 	}
 	sum := s.FailureSummary()
@@ -331,6 +375,47 @@ func TestRunAllSurvivesFaultyCell(t *testing.T) {
 	}
 	if len(s.Failures()) != 1 {
 		t.Errorf("failure recorded twice: %d entries", len(s.Failures()))
+	}
+}
+
+// TestFailureRecordedOnce: concurrent Runs of one sabotaged cell share
+// one execution, so the engine records one failure and logs one FAIL
+// line, and every caller gets the same error.
+func TestFailureRecordedOnce(t *testing.T) {
+	var log bytes.Buffer
+	s := NewSession(Options{
+		MaxInstr:   2_000,
+		Scale:      workload.ScaleTest,
+		Benchmarks: []string{"treeadd"},
+		Log:        &log,
+		PreRun: func(*core.Processor, core.Config, workload.Source) {
+			time.Sleep(10 * time.Millisecond) // let every caller arrive first
+			panic("sabotaged cell")
+		},
+	})
+	spec, _ := workload.Get("treeadd")
+	src := spec.Source()
+	const callers = 8
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = s.Run(core.DefaultConfig(), src)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "treeadd on 32-IQ/128: ") || err.Error() != errs[0].Error() {
+			t.Errorf("caller %d: err = %v; want the shared failure %v", i, err, errs[0])
+		}
+	}
+	if fails := s.Failures(); len(fails) != 1 || fails[0].Cell.Bench != "treeadd" {
+		t.Errorf("failures = %+v, want the one treeadd cell", fails)
+	}
+	if n := strings.Count(log.String(), "FAIL "); n != 1 {
+		t.Errorf("%d FAIL lines, want 1:\n%s", n, log.String())
 	}
 }
 
@@ -371,7 +456,7 @@ func TestRunAllParallelRace(t *testing.T) {
 		core.WIBConfigSized(512, 8),
 	}
 	const sweepsPerConfig = 3
-	results := make([]map[string]*Result, len(configs)*sweepsPerConfig)
+	results := make([]map[string]*campaign.Record, len(configs)*sweepsPerConfig)
 	var wg sync.WaitGroup
 	for i := range results {
 		i, cfg := i, configs[i%len(configs)]

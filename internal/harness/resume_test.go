@@ -117,8 +117,8 @@ func TestSessionResumeAfterCrash(t *testing.T) {
 	// are indistinguishable from the original's.
 	for name, r1 := range res1 {
 		r2 := res2[name]
-		b1, err1 := json.Marshal(r1.Record)
-		b2, err2 := json.Marshal(r2.Record)
+		b1, err1 := json.Marshal(r1)
+		b2, err2 := json.Marshal(r2)
 		if err1 != nil || err2 != nil || !bytes.Equal(b1, b2) || r1.Suite != r2.Suite {
 			t.Errorf("cell %s diverges after resume (%v, %v):\n  ran:    %s\n  cached: %s", name, err1, err2, b1, b2)
 		}

@@ -72,4 +72,8 @@ echo "== explorer batches in any completion order give the serial report (race, 
 gate_exists TestExploreParallelMatchesSerial ./internal/model
 go test -race -count=10 -run '^TestExploreParallelMatchesSerial$' ./internal/model
 
+echo "== a cell run by many callers at once fails once: one Failure, one FAIL line (race, repeated) =="
+gate_exists TestFailureRecordedOnce ./internal/harness
+go test -race -count=10 -run '^TestFailureRecordedOnce$' ./internal/harness
+
 echo "check: all gates passed"

@@ -105,7 +105,7 @@ func TestOneCellEverySurface(t *testing.T) {
 // sessionSurfaces resolves cell through a session's engine (Session.Run,
 // whose record the engine memoizes) and through a second session's raw
 // ExecCell, the way a fleet worker executes it.
-func sessionSurfaces(t *testing.T, opt harness.Options, cfg Config, src Workload, cell campaign.Cell) (view *harness.Result, viaRun, viaExec *campaign.Record) {
+func sessionSurfaces(t *testing.T, opt harness.Options, cfg Config, src Workload, cell campaign.Cell) (view, viaRun, viaExec *campaign.Record) {
 	t.Helper()
 	s := harness.NewSession(opt)
 	view, err := s.Run(cfg, src)
