@@ -93,19 +93,19 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) int {
 	logger.Info("wibworker starting", "slots", slots, "server", *server)
 
 	// One metrics instance across every slot: /metrics reports the
-	// process, not a slot. The engine's own atomics back the
-	// throughput-facing series.
+	// process, not a slot. Instructions are counted as each slot delivers
+	// a record (the slots execute cells directly, never through the
+	// session's engine); checkpoint activity is the session's cache.
 	metrics := &service.WorkerMetrics{}
 	if *metricsAddr != "" {
 		reg := telemetry.NewRegistry()
 		metrics.Register(reg)
 		eng := session.Campaign()
 		start := time.Now()
-		reg.CounterFunc("worker.instrs", func() uint64 { return eng.Snapshot().Instrs })
 		reg.CounterFunc("worker.checkpoints.built", func() uint64 { return eng.Snapshot().CkptBuilt })
 		reg.CounterFunc("worker.checkpoints.reused", func() uint64 { return eng.Snapshot().CkptReused })
 		reg.Gauge("worker.instrs_per_sec", func(int64) float64 {
-			return obs.SaneRate(float64(eng.Snapshot().Instrs), time.Since(start).Seconds())
+			return obs.SaneRate(float64(metrics.Instrs.Load()), time.Since(start).Seconds())
 		})
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.MetricsHandler(reg))

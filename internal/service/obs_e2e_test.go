@@ -92,6 +92,47 @@ func TestObsMetricsScrapeMonotone(t *testing.T) {
 	}
 }
 
+// TestWorkerMetricsCountInstrs: a worker's worker.instrs counts the
+// committed instructions of every record it delivers, so the sum over
+// the cells it completed appears in its /metrics exposition.
+func TestWorkerMetricsCountInstrs(t *testing.T) {
+	_, srv := startCoordinator(t, CoordinatorOptions{LeaseTTL: time.Second})
+	metrics := &WorkerMetrics{}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	w := NewWorker(WorkerOptions{Server: srv.URL, ID: "w0", Exec: fakeExec, PollWait: 50 * time.Millisecond, Metrics: metrics})
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	client := NewClient(ClientOptions{Server: srv.URL, PollWait: 200 * time.Millisecond})
+	var want uint64
+	for _, c := range []campaign.Cell{testCell(16, "gzip"), testCell(32, "art"), testCell(64, "mst")} {
+		rec, err := client.Exec(c)
+		if err != nil {
+			t.Fatalf("exec %s: %v", c, err)
+		}
+		want += rec.Stats.Committed
+	}
+	// The last outcome is delivered on the worker's next lease request,
+	// or by its shutdown flush: stop it so every delivery has happened.
+	cancel()
+	<-done
+	reg := telemetry.NewRegistry()
+	metrics.Register(reg)
+	var buf bytes.Buffer
+	if err := obs.WriteMetrics(&buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := obs.ReadMetrics(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vals["worker_instrs"]; want == 0 || got != float64(want) {
+		t.Errorf("worker_instrs = %v, want %d (the committed sum of the delivered records)", got, want)
+	}
+}
+
 // TestObsSSELifecycleSmoke is the SSE smoke gate: a subscriber on the
 // live event stream must observe submit → lease → complete for a known
 // cell, all carrying one consistent correlation ID.

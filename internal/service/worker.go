@@ -26,6 +26,7 @@ type WorkerMetrics struct {
 	CellsDone   atomic.Uint64 // completions delivered (success or classified failure)
 	CellsOK     atomic.Uint64 // completions that carried a record
 	CellsFailed atomic.Uint64 // completions that carried an error
+	Instrs      atomic.Uint64 // instructions committed by the cells of delivered records
 	LeasesLost  atomic.Uint64 // leases the coordinator reaped under us (410)
 	Heartbeats  atomic.Uint64 // heartbeats delivered
 	hbTotalUS   atomic.Uint64 // cumulative heartbeat round-trip, microseconds
@@ -45,6 +46,7 @@ func (m *WorkerMetrics) Register(reg *telemetry.Registry) {
 	reg.CounterFunc("worker.cells.done", m.CellsDone.Load)
 	reg.CounterFunc("worker.cells.ok", m.CellsOK.Load)
 	reg.CounterFunc("worker.cells.failed", m.CellsFailed.Load)
+	reg.CounterFunc("worker.instrs", m.Instrs.Load)
 	reg.CounterFunc("worker.leases.lost", m.LeasesLost.Load)
 	reg.CounterFunc("worker.heartbeats", m.Heartbeats.Load)
 	reg.CounterFunc("worker.heartbeat.total_us", m.hbTotalUS.Load)
@@ -347,6 +349,9 @@ func (w *Worker) delivered(out *outcome, code int) {
 			m.CellsFailed.Add(1)
 		} else {
 			m.CellsOK.Add(1)
+			if rec := out.req.Record; rec != nil {
+				m.Instrs.Add(rec.Stats.Committed)
+			}
 		}
 		if failure != "" {
 			w.log(slog.LevelWarn, "completed with failure",
