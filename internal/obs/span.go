@@ -109,32 +109,7 @@ func (l *SpanLog) Flush() error {
 
 // ReadSpans parses a span-log JSONL stream, validating its header.
 func ReadSpans(r io.Reader) ([]Span, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var out []Span
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if h, ok := schema.SniffHeader(line); ok {
-			if err := schema.Check(h.SchemaVersion, schema.SpanVersion, "span log"); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		var sp Span
-		if err := json.Unmarshal(line, &sp); err != nil {
-			return nil, fmt.Errorf("obs: span line %d: %w", lineNo, err)
-		}
-		out = append(out, sp)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: reading spans: %w", err)
-	}
-	return out, nil
+	return schema.ReadJSONL[Span](r, schema.SpanVersion, "span log")
 }
 
 // FleetSummary is what StitchSummary reports about a span set: the

@@ -88,6 +88,47 @@ func TestReadSpansRejectsFutureSchema(t *testing.T) {
 	}
 }
 
+// TestJSONLReadersShareOneContract runs both JSONL readers — telemetry
+// samples and fleet spans, one schema.ReadJSONL underneath — through the
+// same cases.
+func TestJSONLReadersShareOneContract(t *testing.T) {
+	readers := []struct {
+		name, header, record string
+		read                 func(string) (int, error)
+	}{
+		{"samples", `{"schema_version":1,"kind":"telemetry-samples"}`, `{"cycle":1000,"interval":1000}`,
+			func(in string) (int, error) {
+				out, err := telemetry.ReadSamples(strings.NewReader(in))
+				return len(out), err
+			}},
+		{"spans", `{"schema_version":1,"kind":"fleet-spans"}`, `{"corr_id":"a","cell_id":"c","name":"queued","src":"coordinator","start_us":1,"end_us":2}`,
+			func(in string) (int, error) {
+				out, err := ReadSpans(strings.NewReader(in))
+				return len(out), err
+			}},
+	}
+	for _, r := range readers {
+		for _, tc := range []struct {
+			name, in string
+			n        int    // records decoded when err is empty
+			err      string // substring of the error
+		}{
+			{"current header", r.header + "\n" + r.record + "\n\n" + r.record + "\n", 2, ""},
+			{"headerless legacy stream", r.record + "\n" + r.record + "\n", 2, ""},
+			{"newer header", `{"schema_version":99}` + "\n" + r.record + "\n", 0, "version 99 not supported"},
+			{"garbage line", r.header + "\n" + r.record + "\nnot json\n", 0, "line 3"},
+		} {
+			n, err := r.read(tc.in)
+			switch {
+			case tc.err == "" && (err != nil || n != tc.n):
+				t.Errorf("%s/%s: %d records, %v; want %d", r.name, tc.name, n, err, tc.n)
+			case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+				t.Errorf("%s/%s: err %v, want one naming %q", r.name, tc.name, err, tc.err)
+			}
+		}
+	}
+}
+
 func TestStitchSummary(t *testing.T) {
 	spans := testSpans()
 	// Inject a correlation mismatch on c2.

@@ -9,8 +9,10 @@
 package schema
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // Artifact schema versions. Bump a constant when its artifact's encoding
@@ -80,11 +82,44 @@ func Check(got, current int, what string) error {
 	return nil
 }
 
-// SniffHeader reports whether the JSON document on line is a bare header
+// ReadJSONL decodes a stream-shaped artifact: one JSON record of type T
+// per line, blank lines skipped. A bare header line (sniffHeader) is
+// checked against the reader's current version; streams written before
+// their family was versioned carry none and still decode. A line that
+// does not decode fails with its line number; what names the artifact in
+// errors.
+func ReadJSONL[T any](r io.Reader, version int, what string) ([]T, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	var out []T
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		if h, ok := sniffHeader(line); ok {
+			if err := Check(h.SchemaVersion, version, what); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		var v T
+		if err := json.Unmarshal(line, &v); err != nil {
+			return nil, fmt.Errorf("schema: %s line %d: %w", what, lineNo, err)
+		}
+		out = append(out, v)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("schema: reading %s: %w", what, err)
+	}
+	return out, nil
+}
+
+// sniffHeader reports whether the JSON document on line is a bare header
 // (a schema_version marker with no payload fields), returning the decoded
 // header when it is. Payload records that happen to carry their version
 // inline are NOT headers and return ok=false.
-func SniffHeader(line []byte) (Header, bool) {
+func sniffHeader(line []byte) (Header, bool) {
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(line, &probe); err != nil {
 		return Header{}, false

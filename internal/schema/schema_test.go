@@ -54,12 +54,12 @@ func TestSniffHeader(t *testing.T) {
 		{``, false, 0},
 	}
 	for _, c := range cases {
-		h, ok := SniffHeader([]byte(c.line))
+		h, ok := sniffHeader([]byte(c.line))
 		if ok != c.ok {
-			t.Errorf("SniffHeader(%q) ok=%v, want %v", c.line, ok, c.ok)
+			t.Errorf("sniffHeader(%q) ok=%v, want %v", c.line, ok, c.ok)
 		}
 		if ok && h.SchemaVersion != c.ver {
-			t.Errorf("SniffHeader(%q) version=%d, want %d", c.line, h.SchemaVersion, c.ver)
+			t.Errorf("sniffHeader(%q) version=%d, want %d", c.line, h.SchemaVersion, c.ver)
 		}
 	}
 }

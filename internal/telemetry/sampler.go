@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 
@@ -156,32 +155,5 @@ func (c *Collector) Close(endCycle int64) error {
 // the validation path used by `wibtrace -render` and the smoke tests; a
 // malformed line fails with its line number.
 func ReadSamples(r io.Reader) ([]Sample, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var out []Sample
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		// A schema-version header line opens streams written since the
-		// encoding was versioned; legacy headerless streams still decode.
-		if h, ok := schema.SniffHeader(line); ok {
-			if err := schema.Check(h.SchemaVersion, schema.TelemetryVersion, "telemetry stream"); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		var s Sample
-		if err := json.Unmarshal(line, &s); err != nil {
-			return nil, fmt.Errorf("telemetry: sample line %d: %w", lineNo, err)
-		}
-		out = append(out, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: reading samples: %w", err)
-	}
-	return out, nil
+	return schema.ReadJSONL[Sample](r, schema.TelemetryVersion, "telemetry stream")
 }
