@@ -1,10 +1,12 @@
 // Package heap provides a generic, non-boxing binary min-heap for the
 // simulator's hot scheduling paths: the program-order WIB's eligible
-// pool, the MLP fill tracker and the cache fill tables. The last two hold
-// one entry per outstanding L2 miss ordered by fill time — up to 142 at
-// once on mst, 88 on art (WIB/2048, DESIGN.md §5.2) — which is why they
-// are a heap and not a scanned slice. internal/core's event-queue tests
-// keep it as their oracle, and benchmark/ times it as heap.pushpop_ns.
+// pool and the MLP fill tracker. The tracker holds one entry per
+// outstanding L2 miss ordered by fill time — up to 142 at once on mst, 88
+// on art (WIB/2048, DESIGN.md §5.2) — which is why it is a heap and not a
+// scanned slice. (The cache fill tables in internal/mem sift the same way
+// over a field compare, so a Hierarchy holds no func value.)
+// internal/core's event-queue tests keep it as their oracle, and
+// benchmark/ times it as heap.pushpop_ns.
 //
 // It exists to replace container/heap, whose interface{}-typed Push/Pop
 // box one value per operation — several heap operations run per simulated
@@ -18,8 +20,7 @@
 // the core's event queue was a Heap keyed by cycle alone — same-cycle
 // events fired in layout order, and the golden statistics recorded it —
 // until that order was specified (DESIGN.md §8.3). It is kept, and
-// TestLayoutMatchesContainerHeap pins it, because the cache fill tables
-// still hold equal keys.
+// TestLayoutMatchesContainerHeap pins it.
 package heap
 
 // Heap is a binary min-heap ordered by the less function. The zero value

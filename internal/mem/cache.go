@@ -73,6 +73,7 @@ type line struct {
 // unambiguous.
 type tagArray struct {
 	sets    [][]line
+	lines   []line // the backing of sets, one contiguous block
 	setMask uint64
 	shift   uint // log2 of the unit (line or page) size in bytes
 	tick    uint64
@@ -90,7 +91,14 @@ func newTagArray(nsets, assoc int, unitBytes uint64) tagArray {
 	for uint64(1)<<shift != unitBytes {
 		shift++
 	}
-	return tagArray{sets: sets, setMask: uint64(nsets - 1), shift: shift}
+	return tagArray{sets: sets, lines: backing, setMask: uint64(nsets - 1), shift: shift}
+}
+
+// copyFrom makes a's tags, dirty bits and LRU stamps those of src, which
+// has the same geometry.
+func (a *tagArray) copyFrom(src *tagArray) {
+	copy(a.lines, src.lines)
+	a.tick = src.tick
 }
 
 func (a *tagArray) index(addr uint64) (set uint64, tag uint64) {

@@ -3,7 +3,6 @@ package mem
 import (
 	"fmt"
 
-	"largewindow/internal/heap"
 	"largewindow/internal/telemetry"
 )
 
@@ -105,13 +104,37 @@ func NewHierarchy(cfg Config) *Hierarchy {
 }
 
 // ResetTiming discards transient, cycle-stamped state — the outstanding
-// line fills — while keeping every cache, TLB, and LRU content intact.
-// Sampled simulation calls it between measured intervals: each interval's
-// processor restarts its clock at zero, so fills stamped with the previous
-// interval's cycles would otherwise read as permanently in flight.
+// line fills — while keeping every cache, TLB, and LRU content intact. A
+// processor that adopts a hierarchy restarts its clock at zero, so fills
+// stamped with an earlier processor's cycles would otherwise read as
+// permanently in flight. The tables are emptied in place: it allocates
+// nothing.
 func (h *Hierarchy) ResetTiming() {
-	h.inflightL1D = newInflightTable()
-	h.inflightL1I = newInflightTable()
+	h.inflightL1D.reset()
+	h.inflightL1I.reset()
+}
+
+// CloneInto copies h into dst and returns dst: tags, dirty bits, LRU
+// stamps, the TLB and every counter, with empty in-flight tables (as
+// after ResetTiming). dst's buffers are reused when it was built from the
+// same Config; a nil or differently built dst is replaced by a new
+// hierarchy. The copy and h share nothing, so a sampled window can run
+// its core on the copy while h keeps warming.
+func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
+	if dst == nil || dst.cfg != h.cfg {
+		dst = NewHierarchy(h.cfg)
+	}
+	for _, c := range [...][2]*Cache{{dst.l1i, h.l1i}, {dst.l1d, h.l1d}, {dst.l2, h.l2}} {
+		c[0].copyFrom(&c[1].tagArray)
+		c[0].stats = c[1].stats
+	}
+	if h.tlb != nil {
+		dst.tlb.copyFrom(&h.tlb.tagArray)
+		dst.tlb.Accesses, dst.tlb.Misses = h.tlb.Accesses, h.tlb.Misses
+	}
+	dst.ResetTiming()
+	dst.LoadCount, dst.StoreCount, dst.MemFills = h.LoadCount, h.StoreCount, h.MemFills
+	return dst
 }
 
 // lineFill is one outstanding fill: the line address and the cycle at
@@ -121,7 +144,46 @@ type lineFill struct {
 	line  uint64
 }
 
-func fillBefore(a, b lineFill) bool { return a.ready < b.ready }
+// fillHeap is a min-heap of fills by ready cycle, sifted exactly as
+// internal/heap (and container/heap) sift, so equal ready cycles pop in
+// the same order. It compares fields rather than calling a less func, so
+// a Hierarchy holds no func value and reflect.DeepEqual can compare two.
+type fillHeap []lineFill
+
+func (h *fillHeap) push(f lineFill) {
+	*h = append(*h, f)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if s[j].ready >= s[i].ready {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *fillHeap) pop() lineFill {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j+1 < n && s[j+1].ready < s[j].ready {
+			j++ // right child
+		}
+		if s[j].ready >= s[i].ready {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
+}
 
 // inflightTable tracks outstanding fills for one L1. Lookups go through
 // the by-line map; expiry pops a completion-ordered min-heap, so dropping
@@ -131,19 +193,24 @@ func fillBefore(a, b lineFill) bool { return a.ready < b.ready }
 // skips the map deletion — lazy deletion, never a linear scan.
 type inflightTable struct {
 	byLine map[uint64]int64
-	order  heap.Heap[lineFill]
+	order  fillHeap
 }
 
 func newInflightTable() *inflightTable {
 	return &inflightTable{
 		byLine: make(map[uint64]int64),
-		order:  heap.NewWithCapacity(fillBefore, 16),
+		order:  make(fillHeap, 0, 16),
 	}
+}
+
+func (t *inflightTable) reset() {
+	clear(t.byLine)
+	t.order = t.order[:0]
 }
 
 func (t *inflightTable) add(line uint64, ready int64) {
 	t.byLine[line] = ready
-	t.order.Push(lineFill{ready: ready, line: line})
+	t.order.push(lineFill{ready: ready, line: line})
 }
 
 func (t *inflightTable) lookup(line uint64) (int64, bool) {
@@ -153,8 +220,8 @@ func (t *inflightTable) lookup(line uint64) (int64, bool) {
 
 // expire drops every fill completed by cycle now.
 func (t *inflightTable) expire(now int64) {
-	for t.order.Len() > 0 && t.order.Peek().ready <= now {
-		f := t.order.Pop()
+	for len(t.order) > 0 && t.order[0].ready <= now {
+		f := t.order.pop()
 		if r, ok := t.byLine[f.line]; ok && r == f.ready {
 			delete(t.byLine, f.line)
 		}
