@@ -69,18 +69,19 @@ func ProgramLength(prog *isa.Program) (uint64, error) {
 	return n, nil
 }
 
-// Run executes one sampling plan: the functional emulator fast-forwards
-// between detailed windows while streaming the full access history into
-// one persistent cache hierarchy and branch predictor (full-history
-// functional warming — no bounded warm rings), and each window runs on a
-// fresh detailed core seeded by a copy-on-write checkpoint handoff that
-// adopts the warmed state. maxCycles bounds each detailed window
+// Run executes one sampling plan. The functional emulator streams the
+// program into one cache hierarchy and branch predictor (full-history
+// functional warming — no bounded warm rings), so every instruction warms
+// that shared state exactly once, architecturally. At each window's start
+// it takes a snapshot — a copy-on-write checkpoint, a copy of the
+// hierarchy and a clone of the predictor — and the window runs a fresh
+// detailed core on the snapshot: the core's traffic, wrong path included,
+// lands only on its own copies. maxCycles bounds each detailed window
 // (0 = unbounded). An auto-period plan (Period == 0) is first resolved
 // against the program's measured length.
 //
-// The emulator, not the core, carries the program: after a window the
-// next fast-forward re-executes the window's instructions functionally,
-// so successive windows always continue one unbroken functional stream
+// Window k starts at its plan offset, or where window k-1's core stopped
+// if that is later (commit overshoots a budget by up to a commit group),
 // and the same plan yields byte-identical outcomes on every run.
 func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, maxCycles int64, progress Progress) (*Outcome, error) {
 	if err := plan.Validate(); err != nil {
@@ -103,32 +104,24 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	// Aggregated measured-window memory-system counters.
 	var dl1, l2, tlb mem.CacheStats
 	var cpis []float64
+	var end uint64 // where the previous window's core stopped
 
 	for k := 0; k < plan.Intervals; k++ {
-		start := plan.Offset(k)
+		start := max(plan.Offset(k), end)
 		if start > m.InstrCount {
 			if _, err := m.RunSink(start-m.InstrCount, warm); err != nil && !errors.Is(err, emu.ErrNotHalted) {
 				return nil, fmt.Errorf("sample: fast-forward to interval %d of %s: %w", k, prog.Name, err)
 			}
 		}
+		out.TotalInstr = m.InstrCount
 		if m.Halted {
 			out.Halted = true
 			break
 		}
 
-		// Hand the persistent warm state to this interval's core through a
-		// copy-on-write checkpoint. The in-flight fill table carries cycle
-		// stamps from the previous interval's clock; drop it (cache
-		// contents stay). The predictor goes over as a CLONE: the shared
-		// copy stays architectural-stream-pure, because a core's in-window
-		// speculation (and the abandoned in-flight tail when its budget
-		// expires) would otherwise contaminate the trained state later
-		// intervals inherit — a sliver of extra mispredicts that a deep
-		// window amplifies into tens of percent of IPC error.
-		warm.H.ResetTiming()
 		w, err := core.RunWindow(ctx, cfg, prog, core.Window{
 			Start:     m.Checkpoint(),
-			Hier:      warm.H,
+			Hier:      warm.H.CloneInto(nil),
 			Bpred:     warm.BP.Clone(),
 			Warmup:    plan.Warmup,
 			Measure:   plan.Length,
@@ -154,30 +147,15 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 				progress(len(out.IntervalIPCs), plan.Intervals)
 			}
 		}
-		detailed := w.Warmed + w.Stats.Committed
+		end = start + w.Warmed + w.Stats.Committed
+		out.TotalInstr = end
 		if w.Halted {
 			// The program halted inside the detailed window: the partial
 			// window above (if any) is the final interval.
 			out.Halted = true
-			m.InstrCount += detailed // advance TotalInstr bookkeeping
 			break
 		}
-
-		// Re-execute the window's instructions on the emulator with the
-		// warm sink: the shared predictor saw none of them (the core
-		// trained only its private clone), and the shared hierarchy is
-		// refreshed in architectural order, scrubbing the abandoned
-		// interval's speculative leftovers. Every instruction of the
-		// program thus trains the shared warm state exactly once.
-		if _, err := m.RunSink(detailed, warm); err != nil && !errors.Is(err, emu.ErrNotHalted) {
-			return nil, fmt.Errorf("sample: advancing past interval %d of %s: %w", k, prog.Name, err)
-		}
 	}
-
-	// Position bookkeeping: the emulator re-executes every detailed
-	// window, so its count is authoritative (the in-window-halt case
-	// adjusts it manually above).
-	out.TotalInstr = m.InstrCount
 
 	if meanCPI := stats.ArithMean(cpis); meanCPI > 0 {
 		out.MeanIPC = 1 / meanCPI
