@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 
 	"largewindow/internal/bpred"
 	"largewindow/internal/core"
@@ -69,20 +71,25 @@ func ProgramLength(prog *isa.Program) (uint64, error) {
 	return n, nil
 }
 
-// Run executes one sampling plan. The functional emulator streams the
-// program into one cache hierarchy and branch predictor (full-history
-// functional warming — no bounded warm rings), so every instruction warms
-// that shared state exactly once, architecturally. At each window's start
-// it takes a snapshot — a copy-on-write checkpoint, a copy of the
-// hierarchy and a clone of the predictor — and the window runs a fresh
-// detailed core on the snapshot: the core's traffic, wrong path included,
-// lands only on its own copies. maxCycles bounds each detailed window
-// (0 = unbounded). An auto-period plan (Period == 0) is first resolved
-// against the program's measured length.
+// Run executes one sampling plan. One functional pass streams the program
+// into one cache hierarchy and branch predictor (full-history functional
+// warming — no bounded warm rings), so every instruction warms that
+// shared state exactly once, architecturally. At each window's start the
+// pass takes a snapshot — a copy-on-write checkpoint, a copy of the
+// hierarchy and a clone of the predictor — and streams on while the
+// window runs a fresh detailed core on the snapshot, on up to
+// runtime.GOMAXPROCS(0) windows at once. A core's traffic, wrong path
+// included, lands only on its own copies, so windows are independent of
+// each other. maxCycles bounds each detailed window (0 = unbounded). An
+// auto-period plan (Period == 0) is first resolved against the program's
+// measured length.
 //
 // Window k starts at its plan offset, or where window k-1's core stopped
-// if that is later (commit overshoots a budget by up to a commit group),
-// and the same plan yields byte-identical outcomes on every run.
+// if that is later (commit overshoots a budget by less than a commit
+// group; only then does the pass wait for window k-1). Windows are folded
+// in plan order on Run's goroutine, so the Outcome, the progress calls and
+// the error returned are exactly those of one window at a time: the same
+// plan yields byte-identical outcomes on every run, at any GOMAXPROCS.
 func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, maxCycles int64, progress Progress) (*Outcome, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -97,83 +104,225 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 		}
 		plan = plan.Resolve(total)
 	}
-	out := &Outcome{Plan: plan}
-	m := emu.New(prog)
-	warm := core.WarmSink{H: mem.NewHierarchy(cfg.Mem), BP: bpred.New(cfg.Bpred)}
+	ctx, cancel := context.WithCancel(ctx)
+	s := &sampler{
+		ctx: ctx, cfg: cfg, prog: prog, plan: plan, maxCycles: maxCycles,
+		workers: runtime.GOMAXPROCS(0),
+		acc:     accumulator{out: &Outcome{Plan: plan}, progress: progress},
+	}
+	s.done = make(chan *window, s.workers)
+	defer func() {
+		// Windows past the one the run stopped at are abandoned: cancel
+		// them and wait, so no goroutine outlives Run.
+		cancel()
+		for ; s.running > 0; s.running-- {
+			<-s.done
+		}
+	}()
+	s.stream()
+	for !s.stopped && s.folded < len(s.wins) {
+		s.await()
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	return s.acc.finish(), nil
+}
 
-	// Aggregated measured-window memory-system counters.
-	var dl1, l2, tlb mem.CacheStats
-	var cpis []float64
-	var end uint64 // where the previous window's core stopped
+// window is one interval: where it starts and, once finished, what
+// ended it — the detailed window's result, or the functional pass
+// halting or faulting before the window could start.
+type window struct {
+	k       int
+	start   uint64
+	reached uint64 // the functional pass's count on arriving at start
+	gapHalt bool   // the program halted before start: no window runs
+	hier    *mem.Hierarchy
+	res     core.WindowResult
+	err     error
+	done    bool
+}
 
-	for k := 0; k < plan.Intervals; k++ {
-		start := max(plan.Offset(k), end)
+// sampler is one Run in progress. Everything but a running window's own
+// fields belongs to Run's goroutine.
+type sampler struct {
+	ctx       context.Context
+	cfg       core.Config
+	prog      *isa.Program
+	plan      Plan
+	maxCycles int64
+	workers   int
+
+	wins    []*window        // started so far, in plan order
+	done    chan *window     // finished windows, in completion order
+	free    []*mem.Hierarchy // snapshot hierarchies of finished windows
+	running int              // windows whose goroutine has not reported
+	folded  int              // wins[:folded] are in acc
+	stopped bool             // a folded window ended the run
+	err     error
+	acc     accumulator
+}
+
+// stream is the functional pass: it walks the plan, streaming the
+// program to each window's start and starting the window on a snapshot,
+// until the plan is exhausted or the run stops.
+func (s *sampler) stream() {
+	m := emu.New(s.prog)
+	warm := core.WarmSink{H: mem.NewHierarchy(s.cfg.Mem), BP: bpred.New(s.cfg.Bpred)}
+	// A window's core stops at most a commit group short of this far past
+	// its start.
+	reach := s.plan.Detailed() + uint64(s.cfg.CommitWidth) - 1
+	for k := 0; k < s.plan.Intervals; k++ {
+		start := s.plan.Offset(k)
+		if k > 0 && start < s.wins[k-1].start+reach {
+			// Window k-1 may end past this offset: fold it first.
+			for !s.stopped && s.folded < k {
+				s.await()
+			}
+			start = max(start, s.acc.end)
+		}
+		for !s.stopped && s.running >= s.workers {
+			s.await()
+		}
+		if s.stopped {
+			return
+		}
+		w := &window{k: k, start: start}
+		s.wins = append(s.wins, w)
 		if start > m.InstrCount {
 			if _, err := m.RunSink(start-m.InstrCount, warm); err != nil && !errors.Is(err, emu.ErrNotHalted) {
-				return nil, fmt.Errorf("sample: fast-forward to interval %d of %s: %w", k, prog.Name, err)
+				w.err = fmt.Errorf("sample: fast-forward to interval %d of %s: %w", k, s.prog.Name, err)
 			}
 		}
-		out.TotalInstr = m.InstrCount
-		if m.Halted {
-			out.Halted = true
-			break
+		w.reached = m.InstrCount
+		if w.err != nil || m.Halted {
+			w.gapHalt, w.done = m.Halted, true
+			s.foldReady()
+			return
 		}
-
-		w, err := core.RunWindow(ctx, cfg, prog, core.Window{
+		var h *mem.Hierarchy
+		if n := len(s.free); n > 0 {
+			h, s.free = s.free[n-1], s.free[:n-1]
+		}
+		w.hier = warm.H.CloneInto(h)
+		s.running++
+		go s.run(w, core.Window{
 			Start:     m.Checkpoint(),
-			Hier:      warm.H.CloneInto(nil),
+			Hier:      w.hier,
 			Bpred:     warm.BP.Clone(),
-			Warmup:    plan.Warmup,
-			Measure:   plan.Length,
-			MaxCycles: maxCycles,
+			Warmup:    s.plan.Warmup,
+			Measure:   s.plan.Length,
+			MaxCycles: s.maxCycles,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("sample: interval %d of %s: %w", k, prog.Name, err)
+	}
+}
+
+// run is one window's goroutine. A panic is recovered into the window's
+// error, with its stack, so it reaches Run's caller as a failure of this
+// interval rather than killing the process.
+func (s *sampler) run(w *window, spec core.Window) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.err = fmt.Errorf("sample: interval %d of %s: panic: %v\n%s", w.k, s.prog.Name, r, debug.Stack())
 		}
-		if !w.Measured {
-			// Halted (or cycle-bounded) inside warmup: no measured window
-			// exists for this interval.
-			out.Halted = w.Halted
-			break
-		}
-		if win := w.Stats; win.Committed > 0 && win.Cycles > 0 {
-			out.Stats.Accumulate(win)
-			out.IntervalIPCs = append(out.IntervalIPCs, win.IPC)
-			cpis = append(cpis, float64(win.Cycles)/float64(win.Committed))
-			dl1.Add(w.L1D)
-			l2.Add(w.L2)
-			tlb.Add(w.TLB)
-			if progress != nil {
-				progress(len(out.IntervalIPCs), plan.Intervals)
-			}
-		}
-		end = start + w.Warmed + w.Stats.Committed
-		out.TotalInstr = end
-		if w.Halted {
-			// The program halted inside the detailed window: the partial
-			// window above (if any) is the final interval.
-			out.Halted = true
-			break
+		s.done <- w
+	}()
+	res, err := runWindow(s.ctx, s.cfg, s.prog, spec)
+	res.Proc = nil // the core is not kept past its window
+	w.res = res
+	if err != nil {
+		w.err = fmt.Errorf("sample: interval %d of %s: %w", w.k, s.prog.Name, err)
+	}
+}
+
+// runWindow is the detailed executor; tests wrap it to observe snapshots
+// and reorder completions.
+var runWindow = core.RunWindow
+
+// await takes one finished window, recycles its snapshot hierarchy, and
+// folds every window now finished in plan order.
+func (s *sampler) await() {
+	w := <-s.done
+	s.running--
+	s.free = append(s.free, w.hier)
+	w.hier, w.done = nil, true
+	s.foldReady()
+}
+
+// foldReady folds the finished prefix of the started windows.
+func (s *sampler) foldReady() {
+	for !s.stopped && s.folded < len(s.wins) && s.wins[s.folded].done {
+		s.stopped, s.err = s.acc.add(s.wins[s.folded])
+		s.folded++
+	}
+}
+
+// accumulator is the Outcome under construction, fed windows in plan
+// order.
+type accumulator struct {
+	out          *Outcome
+	progress     Progress
+	dl1, l2, tlb mem.CacheStats // measured-window memory-system counters
+	cpis         []float64
+	end          uint64 // where the last folded window's core stopped
+}
+
+// add folds one window and reports whether the run ends with it, and the
+// error it ends with, if any.
+func (a *accumulator) add(w *window) (stop bool, err error) {
+	out := a.out
+	out.TotalInstr = w.reached
+	switch {
+	case w.err != nil:
+		return true, w.err
+	case w.gapHalt:
+		out.Halted = true
+		return true, nil
+	case !w.res.Measured:
+		// Halted (or cycle-bounded) inside warmup: no measured window
+		// exists for this interval.
+		out.Halted = w.res.Halted
+		return true, nil
+	}
+	if win := w.res.Stats; win.Committed > 0 && win.Cycles > 0 {
+		out.Stats.Accumulate(win)
+		out.IntervalIPCs = append(out.IntervalIPCs, win.IPC)
+		a.cpis = append(a.cpis, float64(win.Cycles)/float64(win.Committed))
+		a.dl1.Add(w.res.L1D)
+		a.l2.Add(w.res.L2)
+		a.tlb.Add(w.res.TLB)
+		if a.progress != nil {
+			a.progress(len(out.IntervalIPCs), out.Plan.Intervals)
 		}
 	}
+	a.end = w.start + w.res.Warmed + w.res.Stats.Committed
+	out.TotalInstr = a.end
+	// The program halted inside the detailed window: the partial window
+	// above (if any) is the final interval.
+	out.Halted = w.res.Halted
+	return w.res.Halted, nil
+}
 
-	if meanCPI := stats.ArithMean(cpis); meanCPI > 0 {
+// finish computes the estimators over the folded windows.
+func (a *accumulator) finish() *Outcome {
+	out := a.out
+	if meanCPI := stats.ArithMean(a.cpis); meanCPI > 0 {
 		out.MeanIPC = 1 / meanCPI
 		// Delta method: d(1/x)/dx = -1/x², so spread in CPI space maps to
 		// IPC space scaled by MeanIPC².
-		out.IPCStdDev = stats.StdDev(cpis) * out.MeanIPC * out.MeanIPC
-		out.IPCCI95 = stats.CI95(cpis) * out.MeanIPC * out.MeanIPC
+		out.IPCStdDev = stats.StdDev(a.cpis) * out.MeanIPC * out.MeanIPC
+		out.IPCCI95 = stats.CI95(a.cpis) * out.MeanIPC * out.MeanIPC
 	}
 	out.Stats.IPC = out.MeanIPC
 	// Skipped = everything the run covered that was not measured.
 	if out.TotalInstr > out.Stats.Committed {
 		out.Stats.Skipped = out.TotalInstr - out.Stats.Committed
 	}
-	out.DL1Miss = dl1.MissRatio()
-	out.L2Local = l2.MissRatio()
-	out.TLBMiss = tlb.MissRatio()
+	out.DL1Miss = a.dl1.MissRatio()
+	out.L2Local = a.l2.MissRatio()
+	out.TLBMiss = a.tlb.MissRatio()
 	out.BrAcc = out.Stats.CondAccuracy()
-	return out, nil
+	return out
 }
 
 // OneWindow reports a single contiguous detailed window — a plain or

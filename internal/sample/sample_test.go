@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"largewindow/internal/core"
@@ -263,28 +264,39 @@ func TestRunHaltsEarly(t *testing.T) {
 }
 
 // TestRunProgress: the progress callback fires once per measured interval
-// with monotonically increasing counts.
+// with counts 1..n strictly increasing, and always on Run's goroutine
+// (the engine counters and worker heartbeats it feeds are not locked for
+// window goroutines), however many windows run at once.
 func TestRunProgress(t *testing.T) {
 	spec := workload.All()[0]
 	total := haltCount(t, spec)
-	plan := Plan{Intervals: 3, Period: total / 4, Length: 300, Warmup: 100}
-	var calls []int
-	_, err := Run(context.Background(), core.DefaultConfig(), spec.Build(workload.ScaleTest), plan, 0,
-		func(done, planned int) {
-			if planned != plan.Intervals {
-				t.Errorf("progress planned = %d, want %d", planned, plan.Intervals)
+	plan := Plan{Intervals: 6, Period: total / 7, Length: 300, Warmup: 100}
+	caller := goid()
+	for _, procs := range []int{1, 2, 4} {
+		var calls []int
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			_, err := Run(context.Background(), core.DefaultConfig(), spec.Build(workload.ScaleTest), plan, 0,
+				func(done, planned int) {
+					if planned != plan.Intervals {
+						t.Errorf("progress planned = %d, want %d", planned, plan.Intervals)
+					}
+					if id := goid(); id != caller {
+						t.Errorf("procs %d: progress on goroutine %s, Run's is %s", procs, id, caller)
+					}
+					calls = append(calls, done)
+				})
+			if err != nil {
+				t.Fatal(err)
 			}
-			calls = append(calls, done)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != plan.Intervals {
-		t.Fatalf("progress fired %d times, want %d", len(calls), plan.Intervals)
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress calls = %v, want 1..%d", calls, plan.Intervals)
+		}()
+		if len(calls) != plan.Intervals {
+			t.Fatalf("procs %d: progress fired %d times, want %d", procs, len(calls), plan.Intervals)
+		}
+		for i, d := range calls {
+			if d != i+1 {
+				t.Fatalf("procs %d: progress calls = %v, want 1..%d", procs, calls, plan.Intervals)
+			}
 		}
 	}
 }

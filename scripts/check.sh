@@ -72,6 +72,10 @@ echo "== explorer batches in any completion order give the serial report (race, 
 gate_exists TestExploreParallelMatchesSerial ./internal/model
 go test -race -count=10 -run '^TestExploreParallelMatchesSerial$' ./internal/model
 
+echo "== sampled windows on concurrent snapshots give the serial loop's outcome (race, repeated) =="
+gate_exists TestRunParallelMatchesSerial ./internal/sample
+go test -race -count=10 -run '^TestRunParallelMatchesSerial$' ./internal/sample
+
 echo "== a cell run by many callers at once fails once: one Failure, one FAIL line (race, repeated) =="
 gate_exists TestFailureRecordedOnce ./internal/harness
 go test -race -count=10 -run '^TestFailureRecordedOnce$' ./internal/harness
