@@ -92,35 +92,28 @@ func edgePlans(total uint64) []planCase {
 	}
 }
 
-// runAt runs Run with GOMAXPROCS set to procs and returns its outcome,
-// error and progress calls.
-func runAt(procs int, cfg core.Config, prog *isa.Program, pc planCase) (*Outcome, error, [][2]int) {
+// runAt runs the sampler with GOMAXPROCS set to procs and windows on
+// exec, and returns its outcome, error and progress calls.
+func runAt(procs int, cfg core.Config, prog *isa.Program, pc planCase, exec executor) (*Outcome, error, [][2]int) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var calls [][2]int
-	out, err := Run(context.Background(), cfg, prog, pc.plan, pc.maxCycles,
-		func(done, planned int) { calls = append(calls, [2]int{done, planned}) })
+	out, err := run(context.Background(), cfg, prog, pc.plan, pc.maxCycles,
+		func(done, planned int) { calls = append(calls, [2]int{done, planned}) }, exec)
 	return out, err, calls
 }
 
-// jitter wraps the window executor for the duration of a test so that
+// jitter is the window executor with a seeded random delay in front, so
 // windows finish in a shuffled order.
-func jitter(t *testing.T, seed int64) {
+func jitter(seed int64) executor {
 	var mu sync.Mutex
 	r := rand.New(rand.NewSource(seed))
-	swapRunWindow(t, func(ctx context.Context, cfg core.Config, prog *isa.Program, w core.Window) (core.WindowResult, error) {
+	return func(ctx context.Context, cfg core.Config, prog *isa.Program, w core.Window) (core.WindowResult, error) {
 		mu.Lock()
 		d := time.Duration(r.Intn(400)) * time.Microsecond
 		mu.Unlock()
 		time.Sleep(d)
 		return core.RunWindow(ctx, cfg, prog, w)
-	})
-}
-
-// swapRunWindow replaces the window executor until the test ends.
-func swapRunWindow(t *testing.T, f func(context.Context, core.Config, *isa.Program, core.Window) (core.WindowResult, error)) {
-	old := runWindow
-	runWindow = f
-	t.Cleanup(func() { runWindow = old })
+	}
 }
 
 // TestRunParallelMatchesSerial: the concurrent Run is the serial loop
@@ -137,15 +130,12 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		calls [][2]int
 	}
 	type variant struct {
-		name   string
-		procs  int
-		jitter bool
+		name  string
+		procs int
+		exec  executor
 	}
 	var serial []result // in loop order, filled by the first variant
-	for vi, v := range []variant{{"procs=1", 1, false}, {"procs=2", 2, false}, {"procs=2,shuffled", 2, true}} {
-		if v.jitter {
-			jitter(t, 7)
-		}
+	for vi, v := range []variant{{"procs=1", 1, core.RunWindow}, {"procs=2", 2, core.RunWindow}, {"procs=2,shuffled", 2, jitter(7)}} {
 		i := 0
 		for _, prog := range progs {
 			total := programLength(t, prog)
@@ -162,7 +152,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 					}
 					want := serial[i]
 					i++
-					got, err, calls := runAt(v.procs, cfg, prog, pc)
+					got, err, calls := runAt(v.procs, cfg, prog, pc, v.exec)
 					name := fmt.Sprintf("%s/%s/%s/%s", v.name, prog.Name, cfg.Name, pc.name)
 					if fmt.Sprint(err) != fmt.Sprint(want.err) {
 						t.Errorf("%s: error %v, serial %v", name, err, want.err)
@@ -230,16 +220,16 @@ func TestRunSnapshotsAreArchitectural(t *testing.T) {
 		for _, prog := range []*isa.Program{progs[0], progs[3], progs[4]} {
 			var mu sync.Mutex
 			snaps := map[uint64]snap{}
-			swapRunWindow(t, func(ctx context.Context, cfg core.Config, prog *isa.Program, w core.Window) (core.WindowResult, error) {
+			record := func(ctx context.Context, cfg core.Config, prog *isa.Program, w core.Window) (core.WindowResult, error) {
 				mu.Lock()
 				snaps[w.Start.InstrCount] = snap{w.Hier.CloneInto(nil), w.Bpred.Clone()}
 				mu.Unlock()
 				return core.RunWindow(ctx, cfg, prog, w)
-			})
+			}
 			total := programLength(t, prog)
 			for _, pc := range edgePlans(total)[:2] { // random and back-to-back
 				clear(snaps)
-				if _, err, _ := runAt(2, cfg, prog, pc); err != nil {
+				if _, err, _ := runAt(2, cfg, prog, pc, record); err != nil {
 					t.Fatal(err)
 				}
 				if len(snaps) != pc.plan.Intervals {
@@ -313,7 +303,7 @@ func TestRunFirstFailureWins(t *testing.T) {
 		{"stop before the failure", map[int]time.Duration{4: 0}, 2, ""},
 	}
 	for _, c := range cases {
-		swapRunWindow(t, func(ctx context.Context, cfg core.Config, prog *isa.Program, w core.Window) (core.WindowResult, error) {
+		exec := func(ctx context.Context, cfg core.Config, prog *isa.Program, w core.Window) (core.WindowResult, error) {
 			k := index[w.Start.InstrCount]
 			if d, ok := c.fail[k]; ok {
 				time.Sleep(d)
@@ -323,9 +313,9 @@ func TestRunFirstFailureWins(t *testing.T) {
 				return core.WindowResult{}, nil
 			}
 			return core.RunWindow(ctx, cfg, prog, w)
-		})
+		}
 		before := runtime.NumGoroutine()
-		out, err, _ := runAt(2, cfg, prog, planCase{plan: plan})
+		out, err, _ := runAt(2, cfg, prog, planCase{plan: plan}, exec)
 		waitGoroutines(t, before)
 		if c.wantErr == "" {
 			if err != nil || len(out.IntervalIPCs) != c.short {
@@ -344,14 +334,14 @@ func TestRunFirstFailureWins(t *testing.T) {
 func TestRunRecoversWindowPanic(t *testing.T) {
 	prog := testPrograms(t)[0]
 	plan := Plan{Intervals: 4, Length: 300, Warmup: 100}.Resolve(programLength(t, prog))
-	swapRunWindow(t, func(ctx context.Context, cfg core.Config, prog *isa.Program, w core.Window) (core.WindowResult, error) {
+	exec := func(ctx context.Context, cfg core.Config, prog *isa.Program, w core.Window) (core.WindowResult, error) {
 		if w.Start.InstrCount == plan.Offset(1) {
 			panic("injected")
 		}
 		return core.RunWindow(ctx, cfg, prog, w)
-	})
+	}
 	before := runtime.NumGoroutine()
-	_, err, _ := runAt(2, core.DefaultConfig(), prog, planCase{plan: plan})
+	_, err, _ := runAt(2, core.DefaultConfig(), prog, planCase{plan: plan}, exec)
 	waitGoroutines(t, before)
 	if err == nil {
 		t.Fatal("a panicking window returned no error")

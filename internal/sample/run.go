@@ -91,6 +91,15 @@ func ProgramLength(prog *isa.Program) (uint64, error) {
 // the error returned are exactly those of one window at a time: the same
 // plan yields byte-identical outcomes on every run, at any GOMAXPROCS.
 func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, maxCycles int64, progress Progress) (*Outcome, error) {
+	return run(ctx, cfg, prog, plan, maxCycles, progress, core.RunWindow)
+}
+
+// executor runs one detailed window: core.RunWindow, or a test's wrapper
+// of it that observes snapshots or reorders completions.
+type executor func(context.Context, core.Config, *isa.Program, core.Window) (core.WindowResult, error)
+
+// run is Run with the window executor as a parameter.
+func run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, maxCycles int64, progress Progress, exec executor) (*Outcome, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -106,11 +115,11 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	s := &sampler{
-		ctx: ctx, cfg: cfg, prog: prog, plan: plan, maxCycles: maxCycles,
+		ctx: ctx, cfg: cfg, prog: prog, plan: plan, maxCycles: maxCycles, exec: exec,
 		workers: runtime.GOMAXPROCS(0),
 		acc:     accumulator{out: &Outcome{Plan: plan}, progress: progress},
 	}
-	s.done = make(chan *window, s.workers)
+	s.done = make(chan *window, s.workers) // at most workers windows run, so a send never blocks
 	defer func() {
 		// Windows past the one the run stopped at are abandoned: cancel
 		// them and wait, so no goroutine outlives Run.
@@ -151,6 +160,7 @@ type sampler struct {
 	prog      *isa.Program
 	plan      Plan
 	maxCycles int64
+	exec      executor
 	workers   int
 
 	wins    []*window        // started so far, in plan order
@@ -169,8 +179,8 @@ type sampler struct {
 func (s *sampler) stream() {
 	m := emu.New(s.prog)
 	warm := core.WarmSink{H: mem.NewHierarchy(s.cfg.Mem), BP: bpred.New(s.cfg.Bpred)}
-	// A window's core stops at most a commit group short of this far past
-	// its start.
+	// How far past its start a window's core can stop: its budget, plus
+	// less than one commit group of overshoot.
 	reach := s.plan.Detailed() + uint64(s.cfg.CommitWidth) - 1
 	for k := 0; k < s.plan.Intervals; k++ {
 		start := s.plan.Offset(k)
@@ -206,7 +216,7 @@ func (s *sampler) stream() {
 		}
 		w.hier = warm.H.CloneInto(h)
 		s.running++
-		go s.run(w, core.Window{
+		go s.runWindow(w, core.Window{
 			Start:     m.Checkpoint(),
 			Hier:      w.hier,
 			Bpred:     warm.BP.Clone(),
@@ -217,27 +227,23 @@ func (s *sampler) stream() {
 	}
 }
 
-// run is one window's goroutine. A panic is recovered into the window's
+// runWindow is one window's goroutine. A panic is recovered into the window's
 // error, with its stack, so it reaches Run's caller as a failure of this
 // interval rather than killing the process.
-func (s *sampler) run(w *window, spec core.Window) {
+func (s *sampler) runWindow(w *window, spec core.Window) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.err = fmt.Errorf("sample: interval %d of %s: panic: %v\n%s", w.k, s.prog.Name, r, debug.Stack())
 		}
 		s.done <- w
 	}()
-	res, err := runWindow(s.ctx, s.cfg, s.prog, spec)
+	res, err := s.exec(s.ctx, s.cfg, s.prog, spec)
 	res.Proc = nil // the core is not kept past its window
 	w.res = res
 	if err != nil {
 		w.err = fmt.Errorf("sample: interval %d of %s: %w", w.k, s.prog.Name, err)
 	}
 }
-
-// runWindow is the detailed executor; tests wrap it to observe snapshots
-// and reorder completions.
-var runWindow = core.RunWindow
 
 // await takes one finished window, recycles its snapshot hierarchy, and
 // folds every window now finished in plan order.
