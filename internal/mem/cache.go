@@ -73,7 +73,6 @@ type line struct {
 // unambiguous.
 type tagArray struct {
 	sets    [][]line
-	lines   []line // the backing of sets, one contiguous block
 	setMask uint64
 	shift   uint // log2 of the unit (line or page) size in bytes
 	tick    uint64
@@ -91,13 +90,14 @@ func newTagArray(nsets, assoc int, unitBytes uint64) tagArray {
 	for uint64(1)<<shift != unitBytes {
 		shift++
 	}
-	return tagArray{sets: sets, lines: backing, setMask: uint64(nsets - 1), shift: shift}
+	return tagArray{sets: sets, setMask: uint64(nsets - 1), shift: shift}
 }
 
 // copyFrom makes a's tags, dirty bits and LRU stamps those of src, which
-// has the same geometry.
+// has the same geometry. sets[0] heads the one backing array newTagArray
+// lays the sets over, so its capacity spans every set: one copy moves all.
 func (a *tagArray) copyFrom(src *tagArray) {
-	copy(a.lines, src.lines)
+	copy(a.sets[0][:cap(a.sets[0])], src.sets[0][:cap(src.sets[0])])
 	a.tick = src.tick
 }
 

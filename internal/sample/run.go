@@ -16,8 +16,9 @@ import (
 )
 
 // Progress receives interval-completion updates during Run: done measured
-// intervals out of planned. It is called from Run's goroutine; nil means
-// no reporting. The campaign progress line renders it as "interval k/N".
+// intervals out of planned. It is called from Run's goroutine, with done
+// rising by one per call, though windows run on others; nil means no
+// reporting. The campaign progress line renders it as "interval k/N".
 type Progress func(done, planned int)
 
 // Outcome is the result of one sampled run: the per-interval IPC series,
@@ -115,9 +116,9 @@ func run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	s := &sampler{
-		ctx: ctx, cfg: cfg, prog: prog, plan: plan, maxCycles: maxCycles, exec: exec,
+		ctx: ctx, cfg: cfg, prog: prog, plan: plan, maxCycles: maxCycles, exec: exec, progress: progress,
 		workers: runtime.GOMAXPROCS(0),
-		acc:     accumulator{out: &Outcome{Plan: plan}, progress: progress},
+		out:     &Outcome{Plan: plan},
 	}
 	s.done = make(chan *window, s.workers) // at most workers windows run, so a send never blocks
 	defer func() {
@@ -135,7 +136,7 @@ func run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	if s.err != nil {
 		return nil, s.err
 	}
-	return s.acc.finish(), nil
+	return s.finish(), nil
 }
 
 // window is one interval: where it starts and, once finished, what
@@ -161,16 +162,22 @@ type sampler struct {
 	plan      Plan
 	maxCycles int64
 	exec      executor
+	progress  Progress
 	workers   int
 
 	wins    []*window        // started so far, in plan order
 	done    chan *window     // finished windows, in completion order
 	free    []*mem.Hierarchy // snapshot hierarchies of finished windows
 	running int              // windows whose goroutine has not reported
-	folded  int              // wins[:folded] are in acc
+	folded  int              // wins[:folded] are in the outcome
 	stopped bool             // a folded window ended the run
 	err     error
-	acc     accumulator
+
+	// The Outcome under construction, fed windows in plan order.
+	out          *Outcome
+	dl1, l2, tlb mem.CacheStats // measured-window memory-system counters
+	cpis         []float64
+	end          uint64 // where the last folded window's core stopped
 }
 
 // stream is the functional pass: it walks the plan, streaming the
@@ -189,7 +196,7 @@ func (s *sampler) stream() {
 			for !s.stopped && s.folded < k {
 				s.await()
 			}
-			start = max(start, s.acc.end)
+			start = max(start, s.end)
 		}
 		for !s.stopped && s.running >= s.workers {
 			s.await()
@@ -258,75 +265,65 @@ func (s *sampler) await() {
 // foldReady folds the finished prefix of the started windows.
 func (s *sampler) foldReady() {
 	for !s.stopped && s.folded < len(s.wins) && s.wins[s.folded].done {
-		s.stopped, s.err = s.acc.add(s.wins[s.folded])
+		s.fold(s.wins[s.folded])
 		s.folded++
 	}
 }
 
-// accumulator is the Outcome under construction, fed windows in plan
-// order.
-type accumulator struct {
-	out          *Outcome
-	progress     Progress
-	dl1, l2, tlb mem.CacheStats // measured-window memory-system counters
-	cpis         []float64
-	end          uint64 // where the last folded window's core stopped
-}
-
-// add folds one window and reports whether the run ends with it, and the
-// error it ends with, if any.
-func (a *accumulator) add(w *window) (stop bool, err error) {
-	out := a.out
+// fold adds one window to the outcome, stopping the run when the window
+// ends it.
+func (s *sampler) fold(w *window) {
+	out := s.out
 	out.TotalInstr = w.reached
 	switch {
 	case w.err != nil:
-		return true, w.err
+		s.stopped, s.err = true, w.err
+		return
 	case w.gapHalt:
-		out.Halted = true
-		return true, nil
+		s.stopped, out.Halted = true, true
+		return
 	case !w.res.Measured:
 		// Halted (or cycle-bounded) inside warmup: no measured window
 		// exists for this interval.
-		out.Halted = w.res.Halted
-		return true, nil
+		s.stopped, out.Halted = true, w.res.Halted
+		return
 	}
 	if win := w.res.Stats; win.Committed > 0 && win.Cycles > 0 {
 		out.Stats.Accumulate(win)
 		out.IntervalIPCs = append(out.IntervalIPCs, win.IPC)
-		a.cpis = append(a.cpis, float64(win.Cycles)/float64(win.Committed))
-		a.dl1.Add(w.res.L1D)
-		a.l2.Add(w.res.L2)
-		a.tlb.Add(w.res.TLB)
-		if a.progress != nil {
-			a.progress(len(out.IntervalIPCs), out.Plan.Intervals)
+		s.cpis = append(s.cpis, float64(win.Cycles)/float64(win.Committed))
+		s.dl1.Add(w.res.L1D)
+		s.l2.Add(w.res.L2)
+		s.tlb.Add(w.res.TLB)
+		if s.progress != nil {
+			s.progress(len(out.IntervalIPCs), out.Plan.Intervals)
 		}
 	}
-	a.end = w.start + w.res.Warmed + w.res.Stats.Committed
-	out.TotalInstr = a.end
+	s.end = w.start + w.res.Warmed + w.res.Stats.Committed
+	out.TotalInstr = s.end
 	// The program halted inside the detailed window: the partial window
 	// above (if any) is the final interval.
-	out.Halted = w.res.Halted
-	return w.res.Halted, nil
+	s.stopped, out.Halted = w.res.Halted, w.res.Halted
 }
 
 // finish computes the estimators over the folded windows.
-func (a *accumulator) finish() *Outcome {
-	out := a.out
-	if meanCPI := stats.ArithMean(a.cpis); meanCPI > 0 {
+func (s *sampler) finish() *Outcome {
+	out := s.out
+	if meanCPI := stats.ArithMean(s.cpis); meanCPI > 0 {
 		out.MeanIPC = 1 / meanCPI
 		// Delta method: d(1/x)/dx = -1/x², so spread in CPI space maps to
 		// IPC space scaled by MeanIPC².
-		out.IPCStdDev = stats.StdDev(a.cpis) * out.MeanIPC * out.MeanIPC
-		out.IPCCI95 = stats.CI95(a.cpis) * out.MeanIPC * out.MeanIPC
+		out.IPCStdDev = stats.StdDev(s.cpis) * out.MeanIPC * out.MeanIPC
+		out.IPCCI95 = stats.CI95(s.cpis) * out.MeanIPC * out.MeanIPC
 	}
 	out.Stats.IPC = out.MeanIPC
 	// Skipped = everything the run covered that was not measured.
 	if out.TotalInstr > out.Stats.Committed {
 		out.Stats.Skipped = out.TotalInstr - out.Stats.Committed
 	}
-	out.DL1Miss = a.dl1.MissRatio()
-	out.L2Local = a.l2.MissRatio()
-	out.TLBMiss = a.tlb.MissRatio()
+	out.DL1Miss = s.dl1.MissRatio()
+	out.L2Local = s.l2.MissRatio()
+	out.TLBMiss = s.tlb.MissRatio()
 	out.BrAcc = out.Stats.CondAccuracy()
 	return out
 }
