@@ -234,9 +234,9 @@ func (s *sampler) stream() {
 	}
 }
 
-// runWindow is one window's goroutine. A panic is recovered into the window's
-// error, with its stack, so it reaches Run's caller as a failure of this
-// interval rather than killing the process.
+// runWindow is one window's goroutine. A panic is recovered into the
+// window's error, with its stack, so it reaches Run's caller as a failure
+// of this interval rather than killing the process.
 func (s *sampler) runWindow(w *window, spec core.Window) {
 	defer func() {
 		if r := recover(); r != nil {
