@@ -177,3 +177,28 @@ func TestTelemetryArtifacts(t *testing.T) {
 		t.Errorf("kanata stream: %+v, err %v", st, err)
 	}
 }
+
+// TestLifecycleArtifactsGolden pins the three renderings of the core's
+// lifecycle ring byte for byte on a WIB run: the -pipetrace timeline
+// (after the plain report), the Chrome trace and the Kanata stream. The
+// last 64 instructions of this window include WIB trips and squashes.
+func TestLifecycleArtifactsGolden(t *testing.T) {
+	dir := t.TempDir()
+	chrome, kanata := filepath.Join(dir, "gzip.trace.json"), filepath.Join(dir, "gzip.kanata")
+	code, stdout, stderr := wibsim("-bench", "gzip", "-scale", "test", "-instr", "10000", "-config", "wib",
+		"-pipetrace", "64", "-trace-out", chrome, "-kanata", kanata)
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	golden.CheckText(t, filepath.Join("testdata", "gzip_wib.pipetrace.golden"), stdout)
+	for _, f := range []struct{ path, golden string }{
+		{chrome, "gzip_wib.trace.json.golden"},
+		{kanata, "gzip_wib.kanata.golden"},
+	} {
+		data, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden.CheckText(t, filepath.Join("testdata", f.golden), string(data))
+	}
+}
