@@ -375,7 +375,7 @@ func writeInstrTraces(stderr io.Writer, chromePath, kanataPath string, p *core.P
 	if chromePath == "" && kanataPath == "" {
 		return
 	}
-	recs := core.TraceRecords(p.Traces())
+	recs := p.Traces()
 	write := func(path string, render func(f *os.File) error) {
 		if path == "" {
 			return

@@ -25,24 +25,6 @@ func sliceComputable(c isa.Class) bool {
 	}
 }
 
-// classLatency returns the execution latency of a computable class.
-func (p *Processor) classLatency(c isa.Class) int64 {
-	switch c {
-	case isa.ClassIntMult:
-		return p.cfg.LatIntMult
-	case isa.ClassFPAdd:
-		return p.cfg.LatFPAdd
-	case isa.ClassFPMult:
-		return p.cfg.LatFPMult
-	case isa.ClassFPDiv:
-		return p.cfg.LatFPDiv
-	case isa.ClassFPSqrt:
-		return p.cfg.LatFPSqrt
-	default:
-		return p.cfg.LatIntALU
-	}
-}
-
 // sliceProcess is the slice-mode replacement for plain reinsertion: it
 // drains the program-order eligible heap, executing computable rows on
 // the slice core (up to SliceWidth) and reinserting the rest into the
@@ -131,8 +113,10 @@ func (p *Processor) sliceTryExecute(rob int32, e *robEntry) sliceOutcome {
 		}
 		e.stage = stIssued
 		p.traceIssued(e)
+		// The slice core executes at the latency of the class's functional
+		// unit, without occupying one.
 		p.events.schedule(event{
-			cycle: p.now + p.classLatency(e.class),
+			cycle: p.now + p.fus.pools[e.class].lat,
 			kind:  evExecDone,
 			rob:   rob,
 			seq:   e.seq,

@@ -71,30 +71,6 @@ func (p *Processor) AttachTelemetry(col *telemetry.Collector) {
 	p.tel = t
 }
 
-// TraceRecords converts the core's archived lifecycle traces into the
-// telemetry layer's renderer-ready records (Chrome trace, Kanata view).
-func TraceRecords(traces []InstrTrace) []telemetry.InstrRecord {
-	out := make([]telemetry.InstrRecord, len(traces))
-	for i := range traces {
-		t := &traces[i]
-		out[i] = telemetry.InstrRecord{
-			Seq:       t.Seq,
-			PC:        t.PC,
-			Disasm:    t.Instr.String(),
-			Fetched:   t.Fetched,
-			Dispatch:  t.Dispatch,
-			Issued:    t.Issued,
-			Completed: t.Completed,
-			Committed: t.Committed,
-			Parks:     t.Parks,
-			Reinserts: t.Reinserts,
-			Squashed:  t.Squashed,
-			SquashCyc: t.SquashCyc,
-		}
-	}
-	return out
-}
-
 // int64Before orders the l2MissReady min-heap of cycle numbers
 // (outstanding L2-miss fill completion times).
 func int64Before(a, b int64) bool { return a < b }

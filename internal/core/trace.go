@@ -4,27 +4,14 @@ import (
 	"fmt"
 	"io"
 
-	"largewindow/internal/isa"
+	"largewindow/internal/telemetry"
 )
 
 // InstrTrace is the recorded lifecycle of one dynamic instruction: the
-// cycle it passed each pipeline milestone, plus every trip it made into
-// the WIB. Squashed instructions are archived too (Squashed=true), which
-// makes wrong-path behaviour visible.
-type InstrTrace struct {
-	Seq       uint64
-	PC        uint64
-	Instr     isa.Instr
-	Fetched   int64
-	Dispatch  int64
-	Issued    int64 // last issue (re-issues overwrite)
-	Completed int64
-	Committed int64
-	Parks     []int64 // cycles the instruction entered the WIB
-	Reinserts []int64 // cycles it was reinserted into an issue queue
-	Squashed  bool
-	SquashCyc int64
-}
+// telemetry layer's record, which the Chrome-trace and Kanata writers
+// render directly. Squashed instructions are archived too
+// (Squashed=true), which makes wrong-path behaviour visible.
+type InstrTrace = telemetry.InstrRecord
 
 // tracer records instruction lifecycles into a bounded ring. It is
 // attached to a Processor via Config.TraceCapacity. Records cycle through

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"largewindow/internal/bpred"
+	"largewindow/internal/core"
 	"largewindow/internal/emu"
 	"largewindow/internal/isa"
 	"largewindow/internal/mem"
@@ -25,22 +26,21 @@ type CollectOptions struct {
 }
 
 // classLat is the dataflow latency each instruction class contributes to
-// a dependency chain: the paper's Table 1 FU latencies, with loads at
-// the L1 hit latency (long misses are modeled separately by the
-// serialized-miss term, not the ILP ladder).
-var classLat = [isa.NumClasses]int64{
-	isa.ClassIntALU: 1, isa.ClassIntMult: 7,
-	isa.ClassFPAdd: 4, isa.ClassFPMult: 4, isa.ClassFPDiv: 12, isa.ClassFPSqrt: 24,
-	isa.ClassLoad: 2, isa.ClassStore: 1,
-	isa.ClassBranch: 1, isa.ClassJump: 1,
-}
-
-// opInfo is the collector's predecoded operand view of one static
-// instruction (the emulator's own table is unexported).
-type opInfo struct {
-	src1, src2, dest isa.RegRef
-	lat              int64
-}
+// a dependency chain: the default machine's functional-unit latencies
+// (the paper's Table 1; branches, jumps and stores issue to the integer
+// ALUs), with loads at its L1 hit latency (long misses are modeled
+// separately by the serialized-miss term, not the ILP ladder).
+var classLat = func() [isa.NumClasses]int64 {
+	cfg := core.DefaultConfig()
+	alu := cfg.LatIntALU
+	return [isa.NumClasses]int64{
+		isa.ClassIntALU: alu, isa.ClassIntMult: cfg.LatIntMult,
+		isa.ClassFPAdd: cfg.LatFPAdd, isa.ClassFPMult: cfg.LatFPMult,
+		isa.ClassFPDiv: cfg.LatFPDiv, isa.ClassFPSqrt: cfg.LatFPSqrt,
+		isa.ClassLoad: cfg.Mem.L1Latency, isa.ClassStore: alu,
+		isa.ClassBranch: alu, isa.ClassJump: alu,
+	}
+}()
 
 // missRec records one long load miss: its dynamic position and the
 // position of the older long miss its address depends on (-1 if its
@@ -52,58 +52,34 @@ type missRec struct {
 // ladder accumulates the critical-dependency-chain length of one window
 // size. Register depths are stamped with the chunk that wrote them
 // instead of being cleared at chunk boundaries, so advancing a chunk is
-// O(1) regardless of register-file size.
+// O(1) regardless of register-file size. Both arrays are indexed by
+// register slot (isa.Decoded): slot 0 is never written, so an absent
+// source and integer Zero read depth 0, and SlotSink is never read.
 type ladder struct {
 	w          int64
 	chunkStart int64
 	chunk      int64
 	chunkMax   int64
 	sumCrit    int64
-	depth      [2][isa.NumRegs]int64
-	stamp      [2][isa.NumRegs]int64
-}
-
-func (l *ladder) depthOf(r isa.RegRef) int64 {
-	if !r.Valid {
-		return 0
-	}
-	b := 0
-	if r.FP {
-		b = 1
-	}
-	if l.stamp[b][r.N] != l.chunk {
-		return 0
-	}
-	return l.depth[b][r.N]
-}
-
-func (l *ladder) setDepth(r isa.RegRef, d int64) {
-	if !r.Valid {
-		return
-	}
-	b := 0
-	if r.FP {
-		b = 1
-	}
-	l.depth[b][r.N] = d
-	l.stamp[b][r.N] = l.chunk
+	depth      [isa.SlotSink + 1]int64
+	stamp      [isa.SlotSink + 1]int64
 }
 
 // collector implements emu.ProfileSink: it joins the emulator's
-// per-instruction stream against its operand table, feeding
+// per-instruction stream against the program's decode table, feeding
 // stat-counting warm caches/TLB/predictor and the dependence ladders.
 type collector struct {
-	ops []opInfo
+	dec []isa.Decoded
 	h   *mem.Hierarchy
 	bp  *bpred.Predictor
 
 	pos           int64 // dynamic position of the current instruction
 	lastFetchLine uint64
 
-	// taint[bank][reg] is the position of the most recent long load miss
+	// taint[slot] is the position of the most recent long load miss
 	// whose data flows into the register's value (through ALU ops and
 	// through the address chains of hitting loads); -1 = untainted.
-	taint [2][isa.NumRegs]int64
+	taint [isa.SlotSink + 1]int64
 
 	misses  []missRec
 	ladders []ladder
@@ -111,30 +87,9 @@ type collector struct {
 	prof *Profile
 }
 
-func (c *collector) taintOf(r isa.RegRef) int64 {
-	if !r.Valid {
-		return -1
-	}
-	b := 0
-	if r.FP {
-		b = 1
-	}
-	return c.taint[b][r.N]
-}
-
-func (c *collector) setTaint(r isa.RegRef, t int64) {
-	if !r.Valid {
-		return
-	}
-	b := 0
-	if r.FP {
-		b = 1
-	}
-	c.taint[b][r.N] = t
-}
-
 // dataflow advances every ladder with one instruction's dependency edge.
-func (c *collector) dataflow(op *opInfo, pos int64) {
+func (c *collector) dataflow(d *isa.Decoded, pos int64) {
+	lat := classLat[d.Class]
 	for i := range c.ladders {
 		l := &c.ladders[i]
 		if pos-l.chunkStart >= l.w {
@@ -143,14 +98,17 @@ func (c *collector) dataflow(op *opInfo, pos int64) {
 			l.chunkStart = pos
 			l.chunk++
 		}
-		d := l.depthOf(op.src1)
-		if d2 := l.depthOf(op.src2); d2 > d {
-			d = d2
+		var depth int64
+		for _, s := range [2]uint8{d.S1, d.S2} {
+			if l.stamp[s] == l.chunk && l.depth[s] > depth {
+				depth = l.depth[s]
+			}
 		}
-		d += op.lat
-		l.setDepth(op.dest, d)
-		if d > l.chunkMax {
-			l.chunkMax = d
+		depth += lat
+		l.depth[d.D] = depth
+		l.stamp[d.D] = l.chunk
+		if depth > l.chunkMax {
+			l.chunkMax = depth
 		}
 	}
 }
@@ -169,25 +127,21 @@ func (c *collector) Instr(pc uint64, class isa.Class) {
 			c.prof.L1IMemMisses++
 		}
 	}
-	op := &c.ops[pc]
 	switch class {
 	case isa.ClassLoad, isa.ClassStore:
 		// Mem fires next with the effective address; the dependence work
 		// needs the hit level, so it happens there.
 	default:
-		t := c.taintOf(op.src1)
-		if t2 := c.taintOf(op.src2); t2 > t {
-			t = t2
-		}
-		c.setTaint(op.dest, t)
-		c.dataflow(op, pos)
+		d := &c.dec[pc]
+		c.taint[d.D] = max(c.taint[d.S1], c.taint[d.S2])
+		c.dataflow(d, pos)
 	}
 }
 
 // Mem implements emu.ProfileSink.
 func (c *collector) Mem(pc, addr uint64, store bool) {
 	pos := c.pos - 1
-	op := &c.ops[pc]
+	d := &c.dec[pc]
 	if store {
 		lvl, tlbMiss := c.h.ProfileStore(addr)
 		if tlbMiss {
@@ -199,14 +153,14 @@ func (c *collector) Mem(pc, addr uint64, store bool) {
 				c.prof.DataMemMisses++
 			}
 		}
-		c.dataflow(op, pos)
+		c.dataflow(d, pos)
 		return
 	}
 	lvl, tlbMiss := c.h.ProfileLoad(addr)
 	if tlbMiss {
 		c.prof.TLBMisses++
 	}
-	dep := c.taintOf(op.src1)
+	dep := c.taint[d.S1]
 	if lvl != mem.WarmHitL1 {
 		c.prof.L1DMisses++
 		if lvl == mem.WarmHitMem {
@@ -221,8 +175,8 @@ func (c *collector) Mem(pc, addr uint64, store bool) {
 	// Address dependence propagates through the loaded value even on a
 	// hit: a pointer chase A→B→C serializes on A's fill no matter how
 	// many intermediate hops hit the L1.
-	c.setTaint(op.dest, dep)
-	c.dataflow(op, pos)
+	c.taint[d.D] = dep
+	c.dataflow(d, pos)
 }
 
 // Branch implements emu.ProfileSink.
@@ -240,9 +194,7 @@ func (c *collector) Branch(b emu.WarmBranch) {
 	// Instr already ran the dataflow step for this transfer; only the Jal
 	// link register needs its taint corrected (a fresh PC constant, not a
 	// function of the source operands).
-	if op := &c.ops[b.PC]; op.dest.Valid {
-		c.setTaint(op.dest, -1)
-	}
+	c.taint[c.dec[b.PC].D] = -1
 }
 
 // serializedAt counts the serialized long-miss epochs for window w:
@@ -285,15 +237,8 @@ func Collect(prog *isa.Program, scale string, opt CollectOptions) (*Profile, err
 		maxInstr = 1 << 62
 	}
 
-	ops := make([]opInfo, len(prog.Code))
-	for pc, in := range prog.Code {
-		ops[pc] = opInfo{
-			src1: in.Src1(), src2: in.Src2(), dest: in.Dest(),
-			lat: classLat[in.Op.Class()],
-		}
-	}
 	c := &collector{
-		ops:           ops,
+		dec:           prog.Decoded(),
 		h:             mem.NewHierarchy(opt.Mem),
 		bp:            bpred.New(opt.Bpred),
 		lastFetchLine: ^uint64(0),
@@ -304,10 +249,8 @@ func Collect(prog *isa.Program, scale string, opt CollectOptions) (*Profile, err
 			Windows: append([]int(nil), windows...),
 		},
 	}
-	for b := range c.taint {
-		for r := range c.taint[b] {
-			c.taint[b][r] = -1
-		}
+	for s := range c.taint {
+		c.taint[s] = -1
 	}
 	c.ladders = make([]ladder, len(windows))
 	for i, w := range windows {

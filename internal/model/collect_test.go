@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -76,4 +77,148 @@ func TestCollectMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// zeroProg loads from a cold line into dst, reads Zero into t0, and
+// loads through t0 from another cold line. Writing Zero discards the
+// loaded value, so the second load's address cannot depend on the first
+// miss when dst is Zero.
+func zeroProg(dst isa.Reg) *isa.Program {
+	return &isa.Program{Name: "zero", StackTop: 0x7fff_fff8, DataBase: 0x10_0000, Code: []isa.Instr{
+		{Op: isa.OpLd, Rd: dst, Rs1: isa.GP},
+		{Op: isa.OpAddi, Rd: dst, Rs1: dst, Imm: 1},
+		{Op: isa.OpAdd, Rd: isa.T0, Rs1: isa.Zero, Rs2: isa.Zero},
+		{Op: isa.OpLd, Rd: isa.T1, Rs1: isa.T0, Imm: 4096},
+		{Op: isa.OpAdd, Rd: isa.T2, Rs1: isa.T1, Rs2: isa.Zero},
+		{Op: isa.OpHalt},
+	}}
+}
+
+// TestCollectZeroIsNotALiveRegister pins integer register Zero as the
+// emulator and the core see it: a write to it leaves no dependence depth
+// and no miss taint behind, so a program writing Zero profiles exactly
+// like the same program writing a register nothing reads. The collector
+// this one replaced carried both through Zero and serialized the second
+// miss behind the first.
+func TestCollectZeroIsNotALiveRegister(t *testing.T) {
+	opt := CollectOptions{Mem: mem.DefaultConfig(), Bpred: bpred.DefaultConfig()}
+	got, err := Collect(zeroProg(isa.Zero), "test", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Collect(zeroProg(isa.T3), "test", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("writing Zero profiles differently from writing a dead register:\n got %+v\nwant %+v", got, want)
+	}
+	if got.LongLoadMisses != 2 {
+		t.Fatalf("%d long load misses, want 2", got.LongLoadMisses)
+	}
+	if last := got.SerialMisses[len(got.SerialMisses)-1]; last != 1 {
+		t.Errorf("largest window serializes %v misses, want 1: the second miss's address does not depend on the first", last)
+	}
+	if old, err := oracleCollect(zeroProg(isa.Zero), "test", opt); err != nil || reflect.DeepEqual(got, old) {
+		t.Errorf("the oracle read Zero as live and must differ here (err %v)", err)
+	}
+}
+
+// Byte-generated programs for FuzzCollectMatchesOracle: a two-byte
+// header (instruction budget, register seed) and five bytes per
+// instruction — an opcode selector, three register bytes and an
+// immediate byte — decoded into ALU ops, loads and stores on a few base
+// registers, conditional branches, direct calls and returns.
+const (
+	collectFuzzHeader   = 2
+	collectFuzzInstrLen = 5
+	collectFuzzMaxCode  = 48
+)
+
+// collectFuzzOps are the opcodes the generator draws from.
+var collectFuzzOps = []isa.Op{
+	isa.OpAdd, isa.OpSub, isa.OpAddi, isa.OpMul, isa.OpLi, isa.OpSlli,
+	isa.OpFadd, isa.OpFmul, isa.OpFdiv,
+	isa.OpLd, isa.OpLd, isa.OpFld, isa.OpSt, isa.OpFst,
+	isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpJal, isa.OpJr, isa.OpJ,
+}
+
+// decodeCollectFuzz turns the input bytes into a program that never
+// names Zero as a destination (the oracle reads Zero as live). Branch and
+// call targets wrap into the code segment; loads and stores address off
+// GP, SP or a computed register.
+func decodeCollectFuzz(data []byte) (*isa.Program, uint64, bool) {
+	if len(data) < collectFuzzHeader+collectFuzzInstrLen {
+		return nil, 0, false
+	}
+	budget := 1 + 16*uint64(data[0])
+	body := data[collectFuzzHeader:]
+	n := min(len(body)/collectFuzzInstrLen, collectFuzzMaxCode)
+	code := make([]isa.Instr, n)
+	reg := func(b byte) isa.Reg { return isa.Reg(1 + int(b)%(isa.NumRegs-1)) } // never Zero
+	for pc := range code {
+		b := body[pc*collectFuzzInstrLen:]
+		in := isa.Instr{
+			Op:  collectFuzzOps[int(b[0])%len(collectFuzzOps)],
+			Rd:  reg(b[1] ^ data[1]),
+			Rs1: reg(b[2]),
+			Rs2: reg(b[3]),
+			Imm: int32(int8(b[4])),
+		}
+		switch in.Op.Class() {
+		case isa.ClassLoad, isa.ClassStore:
+			in.Rs1 = [4]isa.Reg{isa.GP, isa.SP, in.Rs1, isa.GP}[b[4]&3]
+			in.Imm = int32(b[4]) * 8 << (b[0] >> 6 * 4) // up to 2 MB off the base
+		case isa.ClassBranch:
+			in.Imm = int32(((pc+1+int(int8(b[4])))%n+n)%n - pc - 1)
+		case isa.ClassJump:
+			if in.Op == isa.OpJr {
+				in.Rs1 = isa.RA
+			} else {
+				in.Imm = int32(((pc+1+int(int8(b[4])))%n+n)%n - pc - 1)
+			}
+			if in.Op == isa.OpJal {
+				in.Rd = isa.RA
+			}
+		}
+		code[pc] = in
+	}
+	return &isa.Program{Name: "fuzz", Code: code, StackTop: 0x7fff_fff8, DataBase: 0x10_0000}, budget, true
+}
+
+// fuzzMem and fuzzBpred are small enough that generated programs miss
+// and mispredict often, and cheap to build once per input.
+var (
+	fuzzMem = mem.Config{
+		L1I:       mem.CacheConfig{Name: "L1I", SizeBytes: 512, Assoc: 2, LineBytes: 64},
+		L1D:       mem.CacheConfig{Name: "L1D", SizeBytes: 512, Assoc: 2, LineBytes: 64},
+		L2:        mem.CacheConfig{Name: "L2", SizeBytes: 4096, Assoc: 2, LineBytes: 64},
+		L1Latency: 2, L2Latency: 10, MemLatency: 250,
+		TLBEntries: 8, TLBAssoc: 2, TLBPageBytes: 4096, TLBPenalty: 30,
+	}
+	fuzzBpred = bpred.Config{BimodalEntries: 64, TwoLevelEntries: 64, ChooserEntries: 64, BTBEntries: 16, BTBAssoc: 2, RASEntries: 4}
+)
+
+// FuzzCollectMatchesOracle holds the profiler to its oracle over
+// generated programs: on any program that never writes Zero, the two
+// must produce DeepEqual profiles on a small ladder.
+func FuzzCollectMatchesOracle(f *testing.F) {
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 32; i++ {
+		seed := make([]byte, collectFuzzHeader+collectFuzzMaxCode*collectFuzzInstrLen)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog, budget, ok := decodeCollectFuzz(data)
+		if !ok {
+			t.Skip()
+		}
+		for _, in := range prog.Code {
+			if d := in.Dest(); d.Valid && !d.FP && d.N == isa.Zero {
+				t.Fatalf("generator wrote Zero: %v", in)
+			}
+		}
+		sameAsOracle(t, "fuzz", prog, "test", CollectOptions{MaxInstr: budget, Windows: []int{4, 16, 64}, Mem: fuzzMem, Bpred: fuzzBpred})
+	})
 }

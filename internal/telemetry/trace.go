@@ -6,19 +6,22 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"largewindow/internal/isa"
 )
 
-// InstrRecord is the telemetry-layer view of one dynamic instruction's
-// lifecycle, produced from the core's seq-guarded trace ring (see
-// core.TraceRecords). Cycle fields are zero when the instruction never
-// reached that stage.
+// InstrRecord is the lifecycle of one dynamic instruction: the cycle it
+// passed each pipeline milestone, plus every trip it made into the WIB.
+// The core's trace ring archives these records (core.Processor.Traces),
+// and each writer renders Instr itself. Cycle fields are zero when the
+// instruction never reached that stage.
 type InstrRecord struct {
 	Seq       uint64
 	PC        uint64
-	Disasm    string
+	Instr     isa.Instr
 	Fetched   int64
 	Dispatch  int64
-	Issued    int64
+	Issued    int64 // last issue (re-issues overwrite)
 	Completed int64
 	Committed int64
 	Parks     []int64 // cycles the instruction entered the WIB
@@ -114,12 +117,13 @@ func WriteChromeTrace(w io.Writer, recs []InstrRecord) error {
 	for i := range recs {
 		r := &recs[i]
 		lane := int64(r.Seq % chromeLanes)
+		disasm := r.Instr.String()
 		args := map[string]interface{}{
-			"seq": r.Seq, "pc": r.PC, "instr": r.Disasm,
+			"seq": r.Seq, "pc": r.PC, "instr": disasm,
 		}
 		for _, sp := range r.spans() {
 			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: r.Disasm, Cat: sp.Name, Ph: "X",
+				Name: disasm, Cat: sp.Name, Ph: "X",
 				TS: sp.From, Dur: sp.To - sp.From, TID: lane, Args: args,
 			})
 		}
@@ -274,7 +278,7 @@ func WriteKanata(w io.Writer, recs []InstrRecord) error {
 			continue
 		}
 		emit(start, "I\t%d\t%d\t0", id, r.Seq)
-		emit(start, "L\t%d\t0\t%d: %s", id, r.PC, r.Disasm)
+		emit(start, "L\t%d\t0\t%d: %s", id, r.PC, r.Instr)
 		for _, sp := range r.spans() {
 			st := stageFor(sp)
 			emit(sp.From, "S\t%d\t0\t%s", id, st)

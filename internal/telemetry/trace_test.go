@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"largewindow/internal/isa"
 )
 
 // rec builds a straightforward committed instruction record.
 func rec(seq uint64, fetch, disp, iss, comp, commit int64) InstrRecord {
 	return InstrRecord{
-		Seq: seq, PC: seq, Disasm: "add r1, r2, r3",
+		Seq: seq, PC: seq, Instr: isa.Instr{Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 3},
 		Fetched: fetch, Dispatch: disp, Issued: iss, Completed: comp, Committed: commit,
 	}
 }
@@ -35,7 +37,7 @@ func TestSpansCoverLifecycle(t *testing.T) {
 }
 
 func TestSpansSkipUnreachedStages(t *testing.T) {
-	r := InstrRecord{Seq: 2, Disasm: "ld", Fetched: 5, Dispatch: 7, Squashed: true, SquashCyc: 9}
+	r := InstrRecord{Seq: 2, Instr: isa.Instr{Op: isa.OpLd, Rd: 1, Rs1: 2}, Fetched: 5, Dispatch: 7, Squashed: true, SquashCyc: 9}
 	for _, sp := range r.spans() {
 		if sp.Name == "exec" || sp.Name == "commit-wait" {
 			t.Fatalf("unreached stage %s emitted: %+v", sp.Name, sp)
