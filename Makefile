@@ -9,8 +9,8 @@ test:
 	$(GO) test ./...
 
 # Pre-merge gate: gofmt + vet + build + go test (race-enabled, then plain;
-# the removal audit, internal/audit, runs in both) + four fuzz smokes + a
-# repeated race run.
+# the removal audit, internal/audit, runs in both) + six fuzz smokes +
+# repeated race runs.
 check:
 	sh scripts/check.sh
 

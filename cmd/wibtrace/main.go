@@ -357,8 +357,15 @@ func replayDump(w io.Writer, path string) error {
 	fmt.Fprintf(w, "cycle             %d\n", se.Cycle)
 	fmt.Fprintf(w, "committed         %d instructions\n", se.Committed)
 	fmt.Fprintf(w, "configuration     %s\n", se.Config)
+	// A dump from a bare program (no registry build) carries no scale:
+	// then neither the code listing nor the repro line can name one.
+	sc, scErr := workload.ParseScale(se.Scale)
 	if se.Bench != "" {
-		fmt.Fprintf(w, "benchmark         %s (scale %s)\n", se.Bench, se.Scale)
+		if scErr != nil {
+			fmt.Fprintf(w, "benchmark         %s; %v, so no code listing\n", se.Bench, scErr)
+		} else {
+			fmt.Fprintf(w, "benchmark         %s (scale %s)\n", se.Bench, se.Scale)
+		}
 	}
 	if se.Seq != 0 {
 		fmt.Fprintf(w, "instruction       seq %d, pc %d\n", se.Seq, se.PC)
@@ -379,17 +386,10 @@ func replayDump(w io.Writer, path string) error {
 	}
 	// The dump names the benchmark: disassemble around the failing PC so
 	// the post-mortem shows the code, not just an address.
-	if spec, ok := workload.Get(se.Bench); ok && (se.PC != 0 || se.Stall != nil) {
+	if spec, ok := workload.Get(se.Bench); ok && scErr == nil && (se.PC != 0 || se.Stall != nil) {
 		pc := se.PC
 		if pc == 0 && se.Stall != nil {
 			pc = se.Stall.PC
-		}
-		sc := workload.ScaleRun
-		switch se.Scale {
-		case "test":
-			sc = workload.ScaleTest
-		case "full":
-			sc = workload.ScaleFull
 		}
 		prog := spec.Build(sc)
 		if pc < uint64(len(prog.Code)) {
@@ -418,7 +418,11 @@ func replayDump(w io.Writer, path string) error {
 		fmt.Fprintf(w, "\ngoroutine stack (untyped panic):\n%s\n", se.Stack)
 	}
 	if se.Bench != "" {
-		fmt.Fprintf(w, "\nreproduce with:\n  wibsim -bench %s -scale %s -lockstep -dump\n", se.Bench, se.Scale)
+		scaleFlag := ""
+		if scErr == nil {
+			scaleFlag = " -scale " + se.Scale
+		}
+		fmt.Fprintf(w, "\nreproduce with:\n  wibsim -bench %s%s -lockstep -dump\n", se.Bench, scaleFlag)
 	}
 	return nil
 }

@@ -285,3 +285,41 @@ func TestParseWorkloadRejectsUnknownScale(t *testing.T) {
 		t.Errorf("-bench treeadd -scale run = %v, %v, %v", src, sc, err)
 	}
 }
+
+// TestReplayReadsTheDumpsScale: -replay disassembles the build the dump
+// names and repeats its scale in the repro line. A scale that does not
+// parse — a bare program run carries none — is reported, and neither
+// the code listing nor a -scale flag is guessed.
+func TestReplayReadsTheDumpsScale(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "treeadd_wib.crash.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		scale, want string
+		listing     bool
+	}{
+		{`"scale": "run",`, "wibsim -bench treeadd -scale run -lockstep -dump", true},
+		{``, "wibsim -bench treeadd -lockstep -dump", false},
+		{`"scale": "huge",`, "wibsim -bench treeadd -lockstep -dump", false},
+	} {
+		path := filepath.Join(t.TempDir(), "crash.json")
+		dump := strings.Replace(string(data), `"scale": "test",`, tc.scale, 1)
+		if err := os.WriteFile(path, []byte(dump), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := wibtrace("-replay", path)
+		if code != 0 || stderr != "" {
+			t.Fatalf("%s: exit %d, stderr %q", tc.scale, code, stderr)
+		}
+		if !strings.Contains(stdout, "\n  "+tc.want+"\n") {
+			t.Errorf("%s: no repro line %q in:\n%s", tc.scale, tc.want, stdout)
+		}
+		if got := strings.Contains(stdout, "code around pc"); got != tc.listing {
+			t.Errorf("%s: code listing printed %v, want %v", tc.scale, got, tc.listing)
+		}
+		if !tc.listing && !strings.Contains(stdout, "unknown scale") {
+			t.Errorf("%s: the report does not say why the scale was dropped:\n%s", tc.scale, stdout)
+		}
+	}
+}

@@ -148,7 +148,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) int {
 		go slot(service.NewWorker(service.WorkerOptions{
 			Server:       *server,
 			ID:           wid,
-			Exec:         session.ExecCell,
 			ExecProgress: session.ExecCellWithProgress,
 			Classify:     harness.Transient,
 			PollWait:     *poll,

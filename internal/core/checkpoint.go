@@ -27,17 +27,20 @@ func (w WarmSink) WarmBranch(b emu.WarmBranch) {
 }
 
 // AdoptWarmState replaces the processor's cold cache hierarchy and branch
-// predictor with externally warmed ones. Sampled simulation keeps one
-// hierarchy and predictor alive per cell, feeds them the program's full
-// functional access stream between measured intervals (emu.Machine.RunSink),
-// and hands them to each interval's fresh processor — full-history warming,
-// where a checkpoint's bounded warm rings only replay a tail.
+// predictor with externally warmed ones. Sampled simulation streams the
+// program's full functional access stream into one hierarchy and
+// predictor (emu.Machine.RunSink) and gives each window's fresh processor
+// a snapshot of them taken at the window's start — a Hierarchy.CloneInto
+// copy and a Predictor.Clone — so every window sees full-history warming,
+// where a checkpoint's bounded warm rings only replay a tail, and no two
+// windows share state.
 //
 // The hierarchy and predictor must have been built from the same Config
 // the processor was (geometry is the caller's responsibility), and the
-// call must precede Run, on a freshly constructed processor. The caller
-// must also clear cycle-stamped transients (Hierarchy.ResetTiming) when
-// the adopted state last served a processor whose clock ran ahead.
+// call must precede Run, on a freshly constructed processor. The adopted
+// hierarchy's in-flight fill tables must hold no cycle stamps from
+// another processor's clock: a CloneInto copy starts with them empty, and
+// Hierarchy.ResetTiming empties them on anything else.
 func (p *Processor) AdoptWarmState(h *mem.Hierarchy, bp *bpred.Predictor) error {
 	if p.now != 0 || p.stats.Committed != 0 || p.nextSeq != 1 {
 		return fmt.Errorf("core: AdoptWarmState on a processor that already ran (cycle %d, %d committed)",

@@ -127,8 +127,9 @@ func TestCollectZeroIsNotALiveRegister(t *testing.T) {
 // Byte-generated programs for FuzzCollectMatchesOracle: a two-byte
 // header (instruction budget, register seed) and five bytes per
 // instruction — an opcode selector, three register bytes and an
-// immediate byte — decoded into ALU ops, loads and stores on a few base
-// registers, conditional branches, direct calls and returns.
+// immediate byte — decoded into ALU ops, pointer-chasing loads, stores,
+// forward branches, calls and returns over four temporaries, closed by a
+// jump back to the top.
 const (
 	collectFuzzHeader   = 2
 	collectFuzzInstrLen = 5
@@ -137,16 +138,15 @@ const (
 
 // collectFuzzOps are the opcodes the generator draws from.
 var collectFuzzOps = []isa.Op{
-	isa.OpAdd, isa.OpSub, isa.OpAddi, isa.OpMul, isa.OpLi, isa.OpSlli,
+	isa.OpAdd, isa.OpSub, isa.OpAddi, isa.OpAddi, isa.OpMul, isa.OpLi,
 	isa.OpFadd, isa.OpFmul, isa.OpFdiv,
-	isa.OpLd, isa.OpLd, isa.OpFld, isa.OpSt, isa.OpFst,
-	isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpJal, isa.OpJr, isa.OpJ,
+	isa.OpLd, isa.OpLd, isa.OpLd, isa.OpFld, isa.OpSt, isa.OpFst,
+	isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpJal, isa.OpJr,
 }
 
 // decodeCollectFuzz turns the input bytes into a program that never
-// names Zero as a destination (the oracle reads Zero as live). Branch and
-// call targets wrap into the code segment; loads and stores address off
-// GP, SP or a computed register.
+// names Zero as a destination (the oracle reads Zero as live) and loops
+// until its budget runs out.
 func decodeCollectFuzz(data []byte) (*isa.Program, uint64, bool) {
 	if len(data) < collectFuzzHeader+collectFuzzInstrLen {
 		return nil, 0, false
@@ -155,7 +155,9 @@ func decodeCollectFuzz(data []byte) (*isa.Program, uint64, bool) {
 	body := data[collectFuzzHeader:]
 	n := min(len(body)/collectFuzzInstrLen, collectFuzzMaxCode)
 	code := make([]isa.Instr, n)
-	reg := func(b byte) isa.Reg { return isa.Reg(1 + int(b)%(isa.NumRegs-1)) } // never Zero
+	// Four temporaries, so values often flow from one instruction to
+	// the next; never Zero, and RA, SP and GP only where named below.
+	reg := func(b byte) isa.Reg { return isa.T0 + isa.Reg(b%4) }
 	for pc := range code {
 		b := body[pc*collectFuzzInstrLen:]
 		in := isa.Instr{
@@ -167,24 +169,51 @@ func decodeCollectFuzz(data []byte) (*isa.Program, uint64, bool) {
 		}
 		switch in.Op.Class() {
 		case isa.ClassLoad, isa.ClassStore:
-			in.Rs1 = [4]isa.Reg{isa.GP, isa.SP, in.Rs1, isa.GP}[b[4]&3]
-			in.Imm = int32(b[4]) * 8 << (b[0] >> 6 * 4) // up to 2 MB off the base
-		case isa.ClassBranch:
-			in.Imm = int32(((pc+1+int(int8(b[4])))%n+n)%n - pc - 1)
-		case isa.ClassJump:
-			if in.Op == isa.OpJr {
-				in.Rs1 = isa.RA
-			} else {
-				in.Imm = int32(((pc+1+int(int8(b[4])))%n+n)%n - pc - 1)
+			// Off GP, off any temporary, or (loads) off the destination:
+			// a pointer chase.
+			switch b[4] & 3 {
+			case 0:
+				in.Rs1 = isa.GP
+			case 1:
+				if in.Op == isa.OpLd {
+					in.Rs1 = in.Rd
+				}
 			}
-			if in.Op == isa.OpJal {
+			in.Imm = int32(b[4]>>2) * 8
+		case isa.ClassBranch, isa.ClassJump:
+			// Forward only: the closing jump below is the one back edge
+			// besides returns, so each pass walks the whole body.
+			in.Imm = int32(int(b[4]) % max(n-pc-1, 1))
+			switch in.Op {
+			case isa.OpJr:
+				in.Rs1 = isa.RA
+			case isa.OpJal:
 				in.Rd = isa.RA
 			}
 		}
 		code[pc] = in
 	}
-	return &isa.Program{Name: "fuzz", Code: code, StackTop: 0x7fff_fff8, DataBase: 0x10_0000}, budget, true
+	code[n-1] = isa.Instr{Op: isa.OpJ, Imm: int32(-n)} // loop until the budget runs out
+	return &isa.Program{Name: "fuzz", Code: code, Image: fuzzImage, StackTop: 0x7fff_fff8, DataBase: fuzzData}, budget, true
 }
+
+// fuzzImage is the generated programs' data: fuzzNodes lines from
+// fuzzData on, far more than fuzzMem holds, every word the address of
+// another line, so a load off GP yields a pointer and loads through it
+// chase long misses whose addresses depend on older ones.
+const (
+	fuzzData  = 0x10_0000
+	fuzzNodes = 4096
+)
+
+var fuzzImage = func() *isa.Memory {
+	m := isa.NewMemory()
+	for w := uint64(0); w < 8*fuzzNodes; w++ {
+		m.WriteWord(fuzzData+8*w, fuzzData+64*((w*1597+1)%fuzzNodes))
+	}
+	m.Freeze()
+	return m
+}()
 
 // fuzzMem and fuzzBpred are small enough that generated programs miss
 // and mispredict often, and cheap to build once per input.
@@ -204,7 +233,7 @@ var (
 // must produce DeepEqual profiles on a small ladder.
 func FuzzCollectMatchesOracle(f *testing.F) {
 	rng := rand.New(rand.NewSource(37))
-	for i := 0; i < 32; i++ {
+	for i := 0; i < 64; i++ {
 		seed := make([]byte, collectFuzzHeader+collectFuzzMaxCode*collectFuzzInstrLen)
 		rng.Read(seed)
 		f.Add(seed)
@@ -219,6 +248,6 @@ func FuzzCollectMatchesOracle(f *testing.F) {
 				t.Fatalf("generator wrote Zero: %v", in)
 			}
 		}
-		sameAsOracle(t, "fuzz", prog, "test", CollectOptions{MaxInstr: budget, Windows: []int{4, 16, 64}, Mem: fuzzMem, Bpred: fuzzBpred})
+		sameAsOracle(t, "fuzz", prog, "test", CollectOptions{MaxInstr: budget, Windows: []int{8, 128, 2048}, Mem: fuzzMem, Bpred: fuzzBpred})
 	})
 }

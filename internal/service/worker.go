@@ -61,14 +61,14 @@ type WorkerOptions struct {
 	Server string
 	// ID names the worker in coordinator logs ("" = host-pid).
 	ID string
-	// Exec executes one cell. Service workers mount harness
-	// Session.ExecCell here; tests mount whatever chaos they need.
+	// Exec executes one cell when ExecProgress is nil; tests and
+	// in-process fleets mount whatever executor they need here.
 	Exec campaign.ExecFunc
-	// ExecProgress, when set, is used instead of Exec: it receives a
-	// per-cell interval progress callback (harness
-	// Session.ExecCellWithProgress) whose counts the worker ships on its
-	// lease heartbeats, so the coordinator's ETA sees fractional
-	// in-flight progress on long sampled cells.
+	// ExecProgress, when set, is used instead of Exec, which is then never
+	// called: it receives a per-cell interval progress callback (wibworker
+	// mounts harness Session.ExecCellWithProgress) whose counts the worker
+	// ships on its lease heartbeats, so the coordinator's ETA sees
+	// fractional in-flight progress on long sampled cells.
 	ExecProgress func(cell campaign.Cell, onInterval func(done, planned int)) (*campaign.Record, error)
 	// Classify reports whether an execution error is transient — worth
 	// the coordinator re-dispatching the cell (harness.Transient for real

@@ -61,6 +61,10 @@ echo "== coordinator transitions vs queue/place model fuzz smoke (submit/lease/s
 gate_exists FuzzCoordinatorLifecycle ./internal/service/
 go test -run '^$' -fuzz '^FuzzCoordinatorLifecycle$' -fuzztime 10s ./internal/service/
 
+echo "== model profiler vs its pre-decode-table oracle fuzz smoke (ALU, loads, stores, branches, calls; never writing Zero) =="
+gate_exists FuzzCollectMatchesOracle ./internal/model/
+go test -run '^$' -fuzz '^FuzzCollectMatchesOracle$' -fuzztime 10s ./internal/model/
+
 echo "== removal audit is still in the suite (it ran twice above, under ./...) =="
 gate_exists TestAudit ./internal/audit/
 
