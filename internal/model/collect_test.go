@@ -51,7 +51,8 @@ func sameAsOracle(t *testing.T, what string, prog *isa.Program, scale string, op
 // replaced (collect_oracle_test.go) over every registry kernel at two
 // scales and two cache families, and over seeded synth programs: the
 // profiles must be DeepEqual, so no model prediction can move. Test-scale
-// programs run to halt; run-scale ones stop at runBudget.
+// programs run to halt; run-scale ones stop at runBudget, and are left
+// out in -short mode and under the race detector.
 func TestCollectMatchesOracle(t *testing.T) {
 	const runBudget = 1_000_000
 	bigL2 := mem.DefaultConfig()
@@ -61,8 +62,8 @@ func TestCollectMatchesOracle(t *testing.T) {
 		cfg  mem.Config
 	}{{"default", mem.DefaultConfig()}, {"1MB-L2", bigL2}}
 	scales := []workload.Scale{workload.ScaleTest, workload.ScaleRun}
-	if testing.Short() {
-		scales = scales[:1]
+	if testing.Short() || raceEnabled {
+		scales = scales[:1] // one goroutine: the race detector has nothing to find
 	}
 	refs := append(oracleKernels(), oracleSynth...)
 	for _, ref := range refs {
