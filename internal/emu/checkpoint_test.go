@@ -1,8 +1,10 @@
 package emu
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"largewindow/internal/isa"
+	"largewindow/internal/workload"
 )
 
 // checkpointZoo returns programs covering every instruction class the
@@ -250,6 +253,9 @@ func TestCheckpointJSONDeterminism(t *testing.T) {
 	if string(d1) != string(d2) {
 		t.Error("two identical builds marshal to different bytes")
 	}
+	if raw, _ := cp1.MarshalJSON(); string(raw) != string(d1) {
+		t.Error("json.Marshal rewrote the bytes MarshalJSON returned")
+	}
 	var decoded Checkpoint
 	if err := json.Unmarshal(d1, &decoded); err != nil {
 		t.Fatal(err)
@@ -422,4 +428,81 @@ func TestCheckpointGoldenV1(t *testing.T) {
 	if err := json.Unmarshal(fdata, &rejected); err == nil {
 		t.Error("schema version 99 must be rejected")
 	}
+}
+
+// registryKernels is every registry kernel: the evaluated ones and the
+// two the paper omits.
+func registryKernels() []string {
+	names := workload.Names()
+	for _, n := range []string{"health", "ammp"} {
+		if s, ok := workload.Get(n); !ok || !s.Omitted {
+			panic(fmt.Sprintf("kernel %q is no longer an omitted registry kernel", n))
+		}
+		names = append(names, n)
+	}
+	return names
+}
+
+// TestBuildCheckpointMatchesFullLog holds BuildCheckpoint to the one-pass
+// build in checkpoint_oracle_test.go, byte for byte on the wire, over
+// every registry kernel at every scale. The skips straddle 1<<22 and
+// reach past the end of most kernels, so runs that halt early, halt
+// late and never halt are all covered. -short and the race detector keep
+// test scale only.
+func TestBuildCheckpointMatchesFullLog(t *testing.T) {
+	scales := []workload.Scale{workload.ScaleTest, workload.ScaleRun, workload.ScaleFull}
+	if testing.Short() || raceEnabled {
+		scales = scales[:1] // a single-goroutine pass: the race detector has nothing to find
+	}
+	for _, name := range registryKernels() {
+		spec, _ := workload.Get(name)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, sc := range scales {
+				prog := spec.Build(sc)
+				skips := []uint64{0, 1, 1<<22 - 1, 1<<22 + 1, 10_000_000}
+				if sc == workload.ScaleFull {
+					skips = append(skips, 40_000_000)
+				}
+				for _, skip := range skips {
+					want, wantErr := oracleBuildCheckpoint(prog, skip)
+					got, err := BuildCheckpoint(prog, skip)
+					sameCheckpoint(t, fmt.Sprintf("%s/skip=%d", sc, skip), got, want, err, wantErr)
+				}
+			}
+		})
+	}
+}
+
+// sameCheckpoint fails unless both builds failed alike or both encode
+// to the same bytes. It calls MarshalJSON directly: json.Marshal returns
+// those bytes after a compaction pass that leaves them as they are
+// (TestCheckpointJSONDeterminism) and would double the cost of a
+// multi-megabyte image.
+func sameCheckpoint(t *testing.T, what string, got, want *Checkpoint, err, wantErr error) {
+	t.Helper()
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: error %v, want %v", what, err, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	g, err := got.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := want.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(g, w) {
+		return
+	}
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	lo := max(0, i-40)
+	t.Fatalf("%s: checkpoint bytes differ at offset %d of %d/%d:\n got …%s\nwant …%s",
+		what, i, len(g), len(w), g[lo:min(len(g), i+40)], w[lo:min(len(w), i+40)])
 }
