@@ -30,6 +30,14 @@ const (
 	DefaultWarmBranch = 16384
 )
 
+// warmTail is how many instructions at the end of a fast-forward feed
+// the warm log; the rest run bare. Stopped just before its halt, or 40M
+// instructions in, every registry kernel at run and full scale fills all
+// three rings within its last 1.1M instructions (facerec takes longest),
+// so 4M leaves room; where it does not suffice, BuildCheckpoint logs the
+// whole skip instead.
+const warmTail = 1 << 22
+
 // ring is a bounded overwrite-oldest ring of samples. buf grows by
 // append until it holds max samples; from then on w, the wrapping write
 // index, is both where the next sample lands and where the oldest one sits.
@@ -131,6 +139,18 @@ func NewWarmLog(memCap, fetchCap, branchCap int) *WarmLog {
 		fetch:  ring[uint64]{max: fetchCap},
 		branch: ring[branchRec]{max: branchCap},
 	}
+}
+
+// full reports whether every ring holds its capacity. A log fed by one
+// run call over the tail of a longer run then holds what a log of the
+// whole run would: each ring keeps only its newest entries, so nothing
+// from before the tail is left in a full one. That holds for the fetch
+// ring too, though a run call pushes its first instruction line whatever
+// line ran before it: when that push is one the whole run did not make,
+// it repeats the whole run's last push before the tail, which is the
+// line the tail begins in.
+func (w *WarmLog) full() bool {
+	return len(w.mem.buf) >= w.mem.max && len(w.fetch.buf) >= w.fetch.max && len(w.branch.buf) >= w.branch.max
 }
 
 // WarmSink receives a functional access stream — either a warm log's
@@ -249,17 +269,47 @@ func Restore(prog *isa.Program, cp *Checkpoint) (*Machine, error) {
 	return m, nil
 }
 
-// BuildCheckpoint runs a fresh machine for skip instructions on the warm-
-// capturing fast path and checkpoints the result. A program that halts
-// before the skip target yields a halted checkpoint (the measured window
-// is then empty); only genuine execution faults return an error.
+// BuildCheckpoint runs a fresh machine for skip instructions and
+// checkpoints the result with a warm log of the run's access stream. A
+// program that halts before the skip target yields a halted checkpoint
+// (the measured window is then empty); only genuine execution faults
+// return an error.
+//
+// Only the last warmTail instructions feed the warm log; the ones before
+// them run on the bare loop Run uses. The checkpoint is byte for byte the
+// one logging the whole skip would give: the rings keep only their newest
+// entries, and where the tail does not fill them the whole skip is logged
+// after all (buildCheckpoint).
 func BuildCheckpoint(prog *isa.Program, skip uint64) (*Checkpoint, error) {
+	return buildCheckpoint(prog, skip, warmTail)
+}
+
+// buildCheckpoint is BuildCheckpoint with the warm tail as a parameter.
+// If the tail did not fill every ring (WarmLog.full) — the program halted
+// before or early in it, or it ran too few loads, stores, branches or
+// fetch lines — the run repeats from the start with the whole skip logged.
+func buildCheckpoint(prog *isa.Program, skip, tail uint64) (*Checkpoint, error) {
+	if skip <= tail {
+		return fastForward(prog, skip, skip)
+	}
+	cp, err := fastForward(prog, skip, tail)
+	if err != nil || cp.Warm.full() {
+		return cp, err
+	}
+	return fastForward(prog, skip, skip)
+}
+
+// fastForward runs a fresh machine for skip instructions, the last logged
+// of them into a fresh warm log, and checkpoints it with that log.
+func fastForward(prog *isa.Program, skip, logged uint64) (*Checkpoint, error) {
 	m := New(prog)
 	w := NewWarmLog(DefaultWarmMem, DefaultWarmFetch, DefaultWarmBranch)
-	if skip > 0 {
-		if _, err := m.run(skip, w, nil); err != nil && !errors.Is(err, ErrNotHalted) {
-			return nil, fmt.Errorf("emu: fast-forward of %s: %w", prog.Name, err)
-		}
+	_, err := m.run(skip-logged, nil, nil)
+	if err == nil || errors.Is(err, ErrNotHalted) {
+		_, err = m.run(logged, w, nil) // returns at once if the prefix halted
+	}
+	if err != nil && !errors.Is(err, ErrNotHalted) {
+		return nil, fmt.Errorf("emu: fast-forward of %s: %w", prog.Name, err)
 	}
 	cp := m.Checkpoint()
 	cp.Warm = w

@@ -445,7 +445,7 @@ func registryKernels() []string {
 
 // TestBuildCheckpointMatchesFullLog holds BuildCheckpoint to the one-pass
 // build in checkpoint_oracle_test.go, byte for byte on the wire, over
-// every registry kernel at every scale. The skips straddle 1<<22 and
+// every registry kernel at every scale. The skips straddle warmTail and
 // reach past the end of most kernels, so runs that halt early, halt
 // late and never halt are all covered. -short and the race detector keep
 // test scale only.
@@ -460,7 +460,7 @@ func TestBuildCheckpointMatchesFullLog(t *testing.T) {
 			t.Parallel()
 			for _, sc := range scales {
 				prog := spec.Build(sc)
-				skips := []uint64{0, 1, 1<<22 - 1, 1<<22 + 1, 10_000_000}
+				skips := []uint64{0, 1, warmTail - 1, warmTail + 1, 10_000_000}
 				if sc == workload.ScaleFull {
 					skips = append(skips, 40_000_000)
 				}
