@@ -2,9 +2,11 @@ package emu
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"largewindow/internal/isa"
@@ -352,4 +354,129 @@ func fuzzSeeds() [][]byte {
 		// Falling off the end of the code segment.
 		encodeFuzz(10, 0, 0, isa.Instr{Op: isa.OpNop}, isa.Instr{Op: isa.OpFmov, Rd: isa.F1, Rs1: isa.F2}),
 	)
+}
+
+// checkpointSpan reads a fuzz case's header as a fast-forward: the skip
+// is the budget byte times 2K instructions, the logged tail the chunk
+// byte times 1K. A tail of 32K or more can fill all three rings; the
+// skip lands inside the tail about a quarter of the time.
+func checkpointSpan(fc fuzzCase) (skip, tail uint64) {
+	return fc.budget << 11, uint64(fc.chunk) << 10
+}
+
+// maxFuzzPages bounds the memory a fuzzed fast-forward may touch: a loop
+// that stores to a fresh page every few instructions would otherwise
+// hold gigabytes in each of the three machines the target runs.
+const maxFuzzPages = 256
+
+// touchesFewPages reports whether skip instructions of prog stay within
+// maxFuzzPages pages, running them in chunks so the check stops early.
+func touchesFewPages(prog *isa.Program, skip uint64) bool {
+	m := New(prog)
+	for m.InstrCount < skip && !m.Halted {
+		if _, err := m.Run(min(4096, skip-m.InstrCount)); err != nil && !errors.Is(err, ErrNotHalted) {
+			return true
+		}
+		if m.Mem.Pages() > maxFuzzPages {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzBuildCheckpointMatchesFullLog holds the tail-logged fast-forward to
+// the one-pass build in checkpoint_oracle_test.go, byte for byte on the
+// wire, over decodeFuzz's programs with tails small enough that the run
+// ends in each place: the tail fills every ring, the program halts in
+// the bare prefix, or the tail runs too few loads, branches or fetch
+// lines to fill a ring (checkpointPathSeeds has one of each).
+func FuzzBuildCheckpointMatchesFullLog(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
+	for _, s := range checkpointPathSeeds() {
+		f.Add(s.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fc, ok := decodeFuzz(data)
+		if !ok {
+			t.Skip()
+		}
+		skip, tail := checkpointSpan(fc)
+		if !touchesFewPages(fc.prog, skip) {
+			t.Skip()
+		}
+		want, wantErr := oracleBuildCheckpoint(fc.prog, skip)
+		got, err := buildCheckpoint(fc.prog, skip, tail)
+		sameCheckpoint(t, fmt.Sprintf("skip=%d tail=%d", skip, tail), got, want, err, wantErr)
+	})
+}
+
+// checkpointPathSeed is a fuzz input whose fast-forward ends in a known
+// place: full says whether its tail alone fills every ring.
+type checkpointPathSeed struct {
+	name string
+	data []byte
+	full bool
+}
+
+// checkpointPathSeeds are one input per way a tail-logged fast-forward
+// can end. Each runs a 200K-instruction tail after a 200K-instruction
+// prefix. The loop body of the first spans two fetch lines and does one
+// load, one store and one branch per nine instructions, so its tail fills
+// every ring; the others change one thing.
+func checkpointPathSeeds() []checkpointPathSeed {
+	loop := func(start int32, body ...isa.Instr) []isa.Instr {
+		code := []isa.Instr{{Op: isa.OpLi, Rd: isa.T0, Imm: start}}
+		code = append(code, body...)
+		return append(code,
+			isa.Instr{Op: isa.OpBne, Rs1: isa.T0, Rs2: isa.Zero, Imm: int32(-len(body) - 1)},
+			isa.Instr{Op: isa.OpHalt})
+	}
+	step := isa.Instr{Op: isa.OpAddi, Rd: isa.T0, Rs1: isa.T0, Imm: 8}
+	addr := []isa.Instr{
+		{Op: isa.OpAndi, Rd: isa.T1, Rs1: isa.T0, Imm: 0x1ff8}, // two pages
+		{Op: isa.OpAdd, Rd: isa.T2, Rs1: isa.GP, Rs2: isa.T1},
+	}
+	access := []isa.Instr{
+		{Op: isa.OpSt, Rs1: isa.T2, Rs2: isa.T0},
+		{Op: isa.OpLd, Rd: isa.T3, Rs1: isa.T2},
+	}
+	nops := []isa.Instr{{Op: isa.OpNop}, {Op: isa.OpNop}, {Op: isa.OpNop}}
+	twoLines := slices.Concat([]isa.Instr{step}, addr, access, nops)
+	noMem := slices.Concat([]isa.Instr{step}, addr, nops, nops[:2])
+	oneLine := slices.Concat([]isa.Instr{step}, access[:1], addr[:1])
+	seed := func(name string, full bool, code []isa.Instr) checkpointPathSeed {
+		return checkpointPathSeed{name, encodeFuzz(200, 200, 0, code...), full}
+	}
+	return []checkpointPathSeed{
+		seed("tail fills every ring", true, loop(8, twoLines...)),
+		seed("halts in the prefix", false, loop(-8000, twoLines...)),
+		seed("load- and store-free tail", false, loop(8, noMem...)),
+		seed("one fetch line", false, loop(8, oneLine...)),
+	}
+}
+
+// TestBuildCheckpointPathSeeds pins where each path seed's fast-forward
+// ends, so the fuzz corpus keeps a case for the tail and for each
+// fallback, and checks each against the oracle.
+func TestBuildCheckpointPathSeeds(t *testing.T) {
+	for _, s := range checkpointPathSeeds() {
+		fc, ok := decodeFuzz(s.data)
+		if !ok {
+			t.Fatalf("%s: seed does not decode", s.name)
+		}
+		skip, tail := checkpointSpan(fc)
+		cp, err := fastForward(fc.prog, skip, tail)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if cp.Warm.full() != s.full {
+			t.Errorf("%s: tail fills every ring = %v, want %v (mem %d, fetch %d, branch %d)", s.name,
+				cp.Warm.full(), s.full, len(cp.Warm.mem.buf), len(cp.Warm.fetch.buf), len(cp.Warm.branch.buf))
+		}
+		want, wantErr := oracleBuildCheckpoint(fc.prog, skip)
+		got, err := buildCheckpoint(fc.prog, skip, tail)
+		sameCheckpoint(t, s.name, got, want, err, wantErr)
+	}
 }

@@ -45,6 +45,10 @@ echo "== fast interpreter vs Step fuzz smoke (every opcode, every sink kind) =="
 gate_exists FuzzRunMatchesStep ./internal/emu/
 go test -run '^$' -fuzz '^FuzzRunMatchesStep$' -fuzztime 10s ./internal/emu/
 
+echo "== tail-logged fast-forward vs one-pass checkpoint build fuzz smoke (tail fills the rings, halts in the prefix, ring left short) =="
+gate_exists FuzzBuildCheckpointMatchesFullLog ./internal/emu/
+go test -run '^$' -fuzz '^FuzzBuildCheckpointMatchesFullLog$' -fuzztime 10s ./internal/emu/
+
 echo "== trace decoder fuzz smoke (typed errors, never panic; seeds include an older container whose records section is skipped) =="
 gate_exists FuzzRead ./internal/trace/
 go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/trace/
