@@ -25,8 +25,9 @@ func benchPrograms(b *testing.B) []*isa.Program {
 
 // BenchmarkFastForwardPass is the profiling harness for the repository
 // benchmark's emu-ff workload: one iteration is the fast-forward steps of
-// one pass — build each kernel, then BuildCheckpoint 40M instructions in —
-// without the benchmark driver around it. (The pass's eight 10k-instruction
+// one pass — build each kernel, then BuildCheckpoint 40M instructions in,
+// about 36M of them bare and the last warmTail into the warm log — without
+// the benchmark driver around it. (The pass's eight 10k-instruction
 // detailed windows are under 2% of it and need internal/core.)
 func BenchmarkFastForwardPass(b *testing.B) {
 	var instrs uint64
@@ -61,8 +62,10 @@ func benchRun(b *testing.B, step func(m *Machine, n uint64) (uint64, error)) {
 	b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstrs/s")
 }
 
-// BenchmarkRunWarm is the fast-forward path: the run loop capturing into
-// a WarmLog's rings, as BuildCheckpoint drives it.
+// BenchmarkRunWarm is the run loop capturing every instruction into a
+// WarmLog's rings, as BuildCheckpoint drives it over a fast-forward's last
+// warmTail instructions (and over the whole skip when that tail leaves a
+// ring short); the instructions before the tail run as BenchmarkRun.
 func BenchmarkRunWarm(b *testing.B) {
 	benchRun(b, func(m *Machine, n uint64) (uint64, error) {
 		return m.RunSink(n, NewWarmLog(DefaultWarmMem, DefaultWarmFetch, DefaultWarmBranch))

@@ -452,7 +452,7 @@ func registryKernels() []string {
 func TestBuildCheckpointMatchesFullLog(t *testing.T) {
 	scales := []workload.Scale{workload.ScaleTest, workload.ScaleRun, workload.ScaleFull}
 	if testing.Short() || raceEnabled {
-		scales = scales[:1] // a single-goroutine pass: the race detector has nothing to find
+		scales = scales[:1] // the builds share nothing: the race detector has nothing to find
 	}
 	for _, name := range registryKernels() {
 		spec, _ := workload.Get(name)

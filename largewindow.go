@@ -186,9 +186,11 @@ func (r *Result) IPC() float64 { return r.Stats.IPC }
 type Checkpoint = emu.Checkpoint
 
 // FastForward executes the first skip instructions of prog on the
-// functional emulator's predecoded fast path and returns a restorable
+// functional emulator's fast interpreter and returns a restorable
 // checkpoint carrying the architectural state plus cache/TLB/predictor
-// warm state. A program that halts within the skip window yields a halted
+// warm state. Only the last 4M skipped instructions feed the warm state,
+// whose bounded rings keep just the newest accesses; the rest run bare.
+// A program that halts within the skip window yields a halted
 // checkpoint (its measured window is empty). Checkpoints depend only on
 // (program, skip) — never on a processor configuration — so one
 // fast-forward pass serves every configuration measuring the same window.
