@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 # Pre-merge gate: gofmt + vet + build + go test (race-enabled, then plain;
-# the removal audit, internal/audit, runs in both) + seven fuzz smokes +
+# the removal audit, internal/audit, runs in both) + eight fuzz smokes +
 # repeated race runs.
 check:
 	sh scripts/check.sh

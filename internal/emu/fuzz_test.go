@@ -369,10 +369,10 @@ func checkpointSpan(fc fuzzCase) (skip, tail uint64) {
 // hold gigabytes in each of the three machines the target runs.
 const maxFuzzPages = 256
 
-// touchesFewPages reports whether skip instructions of prog stay within
-// maxFuzzPages pages, running them in chunks so the check stops early.
-func touchesFewPages(prog *isa.Program, skip uint64) bool {
-	m := New(prog)
+// touchesFewPages reports whether skip instructions from the fresh
+// machine m stay within maxFuzzPages pages, running them in chunks so
+// the check stops early.
+func touchesFewPages(m *Machine, skip uint64) bool {
 	for m.InstrCount < skip && !m.Halted {
 		if _, err := m.Run(min(4096, skip-m.InstrCount)); err != nil && !errors.Is(err, ErrNotHalted) {
 			return true
@@ -403,12 +403,71 @@ func FuzzBuildCheckpointMatchesFullLog(f *testing.F) {
 			t.Skip()
 		}
 		skip, tail := checkpointSpan(fc)
-		if !touchesFewPages(fc.prog, skip) {
+		if !touchesFewPages(New(fc.prog), skip) {
 			t.Skip()
 		}
 		want, wantErr := oracleBuildCheckpoint(fc.prog, skip)
 		got, err := buildCheckpoint(fc.prog, skip, tail)
 		sameCheckpoint(t, fmt.Sprintf("skip=%d tail=%d", skip, tail), got, want, err, wantErr)
+	})
+}
+
+// FuzzCheckpointResumeMatchesStraightRun is the checkpoint/resume rung:
+// over decodeFuzz's programs, a machine that runs k instructions,
+// checkpoints and resumes to the straight run's length must end where
+// the straight run does — from the checkpoint itself and from its JSON
+// copy — on Snapshot, PC, ClassMix, the branch counters and the count
+// and error. The span is the budget byte times 256 instructions and k
+// the chunk byte's share of it, so k often lies past a halt. A
+// checkpoint whose next instruction faults sits at a PC outside the
+// code segment, and Restore must refuse it.
+func FuzzCheckpointResumeMatchesStraightRun(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fc, ok := decodeFuzz(data)
+		if !ok {
+			t.Skip()
+		}
+		span := fc.budget << 8
+		k := span * uint64(fc.chunk) / 255
+		if !touchesFewPages(fc.machine(), span) {
+			t.Skip()
+		}
+		straight := fc.machine()
+		wantN, wantErr := straight.Run(span)
+
+		head := fc.machine()
+		headN, _ := head.Run(k)
+		cp := head.Checkpoint()
+		raw, err := cp.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded Checkpoint
+		if err := decoded.UnmarshalJSON(raw); err != nil {
+			t.Fatalf("k=%d: decoding the checkpoint: %v", k, err)
+		}
+		faults := !head.Halted && head.PC >= uint64(len(fc.prog.Code))
+		for _, from := range []struct {
+			what string
+			cp   *Checkpoint
+		}{{"checkpoint", cp}, {"JSON copy", &decoded}} {
+			what := fmt.Sprintf("k=%d resumed from the %s", k, from.what)
+			m, err := Restore(fc.prog, from.cp)
+			if faults {
+				if err == nil {
+					t.Fatalf("%s: restored a checkpoint at pc %d, outside the code segment", what, head.PC)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			n, err := m.Run(span - headN)
+			sameOutcome(t, what, m, straight, headN+n, wantN, err, wantErr)
+		}
 	})
 }
 

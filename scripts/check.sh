@@ -49,6 +49,10 @@ echo "== tail-logged fast-forward vs one-pass checkpoint build fuzz smoke (tail 
 gate_exists FuzzBuildCheckpointMatchesFullLog ./internal/emu/
 go test -run '^$' -fuzz '^FuzzBuildCheckpointMatchesFullLog$' -fuzztime 10s ./internal/emu/
 
+echo "== checkpoint at k then resume vs straight run fuzz smoke (the checkpoint and its JSON copy, k before and past a halt) =="
+gate_exists FuzzCheckpointResumeMatchesStraightRun ./internal/emu/
+go test -run '^$' -fuzz '^FuzzCheckpointResumeMatchesStraightRun$' -fuzztime 10s ./internal/emu/
+
 echo "== trace decoder fuzz smoke (typed errors, never panic; seeds include an older container whose records section is skipped) =="
 gate_exists FuzzRead ./internal/trace/
 go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/trace/
