@@ -77,8 +77,8 @@ func readAllow(t *testing.T) []*entry {
 //	    per package against a ceiling that may only fall;
 //	(b) a package-level symbol, method or struct field with no production
 //	    use at all, or a field production code only stores to;
-//	(c) a field of an options / config struct that production code reads
-//	    and no non-test path sets;
+//	(c) an exported field of an exported struct type that production
+//	    code reads and no non-test path sets;
 //	(d) a range over a map whose body writes to an output, accumulates
 //	    into a float, or collects into a slice that is then ordered by a
 //	    caller-written comparison.
@@ -449,9 +449,10 @@ func (a *auditor) tagged(s *sym) bool {
 	return ok && f.Tag != nil
 }
 
-var optionsType = regexp.MustCompile(`(Options|Config|Policy)$`)
-
-// ruleC reports option fields production code consults and never sets.
+// ruleC reports exported fields of exported structs that production
+// code consults and never sets: an option nothing can turn on, whatever
+// its struct is called. sync/atomic fields are set through their
+// methods, which read as uses; a pkg exemption covers the package.
 func (a *auditor) ruleC() {
 	// An unkeyed literal sets every field of its struct.
 	unkeyed := map[token.Pos]bool{}
@@ -475,14 +476,21 @@ func (a *auditor) ruleC() {
 		}
 	}
 	for _, s := range a.syms {
-		if !s.field() || !optionsType.MatchString(s.owner) || s.reads == 0 || s.sets > 0 || unkeyed[s.obj.Pos()] {
+		if !s.field() || !s.obj.Exported() || !ast.IsExported(s.owner) || atomicField(s) ||
+			s.reads == 0 || s.sets > 0 || unkeyed[s.obj.Pos()] {
 			continue
 		}
-		if a.allowed("c", s.label) {
+		if a.allowed("pkg", s.dir) || a.allowed("c", s.label) {
 			continue
 		}
 		a.t.Errorf("%s: (c) %s is read in production and no non-test path sets it", a.m.rel(s.obj.Pos()), s.label)
 	}
+}
+
+// atomicField reports whether a field's type comes from sync/atomic.
+func atomicField(s *sym) bool {
+	n, ok := s.obj.Type().(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic"
 }
 
 var outputCall = regexp.MustCompile(`^(Fprint|Print|Write|Encode)`)

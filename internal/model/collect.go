@@ -17,8 +17,6 @@ type CollectOptions struct {
 	// budgeted detailed run, profile the same budget: both cover the same
 	// instruction window.
 	MaxInstr uint64
-	// Windows overrides the ladder (default DefaultWindows).
-	Windows []int
 	// Mem is the cache family to profile against.
 	Mem mem.Config
 	// Bpred sizes the profiled branch predictor.
@@ -228,10 +226,7 @@ func Collect(prog *isa.Program, scale string, opt CollectOptions) (*Profile, err
 	if err := opt.Bpred.Validate(); err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	windows := opt.Windows
-	if len(windows) == 0 {
-		windows = DefaultWindows
-	}
+	windows := DefaultWindows
 	maxInstr := opt.MaxInstr
 	if maxInstr == 0 {
 		maxInstr = 1 << 62
@@ -254,9 +249,6 @@ func Collect(prog *isa.Program, scale string, opt CollectOptions) (*Profile, err
 	}
 	c.ladders = make([]ladder, len(windows))
 	for i, w := range windows {
-		if w <= 0 {
-			return nil, fmt.Errorf("model: non-positive window %d in ladder", w)
-		}
 		c.ladders[i] = ladder{w: int64(w)}
 	}
 

@@ -243,10 +243,7 @@ func oracleCollect(prog *isa.Program, scale string, opt CollectOptions) (*Profil
 	if err := opt.Bpred.Validate(); err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	windows := opt.Windows
-	if len(windows) == 0 {
-		windows = DefaultWindows
-	}
+	windows := DefaultWindows
 	maxInstr := opt.MaxInstr
 	if maxInstr == 0 {
 		maxInstr = 1 << 62

@@ -231,7 +231,7 @@ var (
 
 // FuzzCollectMatchesOracle holds the profiler to its oracle over
 // generated programs: on any program that never writes Zero, the two
-// must produce DeepEqual profiles on a small ladder.
+// must produce DeepEqual profiles on the DefaultWindows ladder.
 func FuzzCollectMatchesOracle(f *testing.F) {
 	rng := rand.New(rand.NewSource(37))
 	for i := 0; i < 64; i++ {
@@ -249,6 +249,6 @@ func FuzzCollectMatchesOracle(f *testing.F) {
 				t.Fatalf("generator wrote Zero: %v", in)
 			}
 		}
-		sameAsOracle(t, "fuzz", prog, "test", CollectOptions{MaxInstr: budget, Windows: []int{8, 128, 2048}, Mem: fuzzMem, Bpred: fuzzBpred})
+		sameAsOracle(t, "fuzz", prog, "test", CollectOptions{MaxInstr: budget, Mem: fuzzMem, Bpred: fuzzBpred})
 	})
 }

@@ -44,8 +44,6 @@ type Space struct {
 	// Seed makes the audit slice deterministic, so a resumed exploration
 	// re-selects the same cells and finds them all cached.
 	Seed uint64
-	// Windows overrides the profile ladder (default DefaultWindows).
-	Windows []int
 	// Exec simulates one cell; required. Up to runtime.GOMAXPROCS(0)
 	// calls run at once; an Exec backed by a smaller pool (the harness's
 	// engine) bounds its own width.
@@ -157,7 +155,6 @@ func (s *Space) collectProfiles(logf func(string, ...any)) ([]*Profile, error) {
 			if p == nil {
 				p, err = Collect(prog, s.Scale.String(), CollectOptions{
 					MaxInstr: s.ProfileInstr,
-					Windows:  s.Windows,
 					Mem:      cfg.Mem,
 					Bpred:    cfg.Bpred,
 				})
