@@ -63,17 +63,17 @@ func (p *Processor) AdoptWarmState(h *mem.Hierarchy, bp *bpred.Predictor) error 
 // statistics then cover the measured region only; Stats.Skipped records
 // how many instructions the functional pass executed.
 //
-// It must be called on a freshly constructed processor, before Run.
+// It must be called on a freshly constructed processor, before Run. The
+// checks that the checkpoint fits the program are emu.Restore's, whose
+// machine becomes the lockstep oracle when one is configured.
 func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 	if p.now != 0 || p.stats.Committed != 0 || p.nextSeq != 1 {
 		return fmt.Errorf("core: RestoreCheckpoint on a processor that already ran (cycle %d, %d committed)",
 			p.now, p.stats.Committed)
 	}
-	if cp.Bench != "" && p.prog.Name != cp.Bench {
-		return fmt.Errorf("core: checkpoint for %q restored onto program %q", cp.Bench, p.prog.Name)
-	}
-	if !cp.Halted && cp.PC >= uint64(len(p.prog.Code)) {
-		return fmt.Errorf("core: checkpoint pc %d outside code segment (len %d)", cp.PC, len(p.prog.Code))
+	m, err := emu.Restore(p.prog, cp)
+	if err != nil {
+		return err
 	}
 
 	p.memory = cp.Mem.Clone()
@@ -98,10 +98,6 @@ func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 		p.fetchHalted = true
 	}
 	if p.oracle != nil {
-		m, err := emu.Restore(p.prog, cp)
-		if err != nil {
-			return fmt.Errorf("core: restoring lockstep oracle: %w", err)
-		}
 		p.oracle = m
 	}
 	cp.Warm.Replay(WarmSink{H: p.hier, BP: p.bp})

@@ -201,42 +201,24 @@ func (w *WarmLog) Replay(s WarmSink) {
 
 // Checkpoint is the full restorable state of a functional run: enough to
 // reconstruct a Machine mid-execution exactly (unlike State, which is a
-// comparable digest with only a memory checksum). Checkpoints serialize
-// to schema-versioned JSON (schema.CheckpointVersion) for the campaign
-// store.
+// comparable digest with only a memory checksum). It embeds the
+// machine's archState, so registers, PC and counts read as cp.PC,
+// cp.InstrCount and so on. Checkpoints serialize to schema-versioned
+// JSON (schema.CheckpointVersion) for the campaign store.
 type Checkpoint struct {
-	Bench      string // program name, guarded at restore
-	PC         uint64
-	InstrCount uint64
-	Halted     bool
-	StreamHash uint64
-	TakenCond  uint64
-	CondCount  uint64
-	IntReg     [isa.NumRegs]uint64
-	FPReg      [isa.NumRegs]uint64
-	ClassMix   [isa.NumClasses]uint64
-	Mem        *isa.Memory
-	Warm       *WarmLog // may be nil (no warm capture)
+	Bench string // program name, guarded at restore
+	archState
+	Mem  *isa.Memory
+	Warm *WarmLog // may be nil (no warm capture)
 }
 
-// Checkpoint captures the machine's complete architectural state. The
-// memory image is a frozen copy-on-write snapshot — O(pages) to take, not
-// O(bytes) — so the machine may keep running (its first write to each
-// page copies it) and the checkpoint may be restored concurrently.
+// Checkpoint captures the machine's complete architectural state: its
+// archState as one value, and its memory image as a frozen copy-on-write
+// snapshot — O(pages) to take, not O(bytes) — so the machine may keep
+// running (its first write to each page copies it) and the checkpoint
+// may be restored concurrently.
 func (m *Machine) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{
-		Bench:      m.Prog.Name,
-		PC:         m.PC,
-		InstrCount: m.InstrCount,
-		Halted:     m.Halted,
-		StreamHash: m.StreamHash,
-		TakenCond:  m.TakenCond,
-		CondCount:  m.CondCount,
-		IntReg:     m.IntReg,
-		FPReg:      m.FPReg,
-		ClassMix:   m.ClassMix,
-		Mem:        m.Mem.Clone(),
-	}
+	cp := &Checkpoint{Bench: m.Prog.Name, archState: m.archState, Mem: m.Mem.Clone()}
 	cp.Mem.Freeze()
 	return cp
 }
@@ -246,6 +228,8 @@ func (m *Machine) Checkpoint() *Checkpoint {
 // from — the name is checked; byte-level identity is the caller's
 // responsibility, as programs are built deterministically from
 // (benchmark, scale)). The checkpoint's memory image is deep-copied.
+// These are the only checks that a checkpoint fits a program: a timing
+// core restores through Restore too (core.Processor.RestoreCheckpoint).
 func Restore(prog *isa.Program, cp *Checkpoint) (*Machine, error) {
 	if cp.Bench != "" && prog.Name != cp.Bench {
 		return nil, fmt.Errorf("emu: checkpoint for %q restored onto program %q", cp.Bench, prog.Name)
@@ -253,20 +237,7 @@ func Restore(prog *isa.Program, cp *Checkpoint) (*Machine, error) {
 	if !cp.Halted && cp.PC >= uint64(len(prog.Code)) {
 		return nil, fmt.Errorf("emu: checkpoint pc %d outside code segment (len %d)", cp.PC, len(prog.Code))
 	}
-	m := &Machine{
-		Prog:       prog,
-		Mem:        cp.Mem.Clone(),
-		PC:         cp.PC,
-		Halted:     cp.Halted,
-		InstrCount: cp.InstrCount,
-		ClassMix:   cp.ClassMix,
-		TakenCond:  cp.TakenCond,
-		CondCount:  cp.CondCount,
-		StreamHash: cp.StreamHash,
-	}
-	m.IntReg = cp.IntReg
-	m.FPReg = cp.FPReg
-	return m, nil
+	return &Machine{Prog: prog, Mem: cp.Mem.Clone(), archState: cp.archState}, nil
 }
 
 // BuildCheckpoint runs a fresh machine for skip instructions and
@@ -420,14 +391,16 @@ func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	out := Checkpoint{
-		Bench:      w.Bench,
-		PC:         w.PC,
-		InstrCount: w.InstrCount,
-		Halted:     w.Halted,
-		StreamHash: w.StreamHash,
-		TakenCond:  w.TakenCond,
-		CondCount:  w.CondCount,
-		Mem:        isa.NewMemory(),
+		Bench: w.Bench,
+		archState: archState{
+			PC:         w.PC,
+			InstrCount: w.InstrCount,
+			Halted:     w.Halted,
+			StreamHash: w.StreamHash,
+			TakenCond:  w.TakenCond,
+			CondCount:  w.CondCount,
+		},
+		Mem: isa.NewMemory(),
 	}
 	if len(w.IntReg) > isa.NumRegs || len(w.FPReg) > isa.NumRegs || len(w.ClassMix) > isa.NumClasses {
 		return fmt.Errorf("emu: checkpoint register/class arrays too long (%d/%d/%d)",

@@ -18,8 +18,15 @@ var ErrNotHalted = errors.New("emu: instruction budget exhausted before halt")
 
 // Machine is the architectural state of one running program.
 type Machine struct {
-	Prog   *isa.Program
-	Mem    *isa.Memory
+	Prog *isa.Program
+	Mem  *isa.Memory
+	archState
+}
+
+// archState is everything a machine's execution state holds besides its
+// program and memory image. A Checkpoint embeds the same struct, so
+// taking one and restoring from one each copy it as a single value.
+type archState struct {
 	IntReg [isa.NumRegs]uint64
 	FPReg  [isa.NumRegs]uint64
 	PC     uint64
@@ -40,11 +47,8 @@ type Machine struct {
 // New creates a machine at the program's entry point with its initial
 // memory image loaded, SP at StackTop and GP at DataBase.
 func New(p *isa.Program) *Machine {
-	m := &Machine{
-		Prog: p,
-		Mem:  p.NewMemoryImage(),
-		PC:   p.Entry,
-	}
+	m := &Machine{Prog: p, Mem: p.NewMemoryImage()}
+	m.PC = p.Entry
 	m.IntReg[isa.SP] = p.StackTop
 	m.IntReg[isa.GP] = p.DataBase
 	return m
