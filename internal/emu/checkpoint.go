@@ -381,7 +381,10 @@ func (cp *Checkpoint) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a checkpoint, rejecting schema versions newer
-// than this reader understands.
+// than this reader understands and malformed files: register arrays of
+// any length but isa.NumRegs, more class counts than isa.NumClasses
+// (fewer are zero-filled: classes may be appended), warm-ring capacities
+// that are not three, and warm-ring data that comes without them.
 func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
 	var w checkpointWire
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -402,9 +405,15 @@ func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
 		},
 		Mem: isa.NewMemory(),
 	}
-	if len(w.IntReg) > isa.NumRegs || len(w.FPReg) > isa.NumRegs || len(w.ClassMix) > isa.NumClasses {
-		return fmt.Errorf("emu: checkpoint register/class arrays too long (%d/%d/%d)",
-			len(w.IntReg), len(w.FPReg), len(w.ClassMix))
+	if len(w.IntReg) != isa.NumRegs || len(w.FPReg) != isa.NumRegs || len(w.ClassMix) > isa.NumClasses {
+		return fmt.Errorf("emu: checkpoint has %d/%d registers (want %d) and %d class counts (at most %d)",
+			len(w.IntReg), len(w.FPReg), isa.NumRegs, len(w.ClassMix), isa.NumClasses)
+	}
+	if len(w.WarmCaps) != 0 && len(w.WarmCaps) != 3 {
+		return fmt.Errorf("emu: checkpoint has %d warm ring capacities, want 3", len(w.WarmCaps))
+	}
+	if len(w.WarmCaps) == 0 && w.WarmMem+w.WarmFetch+w.WarmBranch != "" {
+		return errors.New("emu: checkpoint has warm ring data but no ring capacities")
 	}
 	copy(out.IntReg[:], w.IntReg)
 	copy(out.FPReg[:], w.FPReg)

@@ -430,6 +430,81 @@ func TestCheckpointGoldenV1(t *testing.T) {
 	}
 }
 
+// TestCheckpointDecodeRejectsMalformed: each malformed shape of a
+// cached checkpoint file is an error, never a silently different
+// checkpoint, and the shapes a valid file may take still decode.
+func TestCheckpointDecodeRejectsMalformed(t *testing.T) {
+	cp, err := BuildCheckpoint(checkpointZoo()[2], 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// edited decodes valid into a generic map (numbers kept exact),
+	// applies edit and re-encodes it.
+	edited := func(edit func(map[string]any)) []byte {
+		dec := json.NewDecoder(bytes.NewReader(valid))
+		dec.UseNumber()
+		var w map[string]any
+		if err := dec.Decode(&w); err != nil {
+			t.Fatal(err)
+		}
+		edit(w)
+		out, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	resize := func(key string, n int) func(map[string]any) {
+		return func(w map[string]any) {
+			s := w[key].([]any)
+			for len(s) < n {
+				s = append(s, json.Number("0"))
+			}
+			w[key] = s[:n]
+		}
+	}
+	without := func(keys ...string) func(map[string]any) {
+		return func(w map[string]any) {
+			for _, k := range keys {
+				delete(w, k)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(map[string]any)
+		ok   bool
+	}{
+		{"as encoded", func(map[string]any) {}, true},
+		{"class_mix shorter than NumClasses", resize("class_mix", isa.NumClasses-2), true},
+		{"no warm log", without("warm_caps", "warm_mem", "warm_fetch", "warm_branch"), true},
+		{"int_reg one short", resize("int_reg", isa.NumRegs-1), false},
+		{"int_reg one long", resize("int_reg", isa.NumRegs+1), false},
+		{"int_reg missing", without("int_reg"), false},
+		{"fp_reg one short", resize("fp_reg", isa.NumRegs-1), false},
+		{"fp_reg one long", resize("fp_reg", isa.NumRegs+1), false},
+		{"class_mix one long", resize("class_mix", isa.NumClasses+1), false},
+		{"warm_caps with two entries", resize("warm_caps", 2), false},
+		{"warm_caps with four entries", resize("warm_caps", 4), false},
+		{"warm_mem without warm_caps", without("warm_caps", "warm_fetch", "warm_branch"), false},
+		{"warm_fetch without warm_caps", without("warm_caps", "warm_mem", "warm_branch"), false},
+		{"warm_branch without warm_caps", without("warm_caps", "warm_mem", "warm_fetch"), false},
+	} {
+		var got Checkpoint
+		err := json.Unmarshal(edited(tc.edit), &got)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+}
+
 // registryKernels is every registry kernel: the evaluated ones and the
 // two the paper omits.
 func registryKernels() []string {
