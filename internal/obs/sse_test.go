@@ -45,17 +45,26 @@ waitFirst:
 		t.Fatalf("first event = %+v", first)
 	}
 
+	// The loop above may have published more submits while the first
+	// was on its way; they arrive, in order, before the completion.
 	bus.Publish(Event{Type: EventComplete, CellID: "c1", Worker: "w0"})
-	select {
-	case ev := <-got:
-		if ev.Type != EventComplete || ev.Worker != "w0" {
+	for last := first.Seq; ; {
+		var ev Event
+		select {
+		case ev = <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatal("second event never arrived")
+		}
+		if ev.Seq <= last {
+			t.Fatalf("sequence regressed: %d after %d", ev.Seq, last)
+		}
+		last = ev.Seq
+		if ev.Type == EventComplete && ev.Worker == "w0" {
+			break
+		}
+		if ev.Type != EventSubmit || ev.CellID != "c1" {
 			t.Fatalf("second event = %+v", ev)
 		}
-		if ev.Seq <= first.Seq {
-			t.Fatalf("sequence regressed: %d after %d", ev.Seq, first.Seq)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("second event never arrived")
 	}
 
 	cancel()
