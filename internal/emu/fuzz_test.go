@@ -186,23 +186,23 @@ func stepRun(m *Machine, maxInstr uint64, ev *events) (uint64, error) {
 	return count, nil
 }
 
-// sameOutcome fails the test unless the fast machine ended exactly where
-// the Step machine did.
-func sameOutcome(t *testing.T, what string, fast, slow *Machine, n, wantN uint64, err, wantErr error) {
+// sameOutcome fails the test unless machine got ended exactly where the
+// reference machine want did: the Step loop's, or a straight run's.
+func sameOutcome(t *testing.T, what string, got, want *Machine, n, wantN uint64, err, wantErr error) {
 	t.Helper()
 	if n != wantN || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-		t.Fatalf("%s: returned (%d, %v), Step loop (%d, %v)", what, n, err, wantN, wantErr)
+		t.Fatalf("%s: returned (%d, %v), want (%d, %v)", what, n, err, wantN, wantErr)
 	}
-	if fast.Snapshot() != slow.Snapshot() || fast.PC != slow.PC {
-		t.Fatalf("%s: state diverges from the Step loop:\nfast pc %d %+v\nslow pc %d %+v",
-			what, fast.PC, fast.Snapshot(), slow.PC, slow.Snapshot())
+	if got.Snapshot() != want.Snapshot() || got.PC != want.PC {
+		t.Fatalf("%s: state diverges:\n got pc %d %+v\nwant pc %d %+v",
+			what, got.PC, got.Snapshot(), want.PC, want.Snapshot())
 	}
-	if fast.CondCount != slow.CondCount || fast.TakenCond != slow.TakenCond {
-		t.Fatalf("%s: branch counters %d/%d, Step loop %d/%d",
-			what, fast.TakenCond, fast.CondCount, slow.TakenCond, slow.CondCount)
+	if got.CondCount != want.CondCount || got.TakenCond != want.TakenCond {
+		t.Fatalf("%s: branch counters %d/%d, want %d/%d",
+			what, got.TakenCond, got.CondCount, want.TakenCond, want.CondCount)
 	}
-	if !reflect.DeepEqual(fast.ClassMix, slow.ClassMix) {
-		t.Fatalf("%s: class mix %v, Step loop %v", what, fast.ClassMix, slow.ClassMix)
+	if !reflect.DeepEqual(got.ClassMix, want.ClassMix) {
+		t.Fatalf("%s: class mix %v, want %v", what, got.ClassMix, want.ClassMix)
 	}
 }
 
