@@ -65,7 +65,9 @@ func (p *Processor) AdoptWarmState(h *mem.Hierarchy, bp *bpred.Predictor) error 
 //
 // It must be called on a freshly constructed processor, before Run. The
 // checks that the checkpoint fits the program are emu.Restore's, whose
-// machine becomes the lockstep oracle when one is configured.
+// machine becomes the lockstep oracle when one is configured; the core
+// then takes its own clone of the memory image, and otherwise the
+// machine's.
 func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 	if p.now != 0 || p.stats.Committed != 0 || p.nextSeq != 1 {
 		return fmt.Errorf("core: RestoreCheckpoint on a processor that already ran (cycle %d, %d committed)",
@@ -75,8 +77,10 @@ func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 	if err != nil {
 		return err
 	}
-
-	p.memory = cp.Mem.Clone()
+	p.memory = m.Mem
+	if p.oracle != nil {
+		p.oracle, p.memory = m, cp.Mem.Clone()
+	}
 	// On a fresh processor architectural register a maps to physical a in
 	// both the rename and retirement maps; install the checkpointed values
 	// through the map anyway so the invariant lives in one place.
@@ -96,9 +100,6 @@ func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 		// and Run returns immediately with zero committed instructions.
 		p.halted = true
 		p.fetchHalted = true
-	}
-	if p.oracle != nil {
-		p.oracle = m
 	}
 	cp.Warm.Replay(WarmSink{H: p.hier, BP: p.bp})
 	return nil
