@@ -18,16 +18,14 @@ func newSlotSet(positions int) slotSet {
 	return slotSet{words: make([]uint64, (positions+63)/64)}
 }
 
-// newSlotSets builds n sets of the same size, their bitmaps cut from one
-// array, set after set.
-func newSlotSets(n, positions int) []slotSet {
+// newSlotSets points each of sets at its own share of one new array, set
+// after set, every share sized for positions.
+func newSlotSets(sets []slotSet, positions int) {
 	words := (positions + 63) / 64
-	all := make([]uint64, n*words)
-	sets := make([]slotSet, n)
+	all := make([]uint64, len(sets)*words)
 	for i := range sets {
-		sets[i].words = all[i*words : (i+1)*words : (i+1)*words]
+		sets[i] = slotSet{words: all[i*words : (i+1)*words : (i+1)*words]}
 	}
-	return sets
 }
 
 func (s *slotSet) has(i int32) bool { return s.words[i>>6]&(1<<(i&63)) != 0 }
@@ -58,7 +56,7 @@ func (s *slotSet) remove(i int32) bool {
 // bitmap is empty. pos may be one past the last position.
 func (s *slotSet) firstFrom(pos int32) int32 {
 	if w0 := int(pos >> 6); w0 < len(s.words) {
-		if m := s.words[w0] &^ (1<<(pos&63) - 1); m != 0 {
+		if m := s.words[w0] &^ lowBits(pos); m != 0 {
 			return int32(w0<<6 + bits.TrailingZeros64(m))
 		}
 		for i := w0 + 1; i < len(s.words); i++ {
@@ -76,6 +74,48 @@ func (s *slotSet) firstFrom(pos int32) int32 {
 	}
 	return -1
 }
+
+// countRange returns how many members lie in the ring stretch [from, to):
+// from up to the top and round from the bottom when from > to, nothing
+// when from == to. Either bound may be one past the last position. It
+// counts a word at a time.
+func (s *slotSet) countRange(from, to int32) int {
+	if from > to {
+		return s.n - s.countRange(to, from)
+	}
+	lo, hi := int(from>>6), int(to>>6)
+	if lo == hi {
+		if lo == len(s.words) {
+			return 0
+		}
+		return bits.OnesCount64(s.words[lo] & lowBits(to) &^ lowBits(from))
+	}
+	n := bits.OnesCount64(s.words[lo] &^ lowBits(from))
+	for _, m := range s.words[lo+1 : hi] {
+		n += bits.OnesCount64(m)
+	}
+	if hi < len(s.words) {
+		n += bits.OnesCount64(s.words[hi] & lowBits(to))
+	}
+	return n
+}
+
+// moveAll moves every member of s into dst, which holds none of them, a
+// word at a time.
+func (s *slotSet) moveAll(dst *slotSet) {
+	if s.n == 0 {
+		return
+	}
+	for i, m := range s.words {
+		dst.words[i] |= m
+		s.words[i] = 0
+	}
+	dst.n += s.n
+	s.n = 0
+}
+
+// lowBits is the mask of a word's positions below pos's.
+func lowBits(pos int32) uint64 { return 1<<(pos&63) - 1 }
 
 // recount returns the bitmap's popcount (Debug runs), after checking the
 // maintained count against it.

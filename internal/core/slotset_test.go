@@ -19,6 +19,22 @@ func (s naiveSet) count() int {
 	return n
 }
 
+// countRange counts the members met going round the ring from from up to
+// to, to excluded; either may be len(s).
+func (s naiveSet) countRange(from, to int32) int {
+	n := 0
+	for k := int(from) % len(s); k != int(to)%len(s); k = (k + 1) % len(s) {
+		if s[k] {
+			n++
+		}
+	}
+	return n
+}
+
+// rangeEnd draws a stretch's second bound from the one the script gives:
+// a multiplicative hash, so both bounds cover every position.
+func rangeEnd(at, size int) int32 { return int32(at * 40503 % (size + 1)) }
+
 // firstFrom scans pos, pos+1, … round the ring; pos may be len(s).
 func (s naiveSet) firstFrom(pos int32) int32 {
 	for i := range s {
@@ -34,16 +50,18 @@ func (s naiveSet) firstFrom(pos int32) int32 {
 var slotSetSizes = []int{1, 63, 64, 65, 128, 2048}
 
 // runSlotScript replays a byte script on a slotSet of the given size and
-// on the oracle: three bytes an operation — add, remove, or first-from
-// (whose start may be one past the last position) — at a position drawn
-// from the other two. Every answer is compared as it is given, and the
-// script's final set is searched from every start position.
+// on the oracle: three bytes an operation — add, remove, first-from (whose
+// start may be one past the last position) or count-range (a ring stretch
+// that may wrap, either bound one past the last position) — at a position
+// drawn from the other two. Every answer is compared as it is given, and
+// the script's final set is searched from every start position and
+// counted over a stretch from each.
 func runSlotScript(t *testing.T, size int, script []byte) {
 	t.Helper()
 	s, ref := newSlotSet(size), make(naiveSet, size)
 	for ; len(script) >= 3; script = script[3:] {
 		at := int(script[1])<<8 | int(script[2])
-		switch pos := int32(at % size); script[0] % 3 {
+		switch pos := int32(at % size); script[0] % 4 {
 		case 0:
 			if changed := s.add(pos); changed == ref[pos] {
 				t.Fatalf("size %d: add(%d) reported changed=%v on a set that had it=%v", size, pos, changed, ref[pos])
@@ -59,9 +77,22 @@ func runSlotScript(t *testing.T, size int, script []byte) {
 			if got, want := s.firstFrom(pos), ref.firstFrom(pos); got != want {
 				t.Fatalf("size %d: firstFrom(%d) = %d, linear scan finds %d", size, pos, got, want)
 			}
+		case 3:
+			from, to := int32(at%(size+1)), rangeEnd(at, size)
+			if got, want := s.countRange(from, to), ref.countRange(from, to); got != want {
+				t.Fatalf("size %d: countRange(%d, %d) = %d, linear scan counts %d", size, from, to, got, want)
+			}
 		}
 		if s.n != ref.count() {
 			t.Fatalf("size %d: count %d, oracle holds %d", size, s.n, ref.count())
+		}
+	}
+	// below[i] counts the members below i, for the sweep's stretches.
+	below := make([]int, size+1)
+	for i, in := range ref {
+		below[i+1] = below[i]
+		if in {
+			below[i+1]++
 		}
 	}
 	for pos := int32(0); pos <= int32(size); pos++ {
@@ -70,6 +101,14 @@ func runSlotScript(t *testing.T, size int, script []byte) {
 		}
 		if pos < int32(size) && s.has(pos) != ref[pos] {
 			t.Fatalf("size %d: has(%d) = %v, oracle %v", size, pos, s.has(pos), ref[pos])
+		}
+		to := rangeEnd(int(pos), size)
+		want := below[to] - below[pos]
+		if pos > to {
+			want += below[size]
+		}
+		if got := s.countRange(pos, to); got != want {
+			t.Fatalf("size %d: countRange(%d, %d) = %d, linear scan counts %d", size, pos, to, got, want)
 		}
 	}
 	checkSlotSets(KindIQRequestMap, "script sets", ref.count(), s)
@@ -99,7 +138,7 @@ func TestSlotSetMatchesNaive(t *testing.T) {
 			if round%2 == 0 {
 				// Mostly adds, so the set fills and searches cross full words.
 				for i := 0; i < len(script); i += 3 {
-					if script[i]%3 == 1 && rng.Intn(4) > 0 {
+					if script[i]%4 == 1 && rng.Intn(4) > 0 {
 						script[i] = 0
 					}
 				}
@@ -116,6 +155,7 @@ func FuzzSlotSetMatchesNaive(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 64, 2, 0, 65, 0, 0, 0, 2, 0, 1})           // 65: a member in the last word, a search from one past it
 	f.Add([]byte{4, 0, 0, 5, 2, 0, 70, 1, 0, 5, 2, 0, 70})           // 128: the answer lies a word behind the start
 	f.Add([]byte{5, 0, 7, 255, 0, 0, 0, 2, 7, 255, 1, 7, 255, 2, 4}) // 2048: last position, then the wrap to the first
+	f.Add([]byte{4, 0, 0, 3, 0, 0, 100, 3, 0, 33, 3, 0, 128})        // 128: a stretch round the ring past both members, one from the top
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -141,7 +141,8 @@ func newWIB(cfg WIBConfig, activeList, loadQueue int) *wib {
 		w.cfg.Banked = false
 	}
 	if w.cfg.Banked {
-		w.banks = newSlotSets(w.cfg.Banks, (activeList+w.cfg.Banks-1)/w.cfg.Banks)
+		w.banks = make([]slotSet, w.cfg.Banks)
+		newSlotSets(w.banks, (activeList+w.cfg.Banks-1)/w.cfg.Banks)
 		for b := range w.banks {
 			w.bankPrio[b&1] = append(w.bankPrio[b&1], int32(b))
 		}

@@ -61,7 +61,7 @@ echo "== calendar event queue vs heap oracle fuzz smoke (schedule/pop/jump/drop 
 gate_exists FuzzEventQueueMatchesHeap ./internal/core/
 go test -run '^$' -fuzz '^FuzzEventQueueMatchesHeap$' -fuzztime 10s ./internal/core/
 
-echo "== slot set vs naive scan fuzz smoke (set/clear/firstFrom/collect scripts) =="
+echo "== slot set vs naive scan fuzz smoke (add/remove/firstFrom/countRange scripts) =="
 gate_exists FuzzSlotSetMatchesNaive ./internal/core/
 go test -run '^$' -fuzz '^FuzzSlotSetMatchesNaive$' -fuzztime 10s ./internal/core/
 
