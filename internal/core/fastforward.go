@@ -19,14 +19,17 @@ package core
 //     cycle bounds the jump.
 //  2. Replay of the per-cycle bookkeeping that does run on idle cycles:
 //     ROB-occupancy and MLP accumulators (bulk-added — their inputs are
-//     constant while idle), the store-wait clear timer (closed form), and
-//     the telemetry sampler (one sample per skipped sampling point). The
-//     banked WIB's bank priorities do not move on a cycle with nothing
-//     eligible, so they need no replay.
+//     constant while idle), the store-wait clear timer (closed form), the
+//     select examinations of held loads (each held set's size per skipped
+//     cycle), and the telemetry sampler (one sample per skipped sampling
+//     point). The banked WIB's bank priorities do not move on a cycle with
+//     nothing eligible, so they need no replay.
 //
 // Anything that cannot be replayed exactly simply bounds the jump target
 // instead: pending events, the fetch-stall expiry, the earliest MLP fill
-// completion, the cycle budget, and the watchdog deadline.
+// completion, the cycle a bit-vector hold's line may hit, the store-wait
+// clear while a load is held on the table, the cycle budget, and the
+// watchdog deadline.
 
 // fastForwardEnabled reports whether this configuration may skip idle
 // cycles. Debug runs check invariants on every cycle, so they execute
@@ -40,7 +43,9 @@ func (p *Processor) fastForwardEnabled() bool {
 // committable at the active-list head, no request bit set in either issue
 // queue (the bitmaps are exact: a squashed or evicted requester's bit is
 // cleared on the spot), nothing in the WIB's eligible structures, a fetch
-// queue head that cannot rename, and a front end that cannot fetch.
+// queue head that cannot rename, and a front end that cannot fetch. Held
+// loads do not count: select would only turn them away again, until a
+// wake-up the caller bounds the jump by.
 func (p *Processor) idle() bool {
 	if p.robCount > 0 {
 		h := &p.rob[p.robHead]
@@ -95,6 +100,15 @@ func (p *Processor) fastForward(limit int64) {
 			target = t
 		}
 	}
+	// Held loads ask again when a fill may let a bit-vector hold hit, and
+	// when the store-wait table clears.
+	held := &p.intIQ.held
+	if held[holdBitVector].n > 0 && p.heldFill < target {
+		target = p.heldFill
+	}
+	if held[holdStoreWait].n > 0 && p.sw.interval > 0 && p.sw.nextClear < target {
+		target = p.sw.nextClear
+	}
 	if target <= p.now+1 || target >= farFuture {
 		return
 	}
@@ -112,6 +126,10 @@ func (p *Processor) skipTo(last int64) {
 		p.stats.robOccupancy += uint64(p.robCount) * uint64(delta)
 		p.stats.occupancySamples += uint64(delta)
 	}
+	// Each skipped cycle's select would have examined every held load.
+	held := &p.intIQ.held
+	p.stats.StoreWaitHits += uint64(held[holdStoreWait].n) * uint64(delta)
+	p.stats.BitVectorStalls += uint64(held[holdBitVector].n) * uint64(delta)
 	if n := p.l2MissReady.Len(); n > 0 {
 		// No fill completes before last+1 (the jump is bounded by the
 		// earliest), so the outstanding count is flat; the peak was

@@ -1,5 +1,7 @@
 package core
 
+import "largewindow/internal/isa"
+
 // checkInvariants validates the machine's structural bookkeeping. It is
 // O(active list + registers) and runs every cycle when Config.Debug is
 // set, so tests can assert that no cycle ever corrupts state. Violations
@@ -29,9 +31,7 @@ func (p *Processor) checkInvariants() {
 				fpQ++
 			}
 			if e.stage == stRequest {
-				if !p.queueOf(e).req.has(idx) {
-					throw(KindIQRequestMap, e.seq, "seq %d in slot %d requests issue but its request bit is clear", e.seq, idx)
-				}
+				p.checkRequest(idx, e)
 				requests++
 			}
 		case stInWIB:
@@ -57,7 +57,8 @@ func (p *Processor) checkInvariants() {
 	if fpQ != p.fpIQ.count {
 		throw(KindIQCount, 0, "fp IQ count %d, entries say %d", p.fpIQ.count, fpQ)
 	}
-	checkSlotSets(KindIQRequestMap, "request lines", requests, p.intIQ.req, p.fpIQ.req)
+	checkSlotSets(KindIQRequestMap, "request lines and held sets", requests, p.intIQ.req, p.fpIQ.req,
+		p.intIQ.held[0], p.intIQ.held[1], p.intIQ.held[2], p.fpIQ.held[0], p.fpIQ.held[1], p.fpIQ.held[2])
 	if p.wib != nil && parked != p.wib.occupancy {
 		throw(KindWIBOccupancy, 0, "WIB occupancy %d, entries say %d", p.wib.occupancy, parked)
 	}
@@ -98,5 +99,38 @@ func (p *Processor) checkInvariants() {
 			throw(KindPoolLeak, 0, "pool blocks leaked: used %d + free %d != %d",
 				used, p.wib.poolFree, p.wib.cfg.Blocks)
 		}
+	}
+}
+
+// checkRequest: a requesting entry is on its queue's request lines or in
+// one of its held sets, exactly one; and a held load is one the polling
+// select would turn away this cycle for that set's reason, so the
+// wake-ups missed no event that could change its answer.
+func (p *Processor) checkRequest(idx int32, e *robEntry) {
+	q := p.queueOf(e)
+	in, sets := noHold, 0
+	if q.req.has(idx) {
+		sets++
+	}
+	for h := range noHold {
+		if q.held[h].has(idx) {
+			in, sets = h, sets+1
+		}
+	}
+	if sets != 1 {
+		throw(KindIQRequestMap, e.seq, "seq %d in slot %d requests issue and is in %d of the request lines and held sets, not one", e.seq, idx, sets)
+	}
+	if in == noHold {
+		return
+	}
+	if e.class != isa.ClassLoad {
+		throw(KindHeldLoad, e.seq, "seq %d in slot %d is held for %s but is no load", e.seq, idx, holdNames[in])
+	}
+	if v := p.loadHold(e); v.hold != in {
+		now := "free to issue"
+		if v.hold != noHold {
+			now = "held for " + holdNames[v.hold]
+		}
+		throw(KindHeldLoad, e.seq, "load seq %d in slot %d is held for %s, but select would find it %s", e.seq, idx, holdNames[in], now)
 	}
 }

@@ -12,36 +12,76 @@ import (
 // requester — select is oldest-first, as in the base machine. Every way
 // out of stRequest — a grant, a squash, a head-evict, a stale operand —
 // removes the slot from req on the spot.
+//
+// A load that select turns away for a reason only some later event can
+// change (loadHold) leaves req for the held set of that reason. It stays
+// stRequest, and the event puts it back on the request lines (wakeHeld).
+// examined counts, per reason, the held loads select went past: each
+// stands for one examination the load would have had if it had kept
+// requesting, and the caller folds the tallies into Stats after the pass.
 type issueQueue struct {
-	size  int
-	count int
-	req   slotSet
+	size     int
+	count    int
+	req      slotSet
+	held     [noHold]slotSet
+	examined [noHold]uint64
 }
 
 func newIssueQueue(size, activeList int) *issueQueue {
-	return &issueQueue{size: size, req: newSlotSet(activeList)}
+	q := &issueQueue{size: size}
+	var sets [1 + noHold]slotSet
+	newSlotSets(sets[:], activeList)
+	q.req = sets[0]
+	copy(q.held[:], sets[1:])
+	return q
 }
 
 func (q *issueQueue) full() bool { return q.count >= q.size }
+
+// unrequest takes slot rob off the request lines or its held set.
+func (q *issueQueue) unrequest(rob int32) {
+	if q.req.remove(rob) {
+		return
+	}
+	for h := range q.held {
+		if q.held[h].remove(rob) {
+			return
+		}
+	}
+}
+
+// wakeHeld puts every load held for reason h back on the request lines.
+func (q *issueQueue) wakeHeld(h hold) { q.held[h].moveAll(&q.req) }
 
 // selectOldest is the select loop of both queues: one scan of the request
 // lines in ring order from the active-list head, offering each request to
 // grant until width are granted, and returning that number. A granted
 // entry gives up its request line and its queue slot; one turned away
-// keeps requesting and is met again, in age order, next pass. grant may
-// withdraw the request itself (the entry stays queued) and may make
-// younger entries request: those lie ahead of the scan, which searches the
-// set afresh at every step and so meets them in the same pass.
+// keeps requesting (or joins a held set) and is met again, in age order,
+// next pass. grant may withdraw the request itself (the entry stays
+// queued) and may make younger entries request: those lie ahead of the
+// scan, which searches the set afresh at every step and so meets them in
+// the same pass.
+//
+// The held loads among the stretches the scan goes past are tallied in
+// examined, as they stand when it passes them. A load joins a held set
+// only at the slot being examined, behind the scan, so sets that hold
+// nothing counted when the pass starts have nothing ahead to count.
 func (q *issueQueue) selectOldest(head int32, width int, grant func(rob int32) bool) int {
-	issued, kept := 0, 0 // kept: requests behind the scan
+	counting := q.held[holdStoreWait].n+q.held[holdBitVector].n > 0
+	issued, kept, passed := 0, 0, false // kept: requests behind the scan
+	pos := head
 	// While kept < n a request lies ahead of the scan, so the ring search
 	// finds it before coming round to the head again.
-	for pos := head; issued < width && kept < q.req.n; {
+	for issued < width && kept < q.req.n {
 		rob := q.req.firstFrom(pos)
 		if rob < 0 {
 			break
 		}
-		pos = rob + 1
+		if counting {
+			q.examine(pos, rob)
+		}
+		pos, passed = rob+1, true
 		if grant(rob) {
 			q.req.remove(rob)
 			q.count--
@@ -50,7 +90,26 @@ func (q *issueQueue) selectOldest(head int32, width int, grant func(rob int32) b
 			kept++
 		}
 	}
+	if counting && issued < width {
+		// The scan would have gone on round to the head: from pos, or, if
+		// it met no request at all, the whole ring.
+		if !passed {
+			q.examine(head, int32(len(q.req.words)*64))
+			pos = 0
+		}
+		q.examine(pos, head)
+	}
 	return issued
+}
+
+// examine tallies the held loads in the ring stretch [from, to) that count
+// an examination in Stats.
+func (q *issueQueue) examine(from, to int32) {
+	for _, h := range [...]hold{holdStoreWait, holdBitVector} {
+		if q.held[h].n > 0 {
+			q.examined[h] += uint64(q.held[h].countRange(from, to))
+		}
+	}
 }
 
 // fuPools tracks functional-unit availability per class (paper Table 1).
@@ -218,21 +277,31 @@ func (p *Processor) wakeWaiters(fp bool, idx int32, waitSet bool) {
 	}
 }
 
-// issue performs select for both queues.
+// issue performs select for both queues. A line a bit-vector hold may be
+// waiting for hits from this cycle's probe on, so those loads request
+// again first.
 func (p *Processor) issue() {
+	if p.now >= p.heldFill {
+		p.wakeBitVectorHolds()
+	}
 	p.issueFrom(p.intIQ, p.cfg.IssueInt)
 	p.issueFrom(p.fpIQ, p.cfg.IssueFP)
 }
 
-// issueFrom runs one select pass over q.
+// issueFrom runs one select pass over q and counts the held loads it went
+// past as the examinations they stand for.
 func (p *Processor) issueFrom(q *issueQueue, width int) {
 	p.issueSlots += uint64(q.selectOldest(p.robHead, width, func(rob int32) bool { return p.selectEntry(q, rob) }))
+	p.stats.StoreWaitHits += q.examined[holdStoreWait]
+	p.stats.BitVectorStalls += q.examined[holdBitVector]
+	q.examined = [noHold]uint64{}
 }
 
 // selectEntry decides one request of q and reports whether the entry
 // leaves the queue through an issue slot. One that cannot go this cycle
-// (no functional unit, or a load tryIssueLoad holds back) stays in
-// stRequest and is retried next cycle.
+// stays in stRequest: on the request lines when it found no functional
+// unit, and is retried next cycle; in a held set when tryIssueLoad holds
+// it back.
 func (p *Processor) selectEntry(q *issueQueue, rob int32) bool {
 	e := &p.rob[rob]
 	if e.stage != stRequest || p.queueOf(e) != q {
@@ -277,7 +346,7 @@ func (p *Processor) selectEntry(q *issueQueue, rob int32) bool {
 		return false
 	}
 	if e.class == isa.ClassLoad {
-		return p.tryIssueLoad(rob, e)
+		return p.tryIssueLoad(q, rob, e)
 	}
 	lat, ok := p.fus.tryIssue(e.class, p.now)
 	if !ok {

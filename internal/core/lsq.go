@@ -349,13 +349,15 @@ func newStoreWait(entries int, interval int64) *storeWait {
 	}
 }
 
-func (s *storeWait) tick(now int64) {
-	if s.interval > 0 && now >= s.nextClear {
-		for i := range s.bits {
-			s.bits[i] = false
-		}
-		s.nextClear = now + s.interval
+// tick clears the table when its interval is up, and reports whether it
+// did.
+func (s *storeWait) tick(now int64) bool {
+	if s.interval <= 0 || now < s.nextClear {
+		return false
 	}
+	clear(s.bits)
+	s.nextClear = now + s.interval
+	return true
 }
 
 // fastForward replays tick for every cycle up to and including upto in

@@ -1,71 +1,116 @@
 package core
 
-import "largewindow/internal/isa"
+import (
+	"math/bits"
+
+	"largewindow/internal/isa"
+	"largewindow/internal/mem"
+)
+
+// hold names a reason select turns a load away that only a later event
+// can change. Each is a held set of the issue queue (issueQueue.held);
+// noHold, the number of them, means the load may go.
+type hold int8
+
+const (
+	// holdStoreWait: the store-wait table holds it behind an older store
+	// whose address is unknown. An older store resolving, or the table's
+	// periodic clear, can release it.
+	holdStoreWait hold = iota
+	// holdForward: it must forward from a store whose address has resolved
+	// but whose data has not (split STA/STD: the data operand can sit in a
+	// miss chain for hundreds of cycles). The data arriving, or a younger
+	// older store resolving to the same word, can release it.
+	holdForward
+	// holdBitVector: it misses the L1D on a WIB machine and no bit-vector
+	// is free for a new outstanding miss (§4.2). A column freeing, or its
+	// line finishing a fill, can release it.
+	holdBitVector
+	noHold
+)
+
+var holdNames = [noHold]string{"store-wait", "forwarding", "bit-vector"}
+
+// loadPlan is loadHold's verdict on a load and what issuing it needs.
+type loadPlan struct {
+	hold        hold
+	addr        uint64 // effective address
+	fwd         bool   // forwards val from the store numbered fwdSeq
+	val, fwdSeq uint64
+	miss        bool  // a primary L1D miss on a WIB machine: claims a bit-vector
+	fill        int64 // holdBitVector on a line still filling: the fill's ready cycle, else 0
+}
+
+// loadHold decides whether a load whose operands are ready is held back
+// this cycle, and why; it changes nothing. tryIssueLoad acts on it, and
+// the per-cycle invariant check asks it again for every held load. The
+// order is the 21264's: store-wait gating, then store-to-load forwarding
+// from the youngest older matching store, then the cache, where with a
+// WIB a primary miss needs a bit-vector before it may proceed.
+func (p *Processor) loadHold(e *robEntry) loadPlan {
+	v := loadPlan{hold: noHold, addr: isa.EffAddr(e.in, p.readOperand(e.src1FP, e.src1Phys))}
+	if p.sw.predictsWait(e.pc) && p.lsq.olderStoreUnknown(e.lq) {
+		v.hold = holdStoreWait
+		return v
+	}
+	if val, fwdSeq, ok, dataOK := p.lsq.forward(e.lq, v.addr&^7); ok {
+		if !dataOK {
+			v.hold = holdForward
+		}
+		v.fwd, v.val, v.fwdSeq = true, val, fwdSeq
+		return v
+	}
+	if p.wib != nil && e.newPhys != noReg {
+		hit, fill := p.hier.ProbeLoad(v.addr, p.now+1)
+		v.miss = !hit
+		if !hit && len(p.wib.free) == 0 {
+			v.hold, v.fill = holdBitVector, fill
+		}
+	}
+	return v
+}
 
 // tryIssueLoad attempts to issue a load whose operands are ready and
-// reports whether it went. A load that stays keeps requesting and is
-// retried next cycle; besides finding no address-generation unit free it
-// may stay for three structural reasons: the store-wait table holds it
-// behind unresolved older stores; it must forward from a store whose
-// address has resolved but whose data has not (split STA/STD: the data
-// operand can sit in a miss chain for hundreds of cycles, and the load
-// retries forward every cycle until it arrives); or — with a WIB — no
-// bit-vector is free for a new outstanding miss (§4.2).
-func (p *Processor) tryIssueLoad(rob int32, e *robEntry) bool {
-	rs1 := p.readOperand(e.src1FP, e.src1Phys)
-	addr := isa.EffAddr(e.in, rs1)
-	waddr := addr &^ 7
-
-	// Store-wait gating (21264 load-store wait prediction).
-	if p.sw.predictsWait(e.pc) && p.lsq.olderStoreUnknown(e.lq) {
-		p.stats.StoreWaitHits++
+// reports whether it went. One that finds no address-generation unit free
+// keeps requesting and is retried next cycle; one loadHold holds back
+// joins the held set of its reason (holdLoad).
+func (p *Processor) tryIssueLoad(q *issueQueue, rob int32, e *robEntry) bool {
+	v := p.loadHold(e)
+	if v.hold != noHold {
+		p.holdLoad(q, rob, v)
 		return false
 	}
-
-	// Store-to-load forwarding from the youngest older matching store.
-	if val, fwdSeq, ok, dataOK := p.lsq.forward(e.lq, waddr); ok {
-		if !dataOK {
-			// The producing store's data has not arrived; stall the load.
-			return false
-		}
+	waddr := v.addr &^ 7
+	if v.fwd {
 		lat, fu := p.fus.tryIssue(isa.ClassLoad, p.now)
 		if !fu {
 			return false
 		}
 		e.stage = stIssued
 		p.traceIssued(e)
-		p.lsq.executeLoad(e.lq, waddr, val, fwdSeq)
+		p.lsq.executeLoad(e.lq, waddr, v.val, v.fwdSeq)
 		p.stats.ForwardedLoads++
 		ready := p.now + p.regReadDelay(e) + lat + 1 // one-cycle SQ bypass
 		p.events.schedule(event{cycle: ready, kind: evLoadDone, rob: rob, seq: e.seq})
 		return true
 	}
 
-	// Cache path. With a WIB, a primary load miss needs a bit-vector
-	// before it may proceed (limited outstanding loads, §4.2).
 	var col int32 = -1
-	needCol := p.wib != nil && e.newPhys != noReg
-	if needCol {
-		if hit, _ := p.hier.ProbeLoad(addr, p.now+1); !hit {
-			var ok bool
-			col, ok = p.wib.allocColumn(e.seq)
-			if !ok {
-				p.stats.BitVectorStalls++
-				return false
-			}
-		}
+	if v.miss {
+		col, _ = p.wib.allocColumn(e.seq) // loadHold saw one free
 	}
 	lat, fu := p.fus.tryIssue(isa.ClassLoad, p.now)
 	if !fu {
 		if col >= 0 {
-			p.wib.releaseColumn(col)
+			p.releaseColumn(col)
 		}
 		return false
 	}
 	e.stage = stIssued
 	p.traceIssued(e)
 	start := p.now + p.regReadDelay(e) + lat
-	res := p.hier.Load(addr, start)
+	res := p.hier.Load(v.addr, start)
+	p.noteL1DFill(res)
 	if res.L2Miss {
 		p.noteL2Miss(res.Ready)
 	}
@@ -82,10 +127,76 @@ func (p *Processor) tryIssueLoad(rob int32, e *robEntry) bool {
 		e.ownCol = col
 		p.setWait(e, col)
 	} else if col >= 0 {
-		p.wib.releaseColumn(col)
+		p.releaseColumn(col)
 	}
 	p.events.schedule(event{cycle: res.Ready, kind: evLoadDone, rob: rob, seq: e.seq})
 	return true
+}
+
+// holdLoad moves a load loadHold turned away from the request lines to
+// the held set of its reason. The store-wait and bit-vector reasons count
+// this examination in Stats, as every later one the load would have had
+// is counted by select's tally while it is held. A bit-vector hold on a
+// line still filling is due to be asked again the cycle its probe hits.
+func (p *Processor) holdLoad(q *issueQueue, rob int32, v loadPlan) {
+	switch v.hold {
+	case holdStoreWait:
+		p.stats.StoreWaitHits++
+	case holdBitVector:
+		p.stats.BitVectorStalls++
+		if v.fill > 0 {
+			p.heldFill = min(p.heldFill, v.fill-1)
+		}
+	}
+	q.req.remove(rob)
+	q.held[v.hold].add(rob)
+}
+
+// Loads queue in the integer issue queue, so its held sets are the only
+// ones that fill; the wake-ups below are the events that can change a
+// held load's answer.
+
+// wakeBitVectorHolds: a column returned to the free list, or a line a
+// hold may wait for finishes filling.
+func (p *Processor) wakeBitVectorHolds() {
+	p.heldFill = farFuture
+	p.intIQ.wakeHeld(holdBitVector)
+}
+
+// releaseColumn frees a load's bit-vector without completing it (see
+// wib.releaseColumn) and wakes the loads held for want of one.
+func (p *Processor) releaseColumn(c int32) {
+	p.wib.releaseColumn(c)
+	p.wakeBitVectorHolds()
+}
+
+// noteL1DFill: an access that allocated an L1D line makes the line hit
+// from its fill's ready cycle on, which may release a bit-vector hold on
+// it. (A probe one cycle ahead hits the cycle before.)
+func (p *Processor) noteL1DFill(res mem.AccessResult) {
+	if res.L1Miss && !res.Merged && p.intIQ.held[holdBitVector].n > 0 {
+		p.heldFill = min(p.heldFill, res.Ready-1)
+	}
+}
+
+// wakeOnStoreResolved: a store's address resolving can release a
+// store-wait hold (an unresolved older store fewer), a forwarding hold (a
+// nearer matching store) and a bit-vector hold on the same word (it
+// forwards now instead of missing).
+func (p *Processor) wakeOnStoreResolved(waddr uint64) {
+	q := p.intIQ
+	q.wakeHeld(holdStoreWait)
+	q.wakeHeld(holdForward)
+	s := &q.held[holdBitVector]
+	for i := 0; s.n > 0 && i < len(s.words); i++ {
+		for m := s.words[i]; m != 0; m &= m - 1 {
+			rob := int32(i<<6 + bits.TrailingZeros64(m))
+			if e := &p.rob[rob]; isa.EffAddr(e.in, p.readOperand(e.src1FP, e.src1Phys))&^7 == waddr {
+				s.remove(rob)
+				q.req.add(rob)
+			}
+		}
+	}
 }
 
 // completeLoad finishes a load whose data has arrived: write the value,
@@ -134,6 +245,7 @@ func (p *Processor) storeDataArrived(e *robEntry) {
 	sqe.data = p.readOperand(e.src2FP, e.src2Phys)
 	sqe.dataOK = true
 	e.awaitData = false
+	p.intIQ.wakeHeld(holdForward)
 	if e.addrDone {
 		e.done = true
 		e.stage = stDone
@@ -145,6 +257,7 @@ func (p *Processor) storeDataArrived(e *robEntry) {
 func (p *Processor) storeAddressResolved(e *robEntry) {
 	addr := p.lsq.store(e.sq).addr // computed at issue
 	p.lsq.resolveStore(e.sq, addr)
+	p.wakeOnStoreResolved(addr)
 	if loadRob, _, found := p.lsq.checkViolation(e.sq, addr); found {
 		p.recoverReplay(loadRob)
 	}

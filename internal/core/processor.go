@@ -137,6 +137,10 @@ type Processor struct {
 	fpIQ   *issueQueue
 	fus    fuPools
 	events eventQueue
+	// heldFill is the first cycle on which a bit-vector-held load's line
+	// may hit the probe, because a fill it may be waiting for completes:
+	// issue wakes those holds then (farFuture: none pending).
+	heldFill int64
 
 	// Memory system.
 	hier *mem.Hierarchy
@@ -209,6 +213,8 @@ func New(cfg Config, prog *isa.Program) (*Processor, error) {
 		hier:   mem.NewHierarchy(cfg.Mem),
 		bp:     bpred.New(cfg.Bpred),
 		sw:     newStoreWait(cfg.StoreWaitEntries, cfg.StoreWaitClearInterval),
+
+		heldFill: farFuture,
 	}
 	p.intIQ = newIssueQueue(cfg.IntIQSize, cfg.ActiveList)
 	p.fpIQ = newIssueQueue(cfg.FPIQSize, cfg.ActiveList)
@@ -320,7 +326,9 @@ const deadlineCheckCycles = 4096
 // cycle advances the machine one clock.
 func (p *Processor) cycle() {
 	p.now++
-	p.sw.tick(p.now)
+	if p.sw.tick(p.now) {
+		p.intIQ.wakeHeld(holdStoreWait)
+	}
 	p.processEvents()
 	if p.halted {
 		return
@@ -550,7 +558,7 @@ func (p *Processor) commit() {
 func (p *Processor) commitStore(e *robEntry) {
 	s := p.lsq.store(e.sq)
 	p.memory.WriteWord(s.addr, s.data)
-	p.hier.Store(s.addr, p.now)
+	p.noteL1DFill(p.hier.Store(s.addr, p.now))
 	p.lsq.releaseStore(e.sq)
 }
 

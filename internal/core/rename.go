@@ -172,7 +172,7 @@ func (p *Processor) unblockHead() {
 		idx := (p.robTail - i + size) % size // youngest first
 		e := &p.rob[idx]
 		if (e.stage == stWaiting || e.stage == stRequest) && p.queueOf(e) == q {
-			q.req.remove(idx)
+			q.unrequest(idx)
 			q.count--
 			p.note("head-evict", e.seq, e.pc)
 			p.wib.park(p, idx, e, -1)
@@ -210,6 +210,11 @@ func (p *Processor) recoverReplay(loadRob int32) {
 	p.note("replay", e.seq, pc)
 	p.squashFrom(e.seq, true)
 	p.sw.set(pc)
+	// A load that now predicts a wait may be held for another reason, or
+	// not at all: every held load asks again.
+	for h := range noHold {
+		p.intIQ.wakeHeld(h)
+	}
 	p.fetchPC = pc
 	p.fetchStall = p.now + p.cfg.MispredictPenalty
 	p.fetchHalted = false
@@ -247,7 +252,7 @@ func (p *Processor) squashEntry(idx int32, e *robEntry) {
 	switch e.stage {
 	case stWaiting, stRequest:
 		q := p.queueOf(e)
-		q.req.remove(idx)
+		q.unrequest(idx)
 		q.count--
 	case stInWIB:
 		p.wib.unpark()
@@ -263,7 +268,7 @@ func (p *Processor) squashEntry(idx int32, e *robEntry) {
 		p.lsq.squashStore(e.sq)
 	}
 	if e.ownCol >= 0 {
-		p.wib.releaseColumn(e.ownCol)
+		p.releaseColumn(e.ownCol)
 	}
 	if e.newPhys != noReg {
 		s := p.space(e.destFP)

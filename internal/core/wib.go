@@ -339,7 +339,8 @@ func (w *wib) unpark() {
 }
 
 // completeColumn makes the instructions parked on a column eligible, in
-// deposit order, and frees the bit-vector.
+// deposit order, and frees the bit-vector, which wakes the loads held for
+// want of one.
 func (w *wib) completeColumn(p *Processor, c int32) {
 	if c < 0 || int(c) >= len(w.cols) || !w.cols[c].active {
 		throw(KindWIBBadColumn, 0, "completing dead bit-vector column %d", c)
@@ -357,6 +358,7 @@ func (w *wib) completeColumn(p *Processor, c int32) {
 	w.dropRows(c)
 	col.active = false
 	w.free = append(w.free, c)
+	p.wakeBitVectorHolds()
 }
 
 // addEligible routes newly eligible rows into the structure the selection

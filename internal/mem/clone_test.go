@@ -45,15 +45,15 @@ func TestHierarchyCloneIndependence(t *testing.T) {
 		traffic(twin, 1, 20000)
 		// One fill left in flight on the original.
 		const pending = 0x7_0000_0000
-		h.Load(pending, now)
+		r := h.Load(pending, now)
 		twin.Load(pending, now)
 
 		c := h.CloneInto(nil)
-		if hit, merged := h.ProbeLoad(pending, now+1); hit || !merged {
-			t.Fatalf("TLB off=%v: original probe of the pending line = (%v,%v), want in flight", disableTLB, hit, merged)
+		if hit, fill := h.ProbeLoad(pending, now+1); hit || fill != r.Ready {
+			t.Fatalf("TLB off=%v: original probe of the pending line = (%v,%d), want in flight until %d", disableTLB, hit, fill, r.Ready)
 		}
-		if hit, merged := c.ProbeLoad(pending, now+1); !hit || merged {
-			t.Errorf("TLB off=%v: clone probe of the pending line = (%v,%v), want a plain hit", disableTLB, hit, merged)
+		if hit, fill := c.ProbeLoad(pending, now+1); !hit || fill != 0 {
+			t.Errorf("TLB off=%v: clone probe of the pending line = (%v,%d), want a plain hit", disableTLB, hit, fill)
 		}
 		if c.L1DStats() != h.L1DStats() || c.L1IStats() != h.L1IStats() || c.L2Stats() != h.L2Stats() ||
 			c.TLBMissRatio() != h.TLBMissRatio() || c.LoadCount != h.LoadCount || c.StoreCount != h.StoreCount ||

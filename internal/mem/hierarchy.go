@@ -273,15 +273,17 @@ func (h *Hierarchy) Load(addr uint64, now int64) AccessResult {
 // ProbeLoad reports whether a load to addr would hit in the L1D right now
 // (including lines whose fill already completed), without touching any
 // state. The core uses it to decide whether a load needs an outstanding-
-// miss slot (bit-vector) before really issuing it.
-func (h *Hierarchy) ProbeLoad(addr uint64, now int64) (hit bool, merged bool) {
+// miss slot (bit-vector) before really issuing it. A miss on a line whose
+// fill is still in flight (a load would merge into it) returns the cycle
+// the fill completes as fill; any other miss returns fill 0.
+func (h *Hierarchy) ProbeLoad(addr uint64, now int64) (hit bool, fill int64) {
 	if !h.l1d.Probe(addr) {
-		return false, false
+		return false, 0
 	}
 	if ready, ok := h.inflightL1D.lookup(h.l1d.LineAddr(addr)); ok && ready > now {
-		return false, true
+		return false, ready
 	}
-	return true, false
+	return true, 0
 }
 
 // Store performs a data store at commit time. Commit does not stall on

@@ -77,13 +77,21 @@ func TestProbeLoad(t *testing.T) {
 		t.Error("cold probe hit")
 	}
 	r := h.Load(0x5000, 0)
-	hit, merged := h.ProbeLoad(0x5000, 1)
-	if hit || !merged {
-		t.Errorf("in-flight probe = (%v,%v), want (false,true)", hit, merged)
+	hit, fill := h.ProbeLoad(0x5000, 1)
+	if hit || fill != r.Ready {
+		t.Errorf("in-flight probe = (%v,%d), want (false,%d)", hit, fill, r.Ready)
 	}
-	hit, merged = h.ProbeLoad(0x5000, r.Ready+1)
-	if !hit || merged {
-		t.Errorf("post-fill probe = (%v,%v), want (true,false)", hit, merged)
+	hit, fill = h.ProbeLoad(0x5000, r.Ready-1)
+	if hit || fill != r.Ready {
+		t.Errorf("probe the cycle before the fill = (%v,%d), want (false,%d)", hit, fill, r.Ready)
+	}
+	hit, fill = h.ProbeLoad(0x5000, r.Ready)
+	if !hit || fill != 0 {
+		t.Errorf("probe at the fill = (%v,%d), want (true,0)", hit, fill)
+	}
+	hit, fill = h.ProbeLoad(0x5000, r.Ready+1)
+	if !hit || fill != 0 {
+		t.Errorf("post-fill probe = (%v,%d), want (true,0)", hit, fill)
 	}
 	if h.L1DStats().Accesses != 1 {
 		t.Error("probe perturbed stats")
