@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 
 	"largewindow/internal/isa"
@@ -341,13 +342,51 @@ func TestDeferredLoadBehindPendingStoreData(t *testing.T) {
 	}
 }
 
-// TestDeferredLoadKeepsRequestBit watches the same stall from the select's
-// side. A load held by the store-wait table or by pending store data is
-// on no side list: it stays in stRequest with its request bit set, the
-// select meets it again every cycle in age order and moves past it — the
-// independent instruction behind it issues while it is held — and the
-// machine is never idle (fast-forwardable) while it requests.
-func TestDeferredLoadKeepsRequestBit(t *testing.T) {
+// heldIn returns the held set slot rob is in, or noHold when it is on the
+// request lines, failing unless it is in exactly one of them.
+func heldIn(t *testing.T, q *issueQueue, rob int32) hold {
+	t.Helper()
+	in, sets := noHold, 0
+	if q.req.has(rob) {
+		sets++
+	}
+	for h := range noHold {
+		if q.held[h].has(rob) {
+			in, sets = h, sets+1
+		}
+	}
+	if sets != 1 {
+		t.Fatalf("requesting slot %d is in %d of the request lines and held sets, want exactly one", rob, sets)
+	}
+	return in
+}
+
+// TestDeferredLoadHeldUntilWoken watches the stall of
+// TestDeferredLoadBehindPendingStoreData from the select's side. A load
+// held by pending store data or by the store-wait table leaves the request
+// lines for exactly one held set and sleeps there: the independent
+// instruction behind it issues while it is held, the machine may be idle
+// (fast-forwardable) while it is held but only when nothing else
+// requests, and a forwarding hold ends on the very cycle the store's data
+// arrives, when the load requests again.
+//
+// The bit-vector case: on a WIB with two bit-vectors, a loop of four
+// independent misses a round holds every miss past the second for want of
+// a bit-vector. No load leaves that hold on a cycle on which no column
+// freed, and on each cycle one does, the oldest held load requests again
+// and takes it.
+//
+// This restates TestDeferredLoadKeepsRequestBit, which held the opposite
+// rule: that a held load keeps its request bit, is re-examined by select
+// every cycle, and so never lets the machine idle. Held loads now sleep
+// until an event that can change select's answer; the per-cycle Debug
+// check (checkRequest) holds each sleeping load to the polling verdict.
+func TestDeferredLoadHeldUntilWoken(t *testing.T) {
+	t.Run("store-data", heldOnStoreData)
+	t.Run("bit-vector", heldOnBitVector)
+}
+
+func heldOnStoreData(t *testing.T) {
 	b := isa.NewBuilder("sta-std")
 	slot := b.AllocWords(8)
 	far := b.AllocWords(1024 * 64)
@@ -370,12 +409,40 @@ func TestDeferredLoadKeepsRequestBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// held: consecutive end-of-cycle observations of one load instance
-		// still requesting; longest over the run.
-		var heldSeq uint64
-		held, longest, passed := 0, 0, 0
+		// The load instance being watched, its store (the instruction
+		// before it, in the slot before it), and whether at the end of the last cycle it was held
+		// on the store's data and the data had arrived.
+		var seq, storeSeq, heldSeq uint64
+		var rob, store int32
+		wasHeld, hadData := false, false
+		held, longest, passed, idleHeld, woken := 0, 0, 0, 0, 0
 		for !p.halted && p.now < 1_000_000 {
 			p.cycle()
+			if wasHeld {
+				e := p.liveEntry(rob, seq)
+				if e == nil {
+					t.Fatalf("%s cycle %d: held load seq %d was squashed", cfg.Name, p.now, seq)
+				}
+				// A store gone from the active list committed, which it does
+				// only with its data.
+				data := true
+				if s := p.liveEntry(store, storeSeq); s != nil {
+					data = p.lsq.store(s.sq).dataOK
+				}
+				stillHeld := e.stage == stRequest && heldIn(t, p.intIQ, rob) == holdForward
+				switch {
+				case stillHeld && data:
+					t.Fatalf("%s cycle %d: load seq %d still held after its store's data arrived", cfg.Name, p.now, seq)
+				case !stillHeld && (!data || hadData):
+					t.Fatalf("%s cycle %d: load seq %d left its hold, but its store's data did not arrive this cycle", cfg.Name, p.now, seq)
+				case !stillHeld:
+					woken++ // on the data's cycle, and it requests or has issued
+					if e.stage == stRequest && heldIn(t, p.intIQ, rob) != noHold {
+						t.Fatalf("%s cycle %d: woken load seq %d is held again", cfg.Name, p.now, seq)
+					}
+				}
+				wasHeld, hadData = stillHeld, data
+			}
 			idx, found := int32(-1), false
 			for i := int32(0); i < p.robCount && !found; i++ {
 				idx = (p.robHead + i) % int32(len(p.rob))
@@ -386,17 +453,28 @@ func TestDeferredLoadKeepsRequestBit(t *testing.T) {
 				continue
 			}
 			e := &p.rob[idx]
+			h := heldIn(t, p.intIQ, idx)
+			if h == noHold {
+				held = 0
+				continue
+			}
 			if e.seq != heldSeq {
 				heldSeq, held = e.seq, 0
+			}
+			if h == holdForward && !wasHeld {
+				seq, rob, store = e.seq, idx, (idx+int32(len(p.rob))-1)%int32(len(p.rob))
+				storeSeq = p.rob[store].seq
+				wasHeld, hadData = true, false
 			}
 			if held++; held > longest {
 				longest = held
 			}
-			if !p.intIQ.req.has(idx) || p.intIQ.req.n == 0 {
-				t.Fatalf("%s cycle %d: held load seq %d is in stRequest with its request bit clear", cfg.Name, p.now, e.seq)
-			}
 			if p.idle() {
-				t.Fatalf("%s cycle %d: machine reports idle while load seq %d requests", cfg.Name, p.now, e.seq)
+				if p.intIQ.req.n != 0 || p.fpIQ.req.n != 0 {
+					t.Fatalf("%s cycle %d: idle with %d+%d requests while load seq %d is held",
+						cfg.Name, p.now, p.intIQ.req.n, p.fpIQ.req.n, e.seq)
+				}
+				idleHeld++
 			}
 			// The Addi two instructions younger has gone past the held load.
 			if y := p.liveEntry((idx+2)%int32(len(p.rob)), e.seq+2); y != nil && y.pc == loadPC+2 && y.stage >= stIssued {
@@ -406,16 +484,98 @@ func TestDeferredLoadKeepsRequestBit(t *testing.T) {
 		if !p.halted {
 			t.Fatalf("%s: no halt", cfg.Name)
 		}
-		t.Logf("%s: longest hold %d cycles, %d held cycles with the younger Addi issued", cfg.Name, longest, passed)
+		t.Logf("%s: longest hold %d cycles, %d held cycles with the younger Addi issued, %d idle, %d forwarding holds woken by their data",
+			cfg.Name, longest, passed, idleHeld, woken)
 		if longest < 100 {
-			t.Errorf("%s: a held load requested for at most %d consecutive cycles; want the length of a memory miss", cfg.Name, longest)
+			t.Errorf("%s: a load was held for at most %d consecutive cycles; want the length of a memory miss", cfg.Name, longest)
 		}
 		if passed == 0 {
 			t.Errorf("%s: nothing younger ever issued past a held load", cfg.Name)
 		}
-		if st := p.Statistics(); st.StoreWaitHits == 0 && st.ForwardedLoads == 0 {
-			t.Errorf("%s: neither the store-wait table nor a pending forward ever held the load", cfg.Name)
+		if idleHeld == 0 {
+			t.Errorf("%s: the machine never idled while a load was held", cfg.Name)
 		}
+		if woken == 0 {
+			t.Errorf("%s: no forwarding hold was seen to end", cfg.Name)
+		}
+	}
+}
+
+func heldOnBitVector(t *testing.T) {
+	b := isa.NewBuilder("misses")
+	far := b.AllocWords(1024 * 256)
+	b.LiAddr(isa.S1, far)
+	b.Loop(isa.S5, 8, func() {
+		b.Ld(isa.T0, isa.S1, 0) // four misses to distinct lines, no consumers
+		b.Ld(isa.T1, isa.S1, 4096)
+		b.Ld(isa.T2, isa.S1, 8192)
+		b.Ld(isa.T3, isa.S1, 12288)
+		b.Addi(isa.S1, isa.S1, 16384)
+	})
+	b.Halt()
+	cfg := WIBConfigSized(2048, 2)
+	p, err := New(cfg, b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := len(p.wib.cols)
+	active, gens := make([]bool, cols), make([]uint64, cols)
+	bvHeld := &p.intIQ.held[holdBitVector]
+	frees, longest := 0, int64(0)
+	since := map[int32]int64{} // held slot -> the cycle its hold began
+	for !p.halted && p.now < 1_000_000 {
+		oldest := bvHeld.firstFrom(p.robHead)
+		before := map[int32]bool{}
+		for r := range since {
+			before[r] = true
+		}
+		for c := range p.wib.cols {
+			active[c], gens[c] = p.wib.cols[c].active, p.wib.gens[c]
+		}
+		p.cycle()
+		freed := false
+		for c := range p.wib.cols {
+			freed = freed || active[c] && (!p.wib.cols[c].active || p.wib.gens[c] != gens[c])
+		}
+		for r := range before {
+			if bvHeld.has(r) {
+				continue
+			}
+			if !freed {
+				t.Fatalf("cycle %d: slot %d left its bit-vector hold, but no column freed", p.now, r)
+			}
+			longest = max(longest, p.now-since[r])
+			delete(since, r)
+		}
+		if freed {
+			frees++
+			if oldest >= 0 && bvHeld.has(oldest) {
+				t.Fatalf("cycle %d: a column freed, but the oldest held load (slot %d) did not take it", p.now, oldest)
+			}
+		}
+		for i, m := range bvHeld.words {
+			for ; m != 0; m &= m - 1 {
+				r := int32(i*64 + bits.TrailingZeros64(m))
+				if heldIn(t, p.intIQ, r) != holdBitVector || p.rob[r].class != isa.ClassLoad {
+					t.Fatalf("cycle %d: slot %d in the bit-vector held set is no held load", p.now, r)
+				}
+				if _, ok := since[r]; !ok {
+					since[r] = p.now
+				}
+			}
+		}
+		if bvHeld.n > 0 && p.idle() && (p.intIQ.req.n != 0 || p.fpIQ.req.n != 0) {
+			t.Fatalf("cycle %d: idle with %d+%d requests while %d loads are held", p.now, p.intIQ.req.n, p.fpIQ.req.n, bvHeld.n)
+		}
+	}
+	if !p.halted {
+		t.Fatal("no halt")
+	}
+	st := p.Statistics()
+	t.Logf("%d column frees, longest bit-vector hold %d cycles, %d stalls counted", frees, longest, st.BitVectorStalls)
+	if longest < 100 || frees < 16 || st.BitVectorStalls == 0 {
+		t.Errorf("%d column frees, longest hold %d cycles, %d stalls: want misses held for a memory latency behind two bit-vectors",
+			frees, longest, st.BitVectorStalls)
 	}
 }
 
