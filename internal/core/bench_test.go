@@ -212,26 +212,33 @@ func bankedSelectScenarios(tb testing.TB) []scenario {
 // all taken this cycle, so a select pass meets its requests, grants none
 // and leaves the state as it found it. sparse has a single requester in
 // the ring's last slot (the longest walk the scan can make); dense has a
-// full issue queue requesting, the head's 31 slots and the last.
+// full issue queue requesting, the head's 31 slots and the last. held is
+// a WIB machine with 4 such requests and 64 loads held for want of a
+// bit-vector, one every 32 slots: the scan tallies them stretch by
+// stretch without examining them.
 func issueSelectScenarios(tb testing.TB) []scenario {
-	mk := func(slots, requesters int) func() {
+	mk := func(cfg Config, requesters, held int) func() {
 		b := isa.NewBuilder("idle")
 		b.Halt()
-		cfg := DefaultConfig()
-		cfg.ActiveList = slots
 		p, err := New(cfg, b.MustBuild())
 		if err != nil {
 			tb.Fatal(err)
 		}
+		slots := cfg.ActiveList
 		head := int32(slots / 3)
 		p.robHead, p.robTail, p.robCount = head, head, int32(slots)
 		for i := range p.rob {
 			idx := (head + int32(i)) % int32(slots)
 			p.rob[idx] = robEntry{seq: uint64(i + 1), class: isa.ClassIntALU, stage: stDone, done: true,
 				intIQ: true, newPhys: noReg, src1Phys: noReg, src2Phys: noReg}
-			if i < requesters-1 || i == slots-1 {
-				p.rob[idx].stage, p.rob[idx].done = stRequest, false
+			switch e := &p.rob[idx]; {
+			case i < requesters-1 || i == slots-1:
+				e.stage, e.done = stRequest, false
 				p.intIQ.req.add(idx)
+				p.intIQ.count++
+			case held > 0 && i%(slots/held) == slots/held/2:
+				e.class, e.stage, e.done = isa.ClassLoad, stRequest, false
+				p.intIQ.held[holdBitVector].add(idx)
 				p.intIQ.count++
 			}
 		}
@@ -241,15 +248,26 @@ func issueSelectScenarios(tb testing.TB) []scenario {
 			}
 		}
 		return func() {
+			stalls := p.stats.BitVectorStalls
 			p.issueFrom(p.intIQ, p.cfg.IssueInt)
-			if p.intIQ.req.n != requesters {
-				tb.Fatalf("select with no free unit left %d of %d requests", p.intIQ.req.n, requesters)
+			if p.intIQ.req.n != requesters || p.intIQ.held[holdBitVector].n != held {
+				tb.Fatalf("select with no free unit left %d of %d requests and %d of %d held loads",
+					p.intIQ.req.n, requesters, p.intIQ.held[holdBitVector].n, held)
+			}
+			if got := p.stats.BitVectorStalls - stalls; got != uint64(held) {
+				tb.Fatalf("select went past %d held loads, want all %d", got, held)
 			}
 		}
 	}
+	sized := func(slots int) Config {
+		cfg := DefaultConfig()
+		cfg.ActiveList = slots
+		return cfg
+	}
 	return []scenario{
-		{"sparse-128", mk(128, 1)}, {"dense-128", mk(128, 32)},
-		{"sparse-2048", mk(2048, 1)}, {"dense-2048", mk(2048, 32)},
+		{"sparse-128", mk(sized(128), 1, 0)}, {"dense-128", mk(sized(128), 32, 0)},
+		{"sparse-2048", mk(sized(2048), 1, 0)}, {"dense-2048", mk(sized(2048), 32, 0)},
+		{"held-2048", mk(WIBConfigSized(2048, 16), 4, 64)},
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 // workload with per-cycle structural checking enabled: any accounting
 // corruption panics.
 func TestInvariantsHoldEveryCycle(t *testing.T) {
-	cfgs := []Config{DefaultConfig(), WIBDefault(), WIBConfigSized(256, 16), WIBPoolOfBlocks(512, 4, 16)}
+	// WIB/2048-bv16 runs out of bit-vectors often, so its held loads meet
+	// every wake-up: columns freeing, fills finishing, stores resolving.
+	cfgs := []Config{DefaultConfig(), WIBDefault(), WIBConfigSized(256, 16), WIBConfigSized(2048, 16), WIBPoolOfBlocks(512, 4, 16)}
 	for i := range cfgs {
 		cfgs[i].Debug = true
 	}
