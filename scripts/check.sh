@@ -76,6 +76,14 @@ go test -run '^$' -fuzz '^FuzzCollectMatchesOracle$' -fuzztime 10s ./internal/mo
 echo "== removal audit is still in the suite (it ran twice above, under ./...) =="
 gate_exists TestAudit ./internal/audit/
 
+echo "== timing-identity gates are still in the suite (they ran twice above, under ./...) =="
+# Stats bit-identical to the recorded digests, fast-forward on == off
+# (held loads' closed-form examinations included), and the held-load rule.
+gate_exists TestStatsDigestGolden ./internal/core/
+gate_exists TestFastForwardEquivalence ./internal/core/
+gate_exists TestFastForwardBudgetStops ./internal/core/
+gate_exists TestDeferredLoadHeldUntilWoken ./internal/core/
+
 echo "== shared frozen memory images under concurrent clones (race, repeated) =="
 gate_exists TestMemoryFrozenConcurrentClones ./internal/isa
 go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
