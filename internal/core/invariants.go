@@ -124,13 +124,13 @@ func (p *Processor) checkRequest(idx int32, e *robEntry) {
 		return
 	}
 	if e.class != isa.ClassLoad {
-		throw(KindHeldLoad, e.seq, "seq %d in slot %d is held for %s but is no load", e.seq, idx, holdNames[in])
+		throw(KindIQRequestMap, e.seq, "seq %d in slot %d is held for %s but is no load", e.seq, idx, holdNames[in])
 	}
 	if v := p.loadHold(e); v.hold != in {
 		now := "free to issue"
 		if v.hold != noHold {
 			now = "held for " + holdNames[v.hold]
 		}
-		throw(KindHeldLoad, e.seq, "load seq %d in slot %d is held for %s, but select would find it %s", e.seq, idx, holdNames[in], now)
+		throw(KindIQRequestMap, e.seq, "load seq %d in slot %d is held for %s, but select would find it %s", e.seq, idx, holdNames[in], now)
 	}
 }

@@ -25,8 +25,7 @@ const (
 	// Invariant-checker kinds (Config.Debug per-cycle checks).
 	KindROBFreeEntry   ErrKind = "rob-free-entry"     // live ROB slot marked free
 	KindIQCount        ErrKind = "iq-count"           // issue-queue occupancy mismatch
-	KindIQRequestMap   ErrKind = "iq-request-map"     // issue-request bitmap + held sets != stRequest entries of the queue
-	KindHeldLoad       ErrKind = "held-load"          // a held load select would no longer turn away for its set's reason
+	KindIQRequestMap   ErrKind = "iq-request-map"     // request bitmap + held sets != stRequest entries, or a held load select would now let go
 	KindWIBOccupancy   ErrKind = "wib-occupancy"      // WIB occupancy mismatch
 	KindWIBColumns     ErrKind = "wib-columns"        // bit-vector column leaked, or its list != stInWIB entries naming it
 	KindWIBEligibleMap ErrKind = "wib-eligible-map"   // banked eligible bitmap != stEligible entries
