@@ -57,8 +57,8 @@ func (p *Processor) checkInvariants() {
 	if fpQ != p.fpIQ.count {
 		throw(KindIQCount, 0, "fp IQ count %d, entries say %d", p.fpIQ.count, fpQ)
 	}
-	checkSlotSets(KindIQRequestMap, "request lines and held sets", requests, p.intIQ.req, p.fpIQ.req,
-		p.intIQ.held[0], p.intIQ.held[1], p.intIQ.held[2], p.fpIQ.held[0], p.fpIQ.held[1], p.fpIQ.held[2])
+	lines := append([]slotSet{p.intIQ.req, p.fpIQ.req}, p.intIQ.held[:]...)
+	checkSlotSets(KindIQRequestMap, "request lines and held sets", requests, append(lines, p.fpIQ.held[:]...)...)
 	if p.wib != nil && parked != p.wib.occupancy {
 		throw(KindWIBOccupancy, 0, "WIB occupancy %d, entries say %d", p.wib.occupancy, parked)
 	}
@@ -107,16 +107,7 @@ func (p *Processor) checkInvariants() {
 // select would turn away this cycle for that set's reason, so the
 // wake-ups missed no event that could change its answer.
 func (p *Processor) checkRequest(idx int32, e *robEntry) {
-	q := p.queueOf(e)
-	in, sets := noHold, 0
-	if q.req.has(idx) {
-		sets++
-	}
-	for h := range noHold {
-		if q.held[h].has(idx) {
-			in, sets = h, sets+1
-		}
-	}
+	in, sets := p.queueOf(e).membership(idx)
 	if sets != 1 {
 		throw(KindIQRequestMap, e.seq, "seq %d in slot %d requests issue and is in %d of the request lines and held sets, not one", e.seq, idx, sets)
 	}

@@ -50,6 +50,22 @@ func (q *issueQueue) unrequest(rob int32) {
 	}
 }
 
+// membership returns the held set slot rob is in (noHold when none) and
+// in how many of the request lines and held sets it is: exactly one for a
+// requesting entry.
+func (q *issueQueue) membership(rob int32) (in hold, sets int) {
+	in = noHold
+	if q.req.has(rob) {
+		sets++
+	}
+	for h := range noHold {
+		if q.held[h].has(rob) {
+			in, sets = h, sets+1
+		}
+	}
+	return in, sets
+}
+
 // wakeHeld puts every load held for reason h back on the request lines.
 func (q *issueQueue) wakeHeld(h hold) { q.held[h].moveAll(&q.req) }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"largewindow/internal/isa"
 	"largewindow/internal/mem"
 )
@@ -19,12 +17,13 @@ const (
 	holdStoreWait hold = iota
 	// holdForward: it must forward from a store whose address has resolved
 	// but whose data has not (split STA/STD: the data operand can sit in a
-	// miss chain for hundreds of cycles). The data arriving, or a younger
-	// older store resolving to the same word, can release it.
+	// miss chain for hundreds of cycles). The data arriving, or a store
+	// between the two resolving to the same word, can release it.
 	holdForward
 	// holdBitVector: it misses the L1D on a WIB machine and no bit-vector
-	// is free for a new outstanding miss (§4.2). A column freeing, or its
-	// line finishing a fill, can release it.
+	// is free for a new outstanding miss (§4.2). A column freeing, its line
+	// finishing a fill, or an older store resolving to its word can
+	// release it.
 	holdBitVector
 	noHold
 )
@@ -179,24 +178,15 @@ func (p *Processor) noteL1DFill(res mem.AccessResult) {
 	}
 }
 
-// wakeOnStoreResolved: a store's address resolving can release a
-// store-wait hold (an unresolved older store fewer), a forwarding hold (a
-// nearer matching store) and a bit-vector hold on the same word (it
-// forwards now instead of missing).
-func (p *Processor) wakeOnStoreResolved(waddr uint64) {
-	q := p.intIQ
-	q.wakeHeld(holdStoreWait)
-	q.wakeHeld(holdForward)
-	s := &q.held[holdBitVector]
-	for i := 0; s.n > 0 && i < len(s.words); i++ {
-		for m := s.words[i]; m != 0; m &= m - 1 {
-			rob := int32(i<<6 + bits.TrailingZeros64(m))
-			if e := &p.rob[rob]; isa.EffAddr(e.in, p.readOperand(e.src1FP, e.src1Phys))&^7 == waddr {
-				s.remove(rob)
-				q.req.add(rob)
-			}
-		}
-	}
+// wakeAllHeld: every held load asks again. A store's address resolving
+// can release a store-wait hold (one unresolved older store fewer), a
+// forwarding hold (a nearer matching store) and a bit-vector hold on the
+// same word (it forwards now instead of missing); a load entered in the
+// store-wait table may now be held for that instead.
+func (p *Processor) wakeAllHeld() {
+	p.wakeBitVectorHolds()
+	p.intIQ.wakeHeld(holdStoreWait)
+	p.intIQ.wakeHeld(holdForward)
 }
 
 // completeLoad finishes a load whose data has arrived: write the value,
@@ -257,7 +247,7 @@ func (p *Processor) storeDataArrived(e *robEntry) {
 func (p *Processor) storeAddressResolved(e *robEntry) {
 	addr := p.lsq.store(e.sq).addr // computed at issue
 	p.lsq.resolveStore(e.sq, addr)
-	p.wakeOnStoreResolved(addr)
+	p.wakeAllHeld()
 	if loadRob, _, found := p.lsq.checkViolation(e.sq, addr); found {
 		p.recoverReplay(loadRob)
 	}

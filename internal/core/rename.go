@@ -210,11 +210,7 @@ func (p *Processor) recoverReplay(loadRob int32) {
 	p.note("replay", e.seq, pc)
 	p.squashFrom(e.seq, true)
 	p.sw.set(pc)
-	// A load that now predicts a wait may be held for another reason, or
-	// not at all: every held load asks again.
-	for h := range noHold {
-		p.intIQ.wakeHeld(h)
-	}
+	p.wakeAllHeld()
 	p.fetchPC = pc
 	p.fetchStall = p.now + p.cfg.MispredictPenalty
 	p.fetchHalted = false

@@ -346,15 +346,7 @@ func TestDeferredLoadBehindPendingStoreData(t *testing.T) {
 // request lines, failing unless it is in exactly one of them.
 func heldIn(t *testing.T, q *issueQueue, rob int32) hold {
 	t.Helper()
-	in, sets := noHold, 0
-	if q.req.has(rob) {
-		sets++
-	}
-	for h := range noHold {
-		if q.held[h].has(rob) {
-			in, sets = h, sets+1
-		}
-	}
+	in, sets := q.membership(rob)
 	if sets != 1 {
 		t.Fatalf("requesting slot %d is in %d of the request lines and held sets, want exactly one", rob, sets)
 	}

@@ -47,10 +47,8 @@ func (p *Processor) stallReason(e *robEntry) string {
 	case stWaiting:
 		return "waiting in issue queue on " + p.pendingOperands(e)
 	case stRequest:
-		for h := range noHold {
-			if p.queueOf(e).held[h].has(p.robHead) {
-				return "load held for " + holdNames[h] + " (no wake-up came)"
-			}
+		if h, _ := p.queueOf(e).membership(p.robHead); h != noHold {
+			return "load held for " + holdNames[h] + " (no wake-up came)"
 		}
 		return "requesting issue (select never grants: " + p.pendingOperands(e) + ")"
 	case stInWIB:
