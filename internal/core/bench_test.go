@@ -214,8 +214,8 @@ func bankedSelectScenarios(tb testing.TB) []scenario {
 // the ring's last slot (the longest walk the scan can make); dense has a
 // full issue queue requesting, the head's 31 slots and the last. held is
 // a WIB machine with 4 such requests and 64 loads held for want of a
-// bit-vector, one every 32 slots: the scan tallies them stretch by
-// stretch without examining them.
+// bit-vector, one every 32 slots: the pass counts them as examined
+// without examining them.
 func issueSelectScenarios(tb testing.TB) []scenario {
 	mk := func(cfg Config, requesters, held int) func() {
 		b := isa.NewBuilder("idle")

@@ -16,15 +16,11 @@ import (
 // A load that select turns away for a reason only some later event can
 // change (loadHold) leaves req for the held set of that reason. It stays
 // stRequest, and the event puts it back on the request lines (wakeHeld).
-// examined counts, per reason, the held loads select went past: each
-// stands for one examination the load would have had if it had kept
-// requesting, and the caller folds the tallies into Stats after the pass.
 type issueQueue struct {
-	size     int
-	count    int
-	req      slotSet
-	held     [noHold]slotSet
-	examined [noHold]uint64
+	size  int
+	count int
+	req   slotSet
+	held  [noHold]slotSet
 }
 
 func newIssueQueue(size, activeList int) *issueQueue {
@@ -71,33 +67,25 @@ func (q *issueQueue) wakeHeld(h hold) { q.held[h].moveAll(&q.req) }
 
 // selectOldest is the select loop of both queues: one scan of the request
 // lines in ring order from the active-list head, offering each request to
-// grant until width are granted, and returning that number. A granted
-// entry gives up its request line and its queue slot; one turned away
-// keeps requesting (or joins a held set) and is met again, in age order,
-// next pass. grant may withdraw the request itself (the entry stays
+// grant until width are granted. It returns that number and where the
+// scan stopped: one past the last slot it met, or head when it met none.
+// A granted entry gives up its request line and its queue slot; one turned
+// away keeps requesting (or joins a held set) and is met again, in age
+// order, next pass. grant may withdraw the request itself (the entry stays
 // queued) and may make younger entries request: those lie ahead of the
 // scan, which searches the set afresh at every step and so meets them in
 // the same pass.
-//
-// The held loads among the stretches the scan goes past are tallied in
-// examined, as they stand when it passes them. A load joins a held set
-// only at the slot being examined, behind the scan, so sets that hold
-// nothing counted when the pass starts have nothing ahead to count.
-func (q *issueQueue) selectOldest(head int32, width int, grant func(rob int32) bool) int {
-	counting := q.held[holdStoreWait].n+q.held[holdBitVector].n > 0
-	issued, kept, passed := 0, 0, false // kept: requests behind the scan
-	pos := head
+func (q *issueQueue) selectOldest(head int32, width int, grant func(rob int32) bool) (issued int, end int32) {
+	kept := 0 // requests behind the scan
+	end = head
 	// While kept < n a request lies ahead of the scan, so the ring search
 	// finds it before coming round to the head again.
 	for issued < width && kept < q.req.n {
-		rob := q.req.firstFrom(pos)
+		rob := q.req.firstFrom(end)
 		if rob < 0 {
 			break
 		}
-		if counting {
-			q.examine(pos, rob)
-		}
-		pos, passed = rob+1, true
+		end = rob + 1
 		if grant(rob) {
 			q.req.remove(rob)
 			q.count--
@@ -106,26 +94,22 @@ func (q *issueQueue) selectOldest(head int32, width int, grant func(rob int32) b
 			kept++
 		}
 	}
-	if counting && issued < width {
-		// The scan would have gone on round to the head: from pos, or, if
-		// it met no request at all, the whole ring.
-		if !passed {
-			q.examine(head, int32(len(q.req.words)*64))
-			pos = 0
-		}
-		q.examine(pos, head)
-	}
-	return issued
+	return issued, end
 }
 
-// examine tallies the held loads in the ring stretch [from, to) that count
-// an examination in Stats.
-func (q *issueQueue) examine(from, to int32) {
-	for _, h := range [...]hold{holdStoreWait, holdBitVector} {
-		if q.held[h].n > 0 {
-			q.examined[h] += uint64(q.held[h].countRange(from, to))
-		}
+// heldPassed counts the loads of held set h that a select pass from head
+// to end went past or turned away: each is one examination the polling
+// select made. A pass with width to spare would have gone on round to the
+// head, past them all. The count is taken after the pass: a load joins a
+// held set only at the slot being examined, and none leaves during a pass
+// (no wake-up fires inside select), so the members in the stretch are
+// exactly the loads the pass examined and turned away for that reason.
+func (q *issueQueue) heldPassed(h hold, head, end int32, spare bool) uint64 {
+	s := &q.held[h]
+	if spare || end == head || s.n == 0 {
+		return uint64(s.n)
 	}
+	return uint64(s.countRange(head, end))
 }
 
 // fuPools tracks functional-unit availability per class (paper Table 1).
@@ -304,13 +288,14 @@ func (p *Processor) issue() {
 	p.issueFrom(p.fpIQ, p.cfg.IssueFP)
 }
 
-// issueFrom runs one select pass over q and counts the held loads it went
-// past as the examinations they stand for.
+// issueFrom runs one select pass over q and counts the held loads it
+// examined, awake or asleep.
 func (p *Processor) issueFrom(q *issueQueue, width int) {
-	p.issueSlots += uint64(q.selectOldest(p.robHead, width, func(rob int32) bool { return p.selectEntry(q, rob) }))
-	p.stats.StoreWaitHits += q.examined[holdStoreWait]
-	p.stats.BitVectorStalls += q.examined[holdBitVector]
-	q.examined = [noHold]uint64{}
+	issued, end := q.selectOldest(p.robHead, width, func(rob int32) bool { return p.selectEntry(q, rob) })
+	p.issueSlots += uint64(issued)
+	spare := issued < width
+	p.stats.StoreWaitHits += q.heldPassed(holdStoreWait, p.robHead, end, spare)
+	p.stats.BitVectorStalls += q.heldPassed(holdBitVector, p.robHead, end, spare)
 }
 
 // selectEntry decides one request of q and reports whether the entry

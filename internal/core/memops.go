@@ -133,19 +133,13 @@ func (p *Processor) tryIssueLoad(q *issueQueue, rob int32, e *robEntry) bool {
 }
 
 // holdLoad moves a load loadHold turned away from the request lines to
-// the held set of its reason. The store-wait and bit-vector reasons count
-// this examination in Stats, as every later one the load would have had
-// is counted by select's tally while it is held. A bit-vector hold on a
-// line still filling is due to be asked again the cycle its probe hits.
+// the held set of its reason, where issueFrom's tally counts this
+// examination and every later one the load would have had. A bit-vector
+// hold on a line still filling is due to be asked again the cycle its
+// probe hits.
 func (p *Processor) holdLoad(q *issueQueue, rob int32, v loadPlan) {
-	switch v.hold {
-	case holdStoreWait:
-		p.stats.StoreWaitHits++
-	case holdBitVector:
-		p.stats.BitVectorStalls++
-		if v.fill > 0 {
-			p.heldFill = min(p.heldFill, v.fill-1)
-		}
+	if v.hold == holdBitVector && v.fill > 0 {
+		p.heldFill = min(p.heldFill, v.fill-1)
 	}
 	q.req.remove(rob)
 	q.held[v.hold].add(rob)

@@ -27,8 +27,13 @@ type Stats struct {
 	Misfetches   uint64 `json:"misfetches"`  // BTB-miss bubbles for predicted-taken transfers
 
 	// Memory ordering.
-	Replays        uint64 `json:"replays"`         // load-store order violation squashes
-	StoreWaitHits  uint64 `json:"store_wait_hits"` // loads held back by the store-wait table
+	Replays uint64 `json:"replays"` // load-store order violation squashes
+	// StoreWaitHits counts select examinations (load × cycle) that found
+	// a load held back by the store-wait table, not loads: a held load
+	// counts once on each cycle select's scan reaches it, whether select
+	// asks it or passes it asleep in its held set (issueQueue.held), and a
+	// fast-forwarded span counts each held load once a cycle.
+	StoreWaitHits  uint64 `json:"store_wait_hits"`
 	ForwardedLoads uint64 `json:"forwarded_loads"`
 
 	// Fetch.
@@ -40,7 +45,10 @@ type Stats struct {
 	WIBReinsertions  uint64 `json:"wib_reinsertions"`   // instructions reinserted into an issue queue
 	WIBInstructions  uint64 `json:"wib_instructions"`   // committed instructions that ever entered it
 	WIBMaxInsertions int    `json:"wib_max_insertions"` // worst single-instruction insertion count
-	BitVectorStalls  uint64 `json:"bit_vector_stalls"`  // load issues deferred for lack of a bit-vector
+	// BitVectorStalls counts select examinations (load × cycle) that found
+	// a load missing with no free bit-vector, not loads; counted as
+	// StoreWaitHits is.
+	BitVectorStalls  uint64 `json:"bit_vector_stalls"`
 	WIBPeakOccupancy int    `json:"wib_peak_occupancy"`
 	HeadEvictions    uint64 `json:"head_evictions"` // forward-progress spills of queued instructions
 	PoolSpills       uint64 `json:"pool_spills"`    // pool-of-blocks overflows (§3.5 organization)
