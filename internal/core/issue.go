@@ -293,9 +293,11 @@ func (p *Processor) issue() {
 func (p *Processor) issueFrom(q *issueQueue, width int) {
 	issued, end := q.selectOldest(p.robHead, width, func(rob int32) bool { return p.selectEntry(q, rob) })
 	p.issueSlots += uint64(issued)
-	spare := issued < width
-	p.stats.StoreWaitHits += q.heldPassed(holdStoreWait, p.robHead, end, spare)
-	p.stats.BitVectorStalls += q.heldPassed(holdBitVector, p.robHead, end, spare)
+	if q.held[holdStoreWait].n+q.held[holdBitVector].n > 0 {
+		spare := issued < width
+		p.stats.StoreWaitHits += q.heldPassed(holdStoreWait, p.robHead, end, spare)
+		p.stats.BitVectorStalls += q.heldPassed(holdBitVector, p.robHead, end, spare)
+	}
 }
 
 // selectEntry decides one request of q and reports whether the entry
