@@ -100,10 +100,11 @@ func (q *issueQueue) selectOldest(head int32, width int, grant func(rob int32) b
 // heldPassed counts the loads of held set h that a select pass from head
 // to end went past or turned away: each is one examination the polling
 // select made. A pass with width to spare would have gone on round to the
-// head, past them all. The count is taken after the pass: a load joins a
-// held set only at the slot being examined, and none leaves during a pass
-// (no wake-up fires inside select), so the members in the stretch are
-// exactly the loads the pass examined and turned away for that reason.
+// head, past them all, as did one that ended at the head. The count is
+// taken after the pass: a load joins a held set only at the slot being
+// examined, and none leaves during a pass (no wake-up fires inside
+// select), so the members in the stretch are exactly the loads the pass
+// examined and turned away for that reason.
 func (q *issueQueue) heldPassed(h hold, head, end int32, spare bool) uint64 {
 	s := &q.held[h]
 	if spare || end == head || s.n == 0 {
