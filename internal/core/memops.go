@@ -34,10 +34,9 @@ var holdNames = [noHold]string{"store-wait", "forwarding", "bit-vector"}
 type loadPlan struct {
 	hold        hold
 	addr        uint64 // effective address
-	fwd         bool   // forwards val from the store numbered fwdSeq
-	val, fwdSeq uint64
-	miss        bool  // a primary L1D miss on a WIB machine: claims a bit-vector
-	fill        int64 // holdBitVector on a line still filling: the fill's ready cycle, else 0
+	val, fwdSeq uint64 // forwards val from the store numbered fwdSeq; 0: reads the cache
+	miss        bool   // a primary L1D miss on a WIB machine: claims a bit-vector
+	fill        int64  // holdBitVector on a line still filling: the fill's ready cycle, else 0
 }
 
 // loadHold decides whether a load whose operands are ready is held back
@@ -56,7 +55,7 @@ func (p *Processor) loadHold(e *robEntry) loadPlan {
 		if !dataOK {
 			v.hold = holdForward
 		}
-		v.fwd, v.val, v.fwdSeq = true, val, fwdSeq
+		v.val, v.fwdSeq = val, fwdSeq
 		return v
 	}
 	if p.wib != nil && e.newPhys != noReg {
@@ -80,7 +79,7 @@ func (p *Processor) tryIssueLoad(q *issueQueue, rob int32, e *robEntry) bool {
 		return false
 	}
 	waddr := v.addr &^ 7
-	if v.fwd {
+	if v.fwdSeq != 0 {
 		lat, fu := p.fus.tryIssue(isa.ClassLoad, p.now)
 		if !fu {
 			return false

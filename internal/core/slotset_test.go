@@ -19,12 +19,17 @@ func (s naiveSet) count() int {
 	return n
 }
 
-// countRange counts the members met going round the ring from from up to
-// to, to excluded; either may be len(s).
+// countRange counts the members in [from, to), or in [from, len) and
+// [0, to) when from > to; either bound may be len(s).
 func (s naiveSet) countRange(from, to int32) int {
 	n := 0
-	for k := int(from) % len(s); k != int(to)%len(s); k = (k + 1) % len(s) {
-		if s[k] {
+	for k, member := range s {
+		i := int32(k)
+		inside := i >= from && i < to
+		if from > to {
+			inside = i >= from || i < to
+		}
+		if member && inside {
 			n++
 		}
 	}
@@ -55,7 +60,7 @@ var slotSetSizes = []int{1, 63, 64, 65, 128, 2048}
 // that may wrap, either bound one past the last position) — at a position
 // drawn from the other two. Every answer is compared as it is given, and
 // the script's final set is searched from every start position and
-// counted over a stretch from each.
+// counted over a stretch from each and over [0, pos) up to the whole set.
 func runSlotScript(t *testing.T, size int, script []byte) {
 	t.Helper()
 	s, ref := newSlotSet(size), make(naiveSet, size)
@@ -109,6 +114,9 @@ func runSlotScript(t *testing.T, size int, script []byte) {
 		}
 		if got := s.countRange(pos, to); got != want {
 			t.Fatalf("size %d: countRange(%d, %d) = %d, linear scan counts %d", size, pos, to, got, want)
+		}
+		if got := s.countRange(0, pos); got != below[pos] {
+			t.Fatalf("size %d: countRange(0, %d) = %d, linear scan counts %d", size, pos, got, below[pos])
 		}
 	}
 	checkSlotSets(KindIQRequestMap, "script sets", ref.count(), s)

@@ -366,13 +366,8 @@ func heldIn(t *testing.T, q *issueQueue, rob int32) hold {
 // independent misses a round holds every miss past the second for want of
 // a bit-vector. No load leaves that hold on a cycle on which no column
 // freed, and on each cycle one does, the oldest held load requests again
-// and takes it.
-//
-// This restates TestDeferredLoadKeepsRequestBit, which held the opposite
-// rule: that a held load keeps its request bit, is re-examined by select
-// every cycle, and so never lets the machine idle. Held loads now sleep
-// until an event that can change select's answer; the per-cycle Debug
-// check (checkRequest) holds each sleeping load to the polling verdict.
+// and takes it. (That a sleeping load is still one select would turn
+// away is the per-cycle Debug check's part, checkRequest.)
 func TestDeferredLoadHeldUntilWoken(t *testing.T) {
 	t.Run("store-data", heldOnStoreData)
 	t.Run("bit-vector", heldOnBitVector)
