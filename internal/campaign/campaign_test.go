@@ -183,6 +183,74 @@ func TestStoreCorruptEntryIsAnError(t *testing.T) {
 	}
 }
 
+// TestStoreFirstPutMakesItsShard: a write makes its shard directory only
+// when it finds it missing. A fresh store's first record into an absent
+// shard must still land, as the bytes PutEncoded and GetEncoded agree on.
+func TestStoreFirstPutMakesItsShard(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := testCell("", 64, "gzip")
+	rec, _ := fakeExec(cell)
+	rec.CellID = cell.ID()
+	if _, err := os.Stat(filepath.Dir(st.Path(cell.ID()))); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("fresh store already has the shard (%v)", err)
+	}
+	if err := st.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Get(cell.ID()); err != nil || got == nil || got.Stats.Committed != rec.Stats.Committed {
+		t.Fatalf("first record into a new shard: %+v, %v", got, err)
+	}
+	file, err := os.ReadFile(st.Path(cell.ID()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc, err := st.GetEncoded(cell.ID()); err != nil || !bytes.Equal(enc, file) {
+		t.Errorf("GetEncoded differs from the file (%v)", err)
+	}
+	if enc, err := st.GetEncoded(strings.Repeat("ab", 16)); enc != nil || err != nil {
+		t.Errorf("missing entry: %q, %v", enc, err)
+	}
+}
+
+// TestStoreConcurrentPutsOfOneID: writers racing on one ID, and on making
+// its shard, leave one complete record and no temp file behind.
+func TestStoreConcurrentPutsOfOneID(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := testCell("", 64, "gzip")
+	rec, _ := fakeExec(cell)
+	rec.CellID = cell.ID()
+	const writers = 8
+	errs := make(chan error, writers)
+	for i := 0; i < writers; i++ {
+		go func() { errs <- st.Put(rec) }()
+	}
+	for i := 0; i < writers; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Dir(st.Path(cell.ID())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != cell.ID()+".json" {
+		t.Errorf("shard holds %v, want the one record", entries)
+	}
+	compact, _ := json.Marshal(rec)
+	var want bytes.Buffer
+	json.Indent(&want, compact, "", "  ")
+	want.WriteByte('\n')
+	if got, err := os.ReadFile(st.Path(cell.ID())); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("record after concurrent writes is not the one written (%v)", err)
+	}
+}
+
 func TestEngineExecutesAndMemoizes(t *testing.T) {
 	var calls atomic.Int32
 	eng := NewEngine(func(c Cell) (*Record, error) {

@@ -3,11 +3,14 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Store is the on-disk content-addressed result cache. Records live at
@@ -44,21 +47,34 @@ func (s *Store) Path(id string) string {
 // a corrupt or future-schema entry returns an error — callers treat it as
 // a miss and recompute, overwriting the bad entry.
 func (s *Store) Get(id string) (*Record, error) {
+	rec, _, err := s.load(id)
+	return rec, err
+}
+
+// GetEncoded is Get for a caller that serves the record instead of
+// reading it: the file's bytes as PutEncoded wrote them, after the checks
+// Get makes, with the same answers for a missing or bad entry.
+func (s *Store) GetEncoded(id string) ([]byte, error) {
+	_, data, err := s.load(id)
+	return data, err
+}
+
+func (s *Store) load(id string) (*Record, []byte, error) {
 	data, err := os.ReadFile(s.Path(id))
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("campaign: reading %s: %w", id, err)
+		return nil, nil, fmt.Errorf("campaign: reading %s: %w", id, err)
 	}
 	var rec Record
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("campaign: decoding %s: %w", id, err)
+		return nil, nil, fmt.Errorf("campaign: decoding %s: %w", id, err)
 	}
 	if rec.CellID != "" && rec.CellID != id {
-		return nil, fmt.Errorf("campaign: record %s names cell %s (corrupt cache?)", id, rec.CellID)
+		return nil, nil, fmt.Errorf("campaign: record %s names cell %s (corrupt cache?)", id, rec.CellID)
 	}
-	return &rec, nil
+	return &rec, data, nil
 }
 
 // Put persists a record under its cell ID, atomically.
@@ -76,28 +92,40 @@ func (s *Store) Put(rec *Record) error {
 // PutEncoded is Put for a record the caller already holds as
 // json.Marshal(rec): the file is byte-identical to the one Put writes
 // (the compact encoding, indented). The service coordinator encodes a
-// finished record once and gives the same bytes to the store and to
-// every result it serves.
+// finished record once and gives the same bytes to the store and to the
+// requests waiting on the cell.
 func (s *Store) PutEncoded(id string, compact []byte) error {
-	var data bytes.Buffer
-	data.Grow(2 * len(compact))
-	if err := json.Indent(&data, compact, "", "  "); err != nil {
+	data := indentBufs.Get().(*bytes.Buffer)
+	defer func() {
+		data.Reset()
+		indentBufs.Put(data)
+	}()
+	if err := json.Indent(data, compact, "", "  "); err != nil {
 		return fmt.Errorf("campaign: encoding %s: %w", id, err)
 	}
 	data.WriteByte('\n')
 	return writeAtomic(s.Path(id), id, data.Bytes())
 }
 
+// indentBufs recycles PutEncoded's buffers: json.Indent grows a fresh one
+// to twice the record for every write.
+var indentBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // writeAtomic is the tier's one durable write: data goes to a temp
 // sibling of path (".<id>.tmp*", which IDs skips) in path's directory,
-// created if need be, and is renamed over it, so a process killed
-// mid-write leaves either the previous file or none — never a torn one —
-// and a concurrent reader sees only complete files.
+// created the first time a write finds it missing, and is renamed over
+// it, so a process killed mid-write leaves either the previous file or
+// none — never a torn one — and a concurrent reader sees only complete
+// files.
 func writeAtomic(path, id string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("campaign: creating directory for %s: %w", id, err)
+	dir, pattern := filepath.Dir(path), "."+id+".tmp*"
+	tmp, err := os.CreateTemp(dir, pattern)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("campaign: creating directory for %s: %w", id, err)
+		}
+		tmp, err = os.CreateTemp(dir, pattern)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+id+".tmp*")
 	if err != nil {
 		return fmt.Errorf("campaign: temp file for %s: %w", id, err)
 	}

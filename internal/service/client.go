@@ -2,7 +2,7 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -184,26 +184,18 @@ func (c *Client) call(method, path string, body, out any) error {
 	return c.callCorr(method, path, "", body, out)
 }
 
-// callCorr is call with a correlation ID riding the obs.CorrHeader.
+// callCorr is call with a correlation ID riding the obs.CorrHeader. Each
+// attempt encodes the body afresh: the last one's buffer went back to
+// the pool when net/http closed it.
 func (c *Client) callCorr(method, path, corr string, body, out any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return err
-		}
-	}
 	var lastErr error
 	for failures := 0; failures < c.opt.Retry.Attempts(); failures++ {
 		if failures > 0 {
 			time.Sleep(c.opt.Retry.Backoff(failures))
 		}
-		req, err := http.NewRequest(method, c.opt.Server+path, bytes.NewReader(payload))
+		req, err := newRequest(context.Background(), method, c.opt.Server+path, body)
 		if err != nil {
 			return &RemoteError{Op: path, Err: err}
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
 		}
 		if corr != "" {
 			req.Header.Set(obs.CorrHeader, corr)
@@ -217,7 +209,7 @@ func (c *Client) callCorr(method, path, corr string, body, out any) error {
 			continue
 		}
 		if resp.StatusCode == http.StatusOK {
-			err := json.NewDecoder(resp.Body).Decode(out)
+			err := readJSON(resp.Body, out)
 			resp.Body.Close()
 			if err != nil {
 				return &RemoteError{Op: path, Err: fmt.Errorf("decoding response: %w", err), Transient: true}

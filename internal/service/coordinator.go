@@ -78,8 +78,8 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 }
 
 // svcCell is the coordinator's state for one distinct cell. A finished
-// cell keeps this struct alone — identity, verdict and encoded record,
-// what a result response needs — for the coordinator's life; what matters
+// cell keeps this struct alone — identity, verdict and attempt count —
+// for the coordinator's life; its record is the store's. What matters
 // only while the cell is queued, cooling down or leased is in *inflight,
 // dropped with the verdict (DESIGN.md §10.6).
 type svcCell struct {
@@ -87,8 +87,10 @@ type svcCell struct {
 	status   string // StatusPending | StatusRunning | StatusDone | StatusFailed
 	attempts int    // dispatches so far
 
-	rec    encodedRecord // StatusDone: the record as persisted
-	errMsg string        // StatusFailed
+	// rec is a done cell's record where the store does not hold it: the
+	// coordinator has none, or the write failed.
+	rec    encodedRecord
+	errMsg string // StatusFailed
 
 	*inflight // nil once done or failed
 }
@@ -113,6 +115,10 @@ type inflight struct {
 	ivDone, ivPlanned uint64
 
 	done chan struct{} // closed on StatusDone / StatusFailed
+	// record is what StatusDone brought, for the requests waiting on done:
+	// they hold this block, so the record lives until the last of them
+	// has answered.
+	record encodedRecord
 }
 
 // cellQueue is the pending queue, a ring indexed from head: taking the
@@ -260,7 +266,8 @@ type arrival struct {
 	id   string
 	hit  encodedRecord
 	sc   *svcCell
-	step step // stepNone for a duplicate
+	fl   *inflight // the lifecycle a waiting submission awaits; nil if the cell had finished
+	step step      // stepNone for a duplicate
 }
 
 // submit registers cells. Known cells (queued, cooling, running or
@@ -286,15 +293,16 @@ func (c *Coordinator) submit(now time.Time, cells []campaign.Cell, corr string, 
 			sc = &svcCell{id: a.id}
 			c.cells[a.id] = sc
 		}
-		if a.sc = sc; known && sc.status != StatusFailed {
+		if a.sc, a.fl = sc, sc.inflight; known && sc.status != StatusFailed {
 			continue
 		}
 		sc.attempts, sc.errMsg = 0, ""
 		sc.inflight = &inflight{cell: cell, corr: corr, queuedAt: now, done: make(chan struct{})}
+		a.fl = sc.inflight
 		a.step = step{kind: stepQueued, cell: *sc, fresh: !known}
 		if a.hit != nil {
 			a.step.kind = stepHit
-			sc.rec = a.hit
+			sc.record = a.hit // the store holds it
 			c.finish(sc, StatusDone, "")
 			continue
 		}
@@ -359,13 +367,17 @@ func (c *Coordinator) claim(now time.Time, req *CompleteRequest) (*svcCell, step
 }
 
 // settle gives a claimed cell its verdict: done with the record in enc,
-// a retry while the budget lasts, or failed. A retry is queued at once
-// under a zero backoff; otherwise it cools down for the step's delay,
-// which the caller times before calling promote.
+// a retry while the budget lasts, or failed. A done cell's record goes to
+// its waiters and stays with the cell only if the store did not take it.
+// A retry is queued at once under a zero backoff; otherwise it cools down
+// for the step's delay, which the caller times before calling promote.
 func (c *Coordinator) settle(now time.Time, sc *svcCell, claimed step) step {
 	s := claimed
 	if s.kind = stepDone; s.err == "" {
-		sc.rec = s.enc
+		sc.record = s.enc
+		if c.opt.Store == nil || s.putErr != nil {
+			sc.rec = s.enc
+		}
 		c.finish(sc, StatusDone, "")
 		return s
 	}
@@ -747,7 +759,7 @@ func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any, 
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(v); err != nil {
+	if err := readJSON(io.LimitReader(r.Body, 64<<20), v); err != nil {
 		http.Error(w, fmt.Sprintf("decoding %s: %v", what, err), http.StatusBadRequest)
 		return false
 	}
@@ -783,11 +795,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	for i, cell := range req.Cells {
 		in[i].id = cell.ID()
 		if c.opt.Resume && c.opt.Store != nil {
-			rec, err := c.opt.Store.Get(in[i].id)
-			if err == nil && rec != nil {
-				in[i].hit, err = json.Marshal(rec)
-			}
-			if err != nil {
+			var err error
+			if in[i].hit, err = c.opt.Store.GetEncoded(in[i].id); err != nil {
 				c.emit(step{kind: stepUnusable, cell: svcCell{id: in[i].id}, err: err.Error()})
 			}
 		}
@@ -817,8 +826,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if resp.IDs[i] = a.id; a.step.kind == stepQueued {
 			resp.Enqueued++
 		}
-		if wait > 0 && a.sc.inflight != nil {
-			unfinished = append(unfinished, a.sc.done)
+		if wait > 0 && a.fl != nil {
+			unfinished = append(unfinished, a.fl.done)
 		}
 	}
 	c.mu.Unlock()
@@ -832,9 +841,14 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		resp.Results = make([]resultResponse[encodedRecord], len(in))
 		c.mu.Lock()
 		for i, a := range in {
-			resp.Results[i] = resultLocked(a.sc)
+			resp.Results[i] = resultLocked(a.sc, a.fl)
 		}
 		c.mu.Unlock()
+		for i, a := range in {
+			if res := &resp.Results[i]; !c.readRecord(res, a.sc) {
+				res.Status = StatusPending // unknown now: the client's result poll resubmits it
+			}
+		}
 	}
 	stamp(&resp.SchemaVersion)
 	writeJSON(w, http.StatusOK, resp)
@@ -863,17 +877,47 @@ func awaitAll(ctx context.Context, chans []<-chan struct{}, budget time.Duration
 }
 
 // resultLocked snapshots one cell's outcome — the one routine behind
-// PathResult and a waiting submission's Results. Callers hold mu.
-func resultLocked(sc *svcCell) resultResponse[encodedRecord] {
+// PathResult and a waiting submission's Results — with the record from
+// memory: the cell's own, or the one its verdict left on fl, the
+// lifecycle the caller awaited. A done cell answered without one is
+// readRecord's to complete. Callers hold mu.
+func resultLocked(sc *svcCell, fl *inflight) resultResponse[encodedRecord] {
 	res := resultResponse[encodedRecord]{CellID: sc.id, Status: sc.status, Attempts: sc.attempts}
 	stamp(&res.SchemaVersion)
 	switch sc.status {
 	case StatusDone:
-		res.Record = sc.rec
+		if res.Record = sc.rec; res.Record == nil && fl != nil {
+			res.Record = fl.record
+		}
 	case StatusFailed:
 		res.Error = sc.errMsg
 	}
 	return res
+}
+
+// readRecord completes a done cell's answer from its store file, outside
+// the lock. A file missing or unreadable makes the cell unknown: it leaves
+// the table, and false tells the caller to answer as for a cell never
+// submitted, so a client submits it again.
+func (c *Coordinator) readRecord(res *resultResponse[encodedRecord], sc *svcCell) bool {
+	if res.Status != StatusDone || res.Record != nil {
+		return true
+	}
+	rec, err := c.opt.Store.GetEncoded(sc.id)
+	if rec != nil {
+		res.Record = rec
+		return true
+	}
+	if err == nil {
+		err = fmt.Errorf("record %s is missing from the store", sc.id)
+	}
+	c.mu.Lock()
+	if c.cells[sc.id] == sc {
+		delete(c.cells, sc.id)
+	}
+	c.mu.Unlock()
+	c.emit(step{kind: stepUnusable, cell: svcCell{id: sc.id}, err: err.Error()})
+	return false
 }
 
 // handleLease hands one queued cell to a worker under a fresh lease,
@@ -885,7 +929,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !c.decodeBody(w, r, &req, "lease request", &req.SchemaVersion) {
 		return
 	}
-	var resp LeaseResponse
+	var resp leaseResponse[*campaign.Cell]
 	stamp(&resp.SchemaVersion)
 	if req.Done != nil {
 		resp.DoneStatus = c.deliver(req.Done)
@@ -903,7 +947,8 @@ poll:
 		if resp.Draining = c.draining; !resp.Draining {
 			if s := c.lease(time.Now(), req.WorkerID, leaseID); s.kind != stepNone {
 				c.emit(s)
-				resp.Lease = &Lease{LeaseID: leaseID, CellID: s.cell.id, Cell: s.cell.cell,
+				// The inflight block's cell is never written after submit.
+				resp.Lease = &lease[*campaign.Cell]{LeaseID: leaseID, CellID: s.cell.id, Cell: &s.cell.inflight.cell,
 					Attempt: s.cell.attempts, TTLMS: c.opt.LeaseTTL.Milliseconds()}
 				// The correlation ID arms worker-side spans: withheld, an
 				// untraced fleet stays span-free end to end.
@@ -1023,20 +1068,24 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	waitMS, _ := strconv.ParseInt(r.URL.Query().Get("wait_ms"), 10, 64)
 	c.mu.Lock()
 	sc, ok := c.cells[id]
-	var unfinished []<-chan struct{}
-	if ok && sc.inflight != nil {
-		unfinished = []<-chan struct{}{sc.done}
+	var fl *inflight
+	if ok {
+		fl = sc.inflight
 	}
 	c.mu.Unlock()
 	if !ok {
 		http.Error(w, "unknown cell (submit it first)", http.StatusNotFound)
 		return
 	}
-	if wait := waitBudget(waitMS); wait > 0 && !awaitAll(r.Context(), unfinished, wait) {
+	if wait := waitBudget(waitMS); wait > 0 && fl != nil && !awaitAll(r.Context(), []<-chan struct{}{fl.done}, wait) {
 		return
 	}
 	c.mu.Lock()
-	resp := resultLocked(sc)
+	resp := resultLocked(sc, fl)
 	c.mu.Unlock()
+	if !c.readRecord(&resp, sc) {
+		http.Error(w, "unknown cell (submit it first)", http.StatusNotFound)
+		return
+	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -1,7 +1,8 @@
-// Layer benchmark and allocation gate for one cell's trip through the
+// Layer benchmark and memory gates for one cell's trip through the
 // fleet, the way internal/core gates its cells: BenchmarkFleetCell is
 // the thing to profile (EXPERIMENTS.md, "profiling the fleet"),
-// TestFleetCellAllocBudget keeps the allocation count from creeping back.
+// TestFleetCellAllocBudget keeps the allocation count from creeping back
+// and TestFleetCellRetainedHeap keeps a finished cell's footprint small.
 package service
 
 import (
@@ -77,11 +78,19 @@ func BenchmarkFleetCell(b *testing.B) {
 
 // fleetCellAllocBudget bounds the heap allocations one cell costs the
 // whole fleet — client, coordinator and worker share the process, so
-// every side counts. Measured 420 (go1.24; 472 under the race detector,
-// which check.sh runs this package with; 661 before the two-round-trip
-// protocol). The headroom covers a Go release's drift in net/http, not a
-// third request per cell (+110).
+// every side counts. Measured 396 (go1.24; 458 under the race detector,
+// which check.sh runs this package with; 420 before request and response
+// bodies were encoded into and decoded from recycled buffers, 661 before
+// the two-round-trip protocol). The headroom covers the race detector and
+// a Go release's drift in net/http, not a third request per cell (+110).
 const fleetCellAllocBudget = 500
+
+// fleetCellByteBudget bounds the bytes those allocations take, which set
+// how often the collector runs now that a finished cell leaves little
+// live heap behind (EXPERIMENTS.md, "Profiling the fleet"). Measured
+// 39,500 (go1.24; 55,400 with fresh body buffers and a copy of every
+// record decoded). The race detector's own allocations are not counted.
+const fleetCellByteBudget = 42_000
 
 func TestFleetCellAllocBudget(t *testing.T) {
 	if testing.Short() {
@@ -99,8 +108,49 @@ func TestFleetCellAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perCell := float64(after.Mallocs-before.Mallocs) / cells
-	t.Logf("%.0f allocations per cell (budget %d)", perCell, fleetCellAllocBudget)
+	bytesPerCell := float64(after.TotalAlloc-before.TotalAlloc) / cells
+	t.Logf("%.0f allocations, %.0f B per cell (budgets %d, %d)", perCell, bytesPerCell,
+		fleetCellAllocBudget, fleetCellByteBudget)
 	if perCell > fleetCellAllocBudget {
 		t.Errorf("a cell costs %.0f allocations, budget %d", perCell, fleetCellAllocBudget)
 	}
+	if bytesPerCell > fleetCellByteBudget && !raceEnabled {
+		t.Errorf("a cell allocates %.0f B, budget %d", bytesPerCell, fleetCellByteBudget)
+	}
+}
+
+// fleetCellRetainedBudget bounds the live heap a finished cell keeps in
+// the coordinator: its ID, verdict and attempt count, and the cell
+// table's entry that deduplication needs. The record is the store's to
+// keep (DESIGN.md §10.6).
+const fleetCellRetainedBudget = 300
+
+func TestFleetCellRetainedHeap(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("runs a few thousand cells through a store; the race detector's shadow heap is not the program's")
+	}
+	exec := startFleetCellRig(t)
+	for i := 0; i < fleetCellWarmup; i++ {
+		exec(i)
+	}
+	const cells = 3000
+	before := liveHeap()
+	for i := 0; i < cells; i++ {
+		exec(fleetCellWarmup + i)
+	}
+	perCell := float64(int64(liveHeap())-int64(before)) / cells
+	t.Logf("%.0f B of live heap per finished cell (budget %d)", perCell, fleetCellRetainedBudget)
+	if perCell > fleetCellRetainedBudget {
+		t.Errorf("a finished cell keeps %.0f B of heap, budget %d", perCell, fleetCellRetainedBudget)
+	}
+}
+
+// liveHeap is the heap still reachable after a collection. The second
+// collection empties what sync.Pools kept through the first.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

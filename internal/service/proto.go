@@ -37,9 +37,14 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"sync"
 
 	"largewindow/internal/campaign"
 	"largewindow/internal/obs"
@@ -122,7 +127,9 @@ type resultResponse[R any] struct {
 	Attempts int `json:"attempts,omitempty"`
 }
 
-// encodedRecord is a finished record as json.Marshal wrote it.
+// encodedRecord is a finished record as json.Marshal wrote it, or as the
+// store file holds it: json.Indent of those bytes. A response encoder
+// compacts a json.RawMessage, so both go on the wire as the same bytes.
 type encodedRecord = json.RawMessage
 
 // LeaseRequest asks for one cell of work. The coordinator long-polls up
@@ -142,10 +149,21 @@ type LeaseRequest struct {
 // worker must heartbeat before TTLMS elapses or the coordinator returns
 // the cell to the queue and the lease dies — a completion under a dead
 // lease is refused with 410 Gone.
-type Lease struct {
-	LeaseID string        `json:"lease_id"`
-	CellID  string        `json:"cell_id"`
-	Cell    campaign.Cell `json:"cell"`
+type Lease = lease[campaign.Cell]
+
+// LeaseResponse carries a lease, or none when the queue is dry. Draining
+// tells the worker the coordinator is shutting down and no further work
+// will ever arrive.
+type LeaseResponse = leaseResponse[campaign.Cell]
+
+// lease and leaseResponse define the lease wire shape once for both ends,
+// as submitResponse does for results: a worker decodes the cell
+// (C = campaign.Cell), the coordinator writes the one its queue holds
+// (C = *campaign.Cell) instead of copying it into every answer.
+type lease[C any] struct {
+	LeaseID string `json:"lease_id"`
+	CellID  string `json:"cell_id"`
+	Cell    C      `json:"cell"`
 	// Attempt is 1 on first dispatch and grows with every requeue or
 	// retry, so workers can log re-dispatches visibly.
 	Attempt int   `json:"attempt"`
@@ -155,13 +173,10 @@ type Lease struct {
 	CorrID string `json:"corr_id,omitempty"`
 }
 
-// LeaseResponse carries a lease, or none when the queue is dry. Draining
-// tells the worker the coordinator is shutting down and no further work
-// will ever arrive.
-type LeaseResponse struct {
-	SchemaVersion int    `json:"schema_version"`
-	Lease         *Lease `json:"lease,omitempty"`
-	Draining      bool   `json:"draining,omitempty"`
+type leaseResponse[C any] struct {
+	SchemaVersion int       `json:"schema_version"`
+	Lease         *lease[C] `json:"lease,omitempty"`
+	Draining      bool      `json:"draining,omitempty"`
 	// DoneStatus answers LeaseRequest.Done with the HTTP status a
 	// PathComplete request would have got: 200 accepted, 410 the lease
 	// was no longer held (expired, or this outcome was already applied
@@ -242,6 +257,85 @@ func (s StatsResponse) Summary() string {
 
 // stamp fills the schema version of an outgoing body.
 func stamp(v *int) { *v = schema.ServiceVersion }
+
+// bodyBufs recycles the buffers wire bodies are encoded into and decoded
+// from: a cell moves four bodies, and a fresh buffer for each was the
+// tier's largest source of garbage (EXPERIMENTS.md, "Profiling the
+// fleet").
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer kept for reuse, so that one huge
+// batch submission does not stay pinned in the pool.
+const maxPooledBody = 1 << 20
+
+func putBodyBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBody {
+		b.Reset()
+		bodyBufs.Put(b)
+	}
+}
+
+// readJSON decodes a whole body into v. Bytes after the JSON value other
+// than white space are refused, as json.Unmarshal refuses them.
+func readJSON(r io.Reader, v any) error {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer putBodyBuf(buf)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), v)
+}
+
+// jsonBody is a request body encoded into a recycled buffer, which Close
+// gives back. net/http closes a request body once it has written it,
+// possibly after Do has returned, so the buffer cannot go back sooner. It
+// reads and closes the body on one goroutine, its connection's write
+// loop, or closes it only after that loop has exited; nothing reads it
+// after Close.
+type jsonBody struct {
+	*bytes.Buffer // nil once closed
+}
+
+func encodeBody(v any) (*jsonBody, error) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		putBodyBuf(buf)
+		return nil, err
+	}
+	return &jsonBody{buf}, nil
+}
+
+func (b *jsonBody) Close() error {
+	if b.Buffer != nil {
+		putBodyBuf(b.Buffer)
+		b.Buffer = nil
+	}
+	return nil
+}
+
+// newRequest builds an API request carrying v as its JSON body (none for
+// nil v). The body's length is left unset, so it goes out chunked, written
+// straight from its buffer; given a length, net/http would copy a body of
+// a type it does not know through a fresh buffer of that length. net/http
+// calls GetBody to send a body again on a fresh connection; the first
+// copy's buffer may be back in the pool by then, so v is encoded again.
+func newRequest(ctx context.Context, method, url string, v any) (*http.Request, error) {
+	if v == nil {
+		return http.NewRequestWithContext(ctx, method, url, nil)
+	}
+	body, err := encodeBody(v)
+	if err != nil {
+		return nil, err
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		body.Close()
+		return nil, err
+	}
+	req.GetBody = func() (io.ReadCloser, error) { return encodeBody(v) }
+	req.Header.Set("Content-Type", "application/json")
+	return req, nil
+}
 
 // RemoteError is a classified failure returned by the client tier.
 // Transport faults and backpressure are transient (the campaign engine's

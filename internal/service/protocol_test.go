@@ -480,6 +480,36 @@ func TestV4RefusedByV3Coordinator(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesRefused: a body with anything but white space after
+// its JSON value — junk, or a second object — is refused with 400 at the
+// door and changes nothing, for a submission and a lease request alike.
+func TestTrailingBytesRefused(t *testing.T) {
+	coord, srv := startCoordinator(t, CoordinatorOptions{LeaseTTL: time.Second})
+	bodies := map[string]string{
+		PathSubmit: `{"schema_version":4,"cells":[]}`,
+		PathLease:  `{"schema_version":4,"worker_id":"w"}`,
+	}
+	for path, body := range bodies {
+		for name, tail := range map[string]string{"junk": " trailing junk {", "second object": body, "nothing": "\n"} {
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body+tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			want := http.StatusBadRequest
+			if name == "nothing" {
+				want = http.StatusOK
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s body followed by %s: HTTP %d, want %d", path, name, resp.StatusCode, want)
+			}
+		}
+	}
+	if st := coord.Stats(); st.Submitted != 0 || st.ActiveLeases != 0 {
+		t.Errorf("refused bodies left their mark: %+v", st)
+	}
+}
+
 // TestFinishedCellKeepsOnlyItsVerdict: the scheduling state of a cell —
 // its Cell and configuration above all — must be gone once the cell is
 // done or failed, the result must still be served, and a failed cell

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -437,15 +436,10 @@ func (w *Worker) post(path, corr string, body, out any) (int, error) {
 }
 
 func (w *Worker) postCtx(ctx context.Context, path, corr string, body, out any) (int, error) {
-	data, err := json.Marshal(body)
+	req, err := newRequest(ctx, http.MethodPost, w.opt.Server+path, body)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.Server+path, bytes.NewReader(data))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	if corr != "" {
 		req.Header.Set(obs.CorrHeader, corr)
 	}
@@ -458,7 +452,7 @@ func (w *Worker) postCtx(ctx context.Context, path, corr string, body, out any) 
 	case out == nil:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	case resp.StatusCode == http.StatusOK:
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := readJSON(resp.Body, out); err != nil {
 			return resp.StatusCode, err
 		}
 	default:

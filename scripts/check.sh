@@ -84,6 +84,14 @@ gate_exists TestFastForwardEquivalence ./internal/core/
 gate_exists TestFastForwardBudgetStops ./internal/core/
 gate_exists TestDeferredLoadHeldUntilWoken ./internal/core/
 
+echo "== fleet memory gates are still in the suite (they ran above, under ./...; both skip under -short, the retained-heap one under -race too) =="
+gate_exists TestFleetCellAllocBudget ./internal/service/
+gate_exists TestFleetCellRetainedHeap ./internal/service/
+
+echo "== requests waiting on one cell answer from the block its verdict left them, and the cell keeps no record (race, repeated) =="
+gate_exists TestWaitersAnswerFromTheFinishingBlock ./internal/service/
+go test -race -count=10 -run '^TestWaitersAnswerFromTheFinishingBlock$' ./internal/service/
+
 echo "== shared frozen memory images under concurrent clones (race, repeated) =="
 gate_exists TestMemoryFrozenConcurrentClones ./internal/isa
 go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
