@@ -1020,9 +1020,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 // deliver settles a worker's outcome and returns the HTTP status that
 // answers it: 200, or 410 for a lease no longer held. A record is encoded
-// once (the store file and every result response) and persisted between
-// claim and settle, outside the lock — a claimed cell is in no queue or
-// lease table — so no client sees "done" before the record is on disk.
+// once, for the store file and the answers to the cell's waiters, and
+// persisted between claim and settle, outside the lock — a claimed cell
+// is in no queue or lease table — so no client sees "done" before the
+// record is on disk.
 func (c *Coordinator) deliver(req *CompleteRequest) int {
 	now := time.Now()
 	c.mu.Lock()
