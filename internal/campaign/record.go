@@ -57,17 +57,24 @@ type recordWire Record
 // its fields require: v1 for plain cells (byte-identical to
 // pre-sampling encoders, so existing caches and fixtures stay valid),
 // v2 when sampling fields are present, v3 when workload identity fields
-// are present.
+// are present. A record that already carries its stamp — one decoded
+// from another encoding — is encoded in place, the rest from a stamped
+// copy.
 func (r *Record) MarshalJSON() ([]byte, error) {
-	w := recordWire(*r)
-	w.SchemaVersion = 1
-	if w.Sampling != nil {
-		w.SchemaVersion = 2
+	version := 1
+	if r.Sampling != nil {
+		version = 2
 	}
-	if w.Workload != "" || w.WorkloadID != "" {
-		w.SchemaVersion = schema.ResultVersion
+	if r.Workload != "" || r.WorkloadID != "" {
+		version = schema.ResultVersion
 	}
-	return json.Marshal(&w)
+	w := (*recordWire)(r)
+	if w.SchemaVersion != version {
+		stamped := *w
+		stamped.SchemaVersion = version
+		w = &stamped
+	}
+	return json.Marshal(w)
 }
 
 // UnmarshalJSON decodes a record, rejecting schema versions newer than

@@ -97,8 +97,8 @@ type svcCell struct {
 
 // inflight is a cell's scheduling state between submission and verdict.
 type inflight struct {
-	cell campaign.Cell
-	corr string // campaign correlation ID (empty when tracing is off)
+	cell *campaign.Cell // as its submission decoded it; never written
+	corr string         // campaign correlation ID (empty when tracing is off)
 
 	failures int // transient failures reported by workers
 	requeues int // lease expiries suffered
@@ -286,7 +286,7 @@ func (c *Coordinator) submit(now time.Time, cells []campaign.Cell, corr string, 
 	if c.queue.len()+c.cooling+need > c.opt.QueueCap {
 		return need, false
 	}
-	for i, cell := range cells {
+	for i := range cells {
 		a := &in[i]
 		sc, known := c.cells[a.id]
 		if !known {
@@ -297,7 +297,7 @@ func (c *Coordinator) submit(now time.Time, cells []campaign.Cell, corr string, 
 			continue
 		}
 		sc.attempts, sc.errMsg = 0, ""
-		sc.inflight = &inflight{cell: cell, corr: corr, queuedAt: now, done: make(chan struct{})}
+		sc.inflight = &inflight{cell: &cells[i], corr: corr, queuedAt: now, done: make(chan struct{})}
 		a.fl = sc.inflight
 		a.step = step{kind: stepQueued, cell: *sc, fresh: !known}
 		if a.hit != nil {
@@ -947,8 +947,7 @@ poll:
 		if resp.Draining = c.draining; !resp.Draining {
 			if s := c.lease(time.Now(), req.WorkerID, leaseID); s.kind != stepNone {
 				c.emit(s)
-				// The inflight block's cell is never written after submit.
-				resp.Lease = &lease[*campaign.Cell]{LeaseID: leaseID, CellID: s.cell.id, Cell: &s.cell.inflight.cell,
+				resp.Lease = &lease[*campaign.Cell]{LeaseID: leaseID, CellID: s.cell.id, Cell: s.cell.cell,
 					Attempt: s.cell.attempts, TTLMS: c.opt.LeaseTTL.Milliseconds()}
 				// The correlation ID arms worker-side spans: withheld, an
 				// untraced fleet stays span-free end to end.

@@ -150,7 +150,7 @@ func TestDisabledObsOverhead(t *testing.T) {
 func TestDisabledObsZeroAlloc(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Second})
 	defer c.Close()
-	sc := &svcCell{id: "cell", inflight: &inflight{cell: campaign.Cell{Bench: "gzip"}}}
+	sc := &svcCell{id: "cell", inflight: &inflight{cell: &campaign.Cell{Bench: "gzip"}}}
 	start := time.Now()
 
 	if n := testing.AllocsPerRun(1000, func() {
