@@ -288,10 +288,10 @@ func readJSON(r io.Reader, v any) error {
 
 // jsonBody is a request body encoded into a recycled buffer, which Close
 // gives back. net/http closes a request body once it has written it,
-// possibly after Do has returned, so the buffer cannot go back sooner. It
-// reads and closes the body on one goroutine, its connection's write
-// loop, or closes it only after that loop has exited; nothing reads it
-// after Close.
+// possibly after Do has returned, so the buffer cannot go back sooner.
+// Its HTTP/1 transport reads and closes a body on one goroutine, the
+// connection's write loop, or closes it only once that loop has exited,
+// so nothing reads the body after Close.
 type jsonBody struct {
 	*bytes.Buffer // nil once closed
 }
