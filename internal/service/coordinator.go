@@ -202,9 +202,10 @@ type Coordinator struct {
 	queue    cellQueue
 	cooling  int // cells waiting out a retry cool-down: in no queue, a timer each
 	leases   map[string]*svcCell
+	settling int           // claimed outcomes whose verdict waits on the store write
 	wake     chan struct{} // closed by the next enqueue; nil until a lease poll waits
 	draining bool
-	idle     chan struct{} // closed when a drain's last lease settles
+	idle     chan struct{} // closed when a drain's last lease has its verdict
 
 	// Counters, bumped by emit alone and read lock-free. instrs sums the
 	// completions' simulated instructions; modelPruned counts cells the
@@ -352,6 +353,7 @@ func (c *Coordinator) claim(now time.Time, req *CompleteRequest) (*svcCell, step
 	if !ok {
 		return nil, step{}
 	}
+	c.settling++
 	c.unlease(sc)
 	s := step{kind: stepClaimed, at: now, cell: *sc, worker: req.WorkerID,
 		err: req.Error, transient: req.Transient, spans: req.Spans}
@@ -373,6 +375,8 @@ func (c *Coordinator) claim(now time.Time, req *CompleteRequest) (*svcCell, step
 // for the step's delay, which the caller times before calling promote.
 func (c *Coordinator) settle(now time.Time, sc *svcCell, claimed step) step {
 	s := claimed
+	c.settling--
+	defer c.releaseDrain()
 	if s.kind = stepDone; s.err == "" {
 		sc.record = s.enc
 		if c.opt.Store == nil || s.putErr != nil {
@@ -438,11 +442,18 @@ func (c *Coordinator) wakePolls() {
 	}
 }
 
-// unlease drops a cell's lease; the last one out releases a waiting Drain.
+// unlease drops a cell's lease.
 func (c *Coordinator) unlease(sc *svcCell) {
 	delete(c.leases, sc.leaseID)
 	sc.leaseID = ""
-	if len(c.leases) == 0 && c.idle != nil {
+	c.releaseDrain()
+}
+
+// releaseDrain releases a waiting Drain once no lease is held and every
+// claimed outcome has its verdict: a drain that returned between claim
+// and settle would let the process exit before the record is stored.
+func (c *Coordinator) releaseDrain() {
+	if len(c.leases) == 0 && c.settling == 0 && c.idle != nil {
 		close(c.idle)
 		c.idle = nil
 	}
@@ -633,7 +644,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	c.draining = true
 	c.wakePolls()
-	inFlight := len(c.leases)
+	inFlight := len(c.leases) + c.settling
 	if inFlight > 0 && c.idle == nil {
 		c.idle = make(chan struct{})
 	}

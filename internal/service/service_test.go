@@ -328,6 +328,35 @@ func TestDrainGraceful(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForTheVerdict: an outcome claimed but not yet settled —
+// its record on its way to the store, outside the lock — holds a drain
+// as a lease does, so the process cannot exit before the record is
+// stored and the cell done.
+func TestDrainWaitsForTheVerdict(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
+	now := time.Now()
+	cell := testCell(32, "gzip")
+	c.mu.Lock()
+	c.submit(now, []campaign.Cell{cell}, "", []arrival{{id: cell.ID()}})
+	c.lease(now, "w", "lease-1")
+	sc, claimed := c.claim(now, &CompleteRequest{WorkerID: "w", LeaseID: "lease-1", Record: &campaign.Record{}})
+	c.mu.Unlock()
+	if sc == nil {
+		t.Fatal("lease not claimed")
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.Drain(expired); err == nil {
+		t.Fatal("drain returned while a claimed outcome awaited its verdict")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.settle(now, sc, claimed)
+	if sc.status != StatusDone || c.idle != nil {
+		t.Errorf("after the verdict: status %s, drain still held: %v", sc.status, c.idle != nil)
+	}
+}
+
 // TestCorruptCompletionRejected: a record naming the wrong cell must not
 // reach the store or waiters; the cell is re-dispatched and a healthy
 // worker's record wins.
