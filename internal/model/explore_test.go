@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -150,30 +151,69 @@ func TestExploreCostliestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, err := sp.collectProfiles(t.Logf)
+	want, err := batchOrders(sp, rep, oracleLPTOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := callIndices(rep, calls); !slices.Equal(got, want) {
+		t.Errorf("cells ran in order %v, want %v", got, want)
+	}
+}
+
+// batchOrders is the order one worker must run both batches' cells in
+// under order: the anchors on raw predictions, the second batch on
+// calibrated ones (the report's).
+func batchOrders(sp *Space, rep *Report, order func([]Point, []int) []int) ([]int, error) {
+	profiles, err := sp.oracleCollectProfiles()
+	if err != nil {
+		return nil, err
+	}
 	nb := len(sp.Benches)
+	raw := slices.Clone(rep.Points)
+	var anchors, second []int
+	for idx := range raw {
+		raw[idx].Pred = Predict(profiles[idx], sp.Configs[idx/nb])
+		switch {
+		case rep.Points[idx].Anchor:
+			anchors = append(anchors, idx)
+		case rep.Points[idx].Simulated:
+			second = append(second, idx)
+		}
+	}
+	return append(order(raw, anchors), order(rep.Points, second)...), nil
+}
+
+// callIndices maps "config|bench" calls to report cell indices.
+func callIndices(rep *Report, calls []string) []int {
 	index := map[string]int{}
 	for idx, pt := range rep.Points {
 		index[pt.Config+"|"+pt.Bench] = idx
 	}
-	// The anchors run on raw predictions, the second batch on calibrated
-	// ones (the report's).
-	cost := func(k int) float64 {
-		idx := index[calls[k]]
-		if k < rep.Anchors {
-			return Predict(profiles[idx], sp.Configs[idx/nb]).Cycles
-		}
-		return rep.Points[idx].Pred.Cycles
+	out := make([]int, len(calls))
+	for k, c := range calls {
+		out[k] = index[c]
 	}
-	for k := 1; k < len(calls); k++ {
-		if k == rep.Anchors {
-			continue // a new batch
+	return out
+}
+
+// TestCollectProfilesMatchesSerial: the profiling phase gives the serial
+// loop's profiles at every width.
+func TestCollectProfilesMatchesSerial(t *testing.T) {
+	sp := batchTestSpace(fakeExec, 1)
+	sp.Benches = append(sp.Benches, "gzip", "mst")
+	sp.ProfileInstr = 20_000
+	want, err := sp.oracleCollectProfiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 3, 0} {
+		sp.workers = w
+		got, err := sp.collectProfiles(func(string, ...any) {})
+		if err != nil {
+			t.Fatalf("%d workers: %v", w, err)
 		}
-		if a, b := cost(k-1), cost(k); a < b || (a == b && index[calls[k-1]] > index[calls[k]]) {
-			t.Errorf("call %d (%s, %.0f cycles) ran before call %d (%s, %.0f cycles)", k-1, calls[k-1], a, k, calls[k], b)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers: profiles differ from the serial loop's", w)
 		}
 	}
 }
