@@ -1,8 +1,9 @@
-// Package flight is the campaign tier's one single-flight memo: "resolve
-// this content ID at most once, and hand every asker the same answer".
-// The engine's cells, the checkpoint cache and the harness session's
-// program lengths and resolved workloads are each a Memo keyed by a
-// content ID.
+// Package flight is the campaign tier's single-flight: "resolve this
+// content ID at most once, and hand every asker the same answer". The
+// engine's cells, the checkpoint cache and the harness session's program
+// lengths and resolved workloads are each a Memo keyed by a content ID;
+// the programs of the cells in flight are a Shared table, which forgets a
+// key once nothing holds it.
 package flight
 
 import "sync"

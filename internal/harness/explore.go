@@ -58,7 +58,9 @@ func ExploreGrid() []core.Config {
 // Simulated cells route through Session.Run, so they carry ordinary
 // content-addressed cell IDs — cached, resumable, and shared with full
 // sweeps of the same grid — and each phase's cells reach the engine
-// together, and the engine's pool bounds how many run at once. Pruned and
+// together, and the engine's pool bounds how many run at once. A batch
+// runs a workload's cells back to back and holds its program in the
+// session's table across them, so they share one build. Pruned and
 // audited counts surface on the campaign progress line via the engine's
 // model counters.
 func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report, error) {
@@ -87,6 +89,9 @@ func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report
 				return 0, 0, err
 			}
 			return uint64(r.Stats.Cycles), r.IPC, nil
+		},
+		Hold: func(bench string) func() {
+			return s.programs.Hold(programKey(srcs[byBench[bench]], s.opt.Scale))
 		},
 		Notify: func(pruned, audited int) {
 			s.eng.AddModelPruned(uint64(pruned))

@@ -149,6 +149,11 @@ type Session struct {
 	// sources memoizes resolved workload refs ("trace:...") so a campaign
 	// of N cells over one trace file decodes it once, not N times.
 	sources flight.Memo[workload.Source]
+
+	// programs shares one build of a program, by "identity/scale", among
+	// the cells that run it at the same time, and forgets it once none
+	// does: a session-lifetime memo would keep every program of a sweep.
+	programs flight.Shared[*isa.Program]
 }
 
 // NewSession creates a harness session. When opt.CacheDir is set, the
@@ -326,7 +331,9 @@ func (s *Session) ExecCell(cell campaign.Cell) (*campaign.Record, error) {
 // session engine's counters so a local sampled campaign's progress line
 // shows interval k/N.
 //
-// Every cell is one shape: resolve the workload, build the program, run
+// Every cell is one shape: resolve the workload, take its program from
+// the session's table of programs in flight (building it unless a cell
+// running now already has), run
 // either one detailed window (core.RunWindow, from the session's shared
 // checkpoint when the cell skips) or the cell's sampling plan
 // (sample.Run, many windows), and map the outcome onto a Record.
@@ -341,7 +348,9 @@ func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done,
 		return nil, err
 	}
 	cfg := cell.Config
-	prog, err := src.Build(cell.Scale)
+	key := programKey(src, cell.Scale)
+	prog, release, err := s.programs.Acquire(key, func() (*isa.Program, error) { return src.Build(cell.Scale) })
+	defer release()
 	if err != nil {
 		return nil, fmt.Errorf("harness: building %s: %w", resultKey(src), err)
 	}
@@ -349,7 +358,7 @@ func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done,
 	if cell.Sampling != nil {
 		plan := *cell.Sampling
 		if !plan.Resolved() {
-			total, err, _ := s.progLen.Do(src.Identity()+"/"+cell.Scale.String(),
+			total, err, _ := s.progLen.Do(key,
 				func() (uint64, error) { return sample.ProgramLength(prog) })
 			if err != nil {
 				return nil, err
@@ -441,6 +450,12 @@ func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done,
 			src.Name(), cfg.Name, rec.IPC, rec.Stats.Cycles, rec.DL1Miss, rec.L2Local)
 	}
 	return rec, nil
+}
+
+// programKey names a program in the session's tables: one per workload
+// content and scale.
+func programKey(src workload.Source, scale workload.Scale) string {
+	return src.Identity() + "/" + scale.String()
 }
 
 // runContext derives one cell's simulation context from the session's:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -56,10 +57,19 @@ type Space struct {
 	Notify func(pruned, audited int)
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
+	// Hold, when set, is called as a batch starts the first of a bench's
+	// cells, and the release it returns once the last of them has ended.
+	// A batch runs a bench's cells back to back, so an Exec that shares
+	// one built program among the cells in flight keeps it across them.
+	Hold func(bench string) (release func())
 
-	// workers bounds how many Exec calls are in flight; 0 is
-	// runtime.GOMAXPROCS(0). Tests pin it to fix the width.
+	// workers bounds how many Exec calls and profiling passes are in
+	// flight; 0 is runtime.GOMAXPROCS(0). Tests pin it to fix the width.
 	workers int
+	// order sequences a batch's cells; nil is programMajor. Tests swap in
+	// the plain longest-first order to show the Report does not depend on
+	// it.
+	order func(points []Point, cells []int) []int
 }
 
 // Point is one cell of the exploration report.
@@ -133,6 +143,9 @@ func CacheBudget(cfg core.Config) int {
 // ci*len(Benches)+bi), collecting one per bench and distinct family: a
 // profile depends on the program and on the cache hierarchy and predictor
 // geometry Collect runs it against, and on nothing else in the config.
+// Benches are profiled on up to s.workers goroutines, each into its own
+// slots; the log lines follow in bench order after the join, up to the
+// first bench that failed, whose error is returned.
 func (s *Space) collectProfiles(logf func(string, ...any)) ([]*Profile, error) {
 	family := make([]string, len(s.Configs))
 	for ci, cfg := range s.Configs {
@@ -140,34 +153,73 @@ func (s *Space) collectProfiles(logf func(string, ...any)) ([]*Profile, error) {
 	}
 	nb := len(s.Benches)
 	profiles := make([]*Profile, len(s.Configs)*nb)
-	for bi, bench := range s.Benches {
-		src, err := workload.ParseRef(bench)
-		if err != nil {
-			return nil, fmt.Errorf("model: explore workload %q: %w", bench, err)
-		}
-		prog, err := src.Build(s.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("model: building %q: %w", bench, err)
-		}
-		byFamily := map[string]*Profile{}
-		for ci, cfg := range s.Configs {
-			p := byFamily[family[ci]]
-			if p == nil {
-				p, err = Collect(prog, s.Scale.String(), CollectOptions{
-					MaxInstr: s.ProfileInstr,
-					Mem:      cfg.Mem,
-					Bpred:    cfg.Bpred,
-				})
-				if err != nil {
-					return nil, err
-				}
-				byFamily[family[ci]] = p
+	errs := make([]error, nb)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(s.width(), nb) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for bi := int(next.Add(1) - 1); bi < nb; bi = int(next.Add(1) - 1) {
+				errs[bi] = s.profileBench(bi, family, profiles)
 			}
-			profiles[ci*nb+bi] = p
+		}()
+	}
+	wg.Wait()
+	for bi, bench := range s.Benches {
+		if errs[bi] != nil {
+			return nil, errs[bi]
 		}
 		logf("model: profiled %s", bench)
 	}
 	return profiles, nil
+}
+
+// profileBench builds bench bi and fills its column of profiles, one
+// Collect per distinct family. A panic is returned as an error carrying
+// its stack: it happens on a worker goroutine, where the caller could not
+// recover it.
+func (s *Space) profileBench(bi int, family []string, profiles []*Profile) (err error) {
+	bench := s.Benches[bi]
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("model: profiling %q: panic: %v\n%s", bench, r, debug.Stack())
+		}
+	}()
+	src, err := workload.ParseRef(bench)
+	if err != nil {
+		return fmt.Errorf("model: explore workload %q: %w", bench, err)
+	}
+	prog, err := src.Build(s.Scale)
+	if err != nil {
+		return fmt.Errorf("model: building %q: %w", bench, err)
+	}
+	nb := len(s.Benches)
+	byFamily := map[string]*Profile{}
+	for ci, cfg := range s.Configs {
+		p := byFamily[family[ci]]
+		if p == nil {
+			p, err = Collect(prog, s.Scale.String(), CollectOptions{
+				MaxInstr: s.ProfileInstr,
+				Mem:      cfg.Mem,
+				Bpred:    cfg.Bpred,
+			})
+			if err != nil {
+				return err
+			}
+			byFamily[family[ci]] = p
+		}
+		profiles[ci*nb+bi] = p
+	}
+	return nil
+}
+
+// width is how many goroutines a phase fans out on.
+func (s *Space) width() int {
+	if s.workers > 0 {
+		return s.workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // Explore runs the model-pruned sweep: profile once per (bench, cache
@@ -387,47 +439,80 @@ func (s *Space) Explore() (*Report, error) {
 	return rep, nil
 }
 
-// simulate runs Exec on cells (index ci*len(Benches)+bi) as one batch:
-// up to s.workers calls in flight, the costliest predicted cell first
-// (longest-processing-time order, ties to the lower index), each worker
-// writing only its own cell's measurement. The cells are marked simulated
-// after the join. A failure skips the batch's cells above its index but
-// not those below, so the error returned is the lowest-index failing
-// cell's whatever the completion order.
-func (s *Space) simulate(points []Point, cells []int, rep *Report) error {
+// programMajor orders a batch bench by bench: benches by their cells'
+// summed predicted cycles, costliest first (ties to the lower bench
+// index), and within a bench its cells longest predicted time first (ties
+// to the lower cell index). Each bench's cells are contiguous, so the
+// workers hold one program between them instead of one each.
+func (s *Space) programMajor(points []Point, cells []int) []int {
+	nb := len(s.Benches)
+	cost := make([]float64, nb)
+	for _, idx := range cells {
+		cost[idx%nb] += points[idx].Pred.Cycles
+	}
 	order := slices.Clone(cells)
 	slices.SortFunc(order, func(a, b int) int {
+		if ba, bb := a%nb, b%nb; ba != bb {
+			if c := cmp.Compare(cost[bb], cost[ba]); c != 0 {
+				return c
+			}
+			return ba - bb
+		}
 		if c := cmp.Compare(points[b].Pred.Cycles, points[a].Pred.Cycles); c != 0 {
 			return c
 		}
 		return a - b
 	})
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	return order
+}
+
+// simulate runs Exec on cells (index ci*len(Benches)+bi) as one batch, in
+// programMajor order: up to s.workers calls in flight, each worker writing
+// only its own cell's measurement, and each bench held (Space.Hold) from
+// the dispatch of its first cell to the end of its last. The cells are
+// marked simulated after the join. A failure skips the batch's cells above
+// its index but not those below, so the error returned is the lowest-index
+// failing cell's whatever the completion order.
+func (s *Space) simulate(points []Point, cells []int, rep *Report) error {
+	order := s.order
+	if order == nil {
+		order = s.programMajor
 	}
+	cells = order(points, cells)
 	nb := len(s.Benches)
+	left := make([]atomic.Int32, nb)
+	for _, idx := range cells {
+		left[idx%nb].Add(1)
+	}
+	releases := make([]func(), nb)
+	var mu sync.Mutex // orders a bench's Hold before the dispatch of its other cells
+	next := 0
+	take := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if next == len(cells) {
+			return 0, false
+		}
+		idx := cells[next]
+		next++
+		if bi := idx % nb; s.Hold != nil && releases[bi] == nil {
+			releases[bi] = s.Hold(s.Benches[bi])
+		}
+		return idx, true
+	}
 	errs := make([]error, len(points))
-	var next, lowest atomic.Int64
+	var lowest atomic.Int64
 	lowest.Store(int64(len(points)))
 	var wg sync.WaitGroup
-	for range min(workers, len(order)) {
+	for range min(s.width(), len(cells)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := next.Add(1) - 1; k < int64(len(order)); k = next.Add(1) - 1 {
-				idx := order[k]
-				if int64(idx) > lowest.Load() {
-					continue
+			for idx, ok := take(); ok; idx, ok = take() {
+				s.exec(points, idx, errs, &lowest)
+				if bi := idx % nb; left[bi].Add(-1) == 0 && s.Hold != nil {
+					releases[bi]()
 				}
-				cycles, ipc, err := s.Exec(s.Configs[idx/nb], s.Benches[idx%nb])
-				if err != nil {
-					errs[idx] = err
-					for cur := lowest.Load(); int64(idx) < cur && !lowest.CompareAndSwap(cur, int64(idx)); cur = lowest.Load() {
-					}
-					continue
-				}
-				points[idx].SimCycles, points[idx].SimIPC = cycles, ipc
 			}
 		}()
 	}
@@ -441,6 +526,23 @@ func (s *Space) simulate(points []Point, cells []int, rep *Report) error {
 	}
 	rep.Simulated += len(cells)
 	return nil
+}
+
+// exec runs one cell of a batch unless a lower-index cell has failed,
+// recording its measurement or its error.
+func (s *Space) exec(points []Point, idx int, errs []error, lowest *atomic.Int64) {
+	if int64(idx) > lowest.Load() {
+		return
+	}
+	nb := len(s.Benches)
+	cycles, ipc, err := s.Exec(s.Configs[idx/nb], s.Benches[idx%nb])
+	if err != nil {
+		errs[idx] = err
+		for cur := lowest.Load(); int64(idx) < cur && !lowest.CompareAndSwap(cur, int64(idx)); cur = lowest.Load() {
+		}
+		return
+	}
+	points[idx].SimCycles, points[idx].SimIPC = cycles, ipc
 }
 
 func abs(x float64) float64 {

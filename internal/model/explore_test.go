@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -134,11 +135,36 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 			t.Errorf("%d workers: report differs from the serial one", par)
 		}
 	}
+	// The batch order is a schedule, not an input: the plain longest-first
+	// order gives the same Report.
+	for _, par := range []int{1, 2} {
+		sp := batchTestSpace(fakeExec, par)
+		sp.order = oracleLPTOrder
+		got, err := sp.Explore()
+		if err != nil {
+			t.Fatalf("LPT order, %d workers: %v", par, err)
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("LPT order, %d workers: report differs from the program-major one", par)
+		}
+	}
+	for _, o := range completionOrders() {
+		sp := batchTestSpace(newGatedExec(fakeExec, sizes, o.perm).call, len(serial.Points))
+		sp.order = oracleLPTOrder
+		got, err := sp.Explore()
+		if err != nil {
+			t.Fatalf("LPT order, %s: %v", o.name, err)
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("LPT order, %s completion order: report differs from the program-major one", o.name)
+		}
+	}
 }
 
-// TestExploreCostliestFirst: one worker takes each batch's cells in
-// descending predicted cycles, ties to the lower cell index.
-func TestExploreCostliestFirst(t *testing.T) {
+// TestExploreProgramMajor: one worker takes each batch's cells bench by
+// bench, benches by summed predicted cycles and each bench's cells by
+// their own, costliest first and ties to the lower index.
+func TestExploreProgramMajor(t *testing.T) {
 	var mu sync.Mutex
 	var calls []string
 	sp := batchTestSpace(func(cfg core.Config, bench string) (uint64, float64, error) {
@@ -151,12 +177,82 @@ func TestExploreCostliestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := batchOrders(sp, rep, oracleLPTOrder)
+	nb := len(sp.Benches)
+	// The oracle's order, stably regrouped by bench: benches by summed
+	// cost, longest first, ties to the lower bench index.
+	programMajor := func(points []Point, cells []int) []int {
+		lpt := oracleLPTOrder(points, cells)
+		cost := make([]float64, nb)
+		for _, idx := range cells {
+			cost[idx%nb] += points[idx].Pred.Cycles
+		}
+		benches := make([]int, nb)
+		for bi := range benches {
+			benches[bi] = bi
+		}
+		sort.SliceStable(benches, func(a, b int) bool { return cost[benches[a]] > cost[benches[b]] })
+		var out []int
+		for _, bi := range benches {
+			for _, idx := range lpt {
+				if idx%nb == bi {
+					out = append(out, idx)
+				}
+			}
+		}
+		return out
+	}
+	want, err := batchOrders(sp, rep, programMajor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := callIndices(rep, calls); !slices.Equal(got, want) {
 		t.Errorf("cells ran in order %v, want %v", got, want)
+	}
+}
+
+// TestExploreHoldsEachBenchAcrossItsCells: every Exec of a bench runs
+// inside a hold on it, each batch holds each of its benches once, and no
+// hold outlives its batch — at most as many benches are held at once as
+// there are workers.
+func TestExploreHoldsEachBenchAcrossItsCells(t *testing.T) {
+	for _, w := range []int{1, 2, 3} {
+		var mu sync.Mutex
+		held := map[string]int{}
+		holds, peak := 0, 0
+		sp := batchTestSpace(func(cfg core.Config, bench string) (uint64, float64, error) {
+			mu.Lock()
+			if held[bench] == 0 {
+				t.Errorf("%d workers: %s × %s ran outside a hold on its bench", w, cfg.Name, bench)
+			}
+			mu.Unlock()
+			return fakeExec(cfg, bench)
+		}, w)
+		sp.Hold = func(bench string) func() {
+			mu.Lock()
+			defer mu.Unlock()
+			held[bench]++
+			holds++
+			peak = max(peak, len(held))
+			return func() {
+				mu.Lock()
+				defer mu.Unlock()
+				if held[bench]--; held[bench] == 0 {
+					delete(held, bench)
+				}
+			}
+		}
+		if _, err := sp.Explore(); err != nil {
+			t.Fatal(err)
+		}
+		if len(held) != 0 {
+			t.Errorf("%d workers: holds left after the pass: %v", w, held)
+		}
+		if want := 2 * len(sp.Benches); holds != want {
+			t.Errorf("%d workers: %d holds over two batches of %d benches, want %d", w, holds, len(sp.Benches), want)
+		}
+		if peak > w {
+			t.Errorf("%d workers: %d benches held at once", w, peak)
+		}
 	}
 }
 

@@ -44,6 +44,7 @@ import (
 
 	"largewindow/internal/core"
 	"largewindow/internal/emu"
+	"largewindow/internal/flight"
 	"largewindow/internal/isa"
 	"largewindow/internal/model"
 	"largewindow/internal/sample"
@@ -376,7 +377,12 @@ func SimulateContext(ctx context.Context, cfg Config, prog *Program, opts ...Opt
 	if o.workload != nil {
 		bench, scale = o.workload.Name(), o.workloadScale.String()
 	}
-	ctx = core.WithLabels(ctx, bench, scale)
+	return simulate(core.WithLabels(ctx, bench, scale), cfg, prog, &o)
+}
+
+// simulate is SimulateContext once the program is built and ctx carries
+// the run's labels.
+func simulate(ctx context.Context, cfg Config, prog *Program, o *simOptions) (*Result, error) {
 	if o.sampling != nil {
 		out, err := sample.Run(ctx, cfg, prog, *o.sampling, o.maxCycles, nil)
 		if err != nil {
@@ -421,16 +427,20 @@ type ExploreReport = model.Report
 // calibration anchors, the predicted-best configs, and an audit slice
 // that measures live model error (see WithModelPrune). The simulated
 // cells run in two batches (anchors, then the best configs and the audit
-// slice), up to runtime.GOMAXPROCS(0) cells at a time. WithMaxInstr
-// bounds both the profiling pass and each simulated cell;
-// WithWorkloadScale sets the kernel scale. Cancelling ctx stops the cells
-// in flight and the rest of their batch; ExploreContext returns once
-// every cell has stopped.
+// slice), up to runtime.GOMAXPROCS(0) cells at a time; a batch runs a
+// workload's cells back to back, and they share one build of its
+// program. WithMaxInstr bounds both the profiling pass and each simulated
+// cell; WithWorkloadScale sets the kernel scale. Cancelling ctx stops the
+// cells in flight and the rest of their batch; ExploreContext returns
+// once every cell has stopped.
 func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts ...Option) (*ExploreReport, error) {
 	var o simOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
+	// The programs of the cells in flight, one build each, by ref: the
+	// scale is the call's.
+	var progs flight.Shared[*Program]
 	space := &model.Space{
 		Configs:      cfgs,
 		Benches:      workloads,
@@ -447,14 +457,19 @@ func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts
 			if err != nil {
 				return 0, 0, err
 			}
-			res, err := SimulateContext(ctx, cfg, nil,
-				WithWorkload(src, o.workloadScale),
-				WithMaxInstr(o.maxInstr), WithMaxCycles(o.maxCycles))
+			prog, release, err := progs.Acquire(bench, func() (*Program, error) { return src.Build(o.workloadScale) })
+			defer release()
+			if err != nil {
+				return 0, 0, fmt.Errorf("largewindow: building workload %s: %w", src.Ref(), err)
+			}
+			res, err := simulate(core.WithLabels(ctx, src.Name(), o.workloadScale.String()), cfg, prog,
+				&simOptions{maxInstr: o.maxInstr, maxCycles: o.maxCycles})
 			if err != nil {
 				return 0, 0, err
 			}
 			return uint64(res.Stats.Cycles), res.IPC(), nil
 		},
+		Hold: progs.Hold,
 	}
 	return space.Explore()
 }
