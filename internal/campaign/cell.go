@@ -14,10 +14,12 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"largewindow/internal/core"
 	"largewindow/internal/sample"
@@ -82,9 +84,13 @@ type cellKey struct {
 // far beyond collision range for any realizable campaign size.
 const idHexLen = 32
 
-// ID returns the cell's stable content-addressed identity.
+// ID returns the cell's stable content-addressed identity: the first 16
+// bytes of the SHA-256 of the key's JSON encoding, in hex.
 func (c Cell) ID() string {
-	data, err := json.Marshal(cellKey{
+	e := idEncoders.Get().(*idEncoder)
+	defer idEncoders.Put(e)
+	e.buf.Reset()
+	e.key = cellKey{
 		Config:    c.Config,
 		Bench:     c.Bench,
 		Scale:     c.Scale.String(),
@@ -93,14 +99,34 @@ func (c Cell) ID() string {
 		SkipInstr: c.SkipInstr,
 		Sampling:  c.Sampling,
 		Workload:  c.WorkloadID,
-	})
+	}
+	err := e.enc.Encode(&e.key)
+	e.key = cellKey{} // the pool keeps no config alive
 	if err != nil {
 		// Config is a plain data struct; this cannot fail on real inputs.
 		panic(fmt.Sprintf("campaign: canonicalizing cell: %v", err))
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])[:idHexLen]
+	data := e.buf.Bytes()
+	sum := sha256.Sum256(data[:len(data)-1]) // Encode ends the value with a newline
+	var id [idHexLen]byte
+	hex.Encode(id[:], sum[:idHexLen/2])
+	return string(id[:])
 }
+
+// idEncoder is one cell ID's scratch: the key, the buffer it is encoded
+// into and the encoder writing there. json.Marshal would box the key,
+// and copy its output out of a buffer of its own, on every call.
+type idEncoder struct {
+	key cellKey
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var idEncoders = sync.Pool{New: func() any {
+	e := new(idEncoder)
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
 
 // label names the cell's workload in log lines: the kernel name for a
 // registry kernel, the ref for any other workload.
