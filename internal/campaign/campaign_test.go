@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"largewindow/internal/core"
+	"largewindow/internal/sample"
 	"largewindow/internal/workload"
 )
 
@@ -94,6 +95,32 @@ func TestRecordRoundTrip(t *testing.T) {
 	rec.SchemaVersion = 0
 	if fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", *rec) {
 		t.Errorf("round trip mismatch:\n in=%+v\nout=%+v", *rec, back)
+	}
+}
+
+// TestRecordEncodesOnce: the record's own encoder already gives the bytes
+// json.Marshal would (compact, HTML-escaped), so the store and the
+// coordinator call it directly.
+func TestRecordEncodesOnce(t *testing.T) {
+	plain, _ := fakeExec(testCell("<a&b>", 64, "gzip"))
+	plain.CellID = "abc123"
+	sampled := *plain
+	sampled.Sampling = &sample.Plan{Intervals: 4, Period: 2000, Length: 200}
+	sampled.IntervalIPCs = []float64{1.25, 0.5, 1e-9, 3}
+	external := *plain
+	external.Workload, external.WorkloadID = "trace:/tmp/<x>&y\u2028.wtr", "trace:sha256:00"
+	for _, rec := range []*Record{plain, &sampled, &external} {
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rec.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("MarshalJSON differs from json.Marshal:\n got %s\nwant %s", got, want)
+		}
 	}
 }
 

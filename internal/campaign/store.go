@@ -82,7 +82,9 @@ func (s *Store) Put(rec *Record) error {
 	if rec.CellID == "" {
 		return fmt.Errorf("campaign: record without a cell ID")
 	}
-	data, err := json.Marshal(rec)
+	// MarshalJSON's output is already compact and HTML-escaped: through
+	// json.Marshal it would only be scanned and copied once more.
+	data, err := rec.MarshalJSON()
 	if err != nil {
 		return fmt.Errorf("campaign: encoding %s: %w", rec.CellID, err)
 	}
@@ -90,7 +92,7 @@ func (s *Store) Put(rec *Record) error {
 }
 
 // PutEncoded is Put for a record the caller already holds as
-// json.Marshal(rec): the file is byte-identical to the one Put writes
+// rec.MarshalJSON(): the file is byte-identical to the one Put writes
 // (the compact encoding, indented). The service coordinator encodes a
 // finished record once and gives the same bytes to the store and to the
 // requests waiting on the cell.

@@ -1047,7 +1047,7 @@ func (c *Coordinator) deliver(req *CompleteRequest) int {
 		c.mu.Unlock()
 		rec := req.Record
 		rec.CellID = sc.id
-		if enc, err := json.Marshal(rec); err != nil {
+		if enc, err := rec.MarshalJSON(); err != nil {
 			s.err, s.transient = fmt.Sprintf("record does not encode: %v", err), false
 		} else if s.enc, s.n = enc, rec.Stats.Committed; c.opt.Store != nil {
 			s.since = time.Now()
