@@ -24,7 +24,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return synthSource{spec: s}, nil
+		return newSynthSource(s), nil
 	})
 }
 
@@ -88,13 +88,21 @@ func (f *fileSource) Build(workload.Scale) (*isa.Program, error) {
 // synthSource is the workload.Source over a parameterized synthetic
 // spec. Identity is the canonical spec string itself — the spec IS the
 // content, no hashing needed — so any spelling of equal parameters
-// shares cells.
-type synthSource struct{ spec SynthSpec }
+// shares cells. Ref is the same string. Both, and the name, are
+// formatted once when the ref is parsed: a sweep asks for them per cell.
+type synthSource struct {
+	spec      SynthSpec
+	ref, name string
+}
 
-func (s synthSource) Name() string          { return s.spec.Name() }
+func newSynthSource(spec SynthSpec) synthSource {
+	return synthSource{spec: spec, ref: "synth:" + spec.Canonical(), name: spec.Name()}
+}
+
+func (s synthSource) Name() string          { return s.name }
 func (s synthSource) Suite() workload.Suite { return workload.SuiteExternal }
-func (s synthSource) Ref() string           { return "synth:" + s.spec.Canonical() }
-func (s synthSource) Identity() string      { return "synth:" + s.spec.Canonical() }
+func (s synthSource) Ref() string           { return s.ref }
+func (s synthSource) Identity() string      { return s.ref }
 
 func (s synthSource) Build(workload.Scale) (*isa.Program, error) {
 	return s.spec.Build()

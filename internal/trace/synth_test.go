@@ -197,4 +197,12 @@ func TestSynthSourceIdentity(t *testing.T) {
 	if workload.IsBench(a) {
 		t.Error("synth source claims to be a bench kernel")
 	}
+	// The strings are formatted once, at parse time, from the spec.
+	spec, err := ParseSynth("miss=0.10,mlp=4,ws=256k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "synth:" + spec.Canonical(); a.Ref() != want || a.Identity() != want || a.Name() != spec.Name() {
+		t.Errorf("synth source ref %q identity %q name %q, want %q, %q, %q", a.Ref(), a.Identity(), a.Name(), want, want, spec.Name())
+	}
 }
