@@ -57,8 +57,8 @@ type Space struct {
 	Notify func(pruned, audited int)
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-	// Hold, when set, is called as a batch starts the first of a bench's
-	// cells, and the release it returns once the last of them has ended.
+	// Hold, when set, is called before a batch starts the first of a
+	// bench's cells, and the release it returns once the last has ended.
 	// A batch runs a bench's cells back to back, so an Exec that shares
 	// one built program among the cells in flight keeps it across them.
 	Hold func(bench string) (release func())
@@ -143,9 +143,10 @@ func CacheBudget(cfg core.Config) int {
 // ci*len(Benches)+bi), collecting one per bench and distinct family: a
 // profile depends on the program and on the cache hierarchy and predictor
 // geometry Collect runs it against, and on nothing else in the config.
-// Benches are profiled on up to s.workers goroutines, each into its own
-// slots; the log lines follow in bench order after the join, up to the
-// first bench that failed, whose error is returned.
+// Benches are profiled on up to s.workers goroutines, the caller's among
+// them, each into its own slots; the log lines follow in bench order
+// after the join, up to the first bench that failed, whose error is
+// returned.
 func (s *Space) collectProfiles(logf func(string, ...any)) ([]*Profile, error) {
 	family := make([]string, len(s.Configs))
 	for ci, cfg := range s.Configs {
@@ -155,16 +156,20 @@ func (s *Space) collectProfiles(logf func(string, ...any)) ([]*Profile, error) {
 	profiles := make([]*Profile, len(s.Configs)*nb)
 	errs := make([]error, nb)
 	var next atomic.Int64
+	work := func() {
+		for bi := int(next.Add(1) - 1); bi < nb; bi = int(next.Add(1) - 1) {
+			errs[bi] = s.profileBench(bi, family, profiles)
+		}
+	}
 	var wg sync.WaitGroup
-	for range min(s.width(), nb) {
+	for range min(s.width(), nb) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for bi := int(next.Add(1) - 1); bi < nb; bi = int(next.Add(1) - 1) {
-				errs[bi] = s.profileBench(bi, family, profiles)
-			}
+			work()
 		}()
 	}
+	work() // the caller is one of the workers
 	wg.Wait()
 	for bi, bench := range s.Benches {
 		if errs[bi] != nil {
@@ -469,7 +474,7 @@ func (s *Space) programMajor(points []Point, cells []int) []int {
 // simulate runs Exec on cells (index ci*len(Benches)+bi) as one batch, in
 // programMajor order: up to s.workers calls in flight, each worker writing
 // only its own cell's measurement, and each bench held (Space.Hold) from
-// the dispatch of its first cell to the end of its last. The cells are
+// before its first cell starts to the end of its last. The cells are
 // marked simulated after the join. A failure skips the batch's cells above
 // its index but not those below, so the error returned is the lowest-index
 // failing cell's whatever the completion order.
@@ -484,33 +489,26 @@ func (s *Space) simulate(points []Point, cells []int, rep *Report) error {
 	for _, idx := range cells {
 		left[idx%nb].Add(1)
 	}
+	// A bench's hold is taken once, before any of its cells runs, and
+	// released by whichever worker ends its last cell.
+	holds := make([]sync.Once, nb)
 	releases := make([]func(), nb)
-	var mu sync.Mutex // orders a bench's Hold before the dispatch of its other cells
-	next := 0
-	take := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next == len(cells) {
-			return 0, false
-		}
-		idx := cells[next]
-		next++
-		if bi := idx % nb; s.Hold != nil && releases[bi] == nil {
-			releases[bi] = s.Hold(s.Benches[bi])
-		}
-		return idx, true
-	}
 	errs := make([]error, len(points))
-	var lowest atomic.Int64
+	var next, lowest atomic.Int64
 	lowest.Store(int64(len(points)))
 	var wg sync.WaitGroup
 	for range min(s.width(), len(cells)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx, ok := take(); ok; idx, ok = take() {
+			for k := next.Add(1) - 1; k < int64(len(cells)); k = next.Add(1) - 1 {
+				idx := cells[k]
+				bi := idx % nb
+				if s.Hold != nil {
+					holds[bi].Do(func() { releases[bi] = s.Hold(s.Benches[bi]) })
+				}
 				s.exec(points, idx, errs, &lowest)
-				if bi := idx % nb; left[bi].Add(-1) == 0 && s.Hold != nil {
+				if left[bi].Add(-1) == 0 && s.Hold != nil {
 					releases[bi]()
 				}
 			}
