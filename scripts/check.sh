@@ -96,9 +96,15 @@ echo "== shared frozen memory images under concurrent clones (race, repeated) ==
 gate_exists TestMemoryFrozenConcurrentClones ./internal/isa
 go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
 
-echo "== explorer batches in any completion order give the serial report (race, repeated) =="
+echo "== explorer batches in any completion order give the serial report; parallel profiling gives the serial loop's profiles (race, repeated) =="
 gate_exists TestExploreParallelMatchesSerial ./internal/model
-go test -race -count=10 -run '^TestExploreParallelMatchesSerial$' ./internal/model
+gate_exists TestCollectProfilesMatchesSerial ./internal/model
+go test -race -count=10 -run '^(TestExploreParallelMatchesSerial|TestCollectProfilesMatchesSerial)$' ./internal/model
+
+echo "== cells in flight share one program build, and a panicking build fails every waiter (race, repeated) =="
+gate_exists TestCellsInFlightShareOneBuild ./internal/harness
+gate_exists TestBuildPanicReachesEveryCell ./internal/harness
+go test -race -count=10 -run '^(TestCellsInFlightShareOneBuild|TestBuildPanicReachesEveryCell)$' ./internal/harness
 
 echo "== sampled windows on concurrent snapshots give the serial loop's outcome (race, repeated) =="
 gate_exists TestRunParallelMatchesSerial ./internal/sample
