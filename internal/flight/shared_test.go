@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSharedBuildsOncePerOverlap: holders that overlap share one build;
@@ -105,6 +106,7 @@ func TestSharedPanicReachesEveryWaiter(t *testing.T) {
 		errs[0] = err
 	}()
 	<-entered
+	var returned atomic.Int32
 	for g := 1; g <= waiters; g++ {
 		wg.Add(1)
 		go func() {
@@ -112,12 +114,18 @@ func TestSharedPanicReachesEveryWaiter(t *testing.T) {
 			_, release, err := tab.Acquire("k", func() (int, error) { return 1, nil })
 			defer release()
 			errs[g] = err
+			returned.Add(1)
 		}()
 	}
-	for held := 0; held < waiters+1; {
+	// Every waiter holds the entry before the build panics; none returns
+	// while the build runs.
+	for held := 0; held < waiters+1 && returned.Load() == 0; time.Sleep(100 * time.Microsecond) {
 		tab.mu.Lock()
 		held = tab.entries["k"].holders
 		tab.mu.Unlock()
+	}
+	if n := returned.Load(); n > 0 {
+		t.Errorf("%d holders returned while the build they share was running", n)
 	}
 	close(proceed)
 	wg.Wait()
