@@ -333,10 +333,10 @@ func (s *Session) ExecCell(cell campaign.Cell) (*campaign.Record, error) {
 //
 // Every cell is one shape: resolve the workload, take its program from
 // the session's table of programs in flight (building it unless a cell
-// running now already has), run
-// either one detailed window (core.RunWindow, from the session's shared
-// checkpoint when the cell skips) or the cell's sampling plan
-// (sample.Run, many windows), and map the outcome onto a Record.
+// running now already has), run either one detailed window
+// (core.RunWindow, from the session's shared checkpoint when the cell
+// skips) or the cell's sampling plan (sample.Run, many windows), and map
+// the outcome onto a Record.
 func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done, planned int)) (rec *campaign.Record, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -161,10 +161,10 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestExploreProgramMajor: one worker takes each batch's cells bench by
-// bench, benches by summed predicted cycles and each bench's cells by
-// their own, costliest first and ties to the lower index.
-func TestExploreProgramMajor(t *testing.T) {
+// TestExploreCostliestFirst: one worker takes each batch's cells bench by
+// bench (program-major), benches by summed predicted cycles and each
+// bench's cells by their own, costliest first and ties to the lower index.
+func TestExploreCostliestFirst(t *testing.T) {
 	var mu sync.Mutex
 	var calls []string
 	sp := batchTestSpace(func(cfg core.Config, bench string) (uint64, float64, error) {
