@@ -24,7 +24,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return newSynthSource(s), nil
+		return synthSource{spec: s, ref: "synth:" + s.Canonical(), name: s.Name()}, nil
 	})
 }
 
@@ -93,10 +93,6 @@ func (f *fileSource) Build(workload.Scale) (*isa.Program, error) {
 type synthSource struct {
 	spec      SynthSpec
 	ref, name string
-}
-
-func newSynthSource(spec SynthSpec) synthSource {
-	return synthSource{spec: spec, ref: "synth:" + spec.Canonical(), name: spec.Name()}
 }
 
 func (s synthSource) Name() string          { return s.name }
