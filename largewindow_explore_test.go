@@ -3,9 +3,12 @@ package largewindow
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
+
+	"largewindow/internal/harness"
 )
 
 func exploreTestGrid() []Config {
@@ -64,6 +67,35 @@ func TestExploreContext(t *testing.T) {
 		if !p.Simulated && (p.SimCycles != 0 || p.Audit) {
 			t.Errorf("pruned point %s/%s carries simulation state", p.Config, p.Bench)
 		}
+	}
+}
+
+// TestExploreContextMatchesSessionExplore: over bare kernel names, with
+// equal budgets and pruning policy, the facade's exploration and a
+// harness session's give the same Report.
+func TestExploreContextMatchesSessionExplore(t *testing.T) {
+	cfgs := exploreTestGrid()
+	benches := []string{"mst", "em3d"}
+	got, err := ExploreContext(context.Background(), cfgs, benches,
+		WithMaxInstr(20_000),
+		WithMaxCycles(100_000_000),
+		WithModelPrune(1, 0.5),
+		WithExploreSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := harness.NewSession(harness.Options{
+		MaxInstr:   20_000,
+		MaxCycles:  100_000_000,
+		Scale:      ScaleTest,
+		Benchmarks: benches,
+	})
+	want, err := s.Explore(cfgs, harness.ExploreOptions{TopK: 1, AuditFrac: 0.5, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ExploreContext's Report differs from Session.Explore's:\n got %+v\nwant %+v", got, want)
 	}
 }
 
