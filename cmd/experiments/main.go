@@ -23,7 +23,9 @@
 // IPC vs bit-vector bits vs cache bytes). Simulated cells carry
 // ordinary content-addressed IDs, so -cache-dir/-resume dedups them
 // against full sweeps, and re-running an exploration with -resume
-// executes nothing.
+// executes nothing. -explore with -skip or -sample is bad usage (exit
+// 2): the model profiles each workload from its first instruction, and
+// such cells would measure another region.
 //
 // Every (configuration × benchmark) cell the selected experiments read is
 // primed onto the engine's worker pool up front, once each and in the
@@ -139,6 +141,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *resume && *cacheDir == "" {
 		return fail(2, "-resume needs -cache-dir (there is no cache to resume from)")
+	}
+	if *explore && (*skip > 0 || *smpl != "") {
+		return fail(2, "-explore cannot -skip or -sample (the model profiles each workload from its first instruction)")
 	}
 	if *watch && *server == "" {
 		return fail(2, "-watch needs -server (the event stream lives on the coordinator)")

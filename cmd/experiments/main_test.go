@@ -192,6 +192,8 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		{[]string{"-sample", "n=0,len=10"}, "sample"},
 		{[]string{"-resume"}, "-resume needs -cache-dir"},
 		{[]string{"-watch"}, "-watch needs -server"},
+		{[]string{"-explore", "-skip", "20000"}, "-explore cannot -skip or -sample"},
+		{[]string{"-explore", "-sample", "n=4,len=1000"}, "-explore cannot -skip or -sample"},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 	} {
 		code, stdout, stderr := experiments(tc.args...)

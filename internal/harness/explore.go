@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 
 	"largewindow/internal/core"
@@ -62,8 +63,13 @@ func ExploreGrid() []core.Config {
 // runs a workload's cells back to back and holds its program in the
 // session's table across them, so they share one build. Pruned and
 // audited counts surface on the campaign progress line via the engine's
-// model counters.
+// model counters. A session that skips or samples is refused: the model
+// profiles each workload from its first instruction to MaxInstr, so it
+// would be calibrated on one region and predict another.
 func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report, error) {
+	if s.opt.SkipInstr > 0 || s.opt.Sampling != nil {
+		return nil, errors.New("harness: explore profiles each workload from its first instruction; a session that skips or samples measures another region")
+	}
 	srcs, err := s.benchmarks()
 	if err != nil {
 		return nil, err

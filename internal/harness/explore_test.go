@@ -1,12 +1,15 @@
 package harness
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"largewindow/internal/campaign"
+	"largewindow/internal/sample"
 	"largewindow/internal/workload"
 )
 
@@ -45,5 +48,37 @@ func TestExploreKeepsTwoCellsInFlight(t *testing.T) {
 	}
 	if got := peak.Load(); got > 2 {
 		t.Errorf("%d cells in flight on a 2-worker session", got)
+	}
+}
+
+// TestExploreRefusesSkipAndSampling: the model profiles each workload
+// from its first instruction, so a session whose cells skip or sample
+// would calibrate it on one region and predict another. Explore refuses
+// such a session before it runs a cell.
+func TestExploreRefusesSkipAndSampling(t *testing.T) {
+	plan := sample.Plan{Intervals: 4, Length: 1_000}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"skip", Options{SkipInstr: 20_000}},
+		{"sample", Options{Sampling: &plan}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cells atomic.Int32
+			opt := tc.opt
+			opt.MaxInstr, opt.Scale, opt.Benchmarks = 20_000, workload.ScaleTest, []string{"mst", "em3d"}
+			opt.Exec = func(campaign.Cell) (*campaign.Record, error) {
+				cells.Add(1)
+				return nil, errors.New("no cell should run")
+			}
+			rep, err := NewSession(opt).Explore(ExploreGrid(), ExploreOptions{Seed: 1})
+			if err == nil || !strings.Contains(err.Error(), "skips or samples") {
+				t.Errorf("Explore = %v, %v; want the skip/sample refusal", rep, err)
+			}
+			if n := cells.Load(); n != 0 {
+				t.Errorf("%d cells ran", n)
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -179,5 +181,25 @@ func TestExploreBuildsPerPass(t *testing.T) {
 	t.Logf("%d builds for %d programs, %d simulated cells", n, len(refs), rep.Simulated)
 	if limit := len(refs) * (batches + 1); n > limit {
 		t.Errorf("%d builds in one pass over %d programs, want at most %d (one profile, one per batch)", n, len(refs), limit)
+	}
+}
+
+// TestCancelledSessionCellBuildsNothing: a cell that starts after the
+// session's context is done fails with the context's error before it
+// builds its program, so the cells queued behind a cancel cost nothing.
+func TestCancelledSessionCellBuildsNothing(t *testing.T) {
+	total := countBuilds()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := NewSession(Options{Scale: workload.ScaleTest, MaxInstr: 5_000, Context: ctx})
+	src, err := s.resolveRef("counting:gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ExecCell(s.cell(core.DefaultConfig(), src)); !errors.Is(err, context.Canceled) {
+		t.Errorf("cell on a cancelled session: err = %v, want context.Canceled", err)
+	}
+	if n := total(); n != 0 {
+		t.Errorf("cell on a cancelled session built its program %d times, want 0", n)
 	}
 }

@@ -42,9 +42,10 @@ import (
 	"fmt"
 	"io"
 
+	"largewindow/internal/campaign"
 	"largewindow/internal/core"
 	"largewindow/internal/emu"
-	"largewindow/internal/flight"
+	"largewindow/internal/harness"
 	"largewindow/internal/isa"
 	"largewindow/internal/model"
 	"largewindow/internal/sample"
@@ -242,10 +243,8 @@ type simOptions struct {
 	workload       Workload
 	workloadScale  Scale
 
-	// ExploreContext knobs (WithModelPrune, WithWorkloadScale).
-	modelTopK      int
-	modelAuditFrac float64
-	modelSeed      uint64
+	// explore tunes ExploreContext (WithModelPrune, WithExploreSeed).
+	explore harness.ExploreOptions
 }
 
 // Option configures a SimulateContext run.
@@ -324,8 +323,8 @@ func WithWorkload(w Workload, scale Scale) Option {
 // disables auditing); the model answers everything else in closed form.
 func WithModelPrune(topK int, auditFrac float64) Option {
 	return func(o *simOptions) {
-		o.modelTopK = topK
-		o.modelAuditFrac = auditFrac
+		o.explore.TopK = topK
+		o.explore.AuditFrac = auditFrac
 	}
 }
 
@@ -333,7 +332,7 @@ func WithModelPrune(topK int, auditFrac float64) Option {
 // ExploreContext sweep: the same seed re-selects the same audit cells,
 // so a repeated exploration finds every simulated cell memoized.
 func WithExploreSeed(seed uint64) Option {
-	return func(o *simOptions) { o.modelSeed = seed }
+	return func(o *simOptions) { o.explore.Seed = seed }
 }
 
 // WithWorkloadScale sets the benchmark scale for runs whose workloads
@@ -377,12 +376,7 @@ func SimulateContext(ctx context.Context, cfg Config, prog *Program, opts ...Opt
 	if o.workload != nil {
 		bench, scale = o.workload.Name(), o.workloadScale.String()
 	}
-	return simulate(core.WithLabels(ctx, bench, scale), cfg, prog, &o)
-}
-
-// simulate is SimulateContext once the program is built and ctx carries
-// the run's labels.
-func simulate(ctx context.Context, cfg Config, prog *Program, o *simOptions) (*Result, error) {
+	ctx = core.WithLabels(ctx, bench, scale)
 	if o.sampling != nil {
 		out, err := sample.Run(ctx, cfg, prog, *o.sampling, o.maxCycles, nil)
 		if err != nil {
@@ -429,49 +423,47 @@ type ExploreReport = model.Report
 // cells run in two batches (anchors, then the best configs and the audit
 // slice), up to runtime.GOMAXPROCS(0) cells at a time; a batch runs a
 // workload's cells back to back, and they share one build of its
-// program. WithMaxInstr bounds both the profiling pass and each simulated
-// cell; WithWorkloadScale sets the kernel scale. Cancelling ctx stops the
-// cells in flight and the rest of their batch; ExploreContext returns
-// once every cell has stopped.
+// program. WithMaxInstr bounds both the profiling pass and each
+// simulated cell, WithMaxCycles each simulated cell (0, the default, runs
+// to completion); WithWorkloadScale sets the kernel scale. No cell is
+// retried. Cancelling ctx stops the cells in flight and the rest of their
+// batch; ExploreContext returns once every cell has stopped. WithSkip and
+// WithSampling are refused: the model profiles each workload from its
+// first instruction.
+//
+// The sweep is an in-process harness session's Explore (no result
+// store), so the Report names each point's Bench as the session does: a
+// registry kernel by its bare name ("bench:gcc" reports as "gcc"), any
+// other workload by its canonical ref ("synth:mlp=2,n=400000" reports
+// with its defaults spelled out).
 func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts ...Option) (*ExploreReport, error) {
 	var o simOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	// The programs of the cells in flight, one build each, by ref: the
-	// scale is the call's.
-	var progs flight.Shared[*Program]
-	space := &model.Space{
-		Configs:      cfgs,
-		Benches:      workloads,
-		Scale:        o.workloadScale,
-		ProfileInstr: o.maxInstr,
-		TopK:         o.modelTopK,
-		AuditFrac:    o.modelAuditFrac,
-		Seed:         o.modelSeed,
-		Exec: func(cfg Config, bench string) (uint64, float64, error) {
-			if err := ctx.Err(); err != nil {
-				return 0, 0, err
-			}
-			src, err := ParseWorkloadRef(bench)
-			if err != nil {
-				return 0, 0, err
-			}
-			prog, release, err := progs.Acquire(bench, func() (*Program, error) { return src.Build(o.workloadScale) })
-			defer release()
-			if err != nil {
-				return 0, 0, fmt.Errorf("largewindow: building workload %s: %w", src.Ref(), err)
-			}
-			res, err := simulate(core.WithLabels(ctx, src.Name(), o.workloadScale.String()), cfg, prog,
-				&simOptions{maxInstr: o.maxInstr, maxCycles: o.maxCycles})
-			if err != nil {
-				return 0, 0, err
-			}
-			return uint64(res.Stats.Cycles), res.IPC(), nil
-		},
-		Hold: progs.Hold,
+	if len(workloads) == 0 { // a session reads no workloads as every kernel
+		return nil, errors.New("largewindow: explore needs workloads")
 	}
-	return space.Explore()
+	// A session's zero budgets are its defaults; the facade's run to
+	// completion.
+	const unbounded = 1 << 62
+	if o.maxInstr == 0 {
+		o.maxInstr = unbounded
+	}
+	if o.maxCycles == 0 {
+		o.maxCycles = unbounded
+	}
+	s := harness.NewSession(harness.Options{
+		Context:    ctx,
+		MaxInstr:   o.maxInstr,
+		MaxCycles:  o.maxCycles,
+		Scale:      o.workloadScale,
+		Benchmarks: workloads,
+		Retry:      campaign.RetryPolicy{MaxAttempts: 1},
+		SkipInstr:  o.skipInstr,
+		Sampling:   o.sampling,
+	})
+	return s.Explore(cfgs, o.explore)
 }
 
 // Emulate runs prog on the architectural emulator (no timing) and returns

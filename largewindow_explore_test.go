@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,5 +206,66 @@ func TestExploreContextCancelStopsCellsInFlight(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines running after ExploreContext returned, %d before it started", n, before)
+	}
+}
+
+// TestExploreContextRefusesSkipAndSampling: the model profiles each
+// workload from its first instruction, so an exploration whose cells skip
+// or sample is refused.
+func TestExploreContextRefusesSkipAndSampling(t *testing.T) {
+	plan, err := ParseSamplingPlan("n=4,len=1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]Option{
+		"WithSkip":     WithSkip(20_000),
+		"WithSampling": WithSampling(plan),
+	} {
+		rep, err := ExploreContext(context.Background(), exploreTestGrid(), []string{"mst"},
+			WithMaxInstr(20_000), opt)
+		if err == nil || !strings.Contains(err.Error(), "skips or samples") {
+			t.Errorf("%s: ExploreContext = %v, %v; want the skip/sample refusal", name, rep, err)
+		}
+	}
+}
+
+// TestExploreContextRunsCellsToCompletion: with no WithMaxInstr or
+// WithMaxCycles a simulated cell runs the program to its end, as
+// SimulateContext does. The program runs 383,638 instructions, past a
+// harness session's 300K default budget.
+func TestExploreContextRunsCellsToCompletion(t *testing.T) {
+	const ref = "synth:mlp=2,miss=0.05,n=400000"
+	w, err := ParseWorkloadRef(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := SimulateContext(context.Background(), BaseConfig(), nil, WithWorkload(w, ScaleTest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Halted || full.Stats.Committed <= 300_000 {
+		t.Fatalf("%s: halted %v after %d instructions; the test needs a program past 300K", ref, full.Halted, full.Stats.Committed)
+	}
+	// One config is its family's only anchor, so its cell is simulated.
+	rep, err := ExploreContext(context.Background(), []Config{BaseConfig()}, []string{ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) != 1 || !rep.Points[0].Simulated {
+		t.Fatalf("points %+v, want one simulated cell", rep.Points)
+	}
+	if got, want := rep.Points[0].SimCycles, uint64(full.Stats.Cycles); got != want {
+		t.Errorf("explored cell ran %d cycles, SimulateContext to completion %d", got, want)
+	}
+}
+
+// TestExploreContextNeedsWorkloads: no workloads is an error, not a
+// sweep of every kernel (what a harness session reads nil as).
+func TestExploreContextNeedsWorkloads(t *testing.T) {
+	for _, workloads := range [][]string{nil, {}} {
+		rep, err := ExploreContext(context.Background(), exploreTestGrid(), workloads, WithMaxInstr(1_000))
+		if err == nil || rep != nil {
+			t.Errorf("workloads %#v: ExploreContext = %v, %v; want an error and no report", workloads, rep, err)
+		}
 	}
 }

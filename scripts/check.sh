@@ -106,6 +106,10 @@ gate_exists TestCellsInFlightShareOneBuild ./internal/harness
 gate_exists TestBuildPanicReachesEveryCell ./internal/harness
 go test -race -count=10 -run '^(TestCellsInFlightShareOneBuild|TestBuildPanicReachesEveryCell)$' ./internal/harness
 
+echo "== a cancelled ExploreContext stops its cells in flight and leaves no goroutine, engine workers included (race, repeated) =="
+gate_exists TestExploreContextCancelStopsCellsInFlight .
+go test -race -count=5 -run '^TestExploreContextCancelStopsCellsInFlight$' .
+
 echo "== sampled windows on concurrent snapshots give the serial loop's outcome (race, repeated) =="
 gate_exists TestRunParallelMatchesSerial ./internal/sample
 go test -race -count=10 -run '^TestRunParallelMatchesSerial$' ./internal/sample
