@@ -23,9 +23,8 @@
 // IPC vs bit-vector bits vs cache bytes). Simulated cells carry
 // ordinary content-addressed IDs, so -cache-dir/-resume dedups them
 // against full sweeps, and re-running an exploration with -resume
-// executes nothing. -explore with -skip or -sample is bad usage (exit
-// 2): the model profiles each workload from its first instruction, and
-// such cells would measure another region.
+// executes nothing. -explore refuses -skip and -sample (exit 2): the
+// model profiles each workload from its first instruction.
 //
 // Every (configuration × benchmark) cell the selected experiments read is
 // primed onto the engine's worker pool up front, once each and in the

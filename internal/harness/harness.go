@@ -331,9 +331,8 @@ func (s *Session) ExecCell(cell campaign.Cell) (*campaign.Record, error) {
 // session engine's counters so a local sampled campaign's progress line
 // shows interval k/N.
 //
-// Every cell is one shape: fail at once if the session's context is
-// done (a cell queued behind a cancel builds nothing), resolve the
-// workload, take its program from the session's table of programs in
+// Every cell is one shape: unless the session's context is done, resolve
+// the workload, take its program from the session's table of programs in
 // flight (building it unless a cell running now already has), run
 // either one detailed window
 // (core.RunWindow, from the session's shared checkpoint when the cell
@@ -345,10 +344,8 @@ func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done,
 			rec, err = nil, fmt.Errorf("harness: panic executing %s: %v\n%s", cell, r, debug.Stack())
 		}
 	}()
-	if s.opt.Context != nil {
-		if err := s.opt.Context.Err(); err != nil {
-			return nil, err
-		}
+	if ctx := s.opt.Context; ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
 	src, err := s.resolveCell(cell)
 	if err != nil {

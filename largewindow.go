@@ -414,28 +414,18 @@ func SimulateContext(ctx context.Context, cfg Config, prog *Program, opts ...Opt
 type ExploreReport = model.Report
 
 // ExploreContext runs a model-pruned design-space exploration of cfgs
-// over the named workloads (any ParseWorkloadRef refs): one fast
-// functional profiling pass per (workload, cache family) feeds a
-// mechanistic interval model that predicts every (config, workload)
-// cell in closed form; the detailed core simulates only the model's
-// calibration anchors, the predicted-best configs, and an audit slice
-// that measures live model error (see WithModelPrune). The simulated
-// cells run in two batches (anchors, then the best configs and the audit
-// slice), up to runtime.GOMAXPROCS(0) cells at a time; a batch runs a
-// workload's cells back to back, and they share one build of its
-// program. WithMaxInstr bounds both the profiling pass and each
-// simulated cell, WithMaxCycles each simulated cell (0, the default, runs
-// to completion); WithWorkloadScale sets the kernel scale. No cell is
-// retried. Cancelling ctx stops the cells in flight and the rest of their
-// batch; ExploreContext returns once every cell has stopped. WithSkip and
-// WithSampling are refused: the model profiles each workload from its
-// first instruction.
-//
-// The sweep is an in-process harness session's Explore (no result
-// store), so the Report names each point's Bench as the session does: a
-// registry kernel by its bare name ("bench:gcc" reports as "gcc"), any
-// other workload by its canonical ref ("synth:mlp=2,n=400000" reports
-// with its defaults spelled out).
+// over the named workloads (any ParseWorkloadRef refs) as an in-process
+// harness session's Explore: one functional profiling pass per
+// (workload, cache family) feeds an interval model that predicts every
+// cell; the detailed core simulates only the calibration anchors, the
+// predicted-best configs and an audit slice (see WithModelPrune), up to
+// runtime.GOMAXPROCS(0) cells at a time. WithMaxInstr bounds the
+// profiling pass and each cell, WithMaxCycles each cell (0, the default,
+// runs to completion); WithWorkloadScale sets the kernel scale. No cell
+// is retried; WithSkip and WithSampling are refused. Cancelling ctx stops
+// the cells in flight; ExploreContext returns once every cell has
+// stopped. Report points name a registry kernel by its bare name and any
+// other workload by its canonical ref.
 func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts ...Option) (*ExploreReport, error) {
 	var o simOptions
 	for _, opt := range opts {
@@ -444,8 +434,7 @@ func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts
 	if len(workloads) == 0 { // a session reads no workloads as every kernel
 		return nil, errors.New("largewindow: explore needs workloads")
 	}
-	// A session's zero budgets are its defaults; the facade's run to
-	// completion.
+	// A session reads zero budgets as its defaults, the facade as unbounded.
 	const unbounded = 1 << 62
 	if o.maxInstr == 0 {
 		o.maxInstr = unbounded
