@@ -235,7 +235,11 @@ func (s *Space) width() int {
 // cells go to Exec in two batches — the anchors, then the top-K and audit
 // cells together — and the Report is the same whatever order a batch's
 // cells finish in.
-func (s *Space) Explore() (*Report, error) {
+func (s *Space) Explore() (*Report, error) { return s.explore(s.simulate) }
+
+// explore is Explore with its batch runner passed in, so tests can run
+// the same sweep on a reference one.
+func (s *Space) explore(simulate func(points []Point, cells []int, rep *Report) error) (*Report, error) {
 	if s.Exec == nil {
 		return nil, fmt.Errorf("model: explore needs an Exec function")
 	}
@@ -320,7 +324,7 @@ func (s *Space) Explore() (*Report, error) {
 			anchorCells = append(anchorCells, ci*nb+bi)
 		}
 	}
-	if err := s.simulate(points, anchorCells, rep); err != nil {
+	if err := simulate(points, anchorCells, rep); err != nil {
 		return nil, err
 	}
 	cal := NewCalibration()
@@ -386,7 +390,7 @@ func (s *Space) Explore() (*Report, error) {
 	if s.Notify != nil {
 		s.Notify(len(pruned)-nAudit, nAudit)
 	}
-	if err := s.simulate(points, append(topCells, pruned[:nAudit]...), rep); err != nil {
+	if err := simulate(points, append(topCells, pruned[:nAudit]...), rep); err != nil {
 		return nil, err
 	}
 	var auditPred, auditMeas []float64

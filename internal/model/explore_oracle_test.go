@@ -4,7 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
+	"largewindow/internal/core"
 	"largewindow/internal/workload"
 )
 
@@ -57,4 +60,55 @@ func (s *Space) oracleCollectProfiles() ([]*Profile, error) {
 		}
 	}
 	return profiles, nil
+}
+
+// cellExec simulates one (config, bench) cell: the unit the pooled batch
+// runner below calls.
+type cellExec = func(cfg core.Config, bench string) (cycles uint64, ipc float64, err error)
+
+// oracleSimulate is the batch runner the explorer had before its batches
+// went to Exec whole: the cells in programMajor order on width goroutines
+// of its own, each running exec on one cell at a time and writing only
+// that cell's measurement. A failure skips the batch's cells above its
+// index but not those below, so the error returned is the lowest-index
+// failing cell's whatever the completion order.
+func oracleSimulate(s *Space, exec cellExec, width int) func(points []Point, cells []int, rep *Report) error {
+	return func(points []Point, cells []int, rep *Report) error {
+		cells = s.programMajor(points, cells)
+		nb := len(s.Benches)
+		errs := make([]error, len(points))
+		var next, lowest atomic.Int64
+		lowest.Store(int64(len(points)))
+		var wg sync.WaitGroup
+		for range min(width, len(cells)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := next.Add(1) - 1; k < int64(len(cells)); k = next.Add(1) - 1 {
+					idx := cells[k]
+					if int64(idx) > lowest.Load() {
+						continue
+					}
+					cycles, ipc, err := exec(s.Configs[idx/nb], s.Benches[idx%nb])
+					if err != nil {
+						errs[idx] = err
+						for cur := lowest.Load(); int64(idx) < cur && !lowest.CompareAndSwap(cur, int64(idx)); cur = lowest.Load() {
+						}
+						continue
+					}
+					points[idx].SimCycles, points[idx].SimIPC = cycles, ipc
+				}
+			}()
+		}
+		wg.Wait()
+		if i := lowest.Load(); i < int64(len(points)) {
+			pt := &points[i]
+			return fmt.Errorf("model: explore cell %s × %s: %w", pt.Config, pt.Bench, errs[i])
+		}
+		for _, idx := range cells {
+			points[idx].Simulated = true
+		}
+		rep.Simulated += len(cells)
+		return nil
+	}
 }

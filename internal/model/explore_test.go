@@ -161,6 +161,38 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestExploreMatchesOracle: the Report is the one the pooled batch runner
+// gives at widths 1, 2 and 3, and an exec that fails some cells fails
+// both with the same error.
+func TestExploreMatchesOracle(t *testing.T) {
+	injected := errors.New("injected failure")
+	failing := func(cfg core.Config, bench string) (uint64, float64, error) {
+		if cycles, _, _ := fakeExec(cfg, bench); cycles%3 == 0 {
+			return 0, 0, injected
+		}
+		return fakeExec(cfg, bench)
+	}
+	for _, w := range []int{1, 2, 3} {
+		for _, tc := range []struct {
+			name string
+			exec cellExec
+		}{{"passing", fakeExec}, {"failing", failing}} {
+			sp := batchTestSpace(tc.exec, 0)
+			want, wantErr := sp.explore(oracleSimulate(sp, tc.exec, w))
+			if (wantErr != nil) != (tc.name == "failing") {
+				t.Fatalf("width %d, %s exec: oracle error %v", w, tc.name, wantErr)
+			}
+			got, err := batchTestSpace(tc.exec, 0).Explore()
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Errorf("width %d, %s exec: error %v, oracle's %v", w, tc.name, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("width %d, %s exec: report differs from the oracle's\n got %+v\nwant %+v", w, tc.name, got, want)
+			}
+		}
+	}
+}
+
 // TestExploreCostliestFirst: one worker takes each batch's cells bench by
 // bench (program-major), benches by summed predicted cycles and each
 // bench's cells by their own, costliest first and ties to the lower index.
