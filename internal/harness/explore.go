@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"largewindow/internal/campaign"
 	"largewindow/internal/core"
 	"largewindow/internal/model"
 	"largewindow/internal/stats"
@@ -56,19 +57,24 @@ func ExploreGrid() []core.Config {
 // family), interval-model predictions for every cell, detailed
 // simulation only of the calibration anchors, the predicted top-K
 // configs, and a seeded audit slice that measures live model error.
-// Simulated cells route through Session.Run, so they carry ordinary
-// content-addressed cell IDs — cached, resumable, and shared with full
-// sweeps of the same grid — and each phase's cells reach the engine
-// together, and the engine's pool bounds how many run at once. A batch
-// runs a workload's cells back to back and holds its program in the
-// session's table across them, so they share one build. Pruned and
-// audited counts surface on the campaign progress line via the engine's
-// model counters. A session that skips or samples is refused: the model
-// profiles each workload from its first instruction to MaxInstr, so it
-// would be calibrated on one region and predict another.
+// Simulated cells are ordinary campaign cells with content-addressed
+// IDs — cached, resumable, and shared with full sweeps of the same grid.
+// Each batch runs the way RunAll runs a sweep: its cells are primed onto
+// the engine in the explorer's program-major order and collected in that
+// order, so the engine's pool (Options.Parallel) is the only bound on
+// how many run at once. A workload's program is held in the session's
+// table from the batch's start until its last cell is collected, so its
+// cells share one build. Pruned and audited counts surface on the
+// campaign progress line via the engine's model counters. A session that
+// skips or samples is refused: the model profiles each workload from its
+// first instruction to MaxInstr, so it would be calibrated on one region
+// and predict another. A session whose context is done profiles nothing.
 func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report, error) {
 	if s.opt.SkipInstr > 0 || s.opt.Sampling != nil {
 		return nil, errors.New("harness: explore profiles each workload from its first instruction; a session that skips or samples measures another region")
+	}
+	if ctx := s.opt.Context; ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
 	srcs, err := s.benchmarks()
 	if err != nil {
@@ -88,16 +94,31 @@ func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report
 		TopK:         opt.TopK,
 		AuditFrac:    opt.AuditFrac,
 		Seed:         opt.Seed,
-		Exec: func(cfg core.Config, bench string) (uint64, float64, error) {
-			src := srcs[byBench[bench]]
-			r, err := s.Run(cfg, src)
-			if err != nil {
-				return 0, 0, err
+		Exec: func(batch []model.Cell) []model.Measured {
+			cells := make([]campaign.Cell, len(batch))
+			release := make([]func(), len(srcs))
+			last := make([]int, len(srcs))
+			for k, c := range batch {
+				bi := byBench[c.Bench]
+				if release[bi] == nil {
+					release[bi] = s.programs.Hold(programKey(srcs[bi], s.opt.Scale))
+				}
+				cells[k], last[bi] = s.cell(c.Config, srcs[bi]), k
 			}
-			return uint64(r.Stats.Cycles), r.IPC, nil
-		},
-		Hold: func(bench string) func() {
-			return s.programs.Hold(programKey(srcs[byBench[bench]], s.opt.Scale))
+			s.eng.Prime(cells)
+			out := make([]model.Measured, len(batch))
+			for k, c := range batch {
+				bi := byBench[c.Bench]
+				if r, err := s.Run(c.Config, srcs[bi]); err != nil {
+					out[k].Err = err
+				} else {
+					out[k] = model.Measured{Cycles: uint64(r.Stats.Cycles), IPC: r.IPC}
+				}
+				if last[bi] == k {
+					release[bi]()
+				}
+			}
+			return out
 		},
 		Notify: func(pruned, audited int) {
 			s.eng.AddModelPruned(uint64(pruned))

@@ -16,13 +16,28 @@ import (
 	"largewindow/internal/workload"
 )
 
-// ExecFunc simulates one (config, benchmark) cell on the detailed core
-// and returns its measured cycles and IPC. Explore calls it from several
-// goroutines at once, so it must be safe for concurrent use. The harness
-// supplies one that routes through the campaign engine, so simulated
-// cells are cached, content-addressed, and resumable like any other sweep
-// cell.
-type ExecFunc func(cfg core.Config, bench string) (cycles uint64, ipc float64, err error)
+// Cell is one (config, benchmark) cell of a batch Explore simulates.
+type Cell struct {
+	Config core.Config
+	Bench  string
+}
+
+// Measured is a simulated cell's outcome: its cycles and IPC, or the
+// error it failed with.
+type Measured struct {
+	Cycles uint64
+	IPC    float64
+	Err    error
+}
+
+// ExecFunc simulates a batch of cells on the detailed core and returns
+// one Measured per cell, in the order given, once every cell has ended.
+// The order is the one the cells should start in; how many run at once
+// is the ExecFunc's to bound. The harness supplies one that primes the
+// batch onto its campaign engine, so simulated cells are cached,
+// content-addressed, and resumable like any other sweep cell, and run on
+// the engine's pool.
+type ExecFunc func(cells []Cell) []Measured
 
 // Space describes a model-pruned design-space exploration.
 type Space struct {
@@ -45,9 +60,8 @@ type Space struct {
 	// Seed makes the audit slice deterministic, so a resumed exploration
 	// re-selects the same cells and finds them all cached.
 	Seed uint64
-	// Exec simulates one cell; required. Up to runtime.GOMAXPROCS(0)
-	// calls run at once; an Exec backed by a smaller pool (the harness's
-	// engine) bounds its own width.
+	// Exec simulates a batch of cells; required. Explore calls it once
+	// per batch, from its own goroutine.
 	Exec ExecFunc
 	// Notify, when set, is called once the prune decision is made (after
 	// calibration and ranking, before the top-K and audit cells simulate):
@@ -57,19 +71,10 @@ type Space struct {
 	Notify func(pruned, audited int)
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-	// Hold, when set, is called before a batch starts the first of a
-	// bench's cells, and the release it returns once the last has ended.
-	// A batch runs a bench's cells back to back, so an Exec that shares
-	// one built program among the cells in flight keeps it across them.
-	Hold func(bench string) (release func())
 
-	// workers bounds how many Exec calls and profiling passes are in
-	// flight; 0 is runtime.GOMAXPROCS(0). Tests pin it to fix the width.
+	// workers bounds how many profiling passes are in flight; 0 is
+	// runtime.GOMAXPROCS(0). Tests pin it to fix the width.
 	workers int
-	// order sequences a batch's cells; nil is programMajor. Tests swap in
-	// the plain longest-first order to show the Report does not depend on
-	// it.
-	order func(points []Point, cells []int) []int
 }
 
 // Point is one cell of the exploration report.
@@ -219,7 +224,7 @@ func (s *Space) profileBench(bi int, family []string, profiles []*Profile) (err 
 	return nil
 }
 
-// width is how many goroutines a phase fans out on.
+// width is how many goroutines the profiling phase fans out on.
 func (s *Space) width() int {
 	if s.workers > 0 {
 		return s.workers
@@ -233,8 +238,7 @@ func (s *Space) width() int {
 // model), every cell of the top-K predicted configs, and a seeded audit
 // slice of the pruned cells that measures live model error. The simulated
 // cells go to Exec in two batches — the anchors, then the top-K and audit
-// cells together — and the Report is the same whatever order a batch's
-// cells finish in.
+// cells together.
 func (s *Space) Explore() (*Report, error) { return s.explore(s.simulate) }
 
 // explore is Explore with its batch runner passed in, so tests can run
@@ -452,7 +456,8 @@ func (s *Space) explore(simulate func(points []Point, cells []int, rep *Report) 
 // summed predicted cycles, costliest first (ties to the lower bench
 // index), and within a bench its cells longest predicted time first (ties
 // to the lower cell index). Each bench's cells are contiguous, so the
-// workers hold one program between them instead of one each.
+// cells in flight at once share few programs, and an Exec that holds each
+// program across its bench's cells builds it once a batch.
 func (s *Space) programMajor(points []Point, cells []int) []int {
 	nb := len(s.Benches)
 	cost := make([]float64, nb)
@@ -475,76 +480,38 @@ func (s *Space) programMajor(points []Point, cells []int) []int {
 	return order
 }
 
-// simulate runs Exec on cells (index ci*len(Benches)+bi) as one batch, in
-// programMajor order: up to s.workers calls in flight, each worker writing
-// only its own cell's measurement, and each bench held (Space.Hold) from
-// before its first cell starts to the end of its last. The cells are
-// marked simulated after the join. A failure skips the batch's cells above
-// its index but not those below, so the error returned is the lowest-index
-// failing cell's whatever the completion order.
+// simulate hands Exec cells (index ci*len(Benches)+bi) as one batch, in
+// programMajor order, and records each cell's measurement. The cells are
+// marked simulated if every one succeeded; otherwise the error returned
+// is the lowest-index failing cell's.
 func (s *Space) simulate(points []Point, cells []int, rep *Report) error {
-	order := s.order
-	if order == nil {
-		order = s.programMajor
-	}
-	cells = order(points, cells)
+	cells = s.programMajor(points, cells)
 	nb := len(s.Benches)
-	left := make([]atomic.Int32, nb)
-	for _, idx := range cells {
-		left[idx%nb].Add(1)
+	batch := make([]Cell, len(cells))
+	for k, idx := range cells {
+		batch[k] = Cell{Config: s.Configs[idx/nb], Bench: s.Benches[idx%nb]}
 	}
-	// A bench's hold is taken once, before any of its cells runs, and
-	// released by whichever worker ends its last cell.
-	holds := make([]sync.Once, nb)
-	releases := make([]func(), nb)
-	errs := make([]error, len(points))
-	var next, lowest atomic.Int64
-	lowest.Store(int64(len(points)))
-	var wg sync.WaitGroup
-	for range min(s.width(), len(cells)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := next.Add(1) - 1; k < int64(len(cells)); k = next.Add(1) - 1 {
-				idx := cells[k]
-				bi := idx % nb
-				if s.Hold != nil {
-					holds[bi].Do(func() { releases[bi] = s.Hold(s.Benches[bi]) })
-				}
-				s.exec(points, idx, errs, &lowest)
-				if left[bi].Add(-1) == 0 && s.Hold != nil {
-					releases[bi]()
-				}
+	res := s.Exec(batch)
+	failed := -1
+	for k, m := range res {
+		idx := cells[k]
+		if m.Err != nil {
+			if failed < 0 || idx < cells[failed] {
+				failed = k
 			}
-		}()
+			continue
+		}
+		points[idx].SimCycles, points[idx].SimIPC = m.Cycles, m.IPC
 	}
-	wg.Wait()
-	if i := lowest.Load(); i < int64(len(points)) {
-		pt := &points[i]
-		return fmt.Errorf("model: explore cell %s × %s: %w", pt.Config, pt.Bench, errs[i])
+	if failed >= 0 {
+		pt := &points[cells[failed]]
+		return fmt.Errorf("model: explore cell %s × %s: %w", pt.Config, pt.Bench, res[failed].Err)
 	}
 	for _, idx := range cells {
 		points[idx].Simulated = true
 	}
 	rep.Simulated += len(cells)
 	return nil
-}
-
-// exec runs one cell of a batch unless a lower-index cell has failed,
-// recording its measurement or its error.
-func (s *Space) exec(points []Point, idx int, errs []error, lowest *atomic.Int64) {
-	if int64(idx) > lowest.Load() {
-		return
-	}
-	nb := len(s.Benches)
-	cycles, ipc, err := s.Exec(s.Configs[idx/nb], s.Benches[idx%nb])
-	if err != nil {
-		errs[idx] = err
-		for cur := lowest.Load(); int64(idx) < cur && !lowest.CompareAndSwap(cur, int64(idx)); cur = lowest.Load() {
-		}
-		return
-	}
-	points[idx].SimCycles, points[idx].SimIPC = cycles, ipc
 }
 
 func abs(x float64) float64 {

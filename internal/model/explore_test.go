@@ -3,13 +3,10 @@ package model
 import (
 	"errors"
 	"hash/fnv"
-	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"largewindow/internal/core"
@@ -25,7 +22,20 @@ func fakeExec(cfg core.Config, bench string) (uint64, float64, error) {
 	return cycles, 10_000 / float64(cycles), nil
 }
 
-func batchTestSpace(exec ExecFunc, workers int) *Space {
+// serialBatch is a batch Exec that runs its cells one after another on
+// exec.
+func serialBatch(exec cellExec) ExecFunc {
+	return func(cells []Cell) []Measured {
+		out := make([]Measured, len(cells))
+		for k, c := range cells {
+			m := &out[k]
+			m.Cycles, m.IPC, m.Err = exec(c.Config, c.Bench)
+		}
+		return out
+	}
+}
+
+func batchTestSpace(exec cellExec) *Space {
 	return &Space{
 		Configs: []core.Config{
 			core.ScaledConfig(16, 64),
@@ -42,122 +52,7 @@ func batchTestSpace(exec ExecFunc, workers int) *Space {
 			"synth:mlp=8,miss=0.3,ws=4m,n=10000",
 		},
 		Scale: workload.ScaleTest, TopK: 2, AuditFrac: 0.25, Seed: 7,
-		Exec: exec, workers: workers,
-	}
-}
-
-// gatedExec wraps an ExecFunc so that every call of a batch starts before
-// any finishes, and then they finish one at a time in the order perm
-// gives (a permutation of arrival positions). sizes are the batches'
-// lengths, in order; workers must be at least the largest.
-type gatedExec struct {
-	exec  ExecFunc
-	sizes []int
-	perm  func(n int) []int
-
-	mu      sync.Mutex
-	arrived []chan struct{}
-	done    chan struct{}
-}
-
-func newGatedExec(exec ExecFunc, sizes []int, perm func(n int) []int) *gatedExec {
-	return &gatedExec{exec: exec, sizes: sizes, perm: perm, done: make(chan struct{})}
-}
-
-func (g *gatedExec) call(cfg core.Config, bench string) (uint64, float64, error) {
-	release := make(chan struct{})
-	g.mu.Lock()
-	g.arrived = append(g.arrived, release)
-	if len(g.sizes) > 0 && len(g.arrived) == g.sizes[0] {
-		batch := g.arrived
-		g.arrived, g.sizes = nil, g.sizes[1:]
-		go func() {
-			for _, i := range g.perm(len(batch)) {
-				close(batch[i])
-				<-g.done
-			}
-		}()
-	}
-	g.mu.Unlock()
-	<-release
-	defer func() { g.done <- struct{}{} }()
-	return g.exec(cfg, bench)
-}
-
-func reversed(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = n - 1 - i
-	}
-	return p
-}
-
-// completionOrders are the ways a batch's cells may finish: last arrival
-// first, and seeded shuffles.
-func completionOrders() []struct {
-	name string
-	perm func(n int) []int
-} {
-	rng := rand.New(rand.NewSource(1))
-	return []struct {
-		name string
-		perm func(n int) []int
-	}{{"reverse", reversed}, {"random", rng.Perm}}
-}
-
-// TestExploreParallelMatchesSerial: the Report is the serial one whatever
-// order a batch's cells finish in and however many run at once.
-func TestExploreParallelMatchesSerial(t *testing.T) {
-	serial, err := batchTestSpace(fakeExec, 1).Explore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Audited == 0 || serial.Simulated == serial.Anchors {
-		t.Fatalf("second batch unexercised: %d simulated, %d anchors, %d audited", serial.Simulated, serial.Anchors, serial.Audited)
-	}
-	sizes := []int{serial.Anchors, serial.Simulated - serial.Anchors}
-	for _, o := range completionOrders() {
-		g := newGatedExec(fakeExec, sizes, o.perm)
-		got, err := batchTestSpace(g.call, len(serial.Points)).Explore()
-		if err != nil {
-			t.Fatalf("%s: %v", o.name, err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("%s completion order: report differs from the serial one\n got %+v\nwant %+v", o.name, got, serial)
-		}
-	}
-	for _, par := range []int{2, 3, 0} {
-		got, err := batchTestSpace(fakeExec, par).Explore()
-		if err != nil {
-			t.Fatalf("%d workers: %v", par, err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("%d workers: report differs from the serial one", par)
-		}
-	}
-	// The batch order is a schedule, not an input: the plain longest-first
-	// order gives the same Report.
-	for _, par := range []int{1, 2} {
-		sp := batchTestSpace(fakeExec, par)
-		sp.order = oracleLPTOrder
-		got, err := sp.Explore()
-		if err != nil {
-			t.Fatalf("LPT order, %d workers: %v", par, err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("LPT order, %d workers: report differs from the program-major one", par)
-		}
-	}
-	for _, o := range completionOrders() {
-		sp := batchTestSpace(newGatedExec(fakeExec, sizes, o.perm).call, len(serial.Points))
-		sp.order = oracleLPTOrder
-		got, err := sp.Explore()
-		if err != nil {
-			t.Fatalf("LPT order, %s: %v", o.name, err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("LPT order, %s completion order: report differs from the program-major one", o.name)
-		}
+		Exec: serialBatch(exec),
 	}
 }
 
@@ -177,12 +72,12 @@ func TestExploreMatchesOracle(t *testing.T) {
 			name string
 			exec cellExec
 		}{{"passing", fakeExec}, {"failing", failing}} {
-			sp := batchTestSpace(tc.exec, 0)
+			sp := batchTestSpace(tc.exec)
 			want, wantErr := sp.explore(oracleSimulate(sp, tc.exec, w))
 			if (wantErr != nil) != (tc.name == "failing") {
 				t.Fatalf("width %d, %s exec: oracle error %v", w, tc.name, wantErr)
 			}
-			got, err := batchTestSpace(tc.exec, 0).Explore()
+			got, err := batchTestSpace(tc.exec).Explore()
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 				t.Errorf("width %d, %s exec: error %v, oracle's %v", w, tc.name, err, wantErr)
 			}
@@ -193,21 +88,27 @@ func TestExploreMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestExploreCostliestFirst: one worker takes each batch's cells bench by
-// bench (program-major), benches by summed predicted cycles and each
-// bench's cells by their own, costliest first and ties to the lower index.
+// TestExploreCostliestFirst: Exec gets each of the two batches once, its
+// cells bench by bench (program-major), benches by summed predicted cycles
+// and each bench's cells by their own, costliest first and ties to the
+// lower index.
 func TestExploreCostliestFirst(t *testing.T) {
-	var mu sync.Mutex
 	var calls []string
-	sp := batchTestSpace(func(cfg core.Config, bench string) (uint64, float64, error) {
-		mu.Lock()
-		calls = append(calls, cfg.Name+"|"+bench)
-		mu.Unlock()
-		return fakeExec(cfg, bench)
-	}, 1)
+	batches := 0
+	sp := batchTestSpace(fakeExec)
+	sp.Exec = func(cells []Cell) []Measured {
+		batches++
+		for _, c := range cells {
+			calls = append(calls, c.Config.Name+"|"+c.Bench)
+		}
+		return serialBatch(fakeExec)(cells)
+	}
 	rep, err := sp.Explore()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if batches != 2 {
+		t.Errorf("Exec called %d times, want once per batch (2)", batches)
 	}
 	nb := len(sp.Benches)
 	// The oracle's order, stably regrouped by bench: benches by summed
@@ -242,54 +143,8 @@ func TestExploreCostliestFirst(t *testing.T) {
 	}
 }
 
-// TestExploreHoldsEachBenchAcrossItsCells: every Exec of a bench runs
-// inside a hold on it, each batch holds each of its benches once, and no
-// hold outlives its batch — at most as many benches are held at once as
-// there are workers.
-func TestExploreHoldsEachBenchAcrossItsCells(t *testing.T) {
-	for _, w := range []int{1, 2, 3} {
-		var mu sync.Mutex
-		held := map[string]int{}
-		holds, peak := 0, 0
-		sp := batchTestSpace(func(cfg core.Config, bench string) (uint64, float64, error) {
-			mu.Lock()
-			if held[bench] == 0 {
-				t.Errorf("%d workers: %s × %s ran outside a hold on its bench", w, cfg.Name, bench)
-			}
-			mu.Unlock()
-			return fakeExec(cfg, bench)
-		}, w)
-		sp.Hold = func(bench string) func() {
-			mu.Lock()
-			defer mu.Unlock()
-			held[bench]++
-			holds++
-			peak = max(peak, len(held))
-			return func() {
-				mu.Lock()
-				defer mu.Unlock()
-				if held[bench]--; held[bench] == 0 {
-					delete(held, bench)
-				}
-			}
-		}
-		if _, err := sp.Explore(); err != nil {
-			t.Fatal(err)
-		}
-		if len(held) != 0 {
-			t.Errorf("%d workers: holds left after the pass: %v", w, held)
-		}
-		if want := 2 * len(sp.Benches); holds != want {
-			t.Errorf("%d workers: %d holds over two batches of %d benches, want %d", w, holds, len(sp.Benches), want)
-		}
-		if peak > w {
-			t.Errorf("%d workers: %d benches held at once", w, peak)
-		}
-	}
-}
-
-// batchOrders is the order one worker must run both batches' cells in
-// under order: the anchors on raw predictions, the second batch on
+// batchOrders is the order Exec must get both batches' cells in under
+// order: the anchors on raw predictions, the second batch on
 // calibrated ones (the report's).
 func batchOrders(sp *Space, rep *Report, order func([]Point, []int) []int) ([]int, error) {
 	profiles, err := sp.oracleCollectProfiles()
@@ -327,7 +182,7 @@ func callIndices(rep *Report, calls []string) []int {
 // TestCollectProfilesMatchesSerial: the profiling phase gives the serial
 // loop's profiles at every width.
 func TestCollectProfilesMatchesSerial(t *testing.T) {
-	sp := batchTestSpace(fakeExec, 1)
+	sp := batchTestSpace(fakeExec)
 	sp.Benches = append(sp.Benches, "gzip", "mst")
 	sp.ProfileInstr = 20_000
 	want, err := sp.oracleCollectProfiles()
@@ -346,10 +201,11 @@ func TestCollectProfilesMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestExploreErrorNamesLowestFailingCell: whichever failing cell finishes
-// first, the error names the failing cell with the lowest index.
+// TestExploreErrorNamesLowestFailingCell: whichever cells fail, the error
+// names the failing cell with the lowest index, not the first in the
+// batch's order.
 func TestExploreErrorNamesLowestFailingCell(t *testing.T) {
-	serial, err := batchTestSpace(fakeExec, 1).Explore()
+	serial, err := batchTestSpace(fakeExec).Explore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,23 +224,13 @@ func TestExploreErrorNamesLowestFailingCell(t *testing.T) {
 	}
 	first := serial.Points[second[0]]
 	want := "model: explore cell " + first.Config + " × " + first.Bench + ": "
-	failing := func(cfg core.Config, bench string) (uint64, float64, error) {
+	_, err = batchTestSpace(func(cfg core.Config, bench string) (uint64, float64, error) {
 		if fail[cfg.Name+"|"+bench] {
 			return 0, 0, injected
 		}
 		return fakeExec(cfg, bench)
-	}
-	check := func(name string, exec ExecFunc, par int) {
-		_, err := batchTestSpace(exec, par).Explore()
-		if !errors.Is(err, injected) || !strings.HasPrefix(err.Error(), want) {
-			t.Errorf("%s: error %v, want it to start %q", name, err, want)
-		}
-	}
-	for _, par := range []int{1, 2, 0} {
-		check(strconv.Itoa(par)+" workers", failing, par)
-	}
-	sizes := []int{serial.Anchors, serial.Simulated - serial.Anchors}
-	for _, o := range completionOrders() {
-		check(o.name+" completion order", newGatedExec(failing, sizes, o.perm).call, len(serial.Points))
+	}).Explore()
+	if !errors.Is(err, injected) || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %v, want it to start %q", err, want)
 	}
 }

@@ -151,8 +151,8 @@ func TestExploreContextCancellation(t *testing.T) {
 	cancel()
 	_, err := ExploreContext(ctx, exploreTestGrid(), []string{"mst"},
 		WithMaxInstr(15_000), WithModelPrune(1, -1))
-	if err == nil {
-		t.Fatal("cancelled exploration returned no error")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled exploration: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -179,7 +179,8 @@ func TestExploreContextCancelStopsCellsInFlight(t *testing.T) {
 			WithMaxInstr(5_000_000), WithWorkloadScale(ScaleFull), WithModelPrune(1, -1))
 		done <- err
 	}()
-	// The batch has started once a worker goroutine joins the explorer's.
+	// The batch has started once an engine worker's goroutine joins the
+	// one running ExploreContext.
 	for start := time.Now(); runtime.NumGoroutine() < before+2; time.Sleep(time.Millisecond) {
 		if time.Since(start) > 30*time.Second {
 			t.Fatal("no simulated cell started within 30 s")

@@ -96,10 +96,14 @@ echo "== shared frozen memory images under concurrent clones (race, repeated) ==
 gate_exists TestMemoryFrozenConcurrentClones ./internal/isa
 go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
 
-echo "== explorer batches in any completion order give the serial report; parallel profiling gives the serial loop's profiles (race, repeated) =="
-gate_exists TestExploreParallelMatchesSerial ./internal/model
+echo "== explorer batches give the pooled oracle's report; parallel profiling gives the serial loop's profiles (race, repeated) =="
+gate_exists TestExploreMatchesOracle ./internal/model
 gate_exists TestCollectProfilesMatchesSerial ./internal/model
-go test -race -count=10 -run '^(TestExploreParallelMatchesSerial|TestCollectProfilesMatchesSerial)$' ./internal/model
+go test -race -count=10 -run '^(TestExploreMatchesOracle|TestCollectProfilesMatchesSerial)$' ./internal/model
+
+echo "== an explore pass gives the same report at every session width, one build a program a batch (race, repeated) =="
+gate_exists TestExploreReportIndependentOfParallel ./internal/harness
+go test -race -count=5 -run '^TestExploreReportIndependentOfParallel$' ./internal/harness
 
 echo "== cells in flight share one program build, and a panicking build fails every waiter (race, repeated) =="
 gate_exists TestCellsInFlightShareOneBuild ./internal/harness
