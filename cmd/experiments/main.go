@@ -23,8 +23,10 @@
 // IPC vs bit-vector bits vs cache bytes). Simulated cells carry
 // ordinary content-addressed IDs, so -cache-dir/-resume dedups them
 // against full sweeps, and re-running an exploration with -resume
-// executes nothing. -explore refuses -skip and -sample (exit 2): the
-// model profiles each workload from its first instruction.
+// executes nothing. Each batch of simulated cells is primed onto the
+// same engine pool as the tables' cells, so -parallel N bounds them too,
+// fleet cells included with -server. -explore refuses -skip and -sample
+// (exit 2): the model profiles each workload from its first instruction.
 //
 // Every (configuration × benchmark) cell the selected experiments read is
 // primed onto the engine's worker pool up front, once each and in the

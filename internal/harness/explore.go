@@ -57,18 +57,16 @@ func ExploreGrid() []core.Config {
 // family), interval-model predictions for every cell, detailed
 // simulation only of the calibration anchors, the predicted top-K
 // configs, and a seeded audit slice that measures live model error.
-// Simulated cells are ordinary campaign cells with content-addressed
-// IDs — cached, resumable, and shared with full sweeps of the same grid.
-// Each batch runs the way RunAll runs a sweep: its cells are primed onto
-// the engine in the explorer's program-major order and collected in that
-// order, so the engine's pool (Options.Parallel) is the only bound on
-// how many run at once. A workload's program is held in the session's
-// table from the batch's start until its last cell is collected, so its
-// cells share one build. Pruned and audited counts surface on the
-// campaign progress line via the engine's model counters. A session that
-// skips or samples is refused: the model profiles each workload from its
-// first instruction to MaxInstr, so it would be calibrated on one region
-// and predict another. A session whose context is done profiles nothing.
+// Simulated cells are ordinary content-addressed campaign cells, and a
+// batch runs as RunAll runs a sweep: primed onto the engine in order and
+// collected in that order, so Options.Parallel bounds how many run at
+// once. A workload's program is held from the batch's start until its
+// last cell is collected, so its cells share one build. Pruned and
+// audited counts surface on the campaign progress line via the engine's
+// model counters. A session that skips or samples is refused: the model
+// profiles each workload from its first instruction to MaxInstr, so it
+// would be calibrated on one region and predict another. A session whose
+// context is done profiles nothing.
 func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report, error) {
 	if s.opt.SkipInstr > 0 || s.opt.Sampling != nil {
 		return nil, errors.New("harness: explore profiles each workload from its first instruction; a session that skips or samples measures another region")
@@ -96,27 +94,21 @@ func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report
 		Seed:         opt.Seed,
 		Exec: func(batch []model.Cell) []model.Measured {
 			cells := make([]campaign.Cell, len(batch))
-			release := make([]func(), len(srcs))
-			last := make([]int, len(srcs))
+			release := make([]func(), len(batch))
 			for k, c := range batch {
-				bi := byBench[c.Bench]
-				if release[bi] == nil {
-					release[bi] = s.programs.Hold(programKey(srcs[bi], s.opt.Scale))
-				}
-				cells[k], last[bi] = s.cell(c.Config, srcs[bi]), k
+				src := srcs[byBench[c.Bench]]
+				cells[k], release[k] = s.cell(c.Config, src), s.programs.Hold(programKey(src, s.opt.Scale))
 			}
 			s.eng.Prime(cells)
 			out := make([]model.Measured, len(batch))
 			for k, c := range batch {
-				bi := byBench[c.Bench]
-				if r, err := s.Run(c.Config, srcs[bi]); err != nil {
+				r, err := s.Run(c.Config, srcs[byBench[c.Bench]])
+				release[k]()
+				if err != nil {
 					out[k].Err = err
-				} else {
-					out[k] = model.Measured{Cycles: uint64(r.Stats.Cycles), IPC: r.IPC}
+					continue
 				}
-				if last[bi] == k {
-					release[bi]()
-				}
+				out[k] = model.Measured{Cycles: uint64(r.Stats.Cycles), IPC: r.IPC}
 			}
 			return out
 		},

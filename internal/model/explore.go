@@ -16,27 +16,24 @@ import (
 	"largewindow/internal/workload"
 )
 
-// Cell is one (config, benchmark) cell of a batch Explore simulates.
+// Cell is one (config, benchmark) cell of a batch.
 type Cell struct {
 	Config core.Config
 	Bench  string
 }
 
-// Measured is a simulated cell's outcome: its cycles and IPC, or the
-// error it failed with.
+// Measured is a simulated cell's cycles and IPC, or its error.
 type Measured struct {
 	Cycles uint64
 	IPC    float64
 	Err    error
 }
 
-// ExecFunc simulates a batch of cells on the detailed core and returns
-// one Measured per cell, in the order given, once every cell has ended.
-// The order is the one the cells should start in; how many run at once
-// is the ExecFunc's to bound. The harness supplies one that primes the
-// batch onto its campaign engine, so simulated cells are cached,
-// content-addressed, and resumable like any other sweep cell, and run on
-// the engine's pool.
+// ExecFunc simulates a batch of cells on the detailed core, starting them
+// in the order given and bounding how many run at once itself, and
+// returns one Measured per cell in that order once every cell has ended.
+// The harness's primes the batch onto its campaign engine, so the cells
+// are cached and resumable like any sweep cell.
 type ExecFunc func(cells []Cell) []Measured
 
 // Space describes a model-pruned design-space exploration.
@@ -60,8 +57,7 @@ type Space struct {
 	// Seed makes the audit slice deterministic, so a resumed exploration
 	// re-selects the same cells and finds them all cached.
 	Seed uint64
-	// Exec simulates a batch of cells; required. Explore calls it once
-	// per batch, from its own goroutine.
+	// Exec simulates each batch; required.
 	Exec ExecFunc
 	// Notify, when set, is called once the prune decision is made (after
 	// calibration and ranking, before the top-K and audit cells simulate):
@@ -166,8 +162,12 @@ func (s *Space) collectProfiles(logf func(string, ...any)) ([]*Profile, error) {
 			errs[bi] = s.profileBench(bi, family, profiles)
 		}
 	}
+	width := s.workers
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
 	var wg sync.WaitGroup
-	for range min(s.width(), nb) - 1 {
+	for range min(width, nb) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -224,14 +224,6 @@ func (s *Space) profileBench(bi int, family []string, profiles []*Profile) (err 
 	return nil
 }
 
-// width is how many goroutines the profiling phase fans out on.
-func (s *Space) width() int {
-	if s.workers > 0 {
-		return s.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Explore runs the model-pruned sweep: profile once per (bench, cache
 // family, predictor geometry), predict every cell, simulate only the
 // anchors (the extreme windows of each config family, which calibrate the
@@ -241,8 +233,7 @@ func (s *Space) width() int {
 // cells together.
 func (s *Space) Explore() (*Report, error) { return s.explore(s.simulate) }
 
-// explore is Explore with its batch runner passed in, so tests can run
-// the same sweep on a reference one.
+// explore is Explore on a given batch runner (tests pass a reference one).
 func (s *Space) explore(simulate func(points []Point, cells []int, rep *Report) error) (*Report, error) {
 	if s.Exec == nil {
 		return nil, fmt.Errorf("model: explore needs an Exec function")
@@ -411,7 +402,7 @@ func (s *Space) explore(simulate func(points []Point, cells []int, rep *Report) 
 	for idx := range points {
 		pt := &points[idx]
 		if pt.Simulated && pt.SimCycles > 0 {
-			pt.ErrPct = 100 * abs(pt.Pred.Cycles-float64(pt.SimCycles)) / float64(pt.SimCycles)
+			pt.ErrPct = 100 * math.Abs(pt.Pred.Cycles-float64(pt.SimCycles)) / float64(pt.SimCycles)
 		}
 	}
 	rep.Pruned = rep.TotalCells - rep.Simulated
@@ -481,9 +472,8 @@ func (s *Space) programMajor(points []Point, cells []int) []int {
 }
 
 // simulate hands Exec cells (index ci*len(Benches)+bi) as one batch, in
-// programMajor order, and records each cell's measurement. The cells are
-// marked simulated if every one succeeded; otherwise the error returned
-// is the lowest-index failing cell's.
+// programMajor order, and records each cell's measurement. If any cell
+// failed, the error returned is the lowest-index failing cell's.
 func (s *Space) simulate(points []Point, cells []int, rep *Report) error {
 	cells = s.programMajor(points, cells)
 	nb := len(s.Benches)
@@ -501,22 +491,12 @@ func (s *Space) simulate(points []Point, cells []int, rep *Report) error {
 			}
 			continue
 		}
-		points[idx].SimCycles, points[idx].SimIPC = m.Cycles, m.IPC
+		points[idx].SimCycles, points[idx].SimIPC, points[idx].Simulated = m.Cycles, m.IPC, true
 	}
 	if failed >= 0 {
 		pt := &points[cells[failed]]
 		return fmt.Errorf("model: explore cell %s × %s: %w", pt.Config, pt.Bench, res[failed].Err)
 	}
-	for _, idx := range cells {
-		points[idx].Simulated = true
-	}
 	rep.Simulated += len(cells)
 	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -316,8 +316,7 @@ func WithWorkload(w Workload, scale Scale) Option {
 	}
 }
 
-// WithModelPrune tunes an ExploreContext sweep's pruning policy (and
-// SimulateContext refuses it): the
+// WithModelPrune tunes an ExploreContext sweep's pruning policy: the
 // detailed core simulates the calibration anchors, the topK configs the
 // calibrated interval model predicts best (0 = 3), and a deterministic
 // audit slice covering auditFrac of the pruned cells (0 = 0.1, negative
@@ -332,23 +331,20 @@ func WithModelPrune(topK int, auditFrac float64) Option {
 // WithExploreSeed sets the audit-slice selection seed of an
 // ExploreContext sweep: the same seed re-selects the same audit cells,
 // so a repeated exploration finds every simulated cell memoized.
-// SimulateContext refuses it.
 func WithExploreSeed(seed uint64) Option {
 	return func(o *simOptions) { o.explore.Seed = seed }
 }
 
 // WithWorkloadScale sets the benchmark scale for runs whose workloads
 // are named by ref rather than supplied as a Workload (ExploreContext).
-// The default is ScaleTest. SimulateContext refuses another scale without
-// WithWorkload, as it would have no workload to scale.
+// The default is ScaleTest.
 func WithWorkloadScale(scale Scale) Option {
 	return func(o *simOptions) { o.workloadScale = scale }
 }
 
 // WithTelemetry attaches a cycle-sampled telemetry collector to the run
 // and streams schema-versioned JSONL samples to w. sampleInterval is the
-// sampling period in cycles (0 = the collector's default). ExploreContext
-// refuses it.
+// sampling period in cycles (0 = the collector's default).
 func WithTelemetry(w io.Writer, sampleInterval int64) Option {
 	return func(o *simOptions) {
 		o.telemetryW = w
@@ -356,34 +352,22 @@ func WithTelemetry(w io.Writer, sampleInterval int64) Option {
 	}
 }
 
-// simulateRefusal names an option SimulateContext would ignore, or is
-// nil: a run that silently differs from the one asked for is worse than
-// an error.
-func (o *simOptions) simulateRefusal() error {
-	var why string
-	switch {
-	case o.explore.TopK != 0 || o.explore.AuditFrac != 0:
-		why = "WithModelPrune tunes ExploreContext"
-	case o.explore.Seed != 0:
-		why = "WithExploreSeed tunes ExploreContext"
-	case o.workload == nil && o.workloadScale != ScaleTest:
-		why = "WithWorkloadScale without WithWorkload has no workload to scale"
-	case o.checkpoint != nil && o.skipInstr > 0:
-		why = "WithSkip with WithCheckpoint: the checkpoint fixes the skip"
-	case o.sampling == nil:
-		return nil
-	case o.maxInstr > 0:
-		why = "WithMaxInstr or WithMeasure under WithSampling: the plan defines the simulated region"
-	case o.skipInstr > 0:
-		why = "WithSkip under WithSampling: the plan defines the simulated region"
-	case o.checkpoint != nil:
-		why = "WithCheckpoint under WithSampling: the plan defines the simulated region"
-	case o.telemetryW != nil:
-		why = "WithTelemetry under WithSampling: the detailed core is recreated per interval"
-	default:
-		return nil
+// ignored is an input an entry point would ignore, and whether it was given.
+type ignored struct {
+	given bool
+	what  string
+}
+
+// refuse returns an error naming the first input given that entry would
+// ignore: a run that silently differs from the one asked for is worse
+// than no run.
+func refuse(entry string, opts ...ignored) error {
+	for _, o := range opts {
+		if o.given {
+			return fmt.Errorf("largewindow: %s refuses %s", entry, o.what)
+		}
 	}
-	return errors.New("largewindow: SimulateContext refuses " + why)
+	return nil
 }
 
 // SimulateContext runs prog on the given configuration until it halts,
@@ -395,13 +379,17 @@ func SimulateContext(ctx context.Context, cfg Config, prog *Program, opts ...Opt
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if err := o.simulateRefusal(); err != nil {
+	if err := refuse("SimulateContext",
+		ignored{o.workload != nil && prog != nil, "a prog with WithWorkload; pass nil prog"},
+		ignored{o.explore != (harness.ExploreOptions{}), "WithModelPrune and WithExploreSeed, which tune ExploreContext"},
+		ignored{o.workload == nil && o.workloadScale != ScaleTest, "WithWorkloadScale without WithWorkload"},
+		ignored{o.checkpoint != nil && o.skipInstr > 0, "WithSkip with WithCheckpoint, which fixes the skip"},
+		ignored{o.sampling != nil && (o.maxInstr > 0 || o.skipInstr > 0 || o.checkpoint != nil || o.telemetryW != nil),
+			"WithMaxInstr, WithMeasure, WithSkip, WithCheckpoint and WithTelemetry under WithSampling, whose plan defines the simulated windows"},
+	); err != nil {
 		return nil, err
 	}
 	if o.workload != nil {
-		if prog != nil {
-			return nil, errors.New("largewindow: both prog and WithWorkload supplied; pass nil prog")
-		}
 		var err error
 		if prog, err = o.workload.Build(o.workloadScale); err != nil {
 			return nil, fmt.Errorf("largewindow: building workload %s: %w", o.workload.Ref(), err)
@@ -445,23 +433,6 @@ func SimulateContext(ctx context.Context, cfg Config, prog *Program, opts ...Opt
 	return resultOf(sample.OneWindow(w)), nil
 }
 
-// exploreRefusal names an option ExploreContext would ignore, or is nil.
-// WithSkip and WithSampling reach the session, which refuses them.
-func (o *simOptions) exploreRefusal() error {
-	var why string
-	switch {
-	case o.telemetryW != nil:
-		why = "WithTelemetry: its cells write no telemetry"
-	case o.checkpoint != nil:
-		why = "WithCheckpoint: the model profiles each workload from its first instruction"
-	case o.workload != nil:
-		why = "WithWorkload: name the workloads in the workloads argument"
-	default:
-		return nil
-	}
-	return errors.New("largewindow: ExploreContext refuses " + why)
-}
-
 // ExploreReport is the outcome of an ExploreContext sweep: per-cell
 // predictions (with measured results and live error where simulated),
 // per-config suite summaries, and the Pareto frontier over suite IPC,
@@ -473,22 +444,25 @@ type ExploreReport = model.Report
 // harness session's Explore: one functional profiling pass per
 // (workload, cache family) feeds an interval model that predicts every
 // cell; the detailed core simulates only the calibration anchors, the
-// predicted-best configs and an audit slice (see WithModelPrune), each
-// batch primed onto the session's pool of runtime.GOMAXPROCS(0) workers.
-// WithMaxInstr bounds the profiling pass and each cell, WithMaxCycles each
-// cell (0, the default, runs to completion); WithWorkloadScale sets the
-// kernel scale. No cell is retried. WithSkip, WithSampling, WithTelemetry,
-// WithCheckpoint and WithWorkload are refused before anything runs. A ctx
-// already done profiles nothing; cancelling ctx later stops the cells in
-// flight, and ExploreContext returns once every cell has stopped. Report
-// points name a registry kernel by its bare name and any other workload
-// by its canonical ref.
+// predicted-best configs and an audit slice (see WithModelPrune) on a
+// pool of runtime.GOMAXPROCS(0) workers. WithMaxInstr bounds the
+// profiling pass and each cell, WithMaxCycles each cell (0, the default,
+// runs to completion); WithWorkloadScale sets the kernel scale. No cell
+// is retried; WithSkip, WithSampling, WithTelemetry, WithCheckpoint and
+// WithWorkload are refused. A done ctx profiles nothing; cancelling ctx
+// stops the cells in flight, and ExploreContext returns once every cell
+// has stopped. Report points name a registry kernel by its bare name and
+// any other workload by its canonical ref.
 func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts ...Option) (*ExploreReport, error) {
 	var o simOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if err := o.exploreRefusal(); err != nil {
+	if err := refuse("ExploreContext",
+		ignored{o.telemetryW != nil, "WithTelemetry"},
+		ignored{o.checkpoint != nil, "WithCheckpoint"},
+		ignored{o.workload != nil, "WithWorkload; name the workloads in the workloads argument"},
+	); err != nil {
 		return nil, err
 	}
 	if len(workloads) == 0 { // a session reads no workloads as every kernel
