@@ -19,9 +19,10 @@ import (
 
 // TestExploreKeepsTwoCellsInFlight: a session hands the explorer's
 // simulated cells to its engine a batch at a time, so its Parallel — not
-// GOMAXPROCS — bounds how many run at once. Each cell waits (up to a
-// bound) for the session's width of cells to start before it runs, so
-// an explorer that submits fewer at a time is seen as a lower peak.
+// GOMAXPROCS — bounds how many run at once. Each cell waits (until a
+// deadline shared by the pass) for the session's width of cells to start
+// before it runs, so an explorer that submits fewer at a time is seen as
+// a lower peak.
 func TestExploreKeepsTwoCellsInFlight(t *testing.T) {
 	for _, tc := range []struct{ procs, parallel int }{{0, 2}, {1, 2}, {2, 4}} {
 		procs := "unchanged"
@@ -32,6 +33,7 @@ func TestExploreKeepsTwoCellsInFlight(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
 			want := int32(tc.parallel)
 			var inFlight, peak atomic.Int32
+			deadline := time.Now().Add(10 * time.Second)
 			var s *Session
 			s = NewSession(Options{
 				MaxInstr:   10_000,
@@ -43,7 +45,7 @@ func TestExploreKeepsTwoCellsInFlight(t *testing.T) {
 					defer inFlight.Add(-1)
 					for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 					}
-					for deadline := time.Now().Add(5 * time.Second); peak.Load() < want && time.Now().Before(deadline); {
+					for peak.Load() < want && time.Now().Before(deadline) {
 						time.Sleep(time.Millisecond)
 					}
 					return s.ExecCell(cell)

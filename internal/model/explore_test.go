@@ -205,32 +205,52 @@ func TestCollectProfilesMatchesSerial(t *testing.T) {
 // names the failing cell with the lowest index, not the first in the
 // batch's order.
 func TestExploreErrorNamesLowestFailingCell(t *testing.T) {
-	serial, err := batchTestSpace(fakeExec).Explore()
+	sp := batchTestSpace(fakeExec)
+	serial, err := sp.Explore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fail every second cell of the second batch.
-	var second []int
-	for idx, pt := range serial.Points {
-		if pt.Simulated && !pt.Anchor {
-			second = append(second, idx)
+	order, err := batchOrders(sp, serial, sp.programMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := order[serial.Anchors:]
+	// Every second cell of the second batch by index; and two cells of it,
+	// one ahead of the other in Exec's order but above it by index.
+	sorted := slices.Clone(second)
+	slices.Sort(sorted)
+	var everyOther, inverted []int
+	for i := 0; i < len(sorted); i += 2 {
+		everyOther = append(everyOther, sorted[i])
+	}
+	for i := 0; i < len(second) && inverted == nil; i++ {
+		for _, idx := range second[i+1:] {
+			if idx < second[i] {
+				inverted = []int{second[i], idx}
+				break
+			}
 		}
+	}
+	if inverted == nil {
+		t.Fatal("the second batch runs in index order; the test needs an inversion")
 	}
 	injected := errors.New("injected failure")
-	fail := map[string]bool{}
-	for i := 0; i < len(second); i += 2 {
-		pt := serial.Points[second[i]]
-		fail[pt.Config+"|"+pt.Bench] = true
-	}
-	first := serial.Points[second[0]]
-	want := "model: explore cell " + first.Config + " × " + first.Bench + ": "
-	_, err = batchTestSpace(func(cfg core.Config, bench string) (uint64, float64, error) {
-		if fail[cfg.Name+"|"+bench] {
-			return 0, 0, injected
+	for _, failing := range [][]int{everyOther, inverted} {
+		fail := map[string]bool{}
+		for _, idx := range failing {
+			pt := serial.Points[idx]
+			fail[pt.Config+"|"+pt.Bench] = true
 		}
-		return fakeExec(cfg, bench)
-	}).Explore()
-	if !errors.Is(err, injected) || !strings.HasPrefix(err.Error(), want) {
-		t.Errorf("error %v, want it to start %q", err, want)
+		low := serial.Points[slices.Min(failing)]
+		want := "model: explore cell " + low.Config + " × " + low.Bench + ": "
+		_, err := batchTestSpace(func(cfg core.Config, bench string) (uint64, float64, error) {
+			if fail[cfg.Name+"|"+bench] {
+				return 0, 0, injected
+			}
+			return fakeExec(cfg, bench)
+		}).Explore()
+		if !errors.Is(err, injected) || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("cells %v failing: error %v, want it to start %q", failing, err, want)
+		}
 	}
 }
