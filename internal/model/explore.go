@@ -32,8 +32,8 @@ type Measured struct {
 // ExecFunc simulates a batch of cells on the detailed core, starting them
 // in the order given and bounding how many run at once itself, and
 // returns one Measured per cell in that order once every cell has ended.
-// The harness's primes the batch onto its campaign engine, so the cells
-// are cached and resumable like any sweep cell.
+// The harness's ExecFunc primes the batch onto its campaign engine, so
+// the cells are cached and resumable like any sweep cell.
 type ExecFunc func(cells []Cell) []Measured
 
 // Space describes a model-pruned design-space exploration.
