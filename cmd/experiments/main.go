@@ -23,9 +23,8 @@
 // IPC vs bit-vector bits vs cache bytes). Simulated cells carry
 // ordinary content-addressed IDs, so -cache-dir/-resume dedups them
 // against full sweeps, and re-running an exploration with -resume
-// executes nothing. Each batch of simulated cells is primed onto the
-// same engine pool as the tables' cells, so -parallel N bounds them too,
-// fleet cells included with -server. -explore refuses -skip and -sample
+// executes nothing; -parallel N bounds the simulated cells as it bounds
+// the tables', fleet cells included. -explore refuses -skip and -sample
 // (exit 2): the model profiles each workload from its first instruction.
 //
 // Every (configuration × benchmark) cell the selected experiments read is

@@ -447,8 +447,7 @@ func (s *Space) explore(simulate func(points []Point, cells []int, rep *Report) 
 // summed predicted cycles, costliest first (ties to the lower bench
 // index), and within a bench its cells longest predicted time first (ties
 // to the lower cell index). Each bench's cells are contiguous, so the
-// cells in flight at once share few programs, and an Exec that holds each
-// program across its bench's cells builds it once a batch.
+// cells in flight at once share few programs.
 func (s *Space) programMajor(points []Point, cells []int) []int {
 	nb := len(s.Benches)
 	cost := make([]float64, nb)
