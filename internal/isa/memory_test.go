@@ -242,6 +242,24 @@ func diffAddr(r *rand.Rand) uint64 {
 	}
 }
 
+// seqBase draws the first page of a long first-touch sequence: in the
+// builder's heap, across a leaf boundary, across the table's end into the
+// fallback map, or beyond it. The bases are few, so sequences written on
+// different memories of one clone chain overlap.
+func seqBase(r *rand.Rand) uint64 {
+	const leafBytes = leafPages * PageBytes
+	const tableBytes = tablePages * PageBytes
+	switch r.Intn(4) {
+	case 0:
+		return HeapBase + uint64(r.Intn(4))*16*PageBytes
+	case 1:
+		return leafBytes - 5*PageBytes
+	case 2:
+		return tableBytes - 5*PageBytes
+	}
+	return 1 << 33
+}
+
 // memPair is one Memory under test and its oracle.
 type memPair struct {
 	m     *Memory
@@ -297,9 +315,15 @@ func panics(f func()) (p bool) {
 
 // diffMemory drives a pool of Memory/refMemory pairs with one seeded random
 // operation stream and returns the first disagreement. afterClone, if set,
-// is applied to the parent Memory after every Clone (the mutation hook).
-// It also returns the deepest clone chain it built.
-func diffMemory(seed int64, steps int, afterClone func(*Memory)) (maxDepth int, err error) {
+// is applied to the parent Memory and its child after every Clone (the
+// mutation hook). It also returns the deepest clone chain it built.
+//
+// Besides single-word operations, the stream writes long sequences of
+// consecutive pages, most of them first touches, and clones a memory and
+// then writes a page sequence on both sides of the Clone. So a memory's
+// page allocations come many at a time, as first touches and as
+// copy-on-write copies, on parents and on fresh clones.
+func diffMemory(seed int64, steps int, afterClone func(parent, child *Memory)) (maxDepth int, err error) {
 	r := rand.New(rand.NewSource(seed))
 	pool := []memPair{{m: NewMemory(), ref: newRefMemory()}}
 	for step := 0; step < steps; step++ {
@@ -308,7 +332,39 @@ func diffMemory(seed int64, steps int, afterClone func(*Memory)) (maxDepth int, 
 		fail := func(format string, args ...any) (int, error) {
 			return maxDepth, fmt.Errorf("seed %d step %d mem %d: %s", seed, step, i, fmt.Sprintf(format, args...))
 		}
-		switch op := r.Intn(20); {
+		// write stores one word in each of n pages from base on, in page
+		// order, in the memory and its oracle; a frozen memory must panic.
+		write := func(q memPair, base uint64, n int) error {
+			for k := 0; k < n; k++ {
+				a, v := base+uint64(k)*PageBytes+uint64(r.Intn(wordsPerPage))*8, r.Uint64()|1
+				if q.ref.frozen {
+					if !panics(func() { q.m.WriteWord(a, v) }) {
+						return fmt.Errorf("WriteWord(%#x) on a frozen memory did not panic", a)
+					}
+					return nil
+				}
+				q.m.WriteWord(a, v)
+				q.ref.WriteWord(a, v)
+			}
+			return nil
+		}
+		// clone adds a clone of p to the pool.
+		clone := func() memPair {
+			c := memPair{m: p.m.Clone(), ref: p.ref.Clone(), depth: p.depth + 1}
+			if afterClone != nil {
+				afterClone(p.m, c.m)
+			}
+			if c.depth > maxDepth {
+				maxDepth = c.depth
+			}
+			if len(pool) < 8 {
+				pool = append(pool, c)
+			} else {
+				pool[1+r.Intn(len(pool)-1)] = c
+			}
+			return c
+		}
+		switch op := r.Intn(21); {
 		case op < 7:
 			a := diffAddr(r)
 			pages := p.m.Pages()
@@ -347,18 +403,7 @@ func diffMemory(seed int64, steps int, afterClone func(*Memory)) (maxDepth int, 
 			p.ref.SetPage(pg, words)
 			words[0] = ^uint64(0) // SetPage must have copied
 		case op < 17:
-			c := memPair{m: p.m.Clone(), ref: p.ref.Clone(), depth: p.depth + 1}
-			if afterClone != nil {
-				afterClone(p.m)
-			}
-			if c.depth > maxDepth {
-				maxDepth = c.depth
-			}
-			if len(pool) < 8 {
-				pool = append(pool, c)
-			} else {
-				pool[1+r.Intn(len(pool)-1)] = c
-			}
+			clone()
 		case op < 18:
 			if i > 0 && r.Intn(3) == 0 { // never the root: the pool must keep a writable chain
 				p.m.Freeze()
@@ -367,8 +412,21 @@ func diffMemory(seed int64, steps int, afterClone func(*Memory)) (maxDepth int, 
 			if p.m.Frozen() != p.ref.frozen {
 				return fail("Frozen = %v, oracle %v", p.m.Frozen(), p.ref.frozen)
 			}
-		default:
+		case op < 20:
 			if err := p.compare(); err != nil {
+				return fail("%v", err)
+			}
+		case r.Intn(2) == 0: // a long first-touch sequence
+			if err := write(p, seqBase(r), 1+r.Intn(20)); err != nil {
+				return fail("%v", err)
+			}
+		default: // a Clone, then copy-on-write sequences on both sides
+			c := clone()
+			base, n := seqBase(r), 1+r.Intn(20)
+			if err := write(p, base, n); err != nil {
+				return fail("%v", err)
+			}
+			if err := write(c, base+uint64(r.Intn(3))*PageBytes, n); err != nil {
 				return fail("%v", err)
 			}
 		}
@@ -405,7 +463,7 @@ func TestMemoryDifferential(t *testing.T) {
 // of book-keeping), parent writes land in pages its clones still read, and
 // the differential run must say so.
 func TestMemoryDifferentialCatchesDroppedCOW(t *testing.T) {
-	dropCOW := func(m *Memory) {
+	dropCOW := func(m, _ *Memory) {
 		if m.frozen {
 			return
 		}
