@@ -23,10 +23,17 @@ import (
 // an immutable snapshot — writes panic, and Clones of it never touch the
 // parent, so one frozen image (a program's data, a shared checkpoint) can
 // be cloned from many goroutines concurrently.
+//
+// A memory takes each new page, first touch or copy, from a run of pages
+// it allocated ahead: runs of 1, 2, 4 and then 8 pages, so a memory that
+// touches n pages makes about n/8 allocations, not n, and holds at most 7
+// pages it has not used. A clone starts with no run of its own.
 type Memory struct {
 	root   []*leaf
 	far    map[uint64]farPage // pages at or above tablePages
 	npages int
+	spare  []page // the unused pages of the last run
+	run    int    // the last run's length
 	// frozen forbids writes: the memory is an immutable snapshot whose
 	// pages are permanently shared with its clones.
 	frozen bool
@@ -38,6 +45,7 @@ const PageBytes = 4096
 
 const (
 	wordsPerPage = PageBytes / 8
+	runPages     = 8    // 32 KB, the largest small allocation: no run is a large object
 	leafPages    = 512  // one leaf maps 2 MB
 	rootLeaves   = 2048 // the root maps 4 GB when fully grown
 	tablePages   = leafPages * rootLeaves
@@ -130,17 +138,27 @@ func (m *Memory) private(p uint64) *page {
 	return pg
 }
 
+// fresh returns the page to write in place of old: old itself if the
+// memory owns it, else the next page of the memory's run, zeroed for a
+// first touch or a copy of a shared old.
 func (m *Memory) fresh(old *page, shared bool) *page {
-	switch {
-	case old == nil:
-		m.npages++
-		return new(page)
-	case shared:
-		pg := new(page)
-		*pg = *old
-		return pg
+	if old != nil && !shared {
+		return old
 	}
-	return old
+	if len(m.spare) == 0 {
+		m.run = min(max(2*m.run, 1), runPages)
+		m.spare = make([]page, m.run)
+	}
+	pg := &m.spare[0]
+	if m.spare = m.spare[1:]; len(m.spare) == 0 {
+		m.spare = nil // an empty slice would still pin its run
+	}
+	if old == nil {
+		m.npages++
+	} else {
+		*pg = *old
+	}
+	return pg
 }
 
 // ReadF64 reads a float64 stored at addr.
@@ -154,7 +172,8 @@ func (m *Memory) WriteF64(addr uint64, v float64) { m.WriteWord(addr, F2U(v)) }
 // page — so cloning costs one 4KB leaf copy per 2 MB of touched address
 // space, not O(bytes). Cloning a Frozen memory does not mutate the parent
 // at all (its pages are permanently shared), which makes concurrent
-// Clones of one frozen image safe.
+// Clones of one frozen image safe. The child allocates its own runs, so
+// no two memories hand out pages of one run.
 func (m *Memory) Clone() *Memory {
 	c := &Memory{root: make([]*leaf, len(m.root)), npages: m.npages}
 	for l, lf := range m.root {

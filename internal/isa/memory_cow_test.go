@@ -65,39 +65,48 @@ func TestMemoryFrozenWritePanics(t *testing.T) {
 
 // TestMemoryFrozenConcurrentClones is the checkpoint-sharing scenario: one
 // frozen image cloned and written from many goroutines at once (run under
-// -race). Clones of a frozen parent must not mutate it.
+// -race). Clones of a frozen parent must not mutate it. Every clone both
+// copies the image's pages and first-touches pages of its own, so each
+// draws page runs of its own; every clone reads its pages back only after
+// all of them have written, so two clones handing out one run's pages
+// would show as a wrong value (and as a race).
 func TestMemoryFrozenConcurrentClones(t *testing.T) {
 	// 64 pages spread over a leaf boundary, the stack's leaf, and the
-	// fallback map beyond the table.
+	// fallback map beyond the table; each has an untouched neighbour.
 	addr := func(i uint64) uint64 {
 		switch i % 4 {
 		case 0:
-			return leafPages*PageBytes - 32*PageBytes + i*PageBytes
+			return leafPages*PageBytes - 64*PageBytes + 2*i*PageBytes
 		case 1:
-			return StackBase - (i+1)*PageBytes
+			return StackBase - 2*(i+1)*PageBytes
 		case 2:
-			return 1<<33 + i*PageBytes
+			return 1<<33 + 2*i*PageBytes
 		}
-		return i * PageBytes
+		return 2 * i * PageBytes
 	}
+	const untouched = PageBytes // addr(i) + untouched is a page the image lacks
 	m := NewMemory()
 	for i := uint64(0); i < 64; i++ {
 		m.WriteWord(addr(i), i+1)
 	}
 	m.Freeze()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
+	const clones = 8
+	var written, wg sync.WaitGroup
+	written.Add(clones)
+	for g := uint64(0); g < clones; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			c := m.Clone()
 			for i := uint64(0); i < 64; i++ {
-				c.WriteWord(addr(i), uint64(g)*1000+i)
+				c.WriteWord(addr(i), g*1000+i)
+				c.WriteWord(addr(i)+untouched, g*1000+i+500)
 			}
+			written.Done()
+			written.Wait()
 			for i := uint64(0); i < 64; i++ {
-				if got := c.ReadWord(addr(i)); got != uint64(g)*1000+i {
-					t.Errorf("goroutine %d: read = %d", g, got)
+				if got, got2 := c.ReadWord(addr(i)), c.ReadWord(addr(i)+untouched); got != g*1000+i || got2 != g*1000+i+500 {
+					t.Errorf("goroutine %d: page %d reads %d and its neighbour %d", g, i, got, got2)
 					return
 				}
 			}
@@ -105,8 +114,8 @@ func TestMemoryFrozenConcurrentClones(t *testing.T) {
 	}
 	wg.Wait()
 	for i := uint64(0); i < 64; i++ {
-		if got := m.ReadWord(addr(i)); got != i+1 {
-			t.Fatalf("frozen parent mutated: page %d = %d, want %d", i, got, i+1)
+		if got, got2 := m.ReadWord(addr(i)), m.ReadWord(addr(i)+untouched); got != i+1 || got2 != 0 {
+			t.Fatalf("frozen parent mutated: page %d = %d, its neighbour %d; want %d, 0", i, got, got2, i+1)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package isa
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -476,6 +477,50 @@ func TestMemoryDifferentialCatchesDroppedCOW(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		if _, err := diffMemory(seed, 3000, dropCOW); err == nil {
 			t.Errorf("seed %d: a memory that drops its COW marks passed the differential test", seed)
+		}
+	}
+}
+
+// TestMemoryDifferentialCatchesSharedRun is the test of the test for
+// page runs: a Clone that hands the child its parent's spare run lets the
+// two memories take the same pages for their next writes, and the
+// differential run must say so.
+func TestMemoryDifferentialCatchesSharedRun(t *testing.T) {
+	shareRun := func(parent, child *Memory) { child.spare, child.run = parent.spare, parent.run }
+	for seed := int64(1); seed <= 5; seed++ {
+		if _, err := diffMemory(seed, 3000, shareRun); err == nil {
+			t.Errorf("seed %d: clones that share their parent's run passed the differential test", seed)
+		}
+	}
+}
+
+// TestMemoryRunBound: touching n pages of one memory, first touches or
+// copy-on-write copies, allocates at most ⌈log₂8⌉ + ⌈n/8⌉ + 1 runs and at
+// most n + 7 pages. The memories written are fresh clones, whose page
+// table already exists, so every allocation counted is a run.
+func TestMemoryRunBound(t *testing.T) {
+	const shared, untouched = leafPages * PageBytes, 2 * leafPages * PageBytes
+	measure := func(m *Memory, base uint64, n int) (runs, pages uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := range n {
+			m.WriteWord(base+uint64(k)*PageBytes+8, uint64(k))
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, (after.TotalAlloc - before.TotalAlloc) / PageBytes
+	}
+	for _, n := range []int{1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 40, 100, 500} {
+		parent := NewMemory()
+		for k := range n {
+			parent.WriteWord(shared+uint64(k)*PageBytes, 1)
+		}
+		parent.WriteWord(untouched+(leafPages-1)*PageBytes, 1) // the leaf the first touches go to
+		maxRuns, maxPages := uint64(3+(n+7)/8+1), uint64(n+7)
+		for name, base := range map[string]uint64{"copy-on-write": shared, "first touch": untouched} {
+			runs, pages := measure(parent.Clone(), base, n)
+			if runs > maxRuns || pages > maxPages {
+				t.Errorf("%s of %d pages: %d runs, %d pages; want at most %d runs, %d pages", name, n, runs, pages, maxRuns, maxPages)
+			}
 		}
 	}
 }

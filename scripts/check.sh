@@ -92,9 +92,11 @@ echo "== requests waiting on one cell answer from the block its verdict left the
 gate_exists TestWaitersAnswerFromTheFinishingBlock ./internal/service/
 go test -race -count=10 -run '^TestWaitersAnswerFromTheFinishingBlock$' ./internal/service/
 
-echo "== shared frozen memory images under concurrent clones (race, repeated) =="
+echo "== shared frozen memory images under concurrent clones; page runs are each memory's own and bounded (race, repeated) =="
 gate_exists TestMemoryFrozenConcurrentClones ./internal/isa
-go test -race -count=10 -run 'TestMemoryFrozenConcurrentClones' ./internal/isa
+gate_exists TestMemoryDifferentialCatchesSharedRun ./internal/isa
+gate_exists TestMemoryRunBound ./internal/isa
+go test -race -count=10 -run '^(TestMemoryFrozenConcurrentClones|TestMemoryDifferentialCatchesSharedRun|TestMemoryRunBound)$' ./internal/isa
 
 echo "== explorer batches give the pooled oracle's report; parallel profiling gives the serial loop's profiles (race, repeated) =="
 gate_exists TestExploreMatchesOracle ./internal/model
