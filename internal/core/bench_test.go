@@ -414,9 +414,11 @@ func TestWIBCellAllocBudget(t *testing.T) { checkCellAllocBudget(t, WIBDefault()
 
 // TestBaseCellAllocBudget gates the 250k-instruction base cell. With no
 // WIB there is no row arena and few registers gather more than
-// waiterSlabCap waiters; what a run adds to core.New is mostly the memory
-// image's private copies of the pages the kernel stores to (13-184 here),
-// then the event queue's growth and a waiter block per 256 registers used.
+// waiterSlabCap waiters; what a run adds to core.New (15-34 here) is the
+// event queue's growth, a waiter block per 256 registers used, and the
+// memory image's private copies of the pages the kernel stores to, taken
+// in runs of up to 8 pages. When each copy was an allocation of its own,
+// em3d's cell allocated 249 against core.New's 64, under a slack of 300.
 func TestBaseCellAllocBudget(t *testing.T) {
-	checkCellAllocBudget(t, DefaultConfig(), runBaseCell, 300)
+	checkCellAllocBudget(t, DefaultConfig(), runBaseCell, 50)
 }
