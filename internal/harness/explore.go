@@ -60,8 +60,9 @@ func ExploreGrid() []core.Config {
 // Simulated cells are ordinary content-addressed campaign cells, and a
 // batch runs as RunAll runs a sweep: primed onto the engine in order and
 // collected in that order, so Options.Parallel bounds how many run at
-// once. A workload's program is held from the batch's start until its
-// last cell is collected, so its cells share one build. Pruned and
+// once. Each cell holds its workload's program from the batch's start
+// until the cell ends, so a workload's cells share one build, and the
+// programs built and alive at once are at most about one per worker. Pruned and
 // audited counts surface on the campaign progress line via the engine's
 // model counters. A session that skips or samples is refused: the model
 // profiles each workload from its first instruction to MaxInstr, so it
@@ -94,16 +95,16 @@ func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report
 		Seed:         opt.Seed,
 		Exec: func(batch []model.Cell) []model.Measured {
 			cells := make([]campaign.Cell, len(batch))
-			release := make([]func(), len(batch))
 			for k, c := range batch {
 				src := srcs[byBench[c.Bench]]
-				cells[k], release[k] = s.cell(c.Config, src), s.programs.Hold(programKey(src, s.opt.Scale))
+				cells[k] = s.cell(c.Config, src)
+				s.holdUntilEnd(cells[k], s.programs.Hold(programKey(src, s.opt.Scale)))
 			}
 			s.eng.Prime(cells)
 			out := make([]model.Measured, len(batch))
 			for k, c := range batch {
 				r, err := s.Run(c.Config, srcs[byBench[c.Bench]])
-				release[k]()
+				s.cellEnded(cells[k])
 				if err != nil {
 					out[k].Err = err
 					continue

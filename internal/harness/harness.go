@@ -22,6 +22,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"largewindow/internal/campaign"
@@ -154,6 +155,11 @@ type Session struct {
 	// the cells that run it at the same time, and forgets it once none
 	// does: a session-lifetime memo would keep every program of a sweep.
 	programs flight.Shared[*isa.Program]
+
+	// holds are the program holds that explorer cells keep until they
+	// end, by cell ID (see cellEnded).
+	holdsMu sync.Mutex
+	holds   map[string][]func()
 }
 
 // NewSession creates a harness session. When opt.CacheDir is set, the
@@ -186,6 +192,11 @@ func NewSession(opt Options) *Session {
 	exec := campaign.ExecFunc(s.ExecCell)
 	if opt.Exec != nil {
 		exec = opt.Exec
+	}
+	run := exec
+	exec = func(cell campaign.Cell) (*campaign.Record, error) {
+		defer s.cellEnded(cell)
+		return run(cell)
 	}
 	retry := opt.Retry
 	if retry.IsTransient == nil {
@@ -285,6 +296,38 @@ func (s *Session) Run(cfg core.Config, src workload.Source) (*campaign.Record, e
 		return nil, fmt.Errorf("%s on %s: %w", resultKey(src), cfg.Name, err)
 	}
 	return rec, nil
+}
+
+// holdUntilEnd keeps a program hold until cell ends.
+func (s *Session) holdUntilEnd(cell campaign.Cell, release func()) {
+	id := cell.ID()
+	s.holdsMu.Lock()
+	defer s.holdsMu.Unlock()
+	if s.holds == nil {
+		s.holds = make(map[string][]func())
+	}
+	s.holds[id] = append(s.holds[id], release)
+}
+
+// cellEnded releases the holds kept until cell ends, once, for whichever
+// comes first: the engine's executor returning, or the caller collecting
+// the cell, which is the only one to see a memo or store hit end. A cell
+// the engine retries may build its program again.
+func (s *Session) cellEnded(cell campaign.Cell) {
+	s.holdsMu.Lock()
+	none := len(s.holds) == 0
+	s.holdsMu.Unlock()
+	if none {
+		return
+	}
+	id := cell.ID()
+	s.holdsMu.Lock()
+	releases := s.holds[id]
+	delete(s.holds, id)
+	s.holdsMu.Unlock()
+	for _, release := range releases {
+		release()
+	}
 }
 
 // resolveCell maps a cell back to its workload source. Bench cells go

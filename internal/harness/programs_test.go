@@ -3,9 +3,12 @@ package harness
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"largewindow/internal/core"
 	"largewindow/internal/isa"
@@ -19,8 +22,9 @@ import (
 type countingSource struct{ inner workload.Source }
 
 var builds struct {
-	mu sync.Mutex
-	n  map[string]int // by inner ref
+	mu      sync.Mutex
+	n       map[string]int // by inner ref
+	onBuild func()         // called at the start of every build, if set
 }
 
 func init() {
@@ -57,7 +61,11 @@ func (c countingSource) innerRef() string {
 func (c countingSource) Build(sc workload.Scale) (*isa.Program, error) {
 	builds.mu.Lock()
 	builds.n[c.innerRef()]++
+	onBuild := builds.onBuild
 	builds.mu.Unlock()
+	if onBuild != nil {
+		onBuild()
+	}
 	if c.inner == nil {
 		panic("sabotaged build")
 	}
@@ -158,29 +166,67 @@ func TestBuildPanicReachesEveryCell(t *testing.T) {
 	}
 }
 
+// programsBuilt counts the programs in the session's table that are built
+// or being built, under the table's own lock. flight.Shared exports no
+// count, so the test reads its fields by reflection.
+func programsBuilt(s *Session) int {
+	table := reflect.ValueOf(&s.programs).Elem()
+	mu := (*sync.Mutex)(unsafe.Pointer(table.FieldByName("mu").UnsafeAddr()))
+	mu.Lock()
+	defer mu.Unlock()
+	n := 0
+	for it := table.FieldByName("entries").MapRange(); it.Next(); {
+		if !it.Value().Elem().FieldByName("slot").IsNil() {
+			n++
+		}
+	}
+	return n
+}
+
 // TestExploreBuildsPerPass: one explore pass builds each program once to
-// profile it and at most once per batch, because a batch runs a program's
-// cells back to back and holds the program across them: 24 builds for
-// this pass. Before the session shared programs, every simulated cell
-// built its own: 60 builds (8 profiles + 52 cells). A refactor that
-// brings per-cell builds back fails here.
+// profile it and at most once per batch, because a batch holds a
+// program across its cells: 24 builds for this pass. Before the session
+// shared programs, every simulated cell built its own: 60 builds (8
+// profiles + 52 cells). A refactor that brings per-cell builds back fails
+// here. And each cell's hold ends when the cell does, so at most
+// Parallel + 1 programs are built and alive at once: when a hold lasted
+// until the cell was collected in batch order, a slow cell at the head
+// of a batch kept every program built since alive (3-4 at Parallel 2,
+// 4-8 at Parallel 4). The peak is read at every build, the only moment
+// it can rise.
 func TestExploreBuildsPerPass(t *testing.T) {
 	refs := []string{"mst", "em3d", "art", "gzip", "swim", "perimeter",
 		"synth:mlp=4,miss=0.1,ws=4m,n=10000", "synth:mlp=1,miss=0.3,ws=1m,n=10000,seed=3"}
 	for i, ref := range refs {
 		refs[i] = "counting:" + ref
 	}
-	total := countBuilds()
-	s := NewSession(Options{Scale: workload.ScaleTest, MaxInstr: 10_000, Parallel: 2, Benchmarks: refs})
-	rep, err := s.Explore(ExploreGrid(), ExploreOptions{TopK: 2, AuditFrac: 0.1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batches = 2
-	n := total()
-	t.Logf("%d builds for %d programs, %d simulated cells", n, len(refs), rep.Simulated)
-	if limit := len(refs) * (batches + 1); n > limit {
-		t.Errorf("%d builds in one pass over %d programs, want at most %d (one profile, one per batch)", n, len(refs), limit)
+	for _, par := range []int{2, 4} {
+		total := countBuilds()
+		s := NewSession(Options{Scale: workload.ScaleTest, MaxInstr: 10_000, Parallel: par, Benchmarks: refs})
+		var peak atomic.Int32
+		builds.mu.Lock()
+		builds.onBuild = func() {
+			for n, p := int32(programsBuilt(s)), peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+		}
+		builds.mu.Unlock()
+		rep, err := s.Explore(ExploreGrid(), ExploreOptions{TopK: 2, AuditFrac: 0.1, Seed: 1})
+		builds.mu.Lock()
+		builds.onBuild = nil
+		builds.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const batches = 2
+		n := total()
+		t.Logf("Parallel %d: %d builds for %d programs, %d simulated cells, at most %d programs built at once",
+			par, n, len(refs), rep.Simulated, peak.Load())
+		if limit := len(refs) * (batches + 1); n > limit {
+			t.Errorf("Parallel %d: %d builds in one pass over %d programs, want at most %d (one profile, one per batch)", par, n, len(refs), limit)
+		}
+		if got := int(peak.Load()); got > par+1 {
+			t.Errorf("Parallel %d: %d programs built and alive at once, want at most %d", par, got, par+1)
+		}
 	}
 }
 
