@@ -61,10 +61,10 @@ func ExploreGrid() []core.Config {
 // batch runs as RunAll runs a sweep: primed onto the engine in order and
 // collected in that order, so Options.Parallel bounds how many run at
 // once. Each cell holds its workload's program from the batch's start
-// until the cell ends, so a workload's cells share one build, and the
-// programs built and alive at once are at most about one per worker. Pruned and
-// audited counts surface on the campaign progress line via the engine's
-// model counters. A session that skips or samples is refused: the model
+// until the cell ends, so a workload's cells share one build and at most
+// Parallel + 1 programs are built and alive at once. Pruned and audited
+// counts surface on the campaign progress line via the engine's model
+// counters. A session that skips or samples is refused: the model
 // profiles each workload from its first instruction to MaxInstr, so it
 // would be calibrated on one region and predict another. A session whose
 // context is done profiles nothing.

@@ -168,7 +168,7 @@ type Session struct {
 // falls back to in-process memoization only.
 func NewSession(opt Options) *Session {
 	opt = opt.withDefaults()
-	s := &Session{opt: opt}
+	s := &Session{opt: opt, holds: make(map[string][]func())}
 	if opt.CacheDir != "" {
 		store, err := campaign.NewStore(opt.CacheDir)
 		if err != nil {
@@ -193,16 +193,14 @@ func NewSession(opt Options) *Session {
 	if opt.Exec != nil {
 		exec = opt.Exec
 	}
-	run := exec
-	exec = func(cell campaign.Cell) (*campaign.Record, error) {
-		defer s.cellEnded(cell)
-		return run(cell)
-	}
 	retry := opt.Retry
 	if retry.IsTransient == nil {
 		retry.IsTransient = Transient
 	}
-	s.eng = campaign.NewEngine(exec, campaign.Options{
+	s.eng = campaign.NewEngine(func(cell campaign.Cell) (*campaign.Record, error) {
+		defer s.cellEnded(cell)
+		return exec(cell)
+	}, campaign.Options{
 		Workers:     opt.Parallel,
 		Store:       s.store,
 		Resume:      opt.Resume,
@@ -303,9 +301,6 @@ func (s *Session) holdUntilEnd(cell campaign.Cell, release func()) {
 	id := cell.ID()
 	s.holdsMu.Lock()
 	defer s.holdsMu.Unlock()
-	if s.holds == nil {
-		s.holds = make(map[string][]func())
-	}
 	s.holds[id] = append(s.holds[id], release)
 }
 
@@ -315,19 +310,15 @@ func (s *Session) holdUntilEnd(cell campaign.Cell, release func()) {
 // the engine retries may build its program again.
 func (s *Session) cellEnded(cell campaign.Cell) {
 	s.holdsMu.Lock()
-	none := len(s.holds) == 0
-	s.holdsMu.Unlock()
-	if none {
+	defer s.holdsMu.Unlock()
+	if len(s.holds) == 0 {
 		return
 	}
 	id := cell.ID()
-	s.holdsMu.Lock()
-	releases := s.holds[id]
-	delete(s.holds, id)
-	s.holdsMu.Unlock()
-	for _, release := range releases {
+	for _, release := range s.holds[id] {
 		release()
 	}
+	delete(s.holds, id)
 }
 
 // resolveCell maps a cell back to its workload source. Bench cells go
