@@ -191,8 +191,8 @@ func programsBuilt(s *Session) int {
 // here. And each cell's hold ends when the cell does, so at most
 // Parallel + 1 programs are built and alive at once: when a hold lasted
 // until the cell was collected in batch order, a slow cell at the head
-// of a batch kept every program built since alive (3-4 at Parallel 2,
-// 4-8 at Parallel 4). The peak is read at every build, the only moment
+// of a batch kept every program built since alive (3-5 at Parallel 2,
+// 7-8 at Parallel 4). The peak is read at every build, the only moment
 // it can rise.
 func TestExploreBuildsPerPass(t *testing.T) {
 	refs := []string{"mst", "em3d", "art", "gzip", "swim", "perimeter",
