@@ -327,43 +327,43 @@ func panics(f func()) (p bool) {
 func diffMemory(seed int64, steps int, afterClone func(parent, child *Memory)) (maxDepth int, err error) {
 	r := rand.New(rand.NewSource(seed))
 	pool := []memPair{{m: NewMemory(), ref: newRefMemory()}}
+	// write stores one word in each of n pages from base on, in page
+	// order, in the memory and its oracle; a frozen memory must panic.
+	write := func(q memPair, base uint64, n int) error {
+		for k := 0; k < n; k++ {
+			a, v := base+uint64(k)*PageBytes+uint64(r.Intn(wordsPerPage))*8, r.Uint64()|1
+			if q.ref.frozen {
+				if !panics(func() { q.m.WriteWord(a, v) }) {
+					return fmt.Errorf("WriteWord(%#x) on a frozen memory did not panic", a)
+				}
+				return nil
+			}
+			q.m.WriteWord(a, v)
+			q.ref.WriteWord(a, v)
+		}
+		return nil
+	}
+	// clone adds a clone of p to the pool.
+	clone := func(p memPair) memPair {
+		c := memPair{m: p.m.Clone(), ref: p.ref.Clone(), depth: p.depth + 1}
+		if afterClone != nil {
+			afterClone(p.m, c.m)
+		}
+		if c.depth > maxDepth {
+			maxDepth = c.depth
+		}
+		if len(pool) < 8 {
+			pool = append(pool, c)
+		} else {
+			pool[1+r.Intn(len(pool)-1)] = c
+		}
+		return c
+	}
 	for step := 0; step < steps; step++ {
 		i := r.Intn(len(pool))
 		p := pool[i]
 		fail := func(format string, args ...any) (int, error) {
 			return maxDepth, fmt.Errorf("seed %d step %d mem %d: %s", seed, step, i, fmt.Sprintf(format, args...))
-		}
-		// write stores one word in each of n pages from base on, in page
-		// order, in the memory and its oracle; a frozen memory must panic.
-		write := func(q memPair, base uint64, n int) error {
-			for k := 0; k < n; k++ {
-				a, v := base+uint64(k)*PageBytes+uint64(r.Intn(wordsPerPage))*8, r.Uint64()|1
-				if q.ref.frozen {
-					if !panics(func() { q.m.WriteWord(a, v) }) {
-						return fmt.Errorf("WriteWord(%#x) on a frozen memory did not panic", a)
-					}
-					return nil
-				}
-				q.m.WriteWord(a, v)
-				q.ref.WriteWord(a, v)
-			}
-			return nil
-		}
-		// clone adds a clone of p to the pool.
-		clone := func() memPair {
-			c := memPair{m: p.m.Clone(), ref: p.ref.Clone(), depth: p.depth + 1}
-			if afterClone != nil {
-				afterClone(p.m, c.m)
-			}
-			if c.depth > maxDepth {
-				maxDepth = c.depth
-			}
-			if len(pool) < 8 {
-				pool = append(pool, c)
-			} else {
-				pool[1+r.Intn(len(pool)-1)] = c
-			}
-			return c
 		}
 		switch op := r.Intn(21); {
 		case op < 7:
@@ -404,7 +404,7 @@ func diffMemory(seed int64, steps int, afterClone func(parent, child *Memory)) (
 			p.ref.SetPage(pg, words)
 			words[0] = ^uint64(0) // SetPage must have copied
 		case op < 17:
-			clone()
+			clone(p)
 		case op < 18:
 			if i > 0 && r.Intn(3) == 0 { // never the root: the pool must keep a writable chain
 				p.m.Freeze()
@@ -422,7 +422,7 @@ func diffMemory(seed int64, steps int, afterClone func(parent, child *Memory)) (
 				return fail("%v", err)
 			}
 		default: // a Clone, then copy-on-write sequences on both sides
-			c := clone()
+			c := clone(p)
 			base, n := seqBase(r), 1+r.Intn(20)
 			if err := write(p, base, n); err != nil {
 				return fail("%v", err)
