@@ -10,20 +10,8 @@ import (
 	"largewindow/internal/stats"
 )
 
-// ExploreOptions tunes a model-pruned design-space exploration (see
-// internal/model.Space). The zero value is the calibrated default:
-// simulate the top 3 predicted configs plus anchors, audit 10% of the
-// pruned cells.
-type ExploreOptions struct {
-	// TopK is how many configs (by calibrated predicted suite IPC) get a
-	// full detailed simulation. 0 defaults to 3.
-	TopK int
-	// AuditFrac is the fraction of pruned cells simulated anyway to
-	// measure live model error. 0 defaults to 0.1; negative disables.
-	AuditFrac float64
-	// Seed makes the audit slice deterministic across resumed runs.
-	Seed uint64
-}
+// ExploreOptions is an exploration's pruning policy (see model.Pruning).
+type ExploreOptions = model.Pruning
 
 // ExploreGrid is the default WIB/cache geometry space for `experiments
 // -explore`: the conventional window-scaling extremes (which double as
@@ -90,9 +78,7 @@ func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report
 		Benches:      benches,
 		Scale:        s.opt.Scale,
 		ProfileInstr: s.opt.MaxInstr, // the model predicts the region the detailed core measures
-		TopK:         opt.TopK,
-		AuditFrac:    opt.AuditFrac,
-		Seed:         opt.Seed,
+		Pruning:      opt,
 		Exec: func(batch []model.Cell) []model.Measured {
 			cells := make([]campaign.Cell, len(batch))
 			for k, c := range batch {

@@ -36,6 +36,22 @@ type Measured struct {
 // the cells are cached and resumable like any sweep cell.
 type ExecFunc func(cells []Cell) []Measured
 
+// Pruning is an exploration's pruning policy: which cells the detailed
+// core simulates besides the calibration anchors. The zero value is the
+// calibrated default: the top 3 predicted configs and an audit of 10% of
+// the pruned cells.
+type Pruning struct {
+	// TopK is how many configs (by calibrated predicted suite IPC) are
+	// simulated in full. 0 defaults to 3.
+	TopK int
+	// AuditFrac is the fraction of pruned cells simulated anyway to
+	// measure live model error. 0 defaults to 0.1; negative disables.
+	AuditFrac float64
+	// Seed makes the audit slice deterministic, so a resumed exploration
+	// re-selects the same cells and finds them all cached.
+	Seed uint64
+}
+
 // Space describes a model-pruned design-space exploration.
 type Space struct {
 	// Configs and Benches span the sweep grid (Configs must carry the
@@ -48,15 +64,7 @@ type Space struct {
 	// the same budget the detailed cells run, or the model predicts a
 	// different region than the simulator measures.
 	ProfileInstr uint64
-	// TopK is how many configs (by calibrated predicted suite IPC) are
-	// simulated in full. 0 defaults to 3.
-	TopK int
-	// AuditFrac is the fraction of pruned cells simulated anyway to
-	// measure live model error. 0 defaults to 0.1; negative disables.
-	AuditFrac float64
-	// Seed makes the audit slice deterministic, so a resumed exploration
-	// re-selects the same cells and finds them all cached.
-	Seed uint64
+	Pruning
 	// Exec simulates each batch; required.
 	Exec ExecFunc
 	// Notify, when set, is called once the prune decision is made (after

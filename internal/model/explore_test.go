@@ -51,7 +51,7 @@ func batchTestSpace(exec cellExec) *Space {
 			"synth:mlp=4,miss=0.1,ws=4m,n=10000",
 			"synth:mlp=8,miss=0.3,ws=4m,n=10000",
 		},
-		Scale: workload.ScaleTest, TopK: 2, AuditFrac: 0.25, Seed: 7,
+		Scale: workload.ScaleTest, Pruning: Pruning{TopK: 2, AuditFrac: 0.25, Seed: 7},
 		Exec: serialBatch(exec),
 	}
 }

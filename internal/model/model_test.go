@@ -257,7 +257,7 @@ func TestExplorePrunesAndAudits(t *testing.T) {
 	run := func(seed uint64) *Report {
 		sp := &Space{
 			Configs: configs, Benches: benches, Scale: workload.ScaleTest,
-			TopK: 2, AuditFrac: 0.25, Seed: seed, Exec: serialBatch(exec),
+			Pruning: Pruning{TopK: 2, AuditFrac: 0.25, Seed: seed}, Exec: serialBatch(exec),
 		}
 		rep, err := sp.Explore()
 		if err != nil {

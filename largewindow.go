@@ -242,9 +242,6 @@ type simOptions struct {
 	sampling       *SamplingPlan
 	workload       Workload
 	workloadScale  Scale
-
-	// explore tunes ExploreContext (WithModelPrune, WithExploreSeed).
-	explore harness.ExploreOptions
 }
 
 // Option configures a SimulateContext run.
@@ -316,32 +313,6 @@ func WithWorkload(w Workload, scale Scale) Option {
 	}
 }
 
-// WithModelPrune tunes an ExploreContext sweep's pruning policy: the
-// detailed core simulates the calibration anchors, the topK configs the
-// calibrated interval model predicts best (0 = 3), and a deterministic
-// audit slice covering auditFrac of the pruned cells (0 = 0.1, negative
-// disables auditing); the model answers everything else in closed form.
-func WithModelPrune(topK int, auditFrac float64) Option {
-	return func(o *simOptions) {
-		o.explore.TopK = topK
-		o.explore.AuditFrac = auditFrac
-	}
-}
-
-// WithExploreSeed sets the audit-slice selection seed of an
-// ExploreContext sweep: the same seed re-selects the same audit cells,
-// so a repeated exploration finds every simulated cell memoized.
-func WithExploreSeed(seed uint64) Option {
-	return func(o *simOptions) { o.explore.Seed = seed }
-}
-
-// WithWorkloadScale sets the benchmark scale for runs whose workloads
-// are named by ref rather than supplied as a Workload (ExploreContext).
-// The default is ScaleTest.
-func WithWorkloadScale(scale Scale) Option {
-	return func(o *simOptions) { o.workloadScale = scale }
-}
-
 // WithTelemetry attaches a cycle-sampled telemetry collector to the run
 // and streams schema-versioned JSONL samples to w. sampleInterval is the
 // sampling period in cycles (0 = the collector's default).
@@ -381,8 +352,6 @@ func SimulateContext(ctx context.Context, cfg Config, prog *Program, opts ...Opt
 	}
 	if err := refuse("SimulateContext",
 		ignored{o.workload != nil && prog != nil, "a prog with WithWorkload; pass nil prog"},
-		ignored{o.explore != (harness.ExploreOptions{}), "WithModelPrune and WithExploreSeed, which tune ExploreContext"},
-		ignored{o.workload == nil && o.workloadScale != ScaleTest, "WithWorkloadScale without WithWorkload"},
 		ignored{o.checkpoint != nil && o.skipInstr > 0, "WithSkip with WithCheckpoint, which fixes the skip"},
 		ignored{o.sampling != nil && (o.maxInstr > 0 || o.skipInstr > 0 || o.checkpoint != nil || o.telemetryW != nil),
 			"WithMaxInstr, WithMeasure, WithSkip, WithCheckpoint and WithTelemetry under WithSampling, whose plan defines the simulated windows"},
@@ -439,54 +408,56 @@ func SimulateContext(ctx context.Context, cfg Config, prog *Program, opts ...Opt
 // bit-vector budget, and cache capacity.
 type ExploreReport = model.Report
 
+// ExploreOptions tunes an ExploreContext sweep; its zero value runs
+// every simulated cell to completion at ScaleTest under the calibrated
+// pruning policy.
+type ExploreOptions struct {
+	// MaxInstr bounds the profiling pass and each simulated cell,
+	// MaxCycles each cell; 0 is unbounded.
+	MaxInstr  uint64
+	MaxCycles int64
+	// Scale sizes the named kernels; the zero value is ScaleTest.
+	Scale Scale
+	// TopK, AuditFrac and Seed are the pruning policy, zero values
+	// defaulted as internal/model's Pruning documents: the configs the
+	// model predicts best and simulated in full, the audited fraction of
+	// the pruned cells, and the audit slice's selection seed.
+	TopK      int
+	AuditFrac float64
+	Seed      uint64
+}
+
 // ExploreContext runs a model-pruned design-space exploration of cfgs
 // over the named workloads (any ParseWorkloadRef refs) as an in-process
 // harness session's Explore: one functional profiling pass per
 // (workload, cache family) feeds an interval model that predicts every
 // cell; the detailed core simulates only the calibration anchors, the
-// predicted-best configs and an audit slice (see WithModelPrune) on a
-// pool of runtime.GOMAXPROCS(0) workers. WithMaxInstr bounds the
-// profiling pass and each cell, WithMaxCycles each cell (0, the default,
-// runs to completion); WithWorkloadScale sets the kernel scale. No cell
-// is retried; WithSkip, WithSampling, WithTelemetry, WithCheckpoint and
-// WithWorkload are refused. A done ctx profiles nothing; cancelling ctx
-// stops the cells in flight, and ExploreContext returns once every cell
-// has stopped. Report points name a registry kernel by its bare name and
-// any other workload by its canonical ref.
-func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts ...Option) (*ExploreReport, error) {
-	var o simOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if err := refuse("ExploreContext",
-		ignored{o.telemetryW != nil, "WithTelemetry"},
-		ignored{o.checkpoint != nil, "WithCheckpoint"},
-		ignored{o.workload != nil, "WithWorkload; name the workloads in the workloads argument"},
-	); err != nil {
-		return nil, err
-	}
+// predicted-best configs and an audit slice on a pool of
+// runtime.GOMAXPROCS(0) workers. No cell is retried. A done ctx profiles
+// nothing; cancelling ctx stops the cells in flight, and ExploreContext
+// returns once every cell has stopped. Report points name a registry
+// kernel by its bare name and any other workload by its canonical ref.
+func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opt ExploreOptions) (*ExploreReport, error) {
 	if len(workloads) == 0 { // a session reads no workloads as every kernel
 		return nil, errors.New("largewindow: explore needs workloads")
 	}
 	// A session reads zero budgets as its defaults, the facade as unbounded.
 	const unbounded = 1 << 62
-	if o.maxInstr == 0 {
-		o.maxInstr = unbounded
+	if opt.MaxInstr == 0 {
+		opt.MaxInstr = unbounded
 	}
-	if o.maxCycles == 0 {
-		o.maxCycles = unbounded
+	if opt.MaxCycles == 0 {
+		opt.MaxCycles = unbounded
 	}
 	s := harness.NewSession(harness.Options{
 		Context:    ctx,
-		MaxInstr:   o.maxInstr,
-		MaxCycles:  o.maxCycles,
-		Scale:      o.workloadScale,
+		MaxInstr:   opt.MaxInstr,
+		MaxCycles:  opt.MaxCycles,
+		Scale:      opt.Scale,
 		Benchmarks: workloads,
 		Retry:      campaign.RetryPolicy{MaxAttempts: 1},
-		SkipInstr:  o.skipInstr,
-		Sampling:   o.sampling,
 	})
-	return s.Explore(cfgs, o.explore)
+	return s.Explore(cfgs, harness.ExploreOptions{TopK: opt.TopK, AuditFrac: opt.AuditFrac, Seed: opt.Seed})
 }
 
 // Emulate runs prog on the architectural emulator (no timing) and returns

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -30,9 +29,7 @@ func TestExploreContext(t *testing.T) {
 	cfgs := exploreTestGrid()
 	benches := []string{"mst", "em3d"}
 	rep, err := ExploreContext(context.Background(), cfgs, benches,
-		WithMaxInstr(20_000),
-		WithModelPrune(1, 0.5),
-		WithExploreSeed(7))
+		ExploreOptions{MaxInstr: 20_000, TopK: 1, AuditFrac: 0.5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +75,7 @@ func TestExploreContextMatchesSessionExplore(t *testing.T) {
 	cfgs := exploreTestGrid()
 	benches := []string{"mst", "em3d"}
 	got, err := ExploreContext(context.Background(), cfgs, benches,
-		WithMaxInstr(20_000),
-		WithMaxCycles(100_000_000),
-		WithModelPrune(1, 0.5),
-		WithExploreSeed(7))
+		ExploreOptions{MaxInstr: 20_000, MaxCycles: 100_000_000, TopK: 1, AuditFrac: 0.5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +99,7 @@ func TestExploreContextDeterministicAudit(t *testing.T) {
 	benches := []string{"mst", "em3d"}
 	audits := func(seed uint64) map[string]bool {
 		rep, err := ExploreContext(context.Background(), cfgs, benches,
-			WithMaxInstr(15_000),
-			WithModelPrune(1, 0.5),
-			WithExploreSeed(seed))
+			ExploreOptions{MaxInstr: 15_000, TopK: 1, AuditFrac: 0.5, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,8 +128,7 @@ func TestExploreContextDeterministicAudit(t *testing.T) {
 func TestExploreContextAuditDisabled(t *testing.T) {
 	rep, err := ExploreContext(context.Background(),
 		exploreTestGrid(), []string{"mst"},
-		WithMaxInstr(15_000),
-		WithModelPrune(1, -1))
+		ExploreOptions{MaxInstr: 15_000, TopK: 1, AuditFrac: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +141,7 @@ func TestExploreContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := ExploreContext(ctx, exploreTestGrid(), []string{"mst"},
-		WithMaxInstr(15_000), WithModelPrune(1, -1))
+		ExploreOptions{MaxInstr: 15_000, TopK: 1, AuditFrac: -1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled exploration: err = %v, want context.Canceled", err)
 	}
@@ -159,7 +150,7 @@ func TestExploreContextCancellation(t *testing.T) {
 func TestExploreContextBadWorkload(t *testing.T) {
 	_, err := ExploreContext(context.Background(),
 		exploreTestGrid(), []string{"no-such-kernel"},
-		WithMaxInstr(10_000))
+		ExploreOptions{MaxInstr: 10_000})
 	if err == nil {
 		t.Fatal("unknown workload did not error")
 	}
@@ -176,7 +167,7 @@ func TestExploreContextCancelStopsCellsInFlight(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := ExploreContext(ctx, exploreTestGrid(), []string{"mst"},
-			WithMaxInstr(5_000_000), WithWorkloadScale(ScaleFull), WithModelPrune(1, -1))
+			ExploreOptions{MaxInstr: 5_000_000, Scale: ScaleFull, TopK: 1, AuditFrac: -1})
 		done <- err
 	}()
 	// The batch has started once an engine worker's goroutine joins the
@@ -210,30 +201,9 @@ func TestExploreContextCancelStopsCellsInFlight(t *testing.T) {
 	}
 }
 
-// TestExploreContextRefusesSkipAndSampling: the model profiles each
-// workload from its first instruction, so an exploration whose cells skip
-// or sample is refused.
-func TestExploreContextRefusesSkipAndSampling(t *testing.T) {
-	plan, err := ParseSamplingPlan("n=4,len=1000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, opt := range map[string]Option{
-		"WithSkip":     WithSkip(20_000),
-		"WithSampling": WithSampling(plan),
-	} {
-		rep, err := ExploreContext(context.Background(), exploreTestGrid(), []string{"mst"},
-			WithMaxInstr(20_000), opt)
-		if err == nil || !strings.Contains(err.Error(), "skips or samples") {
-			t.Errorf("%s: ExploreContext = %v, %v; want the skip/sample refusal", name, rep, err)
-		}
-	}
-}
-
-// TestExploreContextRunsCellsToCompletion: with no WithMaxInstr or
-// WithMaxCycles a simulated cell runs the program to its end, as
-// SimulateContext does. The program runs 383,638 instructions, past a
-// harness session's 300K default budget.
+// TestExploreContextRunsCellsToCompletion: with zero budgets a simulated
+// cell runs the program to its end, as SimulateContext does. The program
+// runs 383,638 instructions, past a harness session's 300K default budget.
 func TestExploreContextRunsCellsToCompletion(t *testing.T) {
 	const ref = "synth:mlp=2,miss=0.05,n=400000"
 	w, err := ParseWorkloadRef(ref)
@@ -248,7 +218,7 @@ func TestExploreContextRunsCellsToCompletion(t *testing.T) {
 		t.Fatalf("%s: halted %v after %d instructions; the test needs a program past 300K", ref, full.Halted, full.Stats.Committed)
 	}
 	// One config is its family's only anchor, so its cell is simulated.
-	rep, err := ExploreContext(context.Background(), []Config{BaseConfig()}, []string{ref})
+	rep, err := ExploreContext(context.Background(), []Config{BaseConfig()}, []string{ref}, ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +234,7 @@ func TestExploreContextRunsCellsToCompletion(t *testing.T) {
 // sweep of every kernel (what a harness session reads nil as).
 func TestExploreContextNeedsWorkloads(t *testing.T) {
 	for _, workloads := range [][]string{nil, {}} {
-		rep, err := ExploreContext(context.Background(), exploreTestGrid(), workloads, WithMaxInstr(1_000))
+		rep, err := ExploreContext(context.Background(), exploreTestGrid(), workloads, ExploreOptions{MaxInstr: 1_000})
 		if err == nil || rep != nil {
 			t.Errorf("workloads %#v: ExploreContext = %v, %v; want an error and no report", workloads, rep, err)
 		}

@@ -156,7 +156,7 @@ func TestSimulateReturnsErrorsNotPanics(t *testing.T) {
 		row.mutate(&cfg)
 		start := time.Now()
 		rep, err := ExploreContext(context.Background(), []Config{BaseConfig(), cfg}, []string{"treeadd"},
-			WithWorkloadScale(ScaleTest), WithMaxInstr(2000))
+			ExploreOptions{Scale: ScaleTest, MaxInstr: 2000})
 		if err == nil || rep != nil {
 			t.Errorf("%s: ExploreContext got (%v, %v), want an error", row.name, rep, err)
 		}
