@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	experiments [-run fig1,table2,fig4,fig5,fig6,policy,fig7,sens|all]
+//	experiments [-run fig1,table2,fig4,fig5,fig6,policy,fig7,sens,pool,slice|all] [-list]
 //	            [-instr N] [-skip N] [-sample n=50,period=200000,len=2000,warm=2000]
 //	            [-bench a,b,c] [-workload ref]... [-scale test|run|full] [-v]
 //	            [-parallel N] [-cache-dir dir] [-resume] [-retries N]
-//	            [-server http://host:8420] [-watch]
+//	            [-server http://host:8420] [-watch] [-progress=false]
 //	            [-deadline 2m] [-crash-dump dir]
 //	            [-telemetry-dir dir] [-sample-interval N] [-pprof cpu.prof]
 //	            [-explore] [-topk K] [-audit FRAC] [-seed N]
@@ -26,6 +26,8 @@
 // executes nothing; -parallel N bounds the simulated cells as it bounds
 // the tables', fleet cells included. -explore refuses -skip and -sample
 // (exit 2): the model profiles each workload from its first instruction.
+// -sample refuses -skip, -instr, -telemetry-dir and -sample-interval
+// (exit 2): the plan defines each cell's simulated windows.
 //
 // Every (configuration × benchmark) cell the selected experiments read is
 // primed onto the engine's worker pool up front, once each and in the
@@ -144,6 +146,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *explore && (*skip > 0 || *smpl != "") {
 		return fail(2, "-explore cannot -skip or -sample (the model profiles each workload from its first instruction)")
+	}
+	if *smpl != "" {
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		for _, name := range []string{"skip", "instr", "telemetry-dir", "sample-interval"} {
+			if set[name] {
+				return fail(2, "-sample ignores -%s (the plan defines each cell's simulated windows)", name)
+			}
+		}
 	}
 	if *watch && *server == "" {
 		return fail(2, "-watch needs -server (the event stream lives on the coordinator)")

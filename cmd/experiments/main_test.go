@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -194,11 +196,40 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		{[]string{"-watch"}, "-watch needs -server"},
 		{[]string{"-explore", "-skip", "20000"}, "-explore cannot -skip or -sample"},
 		{[]string{"-explore", "-sample", "n=4,len=1000"}, "-explore cannot -skip or -sample"},
+		{[]string{"-run", "fig4", "-bench", "gzip", "-scale", "test", "-sample", "n=2,len=200", "-skip", "1000", "-telemetry-dir", "d"}, "-sample ignores -skip"},
+		{[]string{"-sample", "n=2,len=200", "-skip", "1000"}, "-sample ignores -skip"},
+		{[]string{"-sample", "n=2,len=200", "-instr", "50000"}, "-sample ignores -instr"},
+		{[]string{"-sample", "n=2,len=200", "-telemetry-dir", "d"}, "-sample ignores -telemetry-dir"},
+		{[]string{"-sample", "n=2,len=200", "-sample-interval", "500"}, "-sample ignores -sample-interval"},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 	} {
 		code, stdout, stderr := experiments(tc.args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2, no tables and %q", tc.args, code, stdout, stderr, tc.want)
+		}
+	}
+}
+
+// TestUsageDocNamesEveryFlag: the package doc's usage block names every
+// flag -h lists, so the two cannot drift apart.
+func TestUsageDocNamesEveryFlag(t *testing.T) {
+	code, stdout, stderr := experiments("-h")
+	if code != 2 || stdout != "" {
+		t.Fatalf("-h: exit %d, stdout %q", code, stdout)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, usage, _ := strings.Cut(f.Doc.Text(), "Usage:\n\n")
+	usage, _, _ = strings.Cut(usage, "\n\n")
+	names := regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(stderr, -1)
+	if usage == "" || len(names) == 0 {
+		t.Fatalf("no usage block (%d bytes) or no flags (%d)", len(usage), len(names))
+	}
+	for _, n := range names {
+		if !regexp.MustCompile(`(^|[\s\[])-` + regexp.QuoteMeta(n[1]) + `([\s\]=]|$)`).MatchString(usage) {
+			t.Errorf("-%s is not named in the package doc's usage block", n[1])
 		}
 	}
 }

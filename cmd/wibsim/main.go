@@ -4,14 +4,20 @@
 //
 // Usage:
 //
-//	wibsim -bench art [-config base|wib|iq2k|wib256] [-instr N]
+//	wibsim -bench art [-scale test|run|full] [-config base|wib|iq2k|custom]
+//	       [-instr N] [-cycles N] [-list]
 //	       [-predict] [-record-trace out.wtr]
 //	       [-skip N] [-measure N] [-sample n=50,period=200000,len=2000,warm=2000]
 //	       [-wib-entries N] [-bitvectors N] [-policy banked|program-order|rr-load|oldest-load]
-//	       [-mem-latency N] [-dump] [-deadline 30s] [-crash-dump crash.json]
-//	       [-watchdog N] [-lockstep]
+//	       [-mem-latency N] [-dump] [-pipetrace N] [-deadline 30s] [-crash-dump crash.json]
+//	       [-watchdog N] [-lockstep] [-no-fast-forward]
 //	       [-telemetry] [-telemetry-out telemetry.jsonl] [-sample-interval N]
 //	       [-trace-out trace.json] [-kanata pipeline.kanata] [-pprof cpu.prof]
+//
+// A flag the chosen mode would ignore is refused (exit 2): under -sample
+// the plan defines the simulated windows and no window's core outlives
+// its interval, so -skip, -measure, -instr and the telemetry and
+// lifecycle-trace flags are refused; -predict refuses -sample and -skip.
 //
 // -predict skips the detailed simulation entirely: one fast functional
 // profiling pass feeds the mechanistic interval model (DESIGN.md §14),
@@ -166,6 +172,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(1, err)
 		}
 		return 0
+	}
+
+	// A flag the simulation's mode would ignore is refused: a run that
+	// silently differs from the one asked for is worse than no run.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, m := range []struct {
+		on      bool
+		mode    string
+		ignores []string
+	}{
+		{*smpl != "", "-sample", []string{"skip", "measure", "instr", "telemetry", "telemetry-out", "sample-interval", "trace-out", "kanata", "pipetrace"}},
+		{*predict, "-predict", []string{"sample", "skip"}},
+	} {
+		for _, name := range m.ignores {
+			if m.on && set[name] {
+				return fail(2, fmt.Errorf("%s ignores -%s", m.mode, name))
+			}
+		}
 	}
 
 	prog, err := src.Build(sc)

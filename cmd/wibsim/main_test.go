@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -133,16 +135,65 @@ func TestFailureLeavesReplayableCrashDump(t *testing.T) {
 	}
 }
 
+// TestBadUsageExitsTwo: input the command cannot act on, or would
+// ignore, is an error on stderr naming it and exit status 2, never a
+// silent default or a run that differs from the one asked for.
 func TestBadUsageExitsTwo(t *testing.T) {
-	for _, args := range [][]string{
-		{"-config", "nope"},
-		{"-bench", "nope"},
-		{"-sample", "n=0,len=10"},
-		{"-scale", "tset"}, // used to run silently at "run" scale
-		{"-no-such-flag"},
+	dir := t.TempDir()
+	sampled := []string{"-bench", "gzip", "-scale", "test", "-sample", "n=4,len=500"}
+	predict := []string{"-bench", "gzip", "-scale", "test", "-predict"}
+	for _, tc := range []struct {
+		args []string
+		want string // substring of stderr
+	}{
+		{[]string{"-config", "nope"}, `unknown config "nope"`},
+		{[]string{"-bench", "nope"}, `unknown benchmark "nope"`},
+		{[]string{"-sample", "n=0,len=10"}, "plan needs at least one interval"},
+		{[]string{"-scale", "tset"}, `unknown scale "tset"`}, // used to run silently at "run" scale
+		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+		{append(sampled, "-skip", "5000", "-telemetry", "-telemetry-out", filepath.Join(dir, "t.jsonl"), "-trace-out", filepath.Join(dir, "tr.json")), "-sample ignores -skip"},
+		{append(sampled, "-skip", "5000"), "-sample ignores -skip"},
+		{append(sampled, "-measure", "3000"), "-sample ignores -measure"},
+		{append(sampled, "-instr", "3000"), "-sample ignores -instr"},
+		{append(sampled, "-telemetry"), "-sample ignores -telemetry"},
+		{append(sampled, "-telemetry-out", filepath.Join(dir, "t.jsonl")), "-sample ignores -telemetry-out"},
+		{append(sampled, "-sample-interval", "500"), "-sample ignores -sample-interval"},
+		{append(sampled, "-trace-out", filepath.Join(dir, "tr.json")), "-sample ignores -trace-out"},
+		{append(sampled, "-kanata", filepath.Join(dir, "k.kanata")), "-sample ignores -kanata"},
+		{append(sampled, "-pipetrace", "64"), "-sample ignores -pipetrace"},
+		{append(predict, "-sample", "n=4,len=500"), "-predict ignores -sample"},
+		{append(predict, "-skip", "5000"), "-predict ignores -skip"},
 	} {
-		if code, stdout, _ := wibsim(args...); code != 2 || stdout != "" {
-			t.Errorf("%v: exit %d (stdout %q), want 2 and no report", args, code, stdout)
+		code, stdout, stderr := wibsim(tc.args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2, no report and %q", tc.args, code, stdout, stderr, tc.want)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("refused runs wrote %d files", len(files))
+	}
+}
+
+// TestUsageDocNamesEveryFlag: the package doc's usage block names every
+// flag -h lists, so the two cannot drift apart.
+func TestUsageDocNamesEveryFlag(t *testing.T) {
+	code, stdout, stderr := wibsim("-h")
+	if code != 2 || stdout != "" {
+		t.Fatalf("-h: exit %d, stdout %q", code, stdout)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, usage, _ := strings.Cut(f.Doc.Text(), "Usage:\n\n")
+	usage, _, _ = strings.Cut(usage, "\n\n")
+	names := regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(stderr, -1)
+	if usage == "" || len(names) == 0 {
+		t.Fatalf("no usage block (%d bytes) or no flags (%d)", len(usage), len(names))
+	}
+	for _, n := range names {
+		if !regexp.MustCompile(`(^|[\s\[])-` + regexp.QuoteMeta(n[1]) + `([\s\]=]|$)`).MatchString(usage) {
+			t.Errorf("-%s is not named in the package doc's usage block", n[1])
 		}
 	}
 }

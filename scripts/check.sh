@@ -84,6 +84,11 @@ gate_exists TestFastForwardEquivalence ./internal/core/
 gate_exists TestFastForwardBudgetStops ./internal/core/
 gate_exists TestDeferredLoadHeldUntilWoken ./internal/core/
 
+echo "== every entry point refuses what it would ignore: the facade's options, the CLIs' flags (they ran twice above, under ./...) =="
+gate_exists TestEntryPointsRefuseIgnoredOptions .
+gate_exists TestBadUsageExitsTwo ./cmd/wibsim/
+gate_exists TestBadUsageExitsTwo ./cmd/experiments/
+
 echo "== fleet memory gates are still in the suite (they ran above, under ./...; both skip under -short, the retained-heap one under -race too) =="
 gate_exists TestFleetCellAllocBudget ./internal/service/
 gate_exists TestFleetCellRetainedHeap ./internal/service/
