@@ -197,7 +197,6 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		{[]string{"-explore", "-skip", "20000"}, "-explore cannot -skip or -sample"},
 		{[]string{"-explore", "-sample", "n=4,len=1000"}, "-explore cannot -skip or -sample"},
 		{[]string{"-run", "fig4", "-bench", "gzip", "-scale", "test", "-sample", "n=2,len=200", "-skip", "1000", "-telemetry-dir", "d"}, "-sample ignores -skip"},
-		{[]string{"-sample", "n=2,len=200", "-skip", "1000"}, "-sample ignores -skip"},
 		{[]string{"-sample", "n=2,len=200", "-instr", "50000"}, "-sample ignores -instr"},
 		{[]string{"-sample", "n=2,len=200", "-telemetry-dir", "d"}, "-sample ignores -telemetry-dir"},
 		{[]string{"-sample", "n=2,len=200", "-sample-interval", "500"}, "-sample ignores -sample-interval"},

@@ -152,7 +152,6 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		{[]string{"-scale", "tset"}, `unknown scale "tset"`}, // used to run silently at "run" scale
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 		{append(sampled, "-skip", "5000", "-telemetry", "-telemetry-out", filepath.Join(dir, "t.jsonl"), "-trace-out", filepath.Join(dir, "tr.json")), "-sample ignores -skip"},
-		{append(sampled, "-skip", "5000"), "-sample ignores -skip"},
 		{append(sampled, "-measure", "3000"), "-sample ignores -measure"},
 		{append(sampled, "-instr", "3000"), "-sample ignores -instr"},
 		{append(sampled, "-telemetry"), "-sample ignores -telemetry"},
