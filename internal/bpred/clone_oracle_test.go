@@ -71,3 +71,44 @@ func TestCloneMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneIntoDirtyPredictor: copying into a predictor that another
+// window trained differently — same geometry, or a smaller or larger one
+// — gives exactly Clone's copy, BTB and RAS included, in dst itself.
+func TestCloneIntoDirtyPredictor(t *testing.T) {
+	small := Config{BimodalEntries: 256, TwoLevelEntries: 512, ChooserEntries: 128, BTBEntries: 64, BTBAssoc: 2, RASEntries: 4}
+	large := DefaultConfig()
+	large.BTBEntries, large.RASEntries = 4096, 64
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := New(DefaultConfig())
+		train(p, rng, 5000)
+		for _, cfg := range []Config{DefaultConfig(), small, large} {
+			dst := New(cfg)
+			train(dst, rng, 3000)
+			got := p.CloneInto(dst)
+			if !reflect.DeepEqual(got, p.Clone()) {
+				t.Fatalf("seed %d, dst %+v: CloneInto differs from Clone", seed, cfg)
+			}
+			if got != dst {
+				t.Errorf("seed %d, dst %+v: CloneInto returned a new predictor", seed, cfg)
+			}
+			// The copy is independent of p: training it leaves p as it was.
+			before := p.Clone()
+			train(got, rng, 500)
+			if !reflect.DeepEqual(p, before) {
+				t.Fatalf("seed %d, dst %+v: training the copy moved the original", seed, cfg)
+			}
+		}
+	}
+}
+
+// TestCloneIntoSameGeometryAllocatesNothing: recycling a window's
+// predictor into the next snapshot is a copy, not a construction.
+func TestCloneIntoSameGeometryAllocatesNothing(t *testing.T) {
+	p, dst := New(DefaultConfig()), New(DefaultConfig())
+	train(p, rand.New(rand.NewSource(1)), 1000)
+	if allocs := testing.AllocsPerRun(10, func() { p.CloneInto(dst) }); allocs != 0 {
+		t.Errorf("CloneInto a same-geometry predictor: %v allocs, want 0", allocs)
+	}
+}

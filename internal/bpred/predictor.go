@@ -182,31 +182,37 @@ func (p *Predictor) AttachTelemetry(reg *telemetry.Registry) {
 // so in-window speculation — and the abandoned in-flight tail left when
 // an interval's budget expires — can never contaminate the warm state
 // later intervals inherit.
-func (p *Predictor) Clone() *Predictor {
-	q := *p
-	q.comb = &Combined{
-		Bim: &Bimodal{
-			table: append([]uint8(nil), p.comb.Bim.table...),
-			mask:  p.comb.Bim.mask,
-		},
-		Glob: &TwoLevel{
-			pht:      append([]uint8(nil), p.comb.Glob.pht...),
-			mask:     p.comb.Glob.mask,
-			HistBits: p.comb.Glob.HistBits,
-		},
-		choice: append([]uint8(nil), p.comb.choice...),
-		mask:   p.comb.mask,
+func (p *Predictor) Clone() *Predictor { return p.CloneInto(nil) }
+
+// CloneInto copies p into dst and returns dst, as Clone does but into a
+// predictor a finished window gave back: every table is copied into
+// dst's own buffers, which are reused when they are large enough (always,
+// when dst was built from the same Config). A nil dst is replaced by a
+// new predictor. The copy and p share nothing.
+func (p *Predictor) CloneInto(dst *Predictor) *Predictor {
+	if dst == nil {
+		dst = &Predictor{comb: &Combined{Bim: new(Bimodal), Glob: new(TwoLevel)}, btb: new(BTB), ras: new(RAS)}
 	}
-	btb := *p.btb
-	btb.tags = append([]uint64(nil), p.btb.tags...)
-	btb.targets = append([]uint64(nil), p.btb.targets...)
-	btb.valid = append([]bool(nil), p.btb.valid...)
-	btb.lru = append([]uint64(nil), p.btb.lru...)
-	q.btb = &btb
-	ras := *p.ras
-	ras.stack = append([]uint64(nil), p.ras.stack...)
-	q.ras = &ras
-	return &q
+	comb, btb, ras := dst.comb, dst.btb, dst.ras
+	*comb.Bim = Bimodal{table: append(comb.Bim.table[:0], p.comb.Bim.table...), mask: p.comb.Bim.mask}
+	*comb.Glob = TwoLevel{
+		pht:      append(comb.Glob.pht[:0], p.comb.Glob.pht...),
+		mask:     p.comb.Glob.mask,
+		HistBits: p.comb.Glob.HistBits,
+	}
+	comb.choice, comb.mask = append(comb.choice[:0], p.comb.choice...), p.comb.mask
+	tags, targets, valid, lru := btb.tags, btb.targets, btb.valid, btb.lru
+	*btb = *p.btb
+	btb.tags = append(tags[:0], p.btb.tags...)
+	btb.targets = append(targets[:0], p.btb.targets...)
+	btb.valid = append(valid[:0], p.btb.valid...)
+	btb.lru = append(lru[:0], p.btb.lru...)
+	stack := ras.stack
+	*ras = *p.ras
+	ras.stack = append(stack[:0], p.ras.stack...)
+	*dst = *p
+	dst.comb, dst.btb, dst.ras = comb, btb, ras
+	return dst
 }
 
 // BTBStats reports BTB lookups and hits.

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"largewindow/internal/bpred"
+	"largewindow/internal/emu"
 	"largewindow/internal/isa"
+	"largewindow/internal/mem"
 	"largewindow/internal/workload"
 )
 
@@ -403,22 +407,82 @@ func checkCellAllocBudget(t *testing.T, cfg Config, cell func(testing.TB, *isa.P
 	}
 }
 
-// TestWIBCellAllocBudget gates the 50k-instruction WIB/2048 cell. Its
-// slack covers the event queue, the waiter blocks (16) and the row arena's
-// doublings, and — the bulk of it — a register whose waiter list outgrows
-// its waiterSlabCap share (perimeter and swim re-register reinserted
-// consumers on ~1100 registers). Before the blocks and the arena this cell
-// paid one growslice chain per physical register and per bit-vector
-// column: 4400-6100 allocations on these kernels.
-func TestWIBCellAllocBudget(t *testing.T) { checkCellAllocBudget(t, WIBDefault(), runWIBCell, 1500) }
+// TestWIBCellAllocBudget gates the 50k-instruction WIB/2048 cell. What a
+// run adds to core.New (33-66 here) is growth that pays once per run: the
+// memory image's private page runs, the event queue, a waiter block per
+// 256 first shares, and the doublings of the WIB's column scratch. A
+// waiter list that outgrows its share takes a larger one from the block,
+// so lists no longer grow one array of their own at a time: when they
+// did, perimeter's cell allocated 1268 against core.New's 90, under a
+// slack of 1500 (and 4400-6100 before the blocks and the row arena).
+func TestWIBCellAllocBudget(t *testing.T) { checkCellAllocBudget(t, WIBDefault(), runWIBCell, 80) }
 
 // TestBaseCellAllocBudget gates the 250k-instruction base cell. With no
-// WIB there is no row arena and few registers gather more than
-// waiterSlabCap waiters; what a run adds to core.New (15-34 here) is the
-// event queue's growth, a waiter block per 256 registers used, and the
-// memory image's private copies of the pages the kernel stores to, taken
-// in runs of up to 8 pages. When each copy was an allocation of its own,
-// em3d's cell allocated 249 against core.New's 64, under a slack of 300.
+// WIB, what a run adds to core.New (8-34 here) is the event queue's
+// growth, a waiter block per 256 first shares, and the memory image's
+// private copies of the pages the kernel stores to, taken in runs of up
+// to 8 pages. When each copy was an allocation of its own, em3d's cell
+// allocated 249 against core.New's 64, under a slack of 300.
 func TestBaseCellAllocBudget(t *testing.T) {
-	checkCellAllocBudget(t, DefaultConfig(), runBaseCell, 50)
+	checkCellAllocBudget(t, DefaultConfig(), runBaseCell, 40)
+}
+
+// TestWindowAllocBudget gates what a sampled window builds. RunWindow
+// with Hier, Bpred and Start set builds the processor's own structures
+// and nothing else: exactly core.New's allocations less a cold
+// hierarchy's, predictor's and memory image's. Running the window then
+// adds only the restore (emu.Restore's machine and its copy-on-write
+// image) and what a short window grows: the memory's private page runs,
+// the event queue, the waiter blocks and, on WIB machines, the column
+// scratch (8-40 allocations over the build on these six windows).
+func TestWindowAllocBudget(t *testing.T) {
+	const slack = 50
+	ctx := context.Background()
+	for _, cfg := range []Config{DefaultConfig(), WIBDefault()} {
+		for _, name := range []string{"em3d", "gcc", "swim"} {
+			spec, ok := workload.Get(name)
+			if !ok {
+				t.Fatalf("no kernel %q", name)
+			}
+			prog := spec.Build(workload.ScaleRun)
+			m := emu.New(prog)
+			warm := WarmSink{H: mem.NewHierarchy(cfg.Mem), BP: bpred.New(cfg.Bpred)}
+			if _, err := m.RunSink(100_000, warm); err != nil && !errors.Is(err, emu.ErrNotHalted) {
+				t.Fatal(err)
+			}
+			w := Window{Start: m.Checkpoint(), Hier: warm.H.CloneInto(nil), Bpred: warm.BP.Clone(), Measure: 5000}
+			allocs := func(f func() error) float64 {
+				return testing.AllocsPerRun(10, func() {
+					if err := f(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			cold := allocs(func() error { _, err := New(cfg, prog); return err })
+			parts := allocs(func() error {
+				mem.NewHierarchy(cfg.Mem)
+				bpred.New(cfg.Bpred)
+				prog.NewMemoryImage()
+				return nil
+			})
+			built := allocs(func() error { _, err := newProcessor(cfg, prog, w); return err })
+			run := allocs(func() error {
+				warm.H.CloneInto(w.Hier)
+				warm.BP.CloneInto(w.Bpred)
+				res, err := RunWindow(ctx, cfg, prog, w)
+				if err == nil && !res.Measured {
+					t.Fatalf("%s/%s: the window never opened", cfg.Name, name)
+				}
+				return err
+			})
+			t.Logf("%s/%s: New %.0f, cold state %.0f, window build %.0f, window run %.0f", cfg.Name, name, cold, parts, built, run)
+			if built != cold-parts {
+				t.Errorf("%s/%s: a window with its own state builds %.0f allocations, want New's %.0f less the cold state's %.0f",
+					cfg.Name, name, built, cold, parts)
+			}
+			if run > built+slack {
+				t.Errorf("%s/%s: the window allocates %.0f, budget is its build's %.0f + %d", cfg.Name, name, run, built, slack)
+			}
+		}
+	}
 }

@@ -29,11 +29,13 @@ func (w WarmSink) WarmBranch(b emu.WarmBranch) {
 // AdoptWarmState replaces the processor's cold cache hierarchy and branch
 // predictor with externally warmed ones. Sampled simulation streams the
 // program's full functional access stream into one hierarchy and
-// predictor (emu.Machine.RunSink) and gives each window's fresh processor
-// a snapshot of them taken at the window's start — a Hierarchy.CloneInto
-// copy and a Predictor.Clone — so every window sees full-history warming,
-// where a checkpoint's bounded warm rings only replay a tail, and no two
-// windows share state.
+// predictor (emu.Machine.RunSink) and gives each window's processor a
+// snapshot of them taken at the window's start — a Hierarchy.CloneInto
+// and a Predictor.CloneInto copy — so every window sees full-history
+// warming, where a checkpoint's bounded warm rings only replay a tail,
+// and no two windows share state. RunWindow builds such a processor
+// around Window.Hier and Window.Bpred directly, with no cold state to
+// replace; AdoptWarmState is the same step for a processor built by New.
 //
 // The hierarchy and predictor must have been built from the same Config
 // the processor was (geometry is the caller's responsibility), and the
@@ -67,7 +69,8 @@ func (p *Processor) AdoptWarmState(h *mem.Hierarchy, bp *bpred.Predictor) error 
 // checks that the checkpoint fits the program are emu.Restore's, whose
 // machine becomes the lockstep oracle when one is configured; the core
 // then takes its own clone of the memory image, and otherwise the
-// machine's.
+// machine's. Either replaces the processor's own image, so RunWindow,
+// which restores every window that has a Start, builds none.
 func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 	if p.now != 0 || p.stats.Committed != 0 || p.nextSeq != 1 {
 		return fmt.Errorf("core: RestoreCheckpoint on a processor that already ran (cycle %d, %d committed)",
@@ -78,7 +81,7 @@ func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 		return err
 	}
 	p.memory = m.Mem
-	if p.oracle != nil {
+	if p.cfg.LockstepOracle {
 		p.oracle, p.memory = m, cp.Mem.Clone()
 	}
 	// On a fresh processor architectural register a maps to physical a in

@@ -114,11 +114,25 @@ func (q *issueQueue) heldPassed(h hold, head, end int32, spare bool) uint64 {
 }
 
 // fuPools tracks functional-unit availability per class (paper Table 1).
-// The per-class pools live in a fixed array indexed by isa.Class — the
-// lookup on the issue path is one bounds-checked load, not a map probe.
+// The pools live in one array, and each class names its pool by index —
+// the lookup on the issue path is two bounds-checked loads, not a map
+// probe, and building them allocates only the non-pipelined units'
+// busy-until slots, in one slice.
 type fuPools struct {
-	pools [isa.NumClasses]*fuPool
+	units [numFUPools]fuPool
+	of    [isa.NumClasses]int8 // index into units; -1: no unit executes the class
 }
+
+// The pools, one per kind of unit.
+const (
+	poolALU = iota
+	poolIntMult
+	poolFPAdd
+	poolFPMult
+	poolFPDiv
+	poolFPSqrt
+	numFUPools
+)
 
 type fuPool struct {
 	n         int
@@ -130,35 +144,46 @@ type fuPool struct {
 }
 
 func newFUPools(cfg Config) fuPools {
-	mk := func(n int, lat int64, pipelined bool) *fuPool {
-		p := &fuPool{n: n, lat: lat, pipelined: pipelined, lastCycle: -1}
-		if !pipelined {
-			p.busy = make([]int64, n)
-		}
-		return p
-	}
-	alu := mk(cfg.NumIntALU, cfg.LatIntALU, true)
 	var f fuPools
-	f.pools[isa.ClassIntALU] = alu
-	f.pools[isa.ClassBranch] = alu // branches execute on the integer ALUs
-	f.pools[isa.ClassJump] = alu
-	f.pools[isa.ClassLoad] = alu // address generation
-	f.pools[isa.ClassStore] = alu
-	f.pools[isa.ClassIntMult] = mk(cfg.NumIntMult, cfg.LatIntMult, true)
-	f.pools[isa.ClassFPAdd] = mk(cfg.NumFPAdd, cfg.LatFPAdd, true)
-	f.pools[isa.ClassFPMult] = mk(cfg.NumFPMult, cfg.LatFPMult, true)
-	f.pools[isa.ClassFPDiv] = mk(cfg.NumFPDiv, cfg.LatFPDiv, false)
-	f.pools[isa.ClassFPSqrt] = mk(cfg.NumFPSqrt, cfg.LatFPSqrt, false)
+	for c := range f.of {
+		f.of[c] = -1
+	}
+	f.of[isa.ClassIntALU] = poolALU
+	f.of[isa.ClassBranch] = poolALU // branches execute on the integer ALUs
+	f.of[isa.ClassJump] = poolALU
+	f.of[isa.ClassLoad] = poolALU // address generation
+	f.of[isa.ClassStore] = poolALU
+	f.of[isa.ClassIntMult] = poolIntMult
+	f.of[isa.ClassFPAdd] = poolFPAdd
+	f.of[isa.ClassFPMult] = poolFPMult
+	f.of[isa.ClassFPDiv] = poolFPDiv
+	f.of[isa.ClassFPSqrt] = poolFPSqrt
+	busy := make([]int64, cfg.NumFPDiv+cfg.NumFPSqrt)
+	f.units = [numFUPools]fuPool{
+		poolALU:     {n: cfg.NumIntALU, lat: cfg.LatIntALU, pipelined: true},
+		poolIntMult: {n: cfg.NumIntMult, lat: cfg.LatIntMult, pipelined: true},
+		poolFPAdd:   {n: cfg.NumFPAdd, lat: cfg.LatFPAdd, pipelined: true},
+		poolFPMult:  {n: cfg.NumFPMult, lat: cfg.LatFPMult, pipelined: true},
+		poolFPDiv:   {n: cfg.NumFPDiv, lat: cfg.LatFPDiv, busy: busy[:cfg.NumFPDiv:cfg.NumFPDiv]},
+		poolFPSqrt:  {n: cfg.NumFPSqrt, lat: cfg.LatFPSqrt, busy: busy[cfg.NumFPDiv:]},
+	}
+	for i := range f.units {
+		f.units[i].lastCycle = -1
+	}
 	return f
 }
+
+// latency is the operation latency of class c's units.
+func (f *fuPools) latency(c isa.Class) int64 { return f.units[f.of[c]].lat }
 
 // tryIssue reserves a unit of the class at cycle now and returns the
 // operation latency.
 func (f *fuPools) tryIssue(c isa.Class, now int64) (int64, bool) {
-	p := f.pools[c]
-	if p == nil {
+	u := f.of[c]
+	if u < 0 {
 		return 0, false
 	}
+	p := &f.units[u]
 	if p.pipelined {
 		if p.lastCycle != now {
 			p.lastCycle = now

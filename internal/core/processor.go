@@ -78,10 +78,12 @@ type waiter struct {
 // Waiter lists are cut from shared blocks instead of growing one append
 // at a time: a register's first waiter claims waiterSlabCap entries of the
 // current block (rename and freePhys keep the backing array from then on),
-// and a block serves waiterBlockRegs registers. A run therefore allocates
-// one block per 256 registers it ever uses — nothing at New, which the
-// sampled tier calls hundreds of times a pass — plus one array for the
-// rare register with more than waiterSlabCap consumers in flight.
+// and a list that outgrows its share moves, in order, to a share twice as
+// large cut the same way. A block holds waiterBlockRegs first shares. A
+// run therefore allocates one block per 256 first shares (less the larger
+// shares) it ever cuts — nothing at New, which the sampled tier calls
+// hundreds of times a pass — and no list grows by reallocating unless
+// it outgrows a whole block.
 const (
 	waiterSlabCap   = 4
 	waiterBlockRegs = 256
@@ -89,16 +91,28 @@ const (
 
 // addWaiter registers rob as waiting on register r.
 func (p *Processor) addWaiter(r *physReg, rob int32, seq uint64) {
-	if cap(r.waiters) == 0 {
-		if len(p.waiterBlock) == 0 {
-			p.waiterBlock = make([]waiter, waiterBlockRegs*waiterSlabCap)
-		}
-		// Capacity-limited: outgrowing the share reallocates this list
-		// alone instead of running into the next register's.
-		r.waiters = p.waiterBlock[:0:waiterSlabCap]
-		p.waiterBlock = p.waiterBlock[waiterSlabCap:]
+	if len(r.waiters) == cap(r.waiters) {
+		r.waiters = p.waiterShare(r.waiters)
 	}
 	r.waiters = append(r.waiters, waiter{rob: rob, seq: seq})
+}
+
+// waiterShare moves a full waiter list to a new share of the current
+// block: waiterSlabCap entries for a register's first, twice the old
+// capacity after that. The share is capacity-limited, so the list never
+// runs into the next share; what the old one held is left unused.
+func (p *Processor) waiterShare(ws []waiter) []waiter {
+	const block = waiterBlockRegs * waiterSlabCap
+	n := max(2*cap(ws), waiterSlabCap)
+	if n > block {
+		return ws // longer than a block: append grows it
+	}
+	if len(p.waiterBlock) < n {
+		p.waiterBlock = make([]waiter, block)
+	}
+	share := append(p.waiterBlock[:0:n], ws...)
+	p.waiterBlock = p.waiterBlock[n:]
+	return share
 }
 
 // Processor is one simulated machine instance running one program.
@@ -197,24 +211,45 @@ type ifqEntry struct {
 	fetched  int64 // cycle the instruction entered the fetch queue
 }
 
-// New builds a processor for the given program.
+// New builds a processor for the given program, cold: a fresh cache
+// hierarchy, branch predictor and memory image, at program entry.
 func New(cfg Config, prog *isa.Program) (*Processor, error) {
+	return newProcessor(cfg, prog, Window{})
+}
+
+// newProcessor builds a processor around the state window w brings: its
+// hierarchy and predictor are w.Hier and w.Bpred, and a cold one is built
+// only for each that w leaves nil. With w.Start set the memory image (and
+// the lockstep oracle) are left to RestoreCheckpoint, which takes them
+// from the checkpoint; without it they are the program's own at entry.
+func newProcessor(cfg Config, prog *isa.Program, w Window) (*Processor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Processor{
-		cfg:    cfg,
-		prog:   prog,
-		dec:    prog.Decoded(),
-		memory: prog.NewMemoryImage(),
-		regs:   [2]regSpace{newRegSpace(cfg, cfg.IntRegs, false), newRegSpace(cfg, cfg.FPRegs, true)},
-		rob:    make([]robEntry, cfg.ActiveList),
-		ifq:    make([]ifqEntry, cfg.IFQSize),
-		hier:   mem.NewHierarchy(cfg.Mem),
-		bp:     bpred.New(cfg.Bpred),
-		sw:     newStoreWait(cfg.StoreWaitEntries, cfg.StoreWaitClearInterval),
+		cfg:  cfg,
+		prog: prog,
+		dec:  prog.Decoded(),
+		regs: [2]regSpace{newRegSpace(cfg, cfg.IntRegs, false), newRegSpace(cfg, cfg.FPRegs, true)},
+		rob:  make([]robEntry, cfg.ActiveList),
+		ifq:  make([]ifqEntry, cfg.IFQSize),
+		hier: w.Hier,
+		bp:   w.Bpred,
+		sw:   newStoreWait(cfg.StoreWaitEntries, cfg.StoreWaitClearInterval),
 
 		heldFill: farFuture,
+	}
+	if p.hier == nil {
+		p.hier = mem.NewHierarchy(cfg.Mem)
+	}
+	if p.bp == nil {
+		p.bp = bpred.New(cfg.Bpred)
+	}
+	if w.Start == nil {
+		p.memory = prog.NewMemoryImage()
+		if cfg.LockstepOracle {
+			p.oracle = emu.New(prog)
+		}
 	}
 	p.intIQ = newIssueQueue(cfg.IntIQSize, cfg.ActiveList)
 	p.fpIQ = newIssueQueue(cfg.FPIQSize, cfg.ActiveList)
@@ -230,9 +265,6 @@ func New(cfg Config, prog *isa.Program) (*Processor, error) {
 	}
 	if cfg.TraceCapacity > 0 {
 		p.tracer = newTracer(cfg.TraceCapacity)
-	}
-	if cfg.LockstepOracle {
-		p.oracle = emu.New(prog)
 	}
 	p.fetchPC = prog.Entry
 	p.rob[0].seq = 0

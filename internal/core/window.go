@@ -20,8 +20,9 @@ type Window struct {
 	// entry). Resolving it — a session's shared checkpoint cache, a direct
 	// emu.BuildCheckpoint, the sampler's live emulator — is the caller's.
 	Start *emu.Checkpoint
-	// Hier and Bpred, when non-nil, replace the fresh processor's cold
-	// cache hierarchy and branch predictor (see AdoptWarmState).
+	// Hier and Bpred, when non-nil, are the processor's cache hierarchy
+	// and branch predictor, in place of cold ones; they must satisfy what
+	// AdoptWarmState asks of adopted state.
 	Hier  *mem.Hierarchy
 	Bpred *bpred.Predictor
 	// PreRun, when non-nil, sees the restored processor before telemetry
@@ -83,30 +84,28 @@ func WithLabels(ctx context.Context, bench, scale string) context.Context {
 
 // RunWindow is the one place a detailed processor is built and run:
 //
-//	New → AdoptWarmState → RestoreCheckpoint → PreRun → AttachTelemetry
+//	newProcessor(Hier, Bpred) → RestoreCheckpoint → PreRun → AttachTelemetry
 //	    → RunContext(warm-up) → RunContext(measure) → Collector.Close
 //
-// The order is fixed by what each step needs (DESIGN.md §5.1): adoption
-// and restore demand a processor that has not run; restore replays the
-// checkpoint's warm log into whichever hierarchy and predictor are in
-// place, so adoption comes first; the hook must see restored state; and
-// both budgets are absolute committed counts on one continuing processor,
-// so the measured run picks up exactly where the warm-up stopped.
+// The order is fixed by what each step needs (DESIGN.md §5.1): the
+// processor is built around the window's hierarchy and predictor, and a
+// cold one is made only for what the window leaves nil, as is the memory
+// image only when the window has no Start; restore demands a processor
+// that has not run, and it replays the checkpoint's warm log into the
+// hierarchy and predictor in place, so those are chosen at construction;
+// the hook must see restored state; and both budgets are absolute
+// committed counts on one continuing processor, so the measured run picks
+// up exactly where the warm-up stopped.
 //
 // A budget running out is a normal outcome (Halted == false), as is the
 // program halting; anything else is returned as the error, a *SimError
 // carrying the context's labels.
 func RunWindow(ctx context.Context, cfg Config, prog *isa.Program, w Window) (WindowResult, error) {
-	p, err := New(cfg, prog)
+	p, err := newProcessor(cfg, prog, w)
 	if err != nil {
 		return WindowResult{}, err
 	}
 	res := WindowResult{Proc: p}
-	if w.Hier != nil || w.Bpred != nil {
-		if err := p.AdoptWarmState(w.Hier, w.Bpred); err != nil {
-			return res, err
-		}
-	}
 	if w.Start != nil {
 		if err := p.RestoreCheckpoint(w.Start); err != nil {
 			return res, err

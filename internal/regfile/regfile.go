@@ -47,11 +47,22 @@ type TwoLevel struct {
 	head, tail int32 // head = MRU, tail = LRU
 	count      int
 
-	portUse map[int64]int
+	// ports counts the L2 reads booked on each cycle of a window that
+	// starts at base, the clock of the last miss: cycle c's count is
+	// ports[c&(len(ports)-1)] for base <= c < base+len(ports). The clock
+	// only moves forward and a read books a port at or after it, so the
+	// cycles behind base are never asked about again.
+	ports []int32
+	base  int64
 
 	Hits   uint64
 	Misses uint64
 }
+
+// portWindow is how many cycles of port bookings TwoLevel starts with
+// (a power of two). Reads queue further ahead only when misses outrun
+// the ports for that long; the window then doubles.
+const portWindow = 16
 
 // NewTwoLevel builds a two-level model for a file of totalRegs physical
 // registers with the paper's parameters: l1 capacity 128, 4 read ports,
@@ -64,7 +75,7 @@ func NewTwoLevel(totalRegs, l1Capacity, readPorts int, l2Latency int64) *TwoLeve
 		next:       make([]int32, totalRegs),
 		prev:       make([]int32, totalRegs),
 		inL1:       make([]bool, totalRegs),
-		portUse:    make(map[int64]int),
+		ports:      make([]int32, portWindow),
 		head:       -1,
 		tail:       -1,
 	}
@@ -125,7 +136,8 @@ func (t *TwoLevel) Wrote(r int, _ int64) { t.touch(r) }
 
 // ReadDelay implements Model. L1 hits are free; misses contend for the L2
 // read ports (ReadPorts per cycle) and pay the L2 latency, after which the
-// value is installed in the L1.
+// value is installed in the L1. now must not go backwards from one call
+// to the next, as a processor's clock does not.
 func (t *TwoLevel) ReadDelay(r int, now int64) int64 {
 	if t.inL1[r] {
 		t.Hits++
@@ -133,20 +145,40 @@ func (t *TwoLevel) ReadDelay(r int, now int64) int64 {
 		return 0
 	}
 	t.Misses++
-	start := now
-	for t.portUse[start] >= t.ReadPorts {
-		start++
-	}
-	t.portUse[start]++
-	if len(t.portUse) > 4096 {
-		for c := range t.portUse {
-			if c < now {
-				delete(t.portUse, c)
-			}
-		}
-	}
+	start := t.bookPort(now)
 	t.touch(r)
 	return (start - now) + t.L2Latency
+}
+
+// bookPort books an L2 read port on the first cycle from now on that has
+// one free, and returns that cycle. The window first moves up to now: the
+// slots of the cycles it leaves behind are emptied for the cycles it
+// takes on.
+func (t *TwoLevel) bookPort(now int64) int64 {
+	mask := int64(len(t.ports) - 1)
+	for c, end := t.base, min(now, t.base+mask+1); c < end; c++ {
+		t.ports[c&mask] = 0
+	}
+	t.base = max(t.base, now)
+	start := now
+	for int(t.ports[start&mask]) >= t.ReadPorts {
+		start++
+		if start-t.base > mask {
+			t.growPorts()
+			mask = int64(len(t.ports) - 1)
+		}
+	}
+	t.ports[start&mask]++
+	return start
+}
+
+// growPorts doubles the booking window, keeping every cycle's count.
+func (t *TwoLevel) growPorts() {
+	old, mask := t.ports, int64(len(t.ports)-1)
+	t.ports = make([]int32, 2*len(old))
+	for c := t.base; c <= t.base+mask; c++ {
+		t.ports[c&(2*mask+1)] = old[c&mask]
+	}
 }
 
 // L1Count reports the current number of registers resident in the L1 file

@@ -76,9 +76,10 @@ func ProgramLength(prog *isa.Program) (uint64, error) {
 // into one cache hierarchy and branch predictor (full-history functional
 // warming — no bounded warm rings), so every instruction warms that
 // shared state exactly once, architecturally. At each window's start the
-// pass takes a snapshot — a copy-on-write checkpoint, a copy of the
-// hierarchy and a clone of the predictor — and streams on while the
-// window runs a fresh detailed core on the snapshot, on up to
+// pass takes a snapshot — a copy-on-write checkpoint and copies of the
+// hierarchy and the predictor, made into a finished window's when one is
+// free — and streams on while the window runs a detailed core built
+// around the snapshot, on up to
 // runtime.GOMAXPROCS(0) windows at once. A core's traffic, wrong path
 // included, lands only on its own copies, so windows are independent of
 // each other. maxCycles bounds each detailed window (0 = unbounded). An
@@ -147,10 +148,19 @@ type window struct {
 	start   uint64
 	reached uint64 // the functional pass's count on arriving at start
 	gapHalt bool   // the program halted before start: no window runs
-	hier    *mem.Hierarchy
+	snap    snapshot
 	res     core.WindowResult
 	err     error
 	done    bool
+}
+
+// snapshot is the warm state a window runs on: a copy of the functional
+// pass's hierarchy and predictor. A finished window's snapshot is copied
+// into again for a later window, so a pass builds at most as many as it
+// runs windows at once.
+type snapshot struct {
+	hier *mem.Hierarchy
+	bp   *bpred.Predictor
 }
 
 // sampler is one Run in progress. Everything but a running window's own
@@ -165,12 +175,12 @@ type sampler struct {
 	progress  Progress
 	workers   int
 
-	wins    []*window        // started so far, in plan order
-	done    chan *window     // finished windows, in completion order
-	free    []*mem.Hierarchy // snapshot hierarchies of finished windows
-	running int              // windows whose goroutine has not reported
-	folded  int              // wins[:folded] are in the outcome
-	stopped bool             // a folded window ended the run
+	wins    []*window    // started so far, in plan order
+	done    chan *window // finished windows, in completion order
+	free    []snapshot   // the snapshots of finished windows
+	running int          // windows whose goroutine has not reported
+	folded  int          // wins[:folded] are in the outcome
+	stopped bool         // a folded window ended the run
 	err     error
 
 	// The Outcome under construction, fed windows in plan order.
@@ -217,16 +227,16 @@ func (s *sampler) stream() {
 			s.foldReady()
 			return
 		}
-		var h *mem.Hierarchy
+		var snap snapshot
 		if n := len(s.free); n > 0 {
-			h, s.free = s.free[n-1], s.free[:n-1]
+			snap, s.free = s.free[n-1], s.free[:n-1]
 		}
-		w.hier = warm.H.CloneInto(h)
+		w.snap = snapshot{warm.H.CloneInto(snap.hier), warm.BP.CloneInto(snap.bp)}
 		s.running++
 		go s.runWindow(w, core.Window{
 			Start:     m.Checkpoint(),
-			Hier:      w.hier,
-			Bpred:     warm.BP.Clone(),
+			Hier:      w.snap.hier,
+			Bpred:     w.snap.bp,
 			Warmup:    s.plan.Warmup,
 			Measure:   s.plan.Length,
 			MaxCycles: s.maxCycles,
@@ -252,13 +262,13 @@ func (s *sampler) runWindow(w *window, spec core.Window) {
 	}
 }
 
-// await takes one finished window, recycles its snapshot hierarchy, and
-// folds every window now finished in plan order.
+// await takes one finished window, recycles its snapshot, and folds
+// every window now finished in plan order.
 func (s *sampler) await() {
 	w := <-s.done
 	s.running--
-	s.free = append(s.free, w.hier)
-	w.hier, w.done = nil, true
+	s.free = append(s.free, w.snap)
+	w.snap, w.done = snapshot{}, true
 	s.foldReady()
 }
 

@@ -89,6 +89,12 @@ gate_exists TestEntryPointsRefuseIgnoredOptions .
 gate_exists TestBadUsageExitsTwo ./cmd/wibsim/
 gate_exists TestBadUsageExitsTwo ./cmd/experiments/
 
+echo "== core and sampler allocation gates are still in the suite (they ran above, under the plain ./...): a cell allocates core.New plus its growth, a window built around its own state builds no cold hierarchy, predictor or image, a sampled window's cost =="
+gate_exists TestWIBCellAllocBudget ./internal/core/
+gate_exists TestBaseCellAllocBudget ./internal/core/
+gate_exists TestWindowAllocBudget ./internal/core/
+gate_exists TestRunWindowAllocBudget ./internal/sample/
+
 echo "== fleet memory gates are still in the suite (they ran above, under ./...; both skip under -short, the retained-heap one under -race too) =="
 gate_exists TestFleetCellAllocBudget ./internal/service/
 gate_exists TestFleetCellRetainedHeap ./internal/service/
