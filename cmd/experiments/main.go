@@ -25,7 +25,8 @@
 // against full sweeps, and re-running an exploration with -resume
 // executes nothing; -parallel N bounds the simulated cells as it bounds
 // the tables', fleet cells included. -explore refuses -skip and -sample
-// (exit 2): the model profiles each workload from its first instruction.
+// (exit 2): the model profiles each workload from its first instruction;
+// it refuses -run too, since it replaces the experiment tables.
 // -sample refuses -skip, -instr, -telemetry-dir and -sample-interval
 // (exit 2): the plan defines each cell's simulated windows.
 //
@@ -144,12 +145,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *resume && *cacheDir == "" {
 		return fail(2, "-resume needs -cache-dir (there is no cache to resume from)")
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *explore && (*skip > 0 || *smpl != "") {
 		return fail(2, "-explore cannot -skip or -sample (the model profiles each workload from its first instruction)")
 	}
+	if *explore && set["run"] {
+		return fail(2, "-explore ignores -run (the exploration replaces the experiment tables)")
+	}
 	if *smpl != "" {
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		for _, name := range []string{"skip", "instr", "telemetry-dir", "sample-interval"} {
 			if set[name] {
 				return fail(2, "-sample ignores -%s (the plan defines each cell's simulated windows)", name)

@@ -196,6 +196,8 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		{[]string{"-watch"}, "-watch needs -server"},
 		{[]string{"-explore", "-skip", "20000"}, "-explore cannot -skip or -sample"},
 		{[]string{"-explore", "-sample", "n=4,len=1000"}, "-explore cannot -skip or -sample"},
+		{[]string{"-explore", "-run", "fig44", "-bench", "gzip", "-scale", "test", "-instr", "20000", "-progress=false"}, "-explore ignores -run"},
+		{[]string{"-explore", "-run", "fig4"}, "-explore ignores -run"},
 		{[]string{"-run", "fig4", "-bench", "gzip", "-scale", "test", "-sample", "n=2,len=200", "-skip", "1000", "-telemetry-dir", "d"}, "-sample ignores -skip"},
 		{[]string{"-sample", "n=2,len=200", "-instr", "50000"}, "-sample ignores -instr"},
 		{[]string{"-sample", "n=2,len=200", "-telemetry-dir", "d"}, "-sample ignores -telemetry-dir"},

@@ -6,18 +6,21 @@
 //
 //	wibsim -bench art [-scale test|run|full] [-config base|wib|iq2k|custom]
 //	       [-instr N] [-cycles N] [-list]
-//	       [-predict] [-record-trace out.wtr]
+//	       [-predict]
 //	       [-skip N] [-measure N] [-sample n=50,period=200000,len=2000,warm=2000]
 //	       [-wib-entries N] [-bitvectors N] [-policy banked|program-order|rr-load|oldest-load]
 //	       [-mem-latency N] [-dump] [-pipetrace N] [-deadline 30s] [-crash-dump crash.json]
 //	       [-watchdog N] [-lockstep] [-no-fast-forward]
 //	       [-telemetry] [-telemetry-out telemetry.jsonl] [-sample-interval N]
 //	       [-trace-out trace.json] [-kanata pipeline.kanata] [-pprof cpu.prof]
+//	wibsim -bench art [-scale test|run|full] [-instr N] -record-trace out.wtr
 //
 // A flag the chosen mode would ignore is refused (exit 2): under -sample
 // the plan defines the simulated windows and no window's core outlives
 // its interval, so -skip, -measure, -instr and the telemetry and
-// lifecycle-trace flags are refused; -predict refuses -sample and -skip.
+// lifecycle-trace flags are refused; -predict refuses -sample and -skip;
+// -record-trace simulates nothing, so it reads -bench, -scale and -instr
+// alone and refuses every other flag.
 //
 // -predict skips the detailed simulation entirely: one fast functional
 // profiling pass feeds the mechanistic interval model (DESIGN.md §14),
@@ -126,6 +129,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, err)
 	}
 
+	// A flag the chosen mode would ignore is refused: a run that silently
+	// differs from the one asked for is worse than no run. Recording runs
+	// the functional emulator alone and reads only the workload, its scale
+	// and the instruction budget.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var recordIgnores []string
+	fs.VisitAll(func(f *flag.Flag) {
+		switch f.Name {
+		case "record-trace", "bench", "scale", "instr":
+		default:
+			recordIgnores = append(recordIgnores, f.Name)
+		}
+	})
+	for _, m := range []struct {
+		on      bool
+		mode    string
+		ignores []string
+	}{
+		{*record != "", "-record-trace", recordIgnores},
+		{*smpl != "", "-sample", []string{"skip", "measure", "instr", "telemetry", "telemetry-out", "sample-interval", "trace-out", "kanata", "pipetrace"}},
+		{*predict, "-predict", []string{"sample", "skip"}},
+	} {
+		for _, name := range m.ignores {
+			if m.on && set[name] {
+				return fail(2, fmt.Errorf("%s ignores -%s", m.mode, name))
+			}
+		}
+	}
+	if *record != "" {
+		if err := recordTrace(stdout, *bench, sc, *instr, *record); err != nil {
+			return fail(1, err)
+		}
+		return 0
+	}
+
 	var cfg core.Config
 	switch *config {
 	case "base":
@@ -165,32 +204,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	budget := *instr
 	if *measure > 0 {
 		budget = *measure
-	}
-
-	if *record != "" {
-		if err := recordTrace(stdout, *bench, sc, *instr, *record); err != nil {
-			return fail(1, err)
-		}
-		return 0
-	}
-
-	// A flag the simulation's mode would ignore is refused: a run that
-	// silently differs from the one asked for is worse than no run.
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, m := range []struct {
-		on      bool
-		mode    string
-		ignores []string
-	}{
-		{*smpl != "", "-sample", []string{"skip", "measure", "instr", "telemetry", "telemetry-out", "sample-interval", "trace-out", "kanata", "pipetrace"}},
-		{*predict, "-predict", []string{"sample", "skip"}},
-	} {
-		for _, name := range m.ignores {
-			if m.on && set[name] {
-				return fail(2, fmt.Errorf("%s ignores -%s", m.mode, name))
-			}
-		}
 	}
 
 	prog, err := src.Build(sc)

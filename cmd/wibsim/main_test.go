@@ -142,6 +142,7 @@ func TestBadUsageExitsTwo(t *testing.T) {
 	dir := t.TempDir()
 	sampled := []string{"-bench", "gzip", "-scale", "test", "-sample", "n=4,len=500"}
 	predict := []string{"-bench", "gzip", "-scale", "test", "-predict"}
+	record := []string{"-bench", "gzip", "-scale", "test", "-instr", "5000", "-record-trace", filepath.Join(dir, "g.wtr")}
 	for _, tc := range []struct {
 		args []string
 		want string // substring of stderr
@@ -162,6 +163,19 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		{append(sampled, "-pipetrace", "64"), "-sample ignores -pipetrace"},
 		{append(predict, "-sample", "n=4,len=500"), "-predict ignores -sample"},
 		{append(predict, "-skip", "5000"), "-predict ignores -skip"},
+		{append(record, "-sample", "n=4,len=500"), "-record-trace ignores -sample"},
+		{append(record, "-predict"), "-record-trace ignores -predict"},
+		{append(record, "-config", "wib"), "-record-trace ignores -config"},
+		{append(record, "-skip", "5000"), "-record-trace ignores -skip"},
+		{append(record, "-measure", "3000"), "-record-trace ignores -measure"},
+		{append(record, "-cycles", "1000"), "-record-trace ignores -cycles"},
+		{append(record, "-telemetry", "-telemetry-out", filepath.Join(dir, "t.jsonl")), "-record-trace ignores -telemetry"},
+		{append(record, "-sample-interval", "500"), "-record-trace ignores -sample-interval"},
+		{append(record, "-trace-out", filepath.Join(dir, "tr.json")), "-record-trace ignores -trace-out"},
+		{append(record, "-kanata", filepath.Join(dir, "k.kanata")), "-record-trace ignores -kanata"},
+		{append(record, "-pipetrace", "64"), "-record-trace ignores -pipetrace"},
+		{append(record, "-pprof", filepath.Join(dir, "cpu.prof")), "-record-trace ignores -pprof"},
+		{append(record, "-lockstep"), "-record-trace ignores -lockstep"},
 	} {
 		code, stdout, stderr := wibsim(tc.args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
