@@ -308,3 +308,43 @@ func TestWIBRecyclingCounted(t *testing.T) {
 		t.Errorf("avg insertions = %v < 1", stats.AvgWIBInsertions())
 	}
 }
+
+// TestWaiterListsGrowInBlockShares: a list that outgrows its share moves
+// to one twice as large cut from the shared block, keeping its order and
+// its duplicates, and once the block exists no list growth allocates.
+func TestWaiterListsGrowInBlockShares(t *testing.T) {
+	b := isa.NewBuilder("nop")
+	b.Halt()
+	p, err := New(DefaultConfig(), b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r physReg
+	var want []waiter
+	for i := 0; i < 20; i++ {
+		w := waiter{rob: int32(i % 7), seq: uint64(i / 2)} // repeats rob and seq
+		want = append(want, w)
+		p.addWaiter(&r, w.rob, w.seq)
+		if got := r.waiters; len(got) != len(want) || got[len(got)-1] != w || got[0] != want[0] {
+			t.Fatalf("after %d waiters the list is %v", i+1, got)
+		}
+	}
+	for i, w := range want {
+		if r.waiters[i] != w {
+			t.Fatalf("waiter %d is %v, want %v", i, r.waiters[i], w)
+		}
+	}
+	if c := cap(r.waiters); c != 32 {
+		t.Errorf("20 waiters hold a %d-entry share, want 32 (4, 8, 16, 32)", c)
+	}
+	regs := make([]physReg, 100)
+	n := 0
+	if allocs := testing.AllocsPerRun(1, func() {
+		for k := 0; k < 9; k++ {
+			p.addWaiter(&regs[n], 1, 1) // a first share, then an 8 and a 16
+		}
+		n++
+	}); allocs > 0.5 {
+		t.Errorf("growing a list to 9 waiters: %v allocs, want 0 until a block runs out", allocs)
+	}
+}

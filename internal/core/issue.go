@@ -114,25 +114,14 @@ func (q *issueQueue) heldPassed(h hold, head, end int32, spare bool) uint64 {
 }
 
 // fuPools tracks functional-unit availability per class (paper Table 1).
-// The pools live in one array, and each class names its pool by index —
-// the lookup on the issue path is two bounds-checked loads, not a map
-// probe, and building them allocates only the non-pipelined units'
-// busy-until slots, in one slice.
+// The pools live by value in a fixed array indexed by the class whose
+// units they are (unitOf): the lookup on the issue path is one
+// bounds-checked load, not a map probe, and building them allocates only
+// the non-pipelined units' busy-until slots, in one slice. A class with
+// no units has an empty pool, which never issues.
 type fuPools struct {
-	units [numFUPools]fuPool
-	of    [isa.NumClasses]int8 // index into units; -1: no unit executes the class
+	pools [isa.NumClasses]fuPool
 }
-
-// The pools, one per kind of unit.
-const (
-	poolALU = iota
-	poolIntMult
-	poolFPAdd
-	poolFPMult
-	poolFPDiv
-	poolFPSqrt
-	numFUPools
-)
 
 type fuPool struct {
 	n         int
@@ -144,46 +133,32 @@ type fuPool struct {
 }
 
 func newFUPools(cfg Config) fuPools {
-	var f fuPools
-	for c := range f.of {
-		f.of[c] = -1
-	}
-	f.of[isa.ClassIntALU] = poolALU
-	f.of[isa.ClassBranch] = poolALU // branches execute on the integer ALUs
-	f.of[isa.ClassJump] = poolALU
-	f.of[isa.ClassLoad] = poolALU // address generation
-	f.of[isa.ClassStore] = poolALU
-	f.of[isa.ClassIntMult] = poolIntMult
-	f.of[isa.ClassFPAdd] = poolFPAdd
-	f.of[isa.ClassFPMult] = poolFPMult
-	f.of[isa.ClassFPDiv] = poolFPDiv
-	f.of[isa.ClassFPSqrt] = poolFPSqrt
+	pipe := func(n int, lat int64) fuPool { return fuPool{n: n, lat: lat, pipelined: true, lastCycle: -1} }
 	busy := make([]int64, cfg.NumFPDiv+cfg.NumFPSqrt)
-	f.units = [numFUPools]fuPool{
-		poolALU:     {n: cfg.NumIntALU, lat: cfg.LatIntALU, pipelined: true},
-		poolIntMult: {n: cfg.NumIntMult, lat: cfg.LatIntMult, pipelined: true},
-		poolFPAdd:   {n: cfg.NumFPAdd, lat: cfg.LatFPAdd, pipelined: true},
-		poolFPMult:  {n: cfg.NumFPMult, lat: cfg.LatFPMult, pipelined: true},
-		poolFPDiv:   {n: cfg.NumFPDiv, lat: cfg.LatFPDiv, busy: busy[:cfg.NumFPDiv:cfg.NumFPDiv]},
-		poolFPSqrt:  {n: cfg.NumFPSqrt, lat: cfg.LatFPSqrt, busy: busy[cfg.NumFPDiv:]},
-	}
-	for i := range f.units {
-		f.units[i].lastCycle = -1
-	}
+	var f fuPools
+	f.pools[isa.ClassIntALU] = pipe(cfg.NumIntALU, cfg.LatIntALU)
+	f.pools[isa.ClassIntMult] = pipe(cfg.NumIntMult, cfg.LatIntMult)
+	f.pools[isa.ClassFPAdd] = pipe(cfg.NumFPAdd, cfg.LatFPAdd)
+	f.pools[isa.ClassFPMult] = pipe(cfg.NumFPMult, cfg.LatFPMult)
+	f.pools[isa.ClassFPDiv] = fuPool{n: cfg.NumFPDiv, lat: cfg.LatFPDiv, busy: busy[:cfg.NumFPDiv:cfg.NumFPDiv]}
+	f.pools[isa.ClassFPSqrt] = fuPool{n: cfg.NumFPSqrt, lat: cfg.LatFPSqrt, busy: busy[cfg.NumFPDiv:]}
 	return f
 }
 
-// latency is the operation latency of class c's units.
-func (f *fuPools) latency(c isa.Class) int64 { return f.units[f.of[c]].lat }
+// unitOf is the class whose units execute class c: branches, jumps and
+// address generation run on the integer ALUs.
+func unitOf(c isa.Class) isa.Class {
+	switch c {
+	case isa.ClassBranch, isa.ClassJump, isa.ClassLoad, isa.ClassStore:
+		return isa.ClassIntALU
+	}
+	return c
+}
 
 // tryIssue reserves a unit of the class at cycle now and returns the
 // operation latency.
 func (f *fuPools) tryIssue(c isa.Class, now int64) (int64, bool) {
-	u := f.of[c]
-	if u < 0 {
-		return 0, false
-	}
-	p := &f.units[u]
+	p := &f.pools[unitOf(c)]
 	if p.pipelined {
 		if p.lastCycle != now {
 			p.lastCycle = now

@@ -116,7 +116,7 @@ func (p *Processor) sliceTryExecute(rob int32, e *robEntry) sliceOutcome {
 		// The slice core executes at the latency of the class's functional
 		// unit, without occupying one.
 		p.events.schedule(event{
-			cycle: p.now + p.fus.latency(e.class),
+			cycle: p.now + p.fus.pools[unitOf(e.class)].lat,
 			kind:  evExecDone,
 			rob:   rob,
 			seq:   e.seq,

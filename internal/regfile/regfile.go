@@ -52,7 +52,7 @@ type TwoLevel struct {
 	// ports[c&(len(ports)-1)] for base <= c < base+len(ports). The clock
 	// only moves forward and a read books a port at or after it, so the
 	// cycles behind base are never asked about again.
-	ports []int32
+	ports []int
 	base  int64
 
 	Hits   uint64
@@ -75,7 +75,7 @@ func NewTwoLevel(totalRegs, l1Capacity, readPorts int, l2Latency int64) *TwoLeve
 		next:       make([]int32, totalRegs),
 		prev:       make([]int32, totalRegs),
 		inL1:       make([]bool, totalRegs),
-		ports:      make([]int32, portWindow),
+		ports:      make([]int, portWindow),
 		head:       -1,
 		tail:       -1,
 	}
@@ -161,7 +161,7 @@ func (t *TwoLevel) bookPort(now int64) int64 {
 	}
 	t.base = max(t.base, now)
 	start := now
-	for int(t.ports[start&mask]) >= t.ReadPorts {
+	for t.ports[start&mask] >= t.ReadPorts {
 		start++
 		if start-t.base > mask {
 			t.growPorts()
@@ -175,7 +175,7 @@ func (t *TwoLevel) bookPort(now int64) int64 {
 // growPorts doubles the booking window, keeping every cycle's count.
 func (t *TwoLevel) growPorts() {
 	old, mask := t.ports, int64(len(t.ports)-1)
-	t.ports = make([]int32, 2*len(old))
+	t.ports = make([]int, 2*len(old))
 	for c := t.base; c <= t.base+mask; c++ {
 		t.ports[c&(2*mask+1)] = old[c&mask]
 	}
