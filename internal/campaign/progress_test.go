@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -128,5 +129,72 @@ func TestRenderETANegativeElapsed(t *testing.T) {
 	line := renderLine(s, 10)
 	if strings.Contains(line, "ETA") || strings.Contains(line, "-") {
 		t.Fatalf("line %q renders a negative-elapsed artifact", line)
+	}
+}
+
+// oracleRenderETA is the local line's ETA rule as it stood before the
+// local line and the fleet line shared one: remaining cells times the
+// wall time per executed cell, in integer nanoseconds. ok is false for
+// nothing finished, nothing left, nothing executed, zero or negative
+// elapsed time, or an extrapolation above 99 hours.
+func oracleRenderETA(s Snapshot, total uint64) (time.Duration, bool) {
+	finished := s.Done
+	if finished == 0 || finished >= total || s.Executed == 0 || s.Elapsed <= 0 {
+		return 0, false
+	}
+	perCell := s.Elapsed / time.Duration(s.Executed)
+	remain := perCell * time.Duration(total-finished)
+	if remain < 0 || remain > time.Hour*99 {
+		return 0, false
+	}
+	return remain, true
+}
+
+// etaVectors are snapshots without hits, as the engine produces them
+// (Executed counts every finished cell, failed ones too): the shapes
+// TestRenderLineSane pins and a seeded spread of others.
+func etaVectors() []struct {
+	s     Snapshot
+	total uint64
+} {
+	vs := []struct {
+		s     Snapshot
+		total uint64
+	}{
+		{Snapshot{Total: 0}, 40},
+		{Snapshot{}, 0},
+		{Snapshot{Total: 4, Done: 1, Executed: 1}, 4},
+		{Snapshot{Total: 40, Done: 10, Executed: 10, Elapsed: 10 * time.Second}, 40},
+		{Snapshot{Total: 8, Done: 8, Executed: 8, Elapsed: 4 * time.Second}, 8},
+		{Snapshot{Total: 6, Done: 4, Executed: 4, Failed: 2, Elapsed: time.Second}, 6},
+		{Snapshot{Total: 3, Done: 3, Executed: 3, Elapsed: time.Second}, 12},
+		{Snapshot{Total: 1_000_000, Done: 1, Executed: 1, Elapsed: 10 * time.Hour}, 1_000_000},
+		{Snapshot{Total: 10, Done: 2, Executed: 2, Elapsed: -5 * time.Second}, 10},
+		{Snapshot{Total: 10, Done: 12, Executed: 12, Elapsed: time.Second}, 10},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		total := uint64(1 + rng.Intn(5000))
+		done := uint64(rng.Intn(int(total) + 1))
+		failed := uint64(rng.Intn(int(done) + 1))
+		s := Snapshot{Total: total, Done: done, Executed: done, Failed: failed,
+			Elapsed: time.Duration(rng.Int63n(int64(200 * time.Hour)))}
+		vs = append(vs, struct {
+			s     Snapshot
+			total uint64
+		}{s, total})
+	}
+	return vs
+}
+
+// TestETAMatchesLocalOracle: on every snapshot without hits the local
+// line's ETA is the oracle's.
+func TestETAMatchesLocalOracle(t *testing.T) {
+	for _, v := range etaVectors() {
+		want, wok := oracleRenderETA(v.s, v.total)
+		got, ok := renderETA(v.s, v.total)
+		if ok != wok || (ok && got != fmtDuration(want)) {
+			t.Errorf("%+v of %d: ETA %q (%v), oracle %q (%v)", v.s, v.total, got, ok, fmtDuration(want), wok)
+		}
 	}
 }

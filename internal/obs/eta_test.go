@@ -31,12 +31,31 @@ func TestSaneETAFrac(t *testing.T) {
 		{"zero total", 0.5, 0, 5, -1},
 	}
 	for _, c := range cases {
+		if got := oracleSaneETAFrac(c.done, c.total, c.elapsed); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("%s: oracle(%g, %d, %g) = %g, want %g",
+				c.name, c.done, c.total, c.elapsed, got, c.want)
+		}
 		got := SaneETAFrac(c.done, c.total, c.elapsed)
 		if math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("%s: SaneETAFrac(%g, %d, %g) = %g, want %g",
 				c.name, c.done, c.total, c.elapsed, got, c.want)
 		}
 	}
+}
+
+// oracleSaneETAFrac is the fleet's ETA rule as it stood before the fleet
+// line and the local line shared one: elapsed time per finished cell,
+// in-flight credit included, times the cells left. It counted a store hit
+// as a finished cell like any other; -1 is unknown.
+func oracleSaneETAFrac(done float64, total uint64, elapsedSec float64) float64 {
+	if done <= 0 || float64(total) <= done || elapsedSec <= 0 {
+		return -1
+	}
+	eta := elapsedSec / done * (float64(total) - done)
+	if math.IsNaN(eta) || math.IsInf(eta, 0) || eta < 0 {
+		return -1
+	}
+	return eta
 }
 
 // TestProgressModelFieldsOmitEmpty keeps the wire format clean: the
