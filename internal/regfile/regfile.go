@@ -47,22 +47,59 @@ type TwoLevel struct {
 	head, tail int32 // head = MRU, tail = LRU
 	count      int
 
-	// ports counts the L2 reads booked on each cycle of a window that
-	// starts at base, the clock of the last miss: cycle c's count is
-	// ports[c&(len(ports)-1)] for base <= c < base+len(ports). The clock
-	// only moves forward and a read books a port at or after it, so the
-	// cycles behind base are never asked about again.
-	ports []int
-	base  int64
+	ports portBook // the L2 read ports
 
 	Hits   uint64
 	Misses uint64
 }
 
-// portWindow is how many cycles of port bookings TwoLevel starts with
-// (a power of two). Reads queue further ahead only when misses outrun
-// the ports for that long; the window then doubles.
+// portBook books a set of read ports cycle by cycle. It counts the reads
+// booked on each cycle of a window that starts at base, the clock of the
+// last read: cycle c's count is counts[c&(len(counts)-1)] for base <= c <
+// base+len(counts). The clock only moves forward and a read books a port
+// at or after it, so the cycles behind base are never asked about again.
+type portBook struct {
+	counts []int
+	base   int64
+}
+
+// portWindow is how many cycles of bookings a portBook starts with (a
+// power of two). Reads queue further ahead only when they outrun the
+// ports for that long; the window then doubles.
 const portWindow = 16
+
+func newPortBook() portBook { return portBook{counts: make([]int, portWindow)} }
+
+// book books one of ports read ports on the first cycle from now on that
+// has one free, and returns that cycle. The window first moves up to now:
+// the slots of the cycles it leaves behind are emptied for the cycles it
+// takes on.
+func (b *portBook) book(now int64, ports int) int64 {
+	mask := int64(len(b.counts) - 1)
+	for c, end := b.base, min(now, b.base+mask+1); c < end; c++ {
+		b.counts[c&mask] = 0
+	}
+	b.base = max(b.base, now)
+	start := now
+	for b.counts[start&mask] >= ports {
+		start++
+		if start-b.base > mask {
+			b.grow()
+			mask = int64(len(b.counts) - 1)
+		}
+	}
+	b.counts[start&mask]++
+	return start
+}
+
+// grow doubles the window, keeping every cycle's count.
+func (b *portBook) grow() {
+	old, mask := b.counts, int64(len(b.counts)-1)
+	b.counts = make([]int, 2*len(old))
+	for c := b.base; c <= b.base+mask; c++ {
+		b.counts[c&(2*mask+1)] = old[c&mask]
+	}
+}
 
 // NewTwoLevel builds a two-level model for a file of totalRegs physical
 // registers with the paper's parameters: l1 capacity 128, 4 read ports,
@@ -75,7 +112,7 @@ func NewTwoLevel(totalRegs, l1Capacity, readPorts int, l2Latency int64) *TwoLeve
 		next:       make([]int32, totalRegs),
 		prev:       make([]int32, totalRegs),
 		inL1:       make([]bool, totalRegs),
-		ports:      make([]int, portWindow),
+		ports:      newPortBook(),
 		head:       -1,
 		tail:       -1,
 	}
@@ -145,40 +182,9 @@ func (t *TwoLevel) ReadDelay(r int, now int64) int64 {
 		return 0
 	}
 	t.Misses++
-	start := t.bookPort(now)
+	start := t.ports.book(now, t.ReadPorts)
 	t.touch(r)
 	return (start - now) + t.L2Latency
-}
-
-// bookPort books an L2 read port on the first cycle from now on that has
-// one free, and returns that cycle. The window first moves up to now: the
-// slots of the cycles it leaves behind are emptied for the cycles it
-// takes on.
-func (t *TwoLevel) bookPort(now int64) int64 {
-	mask := int64(len(t.ports) - 1)
-	for c, end := t.base, min(now, t.base+mask+1); c < end; c++ {
-		t.ports[c&mask] = 0
-	}
-	t.base = max(t.base, now)
-	start := now
-	for t.ports[start&mask] >= t.ReadPorts {
-		start++
-		if start-t.base > mask {
-			t.growPorts()
-			mask = int64(len(t.ports) - 1)
-		}
-	}
-	t.ports[start&mask]++
-	return start
-}
-
-// growPorts doubles the booking window, keeping every cycle's count.
-func (t *TwoLevel) growPorts() {
-	old, mask := t.ports, int64(len(t.ports)-1)
-	t.ports = make([]int, 2*len(old))
-	for c := t.base; c <= t.base+mask; c++ {
-		t.ports[c&(2*mask+1)] = old[c&mask]
-	}
 }
 
 // L1Count reports the current number of registers resident in the L1 file
@@ -207,7 +213,7 @@ type MultiBanked struct {
 	Banks        int
 	PortsPerBank int
 
-	use       map[int64][]uint8 // cycle -> per-bank reads issued
+	banks     []portBook // each bank's read ports
 	conflicts uint64
 	reads     uint64
 }
@@ -217,11 +223,11 @@ func NewMultiBanked(banks, portsPerBank int) *MultiBanked {
 	if banks <= 0 || portsPerBank <= 0 {
 		panic("regfile: banks and ports must be positive")
 	}
-	return &MultiBanked{
-		Banks:        banks,
-		PortsPerBank: portsPerBank,
-		use:          make(map[int64][]uint8),
+	m := &MultiBanked{Banks: banks, PortsPerBank: portsPerBank, banks: make([]portBook, banks)}
+	for i := range m.banks {
+		m.banks[i] = newPortBook()
 	}
+	return m
 }
 
 // Wrote implements Model. Writes are not port-limited in this model (the
@@ -229,30 +235,11 @@ func NewMultiBanked(banks, portsPerBank int) *MultiBanked {
 func (m *MultiBanked) Wrote(int, int64) {}
 
 // ReadDelay implements Model: a read waits for the first cycle with a
-// free port on its register's bank.
+// free port on its register's bank. now must not go backwards from one
+// call to the next, as a processor's clock does not.
 func (m *MultiBanked) ReadDelay(r int, now int64) int64 {
 	m.reads++
-	bank := r % m.Banks
-	start := now
-	for {
-		u := m.use[start]
-		if u == nil {
-			u = make([]uint8, m.Banks)
-			m.use[start] = u
-		}
-		if int(u[bank]) < m.PortsPerBank {
-			u[bank]++
-			break
-		}
-		start++
-	}
-	if len(m.use) > 4096 {
-		for c := range m.use {
-			if c < now {
-				delete(m.use, c)
-			}
-		}
-	}
+	start := m.banks[r%m.Banks].book(now, m.PortsPerBank)
 	if start > now {
 		m.conflicts++
 	}
