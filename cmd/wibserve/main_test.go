@@ -86,10 +86,10 @@ func TestServeSmoke(t *testing.T) {
 	var slots sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		w := service.NewWorker(service.WorkerOptions{
-			Server:   url,
-			Exec:     session.ExecCell,
-			Classify: harness.Transient,
-			PollWait: 100 * time.Millisecond,
+			Server:       url,
+			ExecProgress: session.ExecCell,
+			Classify:     harness.Transient,
+			PollWait:     100 * time.Millisecond,
 		})
 		slots.Add(1)
 		go func() {

@@ -148,7 +148,7 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) int {
 		go slot(service.NewWorker(service.WorkerOptions{
 			Server:       *server,
 			ID:           wid,
-			ExecProgress: session.ExecCellWithProgress,
+			ExecProgress: session.ExecCell,
 			Classify:     harness.Transient,
 			PollWait:     *poll,
 			Log:          logger,

@@ -21,7 +21,7 @@ func TestCheckpointCacheNeedsNoKnob(t *testing.T) {
 	for _, cfg := range []core.Config{core.DefaultConfig(), core.WIBDefault()} {
 		cell := campaign.Cell{Config: cfg, Bench: "gzip", Scale: workload.ScaleTest,
 			MaxInstr: 2_000, MaxCycles: 1_000_000, SkipInstr: 2_000}
-		rec, err := worker.ExecCell(cell)
+		rec, err := worker.ExecCell(cell, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func TestExploreKeepsTwoCellsInFlight(t *testing.T) {
 					for peak.Load() < want && time.Now().Before(deadline) {
 						time.Sleep(time.Millisecond)
 					}
-					return s.ExecCell(cell)
+					return s.ExecCell(cell, nil)
 				},
 			})
 			rep, err := s.Explore(ExploreGrid(), ExploreOptions{TopK: 2, Seed: 1})

@@ -189,7 +189,7 @@ func NewSession(opt Options) *Session {
 		ckptDir = filepath.Join(opt.CacheDir, "ckpt")
 	}
 	s.ckpts, _ = campaign.NewCheckpoints(ckptDir, opt.Log) // never fails: the directory is created on first persist
-	exec := campaign.ExecFunc(s.ExecCell)
+	exec := func(cell campaign.Cell) (*campaign.Record, error) { return s.ExecCell(cell, nil) }
 	if opt.Exec != nil {
 		exec = opt.Exec
 	}
@@ -351,19 +351,15 @@ func (s *Session) resolveCell(cell campaign.Cell) (workload.Source, error) {
 // coordinator protocol: the coordinator owns dedup, retries, and
 // persistence, so the worker needs raw single-shot execution — but still
 // shares the session's checkpoint cache across the cells it is leased.
-func (s *Session) ExecCell(cell campaign.Cell) (*campaign.Record, error) {
-	return s.ExecCellWithProgress(cell, nil)
-}
-
-// ExecCellWithProgress is ExecCell with a per-cell interval progress
-// callback: onInterval(done, planned) fires once up front (done == 0,
-// announcing the plan size) and again as each measured window of a
-// sampled cell completes. Detailed (non-sampled) cells never invoke it.
-// Service workers pass a callback that stashes the counts for their next
-// lease heartbeat, letting the coordinator fold fractional in-flight
-// progress into the fleet ETA; interval completions also feed the
-// session engine's counters so a local sampled campaign's progress line
-// shows interval k/N.
+//
+// onInterval, when not nil, reports a sampled cell's interval progress:
+// onInterval(done, planned) fires once up front (done == 0, announcing the
+// plan size) and again as each measured window completes. Detailed
+// (non-sampled) cells never invoke it. Service workers pass a callback
+// that stashes the counts for their next lease heartbeat, letting the
+// coordinator fold fractional in-flight progress into the fleet ETA;
+// interval completions also feed the session engine's counters so a local
+// sampled campaign's progress line shows interval k/N.
 //
 // Every cell is one shape: unless the session's context is done, resolve
 // the workload, take its program from the session's table of programs in
@@ -372,7 +368,7 @@ func (s *Session) ExecCell(cell campaign.Cell) (*campaign.Record, error) {
 // (core.RunWindow, from the session's shared checkpoint when the cell
 // skips) or the cell's sampling plan (sample.Run, many windows), and map
 // the outcome onto a Record.
-func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done, planned int)) (rec *campaign.Record, err error) {
+func (s *Session) ExecCell(cell campaign.Cell, onInterval func(done, planned int)) (rec *campaign.Record, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rec, err = nil, fmt.Errorf("harness: panic executing %s: %v\n%s", cell, r, debug.Stack())

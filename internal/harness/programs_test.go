@@ -120,7 +120,7 @@ func TestCellsInFlightShareOneBuild(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.ExecCell(s.cell(grid[i], src)); err != nil {
+			if _, err := s.ExecCell(s.cell(grid[i], src), nil); err != nil {
 				t.Errorf("cell %d: %v", i, err)
 			}
 		}()
@@ -129,7 +129,7 @@ func TestCellsInFlightShareOneBuild(t *testing.T) {
 	if n := total(); n != 1 {
 		t.Fatalf("%d cells in flight built their program %d times, want 1", cells, n)
 	}
-	if _, err := s.ExecCell(s.cell(grid[cells], src)); err != nil {
+	if _, err := s.ExecCell(s.cell(grid[cells], src), nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := total(); n != 2 {
@@ -154,7 +154,7 @@ func TestBuildPanicReachesEveryCell(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = s.ExecCell(s.cell(ExploreGrid()[i], src))
+			_, errs[i] = s.ExecCell(s.cell(ExploreGrid()[i], src), nil)
 		}()
 	}
 	wg.Wait()
@@ -242,7 +242,7 @@ func TestCancelledSessionCellBuildsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExecCell(s.cell(core.DefaultConfig(), src)); !errors.Is(err, context.Canceled) {
+	if _, err := s.ExecCell(s.cell(core.DefaultConfig(), src), nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cell on a cancelled session: err = %v, want context.Canceled", err)
 	}
 	if n := total(); n != 0 {

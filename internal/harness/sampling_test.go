@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -135,7 +136,7 @@ func TestConcurrentAutoPeriodCellsAgree(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec, err := s.ExecCell(cell)
+			rec, err := s.ExecCell(cell, nil)
 			if err != nil {
 				t.Errorf("cell %d: %v", i, err)
 				return
@@ -158,5 +159,29 @@ func TestConcurrentAutoPeriodCellsAgree(t *testing.T) {
 	_, _, first := s.progLen.Do(spec.Source().Identity()+"/"+cell.Scale.String(), func() (uint64, error) { return 0, nil })
 	if first {
 		t.Error("the cells did not size mgrid through the session's memo")
+	}
+}
+
+// TestExecCellReportsIntervals: ExecCell's onInterval announces a sampled
+// cell's plan (0 of N) and then each measured window in turn, and the
+// session engine's interval counters follow; a detailed cell never calls
+// it.
+func TestExecCellReportsIntervals(t *testing.T) {
+	s := NewSession(Options{})
+	cell := campaign.Cell{Config: core.WIBDefault(), Bench: "mgrid", Scale: workload.ScaleTest,
+		MaxCycles: 10_000_000, Sampling: &sample.Plan{Intervals: 3, Length: 200, Warmup: 200}}
+	var got []string
+	if _, err := s.ExecCell(cell, func(done, planned int) { got = append(got, fmt.Sprintf("%d/%d", done, planned)) }); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"0/3", "1/3", "2/3", "3/3"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("onInterval calls %v, want %v", got, want)
+	}
+	if snap := s.Campaign().Snapshot(); snap.IntervalsDone != 3 || snap.IntervalsPlanned != 3 {
+		t.Errorf("engine intervals %d/%d, want 3/3", snap.IntervalsDone, snap.IntervalsPlanned)
+	}
+	cell.Sampling, cell.MaxInstr = nil, 2000
+	if _, err := s.ExecCell(cell, func(int, int) { t.Error("a detailed cell reported an interval") }); err != nil {
+		t.Fatal(err)
 	}
 }

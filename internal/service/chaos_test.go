@@ -62,7 +62,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	}
 	serial := harness.NewSession(harness.Options{Scale: workload.ScaleTest})
 	for _, cell := range cells {
-		rec, err := serial.ExecCell(cell)
+		rec, err := serial.ExecCell(cell, nil)
 		if err != nil {
 			t.Fatalf("serial %s: %v", cell, err)
 		}
@@ -140,13 +140,13 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	var sabotaged atomic.Bool
 	chaoticExec := func(c campaign.Cell) (*campaign.Record, error) {
 		if c.ID() == target.ID() && !sabotaged.Swap(true) {
-			rec, err := sabotage.ExecCell(c)
+			rec, err := sabotage.ExecCell(c, nil)
 			if err == nil {
 				return nil, fmt.Errorf("chaos: injected fault in %s went undetected", c)
 			}
 			return rec, err
 		}
-		return exec.ExecCell(c)
+		return exec.ExecCell(c, nil)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -65,7 +65,7 @@ type WorkerOptions struct {
 	Exec campaign.ExecFunc
 	// ExecProgress, when set, is used instead of Exec, which is then never
 	// called: it receives a per-cell interval progress callback (wibworker
-	// mounts harness Session.ExecCellWithProgress) whose counts the worker
+	// mounts harness Session.ExecCell) whose counts the worker
 	// ships on its lease heartbeats, so the coordinator's ETA sees
 	// fractional in-flight progress on long sampled cells.
 	ExecProgress func(cell campaign.Cell, onInterval func(done, planned int)) (*campaign.Record, error)

@@ -36,7 +36,7 @@ func TestDistributedExternalWorkloads(t *testing.T) {
 	var executions atomic.Int64
 	countingExec := func(c campaign.Cell) (*campaign.Record, error) {
 		executions.Add(1)
-		return session.ExecCell(c)
+		return session.ExecCell(c, nil)
 	}
 
 	store, err := campaign.NewStore(t.TempDir())

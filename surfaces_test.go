@@ -118,7 +118,7 @@ func sessionSurfaces(t *testing.T, opt harness.Options, cfg Config, src Workload
 	if snap := s.Campaign().Snapshot(); snap.Executed != 1 {
 		t.Fatalf("the hand-built cell is not the session's own: %d cells executed", snap.Executed)
 	}
-	if viaExec, err = harness.NewSession(harness.Options{}).ExecCell(cell); err != nil {
+	if viaExec, err = harness.NewSession(harness.Options{}).ExecCell(cell, nil); err != nil {
 		t.Fatal(err)
 	}
 	viaExec.CellID = cell.ID() // whoever owns the store stamps the address: the engine did, as a coordinator would
