@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"largewindow/internal/campaign"
 	"largewindow/internal/obs"
 	"largewindow/internal/service"
 )
@@ -30,11 +29,11 @@ func watchFleet(server string, stderr io.Writer) *fleetWatch {
 	term := isTerminal(stderr)
 	go func() {
 		defer close(w.done)
-		lastLen := 0
+		painted := false
 		clear := func() {
-			if term && lastLen > 0 {
-				fmt.Fprintf(stderr, "\r%s\r", strings.Repeat(" ", lastLen))
-				lastLen = 0
+			if painted {
+				obs.Repaint(stderr, "")
+				painted = false
 			}
 		}
 		err := obs.StreamEvents(ctx, nil, server+service.PathEvents, func(ev obs.Event) error {
@@ -43,16 +42,11 @@ func watchFleet(server string, stderr io.Writer) *fleetWatch {
 				if ev.Progress == nil {
 					return nil
 				}
-				line := renderFleetLine(ev.Progress)
 				if term {
-					pad := ""
-					if n := lastLen - len(line); n > 0 {
-						pad = strings.Repeat(" ", n)
-					}
-					fmt.Fprintf(stderr, "\r%s%s", line, pad)
-					lastLen = len(line)
+					obs.Repaint(stderr, ev.Progress.Line())
+					painted = true
 				} else {
-					fmt.Fprintln(stderr, line)
+					fmt.Fprintln(stderr, ev.Progress.Line())
 				}
 			case obs.EventHeartbeat, obs.EventSubmit:
 				// Routine chatter: heartbeats tick constantly and submits
@@ -82,27 +76,6 @@ func (w *fleetWatch) stop() {
 	case <-time.After(2 * time.Second):
 	}
 	fmt.Fprintln(w.stderr)
-}
-
-// renderFleetLine formats one progress snapshot. Rates and ETAs arrive
-// pre-sanitized (obs.SaneRate/SaneETAFrac): never NaN, Inf, or negative —
-// unknown ETA is negative by contract and rendered as "--".
-func renderFleetLine(p *obs.Progress) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleet: %d/%d done", p.Done, p.Submitted)
-	if p.Failed > 0 {
-		fmt.Fprintf(&b, ", %d failed", p.Failed)
-	}
-	fmt.Fprintf(&b, ", %d running, queue %d", p.Running, p.QueueDepth)
-	if p.InstrsPerSec > 0 {
-		fmt.Fprintf(&b, ", %s instrs/s", campaign.SIFormat(p.InstrsPerSec))
-	}
-	if p.ETASec >= 0 {
-		fmt.Fprintf(&b, ", ETA %s", (time.Duration(p.ETASec * float64(time.Second))).Round(time.Second))
-	} else if p.Done < p.Submitted {
-		b.WriteString(", ETA --")
-	}
-	return b.String()
 }
 
 // renderFleetEvent formats one scrolling lifecycle line.

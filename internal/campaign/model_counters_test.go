@@ -22,7 +22,7 @@ func TestModelCounters(t *testing.T) {
 	if sum := s.Summary(); !strings.Contains(sum, "model: 15 pruned / 2 audited") {
 		t.Errorf("summary %q missing model accounting", sum)
 	}
-	if line := renderLine(s, 0); !strings.Contains(line, "model 15 pruned/2 audited") {
+	if line := s.progress(0).Line(); !strings.Contains(line, "model 15 pruned/2 audited") {
 		t.Errorf("progress line %q missing model segment", line)
 	}
 }
@@ -34,7 +34,7 @@ func TestModelCountersAbsentWhenUnused(t *testing.T) {
 	if sum := s.Summary(); strings.Contains(sum, "model") {
 		t.Errorf("summary %q mentions model without pruning", sum)
 	}
-	if line := renderLine(s, 10); strings.Contains(line, "model") {
+	if line := s.progress(10).Line(); strings.Contains(line, "model") {
 		t.Errorf("progress line %q mentions model without pruning", line)
 	}
 }

@@ -1,118 +1,168 @@
 package campaign
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
+
+	"largewindow/internal/obs"
 )
 
-// TestRenderLineSane drives the progress line through every degenerate
-// snapshot shape a live campaign can produce and asserts the rendered
-// figures stay sane: no NaN/Inf/negative rates, no ETA when no estimate
-// exists, and the headline counts always present.
+// TestRenderLineSane drives the one status renderer (obs.Progress.Line)
+// through the snapshot shapes a live campaign can produce, local engine
+// and fleet alike, and pins each line whole. The local lines are the ones
+// the local renderer printed before the fleet's shared it; every line
+// stays sane: no NaN/Inf/negative figure, no ETA when no estimate exists.
 func TestRenderLineSane(t *testing.T) {
 	cases := []struct {
 		name     string
-		s        Snapshot
+		s        Snapshot // a local engine's snapshot, when fleet is nil
 		expected uint64
-		want     []string // substrings that must appear
-		wantNot  []string // substrings that must not
+		fleet    *obs.Progress // a coordinator's snapshot: ETA and rate filled as it fills them
+		credit   float64       // the fleet's in-flight interval credit
+		want     string
 	}{
 		{
 			name:     "campaign start: nothing done, zero elapsed",
 			s:        Snapshot{Total: 0, Elapsed: 0},
 			expected: 40,
-			want:     []string{"campaign 0/40 cells", "0 instrs/s"},
-			wantNot:  []string{"ETA", "NaN", "Inf", "-"},
+			want:     "campaign 0/40 cells · 0 instrs/s",
 		},
 		{
-			name:    "zero everything",
-			s:       Snapshot{},
-			want:    []string{"campaign 0/0 cells", "0 instrs/s"},
-			wantNot: []string{"ETA", "NaN", "Inf"},
+			name: "zero everything",
+			s:    Snapshot{},
+			want: "campaign 0/0 cells · 0 instrs/s",
 		},
 		{
-			name: "all cache hits: done without executing",
-			s: Snapshot{
-				Total: 10, Done: 5, CacheHits: 5, Executed: 0,
-				Elapsed: 2 * time.Second,
-			},
+			name:     "all cache hits: done without executing",
+			s:        Snapshot{Total: 10, Done: 5, CacheHits: 5, Executed: 0, Elapsed: 2 * time.Second},
 			expected: 10,
-			want:     []string{"campaign 5/10 cells", "(5 cached)", "0 instrs/s"},
-			wantNot:  []string{"ETA", "NaN", "Inf"},
+			want:     "campaign 5/10 cells (5 cached) · 0 instrs/s",
 		},
 		{
 			name: "instrs counted but zero elapsed",
-			s: Snapshot{
-				Total: 4, Done: 1, Executed: 1, Instrs: 1_000_000, Elapsed: 0,
-			},
-			want:    []string{"campaign 1/4 cells", "0 instrs/s"},
-			wantNot: []string{"ETA", "NaN", "Inf"},
+			s:    Snapshot{Total: 4, Done: 1, Executed: 1, Instrs: 1_000_000, Elapsed: 0},
+			want: "campaign 1/4 cells · 0 instrs/s",
 		},
 		{
 			name: "healthy mid-campaign",
-			s: Snapshot{
-				Total: 40, Done: 10, Executed: 10, Instrs: 50_000_000,
-				Elapsed: 10 * time.Second,
-			},
-			want:    []string{"campaign 10/40 cells", "5.0M instrs/s", "ETA 0:30"},
-			wantNot: []string{"NaN", "Inf"},
+			s:    Snapshot{Total: 40, Done: 10, Executed: 10, Instrs: 50_000_000, Elapsed: 10 * time.Second},
+			want: "campaign 10/40 cells · 5.0M instrs/s · ETA 0:30",
 		},
 		{
 			name: "finished: no ETA",
-			s: Snapshot{
-				Total: 8, Done: 8, Executed: 8, Instrs: 8_000,
-				Elapsed: 4 * time.Second,
-			},
-			want:    []string{"campaign 8/8 cells", "2.0k instrs/s"},
-			wantNot: []string{"ETA"},
+			s:    Snapshot{Total: 8, Done: 8, Executed: 8, Instrs: 8_000, Elapsed: 4 * time.Second},
+			want: "campaign 8/8 cells · 2.0k instrs/s",
 		},
 		{
 			name: "failures and retries surface",
-			s: Snapshot{
-				Total: 6, Done: 4, Executed: 4, Failed: 2, Retries: 3,
-				Instrs: 400, Elapsed: time.Second,
-			},
-			want: []string{"(2 FAILED)", "(3 retried)", "400 instrs/s"},
+			s: Snapshot{Total: 6, Done: 4, Executed: 4, Failed: 2, Retries: 3,
+				Instrs: 400, Elapsed: time.Second},
+			want: "campaign 4/6 cells (3 retried) (2 FAILED) · 400 instrs/s · ETA 0:01",
 		},
 		{
 			name: "checkpoint cache activity surfaces",
-			s: Snapshot{
-				Total: 4, Done: 2, Executed: 2, Elapsed: time.Second,
-				CkptBuilt: 2, CkptReused: 6,
-			},
-			want: []string{"ckpt 2 built/6 reused"},
+			s:    Snapshot{Total: 4, Done: 2, Executed: 2, Elapsed: time.Second, CkptBuilt: 2, CkptReused: 6},
+			want: "campaign 2/4 cells · ckpt 2 built/6 reused · 0 instrs/s · ETA 0:01",
 		},
 		{
-			name: "expected larger than engine total wins",
-			s: Snapshot{
-				Total: 3, Done: 3, Executed: 3, Elapsed: time.Second,
-			},
+			name:     "expected larger than engine total wins",
+			s:        Snapshot{Total: 3, Done: 3, Executed: 3, Elapsed: time.Second},
 			expected: 12,
-			want:     []string{"campaign 3/12 cells", "ETA"},
+			want:     "campaign 3/12 cells · 0 instrs/s · ETA 0:03",
 		},
 		{
 			name: "absurd extrapolation suppressed",
-			s: Snapshot{
-				Total: 1_000_000, Done: 1, Executed: 1,
-				Elapsed: 10 * time.Hour,
-			},
-			want:    []string{"campaign 1/1000000 cells"},
-			wantNot: []string{"ETA"},
+			s:    Snapshot{Total: 1_000_000, Done: 1, Executed: 1, Elapsed: 10 * time.Hour},
+			want: "campaign 1/1000000 cells · 0 instrs/s",
+		},
+		{
+			name:     "negative elapsed: no ETA, no negative rate",
+			s:        Snapshot{Total: 10, Done: 2, Executed: 2, Elapsed: -5 * time.Second},
+			expected: 10,
+			want:     "campaign 2/10 cells · 0 instrs/s",
+		},
+		{
+			name:     "over-complete counts: no ETA",
+			s:        Snapshot{Total: 10, Done: 12, Executed: 12, Elapsed: time.Second},
+			expected: 10,
+			want:     "campaign 12/10 cells · 0 instrs/s",
+		},
+		{
+			name:     "resumed: store hits are free",
+			s:        Snapshot{Total: 100, Done: 91, CacheHits: 90, Executed: 1, Elapsed: 2 * time.Second},
+			expected: 100,
+			want:     "campaign 91/100 cells (90 cached) · 0 instrs/s · ETA 0:18",
+		},
+		{
+			name: "sampled and pruned: intervals replace the rate",
+			s: Snapshot{Total: 5, Done: 1, Executed: 1, Elapsed: 3 * time.Second,
+				IntervalsDone: 11, IntervalsPlanned: 40, ModelPruned: 15, ModelAudited: 2},
+			want: "campaign 1/5 cells · model 15 pruned/2 audited · interval 11/40 · ETA 0:12",
+		},
+		{
+			name:  "fleet start: all queued",
+			fleet: &obs.Progress{Submitted: 40, QueueDepth: 38, Running: 2},
+			want:  "campaign 0/40 cells · 2 running, queue 38 · 0 instrs/s",
+		},
+		{
+			name: "fleet resumed: store hits are free",
+			fleet: &obs.Progress{Submitted: 100, Done: 91, CacheHits: 90, Running: 1, QueueDepth: 8,
+				Instrs: 4_000_000, ElapsedSec: 2},
+			want: "campaign 91/100 cells (90 cached) · 1 running, queue 8 · 2.0M instrs/s · ETA 0:18",
+		},
+		{
+			name: "fleet failures, retries and in-flight interval credit",
+			fleet: &obs.Progress{Submitted: 10, Done: 3, Failed: 1, Retries: 2, Running: 2, QueueDepth: 4,
+				Instrs: 1_000_000, ElapsedSec: 4, IntervalsDone: 5, IntervalsPlanned: 10, ModelPruned: 7, ModelAudited: 1},
+			credit: 0.5, // 4 s / 4.5 cells × 5.5 left ≈ 4.9 s
+			want:   "campaign 4/10 cells (2 retried) (1 FAILED) · 2 running, queue 4 · model 7 pruned/1 audited · interval 5/10 · ETA 0:05",
+		},
+		{
+			name:   "fleet: credit alone gives an ETA",
+			fleet:  &obs.Progress{Submitted: 1, Running: 1, ElapsedSec: 3, IntervalsDone: 1, IntervalsPlanned: 4},
+			credit: 0.25,
+			want:   "campaign 0/1 cells · 1 running, queue 0 · interval 1/4 · ETA 0:09",
+		},
+		{
+			name:  "fleet negative elapsed",
+			fleet: &obs.Progress{Submitted: 5, Done: 2, Instrs: 100, ElapsedSec: -3},
+			want:  "campaign 2/5 cells · 0 instrs/s",
+		},
+		{
+			name:  "fleet over-complete counts",
+			fleet: &obs.Progress{Submitted: 10, Done: 9, Failed: 3, ElapsedSec: 1},
+			want:  "campaign 12/10 cells (3 FAILED) · 0 instrs/s",
+		},
+		{
+			name:  "fleet extrapolation above 99 h",
+			fleet: &obs.Progress{Submitted: 1_000_000, Done: 1, ElapsedSec: 36_000},
+			want:  "campaign 1/1000000 cells · 0 instrs/s",
+		},
+		{
+			name:  "fleet finished",
+			fleet: &obs.Progress{Submitted: 8, Done: 6, Failed: 2, Instrs: 8_000, ElapsedSec: 4},
+			want:  "campaign 8/8 cells (2 FAILED) · 2.0k instrs/s",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			line := renderLine(tc.s, tc.expected)
-			for _, w := range tc.want {
-				if !strings.Contains(line, w) {
-					t.Errorf("line %q missing %q", line, w)
-				}
+			p := tc.fleet
+			if p == nil {
+				p = tc.s.progress(tc.expected)
+			} else {
+				p.InstrsPerSec = obs.SaneRate(float64(p.Instrs), p.ElapsedSec)
+				p.ETASec = p.ETA(tc.credit)
 			}
-			for _, w := range tc.wantNot {
-				if strings.Contains(line, w) {
-					t.Errorf("line %q must not contain %q", line, w)
+			line := p.Line()
+			if line != tc.want {
+				t.Errorf("line %q\n want %q", line, tc.want)
+			}
+			for _, bad := range []string{"NaN", "Inf", "-"} {
+				if strings.Contains(line, bad) {
+					t.Errorf("line %q contains %q", line, bad)
 				}
 			}
 		})
@@ -123,12 +173,8 @@ func TestRenderLineSane(t *testing.T) {
 // negative elapsed duration: the ETA must vanish, not go negative.
 func TestRenderETANegativeElapsed(t *testing.T) {
 	s := Snapshot{Total: 10, Done: 2, Executed: 2, Elapsed: -5 * time.Second}
-	if eta, ok := renderETA(s, 10); ok {
-		t.Fatalf("negative elapsed produced ETA %q; want none", eta)
-	}
-	line := renderLine(s, 10)
-	if strings.Contains(line, "ETA") || strings.Contains(line, "-") {
-		t.Fatalf("line %q renders a negative-elapsed artifact", line)
+	if p := s.progress(10); p.ETASec >= 0 {
+		t.Fatalf("negative elapsed produced ETA %g s; want none", p.ETASec)
 	}
 }
 
@@ -187,14 +233,16 @@ func etaVectors() []struct {
 	return vs
 }
 
-// TestETAMatchesLocalOracle: on every snapshot without hits the local
-// line's ETA is the oracle's.
+// TestETAMatchesLocalOracle: on every snapshot without hits, the one ETA
+// rule gives the local line's old estimate and the same verdict on
+// whether one exists. The oracle truncates the per-cell time to the
+// nanosecond, so it may fall short by a nanosecond per cell left.
 func TestETAMatchesLocalOracle(t *testing.T) {
 	for _, v := range etaVectors() {
 		want, wok := oracleRenderETA(v.s, v.total)
-		got, ok := renderETA(v.s, v.total)
-		if ok != wok || (ok && got != fmtDuration(want)) {
-			t.Errorf("%+v of %d: ETA %q (%v), oracle %q (%v)", v.s, v.total, got, ok, fmtDuration(want), wok)
+		got := v.s.progress(v.total).ETASec
+		if ok := got >= 0; ok != wok || (ok && math.Abs(got-want.Seconds()) > 1e-9*float64(v.total)+1e-9) {
+			t.Errorf("%+v of %d: ETA %g s (%v), oracle %v (%v)", v.s, v.total, got, ok, want, wok)
 		}
 	}
 }

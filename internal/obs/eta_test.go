@@ -3,22 +3,23 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
 
-// TestSaneETAFrac pins the fractional ETA estimator used by the
-// coordinator's interval-aware progress model: sane positive estimates
-// for partial progress (including sub-cell fractions from in-flight
-// sampled intervals), and -1 for every shape with no defensible
-// estimate.
+// TestSaneETAFrac holds the one ETA rule (Progress.ETA) to the fleet's
+// old estimator on every vector that estimator pinned — none has a hit:
+// sane positive estimates for partial progress (including sub-cell
+// fractions from in-flight sampled intervals, passed as credit), and -1
+// for every shape with no defensible estimate.
 func TestSaneETAFrac(t *testing.T) {
 	cases := []struct {
 		name    string
 		done    float64
 		total   uint64
 		elapsed float64
-		want    float64 // exact, or NaN to assert "-1 sentinel"
+		want    float64
 	}{
 		{"half done in 10s", 5, 10, 10, 10},
 		{"fractional interval progress", 2.5, 10, 5, 15},
@@ -35,16 +36,36 @@ func TestSaneETAFrac(t *testing.T) {
 			t.Errorf("%s: oracle(%g, %d, %g) = %g, want %g",
 				c.name, c.done, c.total, c.elapsed, got, c.want)
 		}
-		got := SaneETAFrac(c.done, c.total, c.elapsed)
-		if math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("%s: SaneETAFrac(%g, %d, %g) = %g, want %g",
-				c.name, c.done, c.total, c.elapsed, got, c.want)
+		whole := math.Floor(max(c.done, 0))
+		p := Progress{Submitted: c.total, Done: uint64(whole), ElapsedSec: c.elapsed}
+		if got := p.ETA(c.done - whole); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("%s: ETA of %d/%d cells + %g credit in %g s = %g, want %g",
+				c.name, p.Done, c.total, c.done-whole, c.elapsed, got, c.want)
+		}
+	}
+}
+
+// TestETAMatchesFleetOracle: over seeded hit-free vectors with in-flight
+// credit, the one rule gives the fleet's old estimate to rounding.
+func TestETAMatchesFleetOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		total := uint64(1 + rng.Intn(5000))
+		p := Progress{Submitted: total, Done: uint64(rng.Intn(int(total) + 1)), ElapsedSec: rng.Float64() * 400_000}
+		p.Failed = uint64(rng.Intn(int(total-p.Done) + 1))
+		credit := rng.Float64() * float64(rng.Intn(4))
+		want := oracleSaneETAFrac(float64(p.Done+p.Failed)+credit, total, p.ElapsedSec)
+		if want > 99*3600 {
+			want = -1 // the one rule prints no ETA above 99 hours
+		}
+		if got := p.ETA(credit); math.Abs(got-want) > 1e-9*math.Abs(want) {
+			t.Errorf("%+v, credit %g: ETA %g, oracle %g", p, credit, got, want)
 		}
 	}
 }
 
 // oracleSaneETAFrac is the fleet's ETA rule as it stood before the fleet
-// line and the local line shared one: elapsed time per finished cell,
+// line and the local line shared one (Progress.ETA): elapsed time per finished cell,
 // in-flight credit included, times the cells left. It counted a store hit
 // as a finished cell like any other; -1 is unknown.
 func oracleSaneETAFrac(done float64, total uint64, elapsedSec float64) float64 {

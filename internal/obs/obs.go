@@ -79,37 +79,6 @@ type Event struct {
 	Progress *Progress `json:"progress,omitempty"`
 }
 
-// Progress is the periodic fleet snapshot broadcast on the event
-// stream: what a dashboard needs to render "cells done, instrs/s, ETA"
-// without scraping /metrics.
-type Progress struct {
-	Submitted    uint64  `json:"submitted"`
-	Done         uint64  `json:"done"`
-	Failed       uint64  `json:"failed"`
-	Running      int     `json:"running"`
-	QueueDepth   int     `json:"queue_depth"`
-	CacheHits    uint64  `json:"cache_hits"`
-	Retries      uint64  `json:"retries"`
-	Requeues     uint64  `json:"requeues"`
-	Instrs       uint64  `json:"instrs"`
-	InstrsPerSec float64 `json:"instrs_per_sec"`
-	ElapsedSec   float64 `json:"elapsed_sec"`
-	// ETASec is the extrapolated seconds to completion; negative means
-	// unknown (nothing finished yet, or nothing left).
-	ETASec float64 `json:"eta_sec"`
-
-	// Sampled-campaign interval progress, summed over in-flight leases
-	// from worker heartbeats. Zero outside sampled sweeps.
-	IntervalsDone    uint64 `json:"intervals_done,omitempty"`
-	IntervalsPlanned uint64 `json:"intervals_planned,omitempty"`
-
-	// Model-pruned sweep accounting: cells the interval model answered in
-	// place of detailed simulation, and the audit subset simulated anyway
-	// to measure live model error. Zero outside pruned sweeps.
-	ModelPruned  uint64 `json:"model_pruned,omitempty"`
-	ModelAudited uint64 `json:"model_audited,omitempty"`
-}
-
 // SaneRate divides total by secs, mapping every degenerate shape
 // (zero or negative elapsed, non-finite quotient) to 0 so rendered
 // rates never show NaN/Inf/negative.
@@ -122,24 +91,6 @@ func SaneRate(total float64, secs float64) float64 {
 		return 0
 	}
 	return r
-}
-
-// SaneETAFrac extrapolates seconds-to-completion from done/total
-// progress over elapsed seconds. done may include partial credit for
-// in-flight cells (a sampled cell 30/100 intervals in counts 0.3), which
-// keeps long-cell fleet ETAs from sawtoothing between heartbeats. It
-// returns -1 (unknown) whenever the inputs cannot support a sane
-// estimate: nothing finished, already finished, or degenerate elapsed
-// time.
-func SaneETAFrac(done float64, total uint64, elapsedSec float64) float64 {
-	if done <= 0 || float64(total) <= done || elapsedSec <= 0 {
-		return -1
-	}
-	eta := elapsedSec / done * (float64(total) - done)
-	if math.IsNaN(eta) || math.IsInf(eta, 0) || eta < 0 {
-		return -1
-	}
-	return eta
 }
 
 // NewLogger builds the CLI tier's structured logger: "text" for the

@@ -711,7 +711,8 @@ func (c *Coordinator) leaseCredit() (credit float64, ivDone, ivPlanned uint64) {
 }
 
 // progress snapshots fleet progress with every rendered rate guarded
-// against NaN/Inf/negative shapes (campaign start, zero counters).
+// against NaN/Inf/negative shapes (campaign start, zero counters); the
+// ETA credits the leased sampled cells' intervals.
 func (c *Coordinator) progress() *obs.Progress {
 	st := c.Stats()
 	c.mu.Lock()
@@ -724,7 +725,7 @@ func (c *Coordinator) progress() *obs.Progress {
 		IntervalsDone: ivDone, IntervalsPlanned: ivPlanned,
 		ModelPruned: st.ModelPruned, ModelAudited: st.ModelAudited}
 	p.InstrsPerSec = obs.SaneRate(float64(p.Instrs), elapsed)
-	p.ETASec = obs.SaneETAFrac(float64(p.Done+p.Failed)+frac, p.Submitted, elapsed)
+	p.ETASec = p.ETA(frac)
 	return p
 }
 

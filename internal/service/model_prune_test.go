@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,6 +140,54 @@ func TestHeartbeatIntervalProgress(t *testing.T) {
 	}
 	if p.ETASec <= 0 {
 		t.Errorf("fractional interval credit produced no ETA (got %g)", p.ETASec)
+	}
+}
+
+// TestResumedProgressETACountsExecutedCells: a resumed campaign of 100
+// cells, 90 of them store hits and 1 executed, has 9 left at the wall
+// time of the one executed cell each. Counting the hits as executed
+// cells, as the fleet's estimate once did, priced the rest at 1/91 of
+// the elapsed time apiece (0.2 s after 2 s, against 18 s).
+func TestResumedProgressETACountsExecutedCells(t *testing.T) {
+	store, err := campaign.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []campaign.Cell
+	for i := 0; i < 100; i++ {
+		cell := testCell(16+i, "gzip")
+		cells = append(cells, cell)
+		if i < 90 {
+			rec, _ := fakeExec(cell)
+			rec.CellID = cell.ID()
+			if err := store.Put(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	coord, srv := startCoordinator(t, CoordinatorOptions{Store: store, Resume: true, LeaseTTL: 10 * time.Second})
+	var ran atomic.Int32
+	release := make(chan struct{})
+	startWorkers(t, srv.URL, 1, func(c campaign.Cell) (*campaign.Record, error) {
+		if ran.Add(1) > 1 {
+			<-release // hold every cell after the first in flight
+		}
+		return fakeExec(c)
+	})
+	t.Cleanup(func() { close(release) })
+	client := NewClient(ClientOptions{Server: srv.URL, PollWait: 100 * time.Millisecond})
+	if _, err := client.Submit(cells); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return coord.Stats().Completed == 91 })
+
+	p := coord.progress()
+	if p.Done != 91 || p.CacheHits != 90 || p.Failed != 0 || p.Submitted != 100 {
+		t.Fatalf("progress %d/%d done, %d hits, %d failed; want 91/100, 90 hits, 0 failed", p.Done, p.Submitted, p.CacheHits, p.Failed)
+	}
+	if want := p.ElapsedSec * 9; math.Abs(p.ETASec-want) > 1e-9*want {
+		t.Errorf("ETA %g s after %g s, want %g (9 cells left at the one executed cell's %g s)",
+			p.ETASec, p.ElapsedSec, want, p.ElapsedSec)
 	}
 }
 
