@@ -89,6 +89,15 @@ gate_exists TestEntryPointsRefuseIgnoredOptions .
 gate_exists TestBadUsageExitsTwo ./cmd/wibsim/
 gate_exists TestBadUsageExitsTwo ./cmd/experiments/
 
+echo "== one port window for both register files, one ETA rule for the local line and the fleet, each held to the copies it replaced (they ran twice above, under ./...) =="
+gate_exists TestTwoLevelMatchesMapOracle ./internal/regfile/
+gate_exists TestMultiBankedMatchesMapOracle ./internal/regfile/
+gate_exists TestSaneETAFrac ./internal/obs/
+gate_exists TestETAMatchesFleetOracle ./internal/obs/
+gate_exists TestETAMatchesLocalOracle ./internal/campaign/
+gate_exists TestRenderLineSane ./internal/campaign/
+gate_exists TestResumedProgressETACountsExecutedCells ./internal/service/
+
 echo "== core and sampler allocation gates are still in the suite (they ran above, under the plain ./...): a cell allocates core.New plus its growth, a window built around its own state builds no cold hierarchy, predictor or image, a sampled window's cost =="
 gate_exists TestWIBCellAllocBudget ./internal/core/
 gate_exists TestBaseCellAllocBudget ./internal/core/
