@@ -9,8 +9,8 @@ test:
 	$(GO) test ./...
 
 # Pre-merge gate: gofmt + vet + build + go test (race-enabled, then plain;
-# the removal audit, internal/audit, runs in both) + eight fuzz smokes +
-# repeated race runs.
+# the removal audit, internal/audit, runs in both) + the fuzz smokes and
+# repeated race runs that internal/audit/gates.txt names.
 check:
 	sh scripts/check.sh
 

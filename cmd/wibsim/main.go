@@ -6,21 +6,25 @@
 //
 //	wibsim -bench art [-scale test|run|full] [-config base|wib|iq2k|custom]
 //	       [-instr N] [-cycles N] [-list]
-//	       [-predict]
 //	       [-skip N] [-measure N] [-sample n=50,period=200000,len=2000,warm=2000]
 //	       [-wib-entries N] [-bitvectors N] [-policy banked|program-order|rr-load|oldest-load]
 //	       [-mem-latency N] [-dump] [-pipetrace N] [-deadline 30s] [-crash-dump crash.json]
 //	       [-watchdog N] [-lockstep] [-no-fast-forward]
 //	       [-telemetry] [-telemetry-out telemetry.jsonl] [-sample-interval N]
 //	       [-trace-out trace.json] [-kanata pipeline.kanata] [-pprof cpu.prof]
+//	wibsim -bench art [-scale test|run|full] [-config base|wib|iq2k|custom]
+//	       [-wib-entries N] [-bitvectors N] [-mem-latency N] [-instr N | -measure N] -predict
 //	wibsim -bench art [-scale test|run|full] [-instr N] -record-trace out.wtr
 //
 // A flag the chosen mode would ignore is refused (exit 2): under -sample
 // the plan defines the simulated windows and no window's core outlives
 // its interval, so -skip, -measure, -instr and the telemetry and
-// lifecycle-trace flags are refused; -predict refuses -sample and -skip;
-// -record-trace simulates nothing, so it reads -bench, -scale and -instr
-// alone and refuses every other flag.
+// lifecycle-trace flags are refused; -predict simulates nothing, so it
+// reads -bench, -scale, -instr, -measure and the machine the model sees
+// (-config, -wib-entries, -bitvectors, -mem-latency) and refuses every
+// other flag; -record-trace reads -bench, -scale and -instr alone and
+// refuses every other flag. -measure is a second name for the -instr
+// budget, so the two together are refused.
 //
 // -predict skips the detailed simulation entirely: one fast functional
 // profiling pass feeds the mechanistic interval model (DESIGN.md §14),
@@ -54,6 +58,7 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"largewindow/internal/core"
@@ -132,25 +137,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// A flag the chosen mode would ignore is refused: a run that silently
 	// differs from the one asked for is worse than no run. Recording runs
 	// the functional emulator alone and reads only the workload, its scale
-	// and the instruction budget.
+	// and the instruction budget; a prediction reads those, the machine
+	// the model sees and -measure. -measure and -instr are one budget.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	var recordIgnores []string
-	fs.VisitAll(func(f *flag.Flag) {
-		switch f.Name {
-		case "record-trace", "bench", "scale", "instr":
-		default:
-			recordIgnores = append(recordIgnores, f.Name)
-		}
-	})
+	allBut := func(reads ...string) (ignores []string) {
+		fs.VisitAll(func(f *flag.Flag) {
+			if !slices.Contains(reads, f.Name) {
+				ignores = append(ignores, f.Name)
+			}
+		})
+		return ignores
+	}
 	for _, m := range []struct {
 		on      bool
 		mode    string
 		ignores []string
 	}{
-		{*record != "", "-record-trace", recordIgnores},
+		{*record != "", "-record-trace", allBut("record-trace", "bench", "scale", "instr")},
 		{*smpl != "", "-sample", []string{"skip", "measure", "instr", "telemetry", "telemetry-out", "sample-interval", "trace-out", "kanata", "pipetrace"}},
-		{*predict, "-predict", []string{"sample", "skip"}},
+		{*predict, "-predict", allBut("predict", "bench", "scale", "instr", "measure", "config", "wib-entries", "bitvectors", "mem-latency")},
+		{set["measure"], "-measure", []string{"instr"}},
 	} {
 		for _, name := range m.ignores {
 			if m.on && set[name] {

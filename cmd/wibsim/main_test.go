@@ -163,6 +163,16 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		{append(sampled, "-pipetrace", "64"), "-sample ignores -pipetrace"},
 		{append(predict, "-sample", "n=4,len=500"), "-predict ignores -sample"},
 		{append(predict, "-skip", "5000"), "-predict ignores -skip"},
+		{append(predict, "-pprof", filepath.Join(dir, "cpu.prof")), "-predict ignores -pprof"},
+		{append(predict, "-deadline", "1s"), "-predict ignores -deadline"},
+		{append(predict, "-cycles", "1000"), "-predict ignores -cycles"},
+		{append(predict, "-telemetry", "-telemetry-out", filepath.Join(dir, "t.jsonl")), "-predict ignores -telemetry"},
+		{append(predict, "-trace-out", filepath.Join(dir, "tr.json")), "-predict ignores -trace-out"},
+		{append(predict, "-crash-dump", filepath.Join(dir, "c.json")), "-predict ignores -crash-dump"},
+		{append(predict, "-lockstep"), "-predict ignores -lockstep"},
+		{append(predict, "-policy", "rr-load"), "-predict ignores -policy"},
+		{append(predict, "-instr", "5000", "-measure", "3000"), "-measure ignores -instr"},
+		{[]string{"-bench", "gzip", "-scale", "test", "-instr", "5000", "-measure", "3000"}, "-measure ignores -instr"}, // used to commit 3,006 instructions
 		{append(record, "-sample", "n=4,len=500"), "-record-trace ignores -sample"},
 		{append(record, "-predict"), "-record-trace ignores -predict"},
 		{append(record, "-config", "wib"), "-record-trace ignores -config"},

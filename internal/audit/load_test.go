@@ -39,6 +39,7 @@ type module struct {
 	root, path string
 	fset       *token.FileSet
 	prod       []*unit // production units, sorted by dir
+	tests      []*unit // in-package test units (with their production files) and external test packages
 	decls      map[token.Pos]types.Object
 	uses       map[token.Pos][]use
 	parents    map[ast.Node]ast.Node // for every node of every production file
@@ -117,7 +118,6 @@ func load() (*module, error) {
 	}
 	m.std = importer.ForCompiler(m.fset, "source", nil)
 
-	var tests []*unit
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -154,10 +154,10 @@ func load() (*module, error) {
 			m.byPath[path] = u
 		}
 		if len(in) > 0 {
-			tests = append(tests, &unit{dir: rel, path: path, files: append(prod[:len(prod):len(prod)], in...)})
+			m.tests = append(m.tests, &unit{dir: rel, path: path, files: append(prod[:len(prod):len(prod)], in...)})
 		}
 		if len(ext) > 0 {
-			tests = append(tests, &unit{dir: rel, path: path + "_test", files: ext})
+			m.tests = append(m.tests, &unit{dir: rel, path: path + "_test", files: ext})
 		}
 		return nil
 	})
@@ -170,7 +170,7 @@ func load() (*module, error) {
 	// An external test package is checked against its package's production
 	// unit, as every other importer is: this tree has no export_test.go,
 	// and one would fail here as an undefined name, not pass unseen.
-	for _, u := range tests {
+	for _, u := range m.tests {
 		m.check(u)
 	}
 	if len(m.errs) > 0 {
@@ -199,7 +199,7 @@ func load() (*module, error) {
 		}
 	}
 	seen := map[*ast.Ident]bool{} // a production file's idents appear in two units
-	for _, u := range append(m.prod[:len(m.prod):len(m.prod)], tests...) {
+	for _, u := range append(m.prod[:len(m.prod):len(m.prod)], m.tests...) {
 		for id, obj := range u.info.Uses {
 			if seen[id] || m.decls[obj.Pos()] == nil {
 				continue

@@ -234,6 +234,7 @@ func ProgramLength(prog *Program) (uint64, error) { return sample.ProgramLength(
 // simOptions collects the option-configurable knobs of SimulateContext.
 type simOptions struct {
 	maxInstr       uint64
+	measure        uint64
 	maxCycles      int64
 	telemetryW     io.Writer
 	sampleInterval int64
@@ -271,11 +272,12 @@ func WithSkip(n uint64) Option {
 }
 
 // WithMeasure bounds the measured region to n committed instructions — an
-// alias of WithMaxInstr named for the skip/measure window idiom:
+// alias of WithMaxInstr named for the skip/measure window idiom, so
+// SimulateContext refuses the two together:
 //
 //	SimulateContext(ctx, cfg, prog, WithSkip(1_000_000), WithMeasure(100_000))
 func WithMeasure(n uint64) Option {
-	return func(o *simOptions) { o.maxInstr = n }
+	return func(o *simOptions) { o.measure = n }
 }
 
 // WithCheckpoint starts the timing simulation from a prebuilt functional
@@ -353,7 +355,8 @@ func SimulateContext(ctx context.Context, cfg Config, prog *Program, opts ...Opt
 	if err := refuse("SimulateContext",
 		ignored{o.workload != nil && prog != nil, "a prog with WithWorkload; pass nil prog"},
 		ignored{o.checkpoint != nil && o.skipInstr > 0, "WithSkip with WithCheckpoint, which fixes the skip"},
-		ignored{o.sampling != nil && (o.maxInstr > 0 || o.skipInstr > 0 || o.checkpoint != nil || o.telemetryW != nil),
+		ignored{o.maxInstr > 0 && o.measure > 0, "WithMaxInstr with WithMeasure, which sets the same budget"},
+		ignored{o.sampling != nil && (o.maxInstr > 0 || o.measure > 0 || o.skipInstr > 0 || o.checkpoint != nil || o.telemetryW != nil),
 			"WithMaxInstr, WithMeasure, WithSkip, WithCheckpoint and WithTelemetry under WithSampling, whose plan defines the simulated windows"},
 	); err != nil {
 		return nil, err
@@ -390,7 +393,7 @@ func SimulateContext(ctx context.Context, cfg Config, prog *Program, opts ...Opt
 		Start:          cp,
 		Telemetry:      o.telemetryW,
 		SampleInterval: o.sampleInterval,
-		Measure:        o.maxInstr,
+		Measure:        max(o.maxInstr, o.measure), // one of the two, or 0
 		MaxCycles:      o.maxCycles,
 	})
 	if err != nil {

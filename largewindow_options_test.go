@@ -43,6 +43,7 @@ func TestEntryPointsRefuseIgnoredOptions(t *testing.T) {
 		{"WithMaxInstr", []Option{WithSampling(plan), WithMaxInstr(2_000)}, "WithMaxInstr"},
 		{"WithMeasure", []Option{WithMeasure(2_000)}, ""},
 		{"WithMeasure", []Option{WithSampling(plan), WithMeasure(2_000)}, "WithMeasure"},
+		{"WithMeasure", []Option{WithMaxInstr(2_000), WithMeasure(3_000)}, "WithMaxInstr with WithMeasure"}, // the last used to win
 		{"WithMaxCycles", []Option{WithMaxCycles(1_000_000)}, ""},
 		{"WithMaxCycles", []Option{WithSampling(plan), WithMaxCycles(1_000_000)}, ""},
 		{"WithSkip", []Option{WithSkip(1_000)}, ""},
