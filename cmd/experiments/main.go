@@ -257,12 +257,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *watch {
 		stopLive = watchFleet(*server, stderr).stop
 	} else if *progFlag && isTerminal(stderr) {
-		stopLive = campaign.NewProgress(s.Campaign(), stderr, 0, uint64(expected)).Stop
+		stopLive = watchLocal(s, uint64(expected), stderr)
 	}
 	err = render()
 	stopLive()
 
-	fmt.Fprintln(stderr, s.Campaign().Snapshot().Summary())
+	fmt.Fprintln(stderr, s.Snapshot().Summary())
 	if remote != nil {
 		if st, serr := remote.Stats(); serr == nil {
 			fmt.Fprintf(stderr, "coordinator: %s\n", st.Summary())

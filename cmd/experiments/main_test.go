@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"largewindow/internal/core"
+	"largewindow/internal/harness"
 )
 
 // experiments runs the command in-process and returns its exit status
@@ -240,5 +241,15 @@ func TestListNamesEveryExperiment(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(stdout), "\n")
 	if len(lines) != 10 || !strings.HasPrefix(lines[0], "fig1     Figure 1:") || !strings.HasPrefix(lines[9], "slice    Section 6") {
 		t.Errorf("-list printed:\n%s", stdout)
+	}
+}
+
+// TestWatchLocalStops: the local status line's ticker stops when asked:
+// stop returns once its goroutine has, and the line is left erased.
+func TestWatchLocalStops(t *testing.T) {
+	var out bytes.Buffer
+	watchLocal(harness.NewSession(harness.Options{}), 4, &out)()
+	if !strings.HasSuffix(out.String(), "\r\x1b[K") {
+		t.Errorf("stopped line ends %q, want the erase sequence", out.String())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"largewindow/internal/harness"
 	"largewindow/internal/obs"
 	"largewindow/internal/service"
 )
@@ -76,6 +77,30 @@ func (w *fleetWatch) stop() {
 	case <-time.After(2 * time.Second):
 	}
 	fmt.Fprintln(w.stderr)
+}
+
+// watchLocal repaints the local session's status line in place every
+// half second; expected is the manifest size when known ahead of
+// submission. The returned stop halts it and erases the line.
+func watchLocal(s *harness.Session, expected uint64, stderr io.Writer) (stop func()) {
+	tick, quit, done := time.NewTicker(500*time.Millisecond), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				obs.Repaint(stderr, s.Snapshot().Progress(expected).Line())
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+		tick.Stop()
+		obs.Repaint(stderr, "")
+	}
 }
 
 // renderFleetEvent formats one scrolling lifecycle line.

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	wibsim -bench art [-scale test|run|full] [-config base|wib|iq2k|custom]
+//	wibsim -bench art [-scale test|run|full] [-config base|wib|iq2k]
 //	       [-instr N] [-cycles N] [-list]
 //	       [-skip N] [-measure N] [-sample n=50,period=200000,len=2000,warm=2000]
 //	       [-wib-entries N] [-bitvectors N] [-policy banked|program-order|rr-load|oldest-load]
@@ -12,7 +12,7 @@
 //	       [-watchdog N] [-lockstep] [-no-fast-forward]
 //	       [-telemetry] [-telemetry-out telemetry.jsonl] [-sample-interval N]
 //	       [-trace-out trace.json] [-kanata pipeline.kanata] [-pprof cpu.prof]
-//	wibsim -bench art [-scale test|run|full] [-config base|wib|iq2k|custom]
+//	wibsim -bench art [-scale test|run|full] [-config base|wib|iq2k]
 //	       [-wib-entries N] [-bitvectors N] [-mem-latency N] [-instr N | -measure N] -predict
 //	wibsim -bench art [-scale test|run|full] [-instr N] -record-trace out.wtr
 //
@@ -24,7 +24,8 @@
 // (-config, -wib-entries, -bitvectors, -mem-latency) and refuses every
 // other flag; -record-trace reads -bench, -scale and -instr alone and
 // refuses every other flag. -measure is a second name for the -instr
-// budget, so the two together are refused.
+// budget, so the two together are refused. -wib-entries, -bitvectors and
+// -policy shape the WIB machine, so -config base and iq2k refuse them.
 //
 // -predict skips the detailed simulation entirely: one fast functional
 // profiling pass feeds the mechanistic interval model (DESIGN.md §14),
@@ -84,16 +85,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		predict = fs.Bool("predict", false, "interval-model prediction instead of detailed simulation (one functional profiling pass)")
 		record  = fs.String("record-trace", "", "record the workload to this .wtr trace file and exit (budget = -instr, 0 = to halt)")
 		list    = fs.Bool("list", false, "list benchmarks and exit")
-		config  = fs.String("config", "base", "base, wib, iq2k, or custom")
+		config  = fs.String("config", "base", "base, wib, or iq2k")
 		instr   = fs.Uint64("instr", 1_000_000, "committed-instruction budget (0 = to completion)")
 		skip    = fs.Uint64("skip", 0, "fast-forward N instructions functionally before detailed simulation")
 		measure = fs.Uint64("measure", 0, "measured-region instruction budget (alias of -instr for skip/measure windows)")
 		smpl    = fs.String("sample", "", "SMARTS sampling plan, e.g. n=50,period=200000,len=2000,warm=2000[,seed=S,random]")
 		cycles  = fs.Int64("cycles", 200_000_000, "cycle budget")
 		scale   = fs.String("scale", "run", "kernel scale: test, run, full")
-		entries = fs.Int("wib-entries", 2048, "WIB/active-list entries (config=custom)")
-		bitvecs = fs.Int("bitvectors", 0, "bit-vector limit, 0=unlimited (config=custom)")
-		policy  = fs.String("policy", "banked", "reinsertion policy (config=custom)")
+		entries = fs.Int("wib-entries", 2048, "WIB/active-list entries (config=wib)")
+		bitvecs = fs.Int("bitvectors", 0, "bit-vector limit, 0=unlimited (config=wib)")
+		policy  = fs.String("policy", "banked", "reinsertion policy (config=wib)")
 		memLat  = fs.Int64("mem-latency", 250, "main memory latency in cycles")
 		dump    = fs.Bool("dump", false, "dump pipeline state after the run")
 		ptrace  = fs.Int("pipetrace", 0, "record and print the lifecycle of the last N instructions")
@@ -158,6 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{*smpl != "", "-sample", []string{"skip", "measure", "instr", "telemetry", "telemetry-out", "sample-interval", "trace-out", "kanata", "pipetrace"}},
 		{*predict, "-predict", allBut("predict", "bench", "scale", "instr", "measure", "config", "wib-entries", "bitvectors", "mem-latency")},
 		{set["measure"], "-measure", []string{"instr"}},
+		{*config == "base" || *config == "iq2k", "-config " + *config, []string{"wib-entries", "bitvectors", "policy"}},
 	} {
 		for _, name := range m.ignores {
 			if m.on && set[name] {
@@ -176,11 +178,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *config {
 	case "base":
 		cfg = core.DefaultConfig()
-	case "wib":
-		cfg = core.WIBDefault()
 	case "iq2k":
 		cfg = core.ScaledConfig(2048, 2048)
-	case "custom":
+	case "wib":
 		cfg = core.WIBConfigSized(*entries, *bitvecs)
 		switch *policy {
 		case "banked":

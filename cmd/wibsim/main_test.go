@@ -76,6 +76,29 @@ func TestSkipMeasureReport(t *testing.T) {
 	}
 }
 
+// TestWIBFlagsShapeTheMachine: under -config wib, -wib-entries,
+// -bitvectors and -policy build the machine that runs. They used to be
+// read under a -config custom alone and dropped here, which reported an
+// unlimited-vector WIB/2048.
+func TestWIBFlagsShapeTheMachine(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-bitvectors", "16", "-policy", "rr-load"}, "WIB/2048-bv16"},
+		{[]string{"-wib-entries", "1024"}, "WIB/1024"},
+	} {
+		args := append([]string{"-bench", "gzip", "-scale", "test", "-instr", "5000", "-config", "wib"}, tc.args...)
+		code, stdout, stderr := wibsim(args...)
+		if code != 0 || stderr != "" {
+			t.Fatalf("%v: exit %d, stderr %q", tc.args, code, stderr)
+		}
+		if want := "configuration     " + tc.want + "\n"; !strings.Contains(stdout, want) {
+			t.Errorf("%v: report does not name %s:\n%s", tc.args, tc.want, stdout)
+		}
+	}
+}
+
 func TestSampledReport(t *testing.T) {
 	code, stdout, stderr := wibsim("-bench", "gzip", "-scale", "test", "-config", "wib",
 		"-sample", "n=4,len=500,warm=100,seed=7,random")
@@ -148,6 +171,12 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		want string // substring of stderr
 	}{
 		{[]string{"-config", "nope"}, `unknown config "nope"`},
+		{[]string{"-config", "custom"}, `unknown config "custom"`}, // was -config wib under another name
+		{[]string{"-config", "wib", "-policy", "nonsense"}, `unknown policy "nonsense"`},
+		{[]string{"-bench", "gzip", "-scale", "test", "-config", "base", "-policy", "nonsense"}, "-config base ignores -policy"}, // used to run
+		{[]string{"-bench", "gzip", "-scale", "test", "-wib-entries", "1024"}, "-config base ignores -wib-entries"},
+		{[]string{"-bench", "gzip", "-scale", "test", "-config", "iq2k", "-bitvectors", "16"}, "-config iq2k ignores -bitvectors"},
+		{append(predict, "-bitvectors", "16"), "-config base ignores -bitvectors"},
 		{[]string{"-bench", "nope"}, `unknown benchmark "nope"`},
 		{[]string{"-sample", "n=0,len=10"}, "plan needs at least one interval"},
 		{[]string{"-scale", "tset"}, `unknown scale "tset"`}, // used to run silently at "run" scale

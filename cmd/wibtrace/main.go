@@ -23,6 +23,9 @@
 // trace: a process row per fleet hop, a thread row per cell, correlated
 // by the IDs minted at submit. Open the -o output in chrome://tracing or
 // ui.perfetto.dev; validate it with `wibtrace -render`.
+//
+// Each mode reads only its own flags (a profile run: -bench, -scale and
+// -instr); any other flag set is refused with exit 2, naming it.
 package main
 
 import (
@@ -32,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -67,25 +71,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var err error
+	// A mode reads only the flags it names; any other flag set, a second
+	// mode's among them, is refused rather than lost to this order.
+	mode, reads := "a profile run", []string{"bench", "scale", "instr"}
+	var op func() error // nil: a mode that profiles the workload
 	switch {
 	case *replay != "":
-		err = replayDump(stdout, *replay)
+		mode, reads, op = "-replay", []string{"replay"}, func() error { return replayDump(stdout, *replay) }
 	case *fleet != "":
-		err = stitchFleet(stdout, *fleet, *out)
+		mode, reads, op = "-fleet", []string{"fleet", "o"}, func() error { return stitchFleet(stdout, *fleet, *out) }
 	case *render != "":
-		err = renderArtifact(stdout, *render)
+		mode, reads, op = "-render", []string{"render"}, func() error { return renderArtifact(stdout, *render) }
 	case *dumpT != "":
-		err = dumpTrace(stdout, *dumpT)
-	default:
-		src, sc, perr := parseWorkload(*bench, *scale)
-		if perr != nil {
-			fmt.Fprintln(stderr, perr)
+		mode, reads, op = "-dump", []string{"dump"}, func() error { return dumpTrace(stdout, *dumpT) }
+	case *disasm:
+		mode, reads = "-disasm", []string{"disasm", "bench", "scale"}
+	case *trace > 0:
+		mode, reads = "-trace", []string{"trace", "bench", "scale"}
+	}
+	ignored := ""
+	fs.Visit(func(f *flag.Flag) {
+		if ignored == "" && !slices.Contains(reads, f.Name) {
+			ignored = f.Name
+		}
+	})
+	if ignored != "" {
+		fmt.Fprintf(stderr, "%s ignores -%s\n", mode, ignored)
+		return 2
+	}
+	if op == nil {
+		src, sc, err := parseWorkload(*bench, *scale)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		err = profile(stdout, stderr, src, sc, *instr, *trace, *disasm)
+		op = func() error { return profile(stdout, stderr, src, sc, *instr, *trace, *disasm) }
 	}
-	if err != nil {
+	if err := op(); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}

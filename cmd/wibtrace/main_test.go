@@ -39,6 +39,14 @@ func TestBadUsageExitsTwo(t *testing.T) {
 		{[]string{"-scale", "rnu"}, `unknown scale "rnu"`},
 		{[]string{"-bench", "no-such-kernel"}, "no-such-kernel"},
 		{[]string{"-trace", "many"}, "invalid value"},
+		{[]string{"-disasm", "-instr", "5", "-o", "foo", "-bench", "gzip", "-scale", "test"}, "-disasm ignores -instr"}, // printed the disassembly
+		{[]string{"-trace", "5", "-instr", "5"}, "-trace ignores -instr"},
+		{[]string{"-disasm", "-trace", "5"}, "-disasm ignores -trace"},
+		{[]string{"-bench", "gzip", "-o", "foo"}, "a profile run ignores -o"},
+		{[]string{"-replay", "a.json", "-render", "b.json"}, "-replay ignores -render"},
+		{[]string{"-fleet", "spans", "-bench", "gzip"}, "-fleet ignores -bench"},
+		{[]string{"-render", "t.jsonl", "-o", "out.json"}, "-render ignores -o"},
+		{[]string{"-dump", "g.wtr", "-scale", "run"}, "-dump ignores -scale"},
 	} {
 		if code, stdout, stderr := wibtrace(tc.args...); code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming %q", tc.args, code, stdout, stderr, tc.want)

@@ -100,10 +100,9 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) int {
 	if *metricsAddr != "" {
 		reg := telemetry.NewRegistry()
 		metrics.Register(reg)
-		eng := session.Campaign()
 		start := time.Now()
-		reg.CounterFunc("worker.checkpoints.built", func() uint64 { return eng.Snapshot().CkptBuilt })
-		reg.CounterFunc("worker.checkpoints.reused", func() uint64 { return eng.Snapshot().CkptReused })
+		reg.CounterFunc("worker.checkpoints.built", func() uint64 { return session.Snapshot().CkptBuilt })
+		reg.CounterFunc("worker.checkpoints.reused", func() uint64 { return session.Snapshot().CkptReused })
 		reg.Gauge("worker.instrs_per_sec", func(int64) float64 {
 			return obs.SaneRate(float64(metrics.Instrs.Load()), time.Since(start).Seconds())
 		})

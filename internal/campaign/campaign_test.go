@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -513,9 +512,7 @@ func TestEngineTransientRetry(t *testing.T) {
 	if sum := eng.Snapshot().Summary(); !strings.Contains(sum, "1 retried") {
 		t.Errorf("summary %q missing retry count", sum)
 	}
-	p := NewProgress(eng, io.Discard, 0, 0)
-	defer p.Stop()
-	if line := p.Line(); !strings.Contains(line, "(1 retried)") {
+	if line := eng.Snapshot().Progress(0).Line(); !strings.Contains(line, "(1 retried)") {
 		t.Errorf("progress line %q missing retry count", line)
 	}
 }
@@ -581,9 +578,7 @@ func TestProgressLine(t *testing.T) {
 	eng := NewEngine(fakeExec, Options{Workers: 2})
 	eng.Prime([]Cell{testCell("", 64, "gzip"), testCell("", 64, "art")})
 	eng.Wait()
-	p := NewProgress(eng, io.Discard, 0, 10)
-	defer p.Stop()
-	line := p.Line()
+	line := eng.Snapshot().Progress(10).Line()
 	for _, want := range []string{"campaign 2/10 cells", "instrs/s", "ETA"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("progress line %q missing %q", line, want)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"largewindow/internal/flight"
+	"largewindow/internal/obs"
 )
 
 // ExecFunc executes one cell and returns its record. The engine provides
@@ -36,11 +37,6 @@ type Options struct {
 	Retry RetryPolicy
 	// Log receives RETRY, FAIL and cache-corruption lines (nil = quiet).
 	Log io.Writer
-	// Checkpoints, when non-nil, is the campaign's shared functional-
-	// checkpoint cache. The engine itself never builds checkpoints (the
-	// executor does, through Checkpoints.Get); attaching it here surfaces
-	// built/reused counts in Snapshot, Summary, and the progress line.
-	Checkpoints *Checkpoints
 }
 
 // job is one queued cell: what to execute and the single-flight slot
@@ -79,23 +75,9 @@ type Engine struct {
 
 	total     atomic.Uint64 // cells submitted (single-flight entries)
 	completed atomic.Uint64 // cells finished (any path)
-	executed  atomic.Uint64 // cells that actually simulated
 	cacheHits atomic.Uint64 // cells served from the store
 	retries   atomic.Uint64 // transient retries performed
 	instrs    atomic.Uint64 // instructions committed by executed cells
-
-	// Sampled-simulation interval counters, fed by the executor through
-	// AddPlannedIntervals/IntervalDone. Nonzero planned switches the
-	// progress line from instrs/s (misleading for sampled cells, whose
-	// committed count covers only the measured windows) to interval k/N.
-	intervalsDone    atomic.Uint64
-	intervalsPlanned atomic.Uint64
-
-	// Model-pruned exploration counters, fed by the explore driver:
-	// cells the interval model predicted instead of simulating, and the
-	// audit subset of those simulated anyway to measure live model error.
-	modelPruned  atomic.Uint64
-	modelAudited atomic.Uint64
 
 	start time.Time
 }
@@ -107,22 +89,6 @@ func NewEngine(exec ExecFunc, opt Options) *Engine {
 	}
 	return &Engine{exec: exec, opt: opt, start: time.Now()}
 }
-
-// AddModelPruned registers n sweep cells the interval model answered in
-// place of the detailed core during a model-pruned exploration.
-func (e *Engine) AddModelPruned(n uint64) { e.modelPruned.Add(n) }
-
-// AddModelAudited registers n pruned-then-simulated audit cells — the
-// slice a model-pruned exploration executes anyway to measure live
-// prediction error.
-func (e *Engine) AddModelAudited(n uint64) { e.modelAudited.Add(n) }
-
-// AddPlannedIntervals registers n upcoming measured intervals of a
-// sampled cell starting execution.
-func (e *Engine) AddPlannedIntervals(n uint64) { e.intervalsPlanned.Add(n) }
-
-// IntervalDone marks one measured interval of a sampled cell complete.
-func (e *Engine) IntervalDone() { e.intervalsDone.Add(1) }
 
 // Workers returns the pool bound.
 func (e *Engine) Workers() int { return e.opt.Workers }
@@ -231,7 +197,6 @@ func (e *Engine) runCell(j job) {
 		}
 		rec, err = e.execIsolated(j.cell)
 	}
-	e.executed.Add(1)
 	if err != nil {
 		if e.opt.Log != nil {
 			fmt.Fprintf(e.opt.Log, "  FAIL %-10s on %-16s %v\n", j.cell.label(), j.cell.Config.Name, err)
@@ -281,53 +246,43 @@ func (e *Engine) Failures() []Failure {
 type Snapshot struct {
 	Total     uint64
 	Done      uint64
-	Executed  uint64
+	Executed  uint64 // finished cells that ran: Done less CacheHits
 	CacheHits uint64
 	Failed    uint64
 	Retries   uint64
 	Instrs    uint64
 	Elapsed   time.Duration
 
-	// Checkpoint-cache activity (zero unless Options.Checkpoints was
-	// attached and some cell asked for a skip window).
-	CkptBuilt  uint64 // functional fast-forward passes executed
-	CkptReused uint64 // checkpoint requests served from cache
-
-	// Sampled-simulation interval progress (zero unless the campaign ran
-	// sampled cells).
-	IntervalsDone    uint64
-	IntervalsPlanned uint64
-
-	// Model-pruned exploration progress (zero unless a model-guided sweep
-	// is running).
-	ModelPruned  uint64
-	ModelAudited uint64
+	// What the engine's executor keeps, not the engine: a harness
+	// session adds its own counts (Session.Snapshot). Zero on the
+	// engine's snapshot.
+	CkptBuilt    uint64       // functional fast-forward passes executed
+	CkptReused   uint64       // checkpoint requests served from cache
+	InFlight     obs.InFlight // sampled cells in flight, by their intervals
+	ModelPruned  uint64       // cells the interval model answered
+	ModelAudited uint64       // pruned cells simulated anyway
 }
 
-// Snapshot reads the engine's progress counters.
+// Snapshot reads the engine's progress counters. Every finished cell is
+// a store hit or ran, so Executed is what finished less the hits (a hit
+// is counted just before it finishes, so min keeps one caught in between
+// from wrapping the difference).
 func (e *Engine) Snapshot() Snapshot {
 	e.mu.Lock()
 	failed := len(e.failures)
 	e.mu.Unlock()
-	s := Snapshot{
+	hits := e.cacheHits.Load()
+	done := e.completed.Load()
+	return Snapshot{
 		Total:     e.total.Load(),
-		Done:      e.completed.Load(),
-		Executed:  e.executed.Load(),
-		CacheHits: e.cacheHits.Load(),
+		Done:      done,
+		Executed:  done - min(hits, done),
+		CacheHits: hits,
 		Failed:    uint64(failed),
 		Retries:   e.retries.Load(),
 		Instrs:    e.instrs.Load(),
 		Elapsed:   time.Since(e.start),
-
-		IntervalsDone:    e.intervalsDone.Load(),
-		IntervalsPlanned: e.intervalsPlanned.Load(),
-		ModelPruned:      e.modelPruned.Load(),
-		ModelAudited:     e.modelAudited.Load(),
 	}
-	if e.opt.Checkpoints != nil {
-		s.CkptBuilt, s.CkptReused = e.opt.Checkpoints.Counts()
-	}
-	return s
 }
 
 // Summary renders a one-line campaign outcome for the CLI: the resume
@@ -347,4 +302,21 @@ func (s Snapshot) Summary() string {
 		out += fmt.Sprintf(", model: %d pruned / %d audited", s.ModelPruned, s.ModelAudited)
 	}
 	return out
+}
+
+// Progress converts the snapshot to the status obs.Progress.Line renders,
+// its ETA by obs.Progress.ETA's rule with the in-flight cells' credit.
+// expected is the manifest size when known ahead of submission (0: the
+// engine's total so far). The engine's Done counts every finished cell,
+// where obs.Progress counts a failed one apart from Done; Snapshot reads
+// Failed first, so a failure finishing between the two reads is in Failed
+// alone and Done must not go below 0.
+func (s Snapshot) Progress(expected uint64) *obs.Progress {
+	p := &obs.Progress{Submitted: max(s.Total, expected), Done: s.Done - min(s.Failed, s.Done), Failed: s.Failed,
+		CacheHits: s.CacheHits, Retries: s.Retries, Instrs: s.Instrs, ElapsedSec: s.Elapsed.Seconds(),
+		InstrsPerSec:  obs.SaneRate(float64(s.Instrs), s.Elapsed.Seconds()),
+		IntervalsDone: s.InFlight.Done, IntervalsPlanned: s.InFlight.Planned,
+		ModelPruned: s.ModelPruned, ModelAudited: s.ModelAudited, CkptBuilt: s.CkptBuilt, CkptReused: s.CkptReused}
+	p.ETASec = p.ETA(s.InFlight.Credit())
+	return p
 }

@@ -6,23 +6,16 @@ import (
 	"time"
 )
 
-// TestModelCounters exercises the model-pruned sweep accounting: the
-// engine's AddModelPruned/AddModelAudited feed the snapshot, the summary
-// line, and the progress line.
+// TestModelCounters exercises the model-pruned sweep accounting a
+// harness session adds to its snapshot: it reaches the summary line and
+// the progress line. harness's TestExploreCountsReachTheSnapshot feeds it
+// from a real exploration.
 func TestModelCounters(t *testing.T) {
-	eng := NewEngine(func(Cell) (*Record, error) { return &Record{}, nil }, Options{})
-	eng.AddModelPruned(11)
-	eng.AddModelAudited(2)
-	eng.AddModelPruned(4)
-
-	s := eng.Snapshot()
-	if s.ModelPruned != 15 || s.ModelAudited != 2 {
-		t.Fatalf("snapshot model counters = %d/%d, want 15/2", s.ModelPruned, s.ModelAudited)
-	}
+	s := Snapshot{Total: 2, Done: 1, Executed: 1, Elapsed: time.Second, ModelPruned: 15, ModelAudited: 2}
 	if sum := s.Summary(); !strings.Contains(sum, "model: 15 pruned / 2 audited") {
 		t.Errorf("summary %q missing model accounting", sum)
 	}
-	if line := s.progress(0).Line(); !strings.Contains(line, "model 15 pruned/2 audited") {
+	if line := s.Progress(0).Line(); !strings.Contains(line, "model 15 pruned/2 audited") {
 		t.Errorf("progress line %q missing model segment", line)
 	}
 }
@@ -34,7 +27,7 @@ func TestModelCountersAbsentWhenUnused(t *testing.T) {
 	if sum := s.Summary(); strings.Contains(sum, "model") {
 		t.Errorf("summary %q mentions model without pruning", sum)
 	}
-	if line := s.progress(10).Line(); strings.Contains(line, "model") {
+	if line := s.Progress(10).Line(); strings.Contains(line, "model") {
 		t.Errorf("progress line %q mentions model without pruning", line)
 	}
 }

@@ -97,10 +97,11 @@ func TestRenderLineSane(t *testing.T) {
 			want:     "campaign 91/100 cells (90 cached) · 0 instrs/s · ETA 0:18",
 		},
 		{
+			// 3 s / 1.275 cells × 3.725 left ≈ 8.8 s; without the credit, 12 s.
 			name: "sampled and pruned: intervals replace the rate",
 			s: Snapshot{Total: 5, Done: 1, Executed: 1, Elapsed: 3 * time.Second,
-				IntervalsDone: 11, IntervalsPlanned: 40, ModelPruned: 15, ModelAudited: 2},
-			want: "campaign 1/5 cells · model 15 pruned/2 audited · interval 11/40 · ETA 0:12",
+				InFlight: inFlight(11, 40), ModelPruned: 15, ModelAudited: 2},
+			want: "campaign 1/5 cells · model 15 pruned/2 audited · interval 11/40 · ETA 0:09",
 		},
 		{
 			name:  "fleet start: all queued",
@@ -151,7 +152,7 @@ func TestRenderLineSane(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.fleet
 			if p == nil {
-				p = tc.s.progress(tc.expected)
+				p = tc.s.Progress(tc.expected)
 			} else {
 				p.InstrsPerSec = obs.SaneRate(float64(p.Instrs), p.ElapsedSec)
 				p.ETASec = p.ETA(tc.credit)
@@ -173,7 +174,7 @@ func TestRenderLineSane(t *testing.T) {
 // negative elapsed duration: the ETA must vanish, not go negative.
 func TestRenderETANegativeElapsed(t *testing.T) {
 	s := Snapshot{Total: 10, Done: 2, Executed: 2, Elapsed: -5 * time.Second}
-	if p := s.progress(10); p.ETASec >= 0 {
+	if p := s.Progress(10); p.ETASec >= 0 {
 		t.Fatalf("negative elapsed produced ETA %g s; want none", p.ETASec)
 	}
 }
@@ -240,9 +241,39 @@ func etaVectors() []struct {
 func TestETAMatchesLocalOracle(t *testing.T) {
 	for _, v := range etaVectors() {
 		want, wok := oracleRenderETA(v.s, v.total)
-		got := v.s.progress(v.total).ETASec
+		got := v.s.Progress(v.total).ETASec
 		if ok := got >= 0; ok != wok || (ok && math.Abs(got-want.Seconds()) > 1e-9*float64(v.total)+1e-9) {
 			t.Errorf("%+v of %d: ETA %g s (%v), oracle %v (%v)", v.s, v.total, got, ok, want, wok)
 		}
+	}
+}
+
+// inFlight sums cells given as done, planned, done, planned, ...
+func inFlight(intervals ...uint64) (f obs.InFlight) {
+	for i := 0; i+1 < len(intervals); i += 2 {
+		f.Add(intervals[i], intervals[i+1])
+	}
+	return f
+}
+
+// TestLocalETACreditsCellsInFlight: the local line takes the in-flight
+// cells' credit as the fleet's does. 10 cells, 2 executed in 10 s, two
+// sampled cells 1/4 and 3/4 in: 10 s / 3 cells × 7 left ≈ 23.3 s, where
+// the local rule without credit read 10 s / 2 × 8 = 40 s.
+func TestLocalETACreditsCellsInFlight(t *testing.T) {
+	s := Snapshot{Total: 10, Done: 2, Executed: 2, Elapsed: 10 * time.Second, InFlight: inFlight(1, 4, 3, 4)}
+	p := s.Progress(10)
+	if want := 70.0 / 3; math.Abs(p.ETASec-want) > 1e-9 {
+		t.Errorf("ETA with two cells in flight at 1/4 and 3/4: %g s, want %g", p.ETASec, want)
+	}
+	if p.IntervalsDone != 4 || p.IntervalsPlanned != 8 {
+		t.Errorf("intervals %d/%d, want 4/8", p.IntervalsDone, p.IntervalsPlanned)
+	}
+	if want, ok := oracleRenderETA(s, 10); !ok || want != 40*time.Second {
+		t.Errorf("the credit-free local rule reads %v (%v), want 40s", want, ok)
+	}
+	s.InFlight = obs.InFlight{}
+	if eta := s.Progress(10).ETASec; eta != 40 {
+		t.Errorf("ETA with nothing in flight: %g s, want 40", eta)
 	}
 }

@@ -41,7 +41,7 @@ func TestCheckpointCacheNeedsNoKnob(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "ckpt")); !os.IsNotExist(err) {
 		t.Errorf("a campaign that never skips left a ckpt/ directory (stat err: %v)", err)
 	}
-	if sum := plain.Campaign().Snapshot().Summary(); strings.Contains(sum, "checkpoints:") {
+	if sum := plain.Snapshot().Summary(); strings.Contains(sum, "checkpoints:") {
 		t.Errorf("summary of a skip-free campaign reports checkpoints: %s", sum)
 	}
 
@@ -49,7 +49,7 @@ func TestCheckpointCacheNeedsNoKnob(t *testing.T) {
 	if _, err := skipping.RunAll(core.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if sum := skipping.Campaign().Snapshot().Summary(); !strings.Contains(sum, "checkpoints: 1 built / 0 reused") {
+	if sum := skipping.Snapshot().Summary(); !strings.Contains(sum, "checkpoints: 1 built / 0 reused") {
 		t.Errorf("summary of a skipping campaign: %s", sum)
 	}
 	if entries, err := os.ReadDir(filepath.Join(dir, "ckpt")); err != nil || len(entries) != 1 {

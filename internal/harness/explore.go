@@ -100,8 +100,8 @@ func (s *Session) Explore(cfgs []core.Config, opt ExploreOptions) (*model.Report
 			return out
 		},
 		Notify: func(pruned, audited int) {
-			s.eng.AddModelPruned(uint64(pruned))
-			s.eng.AddModelAudited(uint64(audited))
+			s.modelPruned.Add(uint64(pruned))
+			s.modelAudited.Add(uint64(audited))
 		},
 	}
 	if s.opt.Log != nil {

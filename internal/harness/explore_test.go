@@ -140,3 +140,27 @@ func TestExploreRefusesSkipAndSampling(t *testing.T) {
 		})
 	}
 }
+
+// TestExploreCountsReachTheSnapshot: the explorer's prune decision — the
+// cells the model answered and the audit slice simulated anyway — is the
+// session's to count: it reaches the session's snapshot, its summary and
+// its progress line, and matches the Report.
+func TestExploreCountsReachTheSnapshot(t *testing.T) {
+	s := NewSession(Options{MaxInstr: 10_000, Scale: workload.ScaleTest, Benchmarks: []string{"gzip", "mst"}, Parallel: 2})
+	rep, err := s.Explore(ExploreGrid(), ExploreOptions{TopK: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	if rep.Pruned == 0 || snap.ModelPruned != uint64(rep.Pruned) || snap.ModelAudited != uint64(rep.Audited) {
+		t.Fatalf("snapshot model counts %d pruned / %d audited, report %d / %d", snap.ModelPruned, snap.ModelAudited, rep.Pruned, rep.Audited)
+	}
+	want := fmt.Sprintf("model: %d pruned / %d audited", rep.Pruned, rep.Audited)
+	if sum := snap.Summary(); !strings.Contains(sum, want) {
+		t.Errorf("summary %q lacks %q", sum, want)
+	}
+	want = fmt.Sprintf("model %d pruned/%d audited", rep.Pruned, rep.Audited)
+	if line := snap.Progress(0).Line(); !strings.Contains(line, want) {
+		t.Errorf("progress line %q lacks %q", line, want)
+	}
+}

@@ -20,9 +20,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"largewindow/internal/campaign"
@@ -30,6 +32,7 @@ import (
 	"largewindow/internal/emu"
 	"largewindow/internal/flight"
 	"largewindow/internal/isa"
+	"largewindow/internal/obs"
 	"largewindow/internal/sample"
 	"largewindow/internal/stats"
 	_ "largewindow/internal/trace" // register trace: and synth: workload schemes
@@ -160,7 +163,19 @@ type Session struct {
 	// end, by cell ID (see cellEnded).
 	holdsMu sync.Mutex
 	holds   map[string][]func()
+
+	// inFlight is the last interval report of each sampled cell the engine
+	// runs now (execLocal). A slice, not a map: a sum's order cannot show.
+	inFlightMu sync.Mutex
+	inFlight   []*cellIntervals
+
+	// The explorer's prune decisions (Explore's Notify): cells the
+	// interval model answered, and the audit slice simulated anyway.
+	modelPruned, modelAudited atomic.Uint64
 }
+
+// cellIntervals is one sampled cell's last interval report.
+type cellIntervals struct{ done, planned uint64 }
 
 // NewSession creates a harness session. When opt.CacheDir is set, the
 // session opens (creating if needed) the persistent result store there;
@@ -189,7 +204,7 @@ func NewSession(opt Options) *Session {
 		ckptDir = filepath.Join(opt.CacheDir, "ckpt")
 	}
 	s.ckpts, _ = campaign.NewCheckpoints(ckptDir, opt.Log) // never fails: the directory is created on first persist
-	exec := func(cell campaign.Cell) (*campaign.Record, error) { return s.ExecCell(cell, nil) }
+	exec := s.execLocal
 	if opt.Exec != nil {
 		exec = opt.Exec
 	}
@@ -201,18 +216,58 @@ func NewSession(opt Options) *Session {
 		defer s.cellEnded(cell)
 		return exec(cell)
 	}, campaign.Options{
-		Workers:     opt.Parallel,
-		Store:       s.store,
-		Resume:      opt.Resume,
-		Retry:       retry,
-		Log:         opt.Log,
-		Checkpoints: s.ckpts,
+		Workers: opt.Parallel,
+		Store:   s.store,
+		Resume:  opt.Resume,
+		Retry:   retry,
+		Log:     opt.Log,
 	})
 	return s
 }
 
-// Campaign exposes the session's engine (progress counters, priming).
+// Campaign exposes the session's engine (cell counts, priming).
 func (s *Session) Campaign() *campaign.Engine { return s.eng }
+
+// Snapshot is the session's campaign progress: the engine's cell counts,
+// with the counts the session keeps itself — its checkpoint cache's, the
+// explorer's prune decisions, and the sampled cells in flight.
+func (s *Session) Snapshot() campaign.Snapshot {
+	var inFlight obs.InFlight
+	s.inFlightMu.Lock()
+	for _, iv := range s.inFlight {
+		inFlight.Add(iv.done, iv.planned)
+	}
+	s.inFlightMu.Unlock()
+	snap := s.eng.Snapshot()
+	snap.CkptBuilt, snap.CkptReused = s.ckpts.Counts()
+	snap.ModelPruned, snap.ModelAudited = s.modelPruned.Load(), s.modelAudited.Load()
+	snap.InFlight = inFlight
+	return snap
+}
+
+// execLocal is the engine's executor when cells run in-process: ExecCell,
+// with a sampled cell's interval reports kept in the in-flight table
+// while it runs. A detailed cell reports none, so it takes no callback.
+func (s *Session) execLocal(cell campaign.Cell) (*campaign.Record, error) {
+	if cell.Sampling == nil {
+		return s.ExecCell(cell, nil)
+	}
+	var iv *cellIntervals // registered at the cell's first report
+	defer func() {
+		s.inFlightMu.Lock()
+		defer s.inFlightMu.Unlock()
+		s.inFlight = slices.DeleteFunc(s.inFlight, func(c *cellIntervals) bool { return c == iv })
+	}()
+	return s.ExecCell(cell, func(done, planned int) {
+		s.inFlightMu.Lock()
+		defer s.inFlightMu.Unlock()
+		if iv == nil {
+			iv = &cellIntervals{}
+			s.inFlight = append(s.inFlight, iv)
+		}
+		iv.done, iv.planned = uint64(done), uint64(planned)
+	})
+}
 
 // StoreErr reports why the persistent store is unavailable (nil when it
 // is usable or was never requested).
@@ -346,8 +401,8 @@ func (s *Session) resolveCell(cell campaign.Cell) (workload.Source, error) {
 }
 
 // ExecCell executes one campaign cell in-process, panic-isolated, without
-// touching the session's engine memo or store. It is the session engine's
-// executor, and the execution surface service workers mount behind the
+// touching the session's engine. It is the session engine's executor,
+// and the execution surface service workers mount behind the
 // coordinator protocol: the coordinator owns dedup, retries, and
 // persistence, so the worker needs raw single-shot execution — but still
 // shares the session's checkpoint cache across the cells it is leased.
@@ -357,9 +412,9 @@ func (s *Session) resolveCell(cell campaign.Cell) (workload.Source, error) {
 // plan size) and again as each measured window completes. Detailed
 // (non-sampled) cells never invoke it. Service workers pass a callback
 // that stashes the counts for their next lease heartbeat, letting the
-// coordinator fold fractional in-flight progress into the fleet ETA;
-// interval completions also feed the session engine's counters so a local
-// sampled campaign's progress line shows interval k/N.
+// coordinator fold fractional in-flight progress into the fleet ETA; the
+// session's own engine passes one that keeps them in the session's
+// in-flight table, for the local progress line's interval k/N and ETA.
 //
 // Every cell is one shape: unless the session's context is done, resolve
 // the workload, take its program from the session's table of programs in
@@ -401,17 +456,10 @@ func (s *Session) ExecCell(cell campaign.Cell, onInterval func(done, planned int
 		}
 		ctx, cancel := s.runContext(cell, src)
 		defer cancel()
-		s.eng.AddPlannedIntervals(uint64(plan.Intervals))
 		if onInterval != nil {
 			onInterval(0, plan.Intervals)
 		}
-		out, err = sample.Run(ctx, cfg, prog, plan, cell.MaxCycles,
-			func(done, planned int) {
-				s.eng.IntervalDone()
-				if onInterval != nil {
-					onInterval(done, planned)
-				}
-			})
+		out, err = sample.Run(ctx, cfg, prog, plan, cell.MaxCycles, onInterval)
 		if err != nil {
 			return nil, err
 		}

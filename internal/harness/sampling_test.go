@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"largewindow/internal/campaign"
 	"largewindow/internal/core"
+	"largewindow/internal/obs"
 	"largewindow/internal/sample"
 	"largewindow/internal/workload"
 )
@@ -163,25 +165,89 @@ func TestConcurrentAutoPeriodCellsAgree(t *testing.T) {
 }
 
 // TestExecCellReportsIntervals: ExecCell's onInterval announces a sampled
-// cell's plan (0 of N) and then each measured window in turn, and the
-// session engine's interval counters follow; a detailed cell never calls
-// it.
+// cell's plan (0 of N) and then each measured window in turn; a cell run
+// through ExecCell directly, as a fleet worker runs its leases, is not
+// the session engine's, so at no report is anything in flight on the
+// session. A detailed cell never calls it.
 func TestExecCellReportsIntervals(t *testing.T) {
 	s := NewSession(Options{})
 	cell := campaign.Cell{Config: core.WIBDefault(), Bench: "mgrid", Scale: workload.ScaleTest,
 		MaxCycles: 10_000_000, Sampling: &sample.Plan{Intervals: 3, Length: 200, Warmup: 200}}
 	var got []string
-	if _, err := s.ExecCell(cell, func(done, planned int) { got = append(got, fmt.Sprintf("%d/%d", done, planned)) }); err != nil {
+	if _, err := s.ExecCell(cell, func(done, planned int) {
+		got = append(got, fmt.Sprintf("%d/%d", done, planned))
+		if iv := s.Snapshot().InFlight; iv != (obs.InFlight{}) {
+			t.Errorf("at report %d/%d the session has %d/%d in flight, want nothing", done, planned, iv.Done, iv.Planned)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"0/3", "1/3", "2/3", "3/3"}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("onInterval calls %v, want %v", got, want)
 	}
-	if snap := s.Campaign().Snapshot(); snap.IntervalsDone != 3 || snap.IntervalsPlanned != 3 {
-		t.Errorf("engine intervals %d/%d, want 3/3", snap.IntervalsDone, snap.IntervalsPlanned)
-	}
 	cell.Sampling, cell.MaxInstr = nil, 2000
 	if _, err := s.ExecCell(cell, func(int, int) { t.Error("a detailed cell reported an interval") }); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSampledCellShowsInFlight: a sampled cell the session's engine runs
+// is in the session's snapshot while it runs, as its last report: k of N
+// intervals with k/N of a cell's credit, on the progress line too. Once
+// it ends, nothing is in flight. The plan's period fits three of its
+// four windows into mgrid, so the cell ends at 3/4. The session's log
+// line for the cell, written after its last window and before it ends,
+// hands the test goroutine the snapshot's turn, so no sleep or poll
+// times it.
+func TestSampledCellShowsInFlight(t *testing.T) {
+	spec, _ := workload.Get("mgrid")
+	prog, err := spec.Source().Build(workload.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	length, err := sample.ProgramLength(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, resume := make(chan struct{}), make(chan struct{})
+	s := NewSession(Options{Parallel: 1, Log: writerFunc(func(p []byte) {
+		if bytes.Contains(p, []byte("ran mgrid")) {
+			ran <- struct{}{}
+			<-resume
+		}
+	})})
+	cell := campaign.Cell{Config: core.WIBDefault(), Bench: "mgrid", Scale: workload.ScaleTest, MaxCycles: 10_000_000,
+		Sampling: &sample.Plan{Intervals: 4, Period: length / 3, Length: 200, Warmup: 200}}
+	ended := make(chan error, 1)
+	go func() {
+		_, err := s.Campaign().Run(cell)
+		ended <- err
+	}()
+	select {
+	case <-ran:
+	case err := <-ended:
+		t.Fatalf("the cell ended without its log line: %v", err)
+	}
+	snap := s.Snapshot()
+	close(resume)
+	if iv := snap.InFlight; iv.Done != 3 || iv.Planned != 4 || iv.Credit() != 0.75 {
+		t.Errorf("in flight %d/%d, credit %v; want 3/4, credit 0.75", iv.Done, iv.Planned, iv.Credit())
+	}
+	if line := snap.Progress(0).Line(); !strings.Contains(line, "interval 3/4") {
+		t.Errorf("progress line %q does not show interval 3/4", line)
+	}
+	if err := <-ended; err != nil {
+		t.Fatal(err)
+	}
+	if iv := s.Snapshot().InFlight; iv != (obs.InFlight{}) {
+		t.Errorf("after the cell ended: %d/%d in flight, credit %v; want nothing", iv.Done, iv.Planned, iv.Credit())
+	}
+}
+
+// writerFunc is an io.Writer that hands each write to a function.
+type writerFunc func(p []byte)
+
+func (f writerFunc) Write(p []byte) (int, error) {
+	f(p)
+	return len(p), nil
 }

@@ -107,3 +107,41 @@ func TestProgressModelFieldsOmitEmpty(t *testing.T) {
 		}
 	}
 }
+
+// TestInFlightIgnoresOrder: the in-flight sum is the one the coordinator
+// and a local session both take, so it is held to the coordinator's lease
+// vector here (service's TestLeaseCreditIgnoresMapOrder) — eleven cells
+// part-way in, one that has not announced its plan, one past its plan —
+// and summed in fifty orders it agrees to the bit.
+func TestInFlightIgnoresOrder(t *testing.T) {
+	type cell struct{ done, planned uint64 }
+	var cells []cell
+	for i, planned := range []uint64{3, 7, 9, 11, 13, 17, 19, 23, 29, 31, 37, 0} {
+		cells = append(cells, cell{uint64(i) + 1, planned})
+	}
+	cells = append(cells, cell{12, 10})
+	sum := func() (f InFlight) {
+		for _, c := range cells {
+			f.Add(c.done, c.planned)
+		}
+		return f
+	}
+	first := sum()
+	if first.Done != 66+12 || first.Planned != 199+10 {
+		t.Fatalf("intervals = %d/%d, want 78/209", first.Done, first.Planned)
+	}
+	var exact float64
+	for i, p := range []float64{3, 7, 9, 11, 13, 17, 19, 23, 29, 31, 37} {
+		exact += float64(i+1) / p
+	}
+	if exact++; math.Abs(first.Credit()-exact) > 1e-6 {
+		t.Fatalf("credit = %v, want %v", first.Credit(), exact)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		rng.Shuffle(len(cells), func(a, b int) { cells[a], cells[b] = cells[b], cells[a] })
+		if got := sum(); got != first {
+			t.Fatalf("order %d: %+v (credit %v), first order %+v (credit %v)", i, got, got.Credit(), first, first.Credit())
+		}
+	}
+}

@@ -10,7 +10,7 @@ import (
 
 // Progress is a campaign's progress at one moment: what a status line
 // needs to render "cells done, instrs/s, ETA". The coordinator
-// broadcasts the fleet's on the event stream; the local engine's
+// broadcasts the fleet's on the event stream; a local session's
 // snapshot converts to one; Line renders either.
 type Progress struct {
 	Submitted    uint64  `json:"submitted"`
@@ -28,9 +28,10 @@ type Progress struct {
 	// negative means unknown.
 	ETASec float64 `json:"eta_sec"`
 
-	// Sampled-campaign interval progress: the fleet's sums over in-flight
-	// leases from worker heartbeats, the local engine's over every cell.
-	// Zero outside sampled sweeps.
+	// Sampled-campaign interval progress: measured intervals done and
+	// planned, summed by InFlight over the sampled cells in flight — the
+	// fleet's leases by their heartbeats, a local session's cells by their
+	// reports. Zero outside sampled sweeps.
 	IntervalsDone    uint64 `json:"intervals_done,omitempty"`
 	IntervalsPlanned uint64 `json:"intervals_planned,omitempty"`
 
@@ -41,7 +42,7 @@ type Progress struct {
 	ModelAudited uint64 `json:"model_audited,omitempty"`
 
 	// Checkpoint-cache activity: functional fast-forward passes run and
-	// checkpoint requests served from cache. Only the local engine has
+	// checkpoint requests served from cache. Only a local session has
 	// one cache to count; zero on the fleet's stream.
 	CkptBuilt  uint64 `json:"ckpt_built,omitempty"`
 	CkptReused uint64 `json:"ckpt_reused,omitempty"`
@@ -74,8 +75,30 @@ func (p *Progress) ETA(credit float64) float64 {
 	return eta
 }
 
+// InFlight sums the interval progress of the sampled cells in flight:
+// their measured intervals done and planned, and the cells' worth of
+// credit they add to ETA (a cell 30/100 intervals in adds 0.3, one past
+// its plan adds 1). The credit is summed in 2^-32ths of a cell: integer
+// addition commutes, so the order the cells are added in cannot show.
+type InFlight struct {
+	Done, Planned uint64
+	credit        uint64
+}
+
+// Add counts one cell done of planned intervals in; a cell that has not
+// announced its plan (planned 0) adds nothing.
+func (f *InFlight) Add(done, planned uint64) {
+	if planned > 0 {
+		f.Done, f.Planned = f.Done+done, f.Planned+planned
+		f.credit += min(done, planned) << 32 / planned
+	}
+}
+
+// Credit is the summed fraction, in cells.
+func (f InFlight) Credit() float64 { return float64(f.credit) / (1 << 32) }
+
 // Line renders p as the campaign's one-line status, the line the local
-// engine's terminal progress and `experiments -watch` both repaint. Every
+// session's terminal progress and `experiments -watch` both repaint. Every
 // snapshot shape renders sanely — campaign start, all-hit sweeps, zero
 // counters, a skewed clock — because the figures arrive guarded: the rate
 // is SaneRate's and an unknown ETA, negative, is left out.

@@ -690,24 +690,13 @@ func (c *Coordinator) clock() {
 	}
 }
 
-// leaseCredit sums what the leased sampled cells last reported: intervals
-// done and planned, and the fractional credit they add to the ETA — a
-// cell 30/100 intervals in counts 0.3 done — so long-cell fleets don't
-// sawtooth between completions. Credit is summed in 2^-32ths of a cell:
-// integer addition commutes, so the lease map's iteration order cannot
-// show in the result. The caller holds c.mu.
-func (c *Coordinator) leaseCredit() (credit float64, ivDone, ivPlanned uint64) {
-	const one = 1 << 32
-	var fixed uint64
+// leaseCredit sums what the leased sampled cells last reported (the
+// caller holds c.mu).
+func (c *Coordinator) leaseCredit() (f obs.InFlight) {
 	for _, sc := range c.leases {
-		if sc.ivPlanned == 0 {
-			continue
-		}
-		ivDone += sc.ivDone
-		ivPlanned += sc.ivPlanned
-		fixed += min(sc.ivDone, sc.ivPlanned) * one / sc.ivPlanned
+		f.Add(sc.ivDone, sc.ivPlanned)
 	}
-	return float64(fixed) / one, ivDone, ivPlanned
+	return f
 }
 
 // progress snapshots fleet progress with every rendered rate guarded
@@ -716,16 +705,16 @@ func (c *Coordinator) leaseCredit() (credit float64, ivDone, ivPlanned uint64) {
 func (c *Coordinator) progress() *obs.Progress {
 	st := c.Stats()
 	c.mu.Lock()
-	frac, ivDone, ivPlanned := c.leaseCredit()
+	iv := c.leaseCredit()
 	c.mu.Unlock()
 	elapsed := time.Since(c.start).Seconds()
 	p := &obs.Progress{Submitted: st.Submitted, Done: st.Completed, Failed: st.Failed,
 		Running: st.ActiveLeases, QueueDepth: st.QueueDepth, CacheHits: st.CacheHits,
 		Retries: st.Retries, Requeues: st.Requeues, Instrs: st.Instrs, ElapsedSec: elapsed,
-		IntervalsDone: ivDone, IntervalsPlanned: ivPlanned,
+		IntervalsDone: iv.Done, IntervalsPlanned: iv.Planned,
 		ModelPruned: st.ModelPruned, ModelAudited: st.ModelAudited}
 	p.InstrsPerSec = obs.SaneRate(float64(p.Instrs), elapsed)
-	p.ETASec = p.ETA(frac)
+	p.ETASec = p.ETA(iv.Credit())
 	return p
 }
 

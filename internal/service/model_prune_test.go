@@ -195,7 +195,8 @@ func TestResumedProgressETACountsExecutedCells(t *testing.T) {
 // over the lease map. Summed as floats in iteration order it differed in
 // its last bits from one snapshot to the next; fifty snapshots of the
 // same leases must agree to the bit, and a finished-but-leased cell
-// counts one, never more.
+// counts one, never more. obs's TestInFlightIgnoresOrder holds the sum
+// itself to the same vector.
 func TestLeaseCreditIgnoresMapOrder(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{})
 	defer c.Close()
@@ -203,9 +204,10 @@ func TestLeaseCreditIgnoresMapOrder(t *testing.T) {
 		c.leases[fmt.Sprint("lease-", i)] = &svcCell{inflight: &inflight{ivDone: uint64(i) + 1, ivPlanned: planned}}
 	}
 	c.leases["overshoot"] = &svcCell{inflight: &inflight{ivDone: 12, ivPlanned: 10}}
-	want, done, planned := c.leaseCredit()
-	if done != 66+12 || planned != 199+10 {
-		t.Fatalf("intervals = %d/%d, want 78/209", done, planned)
+	iv := c.leaseCredit()
+	want := iv.Credit()
+	if iv.Done != 66+12 || iv.Planned != 199+10 {
+		t.Fatalf("intervals = %d/%d, want 78/209", iv.Done, iv.Planned)
 	}
 	var exact float64
 	for i, p := range []float64{3, 7, 9, 11, 13, 17, 19, 23, 29, 31, 37} {
@@ -215,7 +217,7 @@ func TestLeaseCreditIgnoresMapOrder(t *testing.T) {
 		t.Fatalf("credit = %v, want %v", want, exact)
 	}
 	for i := 0; i < 50; i++ {
-		if got, _, _ := c.leaseCredit(); math.Float64bits(got) != math.Float64bits(want) {
+		if got := c.leaseCredit().Credit(); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("snapshot %d: credit %v, first snapshot %v", i, got, want)
 		}
 	}
