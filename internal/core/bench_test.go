@@ -431,8 +431,8 @@ func TestBaseCellAllocBudget(t *testing.T) {
 // with Hier, Bpred and Start set builds the processor's own structures
 // and nothing else: exactly core.New's allocations less a cold
 // hierarchy's, predictor's and memory image's. Running the window then
-// adds only the restore (emu.Restore's machine and its copy-on-write
-// image) and what a short window grows: the memory's private page runs,
+// adds only the restore (a copy-on-write clone of the shared
+// checkpoint's image) and what a short window grows: the memory's private page runs,
 // the event queue, the waiter blocks and, on WIB machines, the column
 // scratch (8-40 allocations over the build on these six windows).
 func TestWindowAllocBudget(t *testing.T) {

@@ -66,23 +66,31 @@ func (p *Processor) AdoptWarmState(h *mem.Hierarchy, bp *bpred.Predictor) error 
 // how many instructions the functional pass executed.
 //
 // It must be called on a freshly constructed processor, before Run. The
-// checks that the checkpoint fits the program are emu.Restore's, whose
-// machine becomes the lockstep oracle when one is configured; the core
-// then takes its own clone of the memory image, and otherwise the
-// machine's. Either replaces the processor's own image, so RunWindow,
-// which restores every window that has a Start, builds none.
+// checks that the checkpoint fits the program are emu's (Checkpoint.Image),
+// and so is the ownership rule: a shared (frozen) image is cloned and left
+// intact, a handed-over one (emu.Machine.Handover) is taken, leaving
+// cp.Mem nil, so restoring that checkpoint again fails. Without a lockstep
+// oracle the image is the core's memory and no emu.Machine is built; with
+// one, emu.Restore's machine is the oracle and the core clones its image.
+// Either replaces the processor's own image, so RunWindow, which restores
+// every window that has a Start, builds none.
 func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 	if p.now != 0 || p.stats.Committed != 0 || p.nextSeq != 1 {
 		return fmt.Errorf("core: RestoreCheckpoint on a processor that already ran (cycle %d, %d committed)",
 			p.now, p.stats.Committed)
 	}
-	m, err := emu.Restore(p.prog, cp)
-	if err != nil {
-		return err
-	}
-	p.memory = m.Mem
 	if p.cfg.LockstepOracle {
-		p.oracle, p.memory = m, cp.Mem.Clone()
+		m, err := emu.Restore(p.prog, cp)
+		if err != nil {
+			return err
+		}
+		p.oracle, p.memory = m, m.Mem.Clone()
+	} else {
+		img, err := cp.Image(p.prog)
+		if err != nil {
+			return err
+		}
+		p.memory = img
 	}
 	// On a fresh processor architectural register a maps to physical a in
 	// both the rename and retirement maps; install the checkpointed values
@@ -104,6 +112,8 @@ func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 		p.halted = true
 		p.fetchHalted = true
 	}
-	cp.Warm.Replay(WarmSink{H: p.hier, BP: p.bp})
+	if cp.Warm != nil { // a sink boxed only for a log to replay
+		cp.Warm.Replay(WarmSink{H: p.hier, BP: p.bp})
+	}
 	return nil
 }

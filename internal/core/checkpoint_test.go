@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -272,5 +273,71 @@ func TestRestoreCheckpointGuards(t *testing.T) {
 	}
 	if err := q.RestoreCheckpoint(cp); err == nil {
 		t.Error("RestoreCheckpoint accepted a checkpoint for a different program")
+	}
+}
+
+// TestCheckpointOwnership holds RestoreCheckpoint to the ownership rule of
+// emu.Checkpoint.Image. A handed-over checkpoint (emu.Machine.Handover) has
+// one holder: RunWindow takes its memory image as the core's memory, or the
+// lockstep oracle's, with no copy, and leaves cp.Mem nil, so a second
+// restore of it returns an error. A shared (frozen) checkpoint is cloned
+// by every restore and left intact. All of them run the same window.
+func TestCheckpointOwnership(t *testing.T) {
+	spec, ok := workload.Get("em3d")
+	if !ok {
+		t.Fatal("no kernel em3d")
+	}
+	prog := spec.Build(workload.ScaleTest)
+	m := emu.New(prog)
+	if _, err := m.Run(haltCount(t, &spec) / 3); !errors.Is(err, emu.ErrNotHalted) {
+		t.Fatalf("functional run to a third: %v", err)
+	}
+	oracle := DefaultConfig()
+	oracle.LockstepOracle = true
+	ctx := context.Background()
+	for _, cfg := range []Config{DefaultConfig(), WIBDefault(), oracle} {
+		run := func(cp *emu.Checkpoint) WindowResult {
+			t.Helper()
+			res, err := RunWindow(ctx, cfg, prog, Window{Start: cp, Warmup: 500, Measure: 5000})
+			if err != nil || !res.Measured {
+				t.Fatalf("%s: window measured %v: %v", cfg.Name, res.Measured, err)
+			}
+			return res
+		}
+		owned := m.Handover()
+		img := owned.Mem
+		res := run(owned)
+		taken := res.Proc.memory
+		if cfg.LockstepOracle {
+			if taken == img {
+				t.Errorf("%s: the core and its oracle share one image", cfg.Name)
+			}
+			taken = res.Proc.oracle.Mem
+		}
+		if taken != img {
+			t.Errorf("%s: the window copied the image handed to it", cfg.Name)
+		}
+		if owned.Mem != nil {
+			t.Errorf("%s: a handed-over checkpoint keeps its image after its restore", cfg.Name)
+		}
+		if _, err := RunWindow(ctx, cfg, prog, Window{Start: owned, Measure: 5000}); err == nil {
+			t.Errorf("%s: a handed-over checkpoint restored twice", cfg.Name)
+		}
+		want := res.Stats
+
+		shared := m.Checkpoint()
+		img, sum := shared.Mem, shared.Mem.Checksum()
+		for i := 0; i < 2; i++ {
+			res := run(shared)
+			if res.Proc.memory == img || (cfg.LockstepOracle && res.Proc.oracle.Mem == img) {
+				t.Errorf("%s: restore %d of a shared checkpoint took its image", cfg.Name, i)
+			}
+			if shared.Mem != img || !img.Frozen() || img.Checksum() != sum {
+				t.Errorf("%s: restore %d of a shared checkpoint changed its image", cfg.Name, i)
+			}
+			if !reflect.DeepEqual(res.Stats, want) {
+				t.Errorf("%s: restore %d of a shared checkpoint measured\n%+v\nthe handed-over one\n%+v", cfg.Name, i, res.Stats, want)
+			}
+		}
 	}
 }

@@ -69,12 +69,28 @@ func (r *ring[T]) grow(v T) {
 	r.w = len(r.buf) % r.max
 }
 
-// seq returns the retained samples oldest-first.
+// halves returns the retained samples oldest-first as two views of buf,
+// copying nothing: buf[w:], then buf[:w]. While the ring is filling, w is
+// len(buf) and the first view is empty.
+func (r *ring[T]) halves() [2][]T { return [2][]T{r.buf[r.w:], r.buf[:r.w]} }
+
+// seq returns a copy of the retained samples oldest-first.
 func (r *ring[T]) seq() []T {
-	if len(r.buf) < r.max {
-		return append([]T(nil), r.buf...)
+	h := r.halves()
+	return append(append(make([]T, 0, len(r.buf)), h[0]...), h[1]...)
+}
+
+// load fills an empty ring with samples given oldest-first, leaving it as
+// pushing each in turn would, but in no allocation: the ring keeps the
+// newest max of them in vs itself.
+func (r *ring[T]) load(vs []T) {
+	if r.max <= 0 || len(vs) == 0 {
+		return
 	}
-	return append(append(make([]T, 0, len(r.buf)), r.buf[r.w:]...), r.buf[:r.w]...)
+	if extra := len(vs) - r.max; extra > 0 {
+		vs = vs[extra:]
+	}
+	r.buf, r.w = vs, len(vs)%r.max
 }
 
 // WarmBranch is one recorded control-transfer outcome. BTB marks
@@ -179,23 +195,30 @@ func (w *WarmLog) WarmStore(addr uint64) { w.mem.push(addr<<1 | 1) }
 func (w *WarmLog) WarmBranch(b WarmBranch) { w.branch.push(packBranch(b)) }
 
 // Replay feeds the retained access stream into a sink, oldest-first per
-// ring (fetch lines, then data accesses, then branches).
+// ring (fetch lines, then data accesses, then branches). It walks each
+// ring in place.
 func (w *WarmLog) Replay(s WarmSink) {
 	if w == nil {
 		return
 	}
-	for _, a := range w.fetch.seq() {
-		s.WarmFetch(a)
-	}
-	for _, a := range w.mem.seq() {
-		if a&1 == 1 {
-			s.WarmStore(a >> 1)
-		} else {
-			s.WarmLoad(a >> 1)
+	for _, h := range w.fetch.halves() {
+		for _, a := range h {
+			s.WarmFetch(a)
 		}
 	}
-	for _, b := range w.branch.seq() {
-		s.WarmBranch(b.unpack())
+	for _, h := range w.mem.halves() {
+		for _, a := range h {
+			if a&1 == 1 {
+				s.WarmStore(a >> 1)
+			} else {
+				s.WarmLoad(a >> 1)
+			}
+		}
+	}
+	for _, h := range w.branch.halves() {
+		for _, b := range h {
+			s.WarmBranch(b.unpack())
+		}
 	}
 }
 
@@ -216,28 +239,64 @@ type Checkpoint struct {
 // archState as one value, and its memory image as a frozen copy-on-write
 // snapshot — O(pages) to take, not O(bytes) — so the machine may keep
 // running (its first write to each page copies it) and the checkpoint
-// may be restored concurrently.
+// may be restored any number of times, concurrently.
 func (m *Machine) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{Bench: m.Prog.Name, archState: m.archState, Mem: m.Mem.Clone()}
+	cp := m.Handover()
 	cp.Mem.Freeze()
 	return cp
 }
 
-// Restore reconstructs a Machine at the checkpointed state, running the
-// given program (which must be the same program the checkpoint was taken
-// from — the name is checked; byte-level identity is the caller's
+// Handover captures the machine's state as Checkpoint does, for one
+// restore alone: its memory image is the same copy-on-write clone, left
+// unfrozen, so the restore takes the image over instead of cloning it
+// again, and a second restore of the checkpoint fails. The sampler hands
+// each window one (gem5's functional → detailed hand-over).
+func (m *Machine) Handover() *Checkpoint {
+	return &Checkpoint{Bench: m.Prog.Name, archState: m.archState, Mem: m.Mem.Clone()}
+}
+
+// Image checks that the checkpoint fits prog and returns the memory
+// image a restore of it runs on. prog must be the program the checkpoint
+// was taken from: the name is checked, and the PC must lie in its code
+// unless the checkpoint halted; byte-level identity is the caller's
 // responsibility, as programs are built deterministically from
-// (benchmark, scale)). The checkpoint's memory image is deep-copied.
-// These are the only checks that a checkpoint fits a program: a timing
-// core restores through Restore too (core.Processor.RestoreCheckpoint).
-func Restore(prog *isa.Program, cp *Checkpoint) (*Machine, error) {
+// (benchmark, scale). These are the only checks that a checkpoint fits a
+// program, for Restore and for a timing core alike
+// (core.Processor.RestoreCheckpoint).
+//
+// The image's frozen bit says who owns it. A frozen image is shared
+// (Checkpoint, BuildCheckpoint, UnmarshalJSON): each call returns a
+// fresh copy-on-write clone of it and leaves the checkpoint intact. An
+// unfrozen one has one holder (Handover): the call takes it over and
+// leaves cp.Mem nil, so a second call returns an error.
+func (cp *Checkpoint) Image(prog *isa.Program) (*isa.Memory, error) {
 	if cp.Bench != "" && prog.Name != cp.Bench {
 		return nil, fmt.Errorf("emu: checkpoint for %q restored onto program %q", cp.Bench, prog.Name)
 	}
 	if !cp.Halted && cp.PC >= uint64(len(prog.Code)) {
 		return nil, fmt.Errorf("emu: checkpoint pc %d outside code segment (len %d)", cp.PC, len(prog.Code))
 	}
-	return &Machine{Prog: prog, Mem: cp.Mem.Clone(), archState: cp.archState}, nil
+	switch img := cp.Mem; {
+	case img == nil:
+		return nil, fmt.Errorf("emu: checkpoint of %s at %d has no memory image: a restore already took it", cp.Bench, cp.InstrCount)
+	case img.Frozen():
+		return img.Clone(), nil
+	default:
+		cp.Mem = nil
+		return img, nil
+	}
+}
+
+// Restore reconstructs a Machine at the checkpointed state, running the
+// given program, on the memory image Image returns: a copy-on-write clone
+// of a shared (frozen) image, or a handed-over image itself, which only
+// the first restore of its checkpoint gets.
+func Restore(prog *isa.Program, cp *Checkpoint) (*Machine, error) {
+	img, err := cp.Image(prog)
+	if err != nil {
+		return nil, err
+	}
+	return &Machine{Prog: prog, Mem: img, archState: cp.archState}, nil
 }
 
 // BuildCheckpoint runs a fresh machine for skip instructions and
@@ -437,16 +496,12 @@ func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
 		if err != nil {
 			return fmt.Errorf("emu: checkpoint warm mem ring: %w", err)
 		}
-		for _, v := range mem {
-			warm.mem.push(v)
-		}
+		warm.mem.load(mem)
 		fetch, err := unpackWords(w.WarmFetch)
 		if err != nil {
 			return fmt.Errorf("emu: checkpoint warm fetch ring: %w", err)
 		}
-		for _, v := range fetch {
-			warm.fetch.push(v)
-		}
+		warm.fetch.load(fetch)
 		br, err := unpackWords(w.WarmBranch)
 		if err != nil {
 			return fmt.Errorf("emu: checkpoint warm branch ring: %w", err)
@@ -454,9 +509,11 @@ func (cp *Checkpoint) UnmarshalJSON(data []byte) error {
 		if len(br)%3 != 0 {
 			return fmt.Errorf("emu: checkpoint warm branch ring of %d words", len(br))
 		}
-		for i := 0; i < len(br); i += 3 {
-			warm.branch.push(branchRec{pc: br[i], target: br[i+1], flags: br[i+2] & (brTaken | brCond | brBTB)})
+		recs := make([]branchRec, len(br)/3)
+		for i := range recs {
+			recs[i] = branchRec{pc: br[3*i], target: br[3*i+1], flags: br[3*i+2] & (brTaken | brCond | brBTB)}
 		}
+		warm.branch.load(recs)
 		out.Warm = warm
 	}
 	*cp = out

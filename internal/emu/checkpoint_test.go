@@ -295,6 +295,74 @@ func TestWarmRingOverflow(t *testing.T) {
 	}
 }
 
+// warmTrace records replayed warm events as one sequence, so their order
+// across kinds shows too.
+type warmTrace []string
+
+func (w *warmTrace) WarmFetch(a uint64)      { *w = append(*w, fmt.Sprint("fetch ", a)) }
+func (w *warmTrace) WarmLoad(a uint64)       { *w = append(*w, fmt.Sprint("load ", a)) }
+func (w *warmTrace) WarmStore(a uint64)      { *w = append(*w, fmt.Sprint("store ", a)) }
+func (w *warmTrace) WarmBranch(b WarmBranch) { *w = append(*w, fmt.Sprintf("branch %+v", b)) }
+
+// TestWarmLogReplayOrder: Replay, which walks each ring in place, feeds
+// the sink in the order seq copies the rings out — fetch lines, data
+// accesses, branches, each oldest first — for rings below capacity,
+// exactly full and wrapped, before and after a trip through the wire
+// format, whose decoder loads each ring in one step.
+func TestWarmLogReplayOrder(t *testing.T) {
+	const size = 8
+	for _, n := range []uint64{0, 5, size, size + 3, 3*size + 1} {
+		orig := NewWarmLog(size, size, size)
+		for v := uint64(1); v <= n; v++ {
+			orig.WarmFetch(v * 64)
+			if v%3 == 0 {
+				orig.WarmStore(v * 8)
+			} else {
+				orig.WarmLoad(v * 8)
+			}
+			orig.WarmBranch(WarmBranch{PC: v, Target: v + 1, Taken: v%2 == 0, Cond: true, BTB: v%2 == 0})
+		}
+		data, err := json.Marshal(&Checkpoint{Warm: orig})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded Checkpoint
+		if err := json.Unmarshal(data, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []*WarmLog{orig, decoded.Warm} {
+			var want warmTrace
+			for _, a := range w.fetch.seq() {
+				want.WarmFetch(a)
+			}
+			for _, a := range w.mem.seq() {
+				if a&1 == 1 {
+					want.WarmStore(a >> 1)
+				} else {
+					want.WarmLoad(a >> 1)
+				}
+			}
+			for _, b := range w.branch.seq() {
+				want.WarmBranch(b.unpack())
+			}
+			kept := min(n, size)
+			if uint64(len(want)) != 3*kept {
+				t.Fatalf("%d pushes: seq keeps %d events, want %d", n, len(want), 3*kept)
+			}
+			for i, a := range w.fetch.seq() {
+				if v := n - kept + 1 + uint64(i); a != v*64 {
+					t.Fatalf("%d pushes: fetch seq[%d] = %d, want the line of push %d", n, i, a, v)
+				}
+			}
+			var got warmTrace
+			w.Replay(&got)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d pushes: Replay fed\n%q\nseq holds\n%q", n, got, want)
+			}
+		}
+	}
+}
+
 // TestDecodedWarmLogKeepsWriteIndex: a WarmLog that went through the
 // checkpoint wire format (which linearizes the rings oldest-first) and is
 // then pushed into again must evict the same samples as the original.

@@ -76,10 +76,12 @@ func ProgramLength(prog *isa.Program) (uint64, error) {
 // into one cache hierarchy and branch predictor (full-history functional
 // warming — no bounded warm rings), so every instruction warms that
 // shared state exactly once, architecturally. At each window's start the
-// pass takes a snapshot — a copy-on-write checkpoint and copies of the
-// hierarchy and the predictor, made into a finished window's when one is
-// free — and streams on while the window runs a detailed core built
-// around the snapshot, on up to
+// pass takes a snapshot — a checkpoint handed over to that window alone
+// (emu.Machine.Handover: one copy-on-write clone of the pass's memory,
+// which the window's restore takes instead of copying it again) and
+// copies of the hierarchy and the predictor, made into a finished
+// window's when one is free — and streams on while the window runs a
+// detailed core built around the snapshot, on up to
 // runtime.GOMAXPROCS(0) windows at once. A core's traffic, wrong path
 // included, lands only on its own copies, so windows are independent of
 // each other. maxCycles bounds each detailed window (0 = unbounded). An
@@ -119,6 +121,7 @@ func run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	s := &sampler{
 		ctx: ctx, cfg: cfg, prog: prog, plan: plan, maxCycles: maxCycles, exec: exec, progress: progress,
 		workers: runtime.GOMAXPROCS(0),
+		wins:    make([]*window, 0, min(plan.Intervals, maxPresized)),
 		out:     &Outcome{Plan: plan},
 	}
 	s.done = make(chan *window, s.workers) // at most workers windows run, so a send never blocks
@@ -140,15 +143,19 @@ func run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	return s.finish(), nil
 }
 
-// window is one interval: where it starts and, once finished, what
-// ended it — the detailed window's result, or the functional pass
-// halting or faulting before the window could start.
+// maxPresized bounds how many windows Run makes room for up front: a plan
+// with an explicit period may ask for more than the program can hold.
+const maxPresized = 1 << 12
+
+// window is one interval: where it starts, what it runs on and, once
+// finished, what ended it — the detailed window's result, or the
+// functional pass halting or faulting before the window could start.
 type window struct {
 	k       int
 	start   uint64
-	reached uint64 // the functional pass's count on arriving at start
-	gapHalt bool   // the program halted before start: no window runs
-	snap    snapshot
+	reached uint64      // the functional pass's count on arriving at start
+	gapHalt bool        // the program halted before start: no window runs
+	spec    core.Window // its snapshot and handed-over checkpoint, until it finishes
 	res     core.WindowResult
 	err     error
 	done    bool
@@ -195,7 +202,7 @@ type sampler struct {
 // until the plan is exhausted or the run stops.
 func (s *sampler) stream() {
 	m := emu.New(s.prog)
-	warm := core.WarmSink{H: mem.NewHierarchy(s.cfg.Mem), BP: bpred.New(s.cfg.Bpred)}
+	warm := &core.WarmSink{H: mem.NewHierarchy(s.cfg.Mem), BP: bpred.New(s.cfg.Bpred)} // boxed once, not per RunSink
 	// How far past its start a window's core can stop: its budget, plus
 	// less than one commit group of overshoot.
 	reach := s.plan.Detailed() + uint64(s.cfg.CommitWidth) - 1
@@ -231,30 +238,30 @@ func (s *sampler) stream() {
 		if n := len(s.free); n > 0 {
 			snap, s.free = s.free[n-1], s.free[:n-1]
 		}
-		w.snap = snapshot{warm.H.CloneInto(snap.hier), warm.BP.CloneInto(snap.bp)}
-		s.running++
-		go s.runWindow(w, core.Window{
-			Start:     m.Checkpoint(),
-			Hier:      w.snap.hier,
-			Bpred:     w.snap.bp,
+		w.spec = core.Window{
+			Start:     m.Handover(),
+			Hier:      warm.H.CloneInto(snap.hier),
+			Bpred:     warm.BP.CloneInto(snap.bp),
 			Warmup:    s.plan.Warmup,
 			Measure:   s.plan.Length,
 			MaxCycles: s.maxCycles,
-		})
+		}
+		s.running++
+		go s.runWindow(w)
 	}
 }
 
 // runWindow is one window's goroutine. A panic is recovered into the
 // window's error, with its stack, so it reaches Run's caller as a failure
 // of this interval rather than killing the process.
-func (s *sampler) runWindow(w *window, spec core.Window) {
+func (s *sampler) runWindow(w *window) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.err = fmt.Errorf("sample: interval %d of %s: panic: %v\n%s", w.k, s.prog.Name, r, debug.Stack())
 		}
 		s.done <- w
 	}()
-	res, err := s.exec(s.ctx, s.cfg, s.prog, spec)
+	res, err := s.exec(s.ctx, s.cfg, s.prog, w.spec)
 	res.Proc = nil // the core is not kept past its window
 	w.res = res
 	if err != nil {
@@ -267,8 +274,8 @@ func (s *sampler) runWindow(w *window, spec core.Window) {
 func (s *sampler) await() {
 	w := <-s.done
 	s.running--
-	s.free = append(s.free, w.snap)
-	w.snap, w.done = snapshot{}, true
+	s.free = append(s.free, snapshot{w.spec.Hier, w.spec.Bpred})
+	w.spec, w.done = core.Window{}, true
 	s.foldReady()
 }
 
