@@ -80,9 +80,9 @@ func (r *ring[T]) seq() []T {
 	return append(append(make([]T, 0, len(r.buf)), h[0]...), h[1]...)
 }
 
-// load fills an empty ring with samples given oldest-first, leaving it as
-// pushing each in turn would, but in no allocation: the ring keeps the
-// newest max of them in vs itself.
+// load fills an empty ring with samples given oldest-first. It then holds
+// what pushing each in turn would, in the same order, but allocates
+// nothing: the ring keeps the newest max of them in vs itself.
 func (r *ring[T]) load(vs []T) {
 	if r.max <= 0 || len(vs) == 0 {
 		return
@@ -278,7 +278,7 @@ func (cp *Checkpoint) Image(prog *isa.Program) (*isa.Memory, error) {
 	}
 	switch img := cp.Mem; {
 	case img == nil:
-		return nil, fmt.Errorf("emu: checkpoint of %s at %d has no memory image: a restore already took it", cp.Bench, cp.InstrCount)
+		return nil, fmt.Errorf("emu: checkpoint of %s at %d has no memory image (a handed-over checkpoint restores once)", cp.Bench, cp.InstrCount)
 	case img.Frozen():
 		return img.Clone(), nil
 	default:
