@@ -35,9 +35,9 @@ type Bimodal struct {
 	mask  uint64
 }
 
-// NewBimodal builds a bimodal predictor with `entries` counters
+// newBimodal builds a bimodal predictor with `entries` counters
 // (power of two), initialized weakly taken.
-func NewBimodal(entries int) *Bimodal {
+func newBimodal(entries int) Bimodal {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("bpred: bimodal entries must be a positive power of two")
 	}
@@ -45,7 +45,7 @@ func NewBimodal(entries int) *Bimodal {
 	for i := range t {
 		t[i] = 2
 	}
-	return &Bimodal{table: t, mask: uint64(entries - 1)}
+	return Bimodal{table: t, mask: uint64(entries - 1)}
 }
 
 // Lookup predicts the direction of the branch at pc.
@@ -71,9 +71,9 @@ type TwoLevel struct {
 	HistBits uint
 }
 
-// NewTwoLevel builds a two-level predictor with `entries` PHT counters and
+// newTwoLevel builds a two-level predictor with `entries` PHT counters and
 // log2(entries) history bits.
-func NewTwoLevel(entries int) *TwoLevel {
+func newTwoLevel(entries int) TwoLevel {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("bpred: two-level entries must be a positive power of two")
 	}
@@ -85,7 +85,7 @@ func NewTwoLevel(entries int) *TwoLevel {
 	for 1<<bits != entries {
 		bits++
 	}
-	return &TwoLevel{pht: t, mask: uint64(entries - 1), HistBits: bits}
+	return TwoLevel{pht: t, mask: uint64(entries - 1), HistBits: bits}
 }
 
 func (g *TwoLevel) index(pc uint64, ghr uint32) uint64 {
@@ -110,15 +110,15 @@ func (g *TwoLevel) Update(pc uint64, ghr uint32, taken bool) {
 // PC-indexed chooser, as in SimpleScalar's "comb" predictor that the paper
 // uses.
 type Combined struct {
-	Bim    *Bimodal
-	Glob   *TwoLevel
+	Bim    Bimodal
+	Glob   TwoLevel
 	choice []uint8
 	mask   uint64
 }
 
-// NewCombined builds the combined predictor; chooserEntries must be a
+// newCombined builds the combined predictor; chooserEntries must be a
 // power of two.
-func NewCombined(bimodalEntries, twoLevelEntries, chooserEntries int) *Combined {
+func newCombined(bimodalEntries, twoLevelEntries, chooserEntries int) Combined {
 	if chooserEntries <= 0 || chooserEntries&(chooserEntries-1) != 0 {
 		panic("bpred: chooser entries must be a positive power of two")
 	}
@@ -126,9 +126,9 @@ func NewCombined(bimodalEntries, twoLevelEntries, chooserEntries int) *Combined 
 	for i := range c {
 		c[i] = 2 // weakly prefer the two-level component
 	}
-	return &Combined{
-		Bim:    NewBimodal(bimodalEntries),
-		Glob:   NewTwoLevel(twoLevelEntries),
+	return Combined{
+		Bim:    newBimodal(bimodalEntries),
+		Glob:   newTwoLevel(twoLevelEntries),
 		choice: c,
 		mask:   uint64(chooserEntries - 1),
 	}

@@ -3,7 +3,7 @@ package bpred
 import "testing"
 
 func TestBimodalSaturation(t *testing.T) {
-	b := NewBimodal(16)
+	b := newBimodal(16)
 	pc := uint64(5)
 	// Initialized weakly taken.
 	if !b.Lookup(pc) {
@@ -28,7 +28,7 @@ func TestBimodalSaturation(t *testing.T) {
 }
 
 func TestBimodalIndexing(t *testing.T) {
-	b := NewBimodal(16)
+	b := newBimodal(16)
 	b.Update(0, false)
 	b.Update(0, false)
 	if !b.Lookup(1) {
@@ -40,7 +40,7 @@ func TestBimodalIndexing(t *testing.T) {
 }
 
 func TestTwoLevelLearnsAlternation(t *testing.T) {
-	g := NewTwoLevel(256)
+	g := newTwoLevel(256)
 	pc := uint64(40)
 	var ghr uint32
 	correct := 0
@@ -60,7 +60,7 @@ func TestTwoLevelLearnsAlternation(t *testing.T) {
 
 func TestBimodalCannotLearnAlternation(t *testing.T) {
 	// Sanity contrast for the test above: bimodal hovers around chance.
-	b := NewBimodal(256)
+	b := newBimodal(256)
 	pc := uint64(40)
 	correct := 0
 	taken := false
@@ -77,7 +77,7 @@ func TestBimodalCannotLearnAlternation(t *testing.T) {
 }
 
 func TestCombinedChoosesBetterComponent(t *testing.T) {
-	c := NewCombined(256, 256, 256)
+	c := newCombined(256, 256, 256)
 	pc := uint64(12)
 	var ghr uint32
 	taken := false
@@ -107,11 +107,11 @@ func TestSaturatingHelpers(t *testing.T) {
 
 func TestConstructorsPanicOnBadSizes(t *testing.T) {
 	for name, f := range map[string]func(){
-		"bimodal":  func() { NewBimodal(3) },
-		"twolevel": func() { NewTwoLevel(0) },
-		"combined": func() { NewCombined(16, 16, 5) },
-		"btb":      func() { NewBTB(6, 2) },
-		"ras":      func() { NewRAS(0) },
+		"bimodal":  func() { newBimodal(3) },
+		"twolevel": func() { newTwoLevel(0) },
+		"combined": func() { newCombined(16, 16, 5) },
+		"btb":      func() { newBTB(6, 2) },
+		"ras":      func() { newRAS(0) },
 	} {
 		func() {
 			defer func() {

@@ -1,12 +1,10 @@
 package bpred
 
 // BTB is a set-associative branch target buffer mapping branch PCs to
-// their taken targets. PCs are instruction indices.
+// their taken targets. PCs are instruction indices. Set s is ways
+// [s·assoc, (s+1)·assoc).
 type BTB struct {
-	tags    []uint64
-	targets []uint64
-	valid   []bool
-	lru     []uint64
+	ways    []btbWay
 	assoc   int
 	setMask uint64
 	tick    uint64
@@ -15,32 +13,40 @@ type BTB struct {
 	Hits    uint64
 }
 
-// NewBTB builds a BTB with the given entry count and associativity.
-func NewBTB(entries, assoc int) *BTB {
+// btbWay is one way of the BTB: a lookup reads its tag, validity and LRU
+// stamp together.
+type btbWay struct {
+	tag    uint64
+	target uint64
+	lru    uint64
+	valid  bool
+}
+
+// newBTB builds a BTB with the given entry count and associativity.
+func newBTB(entries, assoc int) BTB {
 	nsets := entries / assoc
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("bpred: BTB set count must be a positive power of two")
 	}
-	return &BTB{
-		tags:    make([]uint64, entries),
-		targets: make([]uint64, entries),
-		valid:   make([]bool, entries),
-		lru:     make([]uint64, entries),
-		assoc:   assoc,
-		setMask: uint64(nsets - 1),
-	}
+	return BTB{ways: make([]btbWay, entries), assoc: assoc, setMask: uint64(nsets - 1)}
+}
+
+// set returns the ways of pc's set.
+func (b *BTB) set(pc uint64) []btbWay {
+	base := int(pc&b.setMask) * b.assoc
+	return b.ways[base : base+b.assoc]
 }
 
 // Lookup returns the predicted target for pc, if present.
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 	b.Lookups++
 	b.tick++
-	base := int(pc&b.setMask) * b.assoc
-	for i := base; i < base+b.assoc; i++ {
-		if b.valid[i] && b.tags[i] == pc {
-			b.lru[i] = b.tick
+	ways := b.set(pc)
+	for i := range ways {
+		if w := &ways[i]; w.valid && w.tag == pc {
+			w.lru = b.tick
 			b.Hits++
-			return b.targets[i], true
+			return w.target, true
 		}
 	}
 	return 0, false
@@ -49,26 +55,24 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 // Insert records pc → target, replacing the LRU way of pc's set.
 func (b *BTB) Insert(pc, target uint64) {
 	b.tick++
-	base := int(pc&b.setMask) * b.assoc
-	victim := base
-	for i := base; i < base+b.assoc; i++ {
-		if b.valid[i] && b.tags[i] == pc {
-			b.targets[i] = target
-			b.lru[i] = b.tick
+	ways := b.set(pc)
+	victim := 0
+	for i := range ways {
+		w := &ways[i]
+		if w.valid && w.tag == pc {
+			w.target = target
+			w.lru = b.tick
 			return
 		}
-		if !b.valid[i] {
+		if !w.valid {
 			victim = i
 			break
 		}
-		if b.lru[i] < b.lru[victim] {
+		if w.lru < ways[victim].lru {
 			victim = i
 		}
 	}
-	b.tags[victim] = pc
-	b.targets[victim] = target
-	b.valid[victim] = true
-	b.lru[victim] = b.tick
+	ways[victim] = btbWay{tag: pc, target: target, lru: b.tick, valid: true}
 }
 
 // RAS is a return-address stack with pointer-and-data repair: every
@@ -79,12 +83,12 @@ type RAS struct {
 	top   int // index of the current top entry; -1 when empty wraps modulo
 }
 
-// NewRAS builds a return-address stack with n entries (circular).
-func NewRAS(n int) *RAS {
+// newRAS builds a return-address stack with n entries (circular).
+func newRAS(n int) RAS {
 	if n <= 0 {
 		panic("bpred: RAS size must be positive")
 	}
-	return &RAS{stack: make([]uint64, n), top: 0}
+	return RAS{stack: make([]uint64, n), top: 0}
 }
 
 // RASRepair is the pointer-and-data checkpoint of one speculative
@@ -98,7 +102,9 @@ type RASRepair struct {
 // Push speculatively pushes a return address and returns the repair record.
 func (r *RAS) Push(addr uint64) RASRepair {
 	rep := RASRepair{Top: int16(r.top), Slot: -1}
-	r.top = (r.top + 1) % len(r.stack)
+	if r.top++; r.top == len(r.stack) {
+		r.top = 0
+	}
 	rep.Slot = int16(r.top)
 	rep.SlotVal = r.stack[r.top]
 	r.stack[r.top] = addr
@@ -110,7 +116,10 @@ func (r *RAS) Push(addr uint64) RASRepair {
 func (r *RAS) Pop() (uint64, RASRepair) {
 	rep := RASRepair{Top: int16(r.top), Slot: -1}
 	v := r.stack[r.top]
-	r.top = (r.top - 1 + len(r.stack)) % len(r.stack)
+	if r.top == 0 {
+		r.top = len(r.stack)
+	}
+	r.top--
 	return v, rep
 }
 

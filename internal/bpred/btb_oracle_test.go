@@ -92,7 +92,7 @@ func TestBTBMatchesParallelArrayOracle(t *testing.T) {
 		entries, assoc := geo[0], geo[1]
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed*100 + int64(entries+assoc)))
-			got, want := NewBTB(entries, assoc), newOracleBTB(entries, assoc)
+			got, want := newBTB(entries, assoc), newOracleBTB(entries, assoc)
 			span := 3 * entries
 			lookup := func(step int, pc uint64) {
 				gt, gh := got.Lookup(pc)

@@ -3,7 +3,7 @@ package bpred
 import "testing"
 
 func TestBTBInsertLookup(t *testing.T) {
-	b := NewBTB(8, 2)
+	b := newBTB(8, 2)
 	if _, hit := b.Lookup(100); hit {
 		t.Error("cold lookup hit")
 	}
@@ -18,7 +18,7 @@ func TestBTBInsertLookup(t *testing.T) {
 }
 
 func TestBTBLRUWithinSet(t *testing.T) {
-	b := NewBTB(8, 2) // 4 sets; pcs congruent mod 4 share a set
+	b := newBTB(8, 2) // 4 sets; pcs congruent mod 4 share a set
 	b.Insert(0, 1)
 	b.Insert(4, 2)
 	b.Lookup(0)    // refresh 0
@@ -35,7 +35,7 @@ func TestBTBLRUWithinSet(t *testing.T) {
 }
 
 func TestBTBStats(t *testing.T) {
-	b := NewBTB(8, 2)
+	b := newBTB(8, 2)
 	b.Insert(7, 70)
 	b.Lookup(7)
 	b.Lookup(9)
@@ -45,7 +45,7 @@ func TestBTBStats(t *testing.T) {
 }
 
 func TestRASPushPop(t *testing.T) {
-	r := NewRAS(4)
+	r := newRAS(4)
 	r.Push(10)
 	r.Push(20)
 	if v, _ := r.Pop(); v != 20 {
@@ -57,7 +57,7 @@ func TestRASPushPop(t *testing.T) {
 }
 
 func TestRASWrapAround(t *testing.T) {
-	r := NewRAS(2)
+	r := newRAS(2)
 	r.Push(1)
 	r.Push(2)
 	r.Push(3) // overwrites 1
@@ -70,7 +70,7 @@ func TestRASWrapAround(t *testing.T) {
 }
 
 func TestRASRepairUndoesPush(t *testing.T) {
-	r := NewRAS(4)
+	r := newRAS(4)
 	r.Push(10)
 	rep := r.Push(99) // wrong-path push
 	r.Repair(rep)
@@ -80,7 +80,7 @@ func TestRASRepairUndoesPush(t *testing.T) {
 }
 
 func TestRASRepairUndoesPop(t *testing.T) {
-	r := NewRAS(4)
+	r := newRAS(4)
 	r.Push(10)
 	_, rep := r.Pop() // wrong-path pop
 	r.Repair(rep)
@@ -90,7 +90,7 @@ func TestRASRepairUndoesPop(t *testing.T) {
 }
 
 func TestRASNestedRepairYoungestFirst(t *testing.T) {
-	r := NewRAS(8)
+	r := newRAS(8)
 	r.Push(1)
 	rep1 := r.Push(2)
 	_, rep2 := r.Pop()
@@ -110,7 +110,7 @@ func TestRASNestedRepairYoungestFirst(t *testing.T) {
 func TestRASOverwriteRepairRestoresData(t *testing.T) {
 	// A wrap-around push clobbers the oldest entry; repair must restore
 	// both the pointer and the data.
-	r := NewRAS(2)
+	r := newRAS(2)
 	r.Push(1)
 	r.Push(2)
 	rep := r.Push(3) // clobbers slot holding 1

@@ -13,12 +13,12 @@ import (
 // freshly appended, everything else copied by value.
 func oracleClone(p *Predictor) *Predictor {
 	q := *p
-	q.comb = &Combined{
-		Bim: &Bimodal{
+	q.comb = Combined{
+		Bim: Bimodal{
 			table: append([]uint8(nil), p.comb.Bim.table...),
 			mask:  p.comb.Bim.mask,
 		},
-		Glob: &TwoLevel{
+		Glob: TwoLevel{
 			pht:      append([]uint8(nil), p.comb.Glob.pht...),
 			mask:     p.comb.Glob.mask,
 			HistBits: p.comb.Glob.HistBits,
@@ -26,15 +26,8 @@ func oracleClone(p *Predictor) *Predictor {
 		choice: append([]uint8(nil), p.comb.choice...),
 		mask:   p.comb.mask,
 	}
-	btb := *p.btb
-	btb.tags = append([]uint64(nil), p.btb.tags...)
-	btb.targets = append([]uint64(nil), p.btb.targets...)
-	btb.valid = append([]bool(nil), p.btb.valid...)
-	btb.lru = append([]uint64(nil), p.btb.lru...)
-	q.btb = &btb
-	ras := *p.ras
-	ras.stack = append([]uint64(nil), p.ras.stack...)
-	q.ras = &ras
+	q.btb.ways = append([]btbWay(nil), p.btb.ways...)
+	q.ras.stack = append([]uint64(nil), p.ras.stack...)
 	return &q
 }
 

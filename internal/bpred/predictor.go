@@ -69,11 +69,12 @@ type Checkpoint struct {
 }
 
 // Predictor owns the speculative global history register and composes the
-// combined direction predictor, BTB, and RAS.
+// combined direction predictor, BTB, and RAS, each held by value: the
+// predictor is their only holder.
 type Predictor struct {
-	comb    *Combined
-	btb     *BTB
-	ras     *RAS
+	comb    Combined
+	btb     BTB
+	ras     RAS
 	ghr     uint32
 	ghrMask uint32
 
@@ -82,11 +83,11 @@ type Predictor struct {
 
 // New builds a predictor.
 func New(cfg Config) *Predictor {
-	comb := NewCombined(cfg.BimodalEntries, cfg.TwoLevelEntries, cfg.ChooserEntries)
+	comb := newCombined(cfg.BimodalEntries, cfg.TwoLevelEntries, cfg.ChooserEntries)
 	return &Predictor{
 		comb:    comb,
-		btb:     NewBTB(cfg.BTBEntries, cfg.BTBAssoc),
-		ras:     NewRAS(cfg.RASEntries),
+		btb:     newBTB(cfg.BTBEntries, cfg.BTBAssoc),
+		ras:     newRAS(cfg.RASEntries),
 		ghrMask: uint32(1)<<comb.Glob.HistBits - 1,
 	}
 }
@@ -191,27 +192,15 @@ func (p *Predictor) Clone() *Predictor { return p.CloneInto(nil) }
 // new predictor. The copy and p share nothing.
 func (p *Predictor) CloneInto(dst *Predictor) *Predictor {
 	if dst == nil {
-		dst = &Predictor{comb: &Combined{Bim: new(Bimodal), Glob: new(TwoLevel)}, btb: new(BTB), ras: new(RAS)}
+		dst = new(Predictor)
 	}
-	comb, btb, ras := dst.comb, dst.btb, dst.ras
-	*comb.Bim = Bimodal{table: append(comb.Bim.table[:0], p.comb.Bim.table...), mask: p.comb.Bim.mask}
-	*comb.Glob = TwoLevel{
-		pht:      append(comb.Glob.pht[:0], p.comb.Glob.pht...),
-		mask:     p.comb.Glob.mask,
-		HistBits: p.comb.Glob.HistBits,
-	}
-	comb.choice, comb.mask = append(comb.choice[:0], p.comb.choice...), p.comb.mask
-	tags, targets, valid, lru := btb.tags, btb.targets, btb.valid, btb.lru
-	*btb = *p.btb
-	btb.tags = append(tags[:0], p.btb.tags...)
-	btb.targets = append(targets[:0], p.btb.targets...)
-	btb.valid = append(valid[:0], p.btb.valid...)
-	btb.lru = append(lru[:0], p.btb.lru...)
-	stack := ras.stack
-	*ras = *p.ras
-	ras.stack = append(stack[:0], p.ras.stack...)
+	bim, pht, choice, ways, stack := dst.comb.Bim.table, dst.comb.Glob.pht, dst.comb.choice, dst.btb.ways, dst.ras.stack
 	*dst = *p
-	dst.comb, dst.btb, dst.ras = comb, btb, ras
+	dst.comb.Bim.table = append(bim[:0], p.comb.Bim.table...)
+	dst.comb.Glob.pht = append(pht[:0], p.comb.Glob.pht...)
+	dst.comb.choice = append(choice[:0], p.comb.choice...)
+	dst.btb.ways = append(ways[:0], p.btb.ways...)
+	dst.ras.stack = append(stack[:0], p.ras.stack...)
 	return dst
 }
 

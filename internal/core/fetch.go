@@ -33,7 +33,7 @@ func (p *Processor) fetch() {
 		in := p.prog.Code[pc]
 		// Build the record in its fetch-queue slot; a slot's prediction
 		// fields are meaningful (and written) only for control transfers.
-		fe := &p.ifq[(p.ifqHead+p.ifqN)%int32(len(p.ifq))]
+		fe := &p.ifq[ringAhead(p.ifqHead, p.ifqN, len(p.ifq))]
 		fe.pc, fe.in, fe.fetched = pc, in, p.now
 		next := pc + 1
 		stop := false
@@ -69,7 +69,7 @@ func (p *Processor) fetch() {
 // branch-predictor fixup unwinds in the right order).
 func (p *Processor) flushIFQ() {
 	for i := p.ifqN - 1; i >= 0; i-- {
-		fe := &p.ifq[(p.ifqHead+i)%int32(len(p.ifq))]
+		fe := &p.ifq[ringAhead(p.ifqHead, i, len(p.ifq))]
 		if fe.isBranch {
 			p.bp.Squash(fe.cp)
 		}

@@ -36,7 +36,9 @@ type sqEntry struct {
 // lsq holds both queues as rings addressed by monotone positions: entry n
 // lives in slot n % len, head and tail only ever count up (squash rolls the
 // tail back, and every surviving instruction recorded a position at or
-// below the new tail, so reuse is unambiguous). A load records the store
+// below the new tail, so reuse is unambiguous). Each tail's slot is kept
+// beside it, and a live position's slot is found by counting back from
+// there (lqSlot, sqSlot), so no search divides. A load records the store
 // tail at its dispatch and a store the load tail, which bounds every
 // search to the entries that can matter.
 //
@@ -49,12 +51,14 @@ type sqEntry struct {
 //   - sqAddrs: per hashed address, how many valid stores have resolved to it;
 //   - lqAddrs: per hashed address, how many valid loads have executed at it.
 type lsq struct {
-	lq      []lqEntry
-	lqTail  uint64
-	lqCount int
+	lq         []lqEntry
+	lqTail     uint64
+	lqTailSlot int32 // lqTail % len(lq)
+	lqCount    int
 
 	sq             []sqEntry
 	sqHead, sqTail uint64
+	sqTailSlot     int32 // sqTail % len(sq)
 	sqCount        int
 
 	sqUnresolved slotSet
@@ -72,14 +76,20 @@ type addrCounts struct {
 	shift uint
 }
 
-// newAddrCounts sizes the table at four buckets per queue entry (rounded
-// up to a power of two), so a full queue still leaves most buckets empty.
-func newAddrCounts(entries int) addrCounts {
+// addrBits sizes a table at four buckets per queue entry (rounded up to
+// a power of two), so a full queue still leaves most buckets empty: the
+// table has 1<<addrBits(entries) buckets.
+func addrBits(entries int) uint {
 	bits := uint(4)
 	for 1<<bits < 4*entries {
 		bits++
 	}
-	return addrCounts{n: make([]uint32, 1<<bits), shift: 64 - bits}
+	return bits
+}
+
+// newAddrCounts lays a table of 1<<bits buckets over the front of n.
+func newAddrCounts(n []uint32, bits uint) addrCounts {
+	return addrCounts{n: n[: 1<<bits : 1<<bits], shift: 64 - bits}
 }
 
 // bucket is Fibonacci hashing of the word address: power-of-two strides
@@ -93,45 +103,51 @@ func (a *addrCounts) remove(addr uint64)   { *a.bucket(addr)-- }
 func (a *addrCounts) has(addr uint64) bool { return *a.bucket(addr) != 0 }
 
 func newLSQ(loads, stores int) *lsq {
+	sb, lb := addrBits(stores), addrBits(loads)
+	counts := make([]uint32, 1<<sb+1<<lb) // both address tables
 	return &lsq{
 		lq:           make([]lqEntry, loads),
 		sq:           make([]sqEntry, stores),
 		sqUnresolved: newSlotSet(stores),
-		sqAddrs:      newAddrCounts(stores),
-		lqAddrs:      newAddrCounts(loads),
+		sqAddrs:      newAddrCounts(counts, sb),
+		lqAddrs:      newAddrCounts(counts[1<<sb:], lb),
 	}
 }
 
 func (l *lsq) loadFull() bool  { return l.lqCount == len(l.lq) }
 func (l *lsq) storeFull() bool { return l.sqCount == len(l.sq) }
 
-func (l *lsq) lqSlot(pos uint64) int32 { return int32(pos % uint64(len(l.lq))) }
-func (l *lsq) sqSlot(pos uint64) int32 { return int32(pos % uint64(len(l.sq))) }
+// lqSlot and sqSlot find the slot of a position at most a ring's length
+// behind its tail: a compare, not a 64-bit division.
+func (l *lsq) lqSlot(pos uint64) int32 { return ringBack(l.lqTailSlot, int32(l.lqTail-pos), len(l.lq)) }
+func (l *lsq) sqSlot(pos uint64) int32 { return ringBack(l.sqTailSlot, int32(l.sqTail-pos), len(l.sq)) }
 
 // allocLoad reserves the next load-queue slot in program order. Dispatch
 // checks loadFull first, so an allocation into an occupied slot is a
 // bookkeeping bug.
 func (l *lsq) allocLoad(rob int32, seq uint64) int32 {
-	idx := l.lqSlot(l.lqTail)
+	idx := l.lqTailSlot
 	if l.lqCount >= len(l.lq) || l.lq[idx].valid {
 		throw(KindLSQOverflow, seq, "load queue overflow: alloc seq %d into slot %d (count %d/%d, valid=%v)",
 			seq, idx, l.lqCount, len(l.lq), l.lq[idx].valid)
 	}
 	l.lq[idx] = lqEntry{rob: rob, seq: seq, sqPos: l.sqTail, valid: true}
 	l.lqTail++
+	l.lqTailSlot = ringAhead(idx, 1, len(l.lq))
 	l.lqCount++
 	return idx
 }
 
 // allocStore reserves the next store-queue slot in program order.
 func (l *lsq) allocStore(seq uint64) int32 {
-	idx := l.sqSlot(l.sqTail)
+	idx := l.sqTailSlot
 	if l.sqCount >= len(l.sq) || l.sq[idx].valid {
 		throw(KindLSQOverflow, seq, "store queue overflow: alloc seq %d into slot %d (count %d/%d, valid=%v)",
 			seq, idx, l.sqCount, len(l.sq), l.sq[idx].valid)
 	}
 	l.sq[idx] = sqEntry{seq: seq, lqPos: l.lqTail, valid: true}
 	l.sqTail++
+	l.sqTailSlot = ringAhead(idx, 1, len(l.sq))
 	l.sqCount++
 	l.sqUnresolved.add(idx)
 	return idx
@@ -211,12 +227,14 @@ func (l *lsq) releaseStore(i int32) {
 func (l *lsq) squashLoad(i int32) {
 	l.dropLoad(i, "squashing")
 	l.lqTail--
+	l.lqTailSlot = ringBack(l.lqTailSlot, 1, len(l.lq))
 }
 
 // squashStore rolls the tail back over a squashed store.
 func (l *lsq) squashStore(i int32) {
 	l.dropStore(i, "squashing")
 	l.sqTail--
+	l.sqTailSlot = ringBack(l.sqTailSlot, 1, len(l.sq))
 }
 
 // checkIndexes recounts the three indexes from the queue slots (Debug
@@ -337,11 +355,11 @@ type storeWait struct {
 	nextClear int64
 }
 
-func newStoreWait(entries int, interval int64) *storeWait {
+func newStoreWait(entries int, interval int64) storeWait {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("core: store-wait entries must be a positive power of two")
 	}
-	return &storeWait{
+	return storeWait{
 		bits:      make([]bool, entries),
 		mask:      uint64(entries - 1),
 		interval:  interval,

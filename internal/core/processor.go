@@ -27,6 +27,23 @@ const (
 // noReg marks an absent register operand or destination.
 const noReg int32 = -1
 
+// ringAhead and ringBack move k (0 <= k <= n) slots forward or back from
+// slot i of a ring of n slots: the active list, the fetch queue and the
+// load and store queues wrap by a compare, not a division.
+func ringAhead(i, k int32, n int) int32 {
+	if i += k; i >= int32(n) {
+		i -= int32(n)
+	}
+	return i
+}
+
+func ringBack(i, k int32, n int) int32 {
+	if i -= k; i < 0 {
+		i += int32(n)
+	}
+	return i
+}
+
 // robEntry is one active-list slot. The same index names the
 // instruction's WIB slot (WIB entries are allocated in program order with
 // the active list, §3.3).
@@ -159,7 +176,7 @@ type Processor struct {
 	// Memory system.
 	hier *mem.Hierarchy
 	lsq  *lsq
-	sw   *storeWait
+	sw   storeWait
 
 	// Prediction.
 	bp *bpred.Predictor
@@ -211,6 +228,12 @@ type ifqEntry struct {
 	fetched  int64 // cycle the instruction entered the fetch queue
 }
 
+// l2MissCap sizes Processor.l2MissReady once, at construction, so a run
+// does not grow it: over the 18 kernels on the WIB/2048 machine at most
+// 142 demand-load L2 misses are outstanding at once (mst, in its
+// 50k-instruction cell and its first million instructions alike).
+const l2MissCap = 160
+
 // New builds a processor for the given program, cold: a fresh cache
 // hierarchy, branch predictor and memory image, at program entry.
 func New(cfg Config, prog *isa.Program) (*Processor, error) {
@@ -255,7 +278,7 @@ func newProcessor(cfg Config, prog *isa.Program, w Window) (*Processor, error) {
 	p.fpIQ = newIssueQueue(cfg.FPIQSize, cfg.ActiveList)
 	p.fus = newFUPools(cfg)
 	p.lsq = newLSQ(cfg.LoadQueue, cfg.StoreQueue)
-	p.l2MissReady = heap.NewWithCapacity(int64Before, 16)
+	p.l2MissReady = heap.NewWithCapacity(int64Before, l2MissCap)
 
 	p.regs[0].arch(int(isa.SP)).value = prog.StackTop
 	p.regs[0].arch(int(isa.GP)).value = prog.DataBase
@@ -577,7 +600,7 @@ func (p *Processor) commit() {
 			}
 		}
 		e.stage = stFree
-		p.robHead = (p.robHead + 1) % int32(len(p.rob))
+		p.robHead = ringAhead(p.robHead, 1, len(p.rob))
 		p.robCount--
 		if p.halted {
 			return

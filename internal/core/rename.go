@@ -15,7 +15,7 @@ func (p *Processor) dispatch() {
 		if !p.dispatchOne(&p.ifq[p.ifqHead]) {
 			return
 		}
-		p.ifqHead = (p.ifqHead + 1) % int32(len(p.ifq))
+		p.ifqHead = ringAhead(p.ifqHead, 1, len(p.ifq))
 		p.ifqN--
 		slots--
 	}
@@ -124,7 +124,7 @@ func (p *Processor) dispatchOne(fe *ifqEntry) bool {
 		e.bpCp = fe.cp
 	}
 
-	p.robTail = (p.robTail + 1) % int32(len(p.rob))
+	p.robTail = ringAhead(p.robTail, 1, len(p.rob))
 	p.robCount++
 	if p.tracer != nil {
 		p.tracer.dispatch(e, fe.fetched, p.now)
@@ -223,9 +223,8 @@ func (p *Processor) recoverReplay(loadRob int32) {
 // rollback, queue occupancy, and WIB bookkeeping.
 func (p *Processor) squashFrom(boundarySeq uint64, inclusive bool) {
 	p.flushIFQ()
-	size := int32(len(p.rob))
 	for p.robCount > 0 {
-		idx := (p.robTail - 1 + size) % size
+		idx := ringBack(p.robTail, 1, len(p.rob))
 		e := &p.rob[idx]
 		if e.seq < boundarySeq || (!inclusive && e.seq == boundarySeq) {
 			break

@@ -517,12 +517,12 @@ func heldOnBitVector(t *testing.T) {
 			before[r] = true
 		}
 		for c := range p.wib.cols {
-			active[c], gens[c] = p.wib.cols[c].active, p.wib.gens[c]
+			active[c], gens[c] = p.wib.cols[c].active, p.wib.cols[c].gen
 		}
 		p.cycle()
 		freed := false
 		for c := range p.wib.cols {
-			freed = freed || active[c] && (!p.wib.cols[c].active || p.wib.gens[c] != gens[c])
+			freed = freed || active[c] && (!p.wib.cols[c].active || p.wib.cols[c].gen != gens[c])
 		}
 		for r := range before {
 			if bvHeld.has(r) {

@@ -33,15 +33,20 @@ type wibRow struct {
 }
 
 // wibColumn is one bit-vector: the list of active-list slots parked on it,
-// linked through the WIB's next/prev arrays in deposit order. n counts
+// linked through the WIB's links array in deposit order. n counts
 // deposits since the column was claimed, squashed ones included (the
-// pool-of-blocks organization's block accounting reads it).
+// pool-of-blocks organization's block accounting reads it). gen counts
+// the column's allocations, so a wait bit naming an older one is stale.
 type wibColumn struct {
 	active     bool
 	loadSeq    uint64
+	gen        uint64
 	head, tail int32 // first and last parked slot, noSlot when empty
 	n          int
 }
+
+// wibLink is an active-list slot's place on its column's list.
+type wibLink struct{ next, prev int32 }
 
 const noSlot int32 = -1
 
@@ -57,13 +62,12 @@ func rowBefore(a, b wibRow) bool { return a.seq < b.seq }
 type wib struct {
 	cfg  WIBConfig
 	cols []wibColumn
-	gens []uint64 // per-column allocation generation (wait-bit staleness)
 	free []int32
 
 	// The column lists' links, indexed by active-list slot. A slot is on
 	// at most one list — the column its stInWIB instruction names — so one
-	// pair of arrays serves every column.
-	next, prev []int32
+	// array serves every column.
+	links []wibLink
 
 	// Banked organization: each bank's eligible set, plus the rotating
 	// sticky priority order (§3.3.1). Bank b owns active-list slots ≡ b
@@ -74,7 +78,7 @@ type wib struct {
 	// A cycle reaches only the banks of its own parity, so the order is
 	// kept per parity: bankPrio[0] ranks the even banks, bankPrio[1] the
 	// odd ones, and a cycle that finds nothing eligible leaves both as
-	// they are.
+	// they are. Both lists and prioScratch are cut from one array.
 	banks     []slotSet
 	eligCount int
 	bankPrio  [2][]int32
@@ -86,7 +90,8 @@ type wib struct {
 	nextAccess int64             // non-banked multicycle access gate
 
 	// Per-cycle scratch buffers, reused so the steady-state reinsertion
-	// paths allocate nothing.
+	// paths allocate nothing. The banked organization needs no
+	// liveScratch: completeColumn sets its eligible bits directly.
 	liveScratch    []wibRow
 	blockedScratch []wibRow
 	putBackScratch []wibRow
@@ -118,8 +123,7 @@ func newWIB(cfg WIBConfig, activeList, loadQueue int) *wib {
 		// Unlimited: bounded by the number of loads that can be in flight.
 		nCols = loadQueue
 	}
-	w := &wib{cfg: cfg, cols: make([]wibColumn, nCols), gens: make([]uint64, nCols),
-		next: make([]int32, activeList), prev: make([]int32, activeList)}
+	w := &wib{cfg: cfg, cols: make([]wibColumn, nCols), links: make([]wibLink, activeList)}
 	w.elig = heap.New(rowBefore)
 	w.free = make([]int32, 0, nCols)
 	for i := nCols - 1; i >= 0; i-- {
@@ -141,12 +145,18 @@ func newWIB(cfg WIBConfig, activeList, loadQueue int) *wib {
 		w.cfg.Banked = false
 	}
 	if w.cfg.Banked {
-		w.banks = make([]slotSet, w.cfg.Banks)
-		newSlotSets(w.banks, (activeList+w.cfg.Banks-1)/w.cfg.Banks)
-		for b := range w.banks {
-			w.bankPrio[b&1] = append(w.bankPrio[b&1], int32(b))
+		banks := w.cfg.Banks
+		w.banks = make([]slotSet, banks)
+		newSlotSets(w.banks, (activeList+banks-1)/banks)
+		// The even banks, then the odd ones, then prioScratch, which holds
+		// at most one parity's banks.
+		even := (banks + 1) / 2
+		prio := make([]int32, banks+even)
+		for b := 0; b < banks; b++ {
+			prio[b/2+(b&1)*even] = int32(b)
 		}
-		w.prioScratch = make([]int32, 0, w.cfg.Banks)
+		w.bankPrio = [2][]int32{prio[:even:even], prio[even:banks:banks]}
+		w.prioScratch = prio[banks:banks]
 	}
 	return w
 }
@@ -154,11 +164,11 @@ func newWIB(cfg WIBConfig, activeList, loadQueue int) *wib {
 // depositRow appends active-list slot rob to column c's list.
 func (w *wib) depositRow(c, rob int32) {
 	col := &w.cols[c]
-	w.next[rob], w.prev[rob] = noSlot, col.tail
+	w.links[rob] = wibLink{next: noSlot, prev: col.tail}
 	if col.tail == noSlot {
 		col.head = rob
 	} else {
-		w.next[col.tail] = rob
+		w.links[col.tail].next = rob
 	}
 	col.tail = rob
 	col.n++
@@ -168,16 +178,16 @@ func (w *wib) depositRow(c, rob int32) {
 // keeps it.
 func (w *wib) unlinkRow(c, rob int32) {
 	col := &w.cols[c]
-	nx, pv := w.next[rob], w.prev[rob]
+	nx, pv := w.links[rob].next, w.links[rob].prev
 	if pv == noSlot {
 		col.head = nx
 	} else {
-		w.next[pv] = nx
+		w.links[pv].next = nx
 	}
 	if nx == noSlot {
 		col.tail = pv
 	} else {
-		w.prev[nx] = pv
+		w.links[nx].prev = pv
 	}
 }
 
@@ -197,7 +207,7 @@ func (w *wib) checkColumnLists(p *Processor, inWIB int) {
 	for c := range w.cols {
 		col := &w.cols[c]
 		last := noSlot
-		for s := col.head; s != noSlot; s = w.next[s] {
+		for s := col.head; s != noSlot; s = w.links[s].next {
 			if total++; total > inWIB {
 				throw(KindWIBColumns, 0, "column lists hold more slots than the %d entries parked on bit-vectors", inWIB)
 			}
@@ -205,8 +215,8 @@ func (w *wib) checkColumnLists(p *Processor, inWIB int) {
 				throw(KindWIBColumns, e.seq, "column %d lists slot %d, whose seq %d is %s on column %d",
 					c, s, e.seq, stageNames[e.stage], e.wibCol)
 			}
-			if w.prev[s] != last {
-				throw(KindWIBColumns, p.rob[s].seq, "column %d: slot %d links back to %d, not %d", c, s, w.prev[s], last)
+			if w.links[s].prev != last {
+				throw(KindWIBColumns, p.rob[s].seq, "column %d: slot %d links back to %d, not %d", c, s, w.links[s].prev, last)
 			}
 			last = s
 		}
@@ -256,16 +266,16 @@ func (w *wib) allocColumn(loadSeq uint64) (int32, bool) {
 	col := &w.cols[c]
 	col.active = true
 	col.loadSeq = loadSeq
-	w.gens[c]++
+	col.gen++
 	return c, true
 }
 
 // gen returns the current allocation generation of column c.
-func (w *wib) gen(c int32) uint64 { return w.gens[c] }
+func (w *wib) gen(c int32) uint64 { return w.cols[c].gen }
 
 // fresh reports whether (c, gen) still names a live bit-vector.
 func (w *wib) fresh(c int32, gen uint64) bool {
-	return c >= 0 && int(c) < len(w.cols) && w.cols[c].active && w.gens[c] == gen
+	return c >= 0 && int(c) < len(w.cols) && w.cols[c].active && w.cols[c].gen == gen
 }
 
 // releaseColumn frees a bit-vector without completing it (load squashed,
@@ -346,14 +356,22 @@ func (w *wib) completeColumn(p *Processor, c int32) {
 		throw(KindWIBBadColumn, 0, "completing dead bit-vector column %d", c)
 	}
 	col := &w.cols[c]
-	live := w.liveScratch[:0]
-	for s := col.head; s != noSlot; s = w.next[s] {
-		e := &p.rob[s]
-		e.stage = stEligible
-		live = append(live, wibRow{rob: s, seq: e.seq})
+	if w.cfg.Banked {
+		for s := col.head; s != noSlot; s = w.links[s].next {
+			e := &p.rob[s]
+			e.stage = stEligible
+			w.setEligibleBit(s, e.seq)
+		}
+	} else {
+		live := w.liveScratch[:0]
+		for s := col.head; s != noSlot; s = w.links[s].next {
+			e := &p.rob[s]
+			e.stage = stEligible
+			live = append(live, wibRow{rob: s, seq: e.seq})
+		}
+		w.addEligible(col.loadSeq, live)
+		w.liveScratch = live[:0]
 	}
-	w.addEligible(col.loadSeq, live)
-	w.liveScratch = live[:0]
 	w.releaseBlocks(c)
 	w.dropRows(c)
 	col.active = false

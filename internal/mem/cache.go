@@ -70,9 +70,10 @@ type line struct {
 // tagArray is a set-associative array of tags with true-LRU replacement:
 // the storage and the one lookup shared by the caches (line tags) and the
 // TLB (page tags). The tag is the full unit number, which keeps lookups
-// unambiguous.
+// unambiguous. Set s is ways [s·assoc, (s+1)·assoc) of one flat slice.
 type tagArray struct {
-	sets    [][]line
+	ways    []line
+	assoc   int
 	setMask uint64
 	shift   uint // log2 of the unit (line or page) size in bytes
 	tick    uint64
@@ -81,29 +82,25 @@ type tagArray struct {
 // newTagArray lays out nsets sets of assoc ways over units of unitBytes
 // (both powers of two; the callers validate).
 func newTagArray(nsets, assoc int, unitBytes uint64) tagArray {
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*assoc)
-	for i := range sets {
-		sets[i] = backing[i*assoc : (i+1)*assoc]
-	}
 	shift := uint(0)
 	for uint64(1)<<shift != unitBytes {
 		shift++
 	}
-	return tagArray{sets: sets, setMask: uint64(nsets - 1), shift: shift}
+	return tagArray{ways: make([]line, nsets*assoc), assoc: assoc, setMask: uint64(nsets - 1), shift: shift}
 }
 
 // copyFrom makes a's tags, dirty bits and LRU stamps those of src, which
-// has the same geometry. sets[0] heads the one backing array newTagArray
-// lays the sets over, so its capacity spans every set: one copy moves all.
+// has the same geometry.
 func (a *tagArray) copyFrom(src *tagArray) {
-	copy(a.sets[0][:cap(a.sets[0])], src.sets[0][:cap(src.sets[0])])
+	copy(a.ways, src.ways)
 	a.tick = src.tick
 }
 
-func (a *tagArray) index(addr uint64) (set uint64, tag uint64) {
+// set returns the ways of addr's set and addr's tag.
+func (a *tagArray) set(addr uint64) (ways []line, tag uint64) {
 	unit := addr >> a.shift
-	return unit & a.setMask, unit
+	base := int(unit&a.setMask) * a.assoc
+	return a.ways[base : base+a.assoc], unit
 }
 
 // touch is the one set-associative lookup of the memory system: it finds
@@ -115,8 +112,7 @@ func (a *tagArray) index(addr uint64) (set uint64, tag uint64) {
 // their own counters around it, so all four replace identically.
 func (a *tagArray) touch(addr uint64, store bool) (hit, evictedDirty bool) {
 	a.tick++
-	set, tag := a.index(addr)
-	ways := a.sets[set]
+	ways, tag := a.set(addr)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = a.tick
@@ -149,13 +145,13 @@ type Cache struct {
 	stats CacheStats
 }
 
-// NewCache builds a cache; the configuration must validate.
-func NewCache(cfg CacheConfig) *Cache {
+// newCache builds a cache; the configuration must validate.
+func newCache(cfg CacheConfig) Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
-	return &Cache{tagArray: newTagArray(nsets, cfg.Assoc, uint64(cfg.LineBytes))}
+	return Cache{tagArray: newTagArray(nsets, cfg.Assoc, uint64(cfg.LineBytes))}
 }
 
 // LineAddr returns the line-aligned address containing addr.
@@ -164,9 +160,9 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.shift << c.shift
 // Probe reports whether addr currently hits, without updating LRU or
 // statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	ways, tag := c.set(addr)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
 			return true
 		}
 	}

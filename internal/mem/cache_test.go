@@ -8,7 +8,8 @@ import (
 
 func smallCache() *Cache {
 	// 4 sets x 2 ways x 64B lines = 512B.
-	return NewCache(CacheConfig{Name: "t", SizeBytes: 512, Assoc: 2, LineBytes: 64})
+	c := newCache(CacheConfig{Name: "t", SizeBytes: 512, Assoc: 2, LineBytes: 64})
+	return &c
 }
 
 func TestCacheConfigValidate(t *testing.T) {
@@ -109,7 +110,7 @@ func TestCacheMissRatioProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 20}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := NewCache(CacheConfig{Name: "p", SizeBytes: 4096, Assoc: 4, LineBytes: 64})
+		c := newCache(CacheConfig{Name: "p", SizeBytes: 4096, Assoc: 4, LineBytes: 64})
 		// Working set: exactly 2 lines per set (16 sets, 4 ways), so the
 		// whole set fits regardless of access order.
 		addrs := make([]uint64, 0, 32)

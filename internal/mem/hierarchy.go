@@ -52,15 +52,15 @@ type AccessResult struct {
 // concurrent use; the cycle-level core drives it single-threaded.
 type Hierarchy struct {
 	cfg Config
-	l1i *Cache
-	l1d *Cache
-	l2  *Cache
-	tlb *TLB
+	l1i Cache
+	l1d Cache
+	l2  Cache
+	tlb *TLB // nil when DisableTLB
 
 	// In-flight fills by line address, per level that sourced them. Used
 	// for MSHR-style merging of secondary misses.
-	inflightL1D *inflightTable
-	inflightL1I *inflightTable
+	inflightL1D inflightTable
+	inflightL1I inflightTable
 
 	LoadCount  uint64
 	StoreCount uint64
@@ -91,14 +91,14 @@ func (c Config) Validate() error {
 func NewHierarchy(cfg Config) *Hierarchy {
 	h := &Hierarchy{
 		cfg:         cfg,
-		l1i:         NewCache(cfg.L1I),
-		l1d:         NewCache(cfg.L1D),
-		l2:          NewCache(cfg.L2),
+		l1i:         newCache(cfg.L1I),
+		l1d:         newCache(cfg.L1D),
+		l2:          newCache(cfg.L2),
 		inflightL1D: newInflightTable(),
 		inflightL1I: newInflightTable(),
 	}
 	if !cfg.DisableTLB {
-		h.tlb = NewTLB(cfg.TLBEntries, cfg.TLBAssoc, cfg.TLBPageBytes, cfg.TLBPenalty)
+		h.tlb = newTLB(cfg.TLBEntries, cfg.TLBAssoc, cfg.TLBPageBytes, cfg.TLBPenalty)
 	}
 	return h
 }
@@ -124,7 +124,7 @@ func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
 	if dst == nil || dst.cfg != h.cfg {
 		dst = NewHierarchy(h.cfg)
 	}
-	for _, c := range [...][2]*Cache{{dst.l1i, h.l1i}, {dst.l1d, h.l1d}, {dst.l2, h.l2}} {
+	for _, c := range [...][2]*Cache{{&dst.l1i, &h.l1i}, {&dst.l1d, &h.l1d}, {&dst.l2, &h.l2}} {
 		c[0].copyFrom(&c[1].tagArray)
 		c[0].stats = c[1].stats
 	}
@@ -196,10 +196,17 @@ type inflightTable struct {
 	order  fillHeap
 }
 
-func newInflightTable() *inflightTable {
-	return &inflightTable{
-		byLine: make(map[uint64]int64),
-		order:  make(fillHeap, 0, 16),
+// inflightCap sizes both parts of an in-flight table once, at
+// construction, so a run does not grow them: over the 18 kernels on the
+// WIB/2048 machine one table holds at most 139 fills at a time (mst's
+// L1D, in its 50k-instruction cell and its first million instructions
+// alike). A run that outgrows it still grows the table.
+const inflightCap = 160
+
+func newInflightTable() inflightTable {
+	return inflightTable{
+		byLine: make(map[uint64]int64, inflightCap),
+		order:  make(fillHeap, 0, inflightCap),
 	}
 }
 
@@ -267,7 +274,7 @@ func (h *Hierarchy) Load(addr uint64, now int64) AccessResult {
 	if h.tlb != nil {
 		tlbDelay = h.tlb.Translate(addr)
 	}
-	return h.access(h.l1d, h.inflightL1D, addr, now+tlbDelay, false)
+	return h.access(&h.l1d, &h.inflightL1D, addr, now+tlbDelay, false)
 }
 
 // ProbeLoad reports whether a load to addr would hit in the L1D right now
@@ -295,13 +302,13 @@ func (h *Hierarchy) Store(addr uint64, now int64) AccessResult {
 	if h.tlb != nil {
 		tlbDelay = h.tlb.Translate(addr)
 	}
-	return h.access(h.l1d, h.inflightL1D, addr, now+tlbDelay, true)
+	return h.access(&h.l1d, &h.inflightL1D, addr, now+tlbDelay, true)
 }
 
 // Fetch performs an instruction fetch of the line containing byte address
 // addr.
 func (h *Hierarchy) Fetch(addr uint64, now int64) AccessResult {
-	return h.access(h.l1i, h.inflightL1I, addr, now, false)
+	return h.access(&h.l1i, &h.inflightL1I, addr, now, false)
 }
 
 // L1DStats, L1IStats, L2Stats, and TLBMissRatio expose the counters the

@@ -12,9 +12,9 @@ type TLB struct {
 	Misses   uint64
 }
 
-// NewTLB builds a TLB with the given entry count, associativity, page size
+// newTLB builds a TLB with the given entry count, associativity, page size
 // (power of two) and miss penalty in cycles.
-func NewTLB(entries, assoc int, pageBytes uint64, penalty int64) *TLB {
+func newTLB(entries, assoc int, pageBytes uint64, penalty int64) *TLB {
 	nsets := entries / assoc
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("mem: TLB set count must be a positive power of two")

@@ -3,7 +3,7 @@ package mem
 import "testing"
 
 func TestTLBHitMiss(t *testing.T) {
-	tlb := NewTLB(8, 2, 4096, 30)
+	tlb := newTLB(8, 2, 4096, 30)
 	if d := tlb.Translate(0x1234); d != 30 {
 		t.Errorf("cold translate delay = %d, want 30", d)
 	}
@@ -22,7 +22,7 @@ func TestTLBHitMiss(t *testing.T) {
 }
 
 func TestTLBLRU(t *testing.T) {
-	tlb := NewTLB(4, 2, 4096, 30)                      // 2 sets x 2 ways
+	tlb := newTLB(4, 2, 4096, 30)                      // 2 sets x 2 ways
 	p := func(i uint64) uint64 { return i * 4096 * 2 } // all map to set 0
 	tlb.Translate(p(0))
 	tlb.Translate(p(1))
@@ -37,7 +37,7 @@ func TestTLBLRU(t *testing.T) {
 }
 
 func TestTLBZeroRatioWhenIdle(t *testing.T) {
-	tlb := NewTLB(8, 2, 4096, 30)
+	tlb := newTLB(8, 2, 4096, 30)
 	if tlb.MissRatio() != 0 {
 		t.Error("idle TLB miss ratio nonzero")
 	}
@@ -49,5 +49,5 @@ func TestTLBBadGeometryPanics(t *testing.T) {
 			t.Error("no panic for bad geometry")
 		}
 	}()
-	NewTLB(6, 2, 4096, 30) // 3 sets
+	newTLB(6, 2, 4096, 30) // 3 sets
 }

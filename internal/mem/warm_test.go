@@ -53,7 +53,7 @@ func TestWarmStoreInstallsDirty(t *testing.T) {
 }
 
 func TestTLBWarmCountsNothing(t *testing.T) {
-	tlb := NewTLB(16, 4, 4096, 30)
+	tlb := newTLB(16, 4, 4096, 30)
 	tlb.Warm(0x10000)
 	if tlb.Accesses != 0 || tlb.Misses != 0 {
 		t.Errorf("TLB warm counted: %d/%d", tlb.Accesses, tlb.Misses)

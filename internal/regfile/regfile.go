@@ -41,8 +41,9 @@ type TwoLevel struct {
 	ReadPorts  int
 	L2Latency  int64
 
-	// LRU bookkeeping, intrusive lists indexed by physical register.
-	next, prev []int32
+	// LRU bookkeeping: an intrusive list through links, indexed by
+	// physical register, of the registers inL1 marks resident.
+	links      []lruLink
 	inL1       []bool
 	head, tail int32 // head = MRU, tail = LRU
 	count      int
@@ -52,6 +53,10 @@ type TwoLevel struct {
 	Hits   uint64
 	Misses uint64
 }
+
+// lruLink is one register's place on the first level's LRU list: both
+// neighbours in one record, so moving a register reads one cache line.
+type lruLink struct{ next, prev int32 }
 
 // portBook books a set of read ports cycle by cycle. It counts the reads
 // booked on each cycle of a window that starts at base, the clock of the
@@ -109,8 +114,7 @@ func NewTwoLevel(totalRegs, l1Capacity, readPorts int, l2Latency int64) *TwoLeve
 		L1Capacity: l1Capacity,
 		ReadPorts:  readPorts,
 		L2Latency:  l2Latency,
-		next:       make([]int32, totalRegs),
-		prev:       make([]int32, totalRegs),
+		links:      make([]lruLink, totalRegs),
 		inL1:       make([]bool, totalRegs),
 		ports:      newPortBook(),
 		head:       -1,
@@ -120,24 +124,23 @@ func NewTwoLevel(totalRegs, l1Capacity, readPorts int, l2Latency int64) *TwoLeve
 }
 
 func (t *TwoLevel) unlink(r int32) {
-	p, n := t.prev[r], t.next[r]
+	p, n := t.links[r].prev, t.links[r].next
 	if p >= 0 {
-		t.next[p] = n
+		t.links[p].next = n
 	} else {
 		t.head = n
 	}
 	if n >= 0 {
-		t.prev[n] = p
+		t.links[n].prev = p
 	} else {
 		t.tail = p
 	}
 }
 
 func (t *TwoLevel) pushFront(r int32) {
-	t.prev[r] = -1
-	t.next[r] = t.head
+	t.links[r] = lruLink{next: t.head, prev: -1}
 	if t.head >= 0 {
-		t.prev[t.head] = int32(r)
+		t.links[t.head].prev = r
 	}
 	t.head = r
 	if t.tail < 0 {
