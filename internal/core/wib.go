@@ -356,22 +356,18 @@ func (w *wib) completeColumn(p *Processor, c int32) {
 		throw(KindWIBBadColumn, 0, "completing dead bit-vector column %d", c)
 	}
 	col := &w.cols[c]
-	if w.cfg.Banked {
-		for s := col.head; s != noSlot; s = w.links[s].next {
-			e := &p.rob[s]
-			e.stage = stEligible
-			w.setEligibleBit(s, e.seq)
+	live := w.liveScratch[:0]
+	for s := col.head; s != noSlot; s = w.links[s].next {
+		e := &p.rob[s]
+		e.stage = stEligible
+		if w.cfg.Banked {
+			w.setEligibleBit(s, e.seq) // nothing to gather
+			continue
 		}
-	} else {
-		live := w.liveScratch[:0]
-		for s := col.head; s != noSlot; s = w.links[s].next {
-			e := &p.rob[s]
-			e.stage = stEligible
-			live = append(live, wibRow{rob: s, seq: e.seq})
-		}
-		w.addEligible(col.loadSeq, live)
-		w.liveScratch = live[:0]
+		live = append(live, wibRow{rob: s, seq: e.seq})
 	}
+	w.addEligible(col.loadSeq, live)
+	w.liveScratch = live[:0]
 	w.releaseBlocks(c)
 	w.dropRows(c)
 	col.active = false
