@@ -440,11 +440,11 @@ var built any
 
 // TestConstructionAllocs pins, as equalities, what building the machine
 // and its substrates allocates. Per-entry tables are arrays of records and
-// each part is held by value where its owner is the only holder, so the
-// counts are one allocation per table: a change that lowers one lowers
-// its pin here (as allow.txt's ceilings are lowered), and one that raises
-// it says why. Before the record layout they were 57 (Base), 82
-// (WIB/2048), 19, 14 and 4.
+// each part is held by value where its owner is the only holder, so a
+// table costs one allocation (a presized fill map, four): a change that
+// lowers one lowers its pin here (as allow.txt's ceilings are lowered),
+// and one that raises it says why. Before the record layout they were 57
+// (Base), 82 (WIB/2048), 19, 14 and 5.
 func TestConstructionAllocs(t *testing.T) {
 	spec, ok := workload.Get("em3d")
 	if !ok {
